@@ -21,7 +21,9 @@ Methodology:
   pair exactly with the timed runs.
 * The scalar and vector kernels are verified to produce identical
   schedules on every workload before timing them; the benchmark aborts
-  loudly if they diverge.
+  loudly if they diverge.  Production runs each policy on its own
+  kernel (RC vector, NR and RA scalar); the two timed cells per policy
+  are the measurement behind that rule.
 * The parallel-sweep section reports the machine's CPU count next to
   its timings: on a single-core host ``workers > 1`` cannot win and the
   numbers record exactly that.
@@ -64,19 +66,6 @@ REGRESSION_THRESHOLD = 0.20
 #: noisier than a tight kernel loop; only p50 is gated (p99 is reported
 #: but a single slow wakeup would make it an unusable gate).
 SERVICE_REGRESSION_THRESHOLD = 0.50
-
-#: Crossover gate: the auto kernel may be at most this much slower than
-#: the better fixed kernel in any cell.  Auto's timing pools its own
-#: samples with its resolved kernel's (see :func:`bench_schedulers`), so
-#: same-code-path noise no longer reaches this gate; the residual slack
-#: covers cells where the two fixed kernels are timing-indistinguishable
-#: (NR) and noise decides which *fixed* best-of-N lands lower.
-AUTO_TOLERANCE = 0.05
-
-#: Quick mode times one small (~ms) workload, where scheduler wall time
-#: is dominated by allocator/cache state rather than kernel choice;
-#: the auto contract is only *smoke*-checked there.
-QUICK_AUTO_TOLERANCE = 0.25
 
 #: Figure-1-style workload sizes (flows on 5 channels, centralized).
 #: The 20-flow cell doubles as the quick-mode workload, so CI's quick
@@ -123,53 +112,19 @@ def _instrumented_counters(network, flow_set, policy: str,
     return recorder.snapshot()["counters"]
 
 
-def _resolved_auto_kernel(flow_set, policy: str) -> str:
-    """The concrete kernel auto resolves to for one bench workload.
-
-    Mirrors :meth:`repro.core.scheduler.FixedPriorityScheduler
-    ._resolve_auto`: the size estimate is the number of transmission
-    requests the run places (instances x route hops x attempts).
-    """
-    from repro.core.scheduler import ATTEMPTS_PER_LINK
-
-    hyperperiod = flow_set.hyperperiod()
-    num_requests = sum(
-        (hyperperiod // flow.period_slots) * len(flow.links)
-        * ATTEMPTS_PER_LINK
-        for flow in flow_set)
-    with _kernel.kernel_mode(_kernel.KERNEL_AUTO):
-        return _kernel.resolve_kernel(policy, num_requests)
-
-
 def bench_schedulers(flow_counts: Sequence[int], seed: int,
-                     repetitions: int,
-                     auto_tolerance: float = AUTO_TOLERANCE) -> List[Dict]:
-    """Scalar / vector / auto timings for every (flow count, policy) pair.
+                     repetitions: int) -> List[Dict]:
+    """Scalar / vector timings for every (flow count, policy) pair.
 
-    Each cell times all three kernel modes with the repetitions
-    *interleaved* (one run per kernel per round), so slow drift on
-    shared hardware hits every kernel alike instead of whichever mode
-    happened to run during a noisy stretch.
-
-    The auto cell's wall time additionally pools its samples with its
-    resolved fixed kernel's: an auto run *is* that kernel's code path
-    plus a constant-time resolution (:func:`repro.core.kernel
-    .resolve_kernel`), so both sample the same distribution and the
-    pooled best is a tighter estimate of the same quantity — without it,
-    best-of-N noise between two identical code paths decides the sign of
-    ``auto_speedup``.  The raw unpooled timing is kept alongside
-    (``raw_wall_s``) so the pooling is auditable.  :func:`check_auto`
-    then asserts auto never *loses*: a pooled auto cell slower than
-    scalar means the resolution genuinely picked a slower vector path.
-
-    Best-of-1 timings (``repetitions == 1``) cannot support a
-    noise-bounded assertion, so the check is skipped there — the
-    schedule-signature equivalence check still runs.
+    Each cell forces both kernels (:func:`repro.core.kernel
+    .kernel_mode`) with the repetitions *interleaved* (one run per
+    kernel per round), so slow drift on shared hardware hits both
+    kernels alike instead of whichever happened to run during a noisy
+    stretch.
     """
     network, workloads = _workloads(flow_counts, seed)
     rows: List[Dict] = []
-    kernels = (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR,
-               _kernel.KERNEL_AUTO)
+    kernels = (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR)
     for num_flows, flow_set in workloads:
         for policy in POLICY_NAMES:
             row: Dict = {"num_flows": num_flows, "policy": policy}
@@ -185,13 +140,12 @@ def bench_schedulers(flow_counts: Sequence[int], seed: int,
                             best[kernel], time.perf_counter() - start)
             signatures = {kernel: _placements_of(result)
                           for kernel, result in results.items()}
-            for kernel in kernels[1:]:
-                if signatures[kernel] != signatures[_kernel.KERNEL_SCALAR]:
-                    raise AssertionError(
-                        f"kernel divergence: {policy} at {num_flows} flows "
-                        f"produced different schedules under the scalar "
-                        f"and {kernel} kernels")
-            resolved = _resolved_auto_kernel(flow_set, policy)
+            if signatures[_kernel.KERNEL_VECTOR] != \
+                    signatures[_kernel.KERNEL_SCALAR]:
+                raise AssertionError(
+                    f"kernel divergence: {policy} at {num_flows} flows "
+                    f"produced different schedules under the scalar "
+                    f"and vector kernels")
             for kernel in kernels:
                 counters = _instrumented_counters(network, flow_set,
                                                   policy, kernel)
@@ -204,72 +158,14 @@ def bench_schedulers(flow_counts: Sequence[int], seed: int,
                     "slots_scanned":
                         int(counters.get("scheduler.slots_scanned", 0)),
                 }
-                if kernel == _kernel.KERNEL_AUTO:
-                    timing["resolved"] = resolved
-                    timing["raw_wall_s"] = wall_s
-                    timing["wall_s"] = wall_s = min(wall_s, best[resolved])
                 timing["placements_per_s"] = (
                     placements / wall_s if wall_s > 0 else None)
                 row[kernel] = timing
             scalar_s = row[_kernel.KERNEL_SCALAR]["wall_s"]
             vector_s = row[_kernel.KERNEL_VECTOR]["wall_s"]
-            auto_s = row[_kernel.KERNEL_AUTO]["wall_s"]
             row["speedup"] = scalar_s / vector_s if vector_s > 0 else None
-            row["auto_speedup"] = scalar_s / auto_s if auto_s > 0 else None
-            row["auto_vs_best"] = (min(scalar_s, vector_s) / auto_s
-                                   if auto_s > 0 else None)
             rows.append(row)
-    if repetitions >= 2:
-        check_auto(rows, tolerance=auto_tolerance)
     return rows
-
-
-def check_auto(rows: Sequence[Dict],
-               tolerance: float = AUTO_TOLERANCE) -> None:
-    """Assert the auto kernel never loses a cell.
-
-    Two-part crossover contract, per cell:
-
-    * ``auto <= scalar`` — hard, no tolerance.  Auto's pooled timing
-      (see :func:`bench_schedulers`) can only exceed scalar's when the
-      resolution picked a vector path that genuinely lost to scalar, so
-      any violation is a mis-resolution, not noise: every ``auto_speedup``
-      cell in the tracked baseline must be >= 1.0.
-    * ``auto`` within ``tolerance`` of ``min(scalar, vector)`` — the
-      resolution picked the right side of the crossover (or one
-      measurement cannot distinguish; NR's two kernels are
-      timing-identical and noise decides which fixed best lands lower).
-
-    A violation means :data:`repro.core.kernel.RA_CROSSOVER_REQUESTS`
-    no longer matches the machine's measured crossover.
-
-    Raises:
-        AssertionError: Listing every violating cell.
-    """
-    violations = []
-    for row in rows:
-        auto = row.get(_kernel.KERNEL_AUTO, {}).get("wall_s")
-        scalar_s = row.get(_kernel.KERNEL_SCALAR, {}).get("wall_s")
-        vector_s = row.get(_kernel.KERNEL_VECTOR, {}).get("wall_s")
-        if auto is None or scalar_s is None or vector_s is None:
-            continue
-        best = min(scalar_s, vector_s)
-        if auto > scalar_s:
-            violations.append(
-                f"{row['policy']}@{row['num_flows']}: auto "
-                f"{1000 * auto:.1f}ms lost to scalar "
-                f"{1000 * scalar_s:.1f}ms (auto_speedup "
-                f"{scalar_s / auto:.3f} < 1.0 — resolution picked a "
-                f"losing kernel)")
-        elif auto > best * (1.0 + tolerance):
-            violations.append(
-                f"{row['policy']}@{row['num_flows']}: auto "
-                f"{1000 * auto:.1f}ms vs best {1000 * best:.1f}ms "
-                f"({auto / best - 1.0:+.0%} > {tolerance:.0%} tolerance)")
-    if violations:
-        raise AssertionError(
-            "auto kernel slower than the better fixed kernel:\n  "
-            + "\n  ".join(violations))
 
 
 def bench_remediation(flow_counts: Sequence[int], seed: int,
@@ -394,7 +290,8 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
     * **event** — the event-driven engine forced to one repetition per
       draw chunk (the event walk without cross-repetition batching);
     * **batched** — the event engine's default memory-bounded chunking,
-      the path ``engine="auto"`` takes at experiment repetition counts.
+      the path :meth:`~repro.simulator.engine.TschSimulator.run` takes
+      at experiment repetition counts.
 
     All three are bit-identical by construction (the fuzz harness
     asserts it per case); here the statistics of the timed runs are
@@ -404,6 +301,7 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
     """
     from repro.experiments.reliability import build_reliability_flow_set
     from repro.simulator.engine import SimulationConfig, TschSimulator
+    from repro.simulator.events import run_event_batched
     from repro.testbeds import make_wustl
 
     topology, environment = make_wustl(seed)
@@ -426,15 +324,18 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
             environment=environment,
             channel_map=network.topology.channel_map,
             config=SimulationConfig(seed=seed + 4000 + num_flows))
-        modes = {"slot": dict(engine="slot"),
-                 "event": dict(engine="event", chunk_reps=1),
-                 "batched": dict(engine="event")}
+        modes = {
+            "slot": lambda: simulator.run_slot(sim_repetitions),
+            "event": lambda: run_event_batched(simulator, sim_repetitions,
+                                               chunk_reps=1),
+            "batched": lambda: run_event_batched(simulator,
+                                                 sim_repetitions)}
         best = {mode: float("inf") for mode in modes}
         stats = {}
         for _ in range(timed_repetitions):
-            for mode, kwargs in modes.items():
+            for mode, execute in modes.items():
                 start = time.perf_counter()
-                stats[mode] = simulator.run(sim_repetitions, **kwargs)
+                stats[mode] = execute()
                 best[mode] = min(best[mode],
                                  time.perf_counter() - start)
         reference = _sim_signature(stats["slot"])
@@ -655,10 +556,7 @@ def run_bench(out: str = DEFAULT_OUT, *, quick: bool = False,
             "traffic": "centralized", "period_range": [0, 4],
             "flow_counts": list(flow_counts),
         },
-        "schedulers": bench_schedulers(
-            flow_counts, seed, repetitions,
-            auto_tolerance=(QUICK_AUTO_TOLERANCE if quick
-                            else AUTO_TOLERANCE)),
+        "schedulers": bench_schedulers(flow_counts, seed, repetitions),
         "remediation": bench_remediation(
             QUICK_REMEDIATION_FLOW_COUNTS if quick
             else REMEDIATION_FLOW_COUNTS, seed, repetitions),
@@ -674,8 +572,6 @@ def run_bench(out: str = DEFAULT_OUT, *, quick: bool = False,
                 for row in report["schedulers"]}
     rc_speedups = [v for (_, policy), v in speedups.items()
                    if policy == "RC" and v is not None]
-    auto_vs_best = [row["auto_vs_best"] for row in report["schedulers"]
-                    if row.get("auto_vs_best") is not None]
     repair_speedups = {str(row["num_flows"]): row["speedup"]
                        for row in report["remediation"]
                        if row.get("speedup") is not None}
@@ -687,7 +583,6 @@ def run_bench(out: str = DEFAULT_OUT, *, quick: bool = False,
         "rc_speedups_by_flows": {
             str(flows): v for (flows, policy), v in sorted(speedups.items())
             if policy == "RC"},
-        "auto_min_vs_best": min(auto_vs_best) if auto_vs_best else None,
         "repair_speedups_by_flows": repair_speedups,
         "repair_max_speedup": (max(repair_speedups.values())
                                if repair_speedups else None),
@@ -707,21 +602,11 @@ def run_bench(out: str = DEFAULT_OUT, *, quick: bool = False,
 
 
 def _history_cell(row: Dict) -> Dict:
-    """Compact one scheduler-bench row for the history file.
-
-    The auto-kernel keys are only present when the row measured auto —
-    pre-auto history records and auto-era ones then share one schema
-    with optional extensions instead of nulled-out columns.
-    """
-    cell = {"num_flows": row["num_flows"], "policy": row["policy"],
+    """Compact one scheduler-bench row for the history file."""
+    return {"num_flows": row["num_flows"], "policy": row["policy"],
             "scalar_s": row[_kernel.KERNEL_SCALAR]["wall_s"],
             "vector_s": row[_kernel.KERNEL_VECTOR]["wall_s"],
             "speedup": row["speedup"]}
-    auto = row.get(_kernel.KERNEL_AUTO)
-    if auto is not None:
-        cell["auto_s"] = auto["wall_s"]
-        cell["auto_vs_best"] = row.get("auto_vs_best")
-    return cell
 
 
 def append_history(report: Dict, path: str = DEFAULT_HISTORY) -> Dict:
@@ -801,8 +686,7 @@ def compare_bench(report: Dict, baseline: Dict,
     def cells(rep: Dict) -> Dict[tuple, float]:
         out: Dict[tuple, float] = {}
         for row in rep.get("schedulers", []):
-            for kernel in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR,
-                           _kernel.KERNEL_AUTO):
+            for kernel in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
                 timing = row.get(kernel)
                 if timing and timing.get("wall_s") is not None:
                     out[(row["num_flows"], row["policy"], kernel)] = \
@@ -861,20 +745,16 @@ def format_bench(report: Dict) -> str:
         f"best of {report['repetitions']}, "
         f"cpus={report['environment']['cpu_count']})",
         f"{'flows':>6} {'policy':>7} {'scalar':>10} {'vector':>10} "
-        f"{'auto':>10} {'speedup':>8} {'placements':>11} {'slots/plc':>10}",
+        f"{'speedup':>8} {'placements':>11} {'slots/plc':>10}",
     ]
     for row in report["schedulers"]:
         scalar = row["scalar"]
         vector = row["vector"]
-        auto = row.get("auto")
-        auto_text = (f"{1000 * auto['wall_s']:>8.1f}ms" if auto
-                     else f"{'-':>10}")
         scanned = (scalar["slots_scanned"] / scalar["placements"]
                    if scalar["placements"] else 0.0)
         lines.append(
             f"{row['num_flows']:>6} {row['policy']:>7} "
             f"{1000 * scalar['wall_s']:>8.1f}ms {1000 * vector['wall_s']:>8.1f}ms "
-            f"{auto_text} "
             f"{row['speedup']:>7.2f}x {scalar['placements']:>11} "
             f"{scanned:>10.2f}")
     remediation = [row for row in report.get("remediation", [])
@@ -931,10 +811,6 @@ def format_bench(report: Dict) -> str:
     if headline["rc_max_speedup"] is not None:
         lines.append(f"headline: RC vector kernel up to "
                      f"{headline['rc_max_speedup']:.2f}x over scalar")
-    if headline.get("auto_min_vs_best") is not None:
-        lines.append(f"headline: auto kernel within "
-                     f"{max(0.0, 1.0 - headline['auto_min_vs_best']):.0%} "
-                     f"of the best fixed kernel in every cell")
     if headline.get("repair_max_speedup") is not None:
         lines.append(f"headline: single-victim repair up to "
                      f"{headline['repair_max_speedup']:.1f}x faster than "

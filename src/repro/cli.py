@@ -122,7 +122,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     outcomes = run_reliability(
         topology, environment, num_flow_sets=args.flow_sets,
         repetitions=args.repetitions, seed=args.seed or 0,
-        workers=args.workers, engine=args.engine)
+        workers=args.workers)
     print(f"{'set':>4} {'policy':>7} {'median':>7} {'worst':>7}")
     for outcome in outcomes:
         if not outcome.schedulable:
@@ -139,7 +139,7 @@ def cmd_detection(args: argparse.Namespace) -> int:
     outcomes = run_detection(
         topology, environment, _plan_for(args.testbed),
         num_flows=args.flows, num_epochs=args.epochs,
-        seed=args.seed or 0, workers=args.workers, engine=args.engine)
+        seed=args.seed or 0, workers=args.workers)
     for outcome in outcomes:
         rejected = outcome.rejected_links()
         accepted = outcome.accepted_links()
@@ -184,8 +184,7 @@ def _manager_config(args: argparse.Namespace):
         num_flows=flows, channels=tuple(args.channels),
         seed=args.seed or 0, warmup_epochs=warmup,
         confirm_epochs=confirm, cooldown_epochs=cooldown,
-        repair=not args.no_repair, slo=slo,
-        engine=getattr(args, "engine", "auto"))
+        repair=not args.no_repair, slo=slo)
 
 
 def _print_manager_report(report) -> None:
@@ -708,8 +707,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         provenance_path=args.provenance,
         timeseries_path=args.timeseries,
         spans_path=args.spans,
-        span_threshold_ms=args.span_threshold_ms,
-        kernel=args.kernel)
+        span_threshold_ms=args.span_threshold_ms)
     return run_service(options)
 
 
@@ -810,18 +808,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow-sets", type=int, default=8)
     p.set_defaults(func=cmd_sweep)
 
-    def engine_opt(p):
-        p.add_argument("--engine", default="auto",
-                       choices=("slot", "event", "auto"),
-                       help="simulator engine (bit-identical results; "
-                            "'auto' picks by repetition count)")
-
     p = sub.add_parser("reliability", help="simulated PDR (Fig 8)")
     common(p)
     p.set_defaults(testbed="wustl")
     p.add_argument("--flow-sets", type=int, default=3)
     p.add_argument("--repetitions", type=int, default=50)
-    engine_opt(p)
     p.set_defaults(func=cmd_reliability)
 
     p = sub.add_parser("detection", help="K-S detection (Figs 10-11)")
@@ -829,7 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(testbed="wustl")
     p.add_argument("--flows", type=int, default=80)
     p.add_argument("--epochs", type=int, default=3)
-    engine_opt(p)
     p.set_defaults(func=cmd_detection)
 
     def manage_common(p):
@@ -872,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-repair", action="store_true",
                        help="disable incremental repair: remediate by "
                             "full rebuild only")
-        engine_opt(p)
 
     p = sub.add_parser("manage",
                        help="closed-loop manager under a fault scenario")
@@ -1120,9 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compiled-artifact cache entries per worker")
     p.add_argument("--batch-size", type=int, default=100, metavar="N",
                    help="requests per run-ledger batch record")
-    p.add_argument("--kernel", default=None,
-                   choices=("scalar", "vector", "auto"),
-                   help="pin the placement kernel in every worker")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="front-end event trace (JSONL); each worker "
                         "exports FILE.w<N> at shutdown")

@@ -4,23 +4,17 @@ the NR / RA / RC fixed-priority schedulers."""
 from repro.core.constraints import (
     NO_REUSE,
     conflicts_in_slot,
-    feasible_offsets,
     feasible_offsets_scalar,
     offset_satisfies_channel_constraint,
     placement_is_valid,
     validate_schedule,
 )
 from repro.core.kernel import (
-    KERNEL_AUTO,
     KERNEL_SCALAR,
     KERNEL_VECTOR,
-    active_kernel,
     best_reuse_distance,
-    kernel_mode,
     min_reuse_distance,
     prepare_links,
-    resolve_kernel,
-    set_kernel,
 )
 from repro.core.laxity import (
     calculate_laxity,
@@ -61,7 +55,6 @@ __all__ = [
     "ConservativeReusePolicy",
     "DEFAULT_RHO_T",
     "FixedPriorityScheduler",
-    "KERNEL_AUTO",
     "KERNEL_SCALAR",
     "KERNEL_VECTOR",
     "NO_REUSE",
@@ -79,20 +72,15 @@ __all__ = [
     "ScheduledTransmission",
     "SchedulingResult",
     "TransmissionRequest",
-    "active_kernel",
     "best_reuse_distance",
     "calculate_laxity",
     "calculate_laxity_scalar",
     "conflict_slots_for",
     "conflicts_in_slot",
     "expand_instance",
-    "feasible_offsets",
     "feasible_offsets_scalar",
     "find_slot",
-    "kernel_mode",
     "min_reuse_distance",
-    "resolve_kernel",
-    "set_kernel",
     "offset_satisfies_channel_constraint",
     "placement_is_valid",
     "prepare_links",

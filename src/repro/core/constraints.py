@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.core import kernel as _kernel
 from repro.core.schedule import Schedule
 from repro.network.graphs import ChannelReuseGraph
 
@@ -62,31 +61,16 @@ def feasible_offsets_scalar(schedule: Schedule,
                             reuse_graph: ChannelReuseGraph,
                             sender: int, receiver: int, slot: int,
                             rho: float) -> List[int]:
-    """Scalar reference implementation of :func:`feasible_offsets`.
+    """All channel offsets satisfying the channel constraint in a slot.
 
-    Checks one offset, one occupant at a time; retained as the oracle
-    the vectorized kernel is tested against (and as the pre-PR baseline
-    ``repro bench`` times).
+    Assumes the transmission-conflict check for the slot already passed.
+    Checks one offset, one occupant at a time: the scalar kernel's scan
+    (see :mod:`repro.core.kernel`) and the oracle the vector kernel's
+    distance stacks are tested against.
     """
     return [offset for offset in range(schedule.num_offsets)
             if offset_satisfies_channel_constraint(
                 schedule, reuse_graph, sender, receiver, slot, offset, rho)]
-
-
-def feasible_offsets(schedule: Schedule, reuse_graph: ChannelReuseGraph,
-                     sender: int, receiver: int, slot: int,
-                     rho: float) -> List[int]:
-    """All channel offsets satisfying the channel constraint in a slot.
-
-    Assumes the transmission-conflict check for the slot already passed.
-    Dispatches to the vectorized kernel unless the scalar reference is
-    selected (see :mod:`repro.core.kernel`).
-    """
-    if _kernel.active_kernel() == _kernel.KERNEL_SCALAR:
-        return feasible_offsets_scalar(
-            schedule, reuse_graph, sender, receiver, slot, rho)
-    return _kernel.feasible_offsets_vector(
-        schedule, reuse_graph, sender, receiver, slot, rho)
 
 
 def placement_is_valid(schedule: Schedule, reuse_graph: ChannelReuseGraph,

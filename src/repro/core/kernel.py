@@ -31,17 +31,22 @@ tracked link by one vectorized minimum, and queries return zero-copy
 views.  ``best[s] = max_c dist[s, c]`` rides along so "does *any*
 offset of slot ``s`` admit ρ?" is a single comparison.
 
-Kernel selection is a module-level mode so experiments and benchmarks
-can compare the two implementations::
+The kernel is a fixed property of each placement policy, measured once
+and recorded on the schedule it builds (``Schedule.kernel``): RC runs on
+the distance stacks, whose cost its descending-ρ retries amortize; NR
+and RA run the scalar scan, because they place each request at one
+fixed ρ and the per-``add`` lane maintenance never pays for itself.
+Tests, the differential fuzzer and ``repro bench`` force either kernel
+for any policy to check the two against each other::
 
     with kernel_mode(KERNEL_SCALAR):
-        result = scheduler.run(flow_set)   # pre-vectorization hot path
+        result = scheduler.run(flow_set)   # the scalar reference path
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, List
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
@@ -54,92 +59,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: small enough that int32 arithmetic cannot overflow.
 INFINITE_DISTANCE = np.int32(2 ** 30)
 
-#: The vectorized kernel (default).
+#: The incremental distance stacks (RC's kernel).
 KERNEL_VECTOR = "vector"
-#: The scalar reference implementation (pre-vectorization hot path).
+#: The scalar scan, one cell at a time (NR's and RA's kernel, and the
+#: reference oracle for the vector kernel).
 KERNEL_SCALAR = "scalar"
-#: Crossover-aware selection: the scheduler resolves auto to a concrete
-#: kernel per run from (policy, workload size) via :func:`resolve_kernel`.
-KERNEL_AUTO = "auto"
 
-#: Below this many transmission requests, RA runs faster under the
-#: scalar kernel: RA places each request once at a fixed ρ, so the
-#: vector kernel's per-``add`` incremental distance maintenance never
-#: amortizes the way RC's descending-ρ retries do.  Interleaved
-#: median-of-7 re-measurement (Indriya, 5 channels, centralized)
-#: pinned the vector/scalar RA ratio at 1.26x @ 2.5k requests,
-#: 1.07x @ 5.5k, 1.12x @ 7.9k, and 1.24x @ 10.7k — scalar wins at
-#: every size the testbeds can actually schedule and the gap *widens*
-#: past ~6k, so no crossover is in reach; the original 16k threshold
-#: sat on an extrapolation the new data refutes.  The threshold now
-#: sits far above any schedulable workload, making auto resolve RA to
-#: scalar everywhere it has been measured while preserving the
-#: request-count escape hatch should a future kernel change flip the
-#: trend.  RC is the opposite story — vector wins 2.2-3.9x at every
-#: measured size, widening with load — and NR never queries reuse
-#: distances at all (ρ=∞ reduces to an empty-cell scan; the engine
-#: skips distance maintenance for it under either kernel), so auto
-#: resolves NR to scalar: the two are within noise and scalar is the
-#: path with nothing vectorized left to pay for.
-RA_CROSSOVER_REQUESTS = 32_000
-
-_ACTIVE = KERNEL_VECTOR
+#: The kernel :func:`kernel_mode` forces on every schedule, or None.
+_OVERRIDE: Optional[str] = None
 
 
-def active_kernel() -> str:
-    """The kernel mode currently in effect (possibly :data:`KERNEL_AUTO`)."""
-    return _ACTIVE
+def vectorized(schedule: "Schedule") -> bool:
+    """Whether placement on ``schedule`` runs the vector kernel.
 
-
-def set_kernel(mode: str) -> None:
-    """Select the placement kernel (:data:`KERNEL_VECTOR`,
-    :data:`KERNEL_SCALAR`, or :data:`KERNEL_AUTO`) process-wide."""
-    global _ACTIVE
-    if mode not in (KERNEL_VECTOR, KERNEL_SCALAR, KERNEL_AUTO):
-        raise ValueError(f"unknown kernel mode: {mode!r}")
-    _ACTIVE = mode
-
-
-def resolve_kernel(policy_name: str, num_requests: int) -> str:
-    """The concrete kernel a scheduler run should execute under.
-
-    When the active mode is a concrete kernel it wins unchanged; under
-    :data:`KERNEL_AUTO` the choice is made per (policy, workload size):
-
-    * ``RC`` → vector (it re-thresholds the same distance rows across
-      its ρ fallbacks and wins at every measured size);
-    * ``RA`` at or above :data:`RA_CROSSOVER_REQUESTS` requests →
-      vector; below, scalar (the measured crossover wart: single-shot
-      fixed-ρ placement does not amortize the incremental distance
-      stacks);
-    * ``NR`` → scalar (its placement never queries reuse distances —
-      the engine skips distance maintenance for it under either kernel
-      — so the kernels are timing-indistinguishable and scalar is the
-      do-nothing choice).
-
-    The scheduler engine resolves auto *before* its run and scopes the
-    concrete mode with :func:`kernel_mode`, so inner branch points only
-    ever observe ``scalar`` or ``vector``.  Code querying distances
-    outside an engine run under auto falls through to the vector path.
+    The schedule's own kernel (its policy's declaration) decides,
+    unless :func:`kernel_mode` forces one.  Every kernel branch point in
+    :mod:`repro.core` asks this.
     """
-    if _ACTIVE != KERNEL_AUTO:
-        return _ACTIVE
-    if policy_name == "RC":
-        return KERNEL_VECTOR
-    if policy_name == "RA" and num_requests >= RA_CROSSOVER_REQUESTS:
-        return KERNEL_VECTOR
-    return KERNEL_SCALAR
+    return (_OVERRIDE or schedule.kernel) == KERNEL_VECTOR
 
 
 @contextmanager
 def kernel_mode(mode: str) -> Iterator[None]:
-    """Scope a kernel selection to a ``with`` block."""
-    previous = _ACTIVE
-    set_kernel(mode)
+    """Force one kernel on every schedule inside a ``with`` block.
+
+    A test and benchmark hook: the fuzzer, the kernel-equivalence tests
+    and ``repro bench`` use it to run any policy under either kernel.
+    """
+    global _OVERRIDE
+    if mode not in (KERNEL_VECTOR, KERNEL_SCALAR):
+        raise ValueError(f"unknown kernel mode: {mode!r}")
+    previous = _OVERRIDE
+    _OVERRIDE = mode
     try:
         yield
     finally:
-        set_kernel(previous)
+        _OVERRIDE = previous
 
 
 class _LinkDistanceState:
@@ -310,20 +265,6 @@ def best_reuse_distance(schedule: "Schedule",
     """
     state, lane = _link_row(schedule, reuse_graph, sender, receiver)
     return state.best[start:end + 1, lane]
-
-
-def feasible_offsets_vector(schedule: "Schedule",
-                            reuse_graph: "ChannelReuseGraph",
-                            sender: int, receiver: int, slot: int,
-                            rho: float) -> List[int]:
-    """Vectorized equivalent of :func:`repro.core.constraints
-    .feasible_offsets_scalar` for one slot."""
-    if rho == float("inf"):
-        counts, _, _ = schedule.occupancy()
-        return np.flatnonzero(counts[slot] == 0).tolist()
-    dist = min_reuse_distance(schedule, reuse_graph, sender, receiver,
-                              slot, slot)[0]
-    return np.flatnonzero(dist >= rho).tolist()
 
 
 def cell_distances(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",

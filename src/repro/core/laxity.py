@@ -37,8 +37,8 @@ def conflict_slots_for(schedule: Schedule, request: TransmissionRequest,
 def calculate_laxity_scalar(schedule: Schedule, slot: int,
                             deadline_slot: int,
                             remaining: Sequence[TransmissionRequest]) -> int:
-    """Scalar reference for :func:`calculate_laxity` (one ``q`` term per
-    Python call; retained as the pre-vectorization baseline)."""
+    """Scalar kernel for :func:`calculate_laxity` (one ``q`` term per
+    Python call; the reference the vectorized path is tested against)."""
     window_slots = deadline_slot - slot
     if not remaining:
         return window_slots
@@ -70,7 +70,7 @@ def calculate_laxity(schedule: Schedule, slot: int, deadline_slot: int,
     RC evaluates this on every candidate placement, making it the second
     hot spot after the channel-constraint scan.
     """
-    if _kernel.active_kernel() == _kernel.KERNEL_SCALAR:
+    if not _kernel.vectorized(schedule):
         return calculate_laxity_scalar(schedule, slot, deadline_slot,
                                        remaining)
     window_slots = deadline_slot - slot

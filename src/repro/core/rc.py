@@ -28,7 +28,12 @@ from repro.core.constraints import NO_REUSE
 from repro.core.laxity import calculate_laxity
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.schedule import Schedule
-from repro.core.scheduler import OFFSET_FIRST, OFFSET_LEAST_LOADED, find_slot
+from repro.core.scheduler import (
+    OFFSET_FIRST,
+    OFFSET_LEAST_LOADED,
+    OFFSET_RULES,
+    find_slot,
+)
 from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.flows.flow import Flow
 from repro.network.graphs import ChannelReuseGraph
@@ -60,7 +65,14 @@ class ConservativeReusePolicy:
         offset_rule: Channel-offset selection within the chosen slot.
             The paper's RC picks the least-loaded feasible channel
             (default); ``"first"`` is available for ablation studies.
+
+    RC runs on the vector kernel: Algorithm 1 re-tests the same request
+    at descending ρ, which re-thresholds one incrementally maintained
+    distance row instead of rescanning every cell per ρ (the RC
+    ``speedup`` cells of ``BENCH_schedulers.json``).
     """
+
+    kernel = _kernel.KERNEL_VECTOR
 
     rho_t: int = DEFAULT_RHO_T
     rho_reset: str = RHO_RESET_TRANSMISSION
@@ -77,6 +89,8 @@ class ConservativeReusePolicy:
             raise ValueError("rho_t must be at least 1")
         if self.rho_reset not in (RHO_RESET_TRANSMISSION, RHO_RESET_FLOW):
             raise ValueError(f"unknown rho_reset: {self.rho_reset}")
+        if self.offset_rule not in OFFSET_RULES:
+            raise ValueError(f"unknown offset rule: {self.offset_rule}")
 
     def start_flow(self, flow: Flow) -> None:
         """Reset ρ at flow boundaries (always correct for both modes)."""
@@ -100,8 +114,7 @@ class ConservativeReusePolicy:
         laxity estimate is conservative); the engine rejects it only if
         it misses the deadline — which ``findSlot`` already enforces.
         """
-        if not _obs.ENABLED and \
-                _kernel.active_kernel() == _kernel.KERNEL_VECTOR:
+        if not _obs.ENABLED and _kernel.vectorized(schedule):
             return self._place_fused(schedule, reuse_graph, request,
                                      earliest, remaining)
 
@@ -257,10 +270,6 @@ class ConservativeReusePolicy:
                     found_slot = earliest + rel
             else:
                 if prefix is None:
-                    if self.offset_rule not in (OFFSET_FIRST,
-                                                OFFSET_LEAST_LOADED):
-                        raise ValueError(
-                            f"unknown offset rule: {self.offset_rule}")
                     eligible = ~schedule.conflict_mask(sender, receiver,
                                                        earliest, deadline)
                     best = _kernel.best_reuse_distance(

@@ -46,7 +46,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core import kernel as _kernel
 from repro.core.constraints import NO_REUSE
 from repro.core.schedule import Schedule, ScheduledTransmission
 from repro.core.scheduler import (
@@ -291,7 +290,7 @@ def _remap_schedule(schedule: Schedule, doomed: List[int],
     """A fresh schedule on the restricted channel set: survivors re-added
     at their remapped offsets, the blast radius left out."""
     work = Schedule(schedule.num_nodes, schedule.num_slots,
-                    channel.num_offsets)
+                    channel.num_offsets, kernel=schedule.kernel)
     doomed_set = set(doomed)
     evicted: List[ScheduledTransmission] = []
     for index, entry in enumerate(schedule.entries):
@@ -343,11 +342,8 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
     schedule is never mutated — the manager's rollback keeps serving
     it), and re-places the evicted transmissions in priority order
     against the surviving busy matrices.  O(blast radius) placements
-    instead of O(all flows).
-
-    The kernel choice honors the crossover-aware ``auto`` mode: it
-    resolves per repair from (policy, evicted count), exactly as a full
-    scheduler run resolves from (policy, request count).
+    instead of O(all flows).  Re-placement runs on the kernel the
+    schedule carries (its building policy's), like the original run.
 
     Args:
         schedule: The running schedule (left untouched).
@@ -360,8 +356,7 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
         barred: Previously barred links; ``change.victims`` are barred
             on top of these.
         policy_name: The placement policy's name ("NR" / "RA" / "RC") —
-            selects the offset rule, the NR ρ = ∞ behavior, and the
-            auto-kernel resolution.
+            selects the offset rule and the NR ρ = ∞ behavior.
         attempts_per_link: Source-routing expansion factor (bookkeeping
             only; eviction works from placed entries).
 
@@ -398,10 +393,8 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
               "reason": blast.reasons[index]}
              for index, entry in zip(blast.indices, evicted)])
 
-    resolved = _kernel.resolve_kernel(policy_name, len(evicted))
-    with _kernel.kernel_mode(resolved):
-        failed = _replace_evicted(work, graph, flow_set, evicted,
-                                  rho_floor, barred_all, policy_name, prov)
+    failed = _replace_evicted(work, graph, flow_set, evicted,
+                              rho_floor, barred_all, policy_name, prov)
 
     if _obs.ENABLED:
         _obs.RECORDER.count("repair.attempts")

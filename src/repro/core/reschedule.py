@@ -61,10 +61,9 @@ class ReuseBarrierPolicy:
             expanded.add((v, u))
         self.victim_links = expanded
         self.name = f"{self.inner.name}+barrier"
-        # The crossover-aware auto kernel resolves on the *inner*
-        # policy's behavior — the barrier only redirects victims to
-        # exclusive cells, which neither kernel accelerates.
-        self.kernel_policy_name = self.inner.name
+        # The barrier only redirects victims to exclusive cells, which
+        # neither kernel accelerates: run on the inner policy's kernel.
+        self.kernel = self.inner.kernel
 
     def start_flow(self, flow: Flow) -> None:
         """Forward the flow hook to the inner policy."""

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.core.kernel import INFINITE_DISTANCE
+from repro.core.kernel import INFINITE_DISTANCE, KERNEL_SCALAR
 from repro.core.transmissions import TransmissionRequest
 
 
@@ -45,14 +45,19 @@ class Schedule:
         num_nodes: Number of devices.
         num_slots: Hyperperiod length in slots.
         num_offsets: Number of channel offsets ``|M|``.
+        kernel: The placement kernel that places onto this schedule
+            (see :mod:`repro.core.kernel`): the building policy's
+            declaration, carried through clones and repairs.
     """
 
-    def __init__(self, num_nodes: int, num_slots: int, num_offsets: int):
+    def __init__(self, num_nodes: int, num_slots: int, num_offsets: int,
+                 kernel: str = KERNEL_SCALAR):
         if num_nodes <= 0 or num_slots <= 0 or num_offsets <= 0:
             raise ValueError("dimensions must be positive")
         self.num_nodes = num_nodes
         self.num_slots = num_slots
         self.num_offsets = num_offsets
+        self.kernel = kernel
         self._entries: List[ScheduledTransmission] = []
         self._busy = np.zeros((num_nodes, num_slots), dtype=bool)
         self._cells: Dict[Tuple[int, int], List[int]] = {}
@@ -151,6 +156,7 @@ class Schedule:
         dup.num_nodes = self.num_nodes
         dup.num_slots = self.num_slots
         dup.num_offsets = self.num_offsets
+        dup.kernel = self.kernel
         dup._entries = list(self._entries)
         dup._busy = self._busy.copy()
         dup._cells = {cell: list(ix) for cell, ix in self._cells.items()}

@@ -36,6 +36,7 @@ from repro.obs import recorder as _obs
 #: Offset selection rules understood by :func:`find_slot`.
 OFFSET_FIRST = "first"
 OFFSET_LEAST_LOADED = "least_loaded"
+OFFSET_RULES = (OFFSET_FIRST, OFFSET_LEAST_LOADED)
 
 #: Registry counters folded into :attr:`SchedulingResult.counters`
 #: (``registry name`` -> ``result key``).  The RC entries stay zero for
@@ -118,12 +119,14 @@ def _find_slot(schedule: Schedule, reuse_graph: ChannelReuseGraph,
         _note_scan(rel + 1)
         return (slot, schedule.first_free_offset(slot))
 
+    if offset_rule not in OFFSET_RULES:
+        raise ValueError(f"unknown offset rule: {offset_rule}")
     conflict = schedule.conflict_mask(
         request.sender, request.receiver, earliest, deadline)
-    if _kernel.active_kernel() == _kernel.KERNEL_SCALAR:
-        return _find_slot_scalar(schedule, reuse_graph, request, rho,
+    if _kernel.vectorized(schedule):
+        return _find_slot_vector(schedule, reuse_graph, request, rho,
                                  earliest, offset_rule, conflict)
-    return _find_slot_vector(schedule, reuse_graph, request, rho,
+    return _find_slot_scalar(schedule, reuse_graph, request, rho,
                              earliest, offset_rule, conflict)
 
 
@@ -131,10 +134,10 @@ def _find_slot_scalar(schedule: Schedule, reuse_graph: ChannelReuseGraph,
                       request: TransmissionRequest, rho: float,
                       earliest: int, offset_rule: str,
                       conflict: np.ndarray) -> Optional[Tuple[int, int]]:
-    """Finite-ρ slot scan, one cell at a time (pre-vectorization path).
+    """Finite-ρ slot scan, one cell at a time (the scalar kernel).
 
-    Retained as the reference oracle for the vectorized kernel and as
-    the baseline ``repro bench`` measures speedups against.
+    NR's and RA's production path, and the reference oracle for the
+    vectorized kernel.
     """
     scanned = 0
     for index in np.flatnonzero(~conflict):
@@ -148,11 +151,8 @@ def _find_slot_scalar(schedule: Schedule, reuse_graph: ChannelReuseGraph,
         _note_scan(scanned)
         if offset_rule == OFFSET_FIRST:
             return (slot, offsets[0])
-        if offset_rule == OFFSET_LEAST_LOADED:
-            best = min(offsets,
-                       key=lambda c: (schedule.cell_size(slot, c), c))
-            return (slot, best)
-        raise ValueError(f"unknown offset rule: {offset_rule}")
+        return (slot, min(offsets,
+                          key=lambda c: (schedule.cell_size(slot, c), c)))
     _note_scan(scanned)
     return None
 
@@ -169,8 +169,6 @@ def _find_slot_vector(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     per-slot rescans, and RC's descending-ρ retries of the same request
     re-threshold the same row.
     """
-    if offset_rule not in (OFFSET_FIRST, OFFSET_LEAST_LOADED):
-        raise ValueError(f"unknown offset rule: {offset_rule}")
     deadline = request.deadline_slot
     best = _kernel.best_reuse_distance(
         schedule, reuse_graph, request.sender, request.receiver,
@@ -204,6 +202,11 @@ class PlacementPolicy(Protocol):
 
     #: Human-readable policy name ("NR", "RA", "RC", ...).
     name: str
+
+    #: The placement kernel this policy runs on
+    #: (:data:`repro.core.kernel.KERNEL_SCALAR` or ``KERNEL_VECTOR``),
+    #: recorded on every schedule it builds.
+    kernel: str
 
     def start_flow(self, flow: Flow) -> None:
         """Hook invoked when the engine starts a new flow."""
@@ -277,21 +280,17 @@ class FixedPriorityScheduler:
         """
         if not flow_set.all_routed():
             raise ValueError("all flows must be routed before scheduling")
-        if _kernel.active_kernel() == _kernel.KERNEL_AUTO:
-            # Resolve the crossover-aware choice once per run and scope
-            # it, so every inner branch point sees a concrete kernel.
-            with _kernel.kernel_mode(self._resolve_auto(flow_set)):
-                return self.run(flow_set)
         start_time = time.perf_counter()
         hyperperiod = flow_set.hyperperiod()
-        schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets)
-        if (_kernel.active_kernel() == _kernel.KERNEL_VECTOR
-                and getattr(self.policy, "uses_reuse", True)):
+        schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets,
+                            kernel=self.policy.kernel)
+        # The vectorized laxity path wants each instance's T_post as
+        # index arrays; the scalar kernel keeps plain list slices.
+        windows = _kernel.vectorized(schedule)
+        if windows:
             # Register every link while the schedule is empty: distance
             # rows start at "no constraint" for free, instead of paying
-            # a full occupancy pass on first touch mid-run.  NR opts out
-            # (uses_reuse=False): it never consults reuse distances, so
-            # maintaining them would be pure per-placement overhead.
+            # a full occupancy pass on first touch mid-run.
             _kernel.prepare_links(
                 schedule, self.reuse_graph,
                 {link for flow in flow_set for link in flow.links})
@@ -314,11 +313,6 @@ class FixedPriorityScheduler:
             for instance in flow.instances(hyperperiod):
                 requests = expand_instance(instance, self.attempts_per_link)
                 earliest = instance.release_slot
-                # The vectorized laxity path wants T_post as index
-                # arrays; share one pair across the instance's
-                # placements.  The scalar reference keeps the plain
-                # list slices it was originally measured with.
-                windows = _kernel.active_kernel() == _kernel.KERNEL_VECTOR
                 if windows:
                     senders, receivers = RequestWindow.arrays_for(requests)
                 for position, request in enumerate(requests):
@@ -372,27 +366,6 @@ class FixedPriorityScheduler:
 
         return self._finish(True, schedule, flow_set, start_time,
                             recorder, baseline)
-
-    def _resolve_auto(self, flow_set: FlowSet) -> str:
-        """Concrete kernel for this run under ``kernel="auto"``.
-
-        The workload-size estimate is the number of transmission
-        requests the run will try to place — instances × route hops ×
-        attempts — which is what the measured RA crossover
-        (:data:`repro.core.kernel.RA_CROSSOVER_REQUESTS`) is calibrated
-        against.
-        """
-        hyperperiod = flow_set.hyperperiod()
-        num_requests = sum(
-            (hyperperiod // flow.period_slots) * len(flow.links)
-            * self.attempts_per_link
-            for flow in flow_set)
-        # Wrapper policies (e.g. the reuse barrier) advertise the name
-        # the crossover calibration applies to; bare policies are their
-        # own answer.
-        policy_name = getattr(self.policy, "kernel_policy_name",
-                              self.policy.name)
-        return _kernel.resolve_kernel(policy_name, num_requests)
 
     def _finish(self, schedulable: bool, schedule: Schedule,
                 flow_set: FlowSet, start_time: float, recorder, baseline,

@@ -137,8 +137,7 @@ def _detection_trial(context: dict, policy: str) -> List[DetectionOutcome]:
             interferers=context["interferers"] if use_wifi else (),
             interferer_rssi_dbm=(context["interferer_rssi"]
                                  if use_wifi else None),
-            config=SimulationConfig(seed=seed + 2000,
-                                    engine=context["engine"]))
+            config=SimulationConfig(seed=seed + 2000))
         stats = simulator.run(total_repetitions)
         reports = build_epoch_reports(stats, repetitions_per_epoch)
 
@@ -170,7 +169,7 @@ def run_detection(topology: Topology, environment: RadioEnvironment,
                   config: DetectionConfig = DetectionConfig(),
                   rho_t: int = DEFAULT_RHO_T,
                   seed: int = 0, workers: int = 1,
-                  engine: str = "auto") -> List[DetectionOutcome]:
+                  ) -> List[DetectionOutcome]:
     """Run the Figure 10/11 experiment.
 
     Args:
@@ -192,8 +191,6 @@ def run_detection(topology: Topology, environment: RadioEnvironment,
         seed: Base seed.
         workers: Worker processes to fan the per-policy trials over
             (``0`` = all CPUs).  Results are identical for any count.
-        engine: Simulator engine (``slot`` / ``event`` / ``auto``) —
-            engines are bit-identical, so this only trades wall time.
 
     Returns:
         One :class:`DetectionOutcome` per (policy, condition).
@@ -213,7 +210,7 @@ def run_detection(topology: Topology, environment: RadioEnvironment,
         "interferer_rssi": interferer_rssi,
         "conditions": tuple(conditions), "config": config,
         "rho_t": rho_t, "seed": seed, "num_epochs": num_epochs,
-        "repetitions_per_epoch": repetitions_per_epoch, "engine": engine,
+        "repetitions_per_epoch": repetitions_per_epoch,
     }
     batches = parallel_map(_detection_trial, list(policies),
                            workers=workers, context=context)

@@ -22,9 +22,7 @@ keeping three properties the runners rely on:
 Workers receive the experiment context once, at pool start-up (not per
 task), and rebuild process-local state — e.g. the
 :class:`~repro.experiments.common.PreparedNetwork` cache of
-:func:`trial_network` — on first use.  The parent's kernel selection
-(:func:`repro.core.kernel.active_kernel`) is forwarded so a scalar-mode
-run stays scalar in the workers even under the ``spawn`` start method.
+:func:`trial_network` — on first use.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.core import kernel as _kernel
 from repro.experiments.common import PreparedNetwork, prepare_network
 from repro.obs import recorder as _obs
 from repro.obs.metrics import MetricsRegistry
@@ -73,12 +70,10 @@ def trial_network(context: Dict[str, Any], *,
     return network
 
 
-def _init_worker(context: Dict[str, Any], record: bool,
-                 kernel: str) -> None:
+def _init_worker(context: Dict[str, Any], record: bool) -> None:
     """Install the experiment context in a freshly started worker."""
     _WORKER["context"] = dict(context)
     _WORKER["record"] = record
-    _kernel.set_kernel(kernel)
 
 
 def _run_trial(packed) -> tuple:
@@ -123,7 +118,7 @@ def parallel_map(fn: Callable[[Dict[str, Any], Any], Any],
     record = _obs.is_enabled()
     with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,
-            initargs=(context, record, _kernel.active_kernel())) as pool:
+            initargs=(context, record)) as pool:
         packed = list(pool.map(_run_trial, [(fn, task) for task in tasks]))
 
     if record:

@@ -117,8 +117,7 @@ def _reliability_trial(context: dict,
                 schedule=result.schedule, flow_set=flow_set,
                 environment=environment,
                 channel_map=network.topology.channel_map,
-                config=SimulationConfig(seed=seed + 1000 + set_index,
-                                        engine=context["engine"]))
+                config=SimulationConfig(seed=seed + 1000 + set_index))
             stats = simulator.run(context["repetitions"])
             pdrs = stats.pdr_values()
             outcome.pdr_box = BoxStats.from_values(pdrs)
@@ -138,8 +137,7 @@ def run_reliability(topology: Topology, environment: RadioEnvironment,
                     policies: Sequence[str] = POLICY_NAMES,
                     rho_t: int = DEFAULT_RHO_T, seed: int = 0,
                     keep_stats: bool = False,
-                    workers: int = 1,
-                    engine: str = "auto") -> List[ReliabilityOutcome]:
+                    workers: int = 1) -> List[ReliabilityOutcome]:
     """Run the Figure 8/9 experiment.
 
     Args:
@@ -156,8 +154,6 @@ def run_reliability(topology: Topology, environment: RadioEnvironment,
             (memory-heavy; used by the detection experiments and tests).
         workers: Worker processes to fan the flow-set trials over
             (``0`` = all CPUs).  Results are identical for any count.
-        engine: Simulator engine (``slot`` / ``event`` / ``auto``) —
-            engines are bit-identical, so this only trades wall time.
 
     Returns:
         One :class:`ReliabilityOutcome` per (flow set, policy).
@@ -167,7 +163,7 @@ def run_reliability(topology: Topology, environment: RadioEnvironment,
         "network": network, "environment": environment,
         "flow_mix": tuple(flow_mix), "policies": tuple(policies),
         "rho_t": rho_t, "seed": seed, "repetitions": repetitions,
-        "keep_stats": keep_stats, "engine": engine,
+        "keep_stats": keep_stats,
     }
     batches = parallel_map(_reliability_trial, list(range(num_flow_sets)),
                            workers=workers, context=context)

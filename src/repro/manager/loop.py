@@ -107,10 +107,6 @@ class ManagerConfig:
         series_prefix: Prepended to every time-series name this run
             records (so concurrent managers — e.g. the adaptation
             study's per-policy arms — don't collide in one store).
-        engine: Simulator engine for the per-epoch runs (``slot`` /
-            ``event`` / ``auto``).  Engines are bit-identical and epoch
-            substreams are keyed on the global repetition index, so the
-            choice never changes an epoch's outcome — only wall time.
     """
 
     scenario: Union[str, ConditionSchedule] = "reuse-storm"
@@ -130,7 +126,6 @@ class ManagerConfig:
     repair: bool = True
     slo: SloConfig = SloConfig()
     series_prefix: str = ""
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.num_epochs < 1:
@@ -448,8 +443,7 @@ class NetworkManager:
                 environment=self.environment,
                 channel_map=network.topology.channel_map,
                 config=SimulationConfig(
-                    seed=(config.seed + 1) * 1_000_003 + epoch,
-                    engine=config.engine),
+                    seed=(config.seed + 1) * 1_000_003 + epoch),
                 conditions=conditions)
             stats = simulator.run(
                 config.repetitions_per_epoch,

@@ -29,11 +29,10 @@ Semantics per verb:
 * ``explain`` — the offline Section V-A constraint chain for one
   link × slot of the session's *current* schedule.
 * ``simulate`` — Monte-Carlo execute the session's *current* schedule
-  in the SINR simulator (slot / event / auto engine per request; the
-  engines are bit-identical, so the knob only trades wall time) and
-  return the PDR summary plus per-channel PRR.  The ground-truth
-  :class:`~repro.testbeds.synth.RadioEnvironment` is a fourth cached
-  artifact kind, keyed like the topology.
+  in the SINR simulator (the repetition count picks the engine; the
+  response names it) and return the PDR summary plus per-channel PRR.
+  The ground-truth :class:`~repro.testbeds.synth.RadioEnvironment` is a
+  fourth cached artifact kind, keyed like the topology.
 * ``status`` — request, session, and cache counters.
 
 Every handled request is obs-visible when recording is enabled: a
@@ -411,9 +410,10 @@ class ServiceExecutor:
 
     def _simulate(self, request: Request) -> Dict:
         from repro.simulator.engine import (
+            ENGINE_EVENT,
             SimulationConfig,
             TschSimulator,
-            resolve_engine,
+            engine_for,
         )
 
         session = self._session(request)
@@ -434,19 +434,18 @@ class ServiceExecutor:
         # sharing a topology still draw distinct fading.
         sim_seed = request.sim_seed if request.sim_seed is not None \
             else config.seed + 7000
-        engine = request.engine or "auto"
         repetitions = request.repetitions or 18
+        engine = engine_for(repetitions)
         simulator = TschSimulator(
             schedule=session.schedule, flow_set=session.flow_set,
             environment=environment,
             channel_map=session.prepared.topology.channel_map,
-            config=SimulationConfig(seed=sim_seed, engine=engine))
+            config=SimulationConfig(seed=sim_seed))
         with stage("simulate") as sp:
             stats = simulator.run(repetitions)
             if sp is not None:
-                resolved = resolve_engine(engine, repetitions)
-                sp.annotate(engine=resolved, repetitions=repetitions)
-                if resolved == "event":
+                sp.annotate(engine=engine, repetitions=repetitions)
+                if engine == ENGINE_EVENT:
                     from repro.simulator.events import default_chunk_size
 
                     chunk = default_chunk_size(simulator.draw_plan,
@@ -455,7 +454,7 @@ class ServiceExecutor:
         per_flow = stats.pdr_per_flow()
         return {
             "repetitions": repetitions,
-            "engine": resolve_engine(engine, repetitions),
+            "engine": engine,
             "seed": sim_seed,
             "schedule_hash": session.schedule.canonical_hash(),
             "median_pdr": stats.median_pdr(),

@@ -55,9 +55,6 @@ WORKER_VERBS = ("schedule", "reschedule", "explain", "simulate")
 CONTROL_VERBS = ("status", "metrics", "ping")
 VERBS = WORKER_VERBS + CONTROL_VERBS
 
-#: Simulator engines a ``simulate`` request may name.
-SIM_ENGINES = ("slot", "event", "auto")
-
 #: Hard cap on repetitions per ``simulate`` request — a worker is
 #: shared; long Monte-Carlo sweeps belong in the experiment CLIs.
 MAX_SIM_REPETITIONS = 1000
@@ -164,7 +161,6 @@ class Request:
     slot: Optional[int] = None
     include_schedule: bool = False
     repetitions: Optional[int] = None
-    engine: Optional[str] = None
     sim_seed: Optional[int] = None
     trace: Optional[Dict] = None
     raw: Dict = field(default_factory=dict)
@@ -186,8 +182,6 @@ class Request:
             payload["include_schedule"] = True
         if self.repetitions is not None:
             payload["repetitions"] = self.repetitions
-        if self.engine is not None:
-            payload["engine"] = self.engine
         if self.sim_seed is not None:
             payload["seed"] = self.sim_seed
         if self.trace is not None:
@@ -254,10 +248,6 @@ def parse_request(data) -> Request:
         if not 1 <= request.repetitions <= MAX_SIM_REPETITIONS:
             raise ProtocolError(
                 f"repetitions must be in [1, {MAX_SIM_REPETITIONS}]")
-        request.engine = str(data.get("engine", "auto"))
-        if request.engine not in SIM_ENGINES:
-            raise ProtocolError(
-                f"engine must be one of {list(SIM_ENGINES)}")
         if data.get("seed") is not None:
             try:
                 request.sim_seed = int(data["seed"])

@@ -82,7 +82,6 @@ class ServiceOptions:
     timeseries_path: Optional[str] = None
     spans_path: Optional[str] = None
     span_threshold_ms: float = 50.0
-    kernel: Optional[str] = None
 
     def worker_options(self) -> WorkerOptions:
         return WorkerOptions(
@@ -94,8 +93,7 @@ class ServiceOptions:
             provenance_path=self.provenance_path,
             timeseries_path=self.timeseries_path,
             spans_path=self.spans_path,
-            span_threshold_ms=self.span_threshold_ms,
-            kernel=self.kernel)
+            span_threshold_ms=self.span_threshold_ms)
 
 
 class _WorkerHandle:

@@ -64,8 +64,6 @@ class WorkerOptions:
             export them here (+``.w<i>``).
         span_threshold_ms: Root-span latency at/above which a trace is
             kept (see :class:`repro.obs.spans.SpanRecorder`).
-        kernel: Placement-kernel mode to pin process-wide (None = keep
-            the default crossover-aware ``auto``).
     """
 
     cache_capacity: int = 256
@@ -77,7 +75,6 @@ class WorkerOptions:
     timeseries_path: Optional[str] = None
     spans_path: Optional[str] = None
     span_threshold_ms: float = 50.0
-    kernel: Optional[str] = None
 
 
 class _LedgerBatcher:
@@ -185,10 +182,7 @@ def _begin_work_span(spans: Optional[SpanRecorder], payload: Dict,
 def worker_main(index: int, conn, options: WorkerOptions) -> None:
     """Entry point of one worker process (runs until told to stop)."""
     from repro import obs
-    from repro.core import kernel as _kernel
 
-    if options.kernel:
-        _kernel.set_kernel(options.kernel)
     prov = None
     if options.provenance_path:
         from repro.obs.provenance import ProvenanceRecorder

@@ -1,27 +1,25 @@
 """TSCH network simulator with SINR-based reception.
 
 Two engines share one pinned random-draw plan and produce bit-identical
-statistics: the slot-driven oracle (:class:`TschSimulator` with
-``engine="slot"``) and the event-driven batched engine
-(:mod:`repro.simulator.events`, ``engine="event"``) that vectorizes all
-Monte-Carlo repetitions per scheduled slot.  ``engine="auto"`` picks by
-repetition count.
+statistics: the slot-driven oracle (:meth:`TschSimulator.run_slot`) and
+the event-driven batched engine (:func:`run_event_batched`) that
+vectorizes all Monte-Carlo repetitions per scheduled slot.
+:meth:`TschSimulator.run` picks one by repetition count.
 """
 
 from repro.simulator.engine import (
-    ENGINE_AUTO,
     ENGINE_EVENT,
     ENGINE_SLOT,
-    ENGINES,
     EVENT_MIN_REPETITIONS,
     SimulationConfig,
     TschSimulator,
-    resolve_engine,
+    engine_for,
 )
 from repro.simulator.events import (
     DrawPlan,
     build_draw_plan,
     repetition_draws,
+    run_event_batched,
 )
 from repro.simulator.interference import (
     WIFI_INBAND_FRACTION_DB,
@@ -46,8 +44,6 @@ __all__ = [
     "AttemptCounter",
     "BatchedAccumulator",
     "DrawPlan",
-    "ENGINES",
-    "ENGINE_AUTO",
     "ENGINE_EVENT",
     "ENGINE_SLOT",
     "EVENT_MIN_REPETITIONS",
@@ -61,9 +57,10 @@ __all__ = [
     "WifiInterferer",
     "build_draw_plan",
     "decide_reception",
+    "engine_for",
     "interferer_rssi_matrix",
     "place_interferer_pairs",
     "repetition_draws",
-    "resolve_engine",
+    "run_event_batched",
     "sinr_at_receiver",
 ]

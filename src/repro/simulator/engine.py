@@ -16,13 +16,16 @@ environment of a synthetic testbed:
   attenuation, amplified reuse interference, dark nodes — which is how
   the network manager injects faults between health-report epochs.
 
-Two engines execute the same model (``engine="slot" | "event" | "auto"``):
+Two engines execute the same model, and :meth:`TschSimulator.run` picks
+one from the repetition count alone (:func:`engine_for`):
 
-* **slot** — the pure-python oracle in this module: one repetition at a
-  time, one entry at a time.
-* **event** — the batched engine in :mod:`repro.simulator.events`: all
-  repetitions advance together through vectorized numpy passes over the
-  scheduled slots.
+* **slot** — the pure-python oracle in this module
+  (:meth:`TschSimulator.run_slot`): one repetition at a time, one entry
+  at a time.
+* **event** — the batched engine in :mod:`repro.simulator.events`
+  (:func:`~repro.simulator.events.run_event_batched`): all repetitions
+  advance together through vectorized numpy passes over the scheduled
+  slots.
 
 Both consume the same pinned draw plan (:class:`repro.simulator.events.
 DrawPlan`): repetition ``g = start_repetition + r`` owns the substream
@@ -58,31 +61,26 @@ from repro.simulator.radio import sinr_at_receiver
 from repro.simulator.stats import SimulationStats
 from repro.testbeds.synth import RadioEnvironment
 
-#: Engine names accepted by :meth:`TschSimulator.run` and
-#: :class:`SimulationConfig.engine`.
+#: Engine names, as reported by :func:`engine_for` and counted in
+#: ``sim.runs.<engine>``.
 ENGINE_SLOT = "slot"
 ENGINE_EVENT = "event"
-ENGINE_AUTO = "auto"
-ENGINES = (ENGINE_SLOT, ENGINE_EVENT, ENGINE_AUTO)
 
-#: Below this many repetitions the batched engine's per-slot array setup
-#: costs more than it saves (measured breakeven is 3-4 repetitions on
-#: WUSTL-sized schedules at 20-80 flows); ``auto`` keeps short probes on
-#: the python oracle.
-EVENT_MIN_REPETITIONS = 4
+#: Repetitions from which :meth:`TschSimulator.run` batches.  Below it
+#: the batched engine's per-slot array setup costs more than it saves.
+#: Measured on WUSTL, 4 channels, RC schedules at 20 and 50 flows, a
+#: fresh simulator per run, median of 9 interleaved rounds, identical
+#: stats: the slot oracle is 5.6-6.2x faster at 1 repetition, 1.75-1.85x
+#: at 4 and 1.2-1.3x at 6; batching first wins at 8 (1.08-1.10x),
+#: reaches 1.4-2.1x at 12-16 and about 2.9x on 18-repetition manager
+#: epochs.  A rerun on a 2-CPU Xeon host tied at 6-7 repetitions
+#: and batched 1.17x faster at 8, so 8 errs toward the oracle.
+EVENT_MIN_REPETITIONS = 8
 
 
-def resolve_engine(engine: str, repetitions: int) -> str:
-    """Resolve an engine request to a concrete engine name.
-
-    ``auto`` batches whenever the run has enough repetitions to amortize
-    array setup; explicit names pass through.
-    """
-    if engine == ENGINE_SLOT or engine == ENGINE_EVENT:
-        return engine
-    if engine != ENGINE_AUTO:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}")
+def engine_for(repetitions: int) -> str:
+    """The engine :meth:`TschSimulator.run` uses for this many
+    repetitions."""
     if repetitions >= EVENT_MIN_REPETITIONS:
         return ENGINE_EVENT
     return ENGINE_SLOT
@@ -106,10 +104,6 @@ class SimulationConfig:
             time, over timescales longer than one hyperperiod.
         frame_bytes: Frame size for the PRR lookup (defaults to the
             environment's).
-        engine: Execution engine — ``"slot"`` (python oracle),
-            ``"event"`` (batched numpy), or ``"auto"`` (pick by
-            repetition count).  Engines produce bit-identical stats;
-            this only trades wall time.
 
     Consistency contract: the testbed's *measured* PRRs are expectations
     of the raw 802.15.4 curve over fading
@@ -125,12 +119,6 @@ class SimulationConfig:
     fast_fading_sigma_db: float = 3.0
     slow_fading_sigma_db: float = 2.0
     frame_bytes: Optional[int] = None
-    engine: str = ENGINE_AUTO
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}")
 
     def total_fading_sigma_db(self) -> float:
         """Aggregate long-run fading spread (for the consistency contract)."""
@@ -357,9 +345,7 @@ class TschSimulator:
     # -- execution ------------------------------------------------------
 
     def run(self, repetitions: int = 100,
-            start_repetition: int = 0,
-            engine: Optional[str] = None,
-            chunk_reps: Optional[int] = None) -> SimulationStats:
+            start_repetition: int = 0) -> SimulationStats:
         """Execute the schedule ``repetitions`` times.
 
         Each repetition replays one full hyperperiod with a fresh release
@@ -376,32 +362,29 @@ class TschSimulator:
                 simulator.  Repetition substreams are keyed on the
                 global index, so splitting a run across epochs changes
                 nothing.
-            engine: Override the config's execution engine for this run
-                (``"slot"``, ``"event"``, or ``"auto"``).
-            chunk_reps: Batched-engine repetitions per chunk (memory
-                knob; never changes results).  Ignored by the slot
-                engine.
+
+        The engine follows from ``repetitions`` (:func:`engine_for`);
+        both give bit-identical stats, so it only trades wall time.
         """
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        resolved = resolve_engine(
-            engine if engine is not None else self.config.engine,
-            repetitions)
+        engine = engine_for(repetitions)
         with _timed("phase.simulate"):
             if _obs.ENABLED:
-                _obs.RECORDER.count(f"sim.runs.{resolved}")
-            if resolved == ENGINE_EVENT:
+                _obs.RECORDER.count(f"sim.runs.{engine}")
+            if engine == ENGINE_EVENT:
                 return run_event_batched(self, repetitions,
-                                         start_repetition,
-                                         chunk_reps=chunk_reps)
-            return self._run(repetitions, start_repetition)
+                                         start_repetition)
+            return self.run_slot(repetitions, start_repetition)
 
-    def _run(self, repetitions: int, start_repetition: int) -> SimulationStats:
-        """The slot-driven python oracle.
+    def run_slot(self, repetitions: int,
+                 start_repetition: int = 0) -> SimulationStats:
+        """The slot-driven python oracle, whatever the repetition count.
 
         Consumes the pinned draw plan positionally — no inline RNG calls
         — so its per-repetition outcomes are exactly reproducible by the
-        batched event engine.
+        batched event engine.  :meth:`run` takes it for short runs;
+        tests, the fuzzer and ``repro bench`` call it directly.
         """
         plan = self._plan
         stats = SimulationStats()

@@ -290,12 +290,15 @@ def compile_events(simulator) -> Tuple[List[_SlotEvent], Dict[Pair, int]]:
     return events, packet_index
 
 
-def run_event_batched(simulator, repetitions: int, start_repetition: int,
+def run_event_batched(simulator, repetitions: int,
+                      start_repetition: int = 0,
                       chunk_reps: int = None) -> SimulationStats:
     """Execute all repetitions through the batched event engine.
 
     Produces stats bit-identical to the slot oracle's
-    ``TschSimulator._run`` for the same ``(seed, start_repetition)``.
+    ``TschSimulator.run_slot`` for the same ``(seed, start_repetition)``.
+    ``chunk_reps`` bounds the repetitions drawn per chunk (memory only;
+    never changes results).
     """
     plan = simulator.draw_plan
     events, packet_index = simulator.event_tables()

@@ -73,7 +73,9 @@ from repro.routing.shortest_path import NoRouteError
 from repro.routing.traffic import TrafficType
 from repro.network.node import Position
 from repro.simulator.conditions import Conditions
-from repro.simulator.engine import SimulationConfig, TschSimulator
+from repro.simulator.engine import (ENGINE_EVENT, ENGINE_SLOT,
+                                    SimulationConfig, TschSimulator)
+from repro.simulator.events import run_event_batched
 from repro.simulator.interference import WifiInterferer
 from repro.simulator.stats import SimulationStats
 from repro.testbeds.layout import FloorPlan
@@ -287,8 +289,7 @@ def _provenance_for_violations(network: PreparedNetwork, flow_set: FlowSet,
     then says not just *what* invariant broke but *which placement
     decisions* produced the offending cells."""
     prov = ProvenanceRecorder()
-    with _kernel.kernel_mode(_kernel.KERNEL_VECTOR), \
-            _obs.recording(Recorder(provenance=prov)):
+    with _obs.recording(Recorder(provenance=prov)):
         _run_scheduler(network, flow_set, policy_factory())
     slots = {v.slot for v in report.violations if v.slot is not None}
     flows = {v.flow_id for v in report.violations if v.flow_id is not None}
@@ -498,12 +499,14 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
 
     def simulate(engine: str, conditions: Optional[Conditions],
                  chunk_reps: Optional[int] = None) -> SimulationStats:
-        return TschSimulator(
+        simulator = TschSimulator(
             schedule=schedule, flow_set=flow_set, environment=environment,
-            channel_map=channel_map,
-            config=SimulationConfig(seed=sim_seed, engine=engine),
-            conditions=conditions).run(_SIM_REPETITIONS,
-                                       chunk_reps=chunk_reps)
+            channel_map=channel_map, config=SimulationConfig(seed=sim_seed),
+            conditions=conditions)
+        if engine == ENGINE_SLOT:
+            return simulator.run_slot(_SIM_REPETITIONS)
+        return run_event_batched(simulator, _SIM_REPETITIONS,
+                                 chunk_reps=chunk_reps)
 
     overlays: List[Tuple[str, Optional[Conditions]]] = [("clean", None)]
     senders = sorted({entry.request.sender for entry in schedule.entries})
@@ -524,15 +527,15 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
             interference_boost_db=3.0)))
 
     for label, conditions in overlays:
-        slot_sig = _stats_signature(simulate("slot", conditions))
-        event_sig = _stats_signature(simulate("event", conditions))
+        slot_sig = _stats_signature(simulate(ENGINE_SLOT, conditions))
+        event_sig = _stats_signature(simulate(ENGINE_EVENT, conditions))
         if event_sig != slot_sig:
             case.fail("sim_batched_parity",
                       f"{label}: event engine diverged from the slot "
                       f"oracle")
 
-    if _stats_signature(simulate("event", None, chunk_reps=1)) != \
-            _stats_signature(simulate("event", None)):
+    if _stats_signature(simulate(ENGINE_EVENT, None, chunk_reps=1)) != \
+            _stats_signature(simulate(ENGINE_EVENT, None)):
         case.fail("sim_batched_chunks",
                   "event-engine results changed with chunk_reps=1")
 

@@ -6,7 +6,6 @@ import json
 
 from repro.bench import (
     bench_schedulers,
-    check_auto,
     compare_bench,
     format_bench,
     run_bench,
@@ -28,6 +27,8 @@ class TestBench:
             assert row["scalar"]["wall_s"] > 0
             assert row["vector"]["wall_s"] > 0
             assert row["speedup"] > 0
+            assert set(row) == {"num_flows", "policy", "scalar", "vector",
+                                "speedup"}
             # Scalar and vector do the same work, so the instrumented
             # counters agree between kernels.
             assert row["scalar"]["placements"] == row["vector"]["placements"]
@@ -58,6 +59,7 @@ class TestBench:
         assert sweep["outcomes_identical"] is True
         assert set(sweep["wall_s_by_workers"]) == {"1", "4"}
         assert report["headline"]["rc_max_speedup"] > 0
+        assert "auto_min_vs_best" not in report["headline"]
 
         text = format_bench(report)
         assert "RC" in text and "headline" in text
@@ -81,56 +83,3 @@ class TestBench:
         rows = bench_schedulers((6,), seed=2, repetitions=1)
         assert len(rows) == 3  # one per policy, divergence check passed
 
-
-def _auto_row(policy="RA", flows=20, scalar=1.0, vector=2.0, auto=1.0):
-    return {"num_flows": flows, "policy": policy,
-            "scalar": {"wall_s": scalar}, "vector": {"wall_s": vector},
-            "auto": {"wall_s": auto}}
-
-
-class TestCheckAuto:
-    def test_passes_within_tolerance(self):
-        # 5% over the best fixed kernel, and not losing to scalar.
-        check_auto([_auto_row(scalar=2.0, vector=1.0, auto=1.05)],
-                   tolerance=0.15)
-
-    def test_violation_lists_the_cell(self):
-        import pytest
-
-        rows = [_auto_row(auto=1.0),
-                _auto_row(policy="RC", flows=50, scalar=3.0, vector=1.0,
-                          auto=2.0)]
-        with pytest.raises(AssertionError) as err:
-            check_auto(rows, tolerance=0.15)
-        message = str(err.value)
-        assert "RC@50" in message
-        assert "RA@20" not in message
-
-    def test_losing_to_scalar_is_hard_flagged(self):
-        """auto > scalar is a mis-resolution even inside the vs-best
-        tolerance: pooled auto timings only exceed scalar's when the
-        resolution picked a genuinely slower vector path."""
-        import pytest
-
-        with pytest.raises(AssertionError) as err:
-            check_auto([_auto_row(scalar=1.0, vector=2.0, auto=1.1)],
-                       tolerance=0.5)
-        assert "auto_speedup" in str(err.value)
-
-    def test_skips_rows_without_all_three_kernels(self):
-        # Pre-auto history rows lack the auto cell entirely.
-        check_auto([{"num_flows": 20, "policy": "RA",
-                     "scalar": {"wall_s": 1.0},
-                     "vector": {"wall_s": 2.0}}], tolerance=0.0)
-
-    def test_best_of_one_skips_the_check(self, monkeypatch):
-        """bench_schedulers at repetitions=1 must not run check_auto
-        (best-of-1 timings cannot support a noise-bounded assertion)."""
-        import repro.bench as bench_module
-
-        def boom(rows, tolerance):
-            raise AssertionError("check_auto ran at repetitions=1")
-
-        monkeypatch.setattr(bench_module, "check_auto", boom)
-        rows = bench_module.bench_schedulers((6,), seed=2, repetitions=1)
-        assert all("auto" in row for row in rows)

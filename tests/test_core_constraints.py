@@ -7,7 +7,7 @@ import pytest
 from repro.core.constraints import (
     NO_REUSE,
     conflicts_in_slot,
-    feasible_offsets,
+    feasible_offsets_scalar,
     offset_satisfies_channel_constraint,
     placement_is_valid,
     validate_schedule,
@@ -105,7 +105,8 @@ class TestChannelConstraint:
         # Candidate 4->5 at rho 2: offset 0 ok (hop(4,1)=3, hop(0,5)=5);
         # offset 1 fails (hop(2,5)=3 ok but hop(4,3)=1 < 2);
         # offset 2 empty -> ok.
-        assert feasible_offsets(schedule, line_reuse_graph, 4, 5, 5, 2) == [0, 2]
+        assert feasible_offsets_scalar(
+            schedule, line_reuse_graph, 4, 5, 5, 2) == [0, 2]
 
     def test_placement_is_valid_combines_both(self, line_reuse_graph):
         schedule = Schedule(6, 10, 2)

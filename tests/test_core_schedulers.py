@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.constraints import NO_REUSE, validate_schedule
+from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
 from repro.core.nr import NoReusePolicy
 from repro.core.ra import AggressiveReusePolicy
 from repro.core.rc import ConservativeReusePolicy, RHO_RESET_FLOW
@@ -97,6 +98,18 @@ class TestFindSlot:
         schedule = Schedule(6, 10, 2)
         schedule.add(request(4, 5), 0, 0)
         with pytest.raises(ValueError):
+            find_slot(schedule, line_reuse_graph, request(0, 1), 2, 0,
+                      offset_rule="bogus")
+
+    @pytest.mark.parametrize("kernel", [KERNEL_SCALAR, KERNEL_VECTOR])
+    def test_unknown_offset_rule_rejected_with_no_feasible_slot(
+            self, line_reuse_graph, kernel):
+        """Both kernels reject a bogus rule at the finite-ρ entry, even
+        when no slot could be feasible."""
+        schedule = Schedule(6, 10, 1)
+        for slot in range(10):
+            schedule.add(request(1, 2), slot, 0)
+        with kernel_mode(kernel), pytest.raises(ValueError):
             find_slot(schedule, line_reuse_graph, request(0, 1), 2, 0,
                       offset_rule="bogus")
 
@@ -280,6 +293,8 @@ class TestRcPolicy:
             ConservativeReusePolicy(rho_t=0)
         with pytest.raises(ValueError):
             ConservativeReusePolicy(rho_reset="sometimes")
+        with pytest.raises(ValueError, match="unknown offset rule"):
+            ConservativeReusePolicy(offset_rule="bogus")
 
     def test_least_loaded_channel_choice(self, line_topology):
         """Among feasible offsets RC picks the one with fewest entries."""

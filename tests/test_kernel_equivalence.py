@@ -10,15 +10,14 @@ exact agreement.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.constraints import (
-    NO_REUSE,
-    feasible_offsets,
-    feasible_offsets_scalar,
-)
+from repro.core import kernel as _kernel
+from repro.core.constraints import NO_REUSE, feasible_offsets_scalar
 from repro.core.kernel import (
     KERNEL_SCALAR,
     KERNEL_VECTOR,
@@ -26,6 +25,12 @@ from repro.core.kernel import (
     min_reuse_distance,
 )
 from repro.core.rc import RHO_RESET_FLOW, RHO_RESET_TRANSMISSION
+from repro.core.repair import (
+    ChangeSet,
+    ChannelChange,
+    repair_schedule,
+    smallest_reused_link,
+)
 from repro.core.reschedule import reschedule_without_reuse_on
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
@@ -99,19 +104,21 @@ def reuse_graph(topology_builder):
 class TestFeasibleOffsets:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_on_random_schedules(self, reuse_graph, seed):
+        """The vector kernel's views (distance row at finite ρ, free
+        offsets at ρ = ∞) pick exactly the scalar oracle's offsets."""
         schedule = _random_schedule(reuse_graph, seed)
         rng = np.random.default_rng(100 + seed)
         rhos = [2, 3, reuse_graph.diameter(), NO_REUSE]
         for sender, receiver in _links(reuse_graph, rng, 12):
             for slot in rng.choice(NUM_SLOTS, size=8, replace=False):
+                slot = int(slot)
+                dist = min_reuse_distance(schedule, reuse_graph, sender,
+                                          receiver, slot, slot)[0]
                 for rho in rhos:
                     expected = feasible_offsets_scalar(
-                        schedule, reuse_graph, sender, receiver,
-                        int(slot), rho)
-                    with kernel_mode(KERNEL_VECTOR):
-                        got = feasible_offsets(
-                            schedule, reuse_graph, sender, receiver,
-                            int(slot), rho)
+                        schedule, reuse_graph, sender, receiver, slot, rho)
+                    got = (schedule.free_offsets(slot) if rho == NO_REUSE
+                           else np.flatnonzero(dist >= rho).tolist())
                     assert got == expected, (
                         f"rho={rho} slot={slot} link=({sender},{receiver})")
 
@@ -160,9 +167,15 @@ class TestFindSlot:
             assert results[KERNEL_SCALAR] == results[KERNEL_VECTOR]
 
 
+def _forced(kernel):
+    """``kernel_mode(kernel)``, or no override at all for None."""
+    return nullcontext() if kernel is None else kernel_mode(kernel)
+
+
 def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
                    **policy_kwargs):
-    """(placements, counters) of one scheduler run under a kernel."""
+    """(placements, counters) of one scheduler run under a kernel
+    (None: the policy's own)."""
     policy = make_policy(policy_name, rho_t)
     for key, value in policy_kwargs.items():
         setattr(policy, key, value)
@@ -170,7 +183,7 @@ def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
         num_nodes=network.topology.num_nodes,
         num_offsets=network.num_channels,
         reuse_graph=network.reuse, policy=policy)
-    with kernel_mode(kernel), obs.recording() as recorder:
+    with _forced(kernel), obs.recording() as recorder:
         result = scheduler.run(flow_set)
     placements = None
     if result.schedule is not None:
@@ -243,7 +256,7 @@ def _reschedule_signature(network, flow_set, victims, kernel,
                           policy_name="RA", rho_t=2):
     """(schedulable, placements, counters) of a barrier rebuild."""
     policy = make_policy(policy_name, rho_t)
-    with kernel_mode(kernel), obs.recording() as recorder:
+    with _forced(kernel), obs.recording() as recorder:
         result = reschedule_without_reuse_on(
             flow_set, network.topology.num_nodes, network.num_channels,
             network.reuse, policy, victims)
@@ -276,7 +289,7 @@ class TestRescheduleEquivalence:
         assert reuse_links, "workload must exercise channel reuse"
         return tuple(reuse_links[:3])
 
-    @pytest.mark.parametrize("policy_name", ["RA", "RC"])
+    @pytest.mark.parametrize("policy_name", ["NR", "RA", "RC"])
     def test_barrier_rebuild_matches_scalar(self, figure1_workload,
                                             victims, policy_name):
         network, flow_set = figure1_workload
@@ -308,96 +321,159 @@ class TestRescheduleEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Crossover-aware auto kernel
+# The per-policy kernel
 # ----------------------------------------------------------------------
 
-from repro.core.kernel import (  # noqa: E402 (grouped with their tests)
-    KERNEL_AUTO,
-    RA_CROSSOVER_REQUESTS,
-    active_kernel,
-    resolve_kernel,
-    set_kernel,
-)
+def _lanes(schedule) -> int:
+    """Distance lanes the vector kernel maintains on a schedule."""
+    state = schedule._link_state
+    return 0 if state is None else state.count
 
 
 class TestResolveKernel:
-    def test_concrete_modes_win_unchanged(self):
+    def test_concrete_modes_win_unchanged(self, reuse_graph):
+        """kernel_mode overrides the schedule's own kernel either way,
+        bare schedules included."""
+        schedule = _random_schedule(reuse_graph, seed=3)
+        assert not _kernel.vectorized(schedule)
+        schedule.kernel = KERNEL_VECTOR
+        assert _kernel.vectorized(schedule)
         with kernel_mode(KERNEL_SCALAR):
-            assert resolve_kernel("RC", 10 ** 9) == KERNEL_SCALAR
+            assert not _kernel.vectorized(schedule)
+        schedule.kernel = KERNEL_SCALAR
         with kernel_mode(KERNEL_VECTOR):
-            assert resolve_kernel("RA", 1) == KERNEL_VECTOR
+            assert _kernel.vectorized(schedule)
+        assert not _kernel.vectorized(schedule)
 
-    def test_auto_ra_crossover(self):
-        with kernel_mode(KERNEL_AUTO):
-            assert resolve_kernel(
-                "RA", RA_CROSSOVER_REQUESTS - 1) == KERNEL_SCALAR
-            assert resolve_kernel(
-                "RA", RA_CROSSOVER_REQUESTS) == KERNEL_VECTOR
+    def test_auto_rc_stays_vector_nr_stays_scalar(self, figure1_workload):
+        """Each policy declares its kernel and the barrier forwards the
+        inner declaration; the schedule a run builds carries it."""
+        from repro.core.reschedule import ReuseBarrierPolicy
 
-    def test_auto_rc_stays_vector_nr_stays_scalar(self):
-        # RC amortizes the distance rows across its ρ fallbacks at any
-        # size; NR never queries them, so scalar is the no-op choice.
-        with kernel_mode(KERNEL_AUTO):
-            assert resolve_kernel("RC", 1) == KERNEL_VECTOR
-            assert resolve_kernel("RC", 10 ** 9) == KERNEL_VECTOR
-            assert resolve_kernel("NR", 1) == KERNEL_SCALAR
-            assert resolve_kernel("NR", 10 ** 9) == KERNEL_SCALAR
+        expected = {"NR": KERNEL_SCALAR, "RA": KERNEL_SCALAR,
+                    "RC": KERNEL_VECTOR}
+        network, flow_set = figure1_workload
+        for name, kernel in expected.items():
+            policy = make_policy(name, 2)
+            assert policy.kernel == kernel
+            assert ReuseBarrierPolicy(policy, set()).kernel == kernel
+            result = FixedPriorityScheduler(
+                num_nodes=network.topology.num_nodes,
+                num_offsets=network.num_channels,
+                reuse_graph=network.reuse, policy=policy).run(flow_set)
+            assert result.schedule.kernel == kernel
+            assert result.schedule.clone().kernel == kernel
 
-    def test_set_kernel_accepts_auto_and_rejects_junk(self):
-        previous = active_kernel()
-        try:
-            set_kernel(KERNEL_AUTO)
-            assert active_kernel() == KERNEL_AUTO
-        finally:
-            set_kernel(previous)
-        with pytest.raises(ValueError, match="unknown kernel mode"):
-            set_kernel("quantum")
+    def test_kernel_mode_rejects_auto_and_junk(self):
+        for mode in ("auto", "quantum"):
+            with pytest.raises(ValueError, match="unknown kernel mode"):
+                with kernel_mode(mode):
+                    pass
 
 
 class TestAutoRunEquivalence:
     @pytest.mark.parametrize("policy_name", ["NR", "RA", "RC"])
     def test_auto_matches_fixed_kernels(self, figure1_workload,
                                         policy_name):
-        """Whatever auto resolves to, the schedule and work counters are
-        bit-identical to both fixed kernels (which already match)."""
+        """A run on the policy's own kernel is bit-identical, schedule
+        and work counters, to both forced kernels."""
         network, flow_set = figure1_workload
-        fixed = _run_signature(network, flow_set, policy_name,
-                               KERNEL_SCALAR)
-        auto = _run_signature(network, flow_set, policy_name, KERNEL_AUTO)
-        assert auto == fixed
+        own = _run_signature(network, flow_set, policy_name, None)
+        for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
+            assert _run_signature(network, flow_set, policy_name,
+                                  kernel) == own
 
     def test_auto_is_resolved_before_the_run(self, figure1_workload):
-        """scheduler.run under auto scopes a concrete kernel; the global
-        mode is restored afterwards."""
+        """The kernel is fixed when the schedule is built: an RA run
+        leaves no override behind and its schedule no lanes."""
         network, flow_set = figure1_workload
-        scheduler = FixedPriorityScheduler(
+        result = FixedPriorityScheduler(
             num_nodes=network.topology.num_nodes,
             num_offsets=network.num_channels,
-            reuse_graph=network.reuse, policy=make_policy("RA", 2))
-        with kernel_mode(KERNEL_AUTO):
-            result = scheduler.run(flow_set)
-            assert active_kernel() == KERNEL_AUTO
+            reuse_graph=network.reuse,
+            policy=make_policy("RA", 2)).run(flow_set)
         assert result.schedulable
+        assert _kernel._OVERRIDE is None
+        assert result.schedule.kernel == KERNEL_SCALAR
+        assert _lanes(result.schedule) == 0
 
-    def test_resolve_auto_estimates_requests(self, figure1_workload):
-        """The workload estimate is instances x route hops x attempts,
-        and this Figure-1 workload sits below the RA crossover."""
+
+class TestPerPolicyLanes:
+    """Which schedules maintain the vector kernel's distance lanes."""
+
+    @pytest.fixture(scope="class")
+    def built(self, figure1_workload):
         network, flow_set = figure1_workload
-        scheduler = FixedPriorityScheduler(
-            num_nodes=network.topology.num_nodes,
-            num_offsets=network.num_channels,
-            reuse_graph=network.reuse, policy=make_policy("RA", 2))
-        hyperperiod = flow_set.hyperperiod()
-        expected = sum(
-            (hyperperiod // flow.period_slots) * len(flow.links)
-            * scheduler.attempts_per_link
-            for flow in flow_set)
-        assert expected < RA_CROSSOVER_REQUESTS
-        with kernel_mode(KERNEL_AUTO):
-            assert scheduler._resolve_auto(flow_set) == KERNEL_SCALAR
-        with kernel_mode(KERNEL_AUTO):
-            rc = FixedPriorityScheduler(
-                num_nodes=network.topology.num_nodes,
-                num_offsets=network.num_channels,
-                reuse_graph=network.reuse, policy=make_policy("RC", 2))
-            assert rc._resolve_auto(flow_set) == KERNEL_VECTOR
+        return {name: FixedPriorityScheduler(
+                    num_nodes=network.topology.num_nodes,
+                    num_offsets=network.num_channels,
+                    reuse_graph=network.reuse,
+                    policy=make_policy(name, 2)).run(flow_set)
+                for name in ("NR", "RA", "RC")}
+
+    @pytest.mark.parametrize("policy_name", ["NR", "RA"])
+    def test_scalar_policies_carry_no_lanes(self, figure1_workload, built,
+                                            policy_name):
+        """Plain run, barrier rebuild and victim repair all stay off the
+        distance stacks for NR and RA."""
+        network, flow_set = figure1_workload
+        result = built[policy_name]
+        assert result.schedulable
+        assert _lanes(result.schedule) == 0
+        victim = (smallest_reused_link(built["RA"].schedule)
+                  or result.schedule.entries[0].request.link)
+        rebuilt = reschedule_without_reuse_on(
+            flow_set, network.topology.num_nodes, network.num_channels,
+            network.reuse, make_policy(policy_name, 2), {victim})
+        assert rebuilt.schedule.kernel == KERNEL_SCALAR
+        assert _lanes(rebuilt.schedule) == 0
+        repaired = repair_schedule(
+            result.schedule, flow_set, network.reuse,
+            ChangeSet(victims=(victim,)), rho_t=2,
+            policy_name=policy_name)
+        assert repaired.schedule.kernel == KERNEL_SCALAR
+        assert _lanes(repaired.schedule) == 0
+
+    def test_rc_keeps_lanes_through_clone_and_repairs(
+            self, figure1_workload, built, indriya):
+        network, flow_set = figure1_workload
+        schedule = built["RC"].schedule
+        lanes = _lanes(schedule)
+        assert lanes > 0
+        assert _lanes(schedule.clone()) == lanes
+        victim = smallest_reused_link(schedule)
+        repaired = repair_schedule(schedule, flow_set, network.reuse,
+                                   ChangeSet(victims=(victim,)), rho_t=2)
+        assert repaired.evicted > 0
+        assert repaired.schedule.kernel == KERNEL_VECTOR
+        assert _lanes(repaired.schedule) >= lanes
+        topology, _ = indriya
+        narrowed = prepare_network(topology, num_channels=3)
+        remapped = repair_schedule(
+            schedule, flow_set, network.reuse,
+            ChangeSet(channel=ChannelChange(
+                reuse_graph=narrowed.reuse, num_offsets=3,
+                offset_map=(0, 1, 2, None))), rho_t=2)
+        assert remapped.evicted > 0
+        assert remapped.schedule.kernel == KERNEL_VECTOR
+        assert _lanes(remapped.schedule) > 0
+
+    def test_forced_kernels_agree_on_ra_repair(self, figure1_workload,
+                                               built):
+        """kernel_mode forces either kernel on a scalar policy's repair
+        (RC's is covered in tests/test_repair.py)."""
+        network, flow_set = figure1_workload
+        schedule = built["RA"].schedule
+        victim = smallest_reused_link(schedule)
+        products = {}
+        for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
+            with kernel_mode(kernel):
+                products[kernel] = repair_schedule(
+                    schedule, flow_set, network.reuse,
+                    ChangeSet(victims=(victim,)), rho_t=2,
+                    policy_name="RA")
+        scalar, vector = products[KERNEL_SCALAR], products[KERNEL_VECTOR]
+        assert vector.evicted > 0
+        assert _lanes(vector.schedule) > 0
+        assert scalar.schedulable == vector.schedulable
+        assert scalar.schedule.signature() == vector.schedule.signature()

@@ -339,6 +339,20 @@ class TestExecutorExplainAndStatus:
                 {"verb": "explain", "network": "net-a",
                  "link": [0, 1], "slot": 10_000}))
 
+    def test_simulate_reports_the_engine_it_ran(self):
+        """The repetition count picks the engine; an old client's
+        ``engine`` key is ignored like any unknown top-level key."""
+        executor = ServiceExecutor()
+        executor.handle(schedule_request())
+        for repetitions, engine in ((7, "slot"), (8, "event")):
+            request = parse_request(
+                {"verb": "simulate", "network": "net-a",
+                 "repetitions": repetitions, "engine": "auto"})
+            assert "engine" not in request.to_dict()
+            result = executor.handle(request)
+            assert result["engine"] == engine
+            assert result["repetitions"] == repetitions
+
     def test_status_shape(self):
         executor = ServiceExecutor(worker_index=3)
         executor.handle(schedule_request())

@@ -12,16 +12,18 @@ import pytest
 from repro.core.schedule import Schedule
 from repro.flows.flow import Flow, FlowSet
 from repro.mac.channels import ChannelMap
+from repro.obs import recorder as _obs
+from repro.obs.recorder import Recorder
 from repro.simulator import (
-    ENGINE_AUTO,
     ENGINE_EVENT,
     ENGINE_SLOT,
     EVENT_MIN_REPETITIONS,
     SimulationConfig,
     TschSimulator,
     build_draw_plan,
+    engine_for,
     repetition_draws,
-    resolve_engine,
+    run_event_batched,
 )
 from repro.simulator.conditions import Conditions
 from repro.testbeds.synth import RadioEnvironment
@@ -47,39 +49,56 @@ def signature(stats):
     )
 
 
-def tiny_simulator(seed=5, **config_kwargs):
+def tiny_simulator(seed=5):
     flow_set, schedule = tiny_flow_and_schedule()
     env = tiny_environment()
     return TschSimulator(schedule, flow_set, env, env.channel_map,
-                         config=SimulationConfig(seed=seed, **config_kwargs))
+                         config=SimulationConfig(seed=seed))
+
+
+def run_engine(sim, engine, repetitions, start_repetition=0,
+               chunk_reps=None):
+    """Run one named engine directly, whatever the repetition count."""
+    if engine == ENGINE_SLOT:
+        return sim.run_slot(repetitions, start_repetition)
+    return run_event_batched(sim, repetitions, start_repetition,
+                             chunk_reps=chunk_reps)
 
 
 # ----------------------------------------------------------------------
-# Engine resolution
+# Engine choice: the repetition count alone
 # ----------------------------------------------------------------------
 
 class TestEngineResolution:
     def test_fixed_engines_resolve_to_themselves(self):
-        assert resolve_engine(ENGINE_SLOT, 1000) == ENGINE_SLOT
-        assert resolve_engine(ENGINE_EVENT, 1) == ENGINE_EVENT
+        """The slot oracle and the batched engine stay directly
+        reachable on both sides of the floor, and agree with run()."""
+        for repetitions in (1, EVENT_MIN_REPETITIONS):
+            expected = signature(tiny_simulator().run(repetitions))
+            for engine in (ENGINE_SLOT, ENGINE_EVENT):
+                assert signature(run_engine(tiny_simulator(), engine,
+                                            repetitions)) == expected
 
     def test_auto_switches_at_the_repetition_floor(self):
-        assert resolve_engine(ENGINE_AUTO,
-                              EVENT_MIN_REPETITIONS - 1) == ENGINE_SLOT
-        assert resolve_engine(ENGINE_AUTO,
-                              EVENT_MIN_REPETITIONS) == ENGINE_EVENT
+        """run() takes the slot oracle at 7 repetitions and batches
+        from 8, and says so in ``sim.runs.<engine>``."""
+        assert EVENT_MIN_REPETITIONS == 8
+        for repetitions, engine in ((7, ENGINE_SLOT), (8, ENGINE_EVENT)):
+            assert engine_for(repetitions) == engine
+            with _obs.recording(Recorder()) as rec:
+                tiny_simulator().run(repetitions)
+            runs = {name: value for name, value in
+                    rec.registry.snapshot()["counters"].items()
+                    if name.startswith("sim.runs.")}
+            assert runs == {f"sim.runs.{engine}": 1}
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_engine("bogus", 10)
-        with pytest.raises(ValueError):
-            SimulationConfig(engine="bogus")
-
-    def test_run_override_beats_config(self):
-        sim = tiny_simulator(engine=ENGINE_SLOT)
-        # Same seed, same draws — only the execution strategy differs.
-        assert signature(sim.run(6, engine=ENGINE_EVENT)) == \
-            signature(sim.run(6))
+        """The engine is not a setting: neither the config nor run()
+        accepts one, known name or not."""
+        with pytest.raises(TypeError):
+            SimulationConfig(engine=ENGINE_EVENT)
+        with pytest.raises(TypeError):
+            tiny_simulator().run(6, engine=ENGINE_SLOT)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +205,7 @@ class TestDrawIsolation:
             sim = TschSimulator(schedule, flow_set, env, env.channel_map,
                                 config=SimulationConfig(seed=9),
                                 conditions=conditions)
-            return sim.run(12, engine=engine)
+            return run_engine(sim, engine, 12)
 
         clean = run(None)
         dark = run(Conditions(dark_nodes=frozenset({2})))
@@ -212,11 +231,11 @@ class TestStartRepetitionContinuity:
         """run(6) must equal run(3) followed by run(3, start_repetition=3)
         — repetition substreams key on the *global* index, and the ASN
         (hence the hop pattern) advances with it."""
-        whole = tiny_simulator().run(6, engine=engine)
+        whole = run_engine(tiny_simulator(), engine, 6)
 
         sim = tiny_simulator()
-        first = sim.run(3, engine=engine)
-        second = sim.run(3, start_repetition=3, engine=engine)
+        first = run_engine(sim, engine, 3)
+        second = run_engine(sim, engine, 3, start_repetition=3)
 
         merged_released = dict(first.flow_released)
         merged_delivered = dict(first.flow_delivered)
@@ -235,10 +254,10 @@ class TestStartRepetitionContinuity:
 
     def test_engines_agree_on_offset_repetitions(self):
         """Parity is per global repetition, not just from zero."""
-        slot = tiny_simulator().run(4, start_repetition=10,
-                                    engine=ENGINE_SLOT)
-        event = tiny_simulator().run(4, start_repetition=10,
-                                     engine=ENGINE_EVENT)
+        slot = run_engine(tiny_simulator(), ENGINE_SLOT, 4,
+                          start_repetition=10)
+        event = run_engine(tiny_simulator(), ENGINE_EVENT, 4,
+                           start_repetition=10)
         assert signature(slot) == signature(event)
 
 
@@ -253,15 +272,11 @@ class TestEpochBoundaries:
     def _run_epochs(self, engine):
         """The manager loop's shape: a fresh simulator every epoch with
         start_repetition advancing by repetitions_per_epoch."""
-        from repro.obs import recorder as _obs
-        from repro.obs.recorder import Recorder
-
         per_epoch = []
         with _obs.recording(Recorder()) as rec:
             for epoch in range(self.EPOCHS):
-                stats = tiny_simulator().run(
-                    self.REPS, start_repetition=epoch * self.REPS,
-                    engine=engine)
+                stats = run_engine(tiny_simulator(), engine, self.REPS,
+                                   start_repetition=epoch * self.REPS)
                 per_epoch.append(stats)
         counters = rec.registry.snapshot()["counters"]
         return per_epoch, {name: value for name, value in counters.items()
@@ -275,17 +290,15 @@ class TestEpochBoundaries:
             assert signature(slot_stats) == signature(event_stats)
             assert slot_stats.channel_prr() == event_stats.channel_prr()
 
-        # The sim.* counters agree except for the engine-tagged run
-        # counter, which records which code path executed.
-        assert slot_counters.pop("sim.runs.slot") == self.EPOCHS
-        assert event_counters.pop("sim.runs.event") == self.EPOCHS
+        # Every sim.* counter agrees (run() alone counts sim.runs.*).
+        assert slot_counters["sim.repetitions"] == self.EPOCHS * self.REPS
         assert slot_counters == event_counters
 
     def test_epoch_split_matches_one_batched_run(self):
         """Running all epochs as one batched call gives the same
         per-repetition records as the epoch-by-epoch split."""
-        whole = tiny_simulator().run(self.EPOCHS * self.REPS,
-                                     engine=ENGINE_EVENT)
+        whole = run_engine(tiny_simulator(), ENGINE_EVENT,
+                           self.EPOCHS * self.REPS)
         epochs, _ = self._run_epochs(ENGINE_EVENT)
         split_buckets = tuple(bucket for stats in epochs
                               for bucket in signature(stats)[2])
@@ -299,7 +312,7 @@ class TestEpochBoundaries:
 class TestChunkInvariance:
     @pytest.mark.parametrize("chunk_reps", [1, 2, 5, None])
     def test_chunking_never_changes_results(self, chunk_reps):
-        baseline = tiny_simulator().run(5, engine=ENGINE_EVENT)
-        chunked = tiny_simulator().run(5, engine=ENGINE_EVENT,
-                                       chunk_reps=chunk_reps)
+        baseline = run_engine(tiny_simulator(), ENGINE_EVENT, 5)
+        chunked = run_engine(tiny_simulator(), ENGINE_EVENT, 5,
+                             chunk_reps=chunk_reps)
         assert signature(chunked) == signature(baseline)

@@ -456,15 +456,17 @@ class TestExecutorStages:
                 executor.handle(parse_request(
                     {"id": 0, "verb": "schedule", "network": "n",
                      "config": make_config()}))
+                # An old client's engine key is ignored: 8 repetitions
+                # batch whatever it asks for.
                 executor.handle(parse_request(
                     {"id": 1, "verb": "simulate", "network": "n",
-                     "engine": "event", "repetitions": 6}))
+                     "engine": "slot", "repetitions": 8}))
             spans.close_trace(work.trace_id, work.end())
         (trace,) = build_traces(spans.to_records())
         (simulate,) = [s for s in trace["spans"]
                        if s["name"] == "simulate"]
         assert simulate["attrs"]["engine"] == "event"
-        assert simulate["attrs"]["repetitions"] == 6
+        assert simulate["attrs"]["repetitions"] == 8
         assert simulate["attrs"]["chunks"] >= 1
 
     def test_shadow_executor_records_nothing(self):
