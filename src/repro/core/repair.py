@@ -302,14 +302,17 @@ def _remap_schedule(schedule: Schedule, doomed: List[int],
     return work, evicted
 
 
-def smallest_reused_link(schedule: Schedule) -> Optional[Link]:
+def smallest_reused_link(schedule: Schedule,
+                         exclude: Iterable[Link] = ()) -> Optional[Link]:
     """The smallest (by sorted endpoint pair) link occupying any shared
-    cell — a deterministic victim choice for benchmarks and fuzzing, or
-    None when the schedule has no reuse to repair."""
+    cell, skipping ``exclude`` (either direction) — the deterministic
+    victim choice of the service's ``"auto"`` reschedule, benchmarks and
+    fuzzing; None when no eligible link shares a cell."""
     links = set()
     for _, _, transmissions in schedule.reused_cells():
         for entry in transmissions:
             links.add(tuple(sorted(entry.request.link)))
+    links -= {tuple(sorted(link)) for link in exclude}
     return min(links) if links else None
 
 

@@ -18,7 +18,7 @@ their hot paths:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class Schedule:
         # Incremental per-link min-reuse-distance stacks, created and
         # queried by repro.core.kernel; add() keeps them current.
         self._link_state = None
+        # canonical_hash() memo; every entry mutation clears it.
+        self._hash: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -125,6 +127,7 @@ class Schedule:
         entry = ScheduledTransmission(request, slot, offset)
         index = len(self._entries)
         self._entries.append(entry)
+        self._hash = None
         self._busy[request.sender, slot] = True
         self._busy[request.receiver, slot] = True
         self._cells.setdefault((slot, offset), []).append(index)
@@ -168,6 +171,7 @@ class Schedule:
         dup._occ_receivers = self._occ_receivers.copy()
         dup._link_state = (None if self._link_state is None
                            else self._link_state.clone())
+        dup._hash = self._hash
         return dup
 
     def evict(self, indices: Iterable[int]) -> List[ScheduledTransmission]:
@@ -203,6 +207,7 @@ class Schedule:
         affected_slots = {e.slot for e in evicted}
         self._entries = [entry for i, entry in enumerate(self._entries)
                          if i not in doomed_set]
+        self._hash = None
         # Survivor indices shifted: rebuild both index maps in one pass
         # (linear in schedule size, far below placement cost).
         cells: Dict[Tuple[int, int], List[int]] = {}
@@ -424,13 +429,18 @@ class Schedule:
             yield slot, offset, [self._entries[i] for i in indices]
 
     def reused_cells(self) -> List[Tuple[int, int, List[ScheduledTransmission]]]:
-        """Cells holding more than one transmission (channel reuse)."""
-        return [(s, c, txs) for s, c, txs in self.occupied_cells()
-                if len(txs) > 1]
+        """Cells holding more than one transmission (channel reuse), in
+        ``(slot, offset)`` order.  Read off the entry-derived cell index,
+        so only the shared cells are sorted and materialized."""
+        shared = sorted((cell, indices) for cell, indices
+                        in self._cells.items() if len(indices) > 1)
+        return [(slot, offset, [self._entries[i] for i in indices])
+                for (slot, offset), indices in shared]
 
     def num_reused_cells(self) -> int:
         """Number of cells where a channel is shared."""
-        return len(self.reused_cells())
+        return sum(1 for indices in self._cells.values()
+                   if len(indices) > 1)
 
     def reuse_links(self) -> List[Tuple[int, int]]:
         """Directed links that appear in at least one shared cell."""
@@ -473,15 +483,21 @@ class Schedule:
         to any placement (or to placement *order*) changes the hash.
         Two processes that built the same schedule — service worker and
         direct library call, scalar and vector kernel — agree on it.
+        Computed once per schedule state: ``add``/``force_add`` and
+        ``evict`` clear the memo, ``clone`` carries it.
         """
-        import hashlib
-        import json
+        if self._hash is None:
+            import hashlib
+            import json
 
-        canonical = json.dumps(
-            {"num_nodes": self.num_nodes, "num_slots": self.num_slots,
-             "num_offsets": self.num_offsets, "entries": self.signature()},
-            separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            canonical = json.dumps(
+                {"num_nodes": self.num_nodes, "num_slots": self.num_slots,
+                 "num_offsets": self.num_offsets,
+                 "entries": self.signature()},
+                separators=(",", ":"))
+            self._hash = hashlib.sha256(
+                canonical.encode("utf-8")).hexdigest()
+        return self._hash
 
     def validate_basic(self) -> None:
         """Re-check structural invariants (used by tests).

@@ -35,10 +35,12 @@ Semantics per verb:
   fourth cached artifact kind, keyed like the topology.
 * ``status`` — request, session, and cache counters.
 
-Every handled request is obs-visible when recording is enabled: a
-``service.requests`` counter per verb, a ``service_request`` trace
-event carrying wall time and cache verdicts, per-kind cache lookup
-counters, and — when a provenance recorder is attached — the
+Request, error, repair-fallback and per-kind cache counters live on
+the executor and its cache, recorder or not: ``status`` reports them
+and :meth:`ServiceExecutor.metrics` renders them as the ``service.*``
+metric families.  When recording is enabled, every handled request
+also emits a ``service_request`` trace event carrying wall time and
+cache verdicts and — when a provenance recorder is attached — the
 ``[first, last)`` decision-id bracket of the placements the request
 caused, manager-epoch style.  When the recorder also carries a span
 layer and a request span is open (the worker loop), every expensive
@@ -52,11 +54,15 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.repair import ChangeSet, repair_schedule
+from repro.core.repair import (
+    ChangeSet,
+    repair_schedule,
+    smallest_reused_link,
+)
 from repro.core.reschedule import ReuseBarrierPolicy
 from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler, SchedulingResult
@@ -160,27 +166,6 @@ def direct_schedule(config: NetworkConfig) -> SchedulingResult:
                              rho_t=config.rho_t)
 
 
-def _note_cache(kind: str, verdict: str) -> None:
-    """Per-kind cache lookup counter (``service.cache.<kind>.<verdict>``).
-
-    The :class:`~repro.service.cache.ArtifactCache` keeps its own stats
-    dict for ``status`` payloads; these recorder counters are what the
-    OpenMetrics export sees (as the labeled
-    ``repro_service_cache_lookups_total`` family)."""
-    if _obs.ENABLED:
-        _obs.RECORDER.count(f"service.cache.{kind}.{verdict}")
-
-
-def _auto_victim(schedule: Schedule, barred: Set[Link]) -> Optional[Link]:
-    """Smallest not-yet-barred link occupying any shared cell."""
-    links = set()
-    for _, _, transmissions in schedule.reused_cells():
-        for entry in transmissions:
-            links.add(tuple(sorted(entry.request.link)))
-    links -= {tuple(sorted(link)) for link in barred}
-    return min(links) if links else None
-
-
 class ServiceExecutor:
     """Executes worker verbs against one shard's cache and sessions.
 
@@ -230,14 +215,10 @@ class ServiceExecutor:
                                    f"{request.verb!r}")
         except Exception:
             self.errors += 1
-            if recorder is not None:
-                recorder.count("service.errors")
             raise
         elapsed_ms = (time.perf_counter() - start) * 1e3
         result["elapsed_ms"] = round(elapsed_ms, 3)
         if recorder is not None:
-            recorder.count("service.requests")
-            recorder.count(f"service.requests.{request.verb}")
             fields = dict(verb=request.verb, network=request.network,
                           wall_ms=round(elapsed_ms, 3),
                           worker=self.worker_index)
@@ -263,14 +244,12 @@ class ServiceExecutor:
                 lambda: build_prepared(config))
             if sp is not None:
                 sp.annotate(verdict=cache_info["topology"])
-        _note_cache("topology", cache_info["topology"])
         with stage("cache.workload") as sp:
             flow_set, cache_info["workload"] = self.cache.get_or_build(
                 "workload", config.workload_hash(),
                 lambda: build_flow_set(config, prepared))
             if sp is not None:
                 sp.annotate(verdict=cache_info["workload"])
-        _note_cache("workload", cache_info["workload"])
         with stage("compile") as sp:
             result, cache_info["schedule"] = self.cache.get_or_build(
                 "schedule", config.schedule_hash(),
@@ -280,7 +259,6 @@ class ServiceExecutor:
             if sp is not None:
                 sp.annotate(verdict=cache_info["schedule"],
                             placements=len(result.schedule))
-        _note_cache("schedule", cache_info["schedule"])
 
         previous = self.sessions.get(request.network)
         if previous is not None \
@@ -325,7 +303,8 @@ class ServiceExecutor:
         session.reschedules += 1
         config = session.config
         if request.victims == "auto" or request.victims is None:
-            victim = _auto_victim(session.schedule, session.barred)
+            victim = smallest_reused_link(session.schedule,
+                                          exclude=session.barred)
             victims: List[Link] = [victim] if victim is not None else []
         else:
             victims = [tuple(sorted(link)) for link in request.victims]
@@ -362,8 +341,6 @@ class ServiceExecutor:
             # new) held out of shared cells.
             session.fallbacks += 1
             self.fallbacks += 1
-            if _obs.ENABLED:
-                _obs.RECORDER.count("service.repair_fallbacks")
             all_barred = set(session.barred) | set(victims)
             with stage("rebuild") as sp:
                 barrier = ReuseBarrierPolicy(
@@ -428,7 +405,6 @@ class ServiceExecutor:
                 lambda: build_environment(config))
             if sp is not None:
                 sp.annotate(verdict=env_verdict)
-        _note_cache("environment", env_verdict)
         # A client-chosen seed makes runs reproducible across requests;
         # the default derives from the network config so two networks
         # sharing a topology still draw distinct fading.
@@ -482,3 +458,21 @@ class ServiceExecutor:
                          for name, session in
                          sorted(self.sessions.items())},
         }
+
+    def metrics(self) -> Dict:
+        """The service families of the ``metrics`` verb: the counters
+        :meth:`status` reports, as a metrics snapshot (see
+        :meth:`repro.obs.metrics.MetricsRegistry.snapshot`) that needs
+        no recorder.  ``service.cache.<kind>.<verdict>`` counters render
+        as the labeled ``repro_service_cache_lookups_total`` family."""
+        counters = {"service.requests": sum(self.requests.values()),
+                    "service.errors": self.errors,
+                    "service.repair_fallbacks": self.fallbacks}
+        for verb, count in self.requests.items():
+            counters[f"service.requests.{verb}"] = count
+        for verdict, per_kind in (("hit", self.cache.hits),
+                                  ("miss", self.cache.misses)):
+            for kind, count in per_kind.items():
+                counters[f"service.cache.{kind}.{verdict}"] = count
+        return {"counters": dict(sorted(counters.items())), "gauges": {},
+                "histograms": {}}

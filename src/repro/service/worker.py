@@ -21,9 +21,17 @@ every ``batch_size`` requests and at shutdown, carrying per-verb
 counts, error counts, and the cache's hit/miss counters as headline
 metrics.
 
-**Observability.**  The recorder is always on in a worker (counters are
-the point of a long-lived service); trace / metrics / provenance dumps
-are exported at shutdown to the configured path with a ``.w<index>``
+**Observability.**  A worker installs the process-wide recorder only
+when the server was started with a recording flag (``--trace``,
+``--metrics-out``, ``--provenance``, ``--timeseries``, ``--spans``) —
+the rule every other CLI command follows — so a default worker
+compiles and repairs on the unrecorded fast paths and keeps no trace
+ring.  The ``metrics`` probe answers either way: the executor's own
+request, error, fallback and cache counters
+(:meth:`~repro.service.executor.ServiceExecutor.metrics`), merged with
+the recorder's snapshot (the core ``scheduler.*`` / ``policy.*`` /
+``rc.*`` families, stage histograms) when there is one.  Dumps are
+exported at shutdown to the configured path with a ``.w<index>``
 suffix so N workers never fight over one file.
 """
 
@@ -33,6 +41,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder, activate
 from repro.service.executor import ServiceExecutor
 from repro.service.protocol import (
@@ -179,23 +188,35 @@ def _begin_work_span(spans: Optional[SpanRecorder], payload: Dict,
                               "network": payload.get("network")})
 
 
+def _metrics_snapshot(executor: ServiceExecutor, recorder) -> Dict:
+    """The executor's service counters, plus the recorder's snapshot
+    when this worker records."""
+    if recorder is None:
+        return executor.metrics()
+    return MetricsRegistry.merge_snapshots([recorder.snapshot(),
+                                            executor.metrics()])
+
+
 def worker_main(index: int, conn, options: WorkerOptions) -> None:
     """Entry point of one worker process (runs until told to stop)."""
     from repro import obs
 
-    prov = None
-    if options.provenance_path:
-        from repro.obs.provenance import ProvenanceRecorder
+    prov = timeseries = spans = recorder = None
+    if (options.trace_path or options.metrics_path
+            or options.provenance_path or options.timeseries_path
+            or options.spans_path):
+        if options.provenance_path:
+            from repro.obs.provenance import ProvenanceRecorder
 
-        prov = ProvenanceRecorder()
-    timeseries = (obs.TimeSeriesStore()
-                  if options.timeseries_path else None)
-    spans = (SpanRecorder(threshold_ms=options.span_threshold_ms,
-                          process=f"worker-{index}")
-             if options.spans_path else None)
-    recorder = obs.recorder.enable(obs.Recorder(provenance=prov,
-                                                timeseries=timeseries,
-                                                spans=spans))
+            prov = ProvenanceRecorder()
+        timeseries = (obs.TimeSeriesStore()
+                      if options.timeseries_path else None)
+        spans = (SpanRecorder(threshold_ms=options.span_threshold_ms,
+                              process=f"worker-{index}")
+                 if options.spans_path else None)
+        recorder = obs.recorder.enable(obs.Recorder(provenance=prov,
+                                                    timeseries=timeseries,
+                                                    spans=spans))
     executor = ServiceExecutor(cache_capacity=options.cache_capacity,
                                worker_index=index)
     batcher = _LedgerBatcher(index, options, recorder)
@@ -236,7 +257,7 @@ def worker_main(index: int, conn, options: WorkerOptions) -> None:
             elif kind == "status":
                 conn.send(executor.status())
             elif kind == "metrics":
-                conn.send(recorder.snapshot())
+                conn.send(_metrics_snapshot(executor, recorder))
             else:
                 conn.send({"ok": False,
                            "error": {"type": "ProtocolError",
@@ -250,16 +271,17 @@ def worker_main(index: int, conn, options: WorkerOptions) -> None:
         if options.metrics_path:
             from repro.io import save_metrics
 
-            save_metrics(recorder.snapshot(),
+            save_metrics(_metrics_snapshot(executor, recorder),
                          _worker_path(options.metrics_path, index))
-        if prov is not None and options.provenance_path:
+        if prov is not None:
             prov.export_jsonl(_worker_path(options.provenance_path, index))
         if spans is not None:
             spans.export_jsonl(_worker_path(options.spans_path, index))
         if timeseries is not None:
             timeseries.export_jsonl(
                 _worker_path(options.timeseries_path, index))
-        obs.recorder.disable()
+        if recorder is not None:
+            obs.recorder.disable()
         try:
             conn.send({"kind": "worker_exit", "worker": index,
                        "served": served})

@@ -31,6 +31,7 @@ and, for each case:
   floor; when repair fails placement, the designed fallback — the full
   barrier rebuild — is run and its product audited instead, so a
   placement failure can never silently escape correctness coverage;
+  every product's memoized canonical hash must equal a fresh one;
 * cross-checks simulator invariants on a schedulable result:
   deliveries never exceed releases per flow, the observability counters
   ``sim.attempts`` / ``sim.successes`` / ``sim.deliveries`` equal the
@@ -61,6 +62,7 @@ from repro.core import kernel as _kernel
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
                            RHO_RESET_TRANSMISSION)
+from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler, SchedulingResult
 from repro.experiments.common import (PreparedNetwork, build_workload,
                                       make_policy, prepare_network)
@@ -552,6 +554,18 @@ def _audit_repaired(case: FuzzCaseResult, check: str, label: str,
                   audit=report.to_dict())
 
 
+def _check_hash_memo(case: FuzzCaseResult, label: str, schedule) -> None:
+    """The memoized canonical hash must equal one computed afresh, on a
+    copy rebuilt entry by entry (which starts with no memo)."""
+    fresh = Schedule(schedule.num_nodes, schedule.num_slots,
+                     schedule.num_offsets)
+    for entry in schedule.entries:
+        fresh.force_add(entry.request, entry.slot, entry.offset)
+    if schedule.canonical_hash() != fresh.canonical_hash():
+        case.fail("hash_memo", f"{label}: memoized canonical hash is "
+                               f"stale")
+
+
 def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
                   flow_set: FlowSet, rho_t: int,
                   result: SchedulingResult) -> None:
@@ -562,7 +576,9 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
     repair with the victim barred, runs + audits the designed fallback
     (full barrier rebuild) when repair fails placement, checks the
     input schedule is never mutated, and repeats the audit for a
-    ρ-escalation repair at the raised floor.
+    ρ-escalation repair at the raised floor.  Every product's memoized
+    hash is checked against a fresh one; the input's hash is computed
+    first, so each repair clones a memo it must clear.
     """
     from repro.core.repair import (ChangeSet, repair_schedule,
                                    smallest_reused_link)
@@ -572,6 +588,7 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
     policy_name = result.policy_name
     rho_floor = math.inf if policy_name == "NR" else rho_t
     before = _entries_signature(schedule)
+    schedule.canonical_hash()
 
     victim = smallest_reused_link(schedule)
     if victim is not None:
@@ -584,6 +601,9 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
                     rho_t=rho_t, policy_name=policy_name)
         scalar = products[_kernel.KERNEL_SCALAR]
         vector = products[_kernel.KERNEL_VECTOR]
+        for mode, product in products.items():
+            _check_hash_memo(case, f"{policy_name}/victim {victim} "
+                                   f"({mode})", product.schedule)
         if (scalar.schedulable != vector.schedulable or
                 _entries_signature(scalar.schedule) !=
                 _entries_signature(vector.schedule)):
@@ -603,6 +623,8 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
                 flow_set, network.topology.num_nodes,
                 network.num_channels, network.reuse,
                 make_policy(policy_name, rho_t), {victim})
+            _check_hash_memo(case, f"{policy_name}/victim {victim} "
+                                   f"fallback", rebuilt.schedule)
             if rebuilt.schedulable:
                 _audit_repaired(case, "repair_fallback_audit",
                                 f"{policy_name}/victim {victim} fallback",
@@ -615,6 +637,8 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
             schedule, flow_set, network.reuse,
             ChangeSet(rho_t=escalated), rho_t=escalated,
             policy_name=policy_name)
+        _check_hash_memo(case, f"{policy_name}/rho {rho_t}->{escalated}",
+                         outcome.schedule)
         if outcome.schedulable:
             _audit_repaired(case, "repair_audit",
                             f"{policy_name}/rho {rho_t}->{escalated}",

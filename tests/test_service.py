@@ -260,7 +260,8 @@ class TestExecutorReschedule:
     def test_repair_matches_direct_repair_call(self):
         import math
 
-        from repro.core.repair import ChangeSet, repair_schedule
+        from repro.core.repair import (ChangeSet, repair_schedule,
+                                       smallest_reused_link)
 
         config = NetworkConfig.from_dict(REUSE_CONFIG)
         executor = ServiceExecutor()
@@ -270,8 +271,7 @@ class TestExecutorReschedule:
         assert served["repair_mode"] == "repair"
 
         direct = direct_schedule(config)
-        from repro.service.executor import _auto_victim
-        victim = _auto_victim(direct.schedule, set())
+        victim = smallest_reused_link(direct.schedule)
         outcome = repair_schedule(
             direct.schedule, direct.flow_set,
             executor.sessions["net-a"].prepared.reuse,

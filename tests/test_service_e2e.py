@@ -15,6 +15,7 @@ import socket
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -62,18 +63,17 @@ class NdjsonClient:
             pass
 
 
-@pytest.fixture()
-def service(tmp_path):
-    """A running 2-worker service on a tmp unix socket."""
+@contextmanager
+def running_server(tmp_path, *flags):
+    """A running 2-worker ``repro serve`` on a tmp unix socket, with
+    extra command-line flags; yields ``(socket_path, process)`` and
+    SIGTERMs the server afterwards if the test has not."""
     socket_path = str(tmp_path / "serve.sock")
-    ledger_path = str(tmp_path / "runs.jsonl")
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--socket", socket_path,
-         "--service-workers", "2",
-         "--batch-size", "10",
-         "--ledger", ledger_path],
+         "--service-workers", "2", *flags],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
     deadline = time.time() + 60
@@ -85,15 +85,27 @@ def service(tmp_path):
             process.kill()
             raise AssertionError("serve did not open its socket")
         time.sleep(0.05)
-    yield {"socket": socket_path, "ledger": ledger_path,
-           "process": process}
-    if process.poll() is None:
-        process.send_signal(signal.SIGTERM)
-        try:
-            process.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait(timeout=10)
+    try:
+        yield socket_path, process
+    finally:
+        if process.poll() is None:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=10)
+        process.stdout.close()
+
+
+@pytest.fixture()
+def service(tmp_path):
+    """A running 2-worker service with no recording flag."""
+    ledger_path = str(tmp_path / "runs.jsonl")
+    with running_server(tmp_path, "--batch-size", "10",
+                        "--ledger", ledger_path) as (socket_path, process):
+        yield {"socket": socket_path, "ledger": ledger_path,
+               "process": process}
 
 
 def drive_plan(client: NdjsonClient, plan):
@@ -303,39 +315,98 @@ class TestLoadgenCli:
         assert set(first_by_network.values()) == {"schedule"}
 
 
+class TestUnrecordedWorker:
+    """A server started with no recording flag keeps no recorder in
+    its workers, yet still exposes the service families."""
+
+    PLAN = dict(requests=20, networks=4, flows=8, seed=2)
+
+    def test_metrics_verb_matches_status(self, service):
+        plan = build_plan(LoadgenOptions(**self.PLAN))
+        client = NdjsonClient(service["socket"])
+        try:
+            responses = drive_plan(client, plan)
+            responses.append(client.request(
+                {"id": "sim", "verb": "simulate",
+                 "network": plan[0]["network"], "repetitions": 4}))
+            ghost = client.request({"id": "ghost", "verb": "reschedule",
+                                    "network": "ghost"})
+            metrics = client.request({"id": "m", "verb": "metrics"})
+            status = client.request({"id": "s", "verb": "status"})
+        finally:
+            client.close()
+        assert all(response["ok"] for response in responses)
+        assert not ghost["ok"]
+
+        families = parse_openmetrics(metrics["result"]["exposition"])
+        samples = {(name, tuple(sorted(labels.items()))): value
+                   for family in families.values()
+                   for name, labels, value in family["samples"]}
+        result = status["result"]
+        assert samples[("repro_service_requests_total", ())] == \
+            sum(result["requests"].values()) == len(plan) + 2
+        for verb, count in result["requests"].items():
+            assert samples[(f"repro_service_requests_{verb}_total",
+                            ())] == count
+        assert samples[("repro_service_errors_total", ())] == \
+            result["errors"] == 1
+        assert samples[("repro_service_repair_fallbacks_total", ())] == \
+            result["repair_fallbacks"]
+
+        expected = {}
+        for worker in result["worker_status"]:
+            for verdict, key in (("hit", "hits"), ("miss", "misses")):
+                for kind, count in worker["cache"][key].items():
+                    expected[(kind, verdict)] = \
+                        expected.get((kind, verdict), 0) + count
+        lookups = {(dict(labels)["kind"], dict(labels)["verdict"]): value
+                   for (name, labels), value in samples.items()
+                   if name == "repro_service_cache_lookups_total"}
+        assert lookups == expected
+        assert expected[("environment", "miss")] == 1
+
+        # No recorder in the workers: no core families.
+        assert not [name for name in families if name.startswith(
+            ("repro_scheduler", "repro_policy", "repro_rc"))]
+
+    def test_metrics_out_dumps_carry_service_and_core_families(
+            self, tmp_path):
+        plan = build_plan(LoadgenOptions(**self.PLAN))
+        metrics_path = tmp_path / "metrics.json"
+        with running_server(tmp_path, "--no-ledger", "--metrics-out",
+                            str(metrics_path)) as (socket_path, process):
+            client = NdjsonClient(socket_path)
+            try:
+                responses = drive_plan(client, plan)
+            finally:
+                client.close()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        assert all(response["ok"] for response in responses)
+
+        dumps = [json.loads(path.read_text()) for path in
+                 sorted(tmp_path.glob("metrics.json.w*"))]
+        assert len(dumps) == 2
+        assert sum(dump["counters"]["service.requests"]
+                   for dump in dumps) == len(plan)
+        for dump in dumps:
+            counters = dump["counters"]
+            if not counters["service.requests"]:
+                continue
+            assert counters["service.cache.schedule.miss"] >= 1
+            assert counters["scheduler.placements"] > 0
+            assert any(name.startswith("policy.") for name in counters)
+
+
 @pytest.fixture()
 def traced_service(tmp_path):
     """A 2-worker service recording every request span (threshold 0)."""
-    socket_path = str(tmp_path / "serve.sock")
     spans_path = str(tmp_path / "spans.jsonl")
-    env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve",
-         "--socket", socket_path,
-         "--service-workers", "2",
-         "--spans", spans_path,
-         "--span-threshold-ms", "0",
-         "--no-ledger"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True)
-    deadline = time.time() + 60
-    while not os.path.exists(socket_path):
-        if process.poll() is not None:
-            raise AssertionError(
-                f"serve exited early:\n{process.stdout.read()}")
-        if time.time() > deadline:
-            process.kill()
-            raise AssertionError("serve did not open its socket")
-        time.sleep(0.05)
-    yield {"socket": socket_path, "spans": spans_path,
-           "process": process}
-    if process.poll() is None:
-        process.send_signal(signal.SIGTERM)
-        try:
-            process.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            process.kill()
-            process.wait(timeout=10)
+    with running_server(tmp_path, "--spans", spans_path,
+                        "--span-threshold-ms", "0",
+                        "--no-ledger") as (socket_path, process):
+        yield {"socket": socket_path, "spans": spans_path,
+               "process": process}
 
 
 def shutdown(handle):

@@ -420,8 +420,9 @@ class TestExecutorStages:
         for stage_name in ("cache.topology", "compile", "simulate"):
             assert snapshot["histograms"][
                 f"span.{stage_name}.seconds"]["count"] == 1
-        # Side surface 2: per-kind cache lookup counters.
-        counters = snapshot["counters"]
+        # Side surface 2: per-kind cache lookup counters, kept by the
+        # executor itself (recorder or not).
+        counters = executor.metrics()["counters"]
         assert counters["service.cache.topology.miss"] == 1
         assert counters["service.cache.workload.miss"] == 1
         assert counters["service.cache.schedule.miss"] == 1
