@@ -54,9 +54,6 @@ from repro.routing.traffic import TrafficType
 #: Default output file, tracked in the repository.
 DEFAULT_OUT = "BENCH_schedulers.json"
 
-#: Default append-only per-run history (JSONL, one record per bench).
-DEFAULT_HISTORY = "benchmarks/history.jsonl"
-
 #: Regression gate for ``--compare``: a shared (flows, policy, kernel)
 #: cell may be at most this much slower than the baseline.
 REGRESSION_THRESHOLD = 0.20
@@ -599,73 +596,6 @@ def run_bench(out: str = DEFAULT_OUT, *, quick: bool = False,
             json.dump(report, handle, indent=2, sort_keys=False)
             handle.write("\n")
     return report
-
-
-def _history_cell(row: Dict) -> Dict:
-    """Compact one scheduler-bench row for the history file."""
-    return {"num_flows": row["num_flows"], "policy": row["policy"],
-            "scalar_s": row[_kernel.KERNEL_SCALAR]["wall_s"],
-            "vector_s": row[_kernel.KERNEL_VECTOR]["wall_s"],
-            "speedup": row["speedup"]}
-
-
-def append_history(report: Dict, path: str = DEFAULT_HISTORY) -> Dict:
-    """Append one compact record of a bench run to the history file.
-
-    The tracked ``BENCH_schedulers.json`` holds only the *latest* full
-    report; the history keeps the trajectory — one JSONL record per run
-    with the per-cell wall times and the headline speedups — so
-    regressions can be dated, not just detected.
-
-    Returns:
-        The appended record.
-    """
-    from repro.io import append_jsonl
-
-    record = {
-        "kind": "bench",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "mode": report["mode"],
-        "seed": report["seed"],
-        "repetitions": report["repetitions"],
-        "environment": report["environment"],
-        "cells": [_history_cell(row) for row in report["schedulers"]],
-        "headline": report["headline"],
-    }
-    remediation = [
-        {"num_flows": row["num_flows"],
-         "repair_s": row["repair"]["wall_s"],
-         "rebuild_s": row["rebuild"]["wall_s"],
-         "evicted_cells": row["repair"]["evicted_cells"],
-         "speedup": row["speedup"]}
-        for row in report.get("remediation", []) if "repair" in row]
-    if remediation:
-        record["remediation"] = remediation
-    simulator = report.get("simulator")
-    if simulator and simulator.get("cells"):
-        record["simulator"] = {
-            "sim_repetitions": simulator["sim_repetitions"],
-            "cells": [{"num_flows": cell["num_flows"],
-                       "slot_s": cell["slot"]["wall_s"],
-                       "event_s": cell["event"]["wall_s"],
-                       "batched_s": cell["batched"]["wall_s"],
-                       "batched_speedup": cell["batched_speedup"]}
-                      for cell in simulator["cells"]
-                      if "slot" in cell],
-        }
-    service = report.get("service")
-    if service and service.get("loops"):
-        record["service"] = {
-            "cold_ms": service.get("cold_ms"),
-            "warm_ms": service.get("warm_ms"),
-            "loops": [{"networks": loop["networks"],
-                       "rps": loop["rps"],
-                       "p50_ms": loop["p50_ms"],
-                       "p99_ms": loop["p99_ms"]}
-                      for loop in service["loops"]],
-        }
-    append_jsonl([record], path)
-    return record
 
 
 def compare_bench(report: Dict, baseline: Dict,

@@ -32,15 +32,18 @@ Experiment commands accept ``--workers N`` to fan independent trials
 over N worker processes (0 = all CPUs) with results identical to a
 serial run.
 
-Every experiment command accepts ``--trace FILE`` (structured JSONL
-event trace), ``--metrics-out FILE`` (metrics snapshot JSON),
-``--provenance FILE`` (per-placement decision records, JSONL), and
-``--timeseries FILE`` (windowed per-epoch series, JSONL); any of the
-four turns the observability layer on for the run (see ``repro.obs``).
-Every *producing* command appends one record — argv, config hash,
-seeds, environment, wall time, exit status, artifact paths — to the
-append-only run ledger (default ``runs.jsonl``; ``--ledger PATH``
-moves it, ``--no-ledger`` skips it).
+Every experiment command and ``serve`` accept ``--trace FILE``
+(structured JSONL event trace), ``--metrics-out FILE`` (metrics
+snapshot JSON), ``--provenance FILE`` (per-placement decision records,
+JSONL), and ``--timeseries FILE`` (windowed per-epoch series, JSONL);
+``serve`` adds ``--spans FILE``.  Any of them opens one recording
+session for the run (:func:`repro.obs.session.recording_session`),
+which exports every requested layer when the command ends, also when
+it fails; the metrics snapshot's ``span.<stage>.seconds`` histograms
+say where the time went.  Every *producing* command appends one
+record — argv, config hash, seeds, environment, wall time, exit
+status, artifact paths — to the append-only run ledger (default
+``runs.jsonl``; ``--ledger PATH`` moves it, ``--no-ledger`` skips it).
 """
 
 from __future__ import annotations
@@ -50,12 +53,13 @@ import os
 import sys
 from typing import List, Optional
 
-from repro import obs
 from repro.experiments.common import prepare_network
 from repro.experiments.detection_exp import run_detection
 from repro.experiments.reliability import run_reliability
 from repro.experiments.schedulability import run_sweep
 from repro.flows.generator import PeriodRange
+from repro.obs.session import RecordingPaths, recording_session
+from repro.obs.spans import DEFAULT_THRESHOLD_MS
 from repro.routing.traffic import TrafficType
 
 
@@ -250,8 +254,7 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from repro.bench import (append_history, compare_bench, format_bench,
-                             run_bench)
+    from repro.bench import compare_bench, format_bench, run_bench
 
     baseline = None
     if args.compare:
@@ -268,9 +271,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(format_bench(report))
     if args.out != "-":
         print(f"report -> {args.out}")
-    if args.history != "-":
-        append_history(report, args.history)
-        print(f"history += {args.history}")
     if baseline is not None:
         regressions = compare_bench(report, baseline)
         if regressions:
@@ -561,14 +561,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.io import load_jsonl, load_metrics
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.report import format_report
-    from repro.obs.spans import expand_span_paths
+    from repro.obs.session import expand_paths
 
     # A missing or corrupt snapshot is an operator mistake, not a bug:
     # one line to stderr and a distinct exit code, never a traceback.
     # A service run leaves one front-end file plus per-worker ``.w<i>``
     # siblings; the report folds every sibling it finds into one view.
     try:
-        metric_paths = expand_span_paths(args.metrics)
+        metric_paths = expand_paths(args.metrics)
         if not metric_paths:
             raise OSError(f"no such file: {args.metrics}")
         snapshot = MetricsRegistry.merge_snapshots(
@@ -577,7 +577,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         dropped = None
         if args.trace_in:
             records = []
-            for path in expand_span_paths(args.trace_in) or [args.trace_in]:
+            for path in expand_paths(args.trace_in) or [args.trace_in]:
                 records.extend(load_jsonl(path))
             meta = [r for r in records
                     if r.get("kind") in _TRAILER_KINDS]
@@ -598,12 +598,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs.spans import expand_span_paths, format_trace_show
+    from repro.obs.session import expand_paths
+    from repro.obs.spans import format_trace_show
 
     # Only one action today; argparse enforces the choice so a future
     # `repro trace diff` slots in without breaking invocations.
     try:
-        paths = expand_span_paths(args.spans_in)
+        paths = expand_paths(args.spans_in)
         if not paths:
             raise OSError(f"no such file: {args.spans_in}")
         print(format_trace_show(paths, limit=args.limit,
@@ -702,12 +703,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         batch_size=args.batch_size,
         ledger_path=None if args.no_ledger else args.ledger,
-        trace_path=args.trace,
-        metrics_path=args.metrics_out,
-        provenance_path=args.provenance,
-        timeseries_path=args.timeseries,
-        spans_path=args.spans,
-        span_threshold_ms=args.span_threshold_ms)
+        recording=_recording_paths(args))
     return run_service(options)
 
 
@@ -753,6 +749,10 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
+    # Read at build time, so the default can be moved (the test suite
+    # points it into a temporary directory).
+    from repro.obs.ledger import DEFAULT_LEDGER
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Conservative channel reuse for industrial WSANs "
@@ -760,15 +760,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def ledger_opts(p):
-        p.add_argument("--ledger", default="runs.jsonl", metavar="FILE",
+        p.add_argument("--ledger", default=DEFAULT_LEDGER, metavar="FILE",
                        help="append-only run ledger (JSONL)")
         p.add_argument("--no-ledger", action="store_true",
                        help="skip the run-ledger append for this run")
 
-    def common(p):
-        p.add_argument("--testbed", default="indriya",
-                       choices=("indriya", "wustl"))
-        p.add_argument("--seed", type=int, default=None)
+    def recording_opts(p):
+        # The recording flags every experiment command shares with
+        # serve (see _recording_paths).
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="record a structured event trace (JSONL)")
         p.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -777,9 +776,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record per-placement decision provenance "
                             "(JSONL)")
         p.add_argument("--timeseries", default=None, metavar="FILE",
-                       help="record windowed per-epoch time series "
-                            "(JSONL; drives 'repro top' and the "
-                            "OpenMetrics export)")
+                       help="record windowed time series (JSONL; drives "
+                            "'repro top' and the OpenMetrics export)")
+
+    def common(p):
+        p.add_argument("--testbed", default="indriya",
+                       choices=("indriya", "wustl"))
+        p.add_argument("--seed", type=int, default=None)
+        recording_opts(p)
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes for trial fan-out "
                             "(0 = all CPUs)")
@@ -893,9 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="timed repetitions per configuration (best-of)")
     p.add_argument("--out", default="BENCH_schedulers.json",
                    help="report path ('-' to skip writing)")
-    p.add_argument("--history", default="benchmarks/history.jsonl",
-                   metavar="FILE",
-                   help="append-only bench history ('-' to skip)")
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="compare against a baseline report; exit 3 on "
                         ">20%% wall-time regression in any shared cell")
@@ -964,7 +965,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="inspect request-span dumps (--spans / "
                             "--trace-out)")
     tsub = p.add_subparsers(dest="action", required=True)
-    # dest is spans_in, NOT spans: _run_command treats a "spans"
+    # dest is spans_in, NOT spans: _recording_paths treats a "spans"
     # attribute as a recording *output* path and would overwrite the
     # dump being viewed.
     ps = tsub.add_parser("show",
@@ -1025,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("list", "show", "diff"))
     p.add_argument("run_ids", nargs="*",
                    help="run id(s); unambiguous prefixes accepted")
-    p.add_argument("--ledger", default="runs.jsonl", metavar="FILE",
+    p.add_argument("--ledger", default=DEFAULT_LEDGER, metavar="FILE",
                    help="ledger file to query")
     p.add_argument("--status", dest="status_filter", default=None,
                    metavar="PREFIX",
@@ -1069,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("top",
                        help="live ASCII observatory over a run's "
                             "time-series dump")
-    # dest is timeseries_in, NOT timeseries: _run_command treats a
+    # dest is timeseries_in, NOT timeseries: _recording_paths treats a
     # "timeseries" attribute as a recording *output* path and would
     # overwrite the dump being viewed.
     p.add_argument("timeseries_in", metavar="TIMESERIES",
@@ -1092,7 +1093,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve",
                        help="long-lived scheduling service (NDJSON over "
-                            "a unix socket or TCP)")
+                            "a unix socket or TCP)",
+                       description="Each recording flag names the front "
+                                   "end's file; each worker exports "
+                                   "FILE.w<N> at shutdown.")
     p.add_argument("--socket", default=None, metavar="PATH",
                    help="listen on a unix socket (overrides --host/"
                         "--port)")
@@ -1109,24 +1113,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compiled-artifact cache entries per worker")
     p.add_argument("--batch-size", type=int, default=100, metavar="N",
                    help="requests per run-ledger batch record")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="front-end event trace (JSONL); each worker "
-                        "exports FILE.w<N> at shutdown")
-    p.add_argument("--metrics-out", default=None, metavar="FILE",
-                   help="front-end metrics snapshot (JSON); each "
-                        "worker exports FILE.w<N> at shutdown")
-    p.add_argument("--provenance", default=None, metavar="FILE",
-                   help="per-placement decision provenance; each "
-                        "worker exports FILE.w<N> at shutdown")
-    p.add_argument("--timeseries", default=None, metavar="FILE",
-                   help="per-batch service.* time series for "
-                        "'repro top'; each worker exports FILE.w<N> "
-                        "at shutdown")
+    recording_opts(p)
     p.add_argument("--spans", default=None, metavar="FILE",
                    help="request-span dump with tail-based exemplar "
-                        "capture; each worker exports FILE.w<N> at "
-                        "shutdown (view with 'repro trace show')")
-    p.add_argument("--span-threshold-ms", type=float, default=50.0,
+                        "capture (view with 'repro trace show')")
+    p.add_argument("--span-threshold-ms", type=float,
+                   default=DEFAULT_THRESHOLD_MS,
                    metavar="MS",
                    help="keep a trace's spans when its root takes at "
                         "least this long (errors always kept)")
@@ -1181,16 +1173,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: ``args`` attributes whose values are files the run writes; collected
-#: into the ledger record so every artifact names the run that made it.
-_ARTIFACT_ARGS = ("trace", "metrics_out", "provenance", "timeseries",
-                  "spans", "trace_out", "save", "report_out", "out",
-                  "artifacts", "schedule_out", "flows_out",
-                  "topology_out", "history")
+def _recording_paths(args: argparse.Namespace) -> RecordingPaths:
+    """The recording layers a command's flags ask for."""
+    return RecordingPaths(
+        trace=getattr(args, "trace", None),
+        metrics=getattr(args, "metrics_out", None),
+        provenance=getattr(args, "provenance", None),
+        timeseries=getattr(args, "timeseries", None),
+        spans=getattr(args, "spans", None),
+        span_threshold_ms=getattr(args, "span_threshold_ms",
+                                  DEFAULT_THRESHOLD_MS))
+
+
+#: ``args`` attributes naming the other files a command writes; with the
+#: recording layers they go into the ledger record, so every artifact
+#: names the run that made it.
+_ARTIFACT_ARGS = ("trace_out", "save", "report_out", "out", "artifacts",
+                  "schedule_out", "flows_out", "topology_out")
 
 
 def _artifact_paths(args: argparse.Namespace) -> List[str]:
-    paths = []
+    paths = _recording_paths(args).outputs()
     for name in _ARTIFACT_ARGS:
         value = getattr(args, name, None)
         if value and value != "-":
@@ -1199,61 +1202,14 @@ def _artifact_paths(args: argparse.Namespace) -> List[str]:
 
 
 def _run_command(args: argparse.Namespace):
-    """Run the selected command, with observability when requested.
+    """Run the selected command inside its recording session.
 
     Returns:
         ``(status, recorder_or_None)``.
     """
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics_out", None)
-    prov_path = getattr(args, "provenance", None)
-    series_path = getattr(args, "timeseries", None)
-    spans_path = getattr(args, "spans", None)
-    if not (trace_path or metrics_path or prov_path or series_path
-            or spans_path):
-        return args.func(args), None
-
-    from repro.io import save_metrics
-
-    prov = None
-    if prov_path:
-        from repro.obs.provenance import ProvenanceRecorder
-
-        prov = ProvenanceRecorder()
-    timeseries = obs.TimeSeriesStore() if series_path else None
-    spans = None
-    if spans_path:
-        from repro.obs.spans import SpanRecorder
-
-        spans = SpanRecorder(
-            threshold_ms=getattr(args, "span_threshold_ms", 50.0),
-            process="front")
-    with obs.recording(obs.Recorder(provenance=prov,
-                                    timeseries=timeseries,
-                                    spans=spans)) as recorder:
-        status = args.func(args)
-        if trace_path:
-            written = recorder.tracer.export_jsonl(trace_path)
-            dropped = recorder.tracer.dropped
-            suffix = f" ({dropped} older events dropped)" if dropped else ""
-            print(f"trace: {written} events -> {trace_path}{suffix}")
-        if metrics_path:
-            save_metrics(recorder.snapshot(), metrics_path)
-            print(f"metrics: snapshot -> {metrics_path}")
-        if prov_path:
-            written = prov.export_jsonl(prov_path)
-            suffix = (f" ({prov.dropped} older decisions dropped)"
-                      if prov.dropped else "")
-            print(f"provenance: {written} decisions -> "
-                  f"{prov_path}{suffix}")
-        if series_path:
-            written = timeseries.export_jsonl(series_path)
-            print(f"timeseries: {written} series -> {series_path}")
-        if spans_path:
-            written = spans.export_jsonl(spans_path)
-            print(f"spans: {written} span(s) across "
-                  f"{spans.kept_traces} trace(s) -> {spans_path}")
-    return status, recorder
+    with recording_session(_recording_paths(args),
+                           echo=print) as recorder:
+        return args.func(args), recorder
 
 
 def main(argv: Optional[List[str]] = None) -> int:

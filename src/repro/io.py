@@ -49,9 +49,9 @@ def save_jsonl(records: Iterable[Dict], path: PathLike) -> int:
 def append_jsonl(records: Iterable[Dict], path: PathLike) -> int:
     """Append dict records to a JSON Lines file (created if missing).
 
-    The run ledger (:mod:`repro.obs.ledger`) and the benchmark history
-    are append-only by contract: re-running an experiment must never
-    erase the account of earlier runs.  Parent directories are created.
+    The run ledger (:mod:`repro.obs.ledger`) is append-only by
+    contract: re-running an experiment must never erase the account of
+    earlier runs.  Parent directories are created.
 
     Returns:
         The number of records appended.

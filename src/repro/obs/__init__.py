@@ -1,6 +1,6 @@
-"""Observability: metrics registry, structured tracing, profiling.
+"""Observability: metrics, tracing, stage timing, recording sessions.
 
-The layer has three pieces:
+The layer's pieces:
 
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms with JSON snapshot/merge (:mod:`repro.obs.metrics`);
@@ -9,6 +9,12 @@ The layer has three pieces:
 * a process-wide :class:`Recorder` behind a module-level ``ENABLED``
   flag (:mod:`repro.obs.recorder`), so instrumented hot paths cost one
   attribute read when observability is off;
+* :func:`stage` — the one timing scope: it observes
+  ``span.<name>.seconds`` histograms and, under a served request,
+  records causally-linked spans (:mod:`repro.obs.spans`);
+* :func:`recording_session` — installs a recorder with exactly the
+  layers a run asks for and exports each one, ``.w<N>``-suffixed in
+  serve workers, when the run ends (:mod:`repro.obs.session`);
 * :class:`TimeSeriesStore` — windowed ``(t, value)`` series with
   bounded retention (:mod:`repro.obs.timeseries`), and on top of it
   :class:`SloEngine` — per-flow multi-window burn-rate alerting
@@ -24,8 +30,9 @@ Typical library use::
         result = schedule_workload(network, flows, "RC")
     print(obs.format_report(rec.snapshot()))
 
-From the CLI, ``--trace FILE`` / ``--metrics-out FILE`` enable the same
-machinery, and ``python -m repro report FILE`` renders a saved snapshot.
+From the CLI, ``--trace FILE`` / ``--metrics-out FILE`` (and
+``--provenance`` / ``--timeseries``) open a recording session for the
+run, and ``python -m repro report FILE`` renders a saved snapshot.
 """
 
 from repro.obs.ledger import RunLedger, environment_fingerprint
@@ -39,7 +46,6 @@ from repro.obs.metrics import (
     quantile_from_buckets,
 )
 from repro.obs.openmetrics import parse_openmetrics, render_openmetrics
-from repro.obs.profiling import span, timed
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.recorder import (
     NullRecorder,
@@ -51,6 +57,7 @@ from repro.obs.recorder import (
     recording,
 )
 from repro.obs.report import format_report
+from repro.obs.session import RecordingPaths, recording_session
 from repro.obs.slo import FlowSloState, SloConfig, SloEngine
 from repro.obs.spans import (
     ActiveSpan,
@@ -76,6 +83,7 @@ __all__ = [
     "NullRecorder",
     "ProvenanceRecorder",
     "Recorder",
+    "RecordingPaths",
     "RunLedger",
     "SMALL_INT_BUCKETS",
     "Series",
@@ -97,11 +105,10 @@ __all__ = [
     "parse_openmetrics",
     "quantile_from_buckets",
     "recording",
+    "recording_session",
     "render_openmetrics",
     "render_top",
-    "span",
     "sparkline",
     "stage",
-    "timed",
     "wire_context",
 ]

@@ -3,7 +3,7 @@
 The registry is the numeric half of the observability layer (the
 :mod:`repro.obs.trace` ring buffer is the event half).  Metrics use
 hierarchical dotted names (``scheduler.slots_scanned``,
-``policy.RC.placements``, ``time.phase.schedule.total_s``) rather than
+``policy.RC.placements``, ``span.schedule.RC.seconds``) rather than
 label sets — the name space is small and flat names keep snapshots
 trivially JSON-serializable and mergeable.
 

@@ -27,8 +27,9 @@ is a point-in-time scrape surface; history stays in the JSONL dump).
 A series prefix (``reschedule/slo.flow...``) becomes a ``run`` label.
 
 Two snapshot-side conventions are lifted into labeled families too:
-``span.<stage>.seconds`` histograms (request-stage latency recorded by
-the span layer) merge into one ``repro_stage_seconds{stage="..."}``
+``span.<stage>.seconds`` histograms (per-stage latency recorded by
+:func:`repro.obs.spans.stage`) merge into one
+``repro_stage_seconds{stage="..."}``
 histogram family, and ``service.cache.<kind>.<verdict>`` counters
 (artifact-cache lookups) merge into
 ``repro_service_cache_lookups_total{kind="...",verdict="..."}`` — so a
@@ -55,7 +56,7 @@ _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 #: Snapshot-side names lifted into labeled families.
 _CACHE_COUNTER = re.compile(
     r"^service\.cache\.(?P<kind>[a-z_]+)\.(?P<verdict>hit|miss)$")
-_STAGE_HISTOGRAM = re.compile(r"^span\.(?P<stage>[a-z_.]+)\.seconds$")
+_STAGE_HISTOGRAM = re.compile(r"^span\.(?P<stage>[A-Za-z_.]+)\.seconds$")
 
 #: Series-name patterns lifted into labeled families.
 _LABELED_SERIES = (
@@ -170,7 +171,7 @@ def render_openmetrics(snapshot: Dict, timeseries=None) -> str:
         stage = _STAGE_HISTOGRAM.match(name)
         if stage:
             fam = family("repro_stage_seconds", "histogram",
-                         "Request-stage latency by span name")
+                         "Stage latency by stage name")
             labels = {"stage": stage.group("stage")}
         else:
             fam = family(f"repro_{sanitize_name(name)}", "histogram",

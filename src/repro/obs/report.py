@@ -4,7 +4,7 @@ Backs the ``python -m repro report`` command: takes the JSON snapshot
 written by ``--metrics-out`` (optionally plus a trace written by
 ``--trace``) and prints the quantities the paper's evaluation cares
 about — placements per policy, RC's reuse-fallback histogram, simulator
-attempt/success totals, and wall time per phase.
+attempt/success totals, and wall time per stage.
 """
 
 from __future__ import annotations
@@ -51,25 +51,9 @@ def _histogram_lines(title: str, data: Dict) -> List[str]:
     return lines
 
 
-def _phase_table(counters: Dict[str, float]) -> List[str]:
-    names = sorted({name[len("time."):-len(".calls")]
-                    for name in counters
-                    if name.startswith("time.") and name.endswith(".calls")})
-    if not names:
-        return []
-    lines = ["wall time per phase:",
-             f"  {'phase':<28} {'calls':>7} {'total s':>9} {'mean ms':>9}"]
-    for name in names:
-        calls = counters.get(f"time.{name}.calls", 0)
-        total = counters.get(f"time.{name}.total_s", 0.0)
-        mean_ms = 1000.0 * total / calls if calls else 0.0
-        lines.append(f"  {name:<28} {_fmt(calls):>7} {total:>9.3f} "
-                     f"{mean_ms:>9.2f}")
-    return lines
-
-
 def _stage_table(histograms: Dict[str, Dict]) -> List[str]:
-    """Request-stage latency from the span layer's side histograms."""
+    """Wall time per :func:`repro.obs.spans.stage`: CLI phases and
+    service request stages alike (``span.<name>.seconds``)."""
     from repro.obs.metrics import quantile_from_buckets
 
     stages = []
@@ -84,7 +68,7 @@ def _stage_table(histograms: Dict[str, Dict]) -> List[str]:
     if not stages:
         return []
     stages.sort(key=lambda row: (-row[2], row[0]))
-    lines = ["request stages (from span dump):",
+    lines = ["wall time per stage:",
              f"  {'stage':<20} {'count':>7} {'total s':>9} "
              f"{'mean ms':>9} {'p99 ms':>9}"]
     for stage, count, total, p99 in stages:
@@ -187,10 +171,6 @@ def format_report(snapshot: Dict,
     cache_lines = _cache_table(counters)
     if cache_lines:
         sections.append(cache_lines)
-
-    phase_lines = _phase_table(counters)
-    if phase_lines:
-        sections.append(phase_lines)
 
     if trace_kind_counts is not None:
         lines = ["trace events by kind:"]

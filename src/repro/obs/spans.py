@@ -29,9 +29,13 @@ worker inside the request payload, and responses echo
 ``{"trace_id": ...}`` so a client can find its request in the dumps.
 *Within* a process the current span travels in a
 :class:`contextvars.ContextVar`, so executor stages find their parent
-without threading it through every signature; :func:`stage` is the
-instrumentation-site helper and no-ops (one attribute read, one
-contextvar get) when no span recorder is installed.
+without threading it through every signature.
+
+:func:`stage` is the one timing scope of the code base: served
+requests, CLI runs and library calls all time their phases with it.
+It observes ``span.<name>.seconds`` whenever the recorder is on, opens
+a child span when the recorder also carries a span layer and a span is
+open, and costs one attribute read when the recorder is off.
 
 Tail-based capture
 ------------------
@@ -57,10 +61,11 @@ from __future__ import annotations
 
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs import recorder as _obs
 from repro.obs.metrics import TIME_BUCKETS_S
 
 #: Root spans at/above this duration are always kept.
@@ -176,27 +181,41 @@ def activate(span: Optional[ActiveSpan]):
         _CURRENT.reset(token)
 
 
-@contextmanager
+#: What :func:`stage` returns while the recorder is off.
+_OFF = nullcontext()
+
+
 def stage(name: str, **attrs):
-    """Instrument one named stage under the current span.
+    """Time one named stage; the code base's only timing scope.
 
-    The instrumentation-site helper for code deep in the request path
-    (executor verbs): opens a child of the context's current span,
-    makes itself current for the body, and closes with ``ok`` /
-    ``error``.  Yields the :class:`ActiveSpan` (annotate it with cache
-    verdicts etc.) — or ``None``, with zero recording, when the
-    process-wide recorder is off, carries no span layer, or no request
-    span is open (direct library calls, the loadgen shadow executor).
+    Used as ``with stage("compile") as span:``.  With the recorder off
+    it records nothing and ``span`` is None.  With the recorder on it
+    observes the stage's duration once into the ``span.<name>.seconds``
+    histogram.  When the recorder also carries a span layer and a span
+    is open (a served request's work span), the stage is recorded as a
+    child span of it, is current for the body, closes with ``ok`` /
+    ``error``, and ``span`` is that :class:`ActiveSpan` (annotate it
+    with cache verdicts etc.); otherwise ``span`` is None.
     """
-    from repro.obs import recorder as _obs
+    if not _obs.ENABLED:
+        return _OFF
+    return _recorded_stage(_obs.RECORDER, name, attrs)
 
-    spans = _obs.RECORDER.spans if _obs.ENABLED else None
+
+@contextmanager
+def _recorded_stage(recorder, name: str, attrs: Dict):
     parent = _CURRENT.get()
-    if spans is None or parent is None:
-        yield None
+    if recorder.spans is None or parent is None:
+        start = time.perf_counter()
+        try:
+            yield None
+        finally:
+            recorder.observe(f"span.{name}.seconds",
+                             time.perf_counter() - start, TIME_BUCKETS_S)
         return
-    span = spans.start(name, trace_id=parent.trace_id,
-                       parent_id=parent.span_id, attrs=attrs)
+    # The span observes the histogram itself when it ends.
+    span = recorder.spans.start(name, trace_id=parent.trace_id,
+                                parent_id=parent.span_id, attrs=attrs)
     token = _CURRENT.set(span)
     try:
         yield span
@@ -427,18 +446,6 @@ class SpanRecorder:
 # ----------------------------------------------------------------------
 # Offline side: load dumps, rebuild trees, render waterfalls
 # ----------------------------------------------------------------------
-
-def expand_span_paths(path: str) -> List[str]:
-    """``FILE`` plus its per-worker siblings ``FILE.w<N>``, sorted."""
-    import glob
-    import os
-    import re
-
-    paths = [path] if os.path.exists(path) else []
-    siblings = [p for p in glob.glob(f"{path}.w*")
-                if re.fullmatch(r".*\.w\d+", p)]
-    return paths + sorted(siblings)
-
 
 def load_span_records(paths: Sequence[str]) -> Tuple[List[Dict],
                                                      List[Dict]]:

@@ -42,11 +42,13 @@ metric families.  When recording is enabled, every handled request
 also emits a ``service_request`` trace event carrying wall time and
 cache verdicts and — when a provenance recorder is attached — the
 ``[first, last)`` decision-id bracket of the placements the request
-caused, manager-epoch style.  When the recorder also carries a span
-layer and a request span is open (the worker loop), every expensive
-phase — cache lookups, compile, repair, rebuild, simulate — runs
-inside a named :func:`repro.obs.spans.stage`, which is what the
-``repro trace show`` waterfalls decompose latency into.
+caused, manager-epoch style.  Every expensive phase — cache lookups,
+compile, repair, rebuild, simulate — runs inside a named
+:func:`repro.obs.spans.stage`: while recording, each one observes its
+``span.<stage>.seconds`` histogram, and when the recorder also carries
+a span layer and a request span is open (the worker loop) it is a
+child span too, which is what the ``repro trace show`` waterfalls
+decompose latency into.
 """
 
 from __future__ import annotations

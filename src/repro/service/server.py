@@ -47,6 +47,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import render_openmetrics
+from repro.obs.session import RecordingPaths
 from repro.service.protocol import (
     ProtocolError,
     Request,
@@ -83,24 +84,16 @@ class ServiceOptions:
     cache_capacity: int = 256
     batch_size: int = DEFAULT_BATCH_SIZE
     ledger_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    metrics_path: Optional[str] = None
-    provenance_path: Optional[str] = None
-    timeseries_path: Optional[str] = None
-    spans_path: Optional[str] = None
-    span_threshold_ms: float = 50.0
+    #: The workers' recording layers (the front end records through
+    #: the CLI's own session over the same paths).
+    recording: RecordingPaths = RecordingPaths()
 
     def worker_options(self) -> WorkerOptions:
         return WorkerOptions(
             cache_capacity=self.cache_capacity,
             batch_size=self.batch_size,
             ledger_path=self.ledger_path,
-            trace_path=self.trace_path,
-            metrics_path=self.metrics_path,
-            provenance_path=self.provenance_path,
-            timeseries_path=self.timeseries_path,
-            spans_path=self.spans_path,
-            span_threshold_ms=self.span_threshold_ms)
+            recording=self.recording)
 
 
 class _WorkerHandle:

@@ -21,18 +21,19 @@ every ``batch_size`` requests and at shutdown, carrying per-verb
 counts, error counts, and the cache's hit/miss counters as headline
 metrics.
 
-**Observability.**  A worker installs the process-wide recorder only
-when the server was started with a recording flag (``--trace``,
-``--metrics-out``, ``--provenance``, ``--timeseries``, ``--spans``) —
-the rule every other CLI command follows — so a default worker
+**Observability.**  A worker records through the same
+:func:`~repro.obs.session.recording_session` as every CLI command, so
+it installs the process-wide recorder only when the server was started
+with a recording flag (``--trace``, ``--metrics-out``,
+``--provenance``, ``--timeseries``, ``--spans``): a default worker
 compiles and repairs on the unrecorded fast paths and keeps no trace
 ring.  The ``metrics`` probe answers either way: the executor's own
 request, error, fallback and cache counters
 (:meth:`~repro.service.executor.ServiceExecutor.metrics`), merged with
 the recorder's snapshot (the core ``scheduler.*`` / ``policy.*`` /
-``rc.*`` families, stage histograms) when there is one.  Dumps are
-exported at shutdown to the configured path with a ``.w<index>``
-suffix so N workers never fight over one file.
+``rc.*`` families, stage histograms) when there is one.  The session
+exports every layer at shutdown to the configured path with a
+``.w<index>`` suffix so N workers never fight over one file.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.session import RecordingPaths, recording_session
 from repro.obs.spans import SpanRecorder, activate
 from repro.service.executor import ServiceExecutor
 from repro.service.protocol import (
@@ -63,27 +65,14 @@ class WorkerOptions:
         cache_capacity: Artifact-cache LRU bound per worker.
         batch_size: Requests per ledger batch record.
         ledger_path: Run ledger to append batch records to (None = off).
-        trace_path: Export the worker's event trace here (+``.w<i>``).
-        metrics_path: Export the metrics snapshot here (+``.w<i>``).
-        provenance_path: Record + export decision provenance (+``.w<i>``).
-        timeseries_path: Sample per-batch ``service.*`` series and
-            export them here (+``.w<i>``) for ``repro top``.
-        spans_path: Record request-path spans (work span, queue wait,
-            executor stages) with tail-based exemplar capture and
-            export them here (+``.w<i>``).
-        span_threshold_ms: Root-span latency at/above which a trace is
-            kept (see :class:`repro.obs.spans.SpanRecorder`).
+        recording: The layers to record; each exports to its path plus
+            ``.w<index>`` at shutdown.
     """
 
     cache_capacity: int = 256
     batch_size: int = DEFAULT_BATCH_SIZE
     ledger_path: Optional[str] = None
-    trace_path: Optional[str] = None
-    metrics_path: Optional[str] = None
-    provenance_path: Optional[str] = None
-    timeseries_path: Optional[str] = None
-    spans_path: Optional[str] = None
-    span_threshold_ms: float = 50.0
+    recording: RecordingPaths = RecordingPaths()
 
 
 class _LedgerBatcher:
@@ -154,10 +143,6 @@ class _LedgerBatcher:
         self.batch_index += 1
 
 
-def _worker_path(path: str, index: int) -> str:
-    return f"{path}.w{index}"
-
-
 def _begin_work_span(spans: Optional[SpanRecorder], payload: Dict,
                      index: int):
     """Open this worker's local-root ``work`` span for one request.
@@ -197,91 +182,71 @@ def _metrics_snapshot(executor: ServiceExecutor, recorder) -> Dict:
                                             executor.metrics()])
 
 
+def _serve_request(executor: ServiceExecutor,
+                   spans: Optional[SpanRecorder], payload: Dict,
+                   index: int) -> Dict:
+    """Execute one routed request under its work span; the response."""
+    work = _begin_work_span(spans, payload, index)
+    request = None
+    try:
+        with activate(work):
+            request = parse_request(payload)
+            result = executor.handle(request)
+        response = ok_response(request, result, worker=index)
+    except ProtocolError as error:
+        response = error_response(None, error, worker=index)
+    except Exception as error:  # stay alive per-request
+        response = error_response(request, error, worker=index)
+    if work is not None:
+        ok = bool(response.get("ok"))
+        duration_ms = work.end("ok" if ok else "error")
+        spans.close_trace(work.trace_id, duration_ms, error=not ok)
+    return response
+
+
 def worker_main(index: int, conn, options: WorkerOptions) -> None:
     """Entry point of one worker process (runs until told to stop)."""
-    from repro import obs
-
-    prov = timeseries = spans = recorder = None
-    if (options.trace_path or options.metrics_path
-            or options.provenance_path or options.timeseries_path
-            or options.spans_path):
-        if options.provenance_path:
-            from repro.obs.provenance import ProvenanceRecorder
-
-            prov = ProvenanceRecorder()
-        timeseries = (obs.TimeSeriesStore()
-                      if options.timeseries_path else None)
-        spans = (SpanRecorder(threshold_ms=options.span_threshold_ms,
-                              process=f"worker-{index}")
-                 if options.spans_path else None)
-        recorder = obs.recorder.enable(obs.Recorder(provenance=prov,
-                                                    timeseries=timeseries,
-                                                    spans=spans))
     executor = ServiceExecutor(cache_capacity=options.cache_capacity,
                                worker_index=index)
-    batcher = _LedgerBatcher(index, options, recorder)
     served = 0
     try:
-        while True:
+        with recording_session(
+                options.recording, index=index,
+                snapshot=lambda rec: _metrics_snapshot(executor, rec),
+        ) as recorder:
+            spans = recorder.spans if recorder is not None else None
+            batcher = _LedgerBatcher(index, options, recorder)
             try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            if message is None:
-                break
-            kind = message[0]
-            if kind == "request":
-                work = _begin_work_span(spans, message[1], index)
-                try:
-                    with activate(work):
-                        request = parse_request(message[1])
-                        result = executor.handle(request)
-                    response = ok_response(request, result, worker=index)
-                except ProtocolError as error:
-                    response = error_response(None, error, worker=index)
-                except Exception as error:  # stay alive per-request
-                    parsed = locals().get("request")
-                    response = error_response(
-                        parsed if parsed is not None else None, error,
-                        worker=index)
-                if work is not None:
-                    ok = bool(response.get("ok"))
-                    duration_ms = work.end("ok" if ok else "error")
-                    spans.close_trace(work.trace_id, duration_ms,
-                                      error=not ok)
-                served += 1
-                batcher.note(message[1].get("verb", "?"),
-                             bool(response.get("ok")),
-                             executor.cache.stats())
-                conn.send(response)
-            elif kind == "status":
-                conn.send(executor.status())
-            elif kind == "metrics":
-                conn.send(_metrics_snapshot(executor, recorder))
-            else:
-                conn.send({"ok": False,
-                           "error": {"type": "ProtocolError",
-                                     "message": f"unknown control "
-                                                f"message {kind!r}"}})
+                while True:
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        break
+                    if message is None:
+                        break
+                    kind = message[0]
+                    if kind == "request":
+                        response = _serve_request(executor, spans,
+                                                  message[1], index)
+                        served += 1
+                        batcher.note(message[1].get("verb", "?"),
+                                     bool(response.get("ok")),
+                                     executor.cache.stats())
+                        conn.send(response)
+                    elif kind == "status":
+                        conn.send(executor.status())
+                    elif kind == "metrics":
+                        conn.send(_metrics_snapshot(executor, recorder))
+                    else:
+                        conn.send({"ok": False, "error": {
+                            "type": "ProtocolError",
+                            "message": f"unknown control message "
+                                       f"{kind!r}"}})
+            finally:
+                # Before the session exports: the flush samples the
+                # last batch's series.
+                batcher.flush(executor.cache.stats())
     finally:
-        batcher.flush(executor.cache.stats())
-        if options.trace_path:
-            recorder.tracer.export_jsonl(
-                _worker_path(options.trace_path, index))
-        if options.metrics_path:
-            from repro.io import save_metrics
-
-            save_metrics(_metrics_snapshot(executor, recorder),
-                         _worker_path(options.metrics_path, index))
-        if prov is not None:
-            prov.export_jsonl(_worker_path(options.provenance_path, index))
-        if spans is not None:
-            spans.export_jsonl(_worker_path(options.spans_path, index))
-        if timeseries is not None:
-            timeseries.export_jsonl(
-                _worker_path(options.timeseries_path, index))
-        if recorder is not None:
-            obs.recorder.disable()
         try:
             conn.send({"kind": "worker_exit", "worker": index,
                        "served": served})

@@ -47,7 +47,7 @@ from repro.core.schedule import Schedule
 from repro.flows.flow import FlowSet
 from repro.mac.channels import ChannelMap
 from repro.obs import recorder as _obs
-from repro.obs.profiling import timed as _timed
+from repro.obs.spans import stage
 from repro.simulator.conditions import Conditions
 from repro.simulator.events import (
     DrawPlan,
@@ -369,7 +369,8 @@ class TschSimulator:
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
         engine = engine_for(repetitions)
-        with _timed("phase.simulate"):
+        # Not "simulate": that is the service verb's stage around this.
+        with stage("sim.run"):
             if _obs.ENABLED:
                 _obs.RECORDER.count(f"sim.runs.{engine}")
             if engine == ENGINE_EVENT:

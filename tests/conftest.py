@@ -2,7 +2,10 @@
 
 The hand-built topologies give tests precise control over graph structure
 (which links exist, hop distances, PRR values); the session-scoped
-testbeds avoid re-synthesizing 80-node environments in every test.
+testbeds avoid re-synthesizing 80-node environments in every test.  An
+autouse fixture points the CLI's default run ledger into a temporary
+directory, so tests that run ``main([...])`` without ``--ledger`` never
+append to ``./runs.jsonl``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,18 @@ def build_topology(num_nodes, good_links, weak_links=(), num_channels=2,
     nodes = [Node(i, NodeRole.FIELD_DEVICE, Position(float(i), 0.0))
              for i in range(num_nodes)]
     return Topology(nodes=nodes, channel_map=channel_map, prr=prr, name=name)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def isolated_default_ledger(tmp_path_factory):
+    """The CLI's default ``--ledger``, moved out of the working tree."""
+    from repro.obs import ledger
+
+    saved = ledger.DEFAULT_LEDGER
+    ledger.DEFAULT_LEDGER = str(tmp_path_factory.mktemp("ledger")
+                                / "runs.jsonl")
+    yield ledger.DEFAULT_LEDGER
+    ledger.DEFAULT_LEDGER = saved
 
 
 @pytest.fixture

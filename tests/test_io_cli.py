@@ -211,7 +211,9 @@ class TestCliObservability:
         assert counters["scheduler.placements"] > 0
         for policy in ("NR", "RA", "RC"):
             assert counters[f"policy.{policy}.runs"] == 1
-        assert "time.phase.schedule.calls" in counters
+            # The per-policy Fig 6 stage, timed once per schedule.
+            assert snapshot["histograms"][
+                f"span.schedule.{policy}.seconds"]["count"] == 1
 
     def test_report_command(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
@@ -225,8 +227,54 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert "scheduler:" in out
         assert "policies:" in out
-        assert "wall time per phase:" in out
+        assert "wall time per stage:" in out
+        for stage in ("prepare", "workload", "schedule.NR", "schedule.RA",
+                      "schedule.RC"):
+            assert f"  {stage} " in out
         assert "trace events by kind:" in out
+
+    def test_stage_counts_independent_of_worker_count(self, tmp_path,
+                                                      capsys):
+        from repro.io import load_metrics
+
+        def stage_counts(workers):
+            metrics = tmp_path / f"metrics-{workers}.json"
+            # Two sweep points, so each trial prepares its own network
+            # whichever process runs it.
+            assert main(["sweep", "--testbed", "wustl", "--values", "3",
+                         "4", "--flows", "10", "--flow-sets", "1",
+                         "--seed", "7", "--workers", str(workers),
+                         "--metrics-out", str(metrics)]) == 0
+            histograms = load_metrics(metrics)["histograms"]
+            return {name: data["count"]
+                    for name, data in histograms.items()
+                    if name.startswith("span.")}
+
+        serial = stage_counts(1)
+        assert serial["span.prepare.seconds"] == 2
+        assert serial["span.schedule.RC.seconds"] == 2
+        assert stage_counts(2) == serial
+
+    def test_failed_run_still_exports_its_artifacts(self, tmp_path,
+                                                    capsys):
+        from repro.io import load_jsonl, load_metrics
+        from repro.obs.ledger import RunLedger
+
+        trace = tmp_path / "t.jsonl"
+        metrics = tmp_path / "m.json"
+        ledger = tmp_path / "runs.jsonl"
+        with pytest.raises(SystemExit):
+            main(["manage", "--scenario", "definitely-not-a-preset",
+                  "--quick", "--trace", str(trace),
+                  "--metrics-out", str(metrics), "--ledger", str(ledger)])
+        # The ledger lists both files; they must exist.
+        (record,) = [r for r in RunLedger(str(ledger)).records()
+                     if r.get("kind") == "run"]
+        assert record["status"] == "error:SystemExit"
+        assert record["artifacts"] == [str(trace), str(metrics)]
+        assert load_jsonl(trace)[-1]["kind"] == "trace_meta"
+        assert set(load_metrics(metrics)) == {"counters", "gauges",
+                                              "histograms"}
 
     def test_report_missing_metrics_fails_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

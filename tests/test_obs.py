@@ -17,7 +17,7 @@ from repro.io import (
     scheduling_result_to_dict,
 )
 from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import TIME_BUCKETS_S, Histogram, MetricsRegistry
 from repro.obs.recorder import NullRecorder, Recorder
 from repro.obs.report import format_report
 from repro.obs.trace import Tracer
@@ -232,28 +232,38 @@ class TestRecorderRuntime:
                 assert obs.get_recorder() is inner_rec
             assert obs.get_recorder() is outer
 
-    def test_timed_records_calls_and_totals(self):
-        with obs.recording() as recorder:
-            with obs.timed("unit.test"):
-                pass
-        counters = recorder.snapshot()["counters"]
-        assert counters["time.unit.test.calls"] == 1
-        assert counters["time.unit.test.total_s"] >= 0.0
+    # stage() is the one timing scope, in its three recorder states.
 
-    def test_timed_is_noop_when_disabled(self):
-        with obs.timed("unit.noop"):
-            pass
-        assert obs.get_recorder().snapshot()["counters"] == {}
+    def test_stage_records_nothing_when_disabled(self):
+        with obs.stage("unit.noop") as span:
+            assert span is None
+        assert obs.get_recorder().snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}}
 
-    def test_span_emits_phase_event(self):
+    def test_stage_observes_histogram_without_span_layer(self):
         with obs.recording() as recorder:
-            with obs.span("unit.span", point=3):
-                pass
-        (event,) = recorder.tracer.events()
-        assert event.kind == "phase"
-        assert event.fields["name"] == "unit.span"
-        assert event.fields["point"] == 3
-        assert event.fields["duration_s"] >= 0.0
+            with obs.stage("unit.test") as span:
+                assert span is None
+        histograms = recorder.snapshot()["histograms"]
+        assert list(histograms) == ["span.unit.test.seconds"]
+        assert histograms["span.unit.test.seconds"]["count"] == 1
+        assert recorder.snapshot()["counters"] == {}
+        assert len(recorder.tracer) == 0
+
+    def test_stage_records_one_child_span_and_one_observation(self):
+        spans = obs.SpanRecorder(threshold_ms=0.0, process="t")
+        with obs.recording(obs.Recorder(spans=spans)) as recorder:
+            parent = spans.start("work")
+            with obs.activate(parent):
+                with obs.stage("unit.child", point=3) as child:
+                    assert obs.current_span() is child
+            spans.close_trace(parent.trace_id, parent.end())
+        children = [record for record in spans.to_records()
+                    if record.get("parent") == parent.span_id]
+        assert [c["name"] for c in children] == ["unit.child"]
+        assert children[0]["attrs"] == {"point": 3}
+        histograms = recorder.snapshot()["histograms"]
+        assert histograms["span.unit.child.seconds"]["count"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -385,15 +395,17 @@ class TestPersistenceAndReport:
         registry.inc("sim.successes", 9)
         registry.inc("detection.ks_tests", 4)
         registry.inc("detection.verdict.reject", 2)
-        registry.inc("time.phase.schedule.calls", 2)
-        registry.inc("time.phase.schedule.total_s", 0.5)
+        for _ in range(2):
+            registry.observe("span.schedule.RC.seconds", 0.25,
+                             TIME_BUCKETS_S)
         registry.observe("rc.fallback_rho", 2, buckets=(1, 2, 3))
         text = format_report(registry.snapshot(), {"placement": 40})
         assert "slots scanned" in text
         assert "RC" in text and "40" in text
         assert "attempt success rate" in text and "0.9" in text
         assert "verdict reject" in text
-        assert "phase.schedule" in text
+        assert "wall time per stage" in text
+        assert "schedule.RC" in text
         assert "placement" in text
 
     def test_format_report_empty(self):

@@ -4,7 +4,7 @@ Covers the Section V-A constraint classifier on hand-picked cells of a
 hand-built schedule, the :class:`ProvenanceRecorder` lifecycle and its
 kernel-mode bit-identity, the append-only run ledger, the ``explain`` /
 ``timeline`` / ``ledger`` commands end to end, and the benchmark
-history + regression compare.
+regression compare.
 """
 
 import json
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.bench import append_history, compare_bench
+from repro.bench import compare_bench
 from repro.cli import main
 from repro.core import kernel as _kernel
 from repro.core.nr import NoReusePolicy
@@ -392,7 +392,7 @@ class TestTimeline:
 
 
 # ----------------------------------------------------------------------
-# Bench history + compare
+# Bench compare
 # ----------------------------------------------------------------------
 
 def _bench_report(scalar_s, vector_s, num_flows=20, policy="RC"):
@@ -410,17 +410,6 @@ def _bench_report(scalar_s, vector_s, num_flows=20, policy="RC"):
 
 
 class TestBenchHistoryCompare:
-    def test_append_history_compacts_cells(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        record = append_history(_bench_report(0.2, 0.1), str(path))
-        assert record["kind"] == "bench"
-        (loaded,) = load_jsonl(path)
-        assert loaded["cells"] == [{
-            "num_flows": 20, "policy": "RC", "scalar_s": 0.2,
-            "vector_s": 0.1, "speedup": 2.0}]
-        append_history(_bench_report(0.3, 0.1), str(path))
-        assert len(load_jsonl(path)) == 2
-
     def test_compare_flags_regression_over_threshold(self):
         baseline = _bench_report(0.100, 0.050)
         ok = compare_bench(_bench_report(0.115, 0.055), baseline)

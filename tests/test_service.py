@@ -430,6 +430,7 @@ class TestServiceTimeseries:
     def test_worker_samples_and_exports_series(self, tmp_path):
         import multiprocessing
 
+        from repro.obs.session import RecordingPaths
         from repro.obs.timeseries import TimeSeriesStore
         from repro.service.worker import WorkerOptions, worker_main
 
@@ -443,7 +444,8 @@ class TestServiceTimeseries:
         # Run the worker loop in-process: the pipe already holds the
         # whole conversation, so the loop drains it and returns.
         worker_main(0, child, WorkerOptions(
-            batch_size=2, timeseries_path=str(ts_path)))
+            batch_size=2,
+            recording=RecordingPaths(timeseries=str(ts_path))))
         responses = []
         try:
             # poll() stays True at EOF once the worker closed its end,

@@ -396,6 +396,12 @@ class TestUnrecordedWorker:
             assert counters["service.cache.schedule.miss"] >= 1
             assert counters["scheduler.placements"] > 0
             assert any(name.startswith("policy.") for name in counters)
+            # Stages time themselves whenever the worker records, span
+            # layer or not.
+            histograms = dump["histograms"]
+            for stage in ("cache.topology", "cache.workload", "compile",
+                          "schedule.RC"):
+                assert histograms[f"span.{stage}.seconds"]["count"] >= 1
 
 
 @pytest.fixture()
@@ -420,8 +426,8 @@ class TestTracedServeEndToEnd:
     cross-process waterfall with correct parentage."""
 
     def test_cross_process_waterfall(self, traced_service, tmp_path):
-        from repro.obs.spans import (build_traces, expand_span_paths,
-                                     format_trace_show,
+        from repro.obs.session import expand_paths
+        from repro.obs.spans import (build_traces, format_trace_show,
                                      load_span_records, new_trace_id)
 
         plan = build_plan(LoadgenOptions(**PLAN_KW))
@@ -442,7 +448,7 @@ class TestTracedServeEndToEnd:
             client.close()
         shutdown(traced_service)
 
-        paths = expand_span_paths(traced_service["spans"])
+        paths = expand_paths(traced_service["spans"])
         # Front export plus at least one worker shard that served work.
         assert traced_service["spans"] in paths
         assert any(path.endswith((".w0", ".w1")) for path in paths)

@@ -17,13 +17,13 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.io import load_jsonl, save_metrics
+from repro.obs.session import RecordingPaths, expand_paths
 from repro.obs.spans import (
     ActiveSpan,
     SpanRecorder,
     activate,
     build_traces,
     current_span,
-    expand_span_paths,
     format_trace_show,
     load_span_records,
     new_trace_id,
@@ -292,9 +292,9 @@ class TestExportAndWaterfall:
         for name in ("spans.jsonl", "spans.jsonl.w0", "spans.jsonl.w1",
                      "spans.jsonl.wx", "spans.jsonl.w2backup"):
             (tmp_path / name).write_text("")
-        assert expand_span_paths(str(base)) == [
+        assert expand_paths(str(base)) == [
             str(base), f"{base}.w0", f"{base}.w1"]
-        assert expand_span_paths(str(tmp_path / "absent.jsonl")) == []
+        assert expand_paths(str(tmp_path / "absent.jsonl")) == []
 
     def test_load_rejects_non_object_records(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -305,7 +305,7 @@ class TestExportAndWaterfall:
     def test_cross_process_merge_and_parentage(self, tmp_path):
         spans_path, slow_ids = self.build_two_process_dump(tmp_path)
         records, metas = load_span_records(
-            expand_span_paths(str(spans_path)))
+            expand_paths(str(spans_path)))
         assert {meta["process"] for meta in metas} == \
             {"front", "worker-0"}
         traces = build_traces(records)
@@ -322,7 +322,7 @@ class TestExportAndWaterfall:
 
     def test_waterfall_renders_nested_rows(self, tmp_path):
         spans_path, _ = self.build_two_process_dump(tmp_path)
-        records, _ = load_span_records(expand_span_paths(str(spans_path)))
+        records, _ = load_span_records(expand_paths(str(spans_path)))
         lines = render_waterfall(build_traces(records)[0])
         assert "4 span(s)" in lines[0]
         assert "front, worker-0" in lines[0]
@@ -333,7 +333,7 @@ class TestExportAndWaterfall:
 
     def test_format_trace_show_limit_and_prefix(self, tmp_path):
         spans_path, slow_ids = self.build_two_process_dump(tmp_path)
-        paths = expand_span_paths(str(spans_path))
+        paths = expand_paths(str(spans_path))
         shown = format_trace_show(paths, limit=1)
         assert slow_ids[0] in shown
         assert slow_ids[1] not in shown
@@ -544,10 +544,10 @@ class TestWorkerDeathSpanIntegrity:
         socket_path = str(tmp_path / "serve.sock")
         spans_path = str(tmp_path / "spans.jsonl")
         front_spans = SpanRecorder(threshold_ms=1e9, process="front")
-        options = ServiceOptions(socket_path=socket_path,
-                                 num_workers=2,
-                                 spans_path=spans_path,
-                                 span_threshold_ms=0.0)
+        options = ServiceOptions(
+            socket_path=socket_path, num_workers=2,
+            recording=RecordingPaths(spans=spans_path,
+                                     span_threshold_ms=0.0))
 
         async def scenario():
             service = ScheduleService(options)
@@ -605,7 +605,7 @@ class TestWorkerDeathSpanIntegrity:
         assert records[-1]["in_flight"] == 0
         # The killed worker never exported; the merge just skips it.
         assert not Path(f"{spans_path}.w{dead_shard}").exists()
-        merged = expand_span_paths(spans_path)
+        merged = expand_paths(spans_path)
         assert merged == [survivor]
         spans, metas = load_span_records(merged)
         assert metas[0]["process"] == f"worker-{1 - dead_shard}"
@@ -676,7 +676,7 @@ class TestReportMergesWorkerFiles:
         # Hit/miss counters merged too: 6 hits / 3 misses.
         assert "0.667" in out
         # Stage table from the merged span histograms (3 observations).
-        assert "request stages" in out
+        assert "wall time per stage" in out
         assert "compile" in out
         # Trailer kinds excluded from the per-kind table, but counted
         # into the dropped tally.
