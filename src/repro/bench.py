@@ -13,9 +13,8 @@ repository.
 
 Methodology:
 
-* Wall times are best-of-``repetitions`` with observability *disabled*
-  (the vector kernel's fused RC path only engages with obs off, and the
-  scalar path should not pay tracing costs either).
+* Wall times are best-of-``repetitions`` with observability *disabled*,
+  so no timed run pays for counter and event emission.
 * Work counters (placements, slots scanned) come from one separate
   instrumented pass per configuration — identical work, so the counters
   pair exactly with the timed runs.

@@ -18,7 +18,6 @@ from repro.core.kernel import (
 )
 from repro.core.laxity import (
     calculate_laxity,
-    calculate_laxity_scalar,
     conflict_slots_for,
 )
 from repro.core.nr import NoReusePolicy
@@ -74,7 +73,6 @@ __all__ = [
     "TransmissionRequest",
     "best_reuse_distance",
     "calculate_laxity",
-    "calculate_laxity_scalar",
     "conflict_slots_for",
     "conflicts_in_slot",
     "expand_instance",

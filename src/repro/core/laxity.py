@@ -21,31 +21,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.core import kernel as _kernel
 from repro.core.schedule import Schedule
-from repro.core.transmissions import RequestWindow, TransmissionRequest
+from repro.core.transmissions import TransmissionRequest
 
 
 def conflict_slots_for(schedule: Schedule, request: TransmissionRequest,
                        start: int, end: int) -> int:
     """The paper's ``q_{start,end}^t``: busy slots for a transmission's link."""
     return schedule.conflict_count(request.sender, request.receiver, start, end)
-
-
-def calculate_laxity_scalar(schedule: Schedule, slot: int,
-                            deadline_slot: int,
-                            remaining: Sequence[TransmissionRequest]) -> int:
-    """Scalar kernel for :func:`calculate_laxity` (one ``q`` term per
-    Python call; the reference the vectorized path is tested against)."""
-    window_slots = deadline_slot - slot
-    if not remaining:
-        return window_slots
-    blocked = sum(
-        conflict_slots_for(schedule, request, slot + 1, deadline_slot)
-        for request in remaining)
-    return window_slots - blocked - len(remaining)
 
 
 def calculate_laxity(schedule: Schedule, slot: int, deadline_slot: int,
@@ -64,28 +47,14 @@ def calculate_laxity(schedule: Schedule, slot: int, deadline_slot: int,
         The laxity; ≥ 0 means the remaining transmissions are expected to
         fit before the deadline.
 
-    The vectorized path gathers the busy-matrix rows of every remaining
-    sender and receiver at once: Σ_t q^t is one OR and one popcount over
-    a ``(|T_post|, window)`` block instead of ``|T_post|`` Python calls.
-    RC evaluates this on every candidate placement, making it the second
-    hot spot after the channel-constraint scan.
+    One ``q`` term per remaining transmission: RC's stepwise loop (the
+    scalar kernel) calls this, and the fused descent's whole-window
+    evaluation is tested against it.
     """
-    if not _kernel.vectorized(schedule):
-        return calculate_laxity_scalar(schedule, slot, deadline_slot,
-                                       remaining)
     window_slots = deadline_slot - slot
-    if not remaining or slot + 1 > deadline_slot:
-        return window_slots - len(remaining) if remaining else window_slots
-    count = len(remaining)
-    if isinstance(remaining, RequestWindow):
-        senders = remaining.senders
-        receivers = remaining.receivers
-    else:
-        senders = np.fromiter((r.sender for r in remaining),
-                              dtype=np.intp, count=count)
-        receivers = np.fromiter((r.receiver for r in remaining),
-                                dtype=np.intp, count=count)
-    busy = schedule.busy_matrix()
-    window = busy[:, slot + 1:deadline_slot + 1]
-    blocked = int(np.count_nonzero(window[senders] | window[receivers]))
-    return window_slots - blocked - count
+    if not remaining:
+        return window_slots
+    blocked = sum(
+        conflict_slots_for(schedule, request, slot + 1, deadline_slot)
+        for request in remaining)
+    return window_slots - blocked - len(remaining)

@@ -29,10 +29,10 @@ from repro.core.laxity import calculate_laxity
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
-    OFFSET_FIRST,
     OFFSET_LEAST_LOADED,
     OFFSET_RULES,
     find_slot,
+    pick_offset,
 )
 from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.flows.flow import Flow
@@ -46,6 +46,37 @@ _FALLBACK_RHO_BUCKETS = (1, 2, 3, 4, 5, 6, 8, 12)
 def _jsonable_rho(rho: float):
     """ρ for trace payloads: ∞ (no reuse) serializes as None."""
     return None if rho == NO_REUSE else int(rho)
+
+
+def _note_laxity(recorder, request: TransmissionRequest, slot: int,
+                 rho: float, laxity: int, triggered: bool) -> bool:
+    """Record one Eq. 1 evaluation of a placement's descent.
+
+    ``rc.laxity_triggers`` counts placements whose laxity went negative,
+    so only the first negative evaluation of a placement counts; returns
+    whether that has happened by now.
+    """
+    recorder.event("laxity_eval", flow=request.flow_id,
+                   hop=request.hop_index, slot=slot,
+                   rho=_jsonable_rho(rho), laxity=laxity)
+    if recorder.provenance is not None:
+        recorder.provenance.record_laxity(slot, rho, laxity)
+    if laxity < 0 and not triggered:
+        recorder.count("rc.laxity_triggers")
+        return True
+    return triggered
+
+
+def _note_descent(recorder, request: TransmissionRequest, from_rho: float,
+                  to_rho: float) -> None:
+    """Record one ρ step of a placement's descent (a reuse fallback)."""
+    recorder.count("rc.reuse_fallbacks")
+    recorder.event("rc_fallback", flow=request.flow_id,
+                   hop=request.hop_index, from_rho=_jsonable_rho(from_rho),
+                   to_rho=_jsonable_rho(to_rho))
+    if recorder.provenance is not None:
+        recorder.provenance.record_descent(from_rho, to_rho)
+
 
 #: Valid values for the ρ reset scope.
 RHO_RESET_TRANSMISSION = "transmission"
@@ -113,70 +144,21 @@ class ConservativeReusePolicy:
         placement found is used even if its laxity stayed negative (the
         laxity estimate is conservative); the engine rejects it only if
         it misses the deadline — which ``findSlot`` already enforces.
+
+        The vector kernel runs the fused descent, the scalar kernel the
+        stepwise loop (its oracle).  Both count, trace and narrate every
+        probe, laxity evaluation and ρ step identically; the recorder
+        only decides whether they do.
         """
-        if not _obs.ENABLED and _kernel.vectorized(schedule):
-            return self._place_fused(schedule, reuse_graph, request,
-                                     earliest, remaining)
-
-        if self.rho_reset == RHO_RESET_TRANSMISSION:
-            self._rho = NO_REUSE
-        rho = self._rho
-
         recorder = _obs.RECORDER if _obs.ENABLED else None
-        prov = recorder.provenance if recorder is not None else None
         if recorder is not None:
             recorder.count("policy.RC.place_calls")
-        laxity_triggered = False
-        best: Optional[Tuple[int, int]] = None
-        best_rho = rho
-        while rho >= self.rho_t:
-            found = find_slot(schedule, reuse_graph, request, rho,
-                              earliest, self.offset_rule)
-            if found is not None:
-                best = found
-                best_rho = rho
-                laxity = calculate_laxity(
-                    schedule, found[0], request.deadline_slot, remaining)
-                if recorder is not None:
-                    recorder.event(
-                        "laxity_eval", flow=request.flow_id,
-                        hop=request.hop_index, slot=found[0],
-                        rho=_jsonable_rho(rho), laxity=laxity)
-                    if prov is not None:
-                        prov.record_laxity(found[0], rho, laxity)
-                    if laxity < 0 and not laxity_triggered:
-                        laxity_triggered = True
-                        recorder.count("rc.laxity_triggers")
-                if laxity >= 0:
-                    break
-            if rho == NO_REUSE:
-                next_rho = reuse_graph.diameter()
-                if next_rho < self.rho_t:
-                    # Degenerate reuse graph: no finite hop count can be
-                    # tried; stick with the no-reuse placement.
-                    rho = next_rho
-                    break
-                if recorder is not None:
-                    recorder.count("rc.reuse_fallbacks")
-                    recorder.event(
-                        "rc_fallback", flow=request.flow_id,
-                        hop=request.hop_index,
-                        from_rho=_jsonable_rho(rho),
-                        to_rho=_jsonable_rho(next_rho))
-                    if prov is not None:
-                        prov.record_descent(rho, next_rho)
-                rho = next_rho
-            else:
-                if recorder is not None and rho - 1 >= self.rho_t:
-                    recorder.count("rc.reuse_fallbacks")
-                    recorder.event(
-                        "rc_fallback", flow=request.flow_id,
-                        hop=request.hop_index,
-                        from_rho=_jsonable_rho(rho),
-                        to_rho=_jsonable_rho(rho - 1))
-                    if prov is not None:
-                        prov.record_descent(rho, rho - 1)
-                rho -= 1
+        rho = (NO_REUSE if self.rho_reset == RHO_RESET_TRANSMISSION
+               else self._rho)
+        descend = (self._descend_fused if _kernel.vectorized(schedule)
+                   else self._descend_stepwise)
+        best, best_rho, rho = descend(schedule, reuse_graph, request,
+                                      earliest, remaining, rho, recorder)
 
         if recorder is not None and best is not None and best_rho != NO_REUSE:
             recorder.observe("rc.fallback_rho", int(best_rho),
@@ -185,160 +167,163 @@ class ConservativeReusePolicy:
         if self.rho_reset == RHO_RESET_FLOW:
             # Persist ρ across the flow's remaining transmissions, clamped
             # to the admissible floor: an exhausted descent exits the
-            # loop at ρ_t - 1 (and the degenerate-diameter break leaves
+            # loop at ρ_t - 1 (and a degenerate diameter leaves
             # ρ = λ_R < ρ_t), but Algorithm 1 keeps ρ monotone
             # non-increasing within a flow and never below ρ_t — in
             # particular a flow never retries ρ = ∞ after a descent ran
-            # dry.  ``_place_fused`` mirrors this exactly, including its
-            # ``earliest > deadline`` early return; the differential
-            # fuzzer (repro.validate.fuzz) asserts the parity.
+            # dry, not even one whose window was empty.
             self._rho = max(rho, self.rho_t)
         else:
             self._rho = NO_REUSE
         return best
 
-    def _place_fused(self, schedule: Schedule,
-                     reuse_graph: ChannelReuseGraph,
-                     request: TransmissionRequest, earliest: int,
-                     remaining: Sequence[TransmissionRequest],
-                     ) -> Optional[Tuple[int, int]]:
+    def _descend_stepwise(self, schedule: Schedule,
+                          reuse_graph: ChannelReuseGraph,
+                          request: TransmissionRequest, earliest: int,
+                          remaining: Sequence[TransmissionRequest],
+                          rho: float, recorder) -> tuple:
+        """The descent as printed: ``findSlot`` then ``calculateLaxity``
+        per ρ.  The scalar kernel's path and the fused descent's oracle.
+
+        Returns ``(placement, its ρ, the ρ the descent exited at)``.
+        Each loop steps ρ from ∞ to λ_R, then down by one; a step below
+        ρ_t ends the descent (so does a degenerate λ_R < ρ_t) and is not
+        recorded as a fallback.
+        """
+        rho_t = self.rho_t
+        triggered = False
+        best: Optional[Tuple[int, int]] = None
+        best_rho = rho
+        while rho >= rho_t:
+            found = find_slot(schedule, reuse_graph, request, rho,
+                              earliest, self.offset_rule)
+            if found is not None:
+                best, best_rho = found, rho
+                laxity = calculate_laxity(
+                    schedule, found[0], request.deadline_slot, remaining)
+                if recorder is not None:
+                    triggered = _note_laxity(recorder, request, found[0],
+                                             rho, laxity, triggered)
+                if laxity >= 0:
+                    break
+            next_rho = reuse_graph.diameter() if rho == NO_REUSE else rho - 1
+            if recorder is not None and next_rho >= rho_t:
+                _note_descent(recorder, request, rho, next_rho)
+            rho = next_rho
+        return best, best_rho, rho
+
+    def _descend_fused(self, schedule: Schedule,
+                       reuse_graph: ChannelReuseGraph,
+                       request: TransmissionRequest, earliest: int,
+                       remaining: RequestWindow, rho: float,
+                       recorder) -> tuple:
         """Algorithm 1's whole ρ descent against precomputed windows.
 
-        The stepwise loop above re-runs ``findSlot`` and
-        ``calculateLaxity`` at every ρ; with the vectorized kernel the
-        per-call work is tiny but the call overhead is not.  This path
-        (taken when observability is off, so no per-call events need
-        firing) evaluates each ρ probe against the kernel's
-        incrementally-maintained best-distance view: one running maximum
-        per placement, then a single ``searchsorted`` per ρ.  Laxity is
-        evaluated directly for the first probe (the common immediate
-        accept); if the descent continues, Equation 1 becomes a
-        suffix-cumsum lookup so every further probe costs O(1).
-        Placements are identical to the stepwise loop: both pick the
-        earliest feasible slot per ρ and descend under the same laxity
-        rule.
+        The stepwise loop re-runs ``findSlot`` and ``calculateLaxity``
+        at every ρ; with the vectorized kernel the per-call work is tiny
+        but the call overhead is not.  This path evaluates each ρ probe
+        against the kernel's incrementally-maintained best-distance
+        view: one running maximum per placement, then a single
+        ``searchsorted`` per ρ.  Laxity is evaluated directly for the
+        first probe (the common immediate accept); if the descent
+        continues, Equation 1 becomes a suffix-cumsum lookup so every
+        further probe costs O(1).  Placements, exit ρ, counters, events
+        and provenance are identical to the stepwise loop's: both pick
+        the earliest feasible slot per ρ and descend under the same
+        laxity rule.
+
+        ``remaining`` is the engine's :class:`RequestWindow`, whose
+        index arrays gather T_post's busy rows in one step.
         """
-        if self.rho_reset == RHO_RESET_TRANSMISSION:
-            self._rho = NO_REUSE
-        rho = self._rho
         rho_t = self.rho_t
+        prov = recorder.provenance if recorder is not None else None
         deadline = request.deadline_slot
-
-        if earliest > deadline:
-            # Every findSlot probe misses; the descent runs dry.  Mirror
-            # the stepwise loop's exit ρ for the flow-scoped reset: from
-            # ρ = ∞ it either breaks at a degenerate diameter (λ_R < ρ_t)
-            # or walks down past the floor to ρ_t - 1; from a persisted
-            # finite ρ it always exits at ρ_t - 1.  After the shared
-            # ``max(ρ, ρ_t)`` clamp every branch persists exactly ρ_t,
-            # so the flow never retries ρ = ∞ — matching the stepwise
-            # loop's exhausted-descent behaviour bit for bit.
-            if rho == NO_REUSE:
-                next_rho = reuse_graph.diameter()
-                rho = next_rho if next_rho < rho_t else rho_t - 1
-            else:
-                rho = rho_t - 1
-            self._rho = (max(rho, rho_t)
-                         if self.rho_reset == RHO_RESET_FLOW else NO_REUSE)
-            return None
-
         sender, receiver = request.sender, request.receiver
         width = deadline - earliest + 1
         n_rem = len(remaining)
-        if n_rem:
-            if isinstance(remaining, RequestWindow):
-                senders = remaining.senders
-                receivers = remaining.receivers
-            else:
-                senders = np.fromiter((r.sender for r in remaining),
-                                      dtype=np.intp, count=n_rem)
-                receivers = np.fromiter((r.receiver for r in remaining),
-                                        dtype=np.intp, count=n_rem)
-        probes = 0            # laxity evaluations so far
+        probes = 0            # laxity evaluations over T_post so far
         lax = None            # Eq. 1 lookup, built on the second probe
         prefix = None         # running max of best eligible distance
-
+        triggered = False
         best_slot: Optional[int] = None
         best_rho = rho
         while rho >= rho_t:
-            found_slot = None
-            if rho == NO_REUSE:
+            slot = None
+            if width <= 0:
+                scanned = 0   # an empty window: the probe finds nothing
+            elif rho == NO_REUSE:
                 free = schedule.nr_candidate_slots(sender, receiver,
                                                    earliest, deadline)
                 rel = int(free.argmax())
                 if free[rel]:
-                    found_slot = earliest + rel
+                    slot = earliest + rel
+                scanned = rel + 1 if slot is not None else width
             else:
                 if prefix is None:
                     eligible = ~schedule.conflict_mask(sender, receiver,
                                                        earliest, deadline)
-                    best = _kernel.best_reuse_distance(
+                    distance = _kernel.best_reuse_distance(
                         schedule, reuse_graph, sender, receiver,
                         earliest, deadline)
-                    masked = np.where(eligible, best, np.int32(-1))
+                    masked = np.where(eligible, distance, np.int32(-1))
                     prefix = np.maximum.accumulate(masked)
                 # prefix is non-decreasing, so the earliest slot whose
                 # best distance reaches ρ is a binary search away.
                 pos = int(prefix.searchsorted(rho, side="left"))
                 if pos < width:
-                    found_slot = earliest + pos
-            if found_slot is not None:
-                best_slot = found_slot
-                best_rho = rho
+                    slot = earliest + pos
+                scanned = (int(np.count_nonzero(eligible[:pos + 1]))
+                           if recorder is not None else 0)
+            if recorder is not None:
+                recorder.count("scheduler.placements_tried")
+                if scanned:
+                    recorder.count("scheduler.slots_scanned", scanned)
+                if prov is not None:
+                    found = None if slot is None else (slot, pick_offset(
+                        schedule, reuse_graph, sender, receiver, slot, rho,
+                        self.offset_rule))
+                    prov.record_probe(schedule, reuse_graph, request, rho,
+                                      earliest, self.offset_rule, found)
+            if slot is not None:
+                best_slot, best_rho = slot, rho
                 if n_rem == 0:
-                    break  # laxity = deadline - slot >= 0 always
-                if lax is None and probes == 0 and not self._table_hint:
+                    laxity = deadline - slot
+                elif lax is None and probes == 0 and not self._table_hint:
                     # One-slot evaluation for the common first-probe
                     # accept; the lookup table only pays off on descent.
-                    window = schedule.busy_matrix()[
-                        :, found_slot + 1:deadline + 1]
-                    laxity = (deadline - found_slot - n_rem
-                              - int(np.count_nonzero(window[senders]
-                                                     | window[receivers])))
+                    window = schedule.busy_matrix()[:, slot + 1:deadline + 1]
+                    blocked = np.count_nonzero(window[remaining.senders]
+                                               | window[remaining.receivers])
+                    laxity = deadline - slot - n_rem - int(blocked)
+                    probes += 1
                 else:
                     if lax is None:
                         window = schedule.busy_matrix()[
                             :, earliest:deadline + 1]
-                        blocked = (window[senders]
-                                   | window[receivers]).sum(axis=0)
+                        blocked = (window[remaining.senders]
+                                   | window[remaining.receivers]).sum(axis=0)
                         lax = ((deadline - earliest - n_rem)
                                - np.arange(width, dtype=np.int64))
                         # lax[i] -= sum(blocked[i+1:]) via a reversed
                         # cumulative sum (the last slot has no suffix).
                         lax[:-1] -= blocked[1:][::-1].cumsum()[::-1]
-                    laxity = int(lax[found_slot - earliest])
-                probes += 1
+                    laxity = int(lax[slot - earliest])
+                    probes += 1
+                if recorder is not None:
+                    triggered = _note_laxity(recorder, request, slot, rho,
+                                             laxity, triggered)
                 if laxity >= 0:
                     break
-            if rho == NO_REUSE:
-                next_rho = reuse_graph.diameter()
-                if next_rho < rho_t:
-                    rho = next_rho
-                    break
-                rho = next_rho
-            else:
-                rho -= 1
+            next_rho = reuse_graph.diameter() if rho == NO_REUSE else rho - 1
+            if recorder is not None and next_rho >= rho_t:
+                _note_descent(recorder, request, rho, next_rho)
+            rho = next_rho
 
         if probes:
             self._table_hint = probes > 1
-
-        if best_slot is None:
-            result = None
-        elif best_rho == NO_REUSE:
-            result = (best_slot, schedule.first_free_offset(best_slot))
-        else:
-            row = _kernel.min_reuse_distance(
-                schedule, reuse_graph, sender, receiver,
-                best_slot, best_slot)[0] >= best_rho
-            if self.offset_rule == OFFSET_FIRST:
-                result = (best_slot, int(np.argmax(row)))
-            else:
-                offsets = np.flatnonzero(row)
-                counts = schedule.occupancy()[0][best_slot, offsets]
-                result = (best_slot, int(offsets[int(np.argmin(counts))]))
-
-        if self.rho_reset == RHO_RESET_FLOW:
-            self._rho = max(rho, rho_t)
-        else:
-            self._rho = NO_REUSE
-        return result
+        # Only the kept probe's offset is used, so it is picked once,
+        # here; provenance alone needs one per probe.
+        best = None if best_slot is None else (best_slot, pick_offset(
+            schedule, reuse_graph, sender, receiver, best_slot, best_rho,
+            self.offset_rule))
+        return best, best_rho, rho

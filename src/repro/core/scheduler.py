@@ -185,16 +185,31 @@ def _find_slot_vector(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     slot = earliest + rel
     if _obs.ENABLED:
         _note_scan(int(rel + 1 - np.count_nonzero(conflict[:rel + 1])))
+    return (slot, pick_offset(schedule, reuse_graph, request.sender,
+                              request.receiver, slot, rho, offset_rule))
+
+
+def pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
+                sender: int, receiver: int, slot: int, rho: float,
+                offset_rule: str) -> int:
+    """The vector kernel's channel offset in a slot feasible at ``rho``.
+
+    At ρ = ∞ every feasible offset is an empty cell, so both rules pick
+    the lowest free one.  At finite ρ the link's distance row is
+    thresholded against ρ, then ``"first"`` takes the lowest feasible
+    offset and ``"least_loaded"`` the one with the fewest occupants.
+    """
+    if rho == NO_REUSE:
+        return schedule.first_free_offset(slot)
     row = _kernel.min_reuse_distance(
-        schedule, reuse_graph, request.sender, request.receiver,
-        slot, slot)[0] >= rho
+        schedule, reuse_graph, sender, receiver, slot, slot)[0] >= rho
     if offset_rule == OFFSET_FIRST:
-        return (slot, int(np.argmax(row)))
+        return int(np.argmax(row))
     offsets = np.flatnonzero(row)
     counts = schedule.occupancy()[0][slot, offsets]
     # argmin returns the first minimum; offsets ascend, so ties break
     # toward the lowest offset like the scalar (cell_size, offset) key.
-    return (slot, int(offsets[int(np.argmin(counts))]))
+    return int(offsets[int(np.argmin(counts))])
 
 
 class PlacementPolicy(Protocol):
@@ -284,8 +299,8 @@ class FixedPriorityScheduler:
         hyperperiod = flow_set.hyperperiod()
         schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets,
                             kernel=self.policy.kernel)
-        # The vectorized laxity path wants each instance's T_post as
-        # index arrays; the scalar kernel keeps plain list slices.
+        # RC's fused descent reads each instance's T_post as index
+        # arrays; the scalar kernel keeps plain list slices.
         windows = _kernel.vectorized(schedule)
         if windows:
             # Register every link while the schedule is empty: distance

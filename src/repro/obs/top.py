@@ -235,11 +235,11 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
     if service_lines:
         lines += _panel("service (per batch)", service_lines, width)
 
-    # -- request-stage breakdown ------------------------------------------
-    # Span-layer side histograms (span.<stage>.seconds) land in the
-    # metrics snapshot; like the service panel, this one only appears
-    # when a span-recording run produced them.  The bar is each stage's
-    # share of total recorded stage time.
+    # -- stage breakdown --------------------------------------------------
+    # Stage histograms (span.<stage>.seconds) land in the metrics
+    # snapshot of any recording run, CLI or service; like the service
+    # panel, this one only appears when a run produced them.  The bar is
+    # each stage's share of total recorded stage time.
     stage_rows = []
     for name, data in (snapshot or {}).get("histograms", {}).items():
         if not (name.startswith("span.") and name.endswith(".seconds")):
@@ -259,7 +259,7 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
                 f"  {stage:<18} {count:>6}  mean {mean_ms:>8.2f} ms"
                 f"  p99 {p99_ms:>8.2f} ms  "
                 f"{bar(total / grand_total, width=12, ascii_only=ascii_only)}")
-        lines += _panel("request stages", stage_lines, width)
+        lines += _panel("stages", stage_lines, width)
 
     # -- recorder / tracer health ----------------------------------------
     health_lines: List[str] = []

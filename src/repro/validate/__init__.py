@@ -4,9 +4,9 @@
   (:func:`audit_schedule`), re-deriving the paper's correctness contract
   for a finished schedule.
 * :mod:`repro.validate.fuzz` — the seeded differential fuzzer
-  (:func:`run_fuzz`) asserting scalar/vector kernel and stepwise/fused
-  RC equivalence on random networks, auditing every schedule, and
-  cross-checking simulator invariants.
+  (:func:`run_fuzz`) asserting scalar/vector kernel equivalence (RC's
+  stepwise oracle against its fused descent) on random networks,
+  auditing every schedule, and cross-checking simulator invariants.
 """
 
 from repro.validate.audit import (AuditReport, Violation, audit_schedule)

@@ -1,17 +1,13 @@
 """Seeded differential fuzzing of the scheduling and simulation paths.
 
-PRs 2–3 forked every hot path: placements run through a scalar oracle,
-a vectorized kernel, and a fused RC descent, and the simulator runs
-with or without a :class:`~repro.simulator.conditions.Conditions`
-overlay.  This harness generates random synthetic networks + flow sets
-and, for each case:
+Placements run through a scalar oracle or a vectorized kernel (RC's
+fused descent on the vector side, its stepwise loop on the scalar
+side), and the simulator runs with or without a
+:class:`~repro.simulator.conditions.Conditions` overlay.  This harness
+generates random synthetic networks + flow sets and, for each case:
 
-* asserts **bit-identical schedules** across the forked placement
-  paths — scalar vs. vector kernels for NR / RA / RC, and additionally
-  stepwise vs. fused RC descent for both ``rho_reset`` modes (the fused
-  path is only taken with the vector kernel and observability off, so
-  a vector-kernel run inside ``obs.recording()`` pins the stepwise
-  loop);
+* asserts **bit-identical schedules** across the scalar and vector
+  kernels for NR / RA / RC, RC in both ``rho_reset`` modes;
 * runs the independent auditor (:func:`repro.validate.audit
   .audit_schedule`) over every produced schedule — an audit failure's
   artifact embeds a decision-provenance slice for the violating cells
@@ -19,8 +15,8 @@ and, for each case:
   :class:`~repro.obs.provenance.ProvenanceRecorder` and decisions
   touching a violation's slot or flow are kept);
 * asserts **bit-identical provenance streams** between the scalar and
-  vector kernels for NR / RA / RC, and that recording provenance does
-  not perturb the schedule itself;
+  vector kernels for NR / RA / RC (both ``rho_reset`` modes), and that
+  recording provenance does not perturb the schedule itself;
 * differentially exercises the **incremental repair scheduler**
   (:mod:`repro.core.repair`) on a schedulable result: a deterministic
   victim link is evicted and re-placed via warm-start repair under both
@@ -239,6 +235,23 @@ def _schedule_signature(result: SchedulingResult) -> Tuple:
     )
 
 
+#: Trace events both kernels must emit identically.
+_PARITY_EVENTS = ("laxity_eval", "rc_fallback", "placement")
+
+
+def _recorded_work(recorder: Recorder) -> Tuple:
+    """What a recorded scheduling run counted and traced: the
+    ``scheduler.*`` / ``policy.*`` / ``rc.*`` counters, the
+    ``rc.fallback_rho`` histogram and the placement and RC events."""
+    snapshot = recorder.snapshot()
+    counters = {name: value for name, value in snapshot["counters"].items()
+                if name.startswith(("scheduler.", "policy.", "rc."))}
+    events = [(event.kind, event.fields)
+              for event in recorder.tracer.events()
+              if event.kind in _PARITY_EVENTS]
+    return counters, snapshot["histograms"].get("rc.fallback_rho"), events
+
+
 def _stats_signature(stats: SimulationStats) -> Tuple:
     """Everything two equivalent simulation runs must agree on."""
     def bucket(counters) -> Tuple:
@@ -326,7 +339,7 @@ def _check_differential_schedules(case: FuzzCaseResult,
                                   flow_set: FlowSet, rho_t: int,
                                   plain_signatures: Dict[str, Tuple],
                                   ) -> Optional[SchedulingResult]:
-    """The scalar/vector and stepwise/fused equivalence matrix.
+    """The scalar/vector equivalence matrix.
 
     Fills ``plain_signatures`` with each policy's provenance-free
     schedule signature (the reference the provenance-parity check
@@ -365,29 +378,19 @@ def _check_differential_schedules(case: FuzzCaseResult,
 
         with _kernel.kernel_mode(_kernel.KERNEL_SCALAR):
             scalar = _run_scheduler(network, flow_set, rc_policy())
-        # Vector kernel + observability off takes the fused descent.
         with _kernel.kernel_mode(_kernel.KERNEL_VECTOR):
             fused = _run_scheduler(network, flow_set, rc_policy())
-        # Vector kernel + a live recorder pins the stepwise loop.
-        with _kernel.kernel_mode(_kernel.KERNEL_VECTOR), \
-                _obs.recording(Recorder()):
-            stepwise = _run_scheduler(network, flow_set, rc_policy())
 
         label = f"RC[{rho_reset}]"
         if _schedule_signature(scalar) != _schedule_signature(fused):
             case.fail("kernel_equivalence",
                       f"{label}: scalar stepwise and vector fused runs "
                       f"produced different schedules")
-        if _schedule_signature(fused) != _schedule_signature(stepwise):
-            case.fail("rc_fused_equivalence",
-                      f"{label}: fused and stepwise descents produced "
-                      f"different schedules")
         _audit_result(case, f"{label}/fused", network, flow_set, fused,
                       rho_floor=rho_t, policy_factory=rc_policy)
         if fused.schedulable:
             best_schedulable = fused
-        if rho_reset == RHO_RESET_TRANSMISSION:
-            plain_signatures["RC"] = _schedule_signature(stepwise)
+        plain_signatures[label] = _schedule_signature(fused)
     return best_schedulable
 
 
@@ -397,26 +400,39 @@ def _check_provenance_parity(case: FuzzCaseResult, network: PreparedNetwork,
     """Scalar and vector kernels must narrate placement identically.
 
     For each policy, both kernel modes run under a live
-    :class:`ProvenanceRecorder`; the recorded decision streams must be
-    bit-identical, and the schedules must match both each other and the
-    provenance-free run of the same policy (recording is an observer,
-    not a participant).
+    :class:`ProvenanceRecorder`; the recorded decision streams, work
+    counters and placement / RC events must be bit-identical, and the
+    schedules must match both each other and the provenance-free run of
+    the same policy (recording is an observer, not a participant).  RC
+    runs in both ``rho_reset`` modes: its fused descent records every
+    probe, laxity evaluation and ρ step itself.
     """
-    for name in ("NR", "RA", "RC"):
+    factories = {name: (lambda name=name: make_policy(name, rho_t))
+                 for name in ("NR", "RA")}
+    for rho_reset in (RHO_RESET_TRANSMISSION, RHO_RESET_FLOW):
+        factories[f"RC[{rho_reset}]"] = (
+            lambda rho_reset=rho_reset: ConservativeReusePolicy(
+                rho_t=rho_t, rho_reset=rho_reset))
+    for name, factory in factories.items():
         streams = {}
+        work = {}
         signatures = {}
         for mode in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
             prov = ProvenanceRecorder()
             with _kernel.kernel_mode(mode), \
-                    _obs.recording(Recorder(provenance=prov)):
-                result = _run_scheduler(network, flow_set,
-                                        make_policy(name, rho_t))
+                    _obs.recording(Recorder(provenance=prov)) as recorder:
+                result = _run_scheduler(network, flow_set, factory())
             streams[mode] = prov.records()
+            work[mode] = _recorded_work(recorder)
             signatures[mode] = _schedule_signature(result)
         if streams[_kernel.KERNEL_SCALAR] != streams[_kernel.KERNEL_VECTOR]:
             case.fail("provenance_parity",
                       f"{name}: scalar and vector kernels recorded "
                       f"different provenance streams")
+        if work[_kernel.KERNEL_SCALAR] != work[_kernel.KERNEL_VECTOR]:
+            case.fail("recording_parity",
+                      f"{name}: scalar and vector kernels recorded "
+                      f"different counters or events")
         if signatures[_kernel.KERNEL_SCALAR] != \
                 signatures[_kernel.KERNEL_VECTOR]:
             case.fail("provenance_schedule_identity",

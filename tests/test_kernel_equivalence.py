@@ -3,9 +3,10 @@
 The vector kernel (incremental per-link distance stacks, fused RC
 descent) must be bit-for-bit interchangeable with the scalar reference
 path — same feasible offsets, same ``find_slot`` answers, same final
-schedules, same work counters.  These tests drive both implementations
-over seeded randomized schedules and full scheduler runs and demand
-exact agreement.
+schedules, same work counters, RC events and ``rc.fallback_rho``
+histogram.  These tests drive both implementations over seeded
+randomized schedules and full scheduler runs and demand exact
+agreement.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.experiments.common import (
 from repro.flows.generator import PeriodRange
 from repro.network.graphs import ChannelReuseGraph
 from repro.routing.traffic import TrafficType
+from repro.validate.fuzz import _recorded_work
 
 NUM_SLOTS = 40
 NUM_OFFSETS = 3
@@ -172,9 +174,21 @@ def _forced(kernel):
     return nullcontext() if kernel is None else kernel_mode(kernel)
 
 
+def _recorded_signature(result, recorder):
+    """(schedulable, placements, work counters, ``rc.fallback_rho``,
+    placement and RC events) of one recorded scheduler run."""
+    placements = None
+    if result.schedule is not None:
+        placements = [
+            (e.request.flow_id, e.request.instance, e.request.hop_index,
+             e.request.attempt, e.slot, e.offset)
+            for e in result.schedule.entries]
+    return (result.schedulable, placements) + _recorded_work(recorder)
+
+
 def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
                    **policy_kwargs):
-    """(placements, counters) of one scheduler run under a kernel
+    """:func:`_recorded_signature` of one scheduler run under a kernel
     (None: the policy's own)."""
     policy = make_policy(policy_name, rho_t)
     for key, value in policy_kwargs.items():
@@ -185,16 +199,7 @@ def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
         reuse_graph=network.reuse, policy=policy)
     with _forced(kernel), obs.recording() as recorder:
         result = scheduler.run(flow_set)
-    placements = None
-    if result.schedule is not None:
-        placements = [
-            (e.request.flow_id, e.request.instance, e.request.hop_index,
-             e.request.attempt, e.slot, e.offset)
-            for e in result.schedule.entries]
-    counters = recorder.snapshot()["counters"]
-    deterministic = {name: value for name, value in counters.items()
-                     if name.startswith(("scheduler.", "policy.", "rc."))}
-    return result.schedulable, placements, deterministic
+    return _recorded_signature(result, recorder)
 
 
 @pytest.fixture(scope="module")
@@ -232,44 +237,16 @@ class TestFullRunEquivalence:
                                 offset_rule=offset_rule)
         assert scalar == vector
 
-    def test_rc_fused_path_matches_stepwise(self, figure1_workload):
-        """Obs off engages the fused RC descent; placements must match
-        the instrumented (stepwise) vector path exactly."""
-        network, flow_set = figure1_workload
-        _, stepwise, _ = _run_signature(network, flow_set, "RC",
-                                        KERNEL_VECTOR)
-        policy = make_policy("RC", 2)
-        scheduler = FixedPriorityScheduler(
-            num_nodes=network.topology.num_nodes,
-            num_offsets=network.num_channels,
-            reuse_graph=network.reuse, policy=policy)
-        with kernel_mode(KERNEL_VECTOR):
-            result = scheduler.run(flow_set)  # obs disabled -> fused
-        fused = [
-            (e.request.flow_id, e.request.instance, e.request.hop_index,
-             e.request.attempt, e.slot, e.offset)
-            for e in result.schedule.entries]
-        assert fused == stepwise
-
 
 def _reschedule_signature(network, flow_set, victims, kernel,
                           policy_name="RA", rho_t=2):
-    """(schedulable, placements, counters) of a barrier rebuild."""
+    """:func:`_recorded_signature` of a barrier rebuild."""
     policy = make_policy(policy_name, rho_t)
     with _forced(kernel), obs.recording() as recorder:
         result = reschedule_without_reuse_on(
             flow_set, network.topology.num_nodes, network.num_channels,
             network.reuse, policy, victims)
-    placements = None
-    if result.schedule is not None:
-        placements = [
-            (e.request.flow_id, e.request.instance, e.request.hop_index,
-             e.request.attempt, e.slot, e.offset)
-            for e in result.schedule.entries]
-    counters = recorder.snapshot()["counters"]
-    deterministic = {name: value for name, value in counters.items()
-                     if name.startswith(("scheduler.", "policy.", "rc."))}
-    return result.schedulable, placements, deterministic
+    return _recorded_signature(result, recorder)
 
 
 class TestRescheduleEquivalence:
@@ -302,10 +279,9 @@ class TestRescheduleEquivalence:
     def test_no_victims_matches_plain_run(self, figure1_workload):
         """An empty barrier is placement-equivalent to the inner policy."""
         network, flow_set = figure1_workload
-        _, plain, _ = _run_signature(network, flow_set, "RA",
-                                     KERNEL_VECTOR)
-        _, barred, _ = _reschedule_signature(network, flow_set, (),
-                                             KERNEL_VECTOR)
+        plain = _run_signature(network, flow_set, "RA", KERNEL_VECTOR)[1]
+        barred = _reschedule_signature(network, flow_set, (),
+                                       KERNEL_VECTOR)[1]
         assert barred == plain
 
     def test_victims_leave_shared_cells(self, figure1_workload, victims):

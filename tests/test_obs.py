@@ -1,13 +1,19 @@
 """Tests for the observability layer (repro.obs) and its integrations."""
 
+import contextlib
 import json
+import math
 
 import pytest
 
 from repro import obs
+from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
 from repro.core.nr import NoReusePolicy
-from repro.core.rc import ConservativeReusePolicy
+from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
+                           RHO_RESET_TRANSMISSION)
+from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler
+from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.flows.flow import Flow, FlowSet
 from repro.io import (
     load_jsonl,
@@ -18,6 +24,7 @@ from repro.io import (
 )
 from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
 from repro.obs.metrics import TIME_BUCKETS_S, Histogram, MetricsRegistry
+from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.recorder import NullRecorder, Recorder
 from repro.obs.report import format_report
 from repro.obs.trace import Tracer
@@ -270,12 +277,15 @@ class TestRecorderRuntime:
 # Instrumented scheduler integration
 # ----------------------------------------------------------------------
 
-def _routed_line_flows(topology, num_flows=3, period=64):
+def _routed(topology, flows):
     communication = CommunicationGraph.from_topology(topology, 0.9)
-    flows = FlowSet([
-        Flow(i, 0, 5, period, period) for i in range(num_flows)])
-    return assign_routes(flows.deadline_monotonic(), communication,
-                         TrafficType.PEER_TO_PEER, [])
+    return assign_routes(FlowSet(flows).deadline_monotonic(),
+                         communication, TrafficType.PEER_TO_PEER, [])
+
+
+def _routed_line_flows(topology, num_flows=3, period=64):
+    return _routed(topology, [Flow(i, 0, 5, period, period)
+                              for i in range(num_flows)])
 
 
 def _scheduler(topology, policy, num_offsets=2):
@@ -283,6 +293,42 @@ def _scheduler(topology, policy, num_offsets=2):
     return FixedPriorityScheduler(
         num_nodes=topology.num_nodes, num_offsets=num_offsets,
         reuse_graph=reuse, policy=policy)
+
+
+def _rc_known_answer(topology, flows, rho_t=2,
+                     rho_reset=RHO_RESET_TRANSMISSION):
+    """Schedule ``flows`` with RC on one channel under each kernel with
+    every RC recording on; the kernels must agree exactly.  Returns the
+    run's outcome, counters, ``rc.fallback_rho``, ``(slot, rho,
+    laxity)`` per ``laxity_eval``, ``(from, to)`` per ``rc_fallback``
+    and the provenance records."""
+    routed = _routed(topology, flows)
+    runs = []
+    for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
+        prov = ProvenanceRecorder()
+        policy = ConservativeReusePolicy(rho_t=rho_t, rho_reset=rho_reset)
+        with kernel_mode(kernel), \
+                obs.recording(Recorder(provenance=prov)) as recorder:
+            result = _scheduler(topology, policy, num_offsets=1).run(routed)
+        snapshot = recorder.snapshot()
+        events = recorder.tracer.events()
+        runs.append({
+            "schedulable": result.schedulable,
+            "failed_flow": result.failed_flow,
+            "cells": [(e.slot, e.offset) for e in result.schedule.entries],
+            "counters": snapshot["counters"],
+            "result_counters": result.counters,
+            "rho_hist": snapshot["histograms"].get("rc.fallback_rho"),
+            "laxity": [(e.fields["slot"], e.fields["rho"],
+                        e.fields["laxity"])
+                       for e in events if e.kind == "laxity_eval"],
+            "fallbacks": [(e.fields["from_rho"], e.fields["to_rho"])
+                          for e in events if e.kind == "rc_fallback"],
+            "events": [(e.kind, e.fields) for e in events],
+            "provenance": prov.records(),
+        })
+    assert runs[0] == runs[1]
+    return runs[0]
 
 
 class TestSchedulerIntegration:
@@ -313,23 +359,132 @@ class TestSchedulerIntegration:
             result.counters["placements"]
 
     def test_rc_fallback_events_and_counters(self, line_topology):
-        # One channel and tight deadlines force RC below ∞: laxity goes
-        # negative and ρ falls toward the floor.
-        communication = CommunicationGraph.from_topology(line_topology, 0.9)
-        flows = FlowSet([Flow(i, 0, 5, 32, 16) for i in range(3)])
-        routed = assign_routes(flows.deadline_monotonic(), communication,
-                               TrafficType.PEER_TO_PEER, [])
-        with obs.recording() as recorder:
-            result = _scheduler(
-                line_topology, ConservativeReusePolicy(),
-                num_offsets=1).run(routed)
-        counters = recorder.snapshot()["counters"]
-        kinds = recorder.tracer.kind_counts()
-        assert kinds.get("laxity_eval", 0) > 0
-        assert counters.get("rc.laxity_triggers", 0) > 0
-        assert counters.get("rc.reuse_fallbacks", 0) > 0
-        assert kinds.get("rc_fallback", 0) == counters["rc.reuse_fallbacks"]
-        assert result.counters["laxity_triggers"] > 0
+        """Known answers for RC's ρ descent, derived by hand.
+
+        Six-node line, one channel: hop distance is the index
+        difference, so λ_R = 5.  Flow 0 (0→1) goes first and takes
+        slots 0 and 1 at ρ = ∞ (laxity (1 − 0) − 0 − 1 = 0, then
+        1 − 1 = 0).  Flow 1 (4→5) may share a cell with it only at
+        ρ ≤ min(hops[4, 1], hops[0, 5]) = min(3, 5) = 3.
+        """
+        # Case A: deadline 2, so flow 1 has slots 0..1, whose only
+        # channel flow 0 holds.  Each attempt steps ∞ → 5 → 4 → 3 and
+        # lands at ρ = 3 with laxity 0: attempt 0 scans 2 + 2 + 2 + 1
+        # slots ((1 − 0) − 0 − 1 = 0), attempt 1 (earliest 1)
+        # 1 + 1 + 1 + 1 (1 − 1 = 0).  With flow 0's 1 + 1 that is 13
+        # slots in 2 + 4 + 4 = 10 probes.
+        run = _rc_known_answer(line_topology, [Flow(0, 0, 1, 4, 2),
+                                               Flow(1, 4, 5, 4, 2)])
+        assert run["schedulable"]
+        assert run["cells"] == [(0, 0), (1, 0), (0, 0), (1, 0)]
+        assert run["counters"]["scheduler.slots_scanned"] == 13
+        assert run["counters"]["scheduler.placements_tried"] == 10
+        assert run["counters"]["scheduler.reuse_placements"] == 2
+        assert run["counters"].get("rc.laxity_triggers", 0) == 0
+        assert run["counters"]["rc.reuse_fallbacks"] == 6
+        assert run["result_counters"]["reuse_fallbacks"] == 6
+        assert (run["rho_hist"]["count"], run["rho_hist"]["min"],
+                run["rho_hist"]["max"]) == (2, 3, 3)
+        assert run["laxity"] == [(0, None, 0), (1, None, 0),
+                                 (0, 3, 0), (1, 3, 0)]
+        assert run["fallbacks"] == [(None, 5), (5, 4), (4, 3)] * 2
+
+        # Case B: deadline 3 opens slot 2.  Attempt 0 finds it free at
+        # ∞, but (2 − 2) − 0 − 1 = −1 leaves attempt 1 no room; ρ = 5
+        # and 4 land on the same empty cell with the same −1 (one
+        # trigger); ρ = 3 reaches slot 0 with (2 − 0) − 0 − 1 = 1.
+        # Attempt 1 (earliest 1) then takes slot 2 at ∞, laxity 0.
+        run = _rc_known_answer(line_topology, [Flow(0, 0, 1, 4, 2),
+                                               Flow(1, 4, 5, 4, 3)])
+        assert run["schedulable"]
+        assert run["cells"] == [(0, 0), (1, 0), (0, 0), (2, 0)]
+        assert run["laxity"] == [(0, None, 0), (1, None, 0),
+                                 (2, None, -1), (2, 5, -1), (2, 4, -1),
+                                 (0, 3, 1), (2, None, 0)]
+        assert run["counters"]["rc.laxity_triggers"] == 1
+        assert run["result_counters"]["laxity_triggers"] == 1
+        assert run["counters"]["rc.reuse_fallbacks"] == 3
+        assert run["counters"]["scheduler.slots_scanned"] == 2 + 10 + 2
+        assert run["counters"]["scheduler.placements_tried"] == 2 + 4 + 1
+        assert run["rho_hist"]["count"] == 1
+        assert run["rho_hist"]["sum"] == 3
+
+    @pytest.mark.parametrize("rho_reset",
+                             [RHO_RESET_TRANSMISSION, RHO_RESET_FLOW])
+    def test_rc_degenerate_diameter_breaks_without_fallback(
+            self, topology_builder, rho_reset):
+        """λ_R below ρ_t: the descent stops after its ∞ probe.
+
+        Four-node line (λ_R = 3), ρ_t = 4, one channel.  Flow 0 (0→1)
+        takes slots 0 and 1.  Flow 1 (2→3, slots 0..2) finds slot 2 at
+        ∞ with laxity (2 − 2) − 0 − 1 = −1, cannot descend and keeps
+        it; its second attempt then has an empty window (earliest 3)
+        and the flow is rejected.  The flow-scoped reset persists
+        max(λ_R, ρ_t) = 4, so that last probe runs at ρ = 4, not ∞.
+        """
+        line = topology_builder(4, [(0, 1), (1, 2), (2, 3)])
+        run = _rc_known_answer(line, [Flow(0, 0, 1, 4, 2),
+                                      Flow(1, 2, 3, 4, 3)],
+                               rho_t=4, rho_reset=rho_reset)
+        assert not run["schedulable"] and run["failed_flow"] == 1
+        assert run["cells"] == [(0, 0), (1, 0), (2, 0)]
+        assert run["laxity"] == [(0, None, 0), (1, None, 0),
+                                 (2, None, -1)]
+        assert run["fallbacks"] == []
+        assert "rc.reuse_fallbacks" not in run["counters"]
+        assert run["rho_hist"] is None
+        assert run["counters"]["rc.laxity_triggers"] == 1
+        assert run["counters"]["scheduler.placements_tried"] == 4
+        assert run["counters"]["scheduler.slots_scanned"] == 2 + 3
+        last = run["provenance"][-2]["probes"]
+        assert [probe["rho"] for probe in last] == (
+            [None] if rho_reset == RHO_RESET_TRANSMISSION else [4])
+        assert last[0]["exhausted"] == "window"
+
+    def test_rc_empty_window_probes_every_rho(self, line_topology):
+        """A direct ``place`` whose window is empty (earliest past the
+        deadline, as the reuse barrier's retry can ask) probes ∞, 5, 4,
+        3, 2 and finds nothing, identically on both kernels.  ρ then
+        persists as ∞ per transmission and as ρ_t = 2 per flow, where
+        the next probe starts."""
+        reuse = ChannelReuseGraph.from_topology(line_topology)
+        requests = [TransmissionRequest(1, 0, 0, attempt, 4, 5, 0, 1)
+                    for attempt in range(2)]
+        remaining = RequestWindow(requests, 1,
+                                  *RequestWindow.arrays_for(requests))
+        for rho_reset, persisted in ((RHO_RESET_TRANSMISSION, math.inf),
+                                     (RHO_RESET_FLOW, 2)):
+            runs = {}
+            for kernel, recording in ((KERNEL_SCALAR, True),
+                                      (KERNEL_VECTOR, True),
+                                      (KERNEL_VECTOR, False)):
+                policy = ConservativeReusePolicy(rho_reset=rho_reset)
+                prov = ProvenanceRecorder()
+                scope = (obs.recording(Recorder(provenance=prov))
+                         if recording else contextlib.nullcontext())
+                placed, rhos = [], []
+                with kernel_mode(kernel), scope:
+                    for _ in range(2):
+                        prov.begin_decision("RC", requests[0], 2)
+                        placed.append(policy.place(
+                            Schedule(6, 4, 1), reuse, requests[0], 2,
+                            remaining))
+                        prov.end_decision(None)
+                        rhos.append(policy._rho)
+                runs[kernel, recording] = (placed, rhos, prov.records())
+            assert runs[KERNEL_SCALAR, True] == runs[KERNEL_VECTOR, True]
+            placed, rhos, records = runs[KERNEL_VECTOR, True]
+            assert runs[KERNEL_VECTOR, False][:2] == (placed, rhos)
+            assert placed == [None, None]
+            assert rhos == [persisted, persisted]
+            first, second = records[0], records[1]
+            assert [p["rho"] for p in first["probes"]] == [None, 5, 4, 3, 2]
+            assert all(p["result"] is None and p["chain"] == []
+                       for p in first["probes"])
+            assert len(first["descent"]) == 4
+            assert [p["rho"] for p in second["probes"]] == (
+                [None, 5, 4, 3, 2] if rho_reset == RHO_RESET_TRANSMISSION
+                else [2])
 
     def test_per_policy_counters(self, line_topology):
         flows = _routed_line_flows(line_topology)

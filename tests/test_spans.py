@@ -722,7 +722,7 @@ class TestTopStagePanel:
                          (0.01, 0.1, 1.0))
         frame = render_top(TimeSeriesStore(),
                            registry.snapshot(), ascii_only=True)
-        assert "request stages" in frame
+        assert "── stages " in frame
         compile_line = next(l for l in frame.splitlines()
                             if "compile" in l)
         assert "mean" in compile_line and "p99" in compile_line
@@ -735,4 +735,4 @@ class TestTopStagePanel:
 
         frame = render_top(TimeSeriesStore(), {"histograms": {}},
                            ascii_only=True)
-        assert "request stages" not in frame
+        assert "── stages " not in frame
