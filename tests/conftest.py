@@ -88,6 +88,20 @@ def grid_topology():
     return build_topology(9, links)
 
 
+@pytest.fixture
+def ring_topology():
+    """Six nodes in a ring: the line plus the wrap edge 5-0, so the
+    hop distance is the shorter way round (diameter 3)."""
+    return build_topology(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+@pytest.fixture
+def star_topology():
+    """Hub 0 with five leaves 1..5 (diameter 2): every link touches the
+    hub, so no two transmissions can share a slot."""
+    return build_topology(6, [(0, leaf) for leaf in range(1, 6)])
+
+
 @pytest.fixture(scope="session")
 def indriya():
     """The Indriya-like testbed (session-cached)."""

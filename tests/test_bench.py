@@ -1,85 +1,141 @@
-"""Benchmark harness smoke tests (`python -m repro bench`)."""
+"""Decision benchmark tests (`python -m repro bench`)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
+import pytest
+
+from repro import bench
 from repro.bench import (
+    HOLDS,
+    LOST,
+    UNRESOLVED,
     bench_schedulers,
-    compare_bench,
     format_bench,
+    judge,
     run_bench,
 )
+from repro.cli import main
+from repro.experiments.common import make_policy
 
 
 class TestBench:
     def test_quick_report_structure(self, tmp_path):
         out = tmp_path / "bench.json"
-        report = run_bench(str(out), quick=True, seed=1, repetitions=1)
+        report = run_bench(str(out), quick=True, seed=1, rounds=1)
 
         on_disk = json.loads(out.read_text())
         assert on_disk["mode"] == "quick"
+        assert on_disk["rounds"] == 1
         assert on_disk["environment"]["cpu_count"] >= 1
 
-        rows = report["schedulers"]
-        assert {row["policy"] for row in rows} == {"NR", "RA", "RC"}
-        for row in rows:
-            assert row["scalar"]["wall_s"] > 0
-            assert row["vector"]["wall_s"] > 0
-            assert row["speedup"] > 0
-            assert set(row) == {"num_flows", "policy", "scalar", "vector",
-                                "speedup"}
-            # Scalar and vector do the same work, so the instrumented
-            # counters agree between kernels.
-            assert row["scalar"]["placements"] == row["vector"]["placements"]
-            assert (row["scalar"]["slots_scanned"]
-                    == row["vector"]["slots_scanned"])
+        cells = {cell["name"]: cell for cell in report["decisions"]}
+        assert list(cells) == ["NR@20", "RA@20", "RC@20",
+                               "remediation@30", "simulator@20x10"]
+        for cell in cells.values():
+            assert cell["verdict"] in (HOLDS, UNRESOLVED, LOST)
+            assert set(cell["wall_s"]) == {cell["chosen"], cell["other"]}
+            assert all(wall > 0 for wall in cell["wall_s"].values())
+            ratio = cell["ratio"]
+            assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
 
-        remediation = report["remediation"]
-        assert len(remediation) == 1 and remediation[0]["num_flows"] == 30
-        cell = remediation[0]
-        assert cell["repair"]["schedulable"]
-        assert cell["repair"]["evicted_cells"] > 0
-        assert cell["repair"]["wall_s"] > 0
-        assert cell["rebuild"]["wall_s"] > 0
-        assert cell["speedup"] > 1.0
-        assert report["headline"]["repair_max_speedup"] == cell["speedup"]
-
-        simulator = report["simulator"]
-        assert simulator["sim_repetitions"] == 10
-        cells = [cell for cell in simulator["cells"] if "slot" in cell]
-        assert cells, "quick simulator bench produced no timed cell"
-        for cell in cells:
-            assert cell["slot"]["wall_s"] > 0
-            assert cell["event"]["wall_s"] > 0
-            assert cell["batched"]["wall_s"] > 0
-            assert cell["batched_speedup"] > 0
-
-        sweep = report["sweep_workers"]
-        assert sweep["outcomes_identical"] is True
-        assert set(sweep["wall_s_by_workers"]) == {"1", "4"}
-        assert report["headline"]["rc_max_speedup"] > 0
-        assert "auto_min_vs_best" not in report["headline"]
+        # The chosen path is the one the code runs.
+        for policy in ("NR", "RA", "RC"):
+            cell = cells[f"{policy}@20"]
+            assert cell["chosen"] == make_policy(policy).kernel
+            assert cell["placements"] > 0
+            assert cell["slots_scanned"] >= cell["placements"]
+        repair = cells["remediation@30"]
+        assert (repair["chosen"], repair["other"]) == ("repair", "rebuild")
+        assert repair["schedulable"] == {"repair": True, "rebuild": True}
+        assert repair["evicted_cells"] > 0
+        simulator = cells["simulator@20x10"]
+        assert (simulator["chosen"], simulator["other"]) == ("batched",
+                                                             "slot")
 
         text = format_bench(report)
-        assert "RC" in text and "headline" in text
-        assert "repair" in text
-
-    def test_compare_gates_remediation_cells(self):
-        def fake(repair_s, rebuild_s):
-            return {"schedulers": [],
-                    "remediation": [{"num_flows": 30, "policy": "RC",
-                                     "repair": {"wall_s": repair_s},
-                                     "rebuild": {"wall_s": rebuild_s}}]}
-
-        assert compare_bench(fake(0.010, 0.130), fake(0.010, 0.130)) == []
-        regressions = compare_bench(fake(0.020, 0.130), fake(0.010, 0.130))
-        assert len(regressions) == 1
-        assert "remediation@30 [repair]" in regressions[0]
+        assert all(name in text for name in cells)
+        assert "decisions: " in text
 
     def test_kernel_divergence_would_abort(self):
         """bench_schedulers compares full schedule signatures; a tiny run
         exercises that cross-check end to end."""
-        rows = bench_schedulers((6,), seed=2, repetitions=1)
-        assert len(rows) == 3  # one per policy, divergence check passed
+        cells = bench_schedulers((6,), seed=2, rounds=1)
+        assert len(cells) == 3  # one per policy, divergence check passed
 
+    @pytest.mark.parametrize("ratios, verdict", [
+        ([1.3, 0.9, 1.2, 1.1, 1.4], HOLDS),       # won 4 of 5 rounds
+        ([1.3, 0.9, 0.8, 1.1, 1.4], UNRESOLVED),  # won 3
+        ([0.9, 1.2, 1.1, 0.8, 0.7], UNRESOLVED),  # lost 3
+        ([1.0, 1.0, 1.0, 1.0, 1.0], UNRESOLVED),  # ties win nothing
+        ([0.9, 1.2, 0.6, 0.8, 0.7], LOST),        # lost 4 of 5
+    ])
+    def test_verdict_rule(self, ratios, verdict):
+        judged = judge(ratios)
+        assert judged["verdict"] == verdict
+        assert judged["ratio"]["median"] == sorted(ratios)[2]
+
+    def test_decision_interleaves_and_divides_other_by_chosen(
+            self, monkeypatch):
+        """Synthetic clock: the chosen path costs 1, the other 3, except
+        one slow chosen round; every round runs both paths, alternating
+        which goes first."""
+        clock = [0.0]
+        calls = []
+
+        def path(name, costs):
+            def run():
+                calls.append(name)
+                clock[0] += next(costs)
+                return name
+            return run
+
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])
+        decision, results = bench._decide(
+            {"fast": path("fast", iter([1.0, 1.0, 6.0, 1.0, 1.0])),
+             "slow": path("slow", itertools.repeat(3.0))}, "fast", 5)
+        assert calls == ["fast", "slow", "slow", "fast"] * 2 + ["fast",
+                                                                "slow"]
+        assert results == {"fast": "fast", "slow": "slow"}
+        assert decision["wall_s"] == {"fast": 1.0, "slow": 3.0}
+        assert decision["ratio"] == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+        assert decision["verdict"] == HOLDS
+        assert (decision["chosen"], decision["other"]) == ("fast", "slow")
+
+
+def _fake_report(verdict):
+    return {
+        "mode": "full", "seed": 0, "rounds": 5,
+        "environment": {"cpu_count": 2},
+        "decisions": [{
+            "name": "NR@20", "chosen": "scalar", "other": "vector",
+            "wall_s": {"scalar": 0.03, "vector": 0.02},
+            "ratio": {"q1": 0.6, "median": 0.7, "q3": 0.8},
+            "verdict": verdict,
+        }],
+    }
+
+
+class TestBenchCli:
+    @pytest.mark.parametrize("verdict, status",
+                             [(HOLDS, 0), (UNRESOLVED, 0), (LOST, 3)])
+    def test_exit_status_follows_lost_decisions(self, monkeypatch, capsys,
+                                                verdict, status):
+        seen = {}
+
+        def fake_run_bench(out, **options):
+            seen.update(options, out=out)
+            return _fake_report(verdict)
+
+        monkeypatch.setattr(bench, "run_bench", fake_run_bench)
+        assert main(["bench", "--seed", "0", "--out", "-",
+                     "--no-ledger"]) == status
+        assert seen == {"out": "-", "quick": False, "seed": 0, "rounds": 5}
+        captured = capsys.readouterr()
+        assert "NR@20" in captured.out
+        if status:
+            assert "decision lost: NR@20" in captured.err
+        else:
+            assert captured.err == ""

@@ -1,5 +1,6 @@
 """Tests for the observability layer (repro.obs) and its integrations."""
 
+import collections
 import contextlib
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from repro import obs
 from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
 from repro.core.nr import NoReusePolicy
+from repro.core.ra import AggressiveReusePolicy
 from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
                            RHO_RESET_TRANSMISSION)
 from repro.core.schedule import Schedule
@@ -295,21 +297,21 @@ def _scheduler(topology, policy, num_offsets=2):
         reuse_graph=reuse, policy=policy)
 
 
-def _rc_known_answer(topology, flows, rho_t=2,
-                     rho_reset=RHO_RESET_TRANSMISSION):
-    """Schedule ``flows`` with RC on one channel under each kernel with
-    every RC recording on; the kernels must agree exactly.  Returns the
-    run's outcome, counters, ``rc.fallback_rho``, ``(slot, rho,
-    laxity)`` per ``laxity_eval``, ``(from, to)`` per ``rc_fallback``
-    and the provenance records."""
+def _known_answer(topology, flows, policy=ConservativeReusePolicy,
+                  **options):
+    """Schedule ``flows`` with ``policy(**options)`` (RC by default) on
+    one channel under each kernel with every recording on; the kernels
+    must agree exactly.  Returns the run's outcome, counters,
+    ``rc.fallback_rho``, ``(slot, rho, laxity)`` per ``laxity_eval``,
+    ``(from, to)`` per ``rc_fallback`` and the provenance records."""
     routed = _routed(topology, flows)
     runs = []
     for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
         prov = ProvenanceRecorder()
-        policy = ConservativeReusePolicy(rho_t=rho_t, rho_reset=rho_reset)
         with kernel_mode(kernel), \
                 obs.recording(Recorder(provenance=prov)) as recorder:
-            result = _scheduler(topology, policy, num_offsets=1).run(routed)
+            result = _scheduler(topology, policy(**options),
+                                num_offsets=1).run(routed)
         snapshot = recorder.snapshot()
         events = recorder.tracer.events()
         runs.append({
@@ -373,8 +375,8 @@ class TestSchedulerIntegration:
         # slots ((1 − 0) − 0 − 1 = 0), attempt 1 (earliest 1)
         # 1 + 1 + 1 + 1 (1 − 1 = 0).  With flow 0's 1 + 1 that is 13
         # slots in 2 + 4 + 4 = 10 probes.
-        run = _rc_known_answer(line_topology, [Flow(0, 0, 1, 4, 2),
-                                               Flow(1, 4, 5, 4, 2)])
+        run = _known_answer(line_topology, [Flow(0, 0, 1, 4, 2),
+                                            Flow(1, 4, 5, 4, 2)])
         assert run["schedulable"]
         assert run["cells"] == [(0, 0), (1, 0), (0, 0), (1, 0)]
         assert run["counters"]["scheduler.slots_scanned"] == 13
@@ -394,8 +396,8 @@ class TestSchedulerIntegration:
         # and 4 land on the same empty cell with the same −1 (one
         # trigger); ρ = 3 reaches slot 0 with (2 − 0) − 0 − 1 = 1.
         # Attempt 1 (earliest 1) then takes slot 2 at ∞, laxity 0.
-        run = _rc_known_answer(line_topology, [Flow(0, 0, 1, 4, 2),
-                                               Flow(1, 4, 5, 4, 3)])
+        run = _known_answer(line_topology, [Flow(0, 0, 1, 4, 2),
+                                            Flow(1, 4, 5, 4, 3)])
         assert run["schedulable"]
         assert run["cells"] == [(0, 0), (1, 0), (0, 0), (2, 0)]
         assert run["laxity"] == [(0, None, 0), (1, None, 0),
@@ -408,6 +410,60 @@ class TestSchedulerIntegration:
         assert run["counters"]["scheduler.placements_tried"] == 2 + 4 + 1
         assert run["rho_hist"]["count"] == 1
         assert run["rho_hist"]["sum"] == 3
+
+    @pytest.mark.parametrize("policy", [NoReusePolicy,
+                                        AggressiveReusePolicy,
+                                        ConservativeReusePolicy])
+    @pytest.mark.parametrize("fixture, flows, reused", [
+        # Flow 1 (4→5, slots 0..1) fits only by sharing both of flow
+        # 0's (0→1) cells, at ρ <= min(hops[4, 1], hops[0, 5]): 3 on the
+        # line, where NR cannot share at all.  On the ring the wrap edge
+        # makes hops[0, 5] = 1 < ρ_t, so no policy schedules it.
+        ("line_topology", [Flow(0, 0, 1, 4, 2), Flow(1, 4, 5, 4, 2)],
+         {"NR": None, "RA": 2, "RC": 2}),
+        ("ring_topology", [Flow(0, 0, 1, 4, 2), Flow(1, 4, 5, 4, 2)],
+         {"NR": None, "RA": None, "RC": None}),
+        # Star: every leaf→hub→leaf hop touches the hub, so the twelve
+        # transmissions take twelve slots and nothing is shared.
+        ("star_topology", [Flow(0, 1, 2, 16, 16), Flow(1, 3, 4, 16, 16),
+                           Flow(2, 5, 1, 16, 16)],
+         {"NR": 0, "RA": 0, "RC": 0}),
+    ])
+    def test_reuse_decisions_on_canonical_topologies(
+            self, request, fixture, flows, reused, policy):
+        """Schedulable or not, and how many cells the schedule shares
+        (None: unschedulable), per policy."""
+        run = _known_answer(request.getfixturevalue(fixture), flows,
+                            policy)
+        expected = reused[policy.name]
+        assert run["schedulable"] == (expected is not None)
+        if expected is not None:
+            shared = collections.Counter(run["cells"])
+            assert sum(count > 1 for count in shared.values()) == expected
+
+    @pytest.mark.parametrize("fixture, flow, fallbacks", [
+        # Grid (λ_R = 4): hops[7, 1] = 2, so each attempt of 7→8 steps
+        # ∞ → 4 → 3 → 2 before it may share flow 0's cell ...
+        ("grid_topology", Flow(1, 7, 8, 4, 2), [(None, 4), (4, 3), (3, 2)]),
+        # ... while 8→5 (hops[8, 1] = hops[0, 5] = 3) stops at 3.
+        ("grid_topology", Flow(1, 8, 5, 4, 2), [(None, 4), (4, 3)]),
+        # Ring (λ_R = 3): 4→3 shares at λ_R itself (hops 3 both ways).
+        ("ring_topology", Flow(1, 4, 3, 4, 2), [(None, 3)]),
+    ])
+    def test_rc_descent_on_canonical_topologies(self, request, fixture,
+                                                flow, fallbacks):
+        """RC's ρ descent by hand: flow 0 (0→1) holds slots 0 and 1 on
+        the one channel, and both attempts of ``flow`` walk the same
+        steps down to the largest ρ at which they may share."""
+        run = _known_answer(request.getfixturevalue(fixture),
+                            [Flow(0, 0, 1, 4, 2), flow])
+        assert run["schedulable"]
+        assert run["cells"] == [(0, 0), (1, 0), (0, 0), (1, 0)]
+        assert run["fallbacks"] == fallbacks * 2
+        assert run["counters"]["rc.reuse_fallbacks"] == 2 * len(fallbacks)
+        landed = fallbacks[-1][1]
+        assert (run["rho_hist"]["count"], run["rho_hist"]["sum"]) == (
+            2, 2 * landed)
 
     @pytest.mark.parametrize("rho_reset",
                              [RHO_RESET_TRANSMISSION, RHO_RESET_FLOW])
@@ -423,9 +479,9 @@ class TestSchedulerIntegration:
         max(λ_R, ρ_t) = 4, so that last probe runs at ρ = 4, not ∞.
         """
         line = topology_builder(4, [(0, 1), (1, 2), (2, 3)])
-        run = _rc_known_answer(line, [Flow(0, 0, 1, 4, 2),
-                                      Flow(1, 2, 3, 4, 3)],
-                               rho_t=4, rho_reset=rho_reset)
+        run = _known_answer(line, [Flow(0, 0, 1, 4, 2),
+                                   Flow(1, 2, 3, 4, 3)],
+                            rho_t=4, rho_reset=rho_reset)
         assert not run["schedulable"] and run["failed_flow"] == 1
         assert run["cells"] == [(0, 0), (1, 0), (2, 0)]
         assert run["laxity"] == [(0, None, 0), (1, None, 0),

@@ -2,9 +2,8 @@
 
 Covers the Section V-A constraint classifier on hand-picked cells of a
 hand-built schedule, the :class:`ProvenanceRecorder` lifecycle and its
-kernel-mode bit-identity, the append-only run ledger, the ``explain`` /
-``timeline`` / ``ledger`` commands end to end, and the benchmark
-regression compare.
+kernel-mode bit-identity, the append-only run ledger, and the
+``explain`` / ``timeline`` / ``ledger`` commands end to end.
 """
 
 import json
@@ -15,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.bench import compare_bench
 from repro.cli import main
 from repro.core import kernel as _kernel
 from repro.core.nr import NoReusePolicy
@@ -389,48 +387,6 @@ class TestTimeline:
         assert parse_slot_range("7") == (7, 7)
         with pytest.raises(ValueError):
             parse_slot_range("a:b")
-
-
-# ----------------------------------------------------------------------
-# Bench compare
-# ----------------------------------------------------------------------
-
-def _bench_report(scalar_s, vector_s, num_flows=20, policy="RC"):
-    return {
-        "mode": "quick", "seed": 1, "repetitions": 1,
-        "environment": {"cpu_count": 4},
-        "schedulers": [{
-            "num_flows": num_flows, "policy": policy,
-            "scalar": {"wall_s": scalar_s},
-            "vector": {"wall_s": vector_s},
-            "speedup": scalar_s / vector_s,
-        }],
-        "headline": {"rc_max_speedup": scalar_s / vector_s},
-    }
-
-
-class TestBenchHistoryCompare:
-    def test_compare_flags_regression_over_threshold(self):
-        baseline = _bench_report(0.100, 0.050)
-        ok = compare_bench(_bench_report(0.115, 0.055), baseline)
-        assert ok == []
-        bad = compare_bench(_bench_report(0.150, 0.050), baseline)
-        assert len(bad) == 1
-        assert "REGRESSION RC@20 [scalar]" in bad[0]
-        assert "100.0ms -> 150.0ms" in bad[0]
-
-    def test_compare_ignores_unshared_cells(self):
-        baseline = _bench_report(0.1, 0.05, num_flows=70)
-        baseline["schedulers"].append(
-            _bench_report(0.1, 0.05, num_flows=20)["schedulers"][0])
-        # Current report only has the 20-flow cell; 70-flow is ignored.
-        assert compare_bench(_bench_report(0.105, 0.052), baseline) == []
-
-    def test_compare_disjoint_cells_is_diagnosed(self):
-        baseline = _bench_report(0.1, 0.05, num_flows=70)
-        (line,) = compare_bench(_bench_report(0.1, 0.05, num_flows=20),
-                                baseline)
-        assert "no comparable" in line
 
 
 # ----------------------------------------------------------------------
