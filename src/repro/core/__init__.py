@@ -14,9 +14,10 @@ from repro.core.kernel import (
     KERNEL_VECTOR,
     best_reuse_distance,
     min_reuse_distance,
-    prepare_links,
+    plan_links,
 )
 from repro.core.laxity import (
+    LaxityTable,
     calculate_laxity,
     conflict_slots_for,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "FixedPriorityScheduler",
     "KERNEL_SCALAR",
     "KERNEL_VECTOR",
+    "LaxityTable",
     "NO_REUSE",
     "NoReusePolicy",
     "OFFSET_FIRST",
@@ -81,6 +83,6 @@ __all__ = [
     "min_reuse_distance",
     "offset_satisfies_channel_constraint",
     "placement_is_valid",
-    "prepare_links",
+    "plan_links",
     "validate_schedule",
 ]

@@ -31,11 +31,22 @@ tracked link by one vectorized minimum, and queries return zero-copy
 views.  ``best[s] = max_c dist[s, c]`` rides along so "does *any*
 offset of slot ``s`` admit ρ?" is a single comparison.
 
+The lanes are built on first use.  RC asks finite-ρ questions only once
+laxity turns negative, late in a run or never, so a schedule carries no
+lanes until its first finite-ρ query.  That query registers, in one
+pass over the occupied cells, every link the run can still ask about:
+the engine names them at each flow start (:func:`plan_links`, the links
+of that flow and of every later one).  A link outside the plan (repair
+on a clone, the channel remap's fresh schedule, a direct query)
+registers itself through the same routine.
+
 The kernel is a fixed property of each placement policy, measured once
 and recorded on the schedule it builds (``Schedule.kernel``): RC runs on
 the distance stacks, whose cost its descending-ρ retries amortize; NR
-and RA run the scalar scan, because they place each request at one
-fixed ρ and the per-``add`` lane maintenance never pays for itself.
+and RA run the scalar scan.  RA asks at its fixed floor from the first
+placement on, so the per-``add`` lane maintenance never pays for
+itself; NR never leaves ρ = ∞, where both kernels scan for empty cells
+alike.
 Tests, the differential fuzzer and ``repro bench`` force either kernel
 for any policy to check the two against each other::
 
@@ -117,14 +128,11 @@ class _LinkDistanceState:
     __slots__ = ("graph", "hops", "index", "senders", "receivers",
                  "dist", "best", "count", "candidates")
 
-    _INITIAL_LANES = 8
-
     def __init__(self, schedule: "Schedule",
-                 reuse_graph: "ChannelReuseGraph"):
+                 reuse_graph: "ChannelReuseGraph", lanes: int):
         self.graph = reuse_graph
         self.hops = reuse_graph.effective_hops()
         self.index: dict = {}
-        lanes = self._INITIAL_LANES
         self.senders = np.zeros(lanes, dtype=np.intp)
         self.receivers = np.zeros(lanes, dtype=np.intp)
         self.dist = np.full(
@@ -170,28 +178,44 @@ class _LinkDistanceState:
             new[..., :old.shape[-1]] = old
             setattr(self, name, new)
 
-    def add_link(self, schedule: "Schedule", sender: int, receiver: int
-                 ) -> int:
-        """Start tracking a link: one full pass over current occupancy."""
-        lane = self.count
-        if lane >= self.dist.shape[2]:
-            self._grow(lane + 1)
-        counts, occ_senders, occ_receivers = schedule.occupancy()
-        capacity = occ_senders.shape[2]
-        if capacity and counts.any():
-            pair = np.minimum(self.hops[sender, occ_receivers],
-                              self.hops[occ_senders, receiver])
-            occupied = np.arange(capacity) < counts[..., None]
-            dist = np.where(occupied, pair, INFINITE_DISTANCE).min(axis=2)
-            self.dist[:, :, lane] = dist
-            self.best[:, lane] = dist.max(axis=1)
-        # else: fresh lanes are already INFINITE_DISTANCE everywhere.
-        self.senders[lane] = sender
-        self.receivers[lane] = receiver
-        self.index[(sender, receiver)] = lane
-        self.count = lane + 1
+    def register(self, schedule: "Schedule", links) -> None:
+        """Start tracking new links: one pass over the occupied cells.
+
+        An occupied cell's distance to a new lane ``(u, v)`` is the
+        minimum over its occupants ``(x_k, y_k)`` of ``min(hops[u, y_k],
+        hops[x_k, v])``; empty cells keep :data:`INFINITE_DISTANCE`, as
+        every lane past ``count`` does.
+        """
+        first = self.count
+        end = first + len(links)
+        if end > self.dist.shape[2]:
+            self._grow(end)
+        for lane, link in enumerate(links, first):
+            self.senders[lane], self.receivers[lane] = link
+            self.index[link] = lane
+        self.count = end
         self.candidates.clear()
-        return lane
+        counts, occ_senders, occ_receivers = schedule.occupancy()
+        slots, offsets = np.nonzero(counts)
+        if not slots.size:
+            return
+        # Node-by-new-lane tables, so that each occupant plane costs two
+        # row gathers: to_y[y, l] = hops[u_l, y], from_x[x, l] =
+        # hops[x, v_l].
+        to_y = np.ascontiguousarray(self.hops[self.senders[first:end]].T)
+        from_x = self.hops[:, self.receivers[first:end]]
+        cells = np.minimum(to_y[occ_receivers[slots, offsets, 0]],
+                           from_x[occ_senders[slots, offsets, 0]])
+        depth = counts[slots, offsets]
+        for k in range(1, int(depth.max())):
+            rows = np.flatnonzero(depth > k)
+            x = occ_senders[slots[rows], offsets[rows], k]
+            y = occ_receivers[slots[rows], offsets[rows], k]
+            cells[rows] = np.minimum(cells[rows],
+                                     np.minimum(to_y[y], from_x[x]))
+        lanes = self.dist[:, :, first:end]
+        lanes[slots, offsets] = cells
+        lanes.max(axis=1, out=self.best[:, first:end])
 
     def occupant_candidates(self, x: int, y: int) -> np.ndarray:
         """Per-lane distance bound a new occupant ``(x, y)`` imposes:
@@ -205,31 +229,38 @@ class _LinkDistanceState:
         return cached
 
 
+def plan_links(schedule: "Schedule", link_lists) -> None:
+    """Name the links a run can still ask about, one list per flow.
+
+    The engine calls this at every flow start with the links of that
+    flow and of every later one (flows are placed in priority order);
+    the schedule's first finite-ρ query registers their distinct links
+    in one pass (:func:`_link_row`).
+    """
+    schedule._link_plan = link_lists
+
+
 def _link_row(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",
               sender: int, receiver: int) -> tuple:
-    """The schedule's distance state and the lane tracking a link."""
+    """The schedule's distance state and the lane tracking a link.
+
+    The first query builds the state for the planned links plus the
+    queried one; a link the state lacks registers itself.
+    """
+    link = (sender, receiver)
     state = schedule._link_state
     if state is None or state.graph is not reuse_graph:
-        state = _LinkDistanceState(schedule, reuse_graph)
+        links = dict.fromkeys(planned for flow_links in schedule._link_plan
+                              for planned in flow_links)
+        links[link] = None
+        state = _LinkDistanceState(schedule, reuse_graph, len(links))
+        state.register(schedule, list(links))
         schedule._link_state = state
-    lane = state.index.get((sender, receiver))
+    lane = state.index.get(link)
     if lane is None:
-        lane = state.add_link(schedule, sender, receiver)
+        state.register(schedule, [link])
+        lane = state.count - 1
     return state, lane
-
-
-def prepare_links(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",
-                  links) -> None:
-    """Pre-register links the workload will ask about.
-
-    Registering a link against an *empty* schedule is free (its distance
-    row starts at :data:`INFINITE_DISTANCE`), whereas first-touch
-    registration mid-run costs a full occupancy pass — so the scheduling
-    engine calls this with every distinct link of the flow set before
-    placing anything.  Unknown links still self-register on first query.
-    """
-    for sender, receiver in links:
-        _link_row(schedule, reuse_graph, int(sender), int(receiver))
 
 
 def min_reuse_distance(schedule: "Schedule",

@@ -19,7 +19,9 @@ blocking two remaining transmissions counts twice.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.core.schedule import Schedule
 from repro.core.transmissions import TransmissionRequest
@@ -48,8 +50,8 @@ def calculate_laxity(schedule: Schedule, slot: int, deadline_slot: int,
         fit before the deadline.
 
     One ``q`` term per remaining transmission: RC's stepwise loop (the
-    scalar kernel) calls this, and the fused descent's whole-window
-    evaluation is tested against it.
+    scalar kernel) calls this, and :class:`LaxityTable`, which the fused
+    descent reads, is tested against it.
     """
     window_slots = deadline_slot - slot
     if not remaining:
@@ -58,3 +60,65 @@ def calculate_laxity(schedule: Schedule, slot: int, deadline_slot: int,
         conflict_slots_for(schedule, request, slot + 1, deadline_slot)
         for request in remaining)
     return window_slots - blocked - len(remaining)
+
+
+def laxity_table(schedule: Schedule,
+                 requests: Sequence[TransmissionRequest]) -> np.ndarray:
+    """Equation 1 for every request of one flow instance at every slot.
+
+    ``table[j, x]`` equals ``calculate_laxity(schedule, release + x,
+    deadline, requests[j + 1:])`` on the schedule as it is now, for
+    ``x`` over the instance's window ``[release, deadline]``.  Its ``q``
+    terms add up the (request, slot) conflicts strictly after row ``j``
+    and strictly after slot ``release + x``: one two-axis suffix sum
+    over the instance's busy rows.
+    """
+    first = requests[0]
+    release, deadline = first.release_slot, first.deadline_slot
+    busy = schedule.busy_matrix()
+    # Requests n-1..1 and slots deadline..release+1, both reversed, so
+    # running sums along both axes are the suffix sums Eq. 1 needs.
+    later = requests[:0:-1]
+    window = slice(deadline, release, -1)
+    blocked = (busy[[r.sender for r in later], window]
+               | busy[[r.receiver for r in later], window])
+    sums = blocked.cumsum(axis=1)
+    # An instance has few requests: adding rows in a loop beats a
+    # cumsum along the strided axis.
+    for row in range(1, len(sums)):
+        sums[row] += sums[row - 1]
+    table = (np.arange(deadline - release, -1, -1)
+             - np.arange(len(requests) - 1, -1, -1)[:, None])
+    table[:-1, :-1] -= sums[::-1, ::-1]
+    return table
+
+
+class LaxityTable:
+    """One flow instance's Equation 1 table, built at its first lookup.
+
+    The fused RC descent reads laxity here instead of evaluating it per
+    placement.  The table is built from the busy matrix at the first
+    lookup and stays exact for the rest of the instance, because
+
+    * the engine places an instance's requests consecutively, so only
+      this instance's requests change the busy matrix meanwhile;
+    * request ``j``'s candidate slots all lie after every slot that
+      requests ``0..j-1`` took (precedence);
+    * Eq. 1 at slot ``s`` reads only the slots ``(s, deadline]``.
+
+    Attributes:
+        requests: The instance's requests in precedence order.
+    """
+
+    __slots__ = ("requests", "_table")
+
+    def __init__(self, requests: Sequence[TransmissionRequest]):
+        self.requests = requests
+        self._table: Optional[np.ndarray] = None
+
+    def laxity(self, schedule: Schedule, position: int, slot: int) -> int:
+        """Eq. 1 for ``requests[position]`` placed at ``slot``."""
+        if self._table is None:
+            self._table = laxity_table(schedule, self.requests)
+        return int(self._table[position,
+                               slot - self.requests[0].release_slot])

@@ -110,10 +110,6 @@ class ConservativeReusePolicy:
     offset_rule: str = OFFSET_LEAST_LOADED
     name: str = "RC"
     _rho: float = field(default=NO_REUSE, repr=False)
-    # Fused-path heuristic: did the previous placement descend past its
-    # first probe?  Contention is bursty, so the last placement predicts
-    # whether the O(1)-per-probe laxity table will pay for itself.
-    _table_hint: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rho_t < 1:
@@ -224,25 +220,21 @@ class ConservativeReusePolicy:
         but the call overhead is not.  This path evaluates each ρ probe
         against the kernel's incrementally-maintained best-distance
         view: one running maximum per placement, then a single
-        ``searchsorted`` per ρ.  Laxity is evaluated directly for the
-        first probe (the common immediate accept); if the descent
-        continues, Equation 1 becomes a suffix-cumsum lookup so every
-        further probe costs O(1).  Placements, exit ρ, counters, events
-        and provenance are identical to the stepwise loop's: both pick
-        the earliest feasible slot per ρ and descend under the same
-        laxity rule.
+        ``searchsorted`` per ρ.  Equation 1 is a lookup in the
+        instance's table (:class:`repro.core.laxity.LaxityTable`),
+        built at the instance's first evaluation.  Placements, exit ρ,
+        counters, events and provenance are identical to the stepwise
+        loop's: both pick the earliest feasible slot per ρ and descend
+        under the same laxity rule.
 
-        ``remaining`` is the engine's :class:`RequestWindow`, whose
-        index arrays gather T_post's busy rows in one step.
+        ``remaining`` is the engine's :class:`RequestWindow`, which
+        reads the instance's table.
         """
         rho_t = self.rho_t
         prov = recorder.provenance if recorder is not None else None
         deadline = request.deadline_slot
         sender, receiver = request.sender, request.receiver
         width = deadline - earliest + 1
-        n_rem = len(remaining)
-        probes = 0            # laxity evaluations over T_post so far
-        lax = None            # Eq. 1 lookup, built on the second probe
         prefix = None         # running max of best eligible distance
         triggered = False
         best_slot: Optional[int] = None
@@ -286,29 +278,7 @@ class ConservativeReusePolicy:
                                       earliest, self.offset_rule, found)
             if slot is not None:
                 best_slot, best_rho = slot, rho
-                if n_rem == 0:
-                    laxity = deadline - slot
-                elif lax is None and probes == 0 and not self._table_hint:
-                    # One-slot evaluation for the common first-probe
-                    # accept; the lookup table only pays off on descent.
-                    window = schedule.busy_matrix()[:, slot + 1:deadline + 1]
-                    blocked = np.count_nonzero(window[remaining.senders]
-                                               | window[remaining.receivers])
-                    laxity = deadline - slot - n_rem - int(blocked)
-                    probes += 1
-                else:
-                    if lax is None:
-                        window = schedule.busy_matrix()[
-                            :, earliest:deadline + 1]
-                        blocked = (window[remaining.senders]
-                                   | window[remaining.receivers]).sum(axis=0)
-                        lax = ((deadline - earliest - n_rem)
-                               - np.arange(width, dtype=np.int64))
-                        # lax[i] -= sum(blocked[i+1:]) via a reversed
-                        # cumulative sum (the last slot has no suffix).
-                        lax[:-1] -= blocked[1:][::-1].cumsum()[::-1]
-                    laxity = int(lax[slot - earliest])
-                    probes += 1
+                laxity = remaining.laxity(schedule, slot)
                 if recorder is not None:
                     triggered = _note_laxity(recorder, request, slot, rho,
                                              laxity, triggered)
@@ -319,8 +289,6 @@ class ConservativeReusePolicy:
                 _note_descent(recorder, request, rho, next_rho)
             rho = next_rho
 
-        if probes:
-            self._table_hint = probes > 1
         # Only the kept probe's offset is used, so it is picked once,
         # here; provenance alone needs one per probe.
         best = None if best_slot is None else (best_slot, pick_offset(

@@ -72,9 +72,12 @@ class Schedule:
                                      dtype=np.int32)
         self._occ_receivers = np.zeros((num_slots, num_offsets, 0),
                                        dtype=np.int32)
-        # Incremental per-link min-reuse-distance stacks, created and
-        # queried by repro.core.kernel; add() keeps them current.
+        # Incremental per-link min-reuse-distance stacks, built by
+        # repro.core.kernel at the first finite-ρ query for the links
+        # the engine planned (kernel.plan_links); add() keeps them
+        # current once they exist.
         self._link_state = None
+        self._link_plan = ()
         # canonical_hash() memo; every entry mutation clears it.
         self._hash: Optional[str] = None
 
@@ -150,10 +153,11 @@ class Schedule:
         Entries are frozen dataclasses and safe to share; every mutable
         bookkeeping structure — busy matrix, cell/slot index maps,
         used-offset masks, occupancy planes, and the kernel's
-        incremental distance stacks — is copied so mutations of the
-        clone (``add``/``evict``) never leak into the original.  The
-        incremental repair path (:mod:`repro.core.repair`) edits a clone
-        so the manager's rollback can keep serving the old schedule.
+        incremental distance stacks, if built — is copied so mutations
+        of the clone (``add``/``evict``) never leak into the original.
+        The incremental repair path (:mod:`repro.core.repair`) edits a
+        clone so the manager's rollback can keep serving the old
+        schedule.
         """
         dup = Schedule.__new__(Schedule)
         dup.num_nodes = self.num_nodes
@@ -171,6 +175,7 @@ class Schedule:
         dup._occ_receivers = self._occ_receivers.copy()
         dup._link_state = (None if self._link_state is None
                            else self._link_state.clone())
+        dup._link_plan = self._link_plan
         dup._hash = self._hash
         return dup
 

@@ -22,6 +22,7 @@ from repro.core.constraints import (
     NO_REUSE,
     feasible_offsets_scalar,
 )
+from repro.core.laxity import LaxityTable
 from repro.core.schedule import Schedule
 from repro.core.transmissions import (
     ATTEMPTS_PER_LINK,
@@ -299,16 +300,13 @@ class FixedPriorityScheduler:
         hyperperiod = flow_set.hyperperiod()
         schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets,
                             kernel=self.policy.kernel)
-        # RC's fused descent reads each instance's T_post as index
-        # arrays; the scalar kernel keeps plain list slices.
+        # RC's fused descent reads each instance's T_post through a
+        # window onto its Eq. 1 table, and the kernel builds distance
+        # lanes for the links a run can still ask about; the scalar
+        # kernel keeps plain list slices and no lanes.
         windows = _kernel.vectorized(schedule)
         if windows:
-            # Register every link while the schedule is empty: distance
-            # rows start at "no constraint" for free, instead of paying
-            # a full occupancy pass on first touch mid-run.
-            _kernel.prepare_links(
-                schedule, self.reuse_graph,
-                {link for flow in flow_set for link in flow.links})
+            flow_links = [flow.links for flow in flow_set]
 
         # Resolve observability once per run; ENABLED is a module-level
         # flag so the disabled cost is one attribute read.
@@ -323,18 +321,18 @@ class FixedPriorityScheduler:
                    if prov is not None
                    and hasattr(self.policy, "provenance_context") else None)
 
-        for flow in flow_set:
+        for index, flow in enumerate(flow_set):
             self.policy.start_flow(flow)
+            if windows:
+                _kernel.plan_links(schedule, flow_links[index:])
             for instance in flow.instances(hyperperiod):
                 requests = expand_instance(instance, self.attempts_per_link)
                 earliest = instance.release_slot
                 if windows:
-                    senders, receivers = RequestWindow.arrays_for(requests)
+                    table = LaxityTable(requests)
                 for position, request in enumerate(requests):
-                    remaining = (
-                        RequestWindow(requests, position + 1,
-                                      senders, receivers)
-                        if windows else requests[position + 1:])
+                    remaining = (RequestWindow(table, position + 1)
+                                 if windows else requests[position + 1:])
                     if prov is not None:
                         prov.begin_decision(self.policy.name, request,
                                             earliest, context)

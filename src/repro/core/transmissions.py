@@ -13,11 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.flows.flow import FlowInstance
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.core.laxity import LaxityTable
+    from repro.core.schedule import Schedule
 
 #: Transmission attempts reserved per link under source routing.
 ATTEMPTS_PER_LINK = 2
@@ -71,41 +73,22 @@ class RequestWindow(Sequence):
 
     The scheduling engine hands each placement policy the requests that
     still need slots (``T_post`` in the laxity formula).  Slicing the
-    request list per placement is O(n) and the vectorized laxity path
-    additionally needs the senders and receivers as index arrays —
-    this view shares one pair of arrays across every placement of the
-    instance and exposes the tail without copying.
+    request list per placement is O(n); this view shares the instance's
+    :class:`repro.core.laxity.LaxityTable` (its request list and its
+    Eq. 1 table) across every placement of the instance and exposes
+    the tail without copying.
     """
 
-    __slots__ = ("_requests", "_start", "_senders", "_receivers")
+    __slots__ = ("_table", "_requests", "_start")
 
-    def __init__(self, requests: Sequence[TransmissionRequest], start: int,
-                 senders: np.ndarray, receivers: np.ndarray):
-        self._requests = requests
+    def __init__(self, table: "LaxityTable", start: int):
+        self._table = table
+        self._requests = table.requests
         self._start = start
-        self._senders = senders
-        self._receivers = receivers
 
-    @classmethod
-    def arrays_for(cls, requests: Sequence[TransmissionRequest]
-                   ) -> "tuple[np.ndarray, np.ndarray]":
-        """Sender/receiver index arrays for a full request list."""
-        count = len(requests)
-        senders = np.fromiter((r.sender for r in requests),
-                              dtype=np.intp, count=count)
-        receivers = np.fromiter((r.receiver for r in requests),
-                                dtype=np.intp, count=count)
-        return senders, receivers
-
-    @property
-    def senders(self) -> np.ndarray:
-        """Sender node indices of the windowed requests (a view)."""
-        return self._senders[self._start:]
-
-    @property
-    def receivers(self) -> np.ndarray:
-        """Receiver node indices of the windowed requests (a view)."""
-        return self._receivers[self._start:]
+    def laxity(self, schedule: "Schedule", slot: int) -> int:
+        """Eq. 1 for the request just before this window, at ``slot``."""
+        return self._table.laxity(schedule, self._start - 1, slot)
 
     def __len__(self) -> int:
         return len(self._requests) - self._start

@@ -19,6 +19,7 @@ Two graphs are derived from the topology's PRR measurements:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -114,9 +115,17 @@ class CommunicationGraph:
         """Whether the bidirectional edge uv exists."""
         return bool(self.adjacency[u, v])
 
-    def neighbors(self, u: int) -> List[int]:
-        """Neighbors of node u."""
-        return [int(v) for v in np.flatnonzero(self.adjacency[u])]
+    @cached_property
+    def _neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        # Computed once per graph: routing's BFS asks on every pop.
+        # cached_property writes the instance __dict__ directly, which
+        # the frozen dataclass's __setattr__ guard does not cover.
+        return tuple(tuple(np.flatnonzero(row).tolist())
+                     for row in self.adjacency)
+
+    def neighbors(self, u: int) -> Tuple[int, ...]:
+        """Neighbors of node u, ascending by id."""
+        return self._neighbor_lists[u]
 
     def degree(self, u: int) -> int:
         """Degree of node u."""

@@ -1,9 +1,10 @@
 """Shortest-path routing on the communication graph.
 
 The WirelessHART network manager generates a single route per flow using a
-shortest-path algorithm (paper Section VII).  We use BFS with
-deterministic tie-breaking (smallest predecessor id) so that a given
-(topology, flow set) pair always yields the same routes.
+shortest-path algorithm (paper Section VII).  We use BFS scanning
+neighbors in ascending id order, and each node keeps the predecessor
+that discovered it first, so that a given (topology, flow set) pair
+always yields the same routes.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ def shortest_path(graph: CommunicationGraph, source: int,
                   destination: int) -> List[int]:
     """Shortest path (in hops) from source to destination.
 
-    Ties between equal-length paths are broken toward the smallest
-    predecessor node id, making routes deterministic.
+    Ties between equal-length paths go to the first-discovered
+    predecessor, not the smallest one: with neighbors scanned in
+    ascending id order, the route is the equal-length path whose node
+    sequence, read from the source, is lexicographically smallest.
 
     Returns:
         The node sequence including both endpoints.

@@ -1,7 +1,16 @@
 """Tests for repro.core.laxity (Equation 1)."""
 
-from repro.core.laxity import calculate_laxity, conflict_slots_for
+import numpy as np
+import pytest
+
+from repro.core.laxity import (
+    LaxityTable,
+    calculate_laxity,
+    conflict_slots_for,
+    laxity_table,
+)
 from repro.core.schedule import Schedule
+from repro.core.transmissions import RequestWindow, TransmissionRequest
 
 from test_core_schedule import request
 
@@ -68,3 +77,78 @@ class TestLaxity:
         schedule.add(request(2, 7), 20, 1)
         remaining = [request(1, 2)]
         assert calculate_laxity(schedule, 10, 50, remaining) == 40 - 1 - 1
+
+
+NODES = 8
+SLOTS = 48
+
+
+def _instance(seed, num_requests, release, deadline):
+    """A seeded partial schedule and one flow instance to place on it.
+
+    Other flows occupy random node-disjoint transmissions in about half
+    the slots; the instance walks a random route, two attempts per hop.
+    """
+    rng = np.random.default_rng(seed)
+    schedule = Schedule(NODES, SLOTS, 2)
+    for slot in range(SLOTS):
+        if rng.random() < 0.5:
+            sender, receiver = rng.choice(NODES, size=2, replace=False)
+            schedule.add(request(int(sender), int(receiver), flow_id=9),
+                         slot, 0)
+    route = [int(node) for node in rng.choice(NODES, size=NODES,
+                                              replace=False)]
+    requests = [TransmissionRequest(1, 0, j // 2, j % 2, route[j // 2],
+                                    route[j // 2 + 1], release, deadline)
+                for j in range(num_requests)]
+    return rng, schedule, requests
+
+
+class TestLaxityTable:
+    """The fused descent's per-instance table against its oracle."""
+
+    @pytest.mark.parametrize("seed,num_requests,release,deadline,built_at", [
+        (0, 6, 4, 40, 0),
+        (1, 8, 0, 47, 0),
+        (2, 6, 10, 30, 2),     # first lookup at a later request
+        (3, 5, 6, 20, 4),      # first lookup at the last request
+        (4, 1, 12, 12, 0),     # one request, one-slot window
+        (5, 3, 12, 12, 0),     # three requests, one-slot window
+    ])
+    def test_lookups_match_calculate_laxity(self, seed, num_requests,
+                                            release, deadline, built_at):
+        """Place the instance request by request.  Before each placement
+        every slot of the request's window [earliest_j, deadline] looks
+        up what ``calculate_laxity`` gives on the live schedule, also
+        after requests 0..j-1 were added since the table was built —
+        the exactness argument of :class:`LaxityTable`."""
+        rng, schedule, requests = _instance(seed, num_requests, release,
+                                            deadline)
+        table = LaxityTable(requests)
+        earliest = release
+        checked = 0
+        for j in range(num_requests):
+            window = RequestWindow(table, j + 1)
+            if j >= built_at:
+                for slot in range(earliest, deadline + 1):
+                    assert window.laxity(schedule, slot) == calculate_laxity(
+                        schedule, slot, deadline, requests[j + 1:]), (j, slot)
+                    checked += 1
+            free = [slot for slot in range(earliest, deadline + 1)
+                    if not schedule.node_busy(requests[j].sender, slot)
+                    and not schedule.node_busy(requests[j].receiver, slot)]
+            if not free:
+                break
+            slot = int(rng.choice(free[:4]))
+            schedule.add(requests[j], slot, 1)
+            earliest = slot + 1
+        assert checked > 0
+
+    def test_last_request_and_deadline_entries(self):
+        """The last request has an empty T_post (laxity d - s), and at
+        s = d the window is empty (laxity -|T_post|)."""
+        _, schedule, requests = _instance(7, 4, 0, 30)
+        table = laxity_table(schedule, requests)
+        assert table.shape == (4, 31)
+        assert table[-1].tolist() == list(range(30, -1, -1))
+        assert table[:, -1].tolist() == [-3, -2, -1, 0]

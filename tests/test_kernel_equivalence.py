@@ -49,6 +49,7 @@ from repro.experiments.common import (
 from repro.flows.generator import PeriodRange
 from repro.network.graphs import ChannelReuseGraph
 from repro.routing.traffic import TrafficType
+from repro.validate.audit import audit_schedule
 from repro.validate.fuzz import _recorded_work
 
 NUM_SLOTS = 40
@@ -433,6 +434,103 @@ class TestPerPolicyLanes:
         assert remapped.evicted > 0
         assert remapped.schedule.kernel == KERNEL_VECTOR
         assert _lanes(remapped.schedule) > 0
+
+    def test_rc_without_reuse_builds_no_lanes(self, figure1_workload,
+                                              indriya):
+        """An RC run that never leaves ρ = ∞ (9 of the fleet's 32 flow
+        sets) ends with no lane state.  The auto victim finds no shared
+        cell; a victim repair evicts nothing, and a channel blacklist
+        repair re-places at ρ_t on a fresh schedule, registering links
+        as it asks.  Both repairs agree across kernels and audit clean."""
+        network, _ = figure1_workload
+        flow_set = build_workload(network, 15, PeriodRange(0, 3),
+                                  TrafficType.PEER_TO_PEER,
+                                  np.random.default_rng(0))
+        result = FixedPriorityScheduler(
+            num_nodes=network.topology.num_nodes,
+            num_offsets=network.num_channels, reuse_graph=network.reuse,
+            policy=make_policy("RC", 2)).run(flow_set)
+        assert result.schedulable
+        assert result.schedule._link_state is None
+        assert smallest_reused_link(result.schedule) is None
+        topology, _ = indriya
+        narrowed = prepare_network(topology, num_channels=3)
+        changes = {
+            "victim": (ChangeSet(victims=(
+                result.schedule.entries[0].request.link,)),
+                network.reuse),
+            "blacklist": (ChangeSet(channel=ChannelChange(
+                reuse_graph=narrowed.reuse, num_offsets=3,
+                offset_map=(0, 1, 2, None))), narrowed.reuse)}
+        for name, (change, graph) in changes.items():
+            repaired = {}
+            for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
+                with kernel_mode(kernel):
+                    repaired[kernel] = repair_schedule(
+                        result.schedule, flow_set, network.reuse, change,
+                        rho_t=2)
+            scalar, vector = repaired[KERNEL_SCALAR], repaired[KERNEL_VECTOR]
+            assert vector.schedulable and scalar.schedulable
+            assert (scalar.schedule.signature()
+                    == vector.schedule.signature())
+            assert audit_schedule(vector.schedule, graph, 2,
+                                  flow_set=flow_set).ok
+            if name == "victim":
+                assert vector.evicted == 0
+                assert vector.schedule._link_state is None
+            else:
+                assert vector.evicted > 0
+                assert _lanes(vector.schedule) > 0
+
+    def test_rc_builds_lanes_for_the_planned_links(self, figure1_workload,
+                                                   monkeypatch):
+        """Lanes are built once, at the first finite-ρ query, for the
+        links of the flow making it and of every later flow, sized to
+        those distinct links; the run registers nothing else and audits
+        clean.  A repair on a clone adds only earlier flows' links, as
+        they register themselves."""
+        network, flow_set = figure1_workload
+        calls = []
+        register = _kernel._LinkDistanceState.register
+
+        def spy(state, schedule, links):
+            calls.append((list(links), state.dist.shape[2]))
+            return register(state, schedule, links)
+
+        monkeypatch.setattr(_kernel._LinkDistanceState, "register", spy)
+        scheduler = FixedPriorityScheduler(
+            num_nodes=network.topology.num_nodes,
+            num_offsets=network.num_channels, reuse_graph=network.reuse,
+            policy=make_policy("RC", 2))
+        with obs.recording() as recorder:
+            result = scheduler.run(flow_set)
+        assert result.schedulable
+        first = next(event.fields["flow"]
+                     for event in recorder.tracer.events()
+                     if event.kind == "rc_fallback")
+        position = [flow.flow_id for flow in flow_set].index(first)
+        planned = {link for flow in list(flow_set)[position:]
+                   for link in flow.links}
+        earlier = {link for flow in list(flow_set)[:position]
+                   for link in flow.links}
+        assert 0 < position and earlier - planned
+        (built, capacity), = calls
+        assert set(built) == planned and len(built) == len(planned)
+        assert capacity <= len(planned)
+        state = result.schedule._link_state
+        assert set(state.index) == planned
+        assert audit_schedule(result.schedule, network.reuse, 2,
+                              flow_set=flow_set).ok
+        repaired = repair_schedule(
+            result.schedule, flow_set, network.reuse,
+            ChangeSet(victims=(smallest_reused_link(result.schedule),)),
+            rho_t=2)
+        assert repaired.schedulable and repaired.evicted > 0
+        added = set(repaired.schedule._link_state.index) - planned
+        assert added <= earlier
+        assert all(len(links) == 1 for links, _ in calls[1:])
+        assert audit_schedule(repaired.schedule, network.reuse, 2,
+                              flow_set=flow_set).ok
 
     def test_forced_kernels_agree_on_ra_repair(self, figure1_workload,
                                                built):

@@ -48,7 +48,7 @@ class TestCommunicationGraph:
 
     def test_neighbors_sorted(self, grid_topology):
         graph = CommunicationGraph.from_topology(grid_topology, 0.9)
-        assert graph.neighbors(4) == [1, 3, 5, 7]
+        assert graph.neighbors(4) == (1, 3, 5, 7)
 
     def test_degree(self, grid_topology):
         graph = CommunicationGraph.from_topology(grid_topology, 0.9)

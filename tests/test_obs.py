@@ -9,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
+from repro.core.laxity import LaxityTable
 from repro.core.nr import NoReusePolicy
 from repro.core.ra import AggressiveReusePolicy
 from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
@@ -506,8 +507,7 @@ class TestSchedulerIntegration:
         reuse = ChannelReuseGraph.from_topology(line_topology)
         requests = [TransmissionRequest(1, 0, 0, attempt, 4, 5, 0, 1)
                     for attempt in range(2)]
-        remaining = RequestWindow(requests, 1,
-                                  *RequestWindow.arrays_for(requests))
+        remaining = RequestWindow(LaxityTable(requests), 1)
         for rho_reset, persisted in ((RHO_RESET_TRANSMISSION, math.inf),
                                      (RHO_RESET_FLOW, 2)):
             runs = {}

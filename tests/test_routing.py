@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.flows.flow import Flow, FlowSet
-from repro.network.graphs import CommunicationGraph
+from repro.network.graphs import (
+    UNREACHABLE,
+    CommunicationGraph,
+    all_pairs_hops,
+)
 from repro.routing.shortest_path import (
     NoRouteError,
     path_length,
@@ -35,9 +39,44 @@ class TestShortestPath:
         assert path_length(path) == 4
 
     def test_deterministic_tie_break(self, grid_graph):
-        """Among equal-length paths, the smallest-id parents win."""
+        """Among equal-length paths, the first-discovered parents win."""
         assert shortest_path(grid_graph, 0, 8) == shortest_path(grid_graph, 0, 8)
         assert shortest_path(grid_graph, 0, 4) == [0, 1, 4]
+
+    def test_tie_break_keeps_first_discovered_predecessor(self):
+        """Both 9 and 3 reach 7 at depth 2; BFS discovers 9 first (via
+        1 < 5), so the route keeps 9 although 3 is the smaller id."""
+        topo = build_topology(10, [(0, 1), (0, 5), (1, 9), (5, 3),
+                                   (9, 7), (3, 7)])
+        graph = CommunicationGraph.from_topology(topo, 0.9)
+        assert graph.neighbors(7) == (3, 9)
+        assert all(list(graph.neighbors(u)) == sorted(graph.neighbors(u))
+                   for u in range(graph.num_nodes))
+        assert shortest_path(graph, 0, 7) == [0, 1, 9, 7]
+        assert shortest_path_tree(graph, 0)[7] == [0, 1, 9, 7]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_route_is_lexicographically_smallest(self, seed):
+        """The documented consequence: read from the source, the route
+        is the smallest of the equal-length paths."""
+        rng = np.random.default_rng(seed)
+        edges = [(u, v) for u in range(12) for v in range(u + 1, 12)
+                 if rng.random() < 0.25]
+        graph = CommunicationGraph.from_topology(
+            build_topology(12, edges), 0.9)
+        hops = all_pairs_hops(graph.adjacency)
+        for source in range(12):
+            for target in range(12):
+                if hops[source, target] == UNREACHABLE:
+                    continue
+                # Greedy smallest next hop that stays on a shortest path.
+                expected = [source]
+                while expected[-1] != target:
+                    here = expected[-1]
+                    expected.append(min(
+                        v for v in graph.neighbors(here)
+                        if hops[v, target] == hops[here, target] - 1))
+                assert shortest_path(graph, source, target) == expected
 
     def test_self_path(self, grid_graph):
         assert shortest_path(grid_graph, 3, 3) == [3]
