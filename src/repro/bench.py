@@ -3,13 +3,15 @@
 The code makes three choices on speed alone, and this benchmark is the
 measurement behind each of them:
 
-* the placement kernel each policy declares (``policy.kernel``: RC on
-  the vector kernel, NR and RA on the scalar scan), timed on fixed,
-  seeded Figure-1-style workloads (Indriya testbed, 5 channels,
-  centralized traffic) — the paper's Fig 6 quantity, scheduler
-  execution time;
+* RC's fused descent over distance lanes (:mod:`repro.core.kernel`)
+  instead of Algorithm 1's stepwise loop, which stays as its oracle
+  (:func:`repro.core.rc.stepwise_descent`), timed on fixed, seeded
+  Figure-1-style workloads (Indriya testbed, 5 channels, centralized
+  traffic) — the paper's Fig 6 quantity, scheduler execution time.
+  NR and RA have one placement path each, so they have no cell;
 * warm-start repair (:mod:`repro.core.repair`) over the full barrier
-  rebuild for single-victim remediation (``ManagerConfig().repair``);
+  rebuild for single-victim remediation (the manager and the service
+  always try repair first);
 * the batched event simulator over the slot oracle at experiment
   repetition counts (:func:`repro.simulator.engine.engine_for`), on
   reliability-style WUSTL workloads.
@@ -29,17 +31,16 @@ absolute times are gated end to end by ``perfbench`` under the bounds
 of ``BENCHMARK.json``.
 
 Each cell also cross-checks correctness, so a timing can never mask a
-divergence: the two kernels must build identical schedules, the
+divergence: the two RC descents must build identical schedules, the
 repaired schedule must pass the audit, and the two simulator engines
 must produce identical statistics.  Work counters (placements, slots
-scanned) come from one separate recorded pass per workload and policy,
-on the policy's own kernel; the counters do not depend on the kernel.
+scanned) come from one separate recorded pass per workload, on the
+fused descent; the counters do not depend on the descent.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import json
 import os
 import platform
@@ -50,9 +51,8 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.metrics import BoxStats
-from repro.core import kernel as _kernel
+from repro.core.rc import stepwise_descent
 from repro.experiments.common import (
-    POLICY_NAMES,
     build_workload,
     make_policy,
     prepare_network,
@@ -157,46 +157,41 @@ def _placements_of(result) -> List[tuple]:
     return result.schedule.signature()
 
 
-def _schedule_on(kernel: str, network, flow_set, policy: str):
-    with _kernel.kernel_mode(kernel):
-        return schedule_workload(network, flow_set, policy)
+def _schedule_stepwise(network, flow_set):
+    with stepwise_descent():
+        return schedule_workload(network, flow_set, "RC")
 
 
 def bench_schedulers(flow_counts: Sequence[int], seed: int,
                      rounds: int) -> List[Dict]:
-    """Kernel decision per (flow count, policy).
+    """RC's descent decision per flow count.
 
-    Times the policy's declared kernel against the other one, both
-    forced with :func:`repro.core.kernel.kernel_mode`, and aborts if
-    they build different schedules.
+    Times the fused descent against the stepwise loop (forced with
+    :func:`repro.core.rc.stepwise_descent`) and aborts if they build
+    different schedules.
     """
     network, workloads = _workloads(flow_counts, seed)
     cells: List[Dict] = []
     for num_flows, flow_set in workloads:
-        for policy in POLICY_NAMES:
-            decision, results = _decide(
-                {kernel: functools.partial(_schedule_on, kernel, network,
-                                           flow_set, policy)
-                 for kernel in (_kernel.KERNEL_SCALAR,
-                                _kernel.KERNEL_VECTOR)},
-                make_policy(policy).kernel, rounds)
-            if (_placements_of(results[_kernel.KERNEL_SCALAR])
-                    != _placements_of(results[_kernel.KERNEL_VECTOR])):
-                raise AssertionError(
-                    f"kernel divergence: {policy} at {num_flows} flows "
-                    f"produced different schedules under the scalar "
-                    f"and vector kernels")
-            with obs.recording() as recorder:
-                result = schedule_workload(network, flow_set, policy)
-            counters = recorder.snapshot()["counters"]
-            cells.append({
-                "name": f"{policy}@{num_flows}", "num_flows": num_flows,
-                "policy": policy, **decision,
-                "schedulable": result.schedulable,
-                "placements": int(counters.get("scheduler.placements", 0)),
-                "slots_scanned":
-                    int(counters.get("scheduler.slots_scanned", 0)),
-            })
+        decision, results = _decide({
+            "fused": lambda: schedule_workload(network, flow_set, "RC"),
+            "stepwise": lambda: _schedule_stepwise(network, flow_set),
+        }, "fused", rounds)
+        if (_placements_of(results["fused"])
+                != _placements_of(results["stepwise"])):
+            raise AssertionError(
+                f"descent divergence: RC at {num_flows} flows built "
+                f"different schedules on the fused and stepwise paths")
+        with obs.recording() as recorder:
+            result = schedule_workload(network, flow_set, "RC")
+        counters = recorder.snapshot()["counters"]
+        cells.append({
+            "name": f"RC@{num_flows}", "num_flows": num_flows,
+            "policy": "RC", **decision,
+            "schedulable": result.schedulable,
+            "placements": int(counters.get("scheduler.placements", 0)),
+            "slots_scanned": int(counters.get("scheduler.slots_scanned", 0)),
+        })
     return cells
 
 
@@ -208,9 +203,9 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
     deterministic victim link (the smallest link in any shared cell),
     and times both remediation paths:
 
-    * **repair** — :func:`repro.core.repair.repair_schedule` evicting
-      the victim's blast radius and re-placing it against the warm
-      busy matrices;
+    * **repair** (chosen: the manager and the service try it first) —
+      :func:`repro.core.repair.repair_schedule` evicting the victim's
+      blast radius and re-placing it against the warm busy matrices;
     * **rebuild** — :func:`repro.core.reschedule
       .reschedule_without_reuse_on` re-running the full scheduler
       under a reuse-barrier policy.
@@ -222,10 +217,8 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
     from repro.core.repair import (ChangeSet, repair_schedule,
                                    smallest_reused_link)
     from repro.core.reschedule import reschedule_without_reuse_on
-    from repro.manager.loop import ManagerConfig
     from repro.validate.audit import audit_schedule
 
-    chosen = "repair" if ManagerConfig().repair else "rebuild"
     network, workloads = _workloads(flow_counts, seed)
     cells: List[Dict] = []
     for num_flows, flow_set in workloads:
@@ -250,7 +243,7 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
                 flow_set, network.topology.num_nodes,
                 network.num_channels, network.reuse,
                 make_policy("RC", DEFAULT_RHO_T), {victim}),
-        }, chosen, rounds)
+        }, "repair", rounds)
         outcome = results["repair"]
         cell.update(victim=list(victim), **decision,
                     schedulable={"repair": outcome.schedulable,

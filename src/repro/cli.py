@@ -188,8 +188,7 @@ def _manager_config(args: argparse.Namespace):
         num_epochs=args.epochs, repetitions_per_epoch=reps,
         num_flows=flows, channels=tuple(args.channels),
         seed=args.seed or 0, warmup_epochs=warmup,
-        confirm_epochs=confirm, cooldown_epochs=cooldown,
-        repair=not args.no_repair, slo=slo)
+        confirm_epochs=confirm, cooldown_epochs=cooldown, slo=slo)
 
 
 def _print_manager_report(report) -> None:
@@ -850,9 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--slo-early-warning", action="store_true",
                        help="let the reschedule policy act on SLO "
                             "burn alerts before K-S confirmation")
-        p.add_argument("--no-repair", action="store_true",
-                       help="disable incremental repair: remediate by "
-                            "full rebuild only")
 
     p = sub.add_parser("manage",
                        help="closed-loop manager under a fault scenario")

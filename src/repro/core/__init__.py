@@ -10,8 +10,6 @@ from repro.core.constraints import (
     validate_schedule,
 )
 from repro.core.kernel import (
-    KERNEL_SCALAR,
-    KERNEL_VECTOR,
     best_reuse_distance,
     min_reuse_distance,
     plan_links,
@@ -55,8 +53,6 @@ __all__ = [
     "ConservativeReusePolicy",
     "DEFAULT_RHO_T",
     "FixedPriorityScheduler",
-    "KERNEL_SCALAR",
-    "KERNEL_VECTOR",
     "LaxityTable",
     "NO_REUSE",
     "NoReusePolicy",

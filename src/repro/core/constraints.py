@@ -64,9 +64,9 @@ def feasible_offsets_scalar(schedule: Schedule,
     """All channel offsets satisfying the channel constraint in a slot.
 
     Assumes the transmission-conflict check for the slot already passed.
-    Checks one offset, one occupant at a time: the scalar kernel's scan
-    (see :mod:`repro.core.kernel`) and the oracle the vector kernel's
-    distance stacks are tested against.
+    Checks one offset, one occupant at a time: ``find_slot``'s
+    finite-ρ scan, and the oracle RC's distance lanes
+    (:mod:`repro.core.kernel`) are tested against.
     """
     return [offset for offset in range(schedule.num_offsets)
             if offset_satisfies_channel_constraint(

@@ -1,14 +1,14 @@
-"""Vectorized placement kernel (channel-constraint evaluation).
+"""Distance lanes: the accelerator behind RC's fused descent.
 
 The paper's Section V-A channel constraint asks, for a candidate
 transmission ``(u, v)`` and a cell ``(s, c)`` holding occupants
 ``{(x_k, y_k)}``: is every ``hops[u, y_k]`` and every ``hops[x_k, v]``
-at least ρ?  The scalar reference implementation in
-:mod:`repro.core.constraints` answers that one slot, one offset, one
-occupant at a time; this module answers it for *all* offsets of *all*
-candidate slots in a handful of NumPy operations against the schedule's
-incremental occupancy arrays (see :meth:`repro.core.schedule.Schedule
-.occupancy`) and the reuse graph's precomputed hop matrix.
+at least ρ?  The scalar scan in :mod:`repro.core.constraints` answers
+that one slot, one offset, one occupant at a time; it is ``find_slot``'s
+only finite-ρ path.  This module answers it for *all* offsets of *all*
+candidate slots against the schedule's incremental occupancy arrays
+(see :meth:`repro.core.schedule.Schedule.occupancy`) and the reuse
+graph's precomputed hop matrix.
 
 The central quantity is the **min-reuse-distance** of a cell for a
 candidate ``(u, v)``::
@@ -18,46 +18,36 @@ candidate ``(u, v)``::
 with :data:`INFINITE_DISTANCE` for empty cells and unreachable pairs.
 A cell satisfies the channel constraint at hop count ρ iff
 ``dist[s, c] >= rho`` — so one distance array answers the constraint
-for *every* finite ρ by re-thresholding.  RC exploits exactly that: its
-Algorithm-1 loop retries the same request at descending ρ against the
-same array.
+for *every* finite ρ by re-thresholding.  That is what Algorithm 1
+needs, and only Algorithm 1: RC re-tests one request at descending ρ
+against the same array (:meth:`repro.core.rc.ConservativeReusePolicy
+._descend_fused`).  NR never asks a finite-ρ question and RA asks once
+per request, so both run the scalar scan.
 
 Workloads reuse links heavily — every retransmission attempt, every
 release instance, and every route sharing a hop asks about the same
-``(u, v)`` — so the kernel maintains the distance arrays *incrementally*
-per distinct link on the schedule (:class:`_LinkDistanceState`): adding
-an occupant ``(x, y)`` to cell ``(s, c)`` lowers ``dist[s, c]`` of every
-tracked link by one vectorized minimum, and queries return zero-copy
-views.  ``best[s] = max_c dist[s, c]`` rides along so "does *any*
-offset of slot ``s`` admit ρ?" is a single comparison.
+``(u, v)`` — so the distance arrays are maintained *incrementally* per
+distinct link (:class:`_LinkDistanceState`): adding an occupant
+``(x, y)`` to cell ``(s, c)`` lowers ``dist[s, c]`` of every tracked
+link by one vectorized minimum, and queries return zero-copy views.
+``best[s] = max_c dist[s, c]`` rides along so "does *any* offset of
+slot ``s`` admit ρ?" is a single comparison.
 
 The lanes are built on first use.  RC asks finite-ρ questions only once
 laxity turns negative, late in a run or never, so a schedule carries no
 lanes until its first finite-ρ query.  That query registers, in one
 pass over the occupied cells, every link the run can still ask about:
 the engine names them at each flow start (:func:`plan_links`, the links
-of that flow and of every later one).  A link outside the plan (repair
-on a clone, the channel remap's fresh schedule, a direct query)
-registers itself through the same routine.
-
-The kernel is a fixed property of each placement policy, measured once
-and recorded on the schedule it builds (``Schedule.kernel``): RC runs on
-the distance stacks, whose cost its descending-ρ retries amortize; NR
-and RA run the scalar scan.  RA asks at its fixed floor from the first
-placement on, so the per-``add`` lane maintenance never pays for
-itself; NR never leaves ρ = ∞, where both kernels scan for empty cells
-alike.
-Tests, the differential fuzzer and ``repro bench`` force either kernel
-for any policy to check the two against each other::
-
-    with kernel_mode(KERNEL_SCALAR):
-        result = scheduler.run(flow_set)   # the scalar reference path
+of that flow and of every later one).  A link outside the plan (a
+direct query) registers itself through the same routine.  Lanes belong
+to the schedule RC compiled: ``Schedule.clone`` does not copy them and
+``Schedule.evict`` drops them, so repairs run the scalar scan on a
+schedule without lanes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,43 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 #: unreachable node pairs.  Large enough to exceed any real hop count,
 #: small enough that int32 arithmetic cannot overflow.
 INFINITE_DISTANCE = np.int32(2 ** 30)
-
-#: The incremental distance stacks (RC's kernel).
-KERNEL_VECTOR = "vector"
-#: The scalar scan, one cell at a time (NR's and RA's kernel, and the
-#: reference oracle for the vector kernel).
-KERNEL_SCALAR = "scalar"
-
-#: The kernel :func:`kernel_mode` forces on every schedule, or None.
-_OVERRIDE: Optional[str] = None
-
-
-def vectorized(schedule: "Schedule") -> bool:
-    """Whether placement on ``schedule`` runs the vector kernel.
-
-    The schedule's own kernel (its policy's declaration) decides,
-    unless :func:`kernel_mode` forces one.  Every kernel branch point in
-    :mod:`repro.core` asks this.
-    """
-    return (_OVERRIDE or schedule.kernel) == KERNEL_VECTOR
-
-
-@contextmanager
-def kernel_mode(mode: str) -> Iterator[None]:
-    """Force one kernel on every schedule inside a ``with`` block.
-
-    A test and benchmark hook: the fuzzer, the kernel-equivalence tests
-    and ``repro bench`` use it to run any policy under either kernel.
-    """
-    global _OVERRIDE
-    if mode not in (KERNEL_VECTOR, KERNEL_SCALAR):
-        raise ValueError(f"unknown kernel mode: {mode!r}")
-    previous = _OVERRIDE
-    _OVERRIDE = mode
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
 
 
 class _LinkDistanceState:
@@ -145,24 +98,6 @@ class _LinkDistanceState:
         # hops): cache each occupant link's all-lanes candidate vector.
         # Keyed vectors are count-length; adding a lane invalidates.
         self.candidates: dict = {}
-
-    def clone(self) -> "_LinkDistanceState":
-        """An independent copy for :meth:`repro.core.schedule.Schedule
-        .clone`: lane arrays are copied, the graph and its hop matrix
-        (both read-only) are shared."""
-        dup = _LinkDistanceState.__new__(_LinkDistanceState)
-        dup.graph = self.graph
-        dup.hops = self.hops
-        dup.index = dict(self.index)
-        dup.senders = self.senders.copy()
-        dup.receivers = self.receivers.copy()
-        dup.dist = self.dist.copy()
-        dup.best = self.best.copy()
-        dup.count = self.count
-        # Cached candidate vectors are never mutated in place, so the
-        # clone may keep serving them.
-        dup.candidates = dict(self.candidates)
-        return dup
 
     def _grow(self, needed: int) -> None:
         lanes = max(needed, 2 * self.dist.shape[2])
@@ -312,10 +247,10 @@ def cell_distances(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",
 
     Unlike :func:`min_reuse_distance` this does not touch the
     incremental link-state lanes: it recomputes from the occupancy
-    planes and the hop matrix, so the answer is identical under either
-    kernel mode and never perturbs the hot-path state.  Provenance and
-    ``repro explain`` are the intended callers; placement uses the
-    incremental views above.
+    planes and the hop matrix, so the answer is the same whether or not
+    the schedule carries lanes, and it never builds or perturbs them.
+    Provenance and ``repro explain`` are the intended callers; RC's
+    fused descent uses the incremental views above.
     """
     counts, occ_senders, occ_receivers = schedule.occupancy()
     capacity = occ_senders.shape[2]

@@ -50,7 +50,7 @@ def calculate_laxity(schedule: Schedule, slot: int, deadline_slot: int,
         fit before the deadline.
 
     One ``q`` term per remaining transmission: RC's stepwise loop (the
-    scalar kernel) calls this, and :class:`LaxityTable`, which the fused
+    oracle) calls this, and :class:`LaxityTable`, which the fused
     descent reads, is tested against it.
     """
     window_slots = deadline_slot - slot

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.core.constraints import NO_REUSE
-from repro.core.kernel import KERNEL_SCALAR
 from repro.core.schedule import Schedule
 from repro.core.scheduler import OFFSET_FIRST, find_slot
 from repro.core.transmissions import TransmissionRequest
@@ -23,11 +22,6 @@ class NoReusePolicy:
     """Earliest slot, exclusive channel (WirelessHART default)."""
 
     name = "NR"
-
-    #: NR never consults reuse distances (ρ = ∞ is an empty-cell scan),
-    #: so the vector kernel's per-link distance stacks would be pure
-    #: per-placement overhead.
-    kernel = KERNEL_SCALAR
 
     def start_flow(self, flow: Flow) -> None:
         """No per-flow state."""

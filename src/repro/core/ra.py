@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from repro.core.kernel import KERNEL_SCALAR
 from repro.core.schedule import Schedule
 from repro.core.scheduler import OFFSET_FIRST, find_slot
 from repro.core.transmissions import TransmissionRequest
@@ -31,14 +30,7 @@ class AggressiveReusePolicy:
 
     Attributes:
         rho_t: The (only) reuse hop count RA ever checks.
-
-    RA runs on the scalar kernel: it places each request once, at ρ_t,
-    so the vector kernel's per-placement distance maintenance never
-    amortizes (the RA ``speedup`` cells of ``BENCH_schedulers.json``
-    stay below 1 at every flow count).
     """
-
-    kernel = KERNEL_SCALAR
 
     rho_t: int = DEFAULT_RHO_T
     name: str = "RA"

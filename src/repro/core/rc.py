@@ -14,12 +14,22 @@ Interpretation note (see DESIGN.md §6): Algorithm 1 as printed resets
 ρ ← ∞ once per *flow*, while the prose resets it per *transmission*.
 The per-transmission reset is the more conservative reading and is the
 default; ``rho_reset="flow"`` reproduces the literal pseudocode.
+
+RC places through a fused descent that reads the distance lanes of
+:mod:`repro.core.kernel`.  The loop as printed — ``findSlot`` then
+``calculateLaxity`` per ρ — stays as its oracle; tests, the
+differential fuzzer and ``repro bench`` run it inside
+:func:`stepwise_descent`::
+
+    with stepwise_descent():
+        result = scheduler.run(flow_set)   # RC's oracle path
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,10 +39,10 @@ from repro.core.laxity import calculate_laxity
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
+    OFFSET_FIRST,
     OFFSET_LEAST_LOADED,
     OFFSET_RULES,
     find_slot,
-    pick_offset,
 )
 from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.flows.flow import Flow
@@ -41,6 +51,23 @@ from repro.obs import recorder as _obs
 
 #: Buckets for the final-ρ fallback histogram (ρ is a small hop count).
 _FALLBACK_RHO_BUCKETS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+#: Set inside :func:`stepwise_descent`: RC runs its stepwise oracle.
+_STEPWISE = False
+
+
+@contextmanager
+def stepwise_descent() -> Iterator[None]:
+    """Run RC on its stepwise loop, the fused descent's oracle, inside a
+    ``with`` block.  A test, fuzz and benchmark hook; production never
+    sets it."""
+    global _STEPWISE
+    previous = _STEPWISE
+    _STEPWISE = True
+    try:
+        yield
+    finally:
+        _STEPWISE = previous
 
 
 def _jsonable_rho(rho: float):
@@ -78,6 +105,30 @@ def _note_descent(recorder, request: TransmissionRequest, from_rho: float,
         recorder.provenance.record_descent(from_rho, to_rho)
 
 
+def _pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
+                 sender: int, receiver: int, slot: int, rho: float,
+                 offset_rule: str) -> int:
+    """The fused descent's channel offset in a slot feasible at ``rho``.
+
+    At ρ = ∞ every feasible offset is an empty cell, so both rules pick
+    the lowest free one.  At finite ρ the link's distance lane is
+    thresholded against ρ, then ``"first"`` takes the lowest feasible
+    offset and ``"least_loaded"`` the one with the fewest occupants, as
+    ``find_slot`` picks for the stepwise loop.
+    """
+    if rho == NO_REUSE:
+        return schedule.first_free_offset(slot)
+    row = _kernel.min_reuse_distance(
+        schedule, reuse_graph, sender, receiver, slot, slot)[0] >= rho
+    if offset_rule == OFFSET_FIRST:
+        return int(np.argmax(row))
+    offsets = np.flatnonzero(row)
+    counts = schedule.occupancy()[0][slot, offsets]
+    # argmin returns the first minimum; offsets ascend, so ties break
+    # toward the lowest offset like the scalar (cell_size, offset) key.
+    return int(offsets[int(np.argmin(counts))])
+
+
 #: Valid values for the ρ reset scope.
 RHO_RESET_TRANSMISSION = "transmission"
 RHO_RESET_FLOW = "flow"
@@ -97,13 +148,11 @@ class ConservativeReusePolicy:
             The paper's RC picks the least-loaded feasible channel
             (default); ``"first"`` is available for ablation studies.
 
-    RC runs on the vector kernel: Algorithm 1 re-tests the same request
-    at descending ρ, which re-thresholds one incrementally maintained
-    distance row instead of rescanning every cell per ρ (the RC
-    ``speedup`` cells of ``BENCH_schedulers.json``).
+    RC places through its fused descent: Algorithm 1 re-tests the same
+    request at descending ρ, which re-thresholds one incrementally
+    maintained distance lane instead of rescanning every cell per ρ
+    (the ``RC@`` cells of ``BENCH_schedulers.json``).
     """
-
-    kernel = _kernel.KERNEL_VECTOR
 
     rho_t: int = DEFAULT_RHO_T
     rho_reset: str = RHO_RESET_TRANSMISSION
@@ -141,18 +190,18 @@ class ConservativeReusePolicy:
         laxity estimate is conservative); the engine rejects it only if
         it misses the deadline — which ``findSlot`` already enforces.
 
-        The vector kernel runs the fused descent, the scalar kernel the
-        stepwise loop (its oracle).  Both count, trace and narrate every
-        probe, laxity evaluation and ρ step identically; the recorder
-        only decides whether they do.
+        Production runs the fused descent; :func:`stepwise_descent`
+        selects the stepwise loop, its oracle.  Both count, trace and
+        narrate every probe, laxity evaluation and ρ step identically;
+        the recorder only decides whether they do.
         """
         recorder = _obs.RECORDER if _obs.ENABLED else None
         if recorder is not None:
             recorder.count("policy.RC.place_calls")
         rho = (NO_REUSE if self.rho_reset == RHO_RESET_TRANSMISSION
                else self._rho)
-        descend = (self._descend_fused if _kernel.vectorized(schedule)
-                   else self._descend_stepwise)
+        descend = (self._descend_stepwise if _STEPWISE
+                   else self._descend_fused)
         best, best_rho, rho = descend(schedule, reuse_graph, request,
                                       earliest, remaining, rho, recorder)
 
@@ -179,7 +228,7 @@ class ConservativeReusePolicy:
                           remaining: Sequence[TransmissionRequest],
                           rho: float, recorder) -> tuple:
         """The descent as printed: ``findSlot`` then ``calculateLaxity``
-        per ρ.  The scalar kernel's path and the fused descent's oracle.
+        per ρ.  The fused descent's oracle (:func:`stepwise_descent`).
 
         Returns ``(placement, its ρ, the ρ the descent exited at)``.
         Each loop steps ρ from ∞ to λ_R, then down by one; a step below
@@ -216,11 +265,10 @@ class ConservativeReusePolicy:
         """Algorithm 1's whole ρ descent against precomputed windows.
 
         The stepwise loop re-runs ``findSlot`` and ``calculateLaxity``
-        at every ρ; with the vectorized kernel the per-call work is tiny
-        but the call overhead is not.  This path evaluates each ρ probe
-        against the kernel's incrementally-maintained best-distance
-        view: one running maximum per placement, then a single
-        ``searchsorted`` per ρ.  Equation 1 is a lookup in the
+        at every ρ.  This path evaluates each ρ probe against the
+        link's incrementally-maintained best-distance lane
+        (:mod:`repro.core.kernel`): one running maximum per placement,
+        then a single ``searchsorted`` per ρ.  Equation 1 is a lookup in the
         instance's table (:class:`repro.core.laxity.LaxityTable`),
         built at the instance's first evaluation.  Placements, exit ρ,
         counters, events and provenance are identical to the stepwise
@@ -271,7 +319,7 @@ class ConservativeReusePolicy:
                 if scanned:
                     recorder.count("scheduler.slots_scanned", scanned)
                 if prov is not None:
-                    found = None if slot is None else (slot, pick_offset(
+                    found = None if slot is None else (slot, _pick_offset(
                         schedule, reuse_graph, sender, receiver, slot, rho,
                         self.offset_rule))
                     prov.record_probe(schedule, reuse_graph, request, rho,
@@ -291,7 +339,7 @@ class ConservativeReusePolicy:
 
         # Only the kept probe's offset is used, so it is picked once,
         # here; provenance alone needs one per probe.
-        best = None if best_slot is None else (best_slot, pick_offset(
+        best = None if best_slot is None else (best_slot, _pick_offset(
             schedule, reuse_graph, sender, receiver, best_slot, best_rho,
             self.offset_rule))
         return best, best_rho, rho

@@ -19,15 +19,16 @@ implements that locality as a three-step delta-scheduler:
    survivor keeps a valid precedence bound.
 2. **Eviction** — :meth:`repro.core.schedule.Schedule.evict` on a clone
    removes exactly those cells with full bookkeeping rollback (busy
-   matrix, occupancy planes, used-offset masks, slot lists, and the
-   vectorized kernel's incremental distance stacks), cross-checked by
-   the auditor's bookkeeping invariants.
+   matrix, occupancy planes, used-offset masks, slot lists),
+   cross-checked by the auditor's bookkeeping invariants.  The clone
+   carries none of RC's distance lanes.
 3. **Re-placement** — evicted transmissions are re-placed in priority
    order with ``findSlot`` against the *existing* busy matrices: barred
    links at ρ = ∞ (an exclusive cell), everything else at the policy's
-   floor ρ_t, refusing to join a cell that holds a barred occupant (the
-   same protection :class:`repro.core.reschedule.ReuseBarrierPolicy`
-   enforces during a full rebuild).
+   floor ρ_t with the scalar scan, refusing to join a cell that holds a
+   barred occupant (the same protection
+   :class:`repro.core.reschedule.ReuseBarrierPolicy` enforces during a
+   full rebuild).
 
 Repair preserves the Section V-A correctness contract at the configured
 floor — the auditor accepts exactly the same invariants either way —
@@ -169,7 +170,7 @@ def _pair_distance(hops, first: ScheduledTransmission,
                    second: ScheduledTransmission) -> int:
     """Effective reuse distance between two co-located transmissions:
     ``min(hops[u, y], hops[x, v])`` on the *effective* hop matrix
-    (unreachable pairs already carry the kernel's infinite sentinel)."""
+    (unreachable pairs already carry the infinite-distance sentinel)."""
     u, v = first.request.sender, first.request.receiver
     x, y = second.request.sender, second.request.receiver
     return min(int(hops[u, y]), int(hops[x, v]))
@@ -290,7 +291,7 @@ def _remap_schedule(schedule: Schedule, doomed: List[int],
     """A fresh schedule on the restricted channel set: survivors re-added
     at their remapped offsets, the blast radius left out."""
     work = Schedule(schedule.num_nodes, schedule.num_slots,
-                    channel.num_offsets, kernel=schedule.kernel)
+                    channel.num_offsets)
     doomed_set = set(doomed)
     evicted: List[ScheduledTransmission] = []
     for index, entry in enumerate(schedule.entries):
@@ -345,8 +346,7 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
     schedule is never mutated — the manager's rollback keeps serving
     it), and re-places the evicted transmissions in priority order
     against the surviving busy matrices.  O(blast radius) placements
-    instead of O(all flows).  Re-placement runs on the kernel the
-    schedule carries (its building policy's), like the original run.
+    instead of O(all flows), each one ``find_slot`` call.
 
     Args:
         schedule: The running schedule (left untouched).

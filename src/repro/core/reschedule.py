@@ -61,9 +61,6 @@ class ReuseBarrierPolicy:
             expanded.add((v, u))
         self.victim_links = expanded
         self.name = f"{self.inner.name}+barrier"
-        # The barrier only redirects victims to exclusive cells, which
-        # neither kernel accelerates: run on the inner policy's kernel.
-        self.kernel = self.inner.kernel
 
     def start_flow(self, flow: Flow) -> None:
         """Forward the flow hook to the inner policy."""
@@ -106,10 +103,12 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
                                 policy: PlacementPolicy,
                                 victim_links: Iterable[Link],
                                 attempts_per_link: int = 2,
-                                mode: str = "rebuild",
-                                schedule: Optional[Schedule] = None,
                                 ) -> SchedulingResult:
-    """Re-schedule with victim links barred from channel reuse.
+    """Re-schedule from scratch with victim links barred from channel reuse.
+
+    The full rebuild under a :class:`ReuseBarrierPolicy`.  The manager
+    and the service try warm-start repair (:mod:`repro.core.repair`)
+    first and fall back to this.
 
     Args:
         flow_set: The routed, priority-ordered flows (same input as the
@@ -121,14 +120,6 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
         victim_links: Links the detection policy flagged as
             reuse-degraded (direction-insensitive).
         attempts_per_link: Source-routing attempt count.
-        mode: ``"rebuild"`` re-runs the scheduler from scratch under a
-            :class:`ReuseBarrierPolicy`; ``"repair"`` warm-starts from
-            the running ``schedule`` via :mod:`repro.core.repair` —
-            evicting only the victims' blast radius and re-placing it —
-            and falls back to the full rebuild when repair cannot place
-            every evicted transmission.
-        schedule: The running schedule ``mode="repair"`` starts from
-            (never mutated).
 
     Returns:
         The new scheduling result.  The workload may become
@@ -136,26 +127,8 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
         the operator's signal that more channels (or a looser ρ_t) are
         needed.
     """
-    if mode not in ("rebuild", "repair"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    victims = set(victim_links)
-    if mode == "repair":
-        if schedule is None:
-            raise ValueError("mode='repair' needs the running schedule")
-        from repro.core.repair import ChangeSet, repair_schedule
-
-        outcome = repair_schedule(
-            schedule, flow_set, reuse_graph,
-            ChangeSet(victims=tuple(sorted(victims))),
-            rho_t=getattr(policy, "rho_t", NO_REUSE),
-            policy_name=policy.name, attempts_per_link=attempts_per_link)
-        if outcome.schedulable:
-            return SchedulingResult(
-                schedulable=True, schedule=outcome.schedule,
-                flow_set=flow_set, policy_name=f"{policy.name}+repair",
-                elapsed_s=outcome.elapsed_s)
-        # Repair failed placement: fall back to the full rebuild below.
-    barrier = ReuseBarrierPolicy(inner=policy, victim_links=victims)
+    barrier = ReuseBarrierPolicy(inner=policy,
+                                 victim_links=set(victim_links))
     scheduler = FixedPriorityScheduler(
         num_nodes=num_nodes, num_offsets=num_offsets,
         reuse_graph=reuse_graph, policy=barrier,

@@ -11,8 +11,8 @@ their hot paths:
   statistics;
 * per-slot used-offset bitmasks — fast "any free channel?" queries;
 * incremental NumPy occupancy arrays — per-cell occupant counts plus
-  sender/receiver index planes, consumed wholesale by the vectorized
-  placement kernel (:mod:`repro.core.kernel`).
+  sender/receiver index planes, from which RC's distance lanes
+  (:mod:`repro.core.kernel`) and the auditor read whole cells at once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernel import INFINITE_DISTANCE, KERNEL_SCALAR
 from repro.core.transmissions import TransmissionRequest
 
 
@@ -45,37 +44,32 @@ class Schedule:
         num_nodes: Number of devices.
         num_slots: Hyperperiod length in slots.
         num_offsets: Number of channel offsets ``|M|``.
-        kernel: The placement kernel that places onto this schedule
-            (see :mod:`repro.core.kernel`): the building policy's
-            declaration, carried through clones and repairs.
     """
 
-    def __init__(self, num_nodes: int, num_slots: int, num_offsets: int,
-                 kernel: str = KERNEL_SCALAR):
+    def __init__(self, num_nodes: int, num_slots: int, num_offsets: int):
         if num_nodes <= 0 or num_slots <= 0 or num_offsets <= 0:
             raise ValueError("dimensions must be positive")
         self.num_nodes = num_nodes
         self.num_slots = num_slots
         self.num_offsets = num_offsets
-        self.kernel = kernel
         self._entries: List[ScheduledTransmission] = []
         self._busy = np.zeros((num_nodes, num_slots), dtype=bool)
         self._cells: Dict[Tuple[int, int], List[int]] = {}
         self._used_mask = np.zeros(num_slots, dtype=np.int32)
         self._slot_entries: Dict[int, List[int]] = {}
-        # Occupancy arrays for the vectorized kernel: per-cell occupant
-        # counts plus sender/receiver index planes.  The occupant
-        # capacity (3rd axis) starts at zero and doubles on demand, so
-        # empty schedules stay cheap.
+        # Occupancy arrays: per-cell occupant counts plus sender/receiver
+        # index planes.  The occupant capacity (3rd axis) starts at zero
+        # and doubles on demand, so empty schedules stay cheap.
         self._occ_count = np.zeros((num_slots, num_offsets), dtype=np.int32)
         self._occ_senders = np.zeros((num_slots, num_offsets, 0),
                                      dtype=np.int32)
         self._occ_receivers = np.zeros((num_slots, num_offsets, 0),
                                        dtype=np.int32)
-        # Incremental per-link min-reuse-distance stacks, built by
-        # repro.core.kernel at the first finite-ρ query for the links
-        # the engine planned (kernel.plan_links); add() keeps them
-        # current once they exist.
+        # RC's incremental per-link min-reuse-distance lanes, built by
+        # repro.core.kernel at the fused descent's first finite-ρ query
+        # for the links the engine planned (kernel.plan_links); add()
+        # keeps them current once they exist, clone() and evict() drop
+        # them.
         self._link_state = None
         self._link_plan = ()
         # canonical_hash() memo; every entry mutation clears it.
@@ -152,10 +146,11 @@ class Schedule:
 
         Entries are frozen dataclasses and safe to share; every mutable
         bookkeeping structure — busy matrix, cell/slot index maps,
-        used-offset masks, occupancy planes, and the kernel's
-        incremental distance stacks, if built — is copied so mutations
-        of the clone (``add``/``evict``) never leak into the original.
-        The incremental repair path (:mod:`repro.core.repair`) edits a
+        used-offset masks, occupancy planes — is copied so mutations of
+        the clone (``add``/``evict``) never leak into the original.
+        RC's distance lanes and link plan are not copied: the clone's
+        placements (repair's re-placement) run the scalar scan.  The
+        incremental repair path (:mod:`repro.core.repair`) edits a
         clone so the manager's rollback can keep serving the old
         schedule.
         """
@@ -163,7 +158,6 @@ class Schedule:
         dup.num_nodes = self.num_nodes
         dup.num_slots = self.num_slots
         dup.num_offsets = self.num_offsets
-        dup.kernel = self.kernel
         dup._entries = list(self._entries)
         dup._busy = self._busy.copy()
         dup._cells = {cell: list(ix) for cell, ix in self._cells.items()}
@@ -173,9 +167,8 @@ class Schedule:
         dup._occ_count = self._occ_count.copy()
         dup._occ_senders = self._occ_senders.copy()
         dup._occ_receivers = self._occ_receivers.copy()
-        dup._link_state = (None if self._link_state is None
-                           else self._link_state.clone())
-        dup._link_plan = self._link_plan
+        dup._link_state = None
+        dup._link_plan = ()
         dup._hash = self._hash
         return dup
 
@@ -183,11 +176,12 @@ class Schedule:
         """Remove entries by index, rolling back all bookkeeping.
 
         The inverse of :meth:`add` for a batch of entries: the busy
-        matrix, cell and slot index maps, used-offset masks, occupancy
-        planes, and the kernel's incremental distance stacks are all
-        restored to exactly the state a fresh schedule containing only
-        the surviving entries would have (the auditor's bookkeeping
-        checks cross-verify this).  Surviving entries keep their
+        matrix, cell and slot index maps, used-offset masks and
+        occupancy planes are all restored to exactly the state a fresh
+        schedule containing only the surviving entries would have (the
+        auditor's bookkeeping checks cross-verify this).  RC's distance
+        lanes, if built, are dropped rather than patched; a later
+        finite-ρ query rebuilds them.  Surviving entries keep their
         relative placement order but are re-indexed, so previously held
         entry indices are invalid after eviction.
 
@@ -248,39 +242,13 @@ class Schedule:
             self._occ_count[slot, offset] = count
             self._occ_senders[slot, offset, count:] = 0
             self._occ_receivers[slot, offset, count:] = 0
-        if self._link_state is not None:
-            self._refresh_link_distances(affected_cells, affected_slots)
+        self._link_state = None
         return evicted
-
-    def _refresh_link_distances(self, cells: Iterable[Tuple[int, int]],
-                                slots: Iterable[int]) -> None:
-        """Recompute the kernel's distance rows for the given cells.
-
-        ``add`` only ever *lowers* distances (one vectorized minimum per
-        occupant), so removing an occupant needs a from-scratch minimum
-        over each touched cell's survivors, then a per-slot ``best``
-        refresh.
-        """
-        state = self._link_state
-        n = state.count
-        if not n:
-            return
-        for slot, offset in cells:
-            row = state.dist[slot, offset, :n]
-            row[:] = INFINITE_DISTANCE
-            for i in self._cells.get((slot, offset), ()):
-                request = self._entries[i].request
-                np.minimum(row,
-                           state.occupant_candidates(request.sender,
-                                                     request.receiver),
-                           out=row)
-        for slot in slots:
-            state.dist[slot, :, :n].max(axis=0, out=state.best[slot, :n])
 
     def _update_link_distances(self, x: int, y: int, slot: int,
                                offset: int) -> None:
         """Fold a new occupant ``(x, y)`` of cell ``(slot, offset)`` into
-        every tracked link's min-reuse-distance row (see
+        every tracked link's min-reuse-distance lane (see
         :mod:`repro.core.kernel`): one vectorized minimum over links."""
         state = self._link_state
         n = state.count
@@ -291,7 +259,7 @@ class Schedule:
         state.dist[slot, :, :n].max(axis=0, out=state.best[slot, :n])
 
     def _grow_occupancy(self, needed: int) -> None:
-        """Double the occupant capacity of the kernel arrays."""
+        """Double the occupant capacity of the occupancy planes."""
         capacity = max(needed, 2 * max(self._occ_senders.shape[2], 1))
         grown = np.zeros((self.num_slots, self.num_offsets, capacity),
                          dtype=np.int32)
@@ -407,11 +375,11 @@ class Schedule:
         return [self._entries[i] for i in self._slot_entries.get(slot, [])]
 
     # ------------------------------------------------------------------
-    # Kernel views (read-only; see repro.core.kernel)
+    # Occupancy views (read-only; see repro.core.kernel)
     # ------------------------------------------------------------------
 
     def occupancy(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel's occupancy state: ``(counts, senders, receivers)``.
+        """The occupancy state: ``(counts, senders, receivers)``.
 
         ``counts`` is ``(num_slots, num_offsets)`` occupant counts;
         ``senders``/``receivers`` are ``(num_slots, num_offsets, K)``
@@ -471,7 +439,7 @@ class Schedule:
 
         One tuple per entry, in placement order, carrying the full
         request identity plus its cell — two schedules are bit-identical
-        iff their signatures are equal.  The benchmark's kernel
+        iff their signatures are equal.  The benchmark's descent
         equivalence check and the scheduling service's response hashing
         both compare through this form.
         """
@@ -487,7 +455,8 @@ class Schedule:
         Covers dimensions and the full :meth:`signature`, so any change
         to any placement (or to placement *order*) changes the hash.
         Two processes that built the same schedule — service worker and
-        direct library call, scalar and vector kernel — agree on it.
+        direct library call, RC's fused descent and its stepwise
+        oracle — agree on it.
         Computed once per schedule state: ``add``/``force_add`` and
         ``evict`` clear the memo, ``clone`` carries it.
         """

@@ -17,11 +17,11 @@ from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernel as _kernel
 from repro.core.constraints import (
     NO_REUSE,
     feasible_offsets_scalar,
 )
+from repro.core.kernel import plan_links
 from repro.core.laxity import LaxityTable
 from repro.core.schedule import Schedule
 from repro.core.transmissions import (
@@ -122,24 +122,11 @@ def _find_slot(schedule: Schedule, reuse_graph: ChannelReuseGraph,
 
     if offset_rule not in OFFSET_RULES:
         raise ValueError(f"unknown offset rule: {offset_rule}")
+    # Finite ρ: the scalar scan, one cell at a time.  RC's fused
+    # descent answers its own finite-ρ probes from distance lanes
+    # (repro.core.kernel); every other question is asked here.
     conflict = schedule.conflict_mask(
         request.sender, request.receiver, earliest, deadline)
-    if _kernel.vectorized(schedule):
-        return _find_slot_vector(schedule, reuse_graph, request, rho,
-                                 earliest, offset_rule, conflict)
-    return _find_slot_scalar(schedule, reuse_graph, request, rho,
-                             earliest, offset_rule, conflict)
-
-
-def _find_slot_scalar(schedule: Schedule, reuse_graph: ChannelReuseGraph,
-                      request: TransmissionRequest, rho: float,
-                      earliest: int, offset_rule: str,
-                      conflict: np.ndarray) -> Optional[Tuple[int, int]]:
-    """Finite-ρ slot scan, one cell at a time (the scalar kernel).
-
-    NR's and RA's production path, and the reference oracle for the
-    vectorized kernel.
-    """
     scanned = 0
     for index in np.flatnonzero(~conflict):
         scanned += 1
@@ -158,71 +145,11 @@ def _find_slot_scalar(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     return None
 
 
-def _find_slot_vector(schedule: Schedule, reuse_graph: ChannelReuseGraph,
-                      request: TransmissionRequest, rho: float,
-                      earliest: int, offset_rule: str,
-                      conflict: np.ndarray) -> Optional[Tuple[int, int]]:
-    """Finite-ρ slot scan via the vectorized placement kernel.
-
-    The kernel maintains each link's min-reuse distances incrementally
-    (see :mod:`repro.core.kernel`), so the whole window is answered by
-    thresholding the link's per-slot best-distance view against ρ — no
-    per-slot rescans, and RC's descending-ρ retries of the same request
-    re-threshold the same row.
-    """
-    deadline = request.deadline_slot
-    best = _kernel.best_reuse_distance(
-        schedule, reuse_graph, request.sender, request.receiver,
-        earliest, deadline)
-    feasible = best >= rho
-    # feasible & ~conflict, without materializing the inverted mask.
-    np.greater(feasible, conflict, out=feasible)
-    # argmax short-circuits on booleans: first feasible slot or 0.
-    rel = int(feasible.argmax())
-    if not feasible[rel]:
-        if _obs.ENABLED:
-            _note_scan(int(conflict.size - np.count_nonzero(conflict)))
-        return None
-    slot = earliest + rel
-    if _obs.ENABLED:
-        _note_scan(int(rel + 1 - np.count_nonzero(conflict[:rel + 1])))
-    return (slot, pick_offset(schedule, reuse_graph, request.sender,
-                              request.receiver, slot, rho, offset_rule))
-
-
-def pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
-                sender: int, receiver: int, slot: int, rho: float,
-                offset_rule: str) -> int:
-    """The vector kernel's channel offset in a slot feasible at ``rho``.
-
-    At ρ = ∞ every feasible offset is an empty cell, so both rules pick
-    the lowest free one.  At finite ρ the link's distance row is
-    thresholded against ρ, then ``"first"`` takes the lowest feasible
-    offset and ``"least_loaded"`` the one with the fewest occupants.
-    """
-    if rho == NO_REUSE:
-        return schedule.first_free_offset(slot)
-    row = _kernel.min_reuse_distance(
-        schedule, reuse_graph, sender, receiver, slot, slot)[0] >= rho
-    if offset_rule == OFFSET_FIRST:
-        return int(np.argmax(row))
-    offsets = np.flatnonzero(row)
-    counts = schedule.occupancy()[0][slot, offsets]
-    # argmin returns the first minimum; offsets ascend, so ties break
-    # toward the lowest offset like the scalar (cell_size, offset) key.
-    return int(offsets[int(np.argmin(counts))])
-
-
 class PlacementPolicy(Protocol):
     """Strategy deciding where each transmission request goes."""
 
     #: Human-readable policy name ("NR", "RA", "RC", ...).
     name: str
-
-    #: The placement kernel this policy runs on
-    #: (:data:`repro.core.kernel.KERNEL_SCALAR` or ``KERNEL_VECTOR``),
-    #: recorded on every schedule it builds.
-    kernel: str
 
     def start_flow(self, flow: Flow) -> None:
         """Hook invoked when the engine starts a new flow."""
@@ -298,15 +225,12 @@ class FixedPriorityScheduler:
             raise ValueError("all flows must be routed before scheduling")
         start_time = time.perf_counter()
         hyperperiod = flow_set.hyperperiod()
-        schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets,
-                            kernel=self.policy.kernel)
-        # RC's fused descent reads each instance's T_post through a
-        # window onto its Eq. 1 table, and the kernel builds distance
-        # lanes for the links a run can still ask about; the scalar
-        # kernel keeps plain list slices and no lanes.
-        windows = _kernel.vectorized(schedule)
-        if windows:
-            flow_links = [flow.links for flow in flow_set]
+        schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets)
+        # Every policy gets T_post as a window onto the instance's Eq. 1
+        # table (built only if RC's fused descent reads it) and the
+        # links a run can still ask about (lanes are built only at RC's
+        # first finite-ρ query).
+        flow_links = [flow.links for flow in flow_set]
 
         # Resolve observability once per run; ENABLED is a module-level
         # flag so the disabled cost is one attribute read.
@@ -323,16 +247,13 @@ class FixedPriorityScheduler:
 
         for index, flow in enumerate(flow_set):
             self.policy.start_flow(flow)
-            if windows:
-                _kernel.plan_links(schedule, flow_links[index:])
+            plan_links(schedule, flow_links[index:])
             for instance in flow.instances(hyperperiod):
                 requests = expand_instance(instance, self.attempts_per_link)
                 earliest = instance.release_slot
-                if windows:
-                    table = LaxityTable(requests)
+                table = LaxityTable(requests)
                 for position, request in enumerate(requests):
-                    remaining = (RequestWindow(table, position + 1)
-                                 if windows else requests[position + 1:])
+                    remaining = RequestWindow(table, position + 1)
                     if prov is not None:
                         prov.begin_decision(self.policy.name, request,
                                             earliest, context)

@@ -92,12 +92,6 @@ class ManagerConfig:
         warmup_epochs / confirm_epochs / cooldown_epochs: Streaming
             monitor hysteresis (see
             :class:`~repro.detection.health.StreamingHealthMonitor`).
-        repair: Remediate by incremental repair
-            (:mod:`repro.core.repair`) — evicting only the change's
-            blast radius and re-placing it against the surviving
-            schedule — with automatic fallback to the full rebuild when
-            repair fails placement or its result fails the audit.
-            ``False`` always rebuilds from scratch.
         slo: Per-flow objective and burn-rate windows
             (:class:`~repro.obs.slo.SloConfig`); every epoch the
             manager feeds the simulator's per-flow tallies to an
@@ -123,7 +117,6 @@ class ManagerConfig:
     confirm_epochs: int = 2
     cooldown_epochs: int = 1
     suspect_prr: float = 0.7
-    repair: bool = True
     slo: SloConfig = SloConfig()
     series_prefix: str = ""
 
@@ -397,17 +390,19 @@ class NetworkManager:
                            rho_t: int, barred: Set[Link], change: ChangeSet,
                            ) -> Tuple[Optional[Schedule], bool,
                                       Optional[str], int]:
-        """Repair first (when enabled), audited rebuild as the fallback.
+        """Incremental repair (:mod:`repro.core.repair`) first — evicting
+        only the change's blast radius and re-placing it against the
+        surviving schedule — and the audited full rebuild when repair
+        fails placement or its result fails the audit.
 
         Returns ``(schedule, audit_ok, repair_mode, evicted_cells)``;
         the schedule is ``None`` when neither path produced an
         acceptable schedule (the caller rolls back).
         """
-        if self.config.repair:
-            repaired, evicted = self._audited_repair(
-                network, flow_set, schedule, rho_t, barred, change)
-            if repaired is not None:
-                return repaired, True, "repair", evicted
+        repaired, evicted = self._audited_repair(
+            network, flow_set, schedule, rho_t, barred, change)
+        if repaired is not None:
+            return repaired, True, "repair", evicted
         rebuilt, audit_ok = self._audited_rebuild(network, flow_set,
                                                   rho_t, barred)
         mode = "rebuild" if rebuilt is not None else None

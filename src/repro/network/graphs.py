@@ -224,8 +224,8 @@ class ChannelReuseGraph:
         """Hop matrix with :data:`UNREACHABLE` mapped to a huge distance.
 
         Unreachable pairs are infinitely far apart for the channel
-        constraint, so the vectorized kernel can compare this matrix
-        against ρ directly.  Memoized like :meth:`diameter`.
+        constraint, so RC's distance lanes and the auditor can compare
+        this matrix against ρ directly.  Memoized like :meth:`diameter`.
         """
         cached = self.__dict__.get("_effective_hops")
         if cached is None:

@@ -18,12 +18,14 @@ transmission, one **decision record**:
 * the flow's Eq. 1 laxity evaluations and RC's ρ-descent steps;
 * the final placement (or rejection) and whether it shares a cell.
 
-Records are derived from the *schedule state*, not from the kernel's
-internals: the classifier below reads only mode-independent structures
-(busy matrix, occupancy planes, the reuse graph's hop matrix), so the
-scalar and vector placement kernels emit **bit-identical provenance
-streams** whenever they produce identical schedules — a property the
-differential fuzz harness (:mod:`repro.validate.fuzz`) asserts.
+Records are derived from the *schedule state*, not from how a policy
+searched it: the classifier below reads only structures every schedule
+has (busy matrix, occupancy planes, the reuse graph's hop matrix), never
+RC's distance lanes, so RC's fused descent and its stepwise oracle
+(:func:`repro.core.rc.stepwise_descent`) emit **bit-identical
+provenance streams** whenever they produce identical schedules — a
+property the differential fuzz harness (:mod:`repro.validate.fuzz`)
+asserts.
 
 Provenance rides behind the same module-level ``ENABLED`` flag as the
 rest of the observability layer: instrumentation sites check
@@ -62,7 +64,7 @@ def _jsonable_rho(rho: float) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# Constraint classification (kernel-mode independent)
+# Constraint classification (independent of RC's distance lanes)
 # ----------------------------------------------------------------------
 
 def cell_reuse_distances(schedule: "Schedule",
@@ -72,7 +74,7 @@ def cell_reuse_distances(schedule: "Schedule",
     """Per-offset min reuse distance of one slot, with the blocker lane.
 
     Delegates to :func:`repro.core.kernel.cell_distances` — the
-    mode-independent recomputation from occupancy planes — imported
+    lane-free recomputation from occupancy planes — imported
     lazily to keep obs importable without pulling core at module load.
     """
     from repro.core.kernel import cell_distances

@@ -5,13 +5,13 @@ contained in the next request that needs it:
 
 * ``topology`` — the prepared network: channel-restricted topology,
   communication graph, and the channel-reuse graph whose precomputed
-  hop matrix (``effective_hops``) backs every reuse-distance query the
-  placement kernel makes;
+  hop matrix (``effective_hops``) backs every reuse-distance query a
+  placement makes;
 * ``workload`` — the generated, deadline-monotonic, routed flow set;
 * ``schedule`` — the compiled superframe (the full
-  :class:`~repro.core.scheduler.SchedulingResult`), whose schedule also
-  carries the kernel's warm incremental distance lanes — the state the
-  reschedule repair path warm-starts from.
+  :class:`~repro.core.scheduler.SchedulingResult`), the schedule the
+  reschedule repair path warm-starts from.  Repair works on a clone,
+  which carries none of the RC compile's distance lanes.
 
 Entries are *content-addressed* by the run ledger's canonical
 :func:`repro.obs.ledger.config_hash` over the defining fields (see

@@ -22,8 +22,8 @@ Semantics per verb:
   pairs, or ``"auto"`` = the smallest not-yet-barred link occupying a
   shared cell) and route the change through the PR 7 incremental repair
   path (:func:`repro.core.repair.repair_schedule`) against the warm
-  schedule; on repair failure fall back to the audited-path full
-  rebuild under a :class:`repro.core.reschedule.ReuseBarrierPolicy`.
+  schedule; on repair failure fall back to the full rebuild
+  (:func:`repro.core.reschedule.reschedule_without_reuse_on`).
   A rebuild that still fails keeps the previous schedule live
   (manager-style rollback) and reports ``schedulable: false``.
 * ``explain`` — the offline Section V-A constraint chain for one
@@ -65,9 +65,9 @@ from repro.core.repair import (
     repair_schedule,
     smallest_reused_link,
 )
-from repro.core.reschedule import ReuseBarrierPolicy
+from repro.core.reschedule import reschedule_without_reuse_on
 from repro.core.schedule import Schedule
-from repro.core.scheduler import FixedPriorityScheduler, SchedulingResult
+from repro.core.scheduler import SchedulingResult
 from repro.experiments.common import (
     PreparedNetwork,
     build_workload,
@@ -318,12 +318,11 @@ class ServiceExecutor:
                     "schedule_hash": session.schedule.canonical_hash(),
                     "barred_links": len(session.barred)}
 
-        rho_t = math.inf if config.policy == "NR" else config.rho_t
         with stage("repair") as sp:
             outcome = repair_schedule(
                 session.schedule, session.flow_set,
                 session.prepared.reuse,
-                ChangeSet(victims=tuple(victims)), rho_t=rho_t,
+                ChangeSet(victims=tuple(victims)), rho_t=config.rho_t,
                 barred=sorted(session.barred),
                 policy_name=config.policy)
             if sp is not None:
@@ -338,21 +337,18 @@ class ServiceExecutor:
             payload.update(repair_mode="repair", schedulable=True,
                            evicted_cells=outcome.evicted)
         else:
-            # Repair could not re-place its blast radius: audited-path
-            # fallback — full rebuild with every barred link (old and
-            # new) held out of shared cells.
+            # Repair could not re-place its blast radius: fall back to
+            # the full rebuild with every barred link (old and new) held
+            # out of shared cells.
             session.fallbacks += 1
             self.fallbacks += 1
             all_barred = set(session.barred) | set(victims)
             with stage("rebuild") as sp:
-                barrier = ReuseBarrierPolicy(
-                    inner=make_policy(config.policy, config.rho_t),
-                    victim_links=all_barred)
-                scheduler = FixedPriorityScheduler(
-                    num_nodes=session.prepared.topology.num_nodes,
-                    num_offsets=session.prepared.num_channels,
-                    reuse_graph=session.prepared.reuse, policy=barrier)
-                rebuilt = scheduler.run(session.flow_set)
+                prepared = session.prepared
+                rebuilt = reschedule_without_reuse_on(
+                    session.flow_set, prepared.topology.num_nodes,
+                    prepared.num_channels, prepared.reuse,
+                    make_policy(config.policy, config.rho_t), all_barred)
                 if sp is not None:
                     sp.annotate(barred=len(all_barred),
                                 schedulable=rebuilt.schedulable)

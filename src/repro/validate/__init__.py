@@ -4,8 +4,8 @@
   (:func:`audit_schedule`), re-deriving the paper's correctness contract
   for a finished schedule.
 * :mod:`repro.validate.fuzz` — the seeded differential fuzzer
-  (:func:`run_fuzz`) asserting scalar/vector kernel equivalence (RC's
-  stepwise oracle against its fused descent) on random networks,
+  (:func:`run_fuzz`) asserting that RC's fused descent matches its
+  stepwise oracle on random networks,
   auditing every schedule, and cross-checking simulator invariants.
 """
 

@@ -20,9 +20,9 @@ audits.  For every placed transmission it checks:
   it falls below the policy's floor ρ_t (Algorithm 1's weakest
   admissible constraint);
 * **Bookkeeping cross-checks** — the busy matrix, per-cell occupancy
-  lanes, used-offset bitmasks, per-slot entry lists, and the vectorized
-  kernel's incremental link-distance stacks must all agree with the
-  entry list.  This subsumes :meth:`repro.core.schedule.Schedule
+  lanes, used-offset bitmasks, per-slot entry lists, and RC's
+  incremental link-distance lanes (when the schedule carries them) must
+  all agree with the entry list.  This subsumes :meth:`repro.core.schedule.Schedule
   .validate_basic` but returns structured violations instead of
   asserting.
 
@@ -387,8 +387,8 @@ def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
 
 
 def _audit_link_state(schedule: Schedule, collect: _Collector) -> None:
-    """The kernel's incremental per-link distance stacks vs a fresh
-    full recomputation from the occupancy arrays."""
+    """RC's incremental per-link distance lanes vs a fresh full
+    recomputation from the occupancy arrays."""
     state = schedule._link_state
     if state is None or state.count == 0:
         return

@@ -1,33 +1,34 @@
 """Seeded differential fuzzing of the scheduling and simulation paths.
 
-Placements run through a scalar oracle or a vectorized kernel (RC's
-fused descent on the vector side, its stepwise loop on the scalar
-side), and the simulator runs with or without a
-:class:`~repro.simulator.conditions.Conditions` overlay.  This harness
-generates random synthetic networks + flow sets and, for each case:
+RC places through its fused descent or, inside
+:func:`repro.core.rc.stepwise_descent`, through Algorithm 1's stepwise
+loop (the oracle); NR and RA have one path each.  The simulator runs
+with or without a :class:`~repro.simulator.conditions.Conditions`
+overlay.  This harness generates random synthetic networks + flow sets
+and, for each case:
 
-* asserts **bit-identical schedules** across the scalar and vector
-  kernels for NR / RA / RC, RC in both ``rho_reset`` modes;
+* asserts **bit-identical schedules** between RC's fused descent and
+  its stepwise oracle, in both ``rho_reset`` modes and both offset
+  rules;
 * runs the independent auditor (:func:`repro.validate.audit
   .audit_schedule`) over every produced schedule — an audit failure's
   artifact embeds a decision-provenance slice for the violating cells
   (the case is replayed under a live
   :class:`~repro.obs.provenance.ProvenanceRecorder` and decisions
   touching a violation's slot or flow are kept);
-* asserts **bit-identical provenance streams** between the scalar and
-  vector kernels for NR / RA / RC (both ``rho_reset`` modes), and that
-  recording provenance does not perturb the schedule itself;
-* differentially exercises the **incremental repair scheduler**
+* asserts **bit-identical provenance streams, counters and events**
+  between RC's two descents in every variant, and that recording
+  provenance does not perturb any policy's schedule;
+* exercises the **incremental repair scheduler**
   (:mod:`repro.core.repair`) on a schedulable result: a deterministic
-  victim link is evicted and re-placed via warm-start repair under both
-  the scalar and vector kernels (bit-identical repaired schedules
-  required), a successful repair must pass the full auditor with the
-  victim barred from reuse, the input schedule must come back
-  untouched, and a ρ-escalation repair must audit clean at the raised
-  floor; when repair fails placement, the designed fallback — the full
-  barrier rebuild — is run and its product audited instead, so a
-  placement failure can never silently escape correctness coverage;
-  every product's memoized canonical hash must equal a fresh one;
+  victim link is evicted and re-placed via warm-start repair, a
+  successful repair must pass the full auditor with the victim barred
+  from reuse, the input schedule must come back untouched, and a
+  ρ-escalation repair must audit clean at the raised floor; when
+  repair fails placement, the designed fallback — the full barrier
+  rebuild — is run and its product audited instead, so a placement
+  failure can never silently escape correctness coverage; every
+  product's memoized canonical hash must equal a fresh one;
 * cross-checks simulator invariants on a schedulable result:
   deliveries never exceed releases per flow, the observability counters
   ``sim.attempts`` / ``sim.successes`` / ``sim.deliveries`` equal the
@@ -48,18 +49,19 @@ re-running ``run_fuzz`` with the same seed and enough cases replays it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernel as _kernel
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
-                           RHO_RESET_TRANSMISSION)
+                           RHO_RESET_TRANSMISSION, stepwise_descent)
 from repro.core.schedule import Schedule
-from repro.core.scheduler import FixedPriorityScheduler, SchedulingResult
+from repro.core.scheduler import (OFFSET_FIRST, OFFSET_LEAST_LOADED,
+                                  FixedPriorityScheduler, SchedulingResult)
 from repro.experiments.common import (PreparedNetwork, build_workload,
                                       make_policy, prepare_network)
 from repro.flows.flow import FlowSet
@@ -235,7 +237,17 @@ def _schedule_signature(result: SchedulingResult) -> Tuple:
     )
 
 
-#: Trace events both kernels must emit identically.
+#: RC's variants: both ρ reset scopes times both offset rules.
+_RC_VARIANTS = tuple((rho_reset, offset_rule)
+                     for rho_reset in (RHO_RESET_TRANSMISSION,
+                                       RHO_RESET_FLOW)
+                     for offset_rule in (OFFSET_LEAST_LOADED, OFFSET_FIRST))
+
+#: RC's two descents: the stepwise oracle and the production path.
+_DESCENTS = (("stepwise", stepwise_descent),
+             ("fused", contextlib.nullcontext))
+
+#: Trace events both descents must emit identically.
 _PARITY_EVENTS = ("laxity_eval", "rc_fallback", "placement")
 
 
@@ -334,114 +346,113 @@ def _audit_result(case: FuzzCaseResult, label: str, network: PreparedNetwork,
         case.fail("audit", f"{label}: {report.summary()}", **extra)
 
 
+def _rc_factory(rho_t: int, rho_reset: str, offset_rule: str) -> Callable:
+    """A factory of fresh RC policies in one variant."""
+    return lambda: ConservativeReusePolicy(rho_t=rho_t, rho_reset=rho_reset,
+                                           offset_rule=offset_rule)
+
+
 def _check_differential_schedules(case: FuzzCaseResult,
                                   network: PreparedNetwork,
                                   flow_set: FlowSet, rho_t: int,
                                   plain_signatures: Dict[str, Tuple],
                                   ) -> Optional[SchedulingResult]:
-    """The scalar/vector equivalence matrix.
+    """Audit every policy's schedule; RC's fused descent must match its
+    stepwise oracle in every variant.
 
     Fills ``plain_signatures`` with each policy's provenance-free
     schedule signature (the reference the provenance-parity check
-    compares against).  Returns a schedulable result (for the simulator
-    checks), preferring RC, or None when nothing schedulable was
-    produced.
+    compares against).  Returns a schedulable result (for the repair
+    and simulator checks), preferring the paper's RC (least-loaded
+    offsets), or None when nothing schedulable was produced.
     """
     best_schedulable: Optional[SchedulingResult] = None
 
     for name in ("NR", "RA"):
-        with _kernel.kernel_mode(_kernel.KERNEL_SCALAR):
-            scalar = _run_scheduler(network, flow_set,
-                                    make_policy(name, rho_t))
-        with _kernel.kernel_mode(_kernel.KERNEL_VECTOR):
-            vector = _run_scheduler(network, flow_set,
-                                    make_policy(name, rho_t))
-        if _schedule_signature(scalar) != _schedule_signature(vector):
-            case.fail("kernel_equivalence",
-                      f"{name}: scalar and vector kernels produced "
-                      f"different schedules")
-        _audit_result(case, f"{name}/vector", network, flow_set, vector,
+        result = _run_scheduler(network, flow_set, make_policy(name, rho_t))
+        _audit_result(case, name, network, flow_set, result,
                       rho_floor=math.inf if name == "NR" else rho_t,
                       policy_factory=lambda name=name: make_policy(name,
                                                                    rho_t))
-        plain_signatures[name] = _schedule_signature(vector)
-        if name == "NR" and vector.schedule.num_reused_cells():
+        plain_signatures[name] = _schedule_signature(result)
+        if name == "NR" and result.schedule.num_reused_cells():
             case.fail("nr_no_reuse",
-                      f"NR produced {vector.schedule.num_reused_cells()} "
+                      f"NR produced {result.schedule.num_reused_cells()} "
                       f"shared cell(s)")
-        if vector.schedulable:
-            best_schedulable = vector
+        if result.schedulable:
+            best_schedulable = result
 
-    for rho_reset in (RHO_RESET_TRANSMISSION, RHO_RESET_FLOW):
-        def rc_policy() -> ConservativeReusePolicy:
-            return ConservativeReusePolicy(rho_t=rho_t, rho_reset=rho_reset)
-
-        with _kernel.kernel_mode(_kernel.KERNEL_SCALAR):
-            scalar = _run_scheduler(network, flow_set, rc_policy())
-        with _kernel.kernel_mode(_kernel.KERNEL_VECTOR):
-            fused = _run_scheduler(network, flow_set, rc_policy())
-
-        label = f"RC[{rho_reset}]"
-        if _schedule_signature(scalar) != _schedule_signature(fused):
-            case.fail("kernel_equivalence",
-                      f"{label}: scalar stepwise and vector fused runs "
-                      f"produced different schedules")
-        _audit_result(case, f"{label}/fused", network, flow_set, fused,
+    for rho_reset, offset_rule in _RC_VARIANTS:
+        rc_policy = _rc_factory(rho_t, rho_reset, offset_rule)
+        runs = {}
+        for descent, scope in _DESCENTS:
+            with scope():
+                runs[descent] = _run_scheduler(network, flow_set,
+                                               rc_policy())
+        fused = runs["fused"]
+        label = f"RC[{rho_reset},{offset_rule}]"
+        if _schedule_signature(runs["stepwise"]) != \
+                _schedule_signature(fused):
+            case.fail("descent_equivalence",
+                      f"{label}: stepwise and fused descents produced "
+                      f"different schedules")
+        _audit_result(case, label, network, flow_set, fused,
                       rho_floor=rho_t, policy_factory=rc_policy)
-        if fused.schedulable:
-            best_schedulable = fused
         plain_signatures[label] = _schedule_signature(fused)
+        if fused.schedulable and offset_rule == OFFSET_LEAST_LOADED:
+            best_schedulable = fused
     return best_schedulable
 
 
 def _check_provenance_parity(case: FuzzCaseResult, network: PreparedNetwork,
                              flow_set: FlowSet, rho_t: int,
                              plain_signatures: Dict[str, Tuple]) -> None:
-    """Scalar and vector kernels must narrate placement identically.
+    """Recording is an observer, and RC's descents narrate identically.
 
-    For each policy, both kernel modes run under a live
-    :class:`ProvenanceRecorder`; the recorded decision streams, work
-    counters and placement / RC events must be bit-identical, and the
-    schedules must match both each other and the provenance-free run of
-    the same policy (recording is an observer, not a participant).  RC
-    runs in both ``rho_reset`` modes: its fused descent records every
-    probe, laxity evaluation and ρ step itself.
+    Every policy runs under a live :class:`ProvenanceRecorder`, and its
+    schedule must match the provenance-free run of the same policy.  RC
+    runs every variant on both descents: the recorded decision streams,
+    work counters and placement / RC events must be bit-identical — its
+    fused descent records every probe, laxity evaluation and ρ step
+    itself.
     """
-    factories = {name: (lambda name=name: make_policy(name, rho_t))
-                 for name in ("NR", "RA")}
-    for rho_reset in (RHO_RESET_TRANSMISSION, RHO_RESET_FLOW):
-        factories[f"RC[{rho_reset}]"] = (
-            lambda rho_reset=rho_reset: ConservativeReusePolicy(
-                rho_t=rho_t, rho_reset=rho_reset))
-    for name, factory in factories.items():
+    for name in ("NR", "RA"):
+        with _obs.recording(Recorder(provenance=ProvenanceRecorder())):
+            result = _run_scheduler(network, flow_set,
+                                    make_policy(name, rho_t))
+        if _schedule_signature(result) != plain_signatures[name]:
+            case.fail("provenance_schedule_identity",
+                      f"{name}: recording provenance perturbed the "
+                      f"schedule")
+    for rho_reset, offset_rule in _RC_VARIANTS:
+        label = f"RC[{rho_reset},{offset_rule}]"
+        rc_policy = _rc_factory(rho_t, rho_reset, offset_rule)
         streams = {}
         work = {}
         signatures = {}
-        for mode in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
+        for descent, scope in _DESCENTS:
             prov = ProvenanceRecorder()
-            with _kernel.kernel_mode(mode), \
+            with scope(), \
                     _obs.recording(Recorder(provenance=prov)) as recorder:
-                result = _run_scheduler(network, flow_set, factory())
-            streams[mode] = prov.records()
-            work[mode] = _recorded_work(recorder)
-            signatures[mode] = _schedule_signature(result)
-        if streams[_kernel.KERNEL_SCALAR] != streams[_kernel.KERNEL_VECTOR]:
+                result = _run_scheduler(network, flow_set, rc_policy())
+            streams[descent] = prov.records()
+            work[descent] = _recorded_work(recorder)
+            signatures[descent] = _schedule_signature(result)
+        if streams["stepwise"] != streams["fused"]:
             case.fail("provenance_parity",
-                      f"{name}: scalar and vector kernels recorded "
+                      f"{label}: stepwise and fused descents recorded "
                       f"different provenance streams")
-        if work[_kernel.KERNEL_SCALAR] != work[_kernel.KERNEL_VECTOR]:
+        if work["stepwise"] != work["fused"]:
             case.fail("recording_parity",
-                      f"{name}: scalar and vector kernels recorded "
+                      f"{label}: stepwise and fused descents recorded "
                       f"different counters or events")
-        if signatures[_kernel.KERNEL_SCALAR] != \
-                signatures[_kernel.KERNEL_VECTOR]:
+        if signatures["stepwise"] != signatures["fused"]:
             case.fail("provenance_schedule_identity",
-                      f"{name}: schedules diverged between kernels while "
-                      f"recording provenance")
-        plain = plain_signatures.get(name)
-        if plain is not None and signatures[_kernel.KERNEL_VECTOR] != plain:
+                      f"{label}: schedules diverged between descents "
+                      f"while recording provenance")
+        if signatures["fused"] != plain_signatures[label]:
             case.fail("provenance_schedule_identity",
-                      f"{name}: recording provenance perturbed the "
+                      f"{label}: recording provenance perturbed the "
                       f"schedule")
 
 
@@ -585,13 +596,12 @@ def _check_hash_memo(case: FuzzCaseResult, label: str, schedule) -> None:
 def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
                   flow_set: FlowSet, rho_t: int,
                   result: SchedulingResult) -> None:
-    """Repair-vs-rebuild differential on one schedulable result.
+    """Repair and its rebuild fallback on one schedulable result.
 
-    Evicts a deterministic victim link via warm-start repair under both
-    kernels (bit-identical products required), audits a successful
-    repair with the victim barred, runs + audits the designed fallback
-    (full barrier rebuild) when repair fails placement, checks the
-    input schedule is never mutated, and repeats the audit for a
+    Evicts a deterministic victim link via warm-start repair, audits a
+    successful repair with the victim barred, runs + audits the designed
+    fallback (full barrier rebuild) when repair fails placement, checks
+    the input schedule is never mutated, and repeats the audit for a
     ρ-escalation repair at the raised floor.  Every product's memoized
     hash is checked against a fresh one; the input's hash is computed
     first, so each repair clones a memo it must clear.
@@ -608,28 +618,15 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
 
     victim = smallest_reused_link(schedule)
     if victim is not None:
-        change = ChangeSet(victims=(victim,))
-        products = {}
-        for mode in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
-            with _kernel.kernel_mode(mode):
-                products[mode] = repair_schedule(
-                    schedule, flow_set, network.reuse, change,
-                    rho_t=rho_t, policy_name=policy_name)
-        scalar = products[_kernel.KERNEL_SCALAR]
-        vector = products[_kernel.KERNEL_VECTOR]
-        for mode, product in products.items():
-            _check_hash_memo(case, f"{policy_name}/victim {victim} "
-                                   f"({mode})", product.schedule)
-        if (scalar.schedulable != vector.schedulable or
-                _entries_signature(scalar.schedule) !=
-                _entries_signature(vector.schedule)):
-            case.fail("repair_kernel_equivalence",
-                      f"{policy_name}: scalar and vector kernels produced "
-                      f"different repaired schedules")
-        if vector.schedulable:
+        repaired = repair_schedule(
+            schedule, flow_set, network.reuse, ChangeSet(victims=(victim,)),
+            rho_t=rho_t, policy_name=policy_name)
+        _check_hash_memo(case, f"{policy_name}/victim {victim}",
+                         repaired.schedule)
+        if repaired.schedulable:
             _audit_repaired(case, "repair_audit",
                             f"{policy_name}/victim {victim}", network,
-                            flow_set, vector.schedule, rho_floor, {victim})
+                            flow_set, repaired.schedule, rho_floor, {victim})
         else:
             # The designed fallback: repair could not re-place the blast
             # radius, so the manager rebuilds under a barrier policy.

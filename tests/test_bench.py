@@ -18,7 +18,6 @@ from repro.bench import (
     run_bench,
 )
 from repro.cli import main
-from repro.experiments.common import make_policy
 
 
 class TestBench:
@@ -32,8 +31,8 @@ class TestBench:
         assert on_disk["environment"]["cpu_count"] >= 1
 
         cells = {cell["name"]: cell for cell in report["decisions"]}
-        assert list(cells) == ["NR@20", "RA@20", "RC@20",
-                               "remediation@30", "simulator@20x10"]
+        assert list(cells) == ["RC@20", "remediation@30",
+                               "simulator@20x10"]
         for cell in cells.values():
             assert cell["verdict"] in (HOLDS, UNRESOLVED, LOST)
             assert set(cell["wall_s"]) == {cell["chosen"], cell["other"]}
@@ -42,11 +41,10 @@ class TestBench:
             assert 0 < ratio["q1"] <= ratio["median"] <= ratio["q3"]
 
         # The chosen path is the one the code runs.
-        for policy in ("NR", "RA", "RC"):
-            cell = cells[f"{policy}@20"]
-            assert cell["chosen"] == make_policy(policy).kernel
-            assert cell["placements"] > 0
-            assert cell["slots_scanned"] >= cell["placements"]
+        rc = cells["RC@20"]
+        assert (rc["chosen"], rc["other"]) == ("fused", "stepwise")
+        assert rc["placements"] > 0
+        assert rc["slots_scanned"] >= rc["placements"]
         repair = cells["remediation@30"]
         assert (repair["chosen"], repair["other"]) == ("repair", "rebuild")
         assert repair["schedulable"] == {"repair": True, "rebuild": True}
@@ -59,11 +57,21 @@ class TestBench:
         assert all(name in text for name in cells)
         assert "decisions: " in text
 
-    def test_kernel_divergence_would_abort(self):
-        """bench_schedulers compares full schedule signatures; a tiny run
-        exercises that cross-check end to end."""
+    def test_kernel_divergence_would_abort(self, monkeypatch):
+        """bench_schedulers compares full schedule signatures: a tiny run
+        passes the cross-check, and a stepwise path that places
+        differently aborts it."""
         cells = bench_schedulers((6,), seed=2, rounds=1)
-        assert len(cells) == 3  # one per policy, divergence check passed
+        assert [cell["name"] for cell in cells] == ["RC@6"]
+
+        def one_placement_short(network, flow_set):
+            result = bench.schedule_workload(network, flow_set, "RC")
+            result.schedule.evict([len(result.schedule) - 1])
+            return result
+
+        monkeypatch.setattr(bench, "_schedule_stepwise", one_placement_short)
+        with pytest.raises(AssertionError, match="descent divergence"):
+            bench_schedulers((6,), seed=2, rounds=1)
 
     @pytest.mark.parametrize("ratios, verdict", [
         ([1.3, 0.9, 1.2, 1.1, 1.4], HOLDS),       # won 4 of 5 rounds
@@ -110,8 +118,8 @@ def _fake_report(verdict):
         "mode": "full", "seed": 0, "rounds": 5,
         "environment": {"cpu_count": 2},
         "decisions": [{
-            "name": "NR@20", "chosen": "scalar", "other": "vector",
-            "wall_s": {"scalar": 0.03, "vector": 0.02},
+            "name": "RC@20", "chosen": "fused", "other": "stepwise",
+            "wall_s": {"fused": 0.03, "stepwise": 0.02},
             "ratio": {"q1": 0.6, "median": 0.7, "q3": 0.8},
             "verdict": verdict,
         }],
@@ -134,8 +142,8 @@ class TestBenchCli:
                      "--no-ledger"]) == status
         assert seen == {"out": "-", "quick": False, "seed": 0, "rounds": 5}
         captured = capsys.readouterr()
-        assert "NR@20" in captured.out
+        assert "RC@20" in captured.out
         if status:
-            assert "decision lost: NR@20" in captured.err
+            assert "decision lost: RC@20" in captured.err
         else:
             assert captured.err == ""

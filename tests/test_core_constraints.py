@@ -12,7 +12,6 @@ from repro.core.constraints import (
     placement_is_valid,
     validate_schedule,
 )
-from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
 from repro.core.schedule import Schedule
 from repro.core.scheduler import find_slot
 from repro.network.graphs import ChannelReuseGraph
@@ -26,17 +25,16 @@ def line_reuse_graph(line_topology):
     return ChannelReuseGraph.from_topology(line_topology)
 
 
-def _sharing_rhos(topology, occupant, candidate, kernel):
+def _sharing_rhos(topology, occupant, candidate):
     """Every ρ from ρ_t = 2 to one past the reuse diameter at which
-    ``find_slot`` under ``kernel`` lets ``candidate`` share the one cell
-    that ``occupant`` holds."""
+    ``find_slot`` lets ``candidate`` share the one cell that
+    ``occupant`` holds."""
     reuse = ChannelReuseGraph.from_topology(topology)
     schedule = Schedule(topology.num_nodes, 1, 1)
     schedule.add(request(*occupant), 0, 0)
     window = request(*candidate, flow_id=1, deadline=0)
-    with kernel_mode(kernel):
-        return [rho for rho in range(2, reuse.diameter() + 2)
-                if find_slot(schedule, reuse, window, rho, 0) == (0, 0)]
+    return [rho for rho in range(2, reuse.diameter() + 2)
+            if find_slot(schedule, reuse, window, rho, 0) == (0, 0)]
 
 
 class TestTransmissionConflict:
@@ -94,7 +92,6 @@ class TestChannelConstraint:
         assert not offset_satisfies_channel_constraint(
             schedule, line_reuse_graph, 4, 5, 5, 0, 4)
 
-    @pytest.mark.parametrize("kernel", [KERNEL_SCALAR, KERNEL_VECTOR])
     @pytest.mark.parametrize("fixture, occupant, candidate, largest", [
         # Line (λ = 5): hops[4, 1] = 3, hops[0, 5] = 5.
         ("line_topology", (0, 1), (4, 5), 3),
@@ -110,14 +107,14 @@ class TestChannelConstraint:
         ("star_topology", (1, 0), (0, 2), None),
         ("star_topology", (1, 0), (2, 0), None),
     ])
-    def test_known_reuse_limits(self, request, kernel, fixture, occupant,
+    def test_known_reuse_limits(self, request, fixture, occupant,
                                 candidate, largest):
         """Section V-A by hand on canonical topologies: a candidate
         (u, v) may share the cell of occupant (x, y) exactly at
         2 <= ρ <= min(hops[u, y], hops[x, v]), and never when the two
         share a node; ``largest`` is that bound (None: never)."""
         topology = request.getfixturevalue(fixture)
-        assert _sharing_rhos(topology, occupant, candidate, kernel) == (
+        assert _sharing_rhos(topology, occupant, candidate) == (
             list(range(2, largest + 1)) if largest else [])
 
     def test_reuse_checks_new_receiver_against_existing_sender(

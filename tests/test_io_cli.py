@@ -424,7 +424,7 @@ class TestCliFuzz:
         def fake_run_fuzz(cases, seed=0, on_case=None):
             report = FuzzReport(seed=seed, num_cases=cases)
             case = FuzzCaseResult(index=0, seed=seed)
-            case.fail("kernel_equivalence", "scalar and vector disagree")
+            case.fail("descent_equivalence", "stepwise and fused disagree")
             report.cases.append(case)
             if on_case is not None:
                 on_case(case)
@@ -436,7 +436,7 @@ class TestCliFuzz:
                      "--artifacts", str(artifacts)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FAIL case 0 (kernel_equivalence)" in out
+        assert "FAIL case 0 (descent_equivalence)" in out
         case_payload = json.loads(
             (artifacts / "case_0000.json").read_text())
         assert case_payload["reproduce"] == "repro fuzz --cases 1 --seed 9"

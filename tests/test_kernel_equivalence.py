@@ -1,12 +1,14 @@
-"""Vectorized kernel vs scalar reference: exact-equivalence tests.
+"""RC's distance lanes vs the scalar reference: exact-equivalence tests.
 
-The vector kernel (incremental per-link distance stacks, fused RC
-descent) must be bit-for-bit interchangeable with the scalar reference
-path — same feasible offsets, same ``find_slot`` answers, same final
-schedules, same work counters, RC events and ``rc.fallback_rho``
-histogram.  These tests drive both implementations over seeded
+The distance lanes (:mod:`repro.core.kernel`) that RC's fused descent
+reads must be bit-for-bit interchangeable with the scalar scan — same
+feasible offsets, same ``find_slot`` answers — and the fused descent
+must match its stepwise oracle (:func:`repro.core.rc.stepwise_descent`)
+in final schedules, work counters, RC events and the
+``rc.fallback_rho`` histogram.  These tests drive both over seeded
 randomized schedules and full scheduler runs and demand exact
-agreement.
+agreement.  The last class pins which schedules carry lanes: only the
+one an RC compile built, never its clones or repair products.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import pytest
 from repro import obs
 from repro.core import kernel as _kernel
 from repro.core.constraints import NO_REUSE, feasible_offsets_scalar
-from repro.core.kernel import (
-    KERNEL_SCALAR,
-    KERNEL_VECTOR,
-    kernel_mode,
-    min_reuse_distance,
+from repro.core.kernel import best_reuse_distance, min_reuse_distance
+from repro.core.rc import (
+    RHO_RESET_FLOW,
+    RHO_RESET_TRANSMISSION,
+    _pick_offset,
+    stepwise_descent,
 )
-from repro.core.rc import RHO_RESET_FLOW, RHO_RESET_TRANSMISSION
 from repro.core.repair import (
     ChangeSet,
     ChannelChange,
@@ -107,8 +109,8 @@ def reuse_graph(topology_builder):
 class TestFeasibleOffsets:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_on_random_schedules(self, reuse_graph, seed):
-        """The vector kernel's views (distance row at finite ρ, free
-        offsets at ρ = ∞) pick exactly the scalar oracle's offsets."""
+        """The lane views (distance row at finite ρ, free offsets at
+        ρ = ∞) pick exactly the scalar oracle's offsets."""
         schedule = _random_schedule(reuse_graph, seed)
         rng = np.random.default_rng(100 + seed)
         rhos = [2, 3, reuse_graph.diameter(), NO_REUSE]
@@ -141,38 +143,47 @@ class TestFeasibleOffsets:
         assert np.flatnonzero(view[5] >= 2).tolist() == expected
 
 
+def _lane_answer(schedule, reuse_graph, request, rho, earliest,
+                 offset_rule):
+    """One finite-ρ ``findSlot`` question answered the fused descent's
+    way: the earliest conflict-free slot whose best lane distance
+    reaches ρ, then the lane-thresholded offset pick."""
+    deadline = request.deadline_slot
+    best = best_reuse_distance(schedule, reuse_graph, request.sender,
+                               request.receiver, earliest, deadline)
+    free = ~schedule.conflict_mask(request.sender, request.receiver,
+                                   earliest, deadline)
+    feasible = np.flatnonzero((best >= rho) & free)
+    if not feasible.size:
+        return None
+    slot = earliest + int(feasible[0])
+    return (slot, _pick_offset(schedule, reuse_graph, request.sender,
+                               request.receiver, slot, rho, offset_rule))
+
+
 class TestFindSlot:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("offset_rule",
                              [OFFSET_FIRST, OFFSET_LEAST_LOADED])
     def test_matches_scalar(self, reuse_graph, seed, offset_rule):
+        """The lanes answer every finite-ρ question exactly as the
+        scalar ``find_slot`` does, slot and offset."""
         rng = np.random.default_rng(200 + seed)
-        rhos = [2, 3, reuse_graph.diameter(), NO_REUSE]
+        rhos = [2, 3, reuse_graph.diameter()]
         for schedule_seed in range(2):
-            results = {}
-            for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
-                schedule = _random_schedule(reuse_graph,
-                                            1000 + schedule_seed)
-                rng_k = np.random.default_rng(300 + seed)
-                answers = []
-                with kernel_mode(kernel):
-                    for sender, receiver in _links(reuse_graph, rng_k, 10):
-                        earliest = int(rng_k.integers(0, NUM_SLOTS))
-                        deadline = int(rng_k.integers(earliest, NUM_SLOTS))
-                        request = TransmissionRequest(
-                            0, 0, 0, 0, sender, receiver,
-                            release_slot=0, deadline_slot=deadline)
-                        for rho in rhos:
-                            answers.append(find_slot(
-                                schedule, reuse_graph, request, rho,
-                                earliest, offset_rule))
-                results[kernel] = answers
-            assert results[KERNEL_SCALAR] == results[KERNEL_VECTOR]
-
-
-def _forced(kernel):
-    """``kernel_mode(kernel)``, or no override at all for None."""
-    return nullcontext() if kernel is None else kernel_mode(kernel)
+            schedule = _random_schedule(reuse_graph, 1000 + schedule_seed)
+            for sender, receiver in _links(reuse_graph, rng, 10):
+                earliest = int(rng.integers(0, NUM_SLOTS))
+                deadline = int(rng.integers(earliest, NUM_SLOTS))
+                request = TransmissionRequest(
+                    0, 0, 0, 0, sender, receiver,
+                    release_slot=0, deadline_slot=deadline)
+                for rho in rhos:
+                    assert _lane_answer(
+                        schedule, reuse_graph, request, rho, earliest,
+                        offset_rule) == find_slot(
+                            schedule, reuse_graph, request, rho, earliest,
+                            offset_rule)
 
 
 def _recorded_signature(result, recorder):
@@ -187,10 +198,15 @@ def _recorded_signature(result, recorder):
     return (result.schedulable, placements) + _recorded_work(recorder)
 
 
-def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
+def _descent(stepwise: bool):
+    """RC's stepwise oracle, or no override (the fused descent)."""
+    return stepwise_descent() if stepwise else nullcontext()
+
+
+def _run_signature(network, flow_set, policy_name, stepwise, rho_t=2,
                    **policy_kwargs):
-    """:func:`_recorded_signature` of one scheduler run under a kernel
-    (None: the policy's own)."""
+    """:func:`_recorded_signature` of one scheduler run, RC on its
+    stepwise oracle or its fused descent."""
     policy = make_policy(policy_name, rho_t)
     for key, value in policy_kwargs.items():
         setattr(policy, key, value)
@@ -198,7 +214,7 @@ def _run_signature(network, flow_set, policy_name, kernel, rho_t=2,
         num_nodes=network.topology.num_nodes,
         num_offsets=network.num_channels,
         reuse_graph=network.reuse, policy=policy)
-    with _forced(kernel), obs.recording() as recorder:
+    with _descent(stepwise), obs.recording() as recorder:
         result = scheduler.run(flow_set)
     return _recorded_signature(result, recorder)
 
@@ -214,14 +230,14 @@ def figure1_workload(indriya):
 
 
 class TestFullRunEquivalence:
-    @pytest.mark.parametrize("policy_name", ["NR", "RA", "RC"])
+    @pytest.mark.parametrize("policy_name", ["RC"])
     def test_policies_match_scalar(self, figure1_workload, policy_name):
+        """The policies with two placement paths: RC's stepwise oracle
+        and its fused descent."""
         network, flow_set = figure1_workload
-        scalar = _run_signature(network, flow_set, policy_name,
-                                KERNEL_SCALAR)
-        vector = _run_signature(network, flow_set, policy_name,
-                                KERNEL_VECTOR)
-        assert scalar == vector
+        stepwise = _run_signature(network, flow_set, policy_name, True)
+        fused = _run_signature(network, flow_set, policy_name, False)
+        assert stepwise == fused
 
     @pytest.mark.parametrize("rho_reset",
                              [RHO_RESET_TRANSMISSION, RHO_RESET_FLOW])
@@ -230,20 +246,19 @@ class TestFullRunEquivalence:
     def test_rc_variants_match_scalar(self, figure1_workload, rho_reset,
                                       offset_rule):
         network, flow_set = figure1_workload
-        scalar = _run_signature(network, flow_set, "RC", KERNEL_SCALAR,
-                                rho_reset=rho_reset,
-                                offset_rule=offset_rule)
-        vector = _run_signature(network, flow_set, "RC", KERNEL_VECTOR,
-                                rho_reset=rho_reset,
-                                offset_rule=offset_rule)
-        assert scalar == vector
+        stepwise = _run_signature(network, flow_set, "RC", True,
+                                  rho_reset=rho_reset,
+                                  offset_rule=offset_rule)
+        fused = _run_signature(network, flow_set, "RC", False,
+                               rho_reset=rho_reset, offset_rule=offset_rule)
+        assert stepwise == fused
 
 
-def _reschedule_signature(network, flow_set, victims, kernel,
+def _reschedule_signature(network, flow_set, victims, stepwise,
                           policy_name="RA", rho_t=2):
     """:func:`_recorded_signature` of a barrier rebuild."""
     policy = make_policy(policy_name, rho_t)
-    with _forced(kernel), obs.recording() as recorder:
+    with _descent(stepwise), obs.recording() as recorder:
         result = reschedule_without_reuse_on(
             flow_set, network.topology.num_nodes, network.num_channels,
             network.reuse, policy, victims)
@@ -251,7 +266,7 @@ def _reschedule_signature(network, flow_set, victims, kernel,
 
 
 class TestRescheduleEquivalence:
-    """The manager's rebuild path must match across kernels bit-for-bit."""
+    """RC's barrier rebuild must match across its descents bit-for-bit."""
 
     @pytest.fixture(scope="class")
     def victims(self, figure1_workload):
@@ -260,123 +275,69 @@ class TestRescheduleEquivalence:
             num_nodes=network.topology.num_nodes,
             num_offsets=network.num_channels,
             reuse_graph=network.reuse, policy=make_policy("RA", 2))
-        with kernel_mode(KERNEL_SCALAR):
-            result = scheduler.run(flow_set)
+        result = scheduler.run(flow_set)
         assert result.schedulable
         reuse_links = result.schedule.reuse_links()
         assert reuse_links, "workload must exercise channel reuse"
         return tuple(reuse_links[:3])
 
-    @pytest.mark.parametrize("policy_name", ["NR", "RA", "RC"])
+    @pytest.mark.parametrize("policy_name", ["RC"])
     def test_barrier_rebuild_matches_scalar(self, figure1_workload,
                                             victims, policy_name):
         network, flow_set = figure1_workload
-        scalar = _reschedule_signature(network, flow_set, victims,
-                                       KERNEL_SCALAR, policy_name)
-        vector = _reschedule_signature(network, flow_set, victims,
-                                       KERNEL_VECTOR, policy_name)
-        assert scalar == vector
+        stepwise = _reschedule_signature(network, flow_set, victims, True,
+                                         policy_name)
+        fused = _reschedule_signature(network, flow_set, victims, False,
+                                      policy_name)
+        assert stepwise == fused
 
     def test_no_victims_matches_plain_run(self, figure1_workload):
         """An empty barrier is placement-equivalent to the inner policy."""
         network, flow_set = figure1_workload
-        plain = _run_signature(network, flow_set, "RA", KERNEL_VECTOR)[1]
-        barred = _reschedule_signature(network, flow_set, (),
-                                       KERNEL_VECTOR)[1]
+        plain = _run_signature(network, flow_set, "RA", False)[1]
+        barred = _reschedule_signature(network, flow_set, (), False)[1]
         assert barred == plain
 
     def test_victims_leave_shared_cells(self, figure1_workload, victims):
         network, flow_set = figure1_workload
         policy = make_policy("RA", 2)
-        with kernel_mode(KERNEL_VECTOR):
-            result = reschedule_without_reuse_on(
-                flow_set, network.topology.num_nodes,
-                network.num_channels, network.reuse, policy, victims)
+        result = reschedule_without_reuse_on(
+            flow_set, network.topology.num_nodes, network.num_channels,
+            network.reuse, policy, victims)
         assert result.schedulable
         barred = set(victims) | {(v, u) for u, v in victims}
         assert not barred & set(result.schedule.reuse_links())
 
 
 # ----------------------------------------------------------------------
-# The per-policy kernel
+# Which schedules carry lanes
 # ----------------------------------------------------------------------
 
 def _lanes(schedule) -> int:
-    """Distance lanes the vector kernel maintains on a schedule."""
+    """Distance lanes a schedule maintains."""
     state = schedule._link_state
     return 0 if state is None else state.count
 
 
-class TestResolveKernel:
-    def test_concrete_modes_win_unchanged(self, reuse_graph):
-        """kernel_mode overrides the schedule's own kernel either way,
-        bare schedules included."""
-        schedule = _random_schedule(reuse_graph, seed=3)
-        assert not _kernel.vectorized(schedule)
-        schedule.kernel = KERNEL_VECTOR
-        assert _kernel.vectorized(schedule)
-        with kernel_mode(KERNEL_SCALAR):
-            assert not _kernel.vectorized(schedule)
-        schedule.kernel = KERNEL_SCALAR
-        with kernel_mode(KERNEL_VECTOR):
-            assert _kernel.vectorized(schedule)
-        assert not _kernel.vectorized(schedule)
-
-    def test_auto_rc_stays_vector_nr_stays_scalar(self, figure1_workload):
-        """Each policy declares its kernel and the barrier forwards the
-        inner declaration; the schedule a run builds carries it."""
-        from repro.core.reschedule import ReuseBarrierPolicy
-
-        expected = {"NR": KERNEL_SCALAR, "RA": KERNEL_SCALAR,
-                    "RC": KERNEL_VECTOR}
-        network, flow_set = figure1_workload
-        for name, kernel in expected.items():
-            policy = make_policy(name, 2)
-            assert policy.kernel == kernel
-            assert ReuseBarrierPolicy(policy, set()).kernel == kernel
-            result = FixedPriorityScheduler(
-                num_nodes=network.topology.num_nodes,
-                num_offsets=network.num_channels,
-                reuse_graph=network.reuse, policy=policy).run(flow_set)
-            assert result.schedule.kernel == kernel
-            assert result.schedule.clone().kernel == kernel
-
-    def test_kernel_mode_rejects_auto_and_junk(self):
-        for mode in ("auto", "quantum"):
-            with pytest.raises(ValueError, match="unknown kernel mode"):
-                with kernel_mode(mode):
-                    pass
+def _rc_compile(network, flow_set):
+    return FixedPriorityScheduler(
+        num_nodes=network.topology.num_nodes,
+        num_offsets=network.num_channels, reuse_graph=network.reuse,
+        policy=make_policy("RC", 2)).run(flow_set)
 
 
-class TestAutoRunEquivalence:
-    @pytest.mark.parametrize("policy_name", ["NR", "RA", "RC"])
-    def test_auto_matches_fixed_kernels(self, figure1_workload,
-                                        policy_name):
-        """A run on the policy's own kernel is bit-identical, schedule
-        and work counters, to both forced kernels."""
-        network, flow_set = figure1_workload
-        own = _run_signature(network, flow_set, policy_name, None)
-        for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
-            assert _run_signature(network, flow_set, policy_name,
-                                  kernel) == own
-
-    def test_auto_is_resolved_before_the_run(self, figure1_workload):
-        """The kernel is fixed when the schedule is built: an RA run
-        leaves no override behind and its schedule no lanes."""
-        network, flow_set = figure1_workload
-        result = FixedPriorityScheduler(
-            num_nodes=network.topology.num_nodes,
-            num_offsets=network.num_channels,
-            reuse_graph=network.reuse,
-            policy=make_policy("RA", 2)).run(flow_set)
-        assert result.schedulable
-        assert _kernel._OVERRIDE is None
-        assert result.schedule.kernel == KERNEL_SCALAR
-        assert _lanes(result.schedule) == 0
+def _blacklist(indriya):
+    """Figure 1's 4 channels narrowed to 3 (the last offset's
+    transmissions move) and the narrowed reuse graph."""
+    topology, _ = indriya
+    narrowed = prepare_network(topology, num_channels=3)
+    return (ChangeSet(channel=ChannelChange(
+        reuse_graph=narrowed.reuse, num_offsets=3,
+        offset_map=(0, 1, 2, None))), narrowed.reuse)
 
 
 class TestPerPolicyLanes:
-    """Which schedules maintain the vector kernel's distance lanes."""
+    """Lanes belong to the schedule an RC compile built."""
 
     @pytest.fixture(scope="class")
     def built(self, figure1_workload):
@@ -386,13 +347,13 @@ class TestPerPolicyLanes:
                     num_offsets=network.num_channels,
                     reuse_graph=network.reuse,
                     policy=make_policy(name, 2)).run(flow_set)
-                for name in ("NR", "RA", "RC")}
+                for name in ("NR", "RA")}
 
     @pytest.mark.parametrize("policy_name", ["NR", "RA"])
     def test_scalar_policies_carry_no_lanes(self, figure1_workload, built,
                                             policy_name):
         """Plain run, barrier rebuild and victim repair all stay off the
-        distance stacks for NR and RA."""
+        distance lanes for NR and RA."""
         network, flow_set = figure1_workload
         result = built[policy_name]
         assert result.schedulable
@@ -402,93 +363,111 @@ class TestPerPolicyLanes:
         rebuilt = reschedule_without_reuse_on(
             flow_set, network.topology.num_nodes, network.num_channels,
             network.reuse, make_policy(policy_name, 2), {victim})
-        assert rebuilt.schedule.kernel == KERNEL_SCALAR
         assert _lanes(rebuilt.schedule) == 0
         repaired = repair_schedule(
             result.schedule, flow_set, network.reuse,
             ChangeSet(victims=(victim,)), rho_t=2,
             policy_name=policy_name)
-        assert repaired.schedule.kernel == KERNEL_SCALAR
         assert _lanes(repaired.schedule) == 0
 
-    def test_rc_keeps_lanes_through_clone_and_repairs(
-            self, figure1_workload, built, indriya):
+    def test_rc_lanes_stay_on_the_compiled_schedule(self, figure1_workload,
+                                                    indriya):
+        """An RC compile that descends builds lanes; its clone, its
+        victim repair product and its channel-blacklist repair product
+        carry none, and ``evict`` on the compiled schedule drops them.
+        Every one of them audits clean."""
         network, flow_set = figure1_workload
-        schedule = built["RC"].schedule
-        lanes = _lanes(schedule)
-        assert lanes > 0
-        assert _lanes(schedule.clone()) == lanes
+        schedule = _rc_compile(network, flow_set).schedule
+        assert _lanes(schedule) > 0
+        assert audit_schedule(schedule, network.reuse, 2,
+                              flow_set=flow_set).ok
+        clone = schedule.clone()
+        assert _lanes(clone) == 0
+        assert clone.signature() == schedule.signature()
+        assert audit_schedule(clone, network.reuse, 2,
+                              flow_set=flow_set).ok
         victim = smallest_reused_link(schedule)
         repaired = repair_schedule(schedule, flow_set, network.reuse,
                                    ChangeSet(victims=(victim,)), rho_t=2)
-        assert repaired.evicted > 0
-        assert repaired.schedule.kernel == KERNEL_VECTOR
-        assert _lanes(repaired.schedule) >= lanes
-        topology, _ = indriya
-        narrowed = prepare_network(topology, num_channels=3)
-        remapped = repair_schedule(
-            schedule, flow_set, network.reuse,
-            ChangeSet(channel=ChannelChange(
-                reuse_graph=narrowed.reuse, num_offsets=3,
-                offset_map=(0, 1, 2, None))), rho_t=2)
-        assert remapped.evicted > 0
-        assert remapped.schedule.kernel == KERNEL_VECTOR
-        assert _lanes(remapped.schedule) > 0
+        assert repaired.schedulable and repaired.evicted > 0
+        assert _lanes(repaired.schedule) == 0
+        assert audit_schedule(repaired.schedule, network.reuse, 2,
+                              flow_set=flow_set,
+                              barred_links={victim}).ok
+        change, narrowed = _blacklist(indriya)
+        remapped = repair_schedule(schedule, flow_set, network.reuse,
+                                   change, rho_t=2)
+        assert remapped.schedulable and remapped.evicted > 0
+        assert _lanes(remapped.schedule) == 0
+        assert audit_schedule(remapped.schedule, narrowed, 2,
+                              flow_set=flow_set).ok
+        assert _lanes(schedule) > 0  # repair left the input's lanes alone
+        schedule.evict([len(schedule) - 1])
+        assert _lanes(schedule) == 0
+        assert audit_schedule(schedule, network.reuse, 2,
+                              flow_set=flow_set, expect_complete=False).ok
+
+    def test_rc_repair_hashes_pinned(self, figure1_workload, indriya):
+        """Golden: the canonical hashes of one RC victim repair and one
+        RC channel-blacklist repair on the Figure 1 workload, recorded
+        when repair still re-placed through the lanes the compiled
+        schedule carried.  The scalar scan places every evicted
+        transmission where the lanes did."""
+        network, flow_set = figure1_workload
+        schedule = _rc_compile(network, flow_set).schedule
+        victim = smallest_reused_link(schedule)
+        assert victim == (0, 10)
+        repaired = repair_schedule(schedule, flow_set, network.reuse,
+                                   ChangeSet(victims=(victim,)), rho_t=2)
+        assert (repaired.schedulable, repaired.evicted) == (True, 8)
+        assert repaired.schedule.canonical_hash() == (
+            "b191fe481a86481753d6f1b5e5d54363e77f2acdefc1745d3f70ceb461eb3965")
+        change, _ = _blacklist(indriya)
+        remapped = repair_schedule(schedule, flow_set, network.reuse,
+                                   change, rho_t=2)
+        assert (remapped.schedulable, remapped.evicted) == (True, 578)
+        assert remapped.schedule.canonical_hash() == (
+            "67c653d623208c009f929bc42e1c1e820d71593c298fe99551168d85169a7a35")
 
     def test_rc_without_reuse_builds_no_lanes(self, figure1_workload,
                                               indriya):
         """An RC run that never leaves ρ = ∞ (9 of the fleet's 32 flow
         sets) ends with no lane state.  The auto victim finds no shared
         cell; a victim repair evicts nothing, and a channel blacklist
-        repair re-places at ρ_t on a fresh schedule, registering links
-        as it asks.  Both repairs agree across kernels and audit clean."""
+        repair re-places at ρ_t on a fresh schedule through the scalar
+        scan.  Neither builds lanes, and both audit clean."""
         network, _ = figure1_workload
         flow_set = build_workload(network, 15, PeriodRange(0, 3),
                                   TrafficType.PEER_TO_PEER,
                                   np.random.default_rng(0))
-        result = FixedPriorityScheduler(
-            num_nodes=network.topology.num_nodes,
-            num_offsets=network.num_channels, reuse_graph=network.reuse,
-            policy=make_policy("RC", 2)).run(flow_set)
+        result = _rc_compile(network, flow_set)
         assert result.schedulable
         assert result.schedule._link_state is None
         assert smallest_reused_link(result.schedule) is None
-        topology, _ = indriya
-        narrowed = prepare_network(topology, num_channels=3)
+        blacklist, narrowed = _blacklist(indriya)
         changes = {
             "victim": (ChangeSet(victims=(
                 result.schedule.entries[0].request.link,)),
                 network.reuse),
-            "blacklist": (ChangeSet(channel=ChannelChange(
-                reuse_graph=narrowed.reuse, num_offsets=3,
-                offset_map=(0, 1, 2, None))), narrowed.reuse)}
+            "blacklist": (blacklist, narrowed)}
         for name, (change, graph) in changes.items():
-            repaired = {}
-            for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
-                with kernel_mode(kernel):
-                    repaired[kernel] = repair_schedule(
-                        result.schedule, flow_set, network.reuse, change,
-                        rho_t=2)
-            scalar, vector = repaired[KERNEL_SCALAR], repaired[KERNEL_VECTOR]
-            assert vector.schedulable and scalar.schedulable
-            assert (scalar.schedule.signature()
-                    == vector.schedule.signature())
-            assert audit_schedule(vector.schedule, graph, 2,
+            repaired = repair_schedule(result.schedule, flow_set,
+                                       network.reuse, change, rho_t=2)
+            assert repaired.schedulable
+            assert repaired.schedule._link_state is None
+            assert audit_schedule(repaired.schedule, graph, 2,
                                   flow_set=flow_set).ok
             if name == "victim":
-                assert vector.evicted == 0
-                assert vector.schedule._link_state is None
+                assert repaired.evicted == 0
             else:
-                assert vector.evicted > 0
-                assert _lanes(vector.schedule) > 0
+                assert repaired.evicted > 0
 
     def test_rc_builds_lanes_for_the_planned_links(self, figure1_workload,
                                                    monkeypatch):
         """Lanes are built once, at the first finite-ρ query, for the
         links of the flow making it and of every later flow, sized to
         those distinct links; the run registers nothing else and audits
-        clean.  A repair on a clone adds only earlier flows' links, as
-        they register themselves."""
+        clean.  A repair on a clone registers nothing at all."""
         network, flow_set = figure1_workload
         calls = []
         register = _kernel._LinkDistanceState.register
@@ -498,12 +477,8 @@ class TestPerPolicyLanes:
             return register(state, schedule, links)
 
         monkeypatch.setattr(_kernel._LinkDistanceState, "register", spy)
-        scheduler = FixedPriorityScheduler(
-            num_nodes=network.topology.num_nodes,
-            num_offsets=network.num_channels, reuse_graph=network.reuse,
-            policy=make_policy("RC", 2))
         with obs.recording() as recorder:
-            result = scheduler.run(flow_set)
+            result = _rc_compile(network, flow_set)
         assert result.schedulable
         first = next(event.fields["flow"]
                      for event in recorder.tracer.events()
@@ -526,28 +501,7 @@ class TestPerPolicyLanes:
             ChangeSet(victims=(smallest_reused_link(result.schedule),)),
             rho_t=2)
         assert repaired.schedulable and repaired.evicted > 0
-        added = set(repaired.schedule._link_state.index) - planned
-        assert added <= earlier
-        assert all(len(links) == 1 for links, _ in calls[1:])
+        assert repaired.schedule._link_state is None
+        assert len(calls) == 1
         assert audit_schedule(repaired.schedule, network.reuse, 2,
                               flow_set=flow_set).ok
-
-    def test_forced_kernels_agree_on_ra_repair(self, figure1_workload,
-                                               built):
-        """kernel_mode forces either kernel on a scalar policy's repair
-        (RC's is covered in tests/test_repair.py)."""
-        network, flow_set = figure1_workload
-        schedule = built["RA"].schedule
-        victim = smallest_reused_link(schedule)
-        products = {}
-        for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
-            with kernel_mode(kernel):
-                products[kernel] = repair_schedule(
-                    schedule, flow_set, network.reuse,
-                    ChangeSet(victims=(victim,)), rho_t=2,
-                    policy_name="RA")
-        scalar, vector = products[KERNEL_SCALAR], products[KERNEL_VECTOR]
-        assert vector.evicted > 0
-        assert _lanes(vector.schedule) > 0
-        assert scalar.schedulable == vector.schedulable
-        assert scalar.schedule.signature() == vector.schedule.signature()

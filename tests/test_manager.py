@@ -515,6 +515,20 @@ def replace_policy(config: ManagerConfig, policy: str) -> ManagerConfig:
     return replace(config, policy=policy)
 
 
+def fail_every_repair(monkeypatch) -> None:
+    """Make every remediation's repair fail placement, so each one falls
+    back to the audited rebuild."""
+    from repro.core.repair import BlastRadius, RepairOutcome
+    from repro.manager import loop as loop_mod
+
+    def unschedulable(schedule, *args, **kwargs):
+        return RepairOutcome(schedulable=False, schedule=schedule,
+                             blast=BlastRadius(), evicted=0,
+                             failed_request="forced")
+
+    monkeypatch.setattr(loop_mod, "repair_schedule", unschedulable)
+
+
 class TestRebuildAudit:
     """A remediation policy's rebuilt schedule only goes live after the
     independent auditor accepts it; a corrupt rebuild is rolled back."""
@@ -524,11 +538,12 @@ class TestRebuildAudit:
         from repro.obs.recorder import Recorder
 
         topology, environment = wustl
-        # repair=False forces every remediation through _rebuild so the
-        # corruption below reliably reaches the audit (the repair path
-        # has its own corrupt-repair test in TestRepairRemediation).
+        # A failing repair sends every remediation through _rebuild so
+        # the corruption below reliably reaches the audit (the repair
+        # path has its own corrupt-repair test in TestRepairRemediation).
+        fail_every_repair(monkeypatch)
         config = ManagerConfig(scenario="reuse-storm", policy="reschedule",
-                               num_epochs=6, seed=3, repair=False, **QUICK)
+                               num_epochs=6, seed=3, **QUICK)
 
         real_rebuild = NetworkManager._rebuild
 
@@ -564,14 +579,17 @@ class TestRebuildAudit:
                         if e.kind == "manager_epoch"]
         assert any(e.fields["audit_ok"] is False for e in epoch_events)
 
-    def test_clean_rebuild_keeps_audit_ok(self, wustl):
+    def test_clean_rebuild_keeps_audit_ok(self, wustl, monkeypatch):
         topology, environment = wustl
+        fail_every_repair(monkeypatch)
         config = ManagerConfig(scenario="reuse-storm", policy="reschedule",
                                num_epochs=6, seed=3, **QUICK)
         report = NetworkManager(topology, environment, WUSTL_PLAN,
                                 config).run()
         assert all(o.audit_ok for o in report.epochs)
-        assert any(o.action_applied for o in report.epochs)
+        applied = [o for o in report.epochs if o.action_applied]
+        assert applied
+        assert all(o.repair_mode == "rebuild" for o in applied)
 
 
 class TestRepairRemediation:

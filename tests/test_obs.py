@@ -8,12 +8,11 @@ import math
 import pytest
 
 from repro import obs
-from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
 from repro.core.laxity import LaxityTable
 from repro.core.nr import NoReusePolicy
 from repro.core.ra import AggressiveReusePolicy
 from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
-                           RHO_RESET_TRANSMISSION)
+                           RHO_RESET_TRANSMISSION, stepwise_descent)
 from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler
 from repro.core.transmissions import RequestWindow, TransmissionRequest
@@ -301,15 +300,18 @@ def _scheduler(topology, policy, num_offsets=2):
 def _known_answer(topology, flows, policy=ConservativeReusePolicy,
                   **options):
     """Schedule ``flows`` with ``policy(**options)`` (RC by default) on
-    one channel under each kernel with every recording on; the kernels
+    one channel with every recording on — RC under both descents, which
     must agree exactly.  Returns the run's outcome, counters,
     ``rc.fallback_rho``, ``(slot, rho, laxity)`` per ``laxity_eval``,
     ``(from, to)`` per ``rc_fallback`` and the provenance records."""
     routed = _routed(topology, flows)
+    scopes = ((stepwise_descent, contextlib.nullcontext)
+              if policy is ConservativeReusePolicy
+              else (contextlib.nullcontext,))
     runs = []
-    for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
+    for scope in scopes:
         prov = ProvenanceRecorder()
-        with kernel_mode(kernel), \
+        with scope(), \
                 obs.recording(Recorder(provenance=prov)) as recorder:
             result = _scheduler(topology, policy(**options),
                                 num_offsets=1).run(routed)
@@ -330,7 +332,7 @@ def _known_answer(topology, flows, policy=ConservativeReusePolicy,
             "events": [(e.kind, e.fields) for e in events],
             "provenance": prov.records(),
         })
-    assert runs[0] == runs[1]
+    assert all(run == runs[0] for run in runs)
     return runs[0]
 
 
@@ -501,7 +503,7 @@ class TestSchedulerIntegration:
     def test_rc_empty_window_probes_every_rho(self, line_topology):
         """A direct ``place`` whose window is empty (earliest past the
         deadline, as the reuse barrier's retry can ask) probes ∞, 5, 4,
-        3, 2 and finds nothing, identically on both kernels.  ρ then
+        3, 2 and finds nothing, identically on both descents.  ρ then
         persists as ∞ per transmission and as ρ_t = 2 per flow, where
         the next probe starts."""
         reuse = ChannelReuseGraph.from_topology(line_topology)
@@ -511,15 +513,16 @@ class TestSchedulerIntegration:
         for rho_reset, persisted in ((RHO_RESET_TRANSMISSION, math.inf),
                                      (RHO_RESET_FLOW, 2)):
             runs = {}
-            for kernel, recording in ((KERNEL_SCALAR, True),
-                                      (KERNEL_VECTOR, True),
-                                      (KERNEL_VECTOR, False)):
+            for descent, recording in (("stepwise", True),
+                                       ("fused", True),
+                                       ("fused", False)):
                 policy = ConservativeReusePolicy(rho_reset=rho_reset)
                 prov = ProvenanceRecorder()
                 scope = (obs.recording(Recorder(provenance=prov))
                          if recording else contextlib.nullcontext())
                 placed, rhos = [], []
-                with kernel_mode(kernel), scope:
+                with (stepwise_descent() if descent == "stepwise"
+                      else contextlib.nullcontext()), scope:
                     for _ in range(2):
                         prov.begin_decision("RC", requests[0], 2)
                         placed.append(policy.place(
@@ -527,10 +530,10 @@ class TestSchedulerIntegration:
                             remaining))
                         prov.end_decision(None)
                         rhos.append(policy._rho)
-                runs[kernel, recording] = (placed, rhos, prov.records())
-            assert runs[KERNEL_SCALAR, True] == runs[KERNEL_VECTOR, True]
-            placed, rhos, records = runs[KERNEL_VECTOR, True]
-            assert runs[KERNEL_VECTOR, False][:2] == (placed, rhos)
+                runs[descent, recording] = (placed, rhos, prov.records())
+            assert runs["stepwise", True] == runs["fused", True]
+            placed, rhos, records = runs["fused", True]
+            assert runs["fused", False][:2] == (placed, rhos)
             assert placed == [None, None]
             assert rhos == [persisted, persisted]
             first, second = records[0], records[1]

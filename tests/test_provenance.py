@@ -2,23 +2,23 @@
 
 Covers the Section V-A constraint classifier on hand-picked cells of a
 hand-built schedule, the :class:`ProvenanceRecorder` lifecycle and its
-kernel-mode bit-identity, the append-only run ledger, and the
+bit-identity across RC's two descents, the append-only run ledger, and the
 ``explain`` / ``timeline`` / ``ledger`` commands end to end.
 """
 
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.core import kernel as _kernel
 from repro.core.nr import NoReusePolicy
 from repro.core.ra import AggressiveReusePolicy
-from repro.core.rc import ConservativeReusePolicy
+from repro.core.rc import ConservativeReusePolicy, stepwise_descent
 from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler
 from repro.core.transmissions import TransmissionRequest
@@ -131,7 +131,7 @@ class TestConstraintClassifier:
 
 
 # ----------------------------------------------------------------------
-# ProvenanceRecorder lifecycle + kernel bit-identity
+# ProvenanceRecorder lifecycle + RC descent bit-identity
 # ----------------------------------------------------------------------
 
 def _routed_flows(topology, num_flows=3, period=64, deadline=None):
@@ -206,20 +206,23 @@ class TestProvenanceRecorder:
         assert context["rho_t"] == 2
 
     def test_scalar_and_vector_streams_bit_identical(self, grid_topology):
+        """RC's stepwise oracle (the scalar scan) and its fused descent
+        (the vector lanes) record the same stream; every policy's
+        stream is JSON-safe."""
         flows = _routed_flows(grid_topology, num_flows=3)
-        for policy_factory in (NoReusePolicy,
-                               lambda: AggressiveReusePolicy(rho_t=2),
-                               lambda: ConservativeReusePolicy(rho_t=2)):
-            streams = {}
-            for mode in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
-                with _kernel.kernel_mode(mode):
-                    _, prov = _run_with_provenance(
-                        grid_topology, policy_factory(), num_offsets=2,
-                        flows=flows)
-                streams[mode] = prov.records()
-            assert streams[_kernel.KERNEL_SCALAR] == \
-                streams[_kernel.KERNEL_VECTOR]
-            assert json.dumps(streams[_kernel.KERNEL_SCALAR])  # JSON-safe
+        streams = []
+        for scope in (stepwise_descent, nullcontext):
+            with scope():
+                _, prov = _run_with_provenance(
+                    grid_topology, ConservativeReusePolicy(rho_t=2),
+                    num_offsets=2, flows=flows)
+            streams.append(prov.records())
+        assert streams[0] == streams[1]
+        for policy in (NoReusePolicy(), AggressiveReusePolicy(rho_t=2)):
+            _, prov = _run_with_provenance(grid_topology, policy,
+                                           num_offsets=2, flows=flows)
+            streams.append(prov.records())
+        assert all(json.dumps(stream) for stream in streams)
 
     def test_recording_provenance_does_not_perturb_schedule(
             self, grid_topology):

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import kernel as _kernel
 from repro.core.ra import DEFAULT_RHO_T
+from repro.core.rc import stepwise_descent
 from repro.core.repair import (
     ChangeSet,
     ChannelChange,
@@ -21,10 +21,8 @@ from repro.core.repair import (
     repair_schedule,
     smallest_reused_link,
 )
-from repro.core.reschedule import reschedule_without_reuse_on
 from repro.experiments.common import (
     build_workload,
-    make_policy,
     prepare_network,
     schedule_workload,
 )
@@ -71,9 +69,9 @@ class TestEvict:
         evicted = clone.evict(indices)
         assert len(evicted) == 50
         assert len(clone) == len(result.schedule) - 50
-        # The auditor cross-checks busy matrix, occupancy planes, used
-        # masks, and the incremental link-distance state against a full
-        # recompute — the strongest available eviction oracle.
+        # The auditor cross-checks busy matrix, occupancy planes and used
+        # masks against a full recompute — the strongest available
+        # eviction oracle.
         report = audit_schedule(clone, network.reuse, DEFAULT_RHO_T,
                                 flow_set=flow_set, expect_complete=False)
         assert report.ok, report.summary()
@@ -158,20 +156,23 @@ class TestRepairSchedule:
         assert report.ok, report.summary()
 
     def test_repair_kernel_equivalence(self, bench_case):
+        """Repair ignores how its input was compiled: the fused
+        descent's schedule (carrying distance lanes) and the stepwise
+        oracle's (carrying none) repair to the same product."""
         network, flow_set, result = bench_case
+        with stepwise_descent():
+            oracle = schedule_workload(network, flow_set, "RC")
+        assert result.schedule._link_state is not None
+        assert oracle.schedule._link_state is None
         victim = smallest_reused_link(result.schedule)
         change = ChangeSet(victims=(victim,))
-        products = {}
-        for mode in (_kernel.KERNEL_SCALAR, _kernel.KERNEL_VECTOR):
-            with _kernel.kernel_mode(mode):
-                products[mode] = repair_schedule(
-                    result.schedule, flow_set, network.reuse, change,
-                    rho_t=DEFAULT_RHO_T)
-        scalar = products[_kernel.KERNEL_SCALAR]
-        vector = products[_kernel.KERNEL_VECTOR]
-        assert scalar.schedulable == vector.schedulable
-        assert (entries_signature(scalar.schedule)
-                == entries_signature(vector.schedule))
+        fused, stepwise = (
+            repair_schedule(compiled.schedule, flow_set, network.reuse,
+                            change, rho_t=DEFAULT_RHO_T)
+            for compiled in (result, oracle))
+        assert fused.schedulable == stepwise.schedulable
+        assert (entries_signature(fused.schedule)
+                == entries_signature(stepwise.schedule))
 
     def test_rho_escalation_repair(self, bench_case):
         network, flow_set, result = bench_case
@@ -215,51 +216,6 @@ class TestRepairSchedule:
             ChangeSet(victims=(victim,)), rho_t=DEFAULT_RHO_T)
         assert not outcome.schedulable
         assert outcome.failed_request is not None
-
-
-# ----------------------------------------------------------------------
-# reschedule_without_reuse_on mode="repair" and the rebuild fallback
-# ----------------------------------------------------------------------
-
-class TestRescheduleRepairMode:
-    def test_repair_mode_warm_starts(self, bench_case):
-        network, flow_set, result = bench_case
-        victim = smallest_reused_link(result.schedule)
-        repaired = reschedule_without_reuse_on(
-            flow_set, network.topology.num_nodes, network.num_channels,
-            network.reuse, make_policy("RC", DEFAULT_RHO_T), {victim},
-            mode="repair", schedule=result.schedule)
-        assert repaired.schedulable
-        assert repaired.policy_name == "RC+repair"
-
-    def test_mode_validation(self, bench_case):
-        network, flow_set, result = bench_case
-        with pytest.raises(ValueError, match="unknown mode"):
-            reschedule_without_reuse_on(
-                flow_set, network.topology.num_nodes,
-                network.num_channels, network.reuse,
-                make_policy("RC", DEFAULT_RHO_T), set(), mode="patch")
-        with pytest.raises(ValueError, match="running schedule"):
-            reschedule_without_reuse_on(
-                flow_set, network.topology.num_nodes,
-                network.num_channels, network.reuse,
-                make_policy("RC", DEFAULT_RHO_T), set(), mode="repair")
-
-    def test_placement_failure_falls_back_to_rebuild(self, bench_case,
-                                                     monkeypatch):
-        network, flow_set, result = bench_case
-        victim = smallest_reused_link(result.schedule)
-        import repro.core.repair as repair_mod
-        monkeypatch.setattr(repair_mod, "find_slot",
-                            lambda *args, **kwargs: None)
-        fallback = reschedule_without_reuse_on(
-            flow_set, network.topology.num_nodes, network.num_channels,
-            network.reuse, make_policy("RC", DEFAULT_RHO_T), {victim},
-            mode="repair", schedule=result.schedule)
-        # The barrier rebuild uses its own engine (unpatched find_slot
-        # import), so the fallback still schedules the workload.
-        assert fallback.schedulable
-        assert fallback.policy_name == "RC+barrier"
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Tests for repro.service: protocol, cache, and executor semantics."""
 
 import json
+from contextlib import nullcontext
 
 import pytest
 
 from repro.cli import main
-from repro.core.kernel import KERNEL_SCALAR, KERNEL_VECTOR, kernel_mode
+from repro.core.rc import stepwise_descent
 from repro.service.cache import ArtifactCache
 from repro.service.executor import ServiceError, ServiceExecutor, \
     direct_schedule
@@ -182,9 +183,13 @@ class TestExecutorSchedule:
             direct.schedule.canonical_hash()
         assert served["schedulable"] == direct.schedulable
 
-    @pytest.mark.parametrize("kernel", [KERNEL_SCALAR, KERNEL_VECTOR])
-    def test_cold_vs_warm_bit_identical_per_kernel(self, kernel):
-        with kernel_mode(kernel):
+    @pytest.mark.parametrize("scope", [stepwise_descent, nullcontext],
+                             ids=["scalar", "vector"])
+    def test_cold_vs_warm_bit_identical_per_kernel(self, scope):
+        """RC's stepwise oracle (the scalar scan) and its fused descent
+        (the vector lanes) each serve a warm hit identical to the cold
+        compile."""
+        with scope():
             executor = ServiceExecutor()
             cold = executor.handle(schedule_request(config=REUSE_CONFIG))
             warm = executor.handle(schedule_request(config=REUSE_CONFIG))
@@ -192,9 +197,10 @@ class TestExecutorSchedule:
         assert warm["cache"]["schedule"] == "hit"
 
     def test_kernels_agree_through_the_service_path(self):
+        """RC's two descents compile the same schedule in the service."""
         hashes = set()
-        for kernel in (KERNEL_SCALAR, KERNEL_VECTOR):
-            with kernel_mode(kernel):
+        for scope in (stepwise_descent, nullcontext):
+            with scope():
                 executor = ServiceExecutor()
                 result = executor.handle(
                     schedule_request(config=REUSE_CONFIG))

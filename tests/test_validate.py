@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import kernel as _kernel
-from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW)
+from repro.core.rc import (ConservativeReusePolicy, RHO_RESET_FLOW,
+                           stepwise_descent)
 from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler
 from repro.experiments.common import (build_workload, make_policy,
@@ -195,8 +195,7 @@ class TestAuditorCorruptions:
 
     def test_link_state_drift(self, scheduled_network):
         network, _, flow_set = scheduled_network
-        with _kernel.kernel_mode(_kernel.KERNEL_VECTOR):
-            result = run_policy(network, flow_set, make_policy("RA", 1))
+        result = run_policy(network, flow_set, make_policy("RC", 1))
         state = result.schedule._link_state
         assert state is not None and state.count > 0
         state.dist[0, 0, 0] += 1
@@ -265,9 +264,9 @@ class TestDifferentialFuzzer:
 
 
 class TestRcFlowResetParity:
-    """The scalar stepwise loop and the fused RC descent must agree bit
-    for bit when rho persists across a flow's transmissions
-    (rho_reset="flow"), including the post-descent clamp back to rho_t."""
+    """RC's stepwise loop and its fused descent must agree bit for bit
+    when rho persists across a flow's transmissions (rho_reset="flow"),
+    including the post-descent clamp back to rho_t."""
 
     def test_stepwise_vs_fused_schedules_identical(self, scheduled_network):
         network, _, flow_set = scheduled_network
@@ -276,12 +275,11 @@ class TestRcFlowResetParity:
             return ConservativeReusePolicy(rho_t=2,
                                            rho_reset=RHO_RESET_FLOW)
 
-        with _kernel.kernel_mode(_kernel.KERNEL_SCALAR):
-            scalar = run_policy(network, flow_set, rc())
-        with _kernel.kernel_mode(_kernel.KERNEL_VECTOR):
-            fused = run_policy(network, flow_set, rc())
+        with stepwise_descent():
+            stepwise = run_policy(network, flow_set, rc())
+        fused = run_policy(network, flow_set, rc())
 
-        assert _schedule_signature(scalar) == _schedule_signature(fused)
+        assert _schedule_signature(stepwise) == _schedule_signature(fused)
         report = audit_schedule(fused.schedule, network.reuse, 2,
                                 flow_set=flow_set,
                                 expect_complete=fused.schedulable)
