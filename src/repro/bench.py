@@ -262,22 +262,6 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
     return cells
 
 
-def _sim_signature(stats) -> tuple:
-    """Order-insensitive comparable form of one SimulationStats."""
-    def bucket(counters) -> tuple:
-        return tuple(sorted(
-            (key, counter.attempts, counter.successes)
-            for key, counter in counters.items()))
-
-    return (
-        tuple(sorted(stats.flow_released.items())),
-        tuple(sorted(stats.flow_delivered.items())),
-        tuple((bucket(record.reuse), bucket(record.contention_free),
-               bucket(record.channels))
-              for record in stats.repetitions),
-    )
-
-
 def bench_simulator(flow_counts: Sequence[int], seed: int,
                     sim_repetitions: int, rounds: int) -> List[Dict]:
     """Engine decision per flow count at ``sim_repetitions``.
@@ -294,6 +278,7 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
     from repro.simulator.engine import (ENGINE_EVENT, SimulationConfig,
                                         TschSimulator, engine_for)
     from repro.simulator.events import run_event_batched
+    from repro.simulator.stats import stats_signature
     from repro.testbeds import make_wustl
 
     chosen = ("batched" if engine_for(sim_repetitions) == ENGINE_EVENT
@@ -323,7 +308,8 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
             "batched": lambda: run_event_batched(simulator,
                                                  sim_repetitions),
         }, chosen, rounds)
-        if _sim_signature(stats["batched"]) != _sim_signature(stats["slot"]):
+        if (stats_signature(stats["batched"])
+                != stats_signature(stats["slot"])):
             raise AssertionError(
                 f"simulator engine divergence at {num_flows} flows: "
                 f"batched statistics differ from the slot oracle")

@@ -74,6 +74,8 @@ class Schedule:
         self._link_plan = ()
         # canonical_hash() memo; every entry mutation clears it.
         self._hash: Optional[str] = None
+        # Mutation counter: every entry mutation bumps it (see version).
+        self._version = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -125,6 +127,7 @@ class Schedule:
         index = len(self._entries)
         self._entries.append(entry)
         self._hash = None
+        self._version += 1
         self._busy[request.sender, slot] = True
         self._busy[request.receiver, slot] = True
         self._cells.setdefault((slot, offset), []).append(index)
@@ -170,6 +173,7 @@ class Schedule:
         dup._link_state = None
         dup._link_plan = ()
         dup._hash = self._hash
+        dup._version = self._version
         return dup
 
     def evict(self, indices: Iterable[int]) -> List[ScheduledTransmission]:
@@ -207,6 +211,7 @@ class Schedule:
         self._entries = [entry for i, entry in enumerate(self._entries)
                          if i not in doomed_set]
         self._hash = None
+        self._version += 1
         # Survivor indices shifted: rebuild both index maps in one pass
         # (linear in schedule size, far below placement cost).
         cells: Dict[Tuple[int, int], List[int]] = {}
@@ -286,6 +291,15 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def version(self) -> int:
+        """Mutation counter: :meth:`add`, :meth:`force_add` and
+        :meth:`evict` bump it, so per-schedule caches keyed on it (the
+        simulator's compiled entries, draw plans and event tables) never
+        serve a state the schedule has left.  An evict-then-add back to
+        the same length changes it, where the entry count would not."""
+        return self._version
 
     def node_busy(self, node: int, slot: int) -> bool:
         """Whether a node transmits or receives in a slot."""

@@ -71,23 +71,41 @@ def build_epoch_report(stats: SimulationStats, epoch: int,
         window: ``(start, end)`` repetition slice (end exclusive);
             ``None`` uses every repetition in ``stats``.
     """
+    # One walk over the window's records gathers, per (link, category),
+    # the per-repetition samples and the pooled counts — the values
+    # SimulationStats.link_prr_samples / overall_link_prr give.
+    start, end = window or (0, len(stats.repetitions))
+    samples: Dict[Tuple[Link, bool], List[float]] = {}
+    pooled: Dict[Tuple[Link, bool], List[int]] = {}
+    for record in stats.repetitions[start:end]:
+        for shared_cell, bucket in ((True, record.reuse),
+                                    (False, record.contention_free)):
+            for link, counter in bucket.items():
+                key = (link, shared_cell)
+                totals = pooled.get(key)
+                if totals is None:
+                    totals = pooled[key] = [0, 0]
+                    samples[key] = []
+                totals[0] += counter.attempts
+                totals[1] += counter.successes
+                if counter.attempts > 0:
+                    samples[key].append(counter.successes
+                                        / counter.attempts)
+
+    def pooled_prr(key) -> Optional[float]:
+        attempts, successes = pooled.get(key, (0, 0))
+        return successes / attempts if attempts else None
+
     link_reports = {}
     for link in stats.links_seen():
-        reuse_samples = tuple(
-            stats.link_prr_samples(link, shared_cell=True,
-                                   repetition_range=window))
-        cf_samples = tuple(
-            stats.link_prr_samples(link, shared_cell=False,
-                                   repetition_range=window))
+        reuse, contention_free = (link, True), (link, False)
         link_reports[link] = LinkEpochReport(
             link=link,
             epoch=epoch,
-            reuse_samples=reuse_samples,
-            contention_free_samples=cf_samples,
-            reuse_prr=stats.overall_link_prr(
-                link, shared_cell=True, repetition_range=window),
-            contention_free_prr=stats.overall_link_prr(
-                link, shared_cell=False, repetition_range=window),
+            reuse_samples=tuple(samples.get(reuse, ())),
+            contention_free_samples=tuple(samples.get(contention_free, ())),
+            reuse_prr=pooled_prr(reuse),
+            contention_free_prr=pooled_prr(contention_free),
         )
     return EpochReport(epoch=epoch, links=link_reports)
 

@@ -2,9 +2,11 @@
 
 Two engines share one pinned random-draw plan and produce bit-identical
 statistics: the slot-driven oracle (:meth:`TschSimulator.run_slot`) and
-the event-driven batched engine (:func:`run_event_batched`) that
-vectorizes all Monte-Carlo repetitions per scheduled slot.
-:meth:`TschSimulator.run` picks one by repetition count.
+the batched engine (:func:`run_event_batched`), which runs all
+Monte-Carlo repetitions in whole-chunk numpy passes over per-schedule
+index tables and keeps only the progress-dependent step in its
+per-slot loop.  :meth:`TschSimulator.run` picks one by repetition
+count; :func:`stats_signature` is the one comparator for their output.
 """
 
 from repro.simulator.engine import (
@@ -35,14 +37,13 @@ from repro.simulator.radio import (
 )
 from repro.simulator.stats import (
     AttemptCounter,
-    BatchedAccumulator,
     RepetitionRecord,
     SimulationStats,
+    stats_signature,
 )
 
 __all__ = [
     "AttemptCounter",
-    "BatchedAccumulator",
     "DrawPlan",
     "ENGINE_EVENT",
     "ENGINE_SLOT",
@@ -63,4 +64,5 @@ __all__ = [
     "repetition_draws",
     "run_event_batched",
     "sinr_at_receiver",
+    "stats_signature",
 ]

@@ -24,8 +24,9 @@ one from the repetition count alone (:func:`engine_for`):
   at a time.
 * **event** — the batched engine in :mod:`repro.simulator.events`
   (:func:`~repro.simulator.events.run_event_batched`): all repetitions
-  advance together through vectorized numpy passes over the scheduled
-  slots.
+  advance together, in whole-chunk numpy passes over per-schedule index
+  tables, with only the progress-dependent step left in a per-slot
+  loop.
 
 Both consume the same pinned draw plan (:class:`repro.simulator.events.
 DrawPlan`): repetition ``g = start_repetition + r`` owns the substream
@@ -51,7 +52,9 @@ from repro.obs.spans import stage
 from repro.simulator.conditions import Conditions
 from repro.simulator.events import (
     DrawPlan,
+    EventTables,
     build_draw_plan,
+    build_event_tables,
     repetition_draws,
     run_event_batched,
 )
@@ -67,15 +70,15 @@ ENGINE_SLOT = "slot"
 ENGINE_EVENT = "event"
 
 #: Repetitions from which :meth:`TschSimulator.run` batches.  Below it
-#: the batched engine's per-slot array setup costs more than it saves.
-#: Measured on WUSTL, 4 channels, RC schedules at 20 and 50 flows, a
-#: fresh simulator per run, median of 9 interleaved rounds, identical
-#: stats: the slot oracle is 5.6-6.2x faster at 1 repetition, 1.75-1.85x
-#: at 4 and 1.2-1.3x at 6; batching first wins at 8 (1.08-1.10x),
-#: reaches 1.4-2.1x at 12-16 and about 2.9x on 18-repetition manager
-#: epochs.  A rerun on a 2-CPU Xeon host tied at 6-7 repetitions
-#: and batched 1.17x faster at 8, so 8 errs toward the oracle.
-EVENT_MIN_REPETITIONS = 8
+#: the batched engine's per-schedule table build costs more than
+#: batching saves.  Measured on WUSTL, 4 channels, RC schedules at 20
+#: and 50 flows, a fresh simulator per run, median of 9 rotated rounds
+#: on a 2-CPU Xeon host, identical stats: with the schedule's tables
+#: already built, batching ran 1.10-1.63x as fast as the slot oracle at
+#: 1 repetition, 1.8-2.5x at 2, 3.1-4.4x at 4 and 4.7-5.3x at 8; with
+#: every run compiling its schedule afresh it ran 0.83-0.98x at 1 and
+#: 1.17-1.36x at 2.  2 is the first count batching wins either way.
+EVENT_MIN_REPETITIONS = 2
 
 
 def engine_for(repetitions: int) -> str:
@@ -139,26 +142,6 @@ class _CompiledEntry:
     shared_cell: bool
 
 
-#: Compiled-entry cache: schedule -> (entry count, compiled dict).  The
-#: manager loop re-instantiates a simulator every epoch (conditions
-#: change) against the *same* schedule object; compiling once per
-#: schedule instead of once per simulator keeps the epoch loop cheap.
-#: Keyed weakly so dropped schedules free their compilation, and guarded
-#: by the entry count so a mutated schedule (``Schedule.add`` only ever
-#: appends) recompiles instead of serving stale cells.  A reschedule
-#: produces a brand-new Schedule object, which misses the cache by
-#: identity — invalidation is automatic.
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[Schedule, Tuple[int, Dict[int, List[_CompiledEntry]]]]" = (
-    weakref.WeakKeyDictionary())
-
-#: Draw-plan cache: schedule -> {(entry count, interferer count): plan}.
-#: The plan depends only on the compiled entries and how many interferers
-#: the simulator carries (conditions may add some), so epochs that differ
-#: only in attenuation/dark-node overlays share one plan.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Schedule, Dict[Tuple[int, int], DrawPlan]]" = (
-    weakref.WeakKeyDictionary())
-
-
 def _compile(schedule: Schedule) -> Dict[int, List[_CompiledEntry]]:
     """Pre-resolve schedule entries per slot for the hot loop."""
     compiled: Dict[int, List[_CompiledEntry]] = {}
@@ -180,30 +163,65 @@ def _compile(schedule: Schedule) -> Dict[int, List[_CompiledEntry]]:
     return compiled
 
 
+class _Compilation:
+    """One schedule state, pre-resolved for both engines.
+
+    Holds the compiled per-slot entries, per interferer count the draw
+    plan, and per (interferer count, channel count) the batched engine's
+    :class:`EventTables` (built on the first batched run).  None of it
+    depends on conditions, so every simulator of the schedule state
+    shares it.
+    """
+
+    def __init__(self, schedule: Schedule):
+        self.version = schedule.version
+        self.compiled = _compile(schedule)
+        self._plans: Dict[int, DrawPlan] = {}
+        self._tables: Dict[Tuple[int, int], EventTables] = {}
+
+    def plan(self, num_interferers: int) -> DrawPlan:
+        plan = self._plans.get(num_interferers)
+        if plan is None:
+            plan = build_draw_plan(self.compiled, num_interferers)
+            self._plans[num_interferers] = plan
+        return plan
+
+    def tables(self, num_interferers: int, num_logical: int) -> EventTables:
+        key = (num_interferers, num_logical)
+        tables = self._tables.get(key)
+        if tables is None:
+            tables = build_event_tables(self.compiled,
+                                        self.plan(num_interferers),
+                                        num_logical)
+            self._tables[key] = tables
+        return tables
+
+
+#: Compilation cache: schedule -> :class:`_Compilation`.  The manager
+#: loop re-instantiates a simulator every epoch (conditions change)
+#: against the *same* schedule object; compiling once per schedule state
+#: instead of once per simulator keeps the epoch loop cheap.  Keyed
+#: weakly so dropped schedules free their compilation, and guarded by
+#: the schedule's mutation counter (``Schedule.version``) so an edited
+#: schedule — ``add``, ``force_add`` or ``evict``, even back to the same
+#: length — recompiles instead of serving stale cells.  A reschedule
+#: produces a brand-new Schedule object, which misses the cache by
+#: identity.
+_COMPILE_CACHE: "weakref.WeakKeyDictionary[Schedule, _Compilation]" = (
+    weakref.WeakKeyDictionary())
+
+
+def _compilation(schedule: Schedule) -> _Compilation:
+    cached = _COMPILE_CACHE.get(schedule)
+    if cached is None or cached.version != schedule.version:
+        cached = _Compilation(schedule)
+        _COMPILE_CACHE[schedule] = cached
+    return cached
+
+
 def compiled_entries(schedule: Schedule) -> Dict[int, List[_CompiledEntry]]:
     """The schedule's compiled per-slot entries, cached across simulators."""
-    cached = _COMPILE_CACHE.get(schedule)
-    if cached is not None and cached[0] == len(schedule):
-        return cached[1]
-    compiled = _compile(schedule)
-    _COMPILE_CACHE[schedule] = (len(schedule), compiled)
-    return compiled
-
-
-def _draw_plan(schedule: Schedule,
-               compiled: Dict[int, List[_CompiledEntry]],
-               num_interferers: int) -> DrawPlan:
-    """The schedule's draw plan, cached alongside the compilation."""
-    plans = _PLAN_CACHE.get(schedule)
-    if plans is None:
-        plans = {}
-        _PLAN_CACHE[schedule] = plans
-    key = (len(schedule), num_interferers)
-    plan = plans.get(key)
-    if plan is None:
-        plan = build_draw_plan(compiled, num_interferers)
-        plans[key] = plan
-    return plan
+    return _compilation(schedule).compiled
 
 
 class TschSimulator:
@@ -288,10 +306,9 @@ class TschSimulator:
         self._interferer_channels = [set(i.affected_channels())
                                      for i in self.interferers]
 
-        self._compiled = compiled_entries(schedule)
-        self._plan = _draw_plan(schedule, self._compiled,
-                                len(self.interferers))
-        self._events = None  # lazy batched compilation
+        self._compilation = _compilation(schedule)
+        self._compiled = self._compilation.compiled
+        self._plan = self._compilation.plan(len(self.interferers))
 
     # -- shared-model views consumed by the event engine ---------------
 
@@ -335,12 +352,12 @@ class TschSimulator:
         """Per-interferer sets of polluted physical channels."""
         return self._interferer_channels
 
-    def event_tables(self):
-        """Batched per-slot event arrays, compiled on first use."""
-        if self._events is None:
-            from repro.simulator.events import compile_events
-            self._events = compile_events(self)
-        return self._events
+    @property
+    def tables(self) -> EventTables:
+        """The batched engine's index tables for this schedule state,
+        built on first use and shared with every simulator of it."""
+        return self._compilation.tables(len(self.interferers),
+                                        len(self.channel_map))
 
     # -- execution ------------------------------------------------------
 

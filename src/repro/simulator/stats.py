@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 Link = Tuple[int, int]
 
@@ -213,133 +211,23 @@ class SimulationStats:
                 if counter.attempts > 0}
 
 
-class BatchedAccumulator:
-    """Vectorized per-repetition counters for the batched event engine.
+def stats_signature(stats: SimulationStats) -> Tuple:
+    """Everything two equivalent simulation runs must agree on.
 
-    The event engine (:mod:`repro.simulator.events`) executes all
-    Monte-Carlo repetitions of a run at once, so instead of appending one
-    :class:`RepetitionRecord` at a time it accumulates whole-run integer
-    arrays — one attempt/success vector of length ``repetitions`` per
-    (link, cell-category), an ``(repetitions, channels)`` matrix for the
-    per-channel view, and one delivery vector per flow.
-    :meth:`reduce` folds those arrays back into a
-    :class:`SimulationStats` that is bit-identical to the one the
-    slot-driven oracle builds record-by-record: a (link, category) or
-    channel key appears in a repetition's record exactly when that
-    repetition made at least one attempt there, mirroring the oracle's
-    on-first-attempt ``defaultdict`` insertion.
-
-    Attributes:
-        channel_attempts: ``(repetitions, len(channels))`` attempt counts
-            indexed by *logical* channel (position in ``channels``).
-        channel_successes: Success counts, same shape/indexing.
+    End-to-end flow counts plus every repetition's per-link (reuse and
+    contention-free) and per-channel attempt counters, order-insensitive
+    within a repetition.  The engine parity tests, the differential
+    fuzzer and ``repro bench`` all compare runs through this one
+    function.
     """
+    def bucket(counters) -> Tuple:
+        return tuple(sorted((key, counter.attempts, counter.successes)
+                            for key, counter in counters.items()))
 
-    def __init__(self, repetitions: int, channels: Sequence[int]):
-        if repetitions <= 0:
-            raise ValueError("repetitions must be positive")
-        self.repetitions = repetitions
-        self.channels = tuple(channels)
-        self.channel_attempts = np.zeros(
-            (repetitions, len(self.channels)), dtype=np.int64)
-        self.channel_successes = np.zeros(
-            (repetitions, len(self.channels)), dtype=np.int64)
-        self._link_attempts: Dict[Tuple[Link, bool], np.ndarray] = {}
-        self._link_successes: Dict[Tuple[Link, bool], np.ndarray] = {}
-        self._released: Dict[int, int] = {}
-        self._delivered: Dict[int, np.ndarray] = {}
-
-    def link_counters(self, link: Link,
-                      shared_cell: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-repetition (attempts, successes) arrays for a link/category,
-        created on first touch."""
-        key = (link, shared_cell)
-        attempts = self._link_attempts.get(key)
-        if attempts is None:
-            attempts = np.zeros(self.repetitions, dtype=np.int64)
-            self._link_attempts[key] = attempts
-            self._link_successes[key] = np.zeros(self.repetitions,
-                                                 dtype=np.int64)
-        return attempts, self._link_successes[key]
-
-    def flow_delivery_counter(self, flow_id: int) -> np.ndarray:
-        """Per-repetition delivery counts for a flow, created on first
-        touch."""
-        delivered = self._delivered.get(flow_id)
-        if delivered is None:
-            delivered = np.zeros(self.repetitions, dtype=np.int64)
-            self._delivered[flow_id] = delivered
-        return delivered
-
-    def record_release(self, flow_id: int, count_per_repetition: int) -> None:
-        """Register a flow's per-repetition release count."""
-        self._released[flow_id] = (self._released.get(flow_id, 0)
-                                   + count_per_repetition)
-
-    # -- whole-run views (observability reconstruction) ----------------
-
-    def attempts_per_repetition(self) -> np.ndarray:
-        """Total attempts per repetition, across every link/category."""
-        total = np.zeros(self.repetitions, dtype=np.int64)
-        for attempts in self._link_attempts.values():
-            total += attempts
-        return total
-
-    def successes_per_repetition(self) -> np.ndarray:
-        """Total successes per repetition."""
-        total = np.zeros(self.repetitions, dtype=np.int64)
-        for successes in self._link_successes.values():
-            total += successes
-        return total
-
-    def deliveries_per_repetition(self) -> np.ndarray:
-        """Total end-to-end deliveries per repetition."""
-        total = np.zeros(self.repetitions, dtype=np.int64)
-        for delivered in self._delivered.values():
-            total += delivered
-        return total
-
-    def combined_link_outcomes(self) -> Dict[Link,
-                                             Tuple[np.ndarray, np.ndarray]]:
-        """Per-link (attempts, successes) arrays pooled across cell
-        categories — the shape of the oracle's per-repetition obs tally."""
-        combined: Dict[Link, Tuple[np.ndarray, np.ndarray]] = {}
-        for (link, _), attempts in self._link_attempts.items():
-            successes = self._link_successes[(link, _)]
-            if link in combined:
-                combined[link] = (combined[link][0] + attempts,
-                                  combined[link][1] + successes)
-            else:
-                combined[link] = (attempts.copy(), successes.copy())
-        return combined
-
-    # -- reduction ------------------------------------------------------
-
-    def reduce(self) -> SimulationStats:
-        """Fold the arrays into a record-per-repetition
-        :class:`SimulationStats`."""
-        stats = SimulationStats()
-        for flow_id, count in self._released.items():
-            stats.record_release(flow_id, count * self.repetitions)
-        for flow_id, delivered in self._delivered.items():
-            total = int(delivered.sum())
-            if total:
-                stats.record_delivery(flow_id, total)
-        for repetition in range(self.repetitions):
-            record = stats.start_repetition()
-            for (link, shared_cell), attempts in self._link_attempts.items():
-                count = int(attempts[repetition])
-                if count:
-                    bucket = (record.reuse if shared_cell
-                              else record.contention_free)
-                    bucket[link] = AttemptCounter(
-                        count,
-                        int(self._link_successes[(link, shared_cell)]
-                            [repetition]))
-            for index, channel in enumerate(self.channels):
-                count = int(self.channel_attempts[repetition, index])
-                if count:
-                    record.channels[channel] = AttemptCounter(
-                        count,
-                        int(self.channel_successes[repetition, index]))
-        return stats
+    return (
+        tuple(sorted(stats.flow_released.items())),
+        tuple(sorted(stats.flow_delivered.items())),
+        tuple((bucket(record.reuse), bucket(record.contention_free),
+               bucket(record.channels))
+              for record in stats.repetitions),
+    )

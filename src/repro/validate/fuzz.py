@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,7 +78,7 @@ from repro.simulator.engine import (ENGINE_EVENT, ENGINE_SLOT,
                                     SimulationConfig, TschSimulator)
 from repro.simulator.events import run_event_batched
 from repro.simulator.interference import WifiInterferer
-from repro.simulator.stats import SimulationStats
+from repro.simulator.stats import SimulationStats, stats_signature
 from repro.testbeds.layout import FloorPlan
 from repro.testbeds.synth import RadioEnvironment, make_testbed
 from repro.validate.audit import audit_schedule
@@ -262,22 +263,6 @@ def _recorded_work(recorder: Recorder) -> Tuple:
               for event in recorder.tracer.events()
               if event.kind in _PARITY_EVENTS]
     return counters, snapshot["histograms"].get("rc.fallback_rho"), events
-
-
-def _stats_signature(stats: SimulationStats) -> Tuple:
-    """Everything two equivalent simulation runs must agree on."""
-    def bucket(counters) -> Tuple:
-        return tuple(sorted(
-            (key, counter.attempts, counter.successes)
-            for key, counter in counters.items()))
-
-    return (
-        tuple(sorted(stats.flow_released.items())),
-        tuple(sorted(stats.flow_delivered.items())),
-        tuple((bucket(record.reuse), bucket(record.contention_free),
-               bucket(record.channels))
-              for record in stats.repetitions),
-    )
 
 
 def _stats_attempt_totals(stats: SimulationStats) -> Tuple[int, int]:
@@ -478,8 +463,8 @@ def _check_simulator(case: FuzzCaseResult, network: PreparedNetwork,
                       f"flow {flow_id}: {delivered} deliveries out of "
                       f"{released} releases")
 
-    if _stats_signature(simulate(Conditions())) != \
-            _stats_signature(baseline):
+    if stats_signature(simulate(Conditions())) != \
+            stats_signature(baseline):
         case.fail("sim_overlay_identity",
                   "empty Conditions() overlay changed simulation results")
 
@@ -495,7 +480,7 @@ def _check_simulator(case: FuzzCaseResult, network: PreparedNetwork,
         with _obs.recording(Recorder()) as rec:
             observed = simulate(conditions)
         if conditions is None and \
-                _stats_signature(observed) != _stats_signature(baseline):
+                stats_signature(observed) != stats_signature(baseline):
             case.fail("sim_obs_identity",
                       "recording changed simulation results")
         attempts, successes = _stats_attempt_totals(observed)
@@ -520,16 +505,19 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
     senders, an interferer burst, per-pair drift plus a reuse boost) —
     and, because repetitions draw from independent ``(seed, rep)``
     substreams, its results must not depend on how the repetitions are
-    chunked into draw matrices.
+    chunked into draw matrices.  An in-place edit that leaves the entry
+    count unchanged must not be simulated from the compilation cached
+    for the schedule's old state.
     """
     schedule = result.schedule
     channel_map = network.topology.channel_map
     num_nodes = network.topology.num_nodes
 
     def simulate(engine: str, conditions: Optional[Conditions],
-                 chunk_reps: Optional[int] = None) -> SimulationStats:
+                 chunk_reps: Optional[int] = None,
+                 target: Schedule = schedule) -> SimulationStats:
         simulator = TschSimulator(
-            schedule=schedule, flow_set=flow_set, environment=environment,
+            schedule=target, flow_set=flow_set, environment=environment,
             channel_map=channel_map, config=SimulationConfig(seed=sim_seed),
             conditions=conditions)
         if engine == ENGINE_SLOT:
@@ -556,17 +544,38 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
             interference_boost_db=3.0)))
 
     for label, conditions in overlays:
-        slot_sig = _stats_signature(simulate(ENGINE_SLOT, conditions))
-        event_sig = _stats_signature(simulate(ENGINE_EVENT, conditions))
+        slot_sig = stats_signature(simulate(ENGINE_SLOT, conditions))
+        event_sig = stats_signature(simulate(ENGINE_EVENT, conditions))
         if event_sig != slot_sig:
             case.fail("sim_batched_parity",
                       f"{label}: event engine diverged from the slot "
                       f"oracle")
 
-    if _stats_signature(simulate(ENGINE_EVENT, None, chunk_reps=1)) != \
-            _stats_signature(simulate(ENGINE_EVENT, None)):
+    if stats_signature(simulate(ENGINE_EVENT, None, chunk_reps=1)) != \
+            stats_signature(simulate(ENGINE_EVENT, None)):
         case.fail("sim_batched_chunks",
                   "event-engine results changed with chunk_reps=1")
+
+    if len(schedule):
+        # Simulate a clone first so its compilation is cached, then
+        # evict one entry and re-add the same request at the same cell:
+        # the entry count is back where it was, but the entry now comes
+        # last in its slot's order.
+        edited = schedule.clone()
+        simulate(ENGINE_EVENT, None, target=edited)
+        per_slot = Counter(entry.slot for entry in edited.entries)
+        victim = next((i for i, entry in enumerate(edited.entries)
+                       if per_slot[entry.slot] > 1), 0)
+        entry = edited.entries[victim]
+        edited.evict([victim])
+        edited.add(entry.request, entry.slot, entry.offset)
+        fresh = edited.clone()
+        for engine in (ENGINE_SLOT, ENGINE_EVENT):
+            if stats_signature(simulate(engine, None, target=edited)) != \
+                    stats_signature(simulate(engine, None, target=fresh)):
+                case.fail("sim_stale_compile",
+                          f"{engine}: an evicted and re-added entry "
+                          f"simulated differently from a fresh clone")
 
 
 def _audit_repaired(case: FuzzCaseResult, check: str, label: str,

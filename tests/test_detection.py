@@ -212,6 +212,35 @@ class TestEpochReports:
         assert len(report.links[(0, 1)].reuse_samples) == 2
         assert report.links[(0, 1)].reuse_prr == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("window", [None, (0, 4), (3, 9), (7, 12)])
+    def test_one_walk_equals_the_per_link_lookups(self, window):
+        """The report's single walk over the window gives exactly the
+        SimulationStats per-link queries' samples and pooled PRRs, for
+        every link seen anywhere in the run (links idle in the window
+        included)."""
+        rng = np.random.default_rng(4)
+        stats = SimulationStats()
+        links = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        for repetition in range(12):
+            record = stats.start_repetition()
+            for index, link in enumerate(links):
+                if (repetition + index) % 5 == 0:
+                    continue
+                for _ in range(int(rng.integers(1, 4))):
+                    record.record(link, bool(rng.random() < 0.5),
+                                  bool(rng.random() < 0.7))
+        report = build_epoch_report(stats, epoch=2, window=window)
+        assert sorted(report.links) == stats.links_seen()
+        for link, entry in report.links.items():
+            for shared, samples, prr in (
+                    (True, entry.reuse_samples, entry.reuse_prr),
+                    (False, entry.contention_free_samples,
+                     entry.contention_free_prr)):
+                assert samples == tuple(stats.link_prr_samples(
+                    link, shared, repetition_range=window))
+                assert prr == stats.overall_link_prr(
+                    link, shared, repetition_range=window)
+
 
 # ----------------------------------------------------------------------
 # Classifier

@@ -444,6 +444,18 @@ class TestCompileCache:
         assert second is not first
         assert sorted(second) == [0, 1]
 
+    def test_same_length_edit_invalidates_the_entry(self):
+        """Evict-then-add keeps the entry count; the mutation counter
+        still retires the cached compilation."""
+        schedule = self._schedule()
+        first = compiled_entries(schedule)
+        moved = schedule.entries[0].request
+        schedule.evict([0])
+        schedule.add(moved, slot=3, offset=1)
+        second = compiled_entries(schedule)
+        assert second is not first
+        assert sorted(second) == [3]
+
     def test_distinct_schedules_get_distinct_entries(self):
         assert (compiled_entries(self._schedule())
                 is not compiled_entries(self._schedule()))

@@ -18,6 +18,7 @@ from repro.service.protocol import (
     partition_by_shard,
     shard_of,
 )
+from repro.simulator import EVENT_MIN_REPETITIONS
 
 CONFIG = {"testbed": "indriya", "seed": 1, "channels": 5, "flows": 8}
 
@@ -350,7 +351,8 @@ class TestExecutorExplainAndStatus:
         ``engine`` key is ignored like any unknown top-level key."""
         executor = ServiceExecutor()
         executor.handle(schedule_request())
-        for repetitions, engine in ((7, "slot"), (8, "event")):
+        floor = EVENT_MIN_REPETITIONS
+        for repetitions, engine in ((floor - 1, "slot"), (floor, "event")):
             request = parse_request(
                 {"verb": "simulate", "network": "net-a",
                  "repetitions": repetitions, "engine": "auto"})

@@ -26,27 +26,11 @@ from repro.simulator import (
     run_event_batched,
 )
 from repro.simulator.conditions import Conditions
+from repro.simulator.stats import stats_signature as signature
 from repro.testbeds.synth import RadioEnvironment
 
 from test_core_schedule import request
 from test_simulator import tiny_environment, tiny_flow_and_schedule
-
-
-def signature(stats):
-    """Everything two equivalent runs must agree on (mirrors the fuzz
-    comparator): end-to-end flow counts plus every repetition's per-link
-    and per-channel attempt counters."""
-    def bucket(counters):
-        return tuple(sorted((key, c.attempts, c.successes)
-                            for key, c in counters.items()))
-
-    return (
-        tuple(sorted(stats.flow_released.items())),
-        tuple(sorted(stats.flow_delivered.items())),
-        tuple((bucket(record.reuse), bucket(record.contention_free),
-               bucket(record.channels))
-              for record in stats.repetitions),
-    )
 
 
 def tiny_simulator(seed=5):
@@ -80,10 +64,10 @@ class TestEngineResolution:
                                             repetitions)) == expected
 
     def test_auto_switches_at_the_repetition_floor(self):
-        """run() takes the slot oracle at 7 repetitions and batches
-        from 8, and says so in ``sim.runs.<engine>``."""
-        assert EVENT_MIN_REPETITIONS == 8
-        for repetitions, engine in ((7, ENGINE_SLOT), (8, ENGINE_EVENT)):
+        """run() takes the slot oracle at 1 repetition and batches
+        from 2, and says so in ``sim.runs.<engine>``."""
+        assert EVENT_MIN_REPETITIONS == 2
+        for repetitions, engine in ((1, ENGINE_SLOT), (2, ENGINE_EVENT)):
             assert engine_for(repetitions) == engine
             with _obs.recording(Recorder()) as rec:
                 tiny_simulator().run(repetitions)
@@ -222,6 +206,34 @@ class TestDrawIsolation:
 
 
 # ----------------------------------------------------------------------
+# In-place schedule edits invalidate the per-schedule caches
+# ----------------------------------------------------------------------
+
+class TestInPlaceEdits:
+    @pytest.mark.parametrize("engine,repetitions",
+                             [(ENGINE_SLOT, 4), (ENGINE_EVENT, 12)])
+    def test_evict_and_readd_matches_a_fresh_clone(self, engine,
+                                                   repetitions):
+        """Evicting an entry and adding its request back elsewhere
+        leaves the entry count unchanged; the simulator must still see
+        the edited cells, exactly as a fresh clone of the edited
+        schedule does."""
+        flow_set, schedule = two_flow_setup()
+        env = two_flow_environment()
+
+        def run(target):
+            sim = TschSimulator(target, flow_set, env, env.channel_map,
+                                config=SimulationConfig(seed=9))
+            return run_engine(sim, engine, repetitions)
+
+        run(schedule)  # compiles and caches the original cells
+        moved = schedule.entries[0].request
+        schedule.evict([0])
+        schedule.add(moved, 5, 0)
+        assert signature(run(schedule)) == signature(run(schedule.clone()))
+
+
+# ----------------------------------------------------------------------
 # ASN / substream continuity across start_repetition
 # ----------------------------------------------------------------------
 
@@ -316,3 +328,28 @@ class TestChunkInvariance:
         chunked = run_engine(tiny_simulator(), ENGINE_EVENT, 5,
                              chunk_reps=chunk_reps)
         assert signature(chunked) == signature(baseline)
+
+    def test_chunk_size_counts_the_working_set(self, monkeypatch):
+        """A budget that exactly fits 100 repetitions' draw matrices
+        must still split a run whose passes also hold per-entry and
+        per-pair arrays — and the split run equals the unchunked one."""
+        from repro.simulator import events
+
+        flow_set, _ = two_flow_setup()
+        env = two_flow_environment()
+        schedule = Schedule(4, 100, 2)
+        schedule.add(request(0, 1, flow_id=0, hop=0, attempt=0), 0, 0)
+        schedule.add(request(2, 3, flow_id=1, hop=0, attempt=0), 0, 0)
+        schedule.add(request(0, 1, flow_id=0, hop=0, attempt=1), 1, 0)
+        schedule.add(request(2, 3, flow_id=1, hop=0, attempt=1), 1, 1)
+        sim = TschSimulator(schedule, flow_set, env, env.channel_map,
+                            config=SimulationConfig(seed=3))
+        plan = sim.draw_plan
+        assert sim.tables.num_pairs > 0
+        whole = run_event_batched(sim, 100, chunk_reps=100)
+
+        monkeypatch.setattr(
+            events, "_CHUNK_TARGET_BYTES",
+            8 * (plan.num_normals + plan.num_uniforms) * 100)
+        assert events.default_chunk_size(plan, 100) < 100
+        assert signature(run_event_batched(sim, 100)) == signature(whole)
