@@ -51,7 +51,7 @@ from repro.flows import Flow, FlowSet, PeriodRange, generate_flow_set
 from repro.mac import ChannelMap
 from repro.network import ChannelReuseGraph, CommunicationGraph, Topology
 from repro import obs
-from repro.obs import MetricsRegistry, NullRecorder, Recorder, Tracer
+from repro.obs import MetricsRegistry, NullRecorder, Recorder
 from repro.routing import TrafficType, assign_routes
 from repro.simulator import SimulationConfig, TschSimulator, WifiInterferer
 from repro.testbeds import make_indriya, make_testbed, make_wustl
@@ -73,7 +73,6 @@ __all__ = [
     "NullRecorder",
     "PeriodRange",
     "Recorder",
-    "Tracer",
     "obs",
     "Schedule",
     "SchedulingResult",

@@ -33,11 +33,10 @@ Experiment commands accept ``--workers N`` to fan independent trials
 over N worker processes (0 = all CPUs) with results identical to a
 serial run.
 
-Every experiment command and ``serve`` accept ``--trace FILE``
-(structured JSONL event trace), ``--metrics-out FILE`` (metrics
-snapshot JSON), ``--provenance FILE`` (per-placement decision records,
-JSONL), and ``--timeseries FILE`` (windowed per-epoch series, JSONL);
-``serve`` adds ``--spans FILE``.  Any of them opens one recording
+Every experiment command and ``serve`` accept ``--metrics-out FILE``
+(metrics snapshot JSON), ``--provenance FILE`` (per-placement decision
+records, JSONL), and ``--timeseries FILE`` (windowed per-epoch series,
+JSONL); ``serve`` adds ``--spans FILE``.  Any of them opens one recording
 session for the run (:func:`repro.obs.session.recording_session`),
 which exports every requested layer when the command ends, also when
 it fails; the metrics snapshot's ``span.<stage>.seconds`` histograms
@@ -536,15 +535,8 @@ def cmd_top(args: argparse.Namespace) -> int:
         return 2
 
 
-#: Trailer kinds every JSONL exporter appends (export bookkeeping, not
-#: observed events).
-_TRAILER_KINDS = ("trace_meta", "prov_meta", "span_meta", "ts_meta")
-
-
 def cmd_report(args: argparse.Namespace) -> int:
-    from collections import Counter
-
-    from repro.io import load_jsonl, load_metrics
+    from repro.io import load_metrics
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.report import format_report
     from repro.obs.session import expand_paths
@@ -559,23 +551,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise OSError(f"no such file: {args.metrics}")
         snapshot = MetricsRegistry.merge_snapshots(
             load_metrics(path) for path in metric_paths)
-        kind_counts = None
-        dropped = None
-        if args.trace_in:
-            records = []
-            for path in expand_paths(args.trace_in) or [args.trace_in]:
-                records.extend(load_jsonl(path))
-            meta = [r for r in records
-                    if r.get("kind") in _TRAILER_KINDS]
-            if meta:
-                dropped = sum(int(r.get("dropped", 0)) for r in meta)
-            kind_counts = dict(Counter(
-                record.get("kind", "?") for record in records
-                if record.get("kind") not in _TRAILER_KINDS))
         if len(metric_paths) > 1:
             print(f"merged {len(metric_paths)} snapshot(s): "
                   + ", ".join(metric_paths))
-        print(format_report(snapshot, kind_counts, dropped))
+        print(format_report(snapshot))
     except (OSError, ValueError, KeyError, TypeError) as error:
         print(f"error: cannot read metrics from {args.metrics}: {error}",
               file=sys.stderr)
@@ -754,8 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     def recording_opts(p):
         # The recording flags every experiment command shares with
         # serve (see _recording_paths).
-        p.add_argument("--trace", default=None, metavar="FILE",
-                       help="record a structured event trace (JSONL)")
         p.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write a metrics snapshot (JSON)")
         p.add_argument("--provenance", default=None, metavar="FILE",
@@ -937,10 +914,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("report", help="pretty-print a metrics snapshot")
-    p.add_argument("metrics", help="metrics JSON written by --metrics-out")
-    p.add_argument("--trace", dest="trace_in", default=None, metavar="FILE",
-                   help="also summarize a JSONL trace by event kind "
-                        "(.w<N> worker siblings are folded in)")
+    p.add_argument("metrics", help="metrics JSON written by --metrics-out "
+                                    "(.w<N> worker siblings are folded in)")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("trace",
@@ -1158,7 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _recording_paths(args: argparse.Namespace) -> RecordingPaths:
     """The recording layers a command's flags ask for."""
     return RecordingPaths(
-        trace=getattr(args, "trace", None),
         metrics=getattr(args, "metrics_out", None),
         provenance=getattr(args, "provenance", None),
         timeseries=getattr(args, "timeseries", None),

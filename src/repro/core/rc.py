@@ -70,22 +70,14 @@ def stepwise_descent() -> Iterator[None]:
         _STEPWISE = previous
 
 
-def _jsonable_rho(rho: float):
-    """ρ for trace payloads: ∞ (no reuse) serializes as None."""
-    return None if rho == NO_REUSE else int(rho)
-
-
-def _note_laxity(recorder, request: TransmissionRequest, slot: int,
-                 rho: float, laxity: int, triggered: bool) -> bool:
+def _note_laxity(recorder, slot: int, rho: float, laxity: int,
+                 triggered: bool) -> bool:
     """Record one Eq. 1 evaluation of a placement's descent.
 
     ``rc.laxity_triggers`` counts placements whose laxity went negative,
     so only the first negative evaluation of a placement counts; returns
     whether that has happened by now.
     """
-    recorder.event("laxity_eval", flow=request.flow_id,
-                   hop=request.hop_index, slot=slot,
-                   rho=_jsonable_rho(rho), laxity=laxity)
     if recorder.provenance is not None:
         recorder.provenance.record_laxity(slot, rho, laxity)
     if laxity < 0 and not triggered:
@@ -94,13 +86,9 @@ def _note_laxity(recorder, request: TransmissionRequest, slot: int,
     return triggered
 
 
-def _note_descent(recorder, request: TransmissionRequest, from_rho: float,
-                  to_rho: float) -> None:
+def _note_descent(recorder, from_rho: float, to_rho: float) -> None:
     """Record one ρ step of a placement's descent (a reuse fallback)."""
     recorder.count("rc.reuse_fallbacks")
-    recorder.event("rc_fallback", flow=request.flow_id,
-                   hop=request.hop_index, from_rho=_jsonable_rho(from_rho),
-                   to_rho=_jsonable_rho(to_rho))
     if recorder.provenance is not None:
         recorder.provenance.record_descent(from_rho, to_rho)
 
@@ -191,8 +179,8 @@ class ConservativeReusePolicy:
         it misses the deadline — which ``findSlot`` already enforces.
 
         Production runs the fused descent; :func:`stepwise_descent`
-        selects the stepwise loop, its oracle.  Both count, trace and
-        narrate every probe, laxity evaluation and ρ step identically;
+        selects the stepwise loop, its oracle.  Both count and narrate
+        every probe, laxity evaluation and ρ step identically;
         the recorder only decides whether they do.
         """
         recorder = _obs.RECORDER if _obs.ENABLED else None
@@ -247,13 +235,13 @@ class ConservativeReusePolicy:
                 laxity = calculate_laxity(
                     schedule, found[0], request.deadline_slot, remaining)
                 if recorder is not None:
-                    triggered = _note_laxity(recorder, request, found[0],
-                                             rho, laxity, triggered)
+                    triggered = _note_laxity(recorder, found[0], rho,
+                                             laxity, triggered)
                 if laxity >= 0:
                     break
             next_rho = reuse_graph.diameter() if rho == NO_REUSE else rho - 1
             if recorder is not None and next_rho >= rho_t:
-                _note_descent(recorder, request, rho, next_rho)
+                _note_descent(recorder, rho, next_rho)
             rho = next_rho
         return best, best_rho, rho
 
@@ -271,7 +259,7 @@ class ConservativeReusePolicy:
         then a single ``searchsorted`` per ρ.  Equation 1 is a lookup in the
         instance's table (:class:`repro.core.laxity.LaxityTable`),
         built at the instance's first evaluation.  Placements, exit ρ,
-        counters, events and provenance are identical to the stepwise
+        counters and provenance are identical to the stepwise
         loop's: both pick the earliest feasible slot per ρ and descend
         under the same laxity rule.
 
@@ -328,13 +316,13 @@ class ConservativeReusePolicy:
                 best_slot, best_rho = slot, rho
                 laxity = remaining.laxity(schedule, slot)
                 if recorder is not None:
-                    triggered = _note_laxity(recorder, request, slot, rho,
-                                             laxity, triggered)
+                    triggered = _note_laxity(recorder, slot, rho, laxity,
+                                             triggered)
                 if laxity >= 0:
                     break
             next_rho = reuse_graph.diameter() if rho == NO_REUSE else rho - 1
             if recorder is not None and next_rho >= rho_t:
-                _note_descent(recorder, request, rho, next_rho)
+                _note_descent(recorder, rho, next_rho)
             rho = next_rho
 
         # Only the kept probe's offset is used, so it is picked once,

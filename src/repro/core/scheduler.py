@@ -263,15 +263,8 @@ class FixedPriorityScheduler:
                     if placement is None:
                         if recorder is not None:
                             recorder.count("scheduler.rejections")
-                            fields = dict(
-                                policy=self.policy.name,
-                                flow=flow.flow_id,
-                                instance=instance.instance,
-                                hop=request.hop_index,
-                                deadline=request.deadline_slot)
                             if prov is not None:
-                                fields["prov"] = prov.end_decision(None)
-                            recorder.event("flow_rejected", **fields)
+                                prov.end_decision(None)
                         return self._finish(
                             False, schedule, flow_set, start_time,
                             recorder, baseline,
@@ -283,20 +276,10 @@ class FixedPriorityScheduler:
                         recorder.count("scheduler.placements")
                         if reused:
                             recorder.count("scheduler.reuse_placements")
-                        fields = dict(
-                            policy=self.policy.name,
-                            flow=flow.flow_id, instance=instance.instance,
-                            hop=request.hop_index, attempt=request.attempt,
-                            slot=slot, offset=offset, reused=reused)
                         if prov is not None:
-                            fields["prov"] = prov.end_decision(
-                                placement, reused)
-                        recorder.event("placement", **fields)
+                            prov.end_decision(placement, reused)
                     schedule.add(request, slot, offset)
                     earliest = slot + 1
-            if recorder is not None:
-                recorder.event("flow_admitted", policy=self.policy.name,
-                               flow=flow.flow_id)
 
         return self._finish(True, schedule, flow_set, start_time,
                             recorder, baseline)

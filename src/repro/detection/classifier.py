@@ -89,14 +89,6 @@ def _noted(diagnosis: LinkDiagnosis) -> LinkDiagnosis:
         recorder = _obs.RECORDER
         recorder.count("detection.diagnoses")
         recorder.count(f"detection.verdict.{diagnosis.verdict.value}")
-        recorder.event(
-            "ks_decision",
-            link=f"{diagnosis.link[0]}->{diagnosis.link[1]}",
-            epoch=diagnosis.epoch, verdict=diagnosis.verdict.value,
-            reuse_prr=diagnosis.reuse_prr,
-            contention_free_prr=diagnosis.contention_free_prr,
-            statistic=diagnosis.ks.statistic if diagnosis.ks else None,
-            p_value=diagnosis.ks.p_value if diagnosis.ks else None)
     return diagnosis
 
 

@@ -16,8 +16,8 @@ keeping three properties the runners rely on:
   enabled, each trial runs under a worker-local recorder and ships its
   metrics snapshot home; the parent folds them into its own registry via
   :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`.  Counters
-  and histograms therefore aggregate exactly as in a serial run; trace
-  *events* are not shipped (the ring buffer stays per-process).
+  and histograms therefore aggregate exactly as in a serial run; the
+  other layers (provenance, time series, spans) are not shipped.
 
 Workers receive the experiment context once, at pool start-up (not per
 task), and rebuild process-local state — e.g. the

@@ -4,8 +4,8 @@ Real deployments separate topology collection, scheduling, and
 execution in time; experiments need the same artifacts pinned to disk
 for reproducibility.  Topologies (dense numeric matrices) use ``.npz``;
 flow sets and schedules (small and structural) use JSON.  Observability
-artifacts — metrics snapshots and trace event streams — use JSON and
-JSON Lines respectively.
+artifacts — metrics snapshots and decision/series/span records — use
+JSON and JSON Lines respectively.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ PathLike = Union[str, Path]
 
 
 # ----------------------------------------------------------------------
-# Generic JSON / JSON Lines (metrics snapshots, trace events)
+# Generic JSON / JSON Lines (metrics snapshots, observability records)
 # ----------------------------------------------------------------------
 
 def save_jsonl(records: Iterable[Dict], path: PathLike) -> int:
@@ -39,27 +39,6 @@ def save_jsonl(records: Iterable[Dict], path: PathLike) -> int:
     """
     count = 0
     with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, separators=(",", ":")))
-            handle.write("\n")
-            count += 1
-    return count
-
-
-def append_jsonl(records: Iterable[Dict], path: PathLike) -> int:
-    """Append dict records to a JSON Lines file (created if missing).
-
-    The run ledger (:mod:`repro.obs.ledger`) is append-only by
-    contract: re-running an experiment must never erase the account of
-    earlier runs.  Parent directories are created.
-
-    Returns:
-        The number of records appended.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    count = 0
-    with target.open("a", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record, separators=(",", ":")))
             handle.write("\n")
@@ -308,13 +287,6 @@ def scheduling_result_to_dict(result: SchedulingResult,
         payload["schedule"] = schedule_to_dict(result.schedule)
         payload["flows"] = [flow_to_dict(f) for f in result.flow_set]
     return payload
-
-
-def save_scheduling_result(result: SchedulingResult, path: PathLike,
-                           include_schedule: bool = True) -> None:
-    """Save a scheduling result (with its counters) as JSON."""
-    Path(path).write_text(json.dumps(
-        scheduling_result_to_dict(result, include_schedule), indent=2))
 
 
 # ----------------------------------------------------------------------

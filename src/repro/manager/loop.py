@@ -60,7 +60,7 @@ from repro.simulator.engine import SimulationConfig, TschSimulator
 from repro.simulator.stats import Link
 from repro.testbeds.layout import FloorPlan
 from repro.testbeds.synth import RadioEnvironment
-from repro.validate.audit import audit_schedule
+from repro.validate.audit import AuditReport, audit_schedule
 
 #: Default hopping set for manager runs: the paper's reliability channels
 #: (11-14, all overlapped by WiFi channel 1) plus channel 15, which WiFi
@@ -257,6 +257,20 @@ class ManagerReport:
         }
 
 
+def _count_violations(audit: AuditReport) -> None:
+    """Count a failed pre-flight audit's violations by kind
+    (``manager.audit_violations.<kind>``)."""
+    for violation in audit.violations:
+        _obs.RECORDER.count(f"manager.audit_violations.{violation.kind}")
+
+
+def _count_repair_fallback(reason: str) -> None:
+    """Count a repair that fell back to the full rebuild, in total and
+    by ``reason`` (``placement`` or ``audit``)."""
+    _obs.RECORDER.count("manager.repair_fallbacks")
+    _obs.RECORDER.count(f"manager.repair_fallbacks.{reason}")
+
+
 class NetworkManager:
     """Runs one closed manage loop over a prepared testbed.
 
@@ -341,9 +355,7 @@ class NetworkManager:
         if not audit.ok:
             if _obs.ENABLED:
                 _obs.RECORDER.count("manager.audit_failures")
-                _obs.RECORDER.event(
-                    "manager_audit_failed",
-                    violations=[v.to_dict() for v in audit.violations[:20]])
+                _count_violations(audit)
             return None, False
         return rebuilt, True
 
@@ -365,10 +377,7 @@ class NetworkManager:
             barred=barred, policy_name=self.config.scheduler_policy)
         if not outcome.schedulable:
             if _obs.ENABLED:
-                _obs.RECORDER.count("manager.repair_fallbacks")
-                _obs.RECORDER.event(
-                    "manager_repair_fallback", reason="placement",
-                    failed=outcome.failed_request, evicted=outcome.evicted)
+                _count_repair_fallback("placement")
             return None, outcome.evicted
         graph = (change.channel.reuse_graph if change.channel is not None
                  else network.reuse)
@@ -377,11 +386,8 @@ class NetworkManager:
                                barred_links=barred)
         if not audit.ok:
             if _obs.ENABLED:
-                _obs.RECORDER.count("manager.repair_fallbacks")
-                _obs.RECORDER.event(
-                    "manager_repair_fallback", reason="audit",
-                    violations=[v.to_dict()
-                                for v in audit.violations[:20]])
+                _count_repair_fallback("audit")
+                _count_violations(audit)
             return None, outcome.evicted
         return outcome.schedule, outcome.evicted
 
@@ -477,18 +483,10 @@ class NetworkManager:
             audit_ok = True
             repair_mode: Optional[str] = None
             evicted_cells = 0
-            prov = _obs.RECORDER.provenance if _obs.ENABLED else None
-            prov_range = None
             if action is not None:
-                # Bracket the remediation's rebuild with the provenance
-                # recorder's decision counter: [first, last) cites the
-                # exact placement decisions this epoch's action produced.
-                first_decision = prov.next_id() if prov is not None else 0
                 (applied, network, schedule, rho_t, audit_ok, repair_mode,
                  evicted_cells) = self._apply(
                     action, network, flow_set, schedule, rho_t, barred)
-                if prov is not None and prov.next_id() > first_decision:
-                    prov_range = [first_decision, prov.next_id()]
                 # Cooldown regardless of success: pre-action streaks are
                 # stale either way, and retry spacing prevents thrash.
                 monitor.note_action(epoch)
@@ -519,18 +517,6 @@ class NetworkManager:
                     _obs.RECORDER.count(f"manager.action.{action.kind}")
                     if applied:
                         _obs.RECORDER.count("manager.actions_applied")
-                _obs.RECORDER.event(
-                    "manager_epoch", epoch=epoch, policy=self.policy.name,
-                    conditions=conditions.describe(),
-                    median_pdr=outcome.median_pdr,
-                    worst_pdr=outcome.worst_pdr,
-                    num_reject=outcome.num_reject,
-                    num_accept=outcome.num_accept,
-                    action=outcome.action, action_applied=applied,
-                    action_reason=outcome.action_reason,
-                    audit_ok=audit_ok,
-                    repair_mode=repair_mode, evicted_cells=evicted_cells,
-                    slo_alerts=len(slo_alerts), slo_warns=len(slo_warns))
                 self._record_epoch_series(epoch, outcome, stats, monitor,
                                           applied)
 

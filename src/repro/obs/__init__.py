@@ -1,11 +1,13 @@
-"""Observability: metrics, tracing, stage timing, recording sessions.
+"""Observability: metrics, provenance, time series, spans.
 
-The layer's pieces:
+A recorded run has four layers: metrics, per-placement decision
+provenance, windowed time series and request spans.  The pieces:
 
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms with JSON snapshot/merge (:mod:`repro.obs.metrics`);
-* :class:`Tracer` — typed events in a bounded ring buffer with JSONL
-  export (:mod:`repro.obs.trace`);
+* :class:`ProvenanceRecorder` — one record per placement decision:
+  every ``findSlot`` probe, Eq. 1 evaluation and ρ step
+  (:mod:`repro.obs.provenance`);
 * a process-wide :class:`Recorder` behind a module-level ``ENABLED``
   flag (:mod:`repro.obs.recorder`), so instrumented hot paths cost one
   attribute read when observability is off;
@@ -30,9 +32,10 @@ Typical library use::
         result = schedule_workload(network, flows, "RC")
     print(obs.format_report(rec.snapshot()))
 
-From the CLI, ``--trace FILE`` / ``--metrics-out FILE`` (and
-``--provenance`` / ``--timeseries``) open a recording session for the
-run, and ``python -m repro report FILE`` renders a saved snapshot.
+From the CLI, ``--metrics-out FILE`` / ``--provenance FILE`` /
+``--timeseries FILE`` (and ``serve --spans FILE``) open a recording
+session for the run, and ``python -m repro report FILE`` renders a
+saved snapshot.
 """
 
 from repro.obs.ledger import RunLedger, environment_fingerprint
@@ -50,9 +53,7 @@ from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.recorder import (
     NullRecorder,
     Recorder,
-    disable,
     enable,
-    get_recorder,
     is_enabled,
     recording,
 )
@@ -69,12 +70,10 @@ from repro.obs.spans import (
 )
 from repro.obs.timeseries import DEFAULT_RETENTION, Series, TimeSeriesStore
 from repro.obs.top import render_top, sparkline
-from repro.obs.trace import DEFAULT_CAPACITY, TraceEvent, Tracer
 
 __all__ = [
     "ActiveSpan",
     "Counter",
-    "DEFAULT_CAPACITY",
     "DEFAULT_RETENTION",
     "FlowSloState",
     "Gauge",
@@ -92,15 +91,11 @@ __all__ = [
     "SpanRecorder",
     "TIME_BUCKETS_S",
     "TimeSeriesStore",
-    "TraceEvent",
-    "Tracer",
     "activate",
     "current_span",
-    "disable",
     "enable",
     "environment_fingerprint",
     "format_report",
-    "get_recorder",
     "is_enabled",
     "parse_openmetrics",
     "quantile_from_buckets",

@@ -1,7 +1,7 @@
 """Metric primitives: counters, gauges, fixed-bucket histograms.
 
-The registry is the numeric half of the observability layer (the
-:mod:`repro.obs.trace` ring buffer is the event half).  Metrics use
+The registry is the numeric layer of observability; per-decision
+detail lives in :mod:`repro.obs.provenance`.  Metrics use
 hierarchical dotted names (``scheduler.slots_scanned``,
 ``policy.RC.placements``, ``span.schedule.RC.seconds``) rather than
 label sets — the name space is small and flat names keep snapshots

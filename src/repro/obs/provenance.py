@@ -1,7 +1,7 @@
 """Decision provenance: *why* the scheduler placed (or rejected) each cell.
 
-The metrics registry and trace ring (PR 1) record *what* the scheduler
-did; this module records *why*.  A :class:`ProvenanceRecorder` attached
+The metrics registry records *what* the scheduler did, in totals;
+this module records *why*, one record per decision.  A :class:`ProvenanceRecorder` attached
 to the live :class:`~repro.obs.recorder.Recorder` captures, per placed
 transmission, one **decision record**:
 
@@ -46,8 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.transmissions import TransmissionRequest
     from repro.network.graphs import ChannelReuseGraph
 
-#: Default decision capacity (records).  Like the trace ring, provenance
-#: keeps the most recent decisions and counts evictions.
+#: Default decision capacity (records).  Provenance keeps the most
+#: recent decisions and counts evictions.
 DEFAULT_CAPACITY = 200_000
 
 #: First-rejection reasons (the Section V-A constraint taxonomy).

@@ -1,4 +1,4 @@
-"""The process-wide recorder: metrics + trace behind one enabled flag.
+"""The process-wide recorder: every recording layer behind one flag.
 
 Hot paths are instrumented with the idiom::
 
@@ -6,7 +6,6 @@ Hot paths are instrumented with the idiom::
     ...
     if _obs.ENABLED:
         _obs.RECORDER.count("scheduler.placements")
-        _obs.RECORDER.event("placement", flow=flow_id, slot=slot)
 
 ``ENABLED`` is a module-level boolean, so the disabled cost of an
 instrumentation site is a single attribute read — no isinstance checks,
@@ -21,11 +20,10 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
 from repro.obs.metrics import MetricsRegistry, SMALL_INT_BUCKETS
-from repro.obs.trace import Tracer
 
 
 class Recorder:
-    """Bundles a :class:`MetricsRegistry` and a :class:`Tracer`.
+    """Bundles a :class:`MetricsRegistry` with the optional layers.
 
     ``provenance`` optionally attaches a
     :class:`repro.obs.provenance.ProvenanceRecorder`; it defaults to
@@ -35,23 +33,21 @@ class Recorder:
     into core).  ``timeseries`` optionally attaches a
     :class:`repro.obs.timeseries.TimeSeriesStore` under the same
     contract, and ``spans`` a :class:`repro.obs.spans.SpanRecorder`
-    (bound here to the registry and tracer so finished spans observe
-    ``span.<name>.seconds`` histograms and mirror ``span`` ring
-    events).  Instrumentation sites check ``ENABLED`` first, then
-    ``RECORDER.provenance is not None`` / ``RECORDER.timeseries is not
-    None`` / ``RECORDER.spans is not None``.
+    (bound here to the registry so finished spans observe
+    ``span.<name>.seconds`` histograms).  Instrumentation sites check
+    ``ENABLED`` first, then ``RECORDER.provenance is not None`` /
+    ``RECORDER.timeseries is not None`` / ``RECORDER.spans is not
+    None``.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None,
                  provenance=None, timeseries=None, spans=None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.provenance = provenance
         self.timeseries = timeseries
         self.spans = spans
         if spans is not None:
-            spans.bind(self.registry, self.tracer)
+            spans.bind(self.registry)
 
     def sample(self, name: str, t: float, value: float) -> None:
         """Append one time-series sample (no-op without a store)."""
@@ -71,10 +67,6 @@ class Recorder:
         """Record ``value`` into histogram ``name``."""
         self.registry.observe(name, value, buckets)
 
-    def event(self, kind: str, **fields) -> None:
-        """Emit a structured trace event."""
-        self.tracer.emit(kind, **fields)
-
     def snapshot(self) -> Dict:
         """JSON-serializable metrics snapshot."""
         return self.registry.snapshot()
@@ -83,10 +75,9 @@ class Recorder:
 class NullRecorder:
     """Recorder with every write a no-op (the disabled default)."""
 
-    #: Shared empty registry/tracer so reads don't need guards either.
+    #: An empty registry so reads don't need guards either.
     def __init__(self):
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(capacity=1)
         self.provenance = None
         self.timeseries = None
         self.spans = None
@@ -102,9 +93,6 @@ class NullRecorder:
 
     def observe(self, name: str, value: float,
                 buckets=SMALL_INT_BUCKETS) -> None:
-        """Discard."""
-
-    def event(self, kind: str, **fields) -> None:
         """Discard."""
 
     def snapshot(self) -> Dict:
@@ -133,21 +121,9 @@ def enable(recorder: Optional[Recorder] = None) -> Recorder:
     return RECORDER
 
 
-def disable() -> None:
-    """Turn observability off and drop the live recorder."""
-    global ENABLED, RECORDER
-    ENABLED = False
-    RECORDER = NullRecorder()
-
-
 def is_enabled() -> bool:
     """Whether a live recorder is installed."""
     return ENABLED
-
-
-def get_recorder():
-    """The current recorder (a :class:`NullRecorder` when disabled)."""
-    return RECORDER
 
 
 @contextmanager

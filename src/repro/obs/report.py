@@ -1,15 +1,14 @@
 """Human-readable rendering of a metrics snapshot.
 
 Backs the ``python -m repro report`` command: takes the JSON snapshot
-written by ``--metrics-out`` (optionally plus a trace written by
-``--trace``) and prints the quantities the paper's evaluation cares
-about — placements per policy, RC's reuse-fallback histogram, simulator
+written by ``--metrics-out`` and prints the quantities the paper's
+evaluation cares about — placements per policy, RC's reuse-fallback histogram, simulator
 attempt/success totals, and wall time per stage.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 def _fmt(value: float) -> str:
@@ -98,19 +97,8 @@ def _cache_table(counters: Dict[str, float]) -> List[str]:
     return lines
 
 
-def format_report(snapshot: Dict,
-                  trace_kind_counts: Optional[Dict[str, int]] = None,
-                  trace_dropped: Optional[int] = None) -> str:
-    """Render a metrics snapshot (and optional trace summary) as text.
-
-    Args:
-        snapshot: The metrics snapshot to render.
-        trace_kind_counts: Per-kind event counts of an accompanying
-            trace (meta trailer records excluded by the caller).
-        trace_dropped: Ring evictions reported by the trace's
-            ``trace_meta`` trailer; printed even when zero so a
-            complete trace is *visibly* complete.
-    """
+def format_report(snapshot: Dict) -> str:
+    """Render a metrics snapshot as text."""
     counters = snapshot.get("counters", {})
     histograms = snapshot.get("histograms", {})
     sections: List[List[str]] = []
@@ -171,17 +159,6 @@ def format_report(snapshot: Dict,
     cache_lines = _cache_table(counters)
     if cache_lines:
         sections.append(cache_lines)
-
-    if trace_kind_counts is not None:
-        lines = ["trace events by kind:"]
-        for kind in sorted(trace_kind_counts):
-            lines.append(f"  {kind:<30} {trace_kind_counts[kind]:>12}")
-        total = sum(trace_kind_counts.values())
-        lines.append(f"  {'total retained':<30} {total:>12}")
-        if trace_dropped is not None:
-            lines.append(f"  {'dropped (ring evictions)':<30} "
-                         f"{trace_dropped:>12}")
-        sections.append(lines)
 
     if not sections:
         return "(empty metrics snapshot)"

@@ -1,9 +1,9 @@
-"""One recording session: the five artifact layers behind one scope.
+"""One recording session: the four artifact layers behind one scope.
 
-A run records when it is given at least one artifact path: ``--trace``
-(event ring), ``--metrics-out`` (registry snapshot), ``--provenance``
-(placement decisions), ``--timeseries`` (windowed series) or
-``--spans`` (request spans, ``repro serve`` only).
+A run records when it is given at least one artifact path:
+``--metrics-out`` (registry snapshot), ``--provenance`` (placement
+decisions), ``--timeseries`` (windowed series) or ``--spans`` (request
+spans, ``repro serve`` only).
 :func:`recording_session` installs a :class:`~repro.obs.recorder.Recorder`
 carrying exactly the requested layers, and only then: a run given no
 path keeps the disabled fast paths.  In ``finally`` it exports every
@@ -39,7 +39,6 @@ class RecordingPaths:
     Picklable, so ``repro serve`` hands it to its forked workers as is.
 
     Attributes:
-        trace: Event trace ring (JSONL, ``trace_meta`` trailer).
         metrics: Metrics snapshot (JSON).
         provenance: Per-placement decision records (JSONL).
         timeseries: Windowed series (JSONL) for ``repro top``.
@@ -48,7 +47,6 @@ class RecordingPaths:
             kept (see :class:`~repro.obs.spans.SpanRecorder`).
     """
 
-    trace: Optional[str] = None
     metrics: Optional[str] = None
     provenance: Optional[str] = None
     timeseries: Optional[str] = None
@@ -57,9 +55,8 @@ class RecordingPaths:
 
     def outputs(self) -> List[str]:
         """The paths that are set, in layer order."""
-        return [path for path in (self.trace, self.metrics,
-                                  self.provenance, self.timeseries,
-                                  self.spans) if path]
+        return [path for path in (self.metrics, self.provenance,
+                                  self.timeseries, self.spans) if path]
 
 
 def worker_path(path: str, index: int) -> str:
@@ -129,13 +126,6 @@ def _export(recorder: Recorder, paths: RecordingPaths,
         return path if index is None else worker_path(path, index)
 
     notes = []
-    if paths.trace:
-        path = target(paths.trace)
-        written = recorder.tracer.export_jsonl(path)
-        dropped = recorder.tracer.dropped
-        notes.append(f"trace: {written} events -> {path}"
-                     + (f" ({dropped} older events dropped)"
-                        if dropped else ""))
     if paths.metrics:
         from repro.io import save_metrics
 

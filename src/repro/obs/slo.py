@@ -29,9 +29,11 @@ state     condition
 ========  ====================================================
 
 Windows are packet-weighted (summed misses over summed releases), so a
-light epoch cannot swamp a heavy one.  State *transitions* emit
-``slo_burn`` trace events and bump ``slo.alerts`` / ``slo.warns``
-counters through the recorder idiom; steady states stay quiet.
+light epoch cannot swamp a heavy one.  Each epoch's states are
+returned to the caller (the manager keeps them on its
+``EpochOutcome``); a *transition* into ``alert`` / ``warn`` also bumps
+the ``slo.alerts`` / ``slo.warns`` counters through the recorder idiom,
+and steady states stay quiet.
 
 The engine is deliberately detector-agnostic: it consumes the same
 per-epoch ``flow_released`` / ``flow_delivered`` tallies the manager
@@ -161,10 +163,10 @@ class SloEngine:
     """Tracks every flow's burn rates and alert state across epochs.
 
     Feed it one epoch at a time via :meth:`observe_epoch`; it keeps the
-    windows, computes burn rates, emits ``slo_burn`` events on state
-    transitions, and (when a recorder time-series store is attached)
-    records ``{prefix}slo.flow.<id>.pdr`` / ``.burn_fast`` /
-    ``.burn_slow`` series.
+    windows, computes burn rates, counts alert / warn transitions, and
+    (when a recorder time-series store is attached) records
+    ``{prefix}slo.flow.<id>.pdr`` / ``.burn_fast`` / ``.burn_slow``
+    series.
 
     Args:
         config: Objective and window declaration.
@@ -229,22 +231,15 @@ class SloEngine:
         return states
 
     def _note_transition(self, state: FlowSloState) -> None:
-        """Emit ``slo_burn`` + counters when a flow's state changes."""
+        """Count a flow's entry into ``alert`` / ``warn``."""
         previous = self._states.get(state.flow_id, STATE_OK)
         self._states[state.flow_id] = state.state
-        if state.state == previous:
+        if state.state == previous or not _obs.ENABLED:
             return
-        if _obs.ENABLED:
-            if state.state == STATE_ALERT:
-                _obs.RECORDER.count("slo.alerts")
-            elif state.state == STATE_WARN:
-                _obs.RECORDER.count("slo.warns")
-            _obs.RECORDER.event(
-                "slo_burn", flow=state.flow_id, epoch=state.epoch,
-                state=state.state, previous=previous,
-                burn_fast=round(state.burn_fast, 4),
-                burn_slow=round(state.burn_slow, 4),
-                pdr=round(state.pdr, 4))
+        if state.state == STATE_ALERT:
+            _obs.RECORDER.count("slo.alerts")
+        elif state.state == STATE_WARN:
+            _obs.RECORDER.count("slo.warns")
 
     def _record_series(self, state: FlowSloState) -> None:
         if not _obs.ENABLED:

@@ -1,7 +1,6 @@
 """Causally-linked request spans with tail-based exemplar capture.
 
-Layered on the observability stack of :mod:`repro.obs`: where the
-:class:`~repro.obs.trace.Tracer` records flat *events*, this module
+Layered on the observability stack of :mod:`repro.obs`, this module
 records *spans* — named, timed scopes carrying ``trace_id`` /
 ``span_id`` / ``parent_id`` so a request crossing the service's process
 boundaries (asyncio front-end → forked worker → executor stages) can be
@@ -49,7 +48,7 @@ bounded at ``max_traces`` complete trees (evicting the fastest kept
 trace first, so retention is slowest-first), pending traces are bounded
 too, and every eviction is counted.  The JSONL export ends with a
 ``span_meta`` trailer carrying the kept/dropped accounting — the same
-honesty contract as ``trace_meta`` / ``ts_meta`` / ``prov_meta``.
+honesty contract as ``ts_meta`` / ``prov_meta``.
 
 Each process decides on *its* local root (front-end: the request span;
 worker: the work span; loadgen: the client-side request span) with the
@@ -238,9 +237,9 @@ class SpanRecorder:
 
     Attach to a live :class:`repro.obs.recorder.Recorder` via its
     ``spans`` argument; the recorder then binds this instance to its
-    registry and tracer so every finished span also observes a
+    registry so every finished span also observes a
     ``span.<name>.seconds`` histogram (the per-stage latency surface
-    OpenMetrics exports) and mirrors a ``span`` event into the ring.
+    OpenMetrics exports).
 
     Args:
         threshold_ms: Root duration at/above which a trace is kept.
@@ -276,14 +275,12 @@ class SpanRecorder:
         self.closed_traces = 0
         self._seq = 0
         self._registry = None
-        self._tracer = None
 
     # -- recorder wiring -------------------------------------------------
 
-    def bind(self, registry, tracer) -> None:
-        """Attach the metrics/trace layers finished spans feed into."""
+    def bind(self, registry) -> None:
+        """Attach the metrics registry finished spans feed into."""
         self._registry = registry
-        self._tracer = tracer
 
     # -- span creation ---------------------------------------------------
 
@@ -327,11 +324,6 @@ class SpanRecorder:
     def _finish(self, span: ActiveSpan) -> None:
         self._add(span.trace_id, span.to_record())
         self._observe(span.name, span.duration_ms or 0.0)
-        if self._tracer is not None:
-            self._tracer.emit("span", trace=span.trace_id,
-                              span=span.span_id, name=span.name,
-                              ms=round(span.duration_ms or 0.0, 3),
-                              status=span.status)
 
     def _add(self, trace_id: str, record: Dict) -> None:
         spans = self._pending.get(trace_id)

@@ -26,7 +26,7 @@ Producers reach the store through the recorder idiom::
             ts.record("manager.median_pdr", epoch, median)
 
 Like decision provenance, the store is opt-in on top of an enabled
-recorder — and like trace events, points recorded inside
+recorder — and like provenance records, points recorded inside
 :func:`repro.experiments.parallel.parallel_map` *worker* processes are
 not shipped back to the parent (only metrics snapshots are); record
 series from the orchestrating process.
@@ -159,7 +159,7 @@ class TimeSeriesStore:
 
         The trailer — ``{"kind": "ts_meta", "series": N, "retention": R,
         "downsampled": D}`` — makes a dump honest about coarsened
-        history, the same contract as the tracer's ``trace_meta``.
+        history, the same contract as provenance's ``prov_meta``.
         """
         records = [self._series[name].to_record()
                    for name in sorted(self._series)]

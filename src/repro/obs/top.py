@@ -8,7 +8,7 @@ optionally a metrics snapshot), a terminal dashboard with:
 * a per-flow SLO table — state gauge, current PDR, fast/slow burn
   rates, and a burn-rate sparkline — alert/warn flows sorted first,
 * per-channel PRR bars,
-* a recorder/tracer health panel from the metrics snapshot.
+* a recorder health panel from the metrics snapshot.
 
 Everything is plain ``str`` manipulation: no curses, no ANSI colors,
 no third-party dependencies, so ``repro top --once`` is pipeable and
@@ -261,7 +261,7 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
                 f"{bar(total / grand_total, width=12, ascii_only=ascii_only)}")
         lines += _panel("stages", stage_lines, width)
 
-    # -- recorder / tracer health ----------------------------------------
+    # -- recorder health -------------------------------------------------
     health_lines: List[str] = []
     if snapshot is not None:
         counters = snapshot.get("counters", {})
@@ -270,8 +270,8 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
             ("slo.warns", "slo warns"),
             ("manager.epochs", "manager epochs"),
             ("manager.actions_applied", "actions applied"),
-            ("manager.rollbacks", "rollbacks"),
-            ("detection.ks_rejections", "K-S rejections"),
+            ("manager.audit_failures", "audit failures"),
+            ("detection.verdict.reject", "K-S rejections"),
         )
         for key, label in interesting:
             if key in counters:

@@ -38,11 +38,7 @@ Semantics per verb:
 Request, error, repair-fallback and per-kind cache counters live on
 the executor and its cache, recorder or not: ``status`` reports them
 and :meth:`ServiceExecutor.metrics` renders them as the ``service.*``
-metric families.  When recording is enabled, every handled request
-also emits a ``service_request`` trace event carrying wall time and
-cache verdicts and — when a provenance recorder is attached — the
-``[first, last)`` decision-id bracket of the placements the request
-caused, manager-epoch style.  Every expensive phase — cache lookups,
+metric families.  Every expensive phase — cache lookups,
 compile, repair, rebuild, simulate — runs inside a named
 :func:`repro.obs.spans.stage`: while recording, each one observes its
 ``span.<stage>.seconds`` histogram, and when the recorder also carries
@@ -77,7 +73,6 @@ from repro.experiments.common import (
 )
 from repro.flows.flow import FlowSet
 from repro.flows.generator import PeriodRange
-from repro.obs import recorder as _obs
 from repro.obs.spans import stage
 from repro.routing.traffic import TrafficType
 from repro.service.cache import ArtifactCache, DEFAULT_CAPACITY
@@ -198,9 +193,6 @@ class ServiceExecutor:
         """
         start = time.perf_counter()
         self.requests[request.verb] = self.requests.get(request.verb, 0) + 1
-        recorder = _obs.RECORDER if _obs.ENABLED else None
-        prov = recorder.provenance if recorder is not None else None
-        first_decision = prov.next_id() if prov is not None else 0
         try:
             if request.verb == "schedule":
                 result = self._schedule(request)
@@ -218,20 +210,7 @@ class ServiceExecutor:
         except Exception:
             self.errors += 1
             raise
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        result["elapsed_ms"] = round(elapsed_ms, 3)
-        if recorder is not None:
-            fields = dict(verb=request.verb, network=request.network,
-                          wall_ms=round(elapsed_ms, 3),
-                          worker=self.worker_index)
-            cache_info = result.get("cache")
-            if cache_info:
-                fields["cache"] = cache_info
-            if prov is not None and prov.next_id() > first_decision:
-                # Manager-epoch-style provenance bracket: the half-open
-                # decision-id range this request's placements occupy.
-                fields["prov"] = [first_decision, prov.next_id()]
-            recorder.event("service_request", **fields)
+        result["elapsed_ms"] = round((time.perf_counter() - start) * 1e3, 3)
         return result
 
     # -- verbs -----------------------------------------------------------

@@ -21,8 +21,8 @@ every worker's counters, ``metrics`` merges the workers' metric
 snapshots (plus the front-end's own, when recording) into one
 OpenMetrics exposition, ``ping`` is a liveness probe.  Processes
 record only when the server was started with a recording flag
-(``--trace``, ``--metrics-out``, ``--provenance``, ``--timeseries``,
-``--spans``): by default ``metrics`` shows just the service families
+(``--metrics-out``, ``--provenance``, ``--timeseries``, ``--spans``):
+by default ``metrics`` shows just the service families
 — requests per verb, errors, repair fallbacks, cache lookups per kind
 and verdict — which the workers' executors count anyway; the core
 ``scheduler`` / ``policy`` / ``rc`` families and stage histograms

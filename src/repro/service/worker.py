@@ -24,10 +24,9 @@ metrics.
 **Observability.**  A worker records through the same
 :func:`~repro.obs.session.recording_session` as every CLI command, so
 it installs the process-wide recorder only when the server was started
-with a recording flag (``--trace``, ``--metrics-out``,
-``--provenance``, ``--timeseries``, ``--spans``): a default worker
-compiles and repairs on the unrecorded fast paths and keeps no trace
-ring.  The ``metrics`` probe answers either way: the executor's own
+with a recording flag (``--metrics-out``, ``--provenance``,
+``--timeseries``, ``--spans``): a default worker compiles and repairs
+on the unrecorded fast paths and records nothing.  The ``metrics`` probe answers either way: the executor's own
 request, error, fallback and cache counters
 (:meth:`~repro.service.executor.ServiceExecutor.metrics`), merged with
 the recorder's snapshot (the core ``scheduler.*`` / ``policy.*`` /

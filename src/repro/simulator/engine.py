@@ -427,7 +427,6 @@ class TschSimulator:
             # local ints so the disabled path costs nothing measurable.
             recorder = _obs.RECORDER if _obs.ENABLED else None
             rep_attempts = rep_successes = rep_deliveries = 0
-            link_outcomes: Dict[Tuple[int, int], List[int]] = {}
 
             for flow_id, count in self._instances_per_flow.items():
                 stats.record_release(flow_id, count)
@@ -466,7 +465,6 @@ class TschSimulator:
                         record.record(link, entry.shared_cell, False)
                         if recorder is not None:
                             rep_attempts += 1
-                            link_outcomes.setdefault(link, [0, 0])[0] += 1
                         continue
                     logical = logicals[entry_pos]
                     channel = self.channel_map.physical(logical)
@@ -519,9 +517,6 @@ class TschSimulator:
                     if recorder is not None:
                         rep_attempts += 1
                         rep_successes += success
-                        tally = link_outcomes.setdefault(link, [0, 0])
-                        tally[0] += 1
-                        tally[1] += success
                     if success:
                         key = (entry.flow_id, entry.instance)
                         progress[key] = entry.hop_index + 1
@@ -535,10 +530,4 @@ class TschSimulator:
                 recorder.count("sim.attempts", rep_attempts)
                 recorder.count("sim.successes", rep_successes)
                 recorder.count("sim.deliveries", rep_deliveries)
-                recorder.event(
-                    "sim_repetition", repetition=repetition,
-                    attempts=rep_attempts, successes=rep_successes,
-                    deliveries=rep_deliveries,
-                    links={f"{s}->{r}": counts for (s, r), counts
-                           in sorted(link_outcomes.items())})
         return stats

@@ -582,8 +582,7 @@ def run_event_batched(simulator, repetitions: int,
                          channels, channel_attempts, channel_successes,
                          overlay.delivery_flows, deliveries)
     if _obs.ENABLED:
-        _emit_observability(tables.groups, link_attempts, link_successes,
-                            deliveries)
+        _emit_observability(link_attempts, link_successes, deliveries)
     return stats
 
 
@@ -749,37 +748,13 @@ def _build_stats(instances_per_flow: Dict[int, int], repetitions: int,
     return stats
 
 
-def _emit_observability(groups: Sequence[Tuple[Pair, bool]],
-                        link_attempts: np.ndarray,
+def _emit_observability(link_attempts: np.ndarray,
                         link_successes: np.ndarray,
                         deliveries: np.ndarray) -> None:
-    """Emit the same ``sim.*`` counters and ``sim_repetition`` events the
-    slot oracle emits, read from the run's count matrices."""
+    """Emit the same ``sim.*`` counters the slot oracle emits, read from
+    the run's count matrices."""
     recorder = _obs.RECORDER
-    repetitions = len(link_attempts)
-    attempts = link_attempts.sum(axis=1).tolist()
-    successes = link_successes.sum(axis=1).tolist()
-    delivered = deliveries.sum(axis=1).tolist()
-    recorder.count("sim.repetitions", repetitions)
-    recorder.count("sim.attempts", sum(attempts))
-    recorder.count("sim.successes", sum(successes))
-    recorder.count("sim.deliveries", sum(delivered))
-
-    # Pool the two cell categories per link, links sorted.
-    links = sorted({link for link, _ in groups})
-    column = {link: i for i, link in enumerate(links)}
-    pooled_att = np.zeros((repetitions, len(links)), dtype=np.int64)
-    pooled_succ = np.zeros((repetitions, len(links)), dtype=np.int64)
-    for group, (link, _) in enumerate(groups):
-        pooled_att[:, column[link]] += link_attempts[:, group]
-        pooled_succ[:, column[link]] += link_successes[:, group]
-    names = [f"{sender}->{receiver}" for sender, receiver in links]
-    for repetition, (row_att, row_succ) in enumerate(
-            zip(pooled_att.tolist(), pooled_succ.tolist())):
-        recorder.event(
-            "sim_repetition", repetition=repetition,
-            attempts=attempts[repetition],
-            successes=successes[repetition],
-            deliveries=delivered[repetition],
-            links={name: [count, succeeded] for name, count, succeeded
-                   in zip(names, row_att, row_succ) if count})
+    recorder.count("sim.repetitions", len(link_attempts))
+    recorder.count("sim.attempts", int(link_attempts.sum()))
+    recorder.count("sim.successes", int(link_successes.sum()))
+    recorder.count("sim.deliveries", int(deliveries.sum()))

@@ -16,8 +16,8 @@ and, for each case:
   (the case is replayed under a live
   :class:`~repro.obs.provenance.ProvenanceRecorder` and decisions
   touching a violation's slot or flow are kept);
-* asserts **bit-identical provenance streams, counters and events**
-  between RC's two descents in every variant, and that recording
+* asserts **bit-identical provenance streams and counters** between
+  RC's two descents in every variant, and that recording
   provenance does not perturb any policy's schedule;
 * exercises the **incremental repair scheduler**
   (:mod:`repro.core.repair`) on a schedulable result: a deterministic
@@ -248,21 +248,14 @@ _RC_VARIANTS = tuple((rho_reset, offset_rule)
 _DESCENTS = (("stepwise", stepwise_descent),
              ("fused", contextlib.nullcontext))
 
-#: Trace events both descents must emit identically.
-_PARITY_EVENTS = ("laxity_eval", "rc_fallback", "placement")
-
-
 def _recorded_work(recorder: Recorder) -> Tuple:
-    """What a recorded scheduling run counted and traced: the
-    ``scheduler.*`` / ``policy.*`` / ``rc.*`` counters, the
-    ``rc.fallback_rho`` histogram and the placement and RC events."""
+    """What a recorded scheduling run counted: the ``scheduler.*`` /
+    ``policy.*`` / ``rc.*`` counters and the ``rc.fallback_rho``
+    histogram (per-decision detail is the provenance stream's)."""
     snapshot = recorder.snapshot()
     counters = {name: value for name, value in snapshot["counters"].items()
                 if name.startswith(("scheduler.", "policy.", "rc."))}
-    events = [(event.kind, event.fields)
-              for event in recorder.tracer.events()
-              if event.kind in _PARITY_EVENTS]
-    return counters, snapshot["histograms"].get("rc.fallback_rho"), events
+    return counters, snapshot["histograms"].get("rc.fallback_rho")
 
 
 def _stats_attempt_totals(stats: SimulationStats) -> Tuple[int, int]:
@@ -396,10 +389,9 @@ def _check_provenance_parity(case: FuzzCaseResult, network: PreparedNetwork,
 
     Every policy runs under a live :class:`ProvenanceRecorder`, and its
     schedule must match the provenance-free run of the same policy.  RC
-    runs every variant on both descents: the recorded decision streams,
-    work counters and placement / RC events must be bit-identical — its
-    fused descent records every probe, laxity evaluation and ρ step
-    itself.
+    runs every variant on both descents: the recorded decision streams
+    and work counters must be bit-identical — its fused descent records
+    every probe, laxity evaluation and ρ step itself.
     """
     for name in ("NR", "RA"):
         with _obs.recording(Recorder(provenance=ProvenanceRecorder())):
@@ -430,7 +422,7 @@ def _check_provenance_parity(case: FuzzCaseResult, network: PreparedNetwork,
         if work["stepwise"] != work["fused"]:
             case.fail("recording_parity",
                       f"{label}: stepwise and fused descents recorded "
-                      f"different counters or events")
+                      f"different counters")
         if signatures["stepwise"] != signatures["fused"]:
             case.fail("provenance_schedule_identity",
                       f"{label}: schedules diverged between descents "

@@ -190,21 +190,15 @@ class TestCli:
 
 
 class TestCliObservability:
-    def test_sweep_writes_trace_and_metrics(self, tmp_path, capsys):
+    def test_sweep_writes_metrics(self, tmp_path, capsys):
         from repro import obs
-        from repro.io import load_jsonl, load_metrics
+        from repro.io import load_metrics
 
-        trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
         assert main(["sweep", "--testbed", "wustl", "--values", "4",
                      "--flows", "15", "--flow-sets", "1", "--seed", "7",
-                     "--trace", str(trace),
                      "--metrics-out", str(metrics)]) == 0
         assert not obs.is_enabled()  # CLI restores the disabled default
-
-        events = load_jsonl(trace)
-        kinds = {event["kind"] for event in events}
-        assert "placement" in kinds
 
         snapshot = load_metrics(metrics)
         counters = snapshot["counters"]
@@ -217,13 +211,11 @@ class TestCliObservability:
 
     def test_report_command(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
-        trace = tmp_path / "trace.jsonl"
         assert main(["sweep", "--testbed", "wustl", "--values", "4",
                      "--flows", "15", "--flow-sets", "1", "--seed", "7",
-                     "--trace", str(trace),
                      "--metrics-out", str(metrics)]) == 0
         capsys.readouterr()
-        assert main(["report", str(metrics), "--trace", str(trace)]) == 0
+        assert main(["report", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "scheduler:" in out
         assert "policies:" in out
@@ -231,7 +223,24 @@ class TestCliObservability:
         for stage in ("prepare", "workload", "schedule.NR", "schedule.RA",
                       "schedule.RC"):
             assert f"  {stage} " in out
-        assert "trace events by kind:" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--testbed", "wustl", "--values", "4", "--flows", "15",
+         "--flow-sets", "1", "--trace", "x.jsonl", "--no-ledger"],
+        ["report", "m.json", "--trace", "x.jsonl"],
+        ["serve", "--trace", "x.jsonl", "--no-ledger"],
+    ])
+    def test_trace_flag_is_a_usage_error(self, argv, tmp_path, capsys,
+                                         monkeypatch):
+        """No command records or summarizes an event trace:
+        ``--trace`` is an unknown option, refused before anything
+        runs or is written."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_stage_counts_independent_of_worker_count(self, tmp_path,
                                                       capsys):
@@ -260,19 +269,19 @@ class TestCliObservability:
         from repro.io import load_jsonl, load_metrics
         from repro.obs.ledger import RunLedger
 
-        trace = tmp_path / "t.jsonl"
         metrics = tmp_path / "m.json"
+        provenance = tmp_path / "p.jsonl"
         ledger = tmp_path / "runs.jsonl"
         with pytest.raises(SystemExit):
             main(["manage", "--scenario", "definitely-not-a-preset",
-                  "--quick", "--trace", str(trace),
-                  "--metrics-out", str(metrics), "--ledger", str(ledger)])
+                  "--quick", "--metrics-out", str(metrics),
+                  "--provenance", str(provenance), "--ledger", str(ledger)])
         # The ledger lists both files; they must exist.
         (record,) = [r for r in RunLedger(str(ledger)).records()
                      if r.get("kind") == "run"]
         assert record["status"] == "error:SystemExit"
-        assert record["artifacts"] == [str(trace), str(metrics)]
-        assert load_jsonl(trace)[-1]["kind"] == "trace_meta"
+        assert record["artifacts"] == [str(metrics), str(provenance)]
+        assert load_jsonl(provenance)[-1]["kind"] == "prov_meta"
         assert set(load_metrics(metrics)) == {"counters", "gauges",
                                               "histograms"}
 

@@ -4,7 +4,7 @@ The distance lanes (:mod:`repro.core.kernel`) that RC's fused descent
 reads must be bit-for-bit interchangeable with the scalar scan — same
 feasible offsets, same ``find_slot`` answers — and the fused descent
 must match its stepwise oracle (:func:`repro.core.rc.stepwise_descent`)
-in final schedules, work counters, RC events and the
+in final schedules, work counters, decision provenance and the
 ``rc.fallback_rho`` histogram.  These tests drive both over seeded
 randomized schedules and full scheduler runs and demand exact
 agreement.  The last class pins which schedules carry lanes: only the
@@ -50,6 +50,7 @@ from repro.experiments.common import (
 )
 from repro.flows.generator import PeriodRange
 from repro.network.graphs import ChannelReuseGraph
+from repro.obs.provenance import ProvenanceRecorder
 from repro.routing.traffic import TrafficType
 from repro.validate.audit import audit_schedule
 from repro.validate.fuzz import _recorded_work
@@ -188,14 +189,15 @@ class TestFindSlot:
 
 def _recorded_signature(result, recorder):
     """(schedulable, placements, work counters, ``rc.fallback_rho``,
-    placement and RC events) of one recorded scheduler run."""
+    provenance records) of one recorded scheduler run."""
     placements = None
     if result.schedule is not None:
         placements = [
             (e.request.flow_id, e.request.instance, e.request.hop_index,
              e.request.attempt, e.slot, e.offset)
             for e in result.schedule.entries]
-    return (result.schedulable, placements) + _recorded_work(recorder)
+    return ((result.schedulable, placements) + _recorded_work(recorder)
+            + (recorder.provenance.records(),))
 
 
 def _descent(stepwise: bool):
@@ -214,7 +216,8 @@ def _run_signature(network, flow_set, policy_name, stepwise, rho_t=2,
         num_nodes=network.topology.num_nodes,
         num_offsets=network.num_channels,
         reuse_graph=network.reuse, policy=policy)
-    with _descent(stepwise), obs.recording() as recorder:
+    recorder = obs.Recorder(provenance=ProvenanceRecorder())
+    with _descent(stepwise), obs.recording(recorder):
         result = scheduler.run(flow_set)
     return _recorded_signature(result, recorder)
 
@@ -258,7 +261,8 @@ def _reschedule_signature(network, flow_set, victims, stepwise,
                           policy_name="RA", rho_t=2):
     """:func:`_recorded_signature` of a barrier rebuild."""
     policy = make_policy(policy_name, rho_t)
-    with _descent(stepwise), obs.recording() as recorder:
+    recorder = obs.Recorder(provenance=ProvenanceRecorder())
+    with _descent(stepwise), obs.recording(recorder):
         result = reschedule_without_reuse_on(
             flow_set, network.topology.num_nodes, network.num_channels,
             network.reuse, policy, victims)
@@ -477,12 +481,12 @@ class TestPerPolicyLanes:
             return register(state, schedule, links)
 
         monkeypatch.setattr(_kernel._LinkDistanceState, "register", spy)
-        with obs.recording() as recorder:
+        prov = ProvenanceRecorder()
+        with obs.recording(obs.Recorder(provenance=prov)):
             result = _rc_compile(network, flow_set)
         assert result.schedulable
-        first = next(event.fields["flow"]
-                     for event in recorder.tracer.events()
-                     if event.kind == "rc_fallback")
+        first = next(decision["flow"] for decision in prov.decisions()
+                     if decision["descent"])
         position = [flow.flow_id for flow in flow_set].index(first)
         planned = {link for flow in list(flow_set)[position:]
                    for link in flow.links}

@@ -582,14 +582,22 @@ class TestRebuildAudit:
         # Rollback must also undo the barred-link additions.
         assert report.barred_links == ()
 
-        assert rec.registry.counter_value("manager.audit_failures") >= 1
-        audit_events = [e for e in rec.tracer.events()
-                        if e.kind == "manager_audit_failed"]
-        assert audit_events
-        assert audit_events[0].fields["violations"][0]["kind"] == "occupancy"
-        epoch_events = [e for e in rec.tracer.events()
-                        if e.kind == "manager_epoch"]
-        assert any(e.fields["audit_ok"] is False for e in epoch_events)
+        # One counted rollback per failed epoch, its violations by kind;
+        # the forced repair failures are counted as placement fallbacks.
+        counters = rec.snapshot()["counters"]
+        assert counters["manager.audit_failures"] == len(failed_audits)
+        assert counters["manager.audit_violations.occupancy"] >= 1
+        assert counters["manager.repair_fallbacks.placement"] == \
+            counters["manager.repair_fallbacks"]
+        assert "manager.repair_fallbacks.audit" not in counters
+        # `repro top`'s health panel shows the rollbacks.
+        from repro.obs.timeseries import TimeSeriesStore
+        from repro.obs.top import render_top
+
+        panel = render_top(TimeSeriesStore(), snapshot=rec.snapshot())
+        row = next(line for line in panel.splitlines()
+                   if line.strip().startswith("audit failures"))
+        assert row.split()[-1] == str(len(failed_audits))
 
     def test_clean_rebuild_keeps_audit_ok(self, wustl, monkeypatch):
         topology, environment = wustl
@@ -661,10 +669,12 @@ class TestRepairRemediation:
         # via the rebuild instead — never as "repair", never unaudited.
         assert all(o.repair_mode == "rebuild" for o in applied)
         assert all(o.audit_ok for o in report.epochs)
-        assert rec.registry.counter_value("manager.repair_fallbacks") >= 1
-        fallback_events = [e for e in rec.tracer.events()
-                           if e.kind == "manager_repair_fallback"]
-        assert fallback_events
-        assert fallback_events[0].fields["reason"] == "audit"
-        assert (fallback_events[0].fields["violations"][0]["kind"]
-                == "occupancy")
+        # Every fallback was the audit's, and its violations are counted
+        # by kind.
+        counters = rec.snapshot()["counters"]
+        assert counters["manager.repair_fallbacks"] >= 1
+        assert counters["manager.repair_fallbacks.audit"] == \
+            counters["manager.repair_fallbacks"]
+        assert "manager.repair_fallbacks.placement" not in counters
+        assert counters["manager.audit_violations.occupancy"] >= 1
+        assert "manager.audit_failures" not in counters

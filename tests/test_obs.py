@@ -27,9 +27,9 @@ from repro.io import (
 from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
 from repro.obs.metrics import TIME_BUCKETS_S, Histogram, MetricsRegistry
 from repro.obs.provenance import ProvenanceRecorder
+from repro.obs import recorder as _obs
 from repro.obs.recorder import NullRecorder, Recorder
 from repro.obs.report import format_report
-from repro.obs.trace import Tracer
 from repro.routing.traffic import TrafficType, assign_routes
 
 
@@ -140,93 +140,31 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Tracer
-# ----------------------------------------------------------------------
-
-class TestTracer:
-    def test_emit_and_read_back(self):
-        tracer = Tracer()
-        tracer.emit("placement", flow=3, slot=7)
-        (event,) = tracer.events()
-        assert event.kind == "placement"
-        assert event.to_dict() == {"seq": 0, "kind": "placement",
-                                   "flow": 3, "slot": 7}
-
-    def test_ring_overflow_keeps_newest_and_counts_drops(self):
-        tracer = Tracer(capacity=3)
-        for index in range(10):
-            tracer.emit("e", index=index)
-        assert len(tracer) == 3
-        assert tracer.dropped == 7
-        assert [e.fields["index"] for e in tracer.events()] == [7, 8, 9]
-        # Sequence numbers are global, so gaps reveal the drops.
-        assert [e.seq for e in tracer.events()] == [7, 8, 9]
-
-    def test_kind_counts_and_clear(self):
-        tracer = Tracer()
-        tracer.emit("a")
-        tracer.emit("a")
-        tracer.emit("b")
-        assert tracer.kind_counts() == {"a": 2, "b": 1}
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_jsonl_export_roundtrip(self, tmp_path):
-        tracer = Tracer()
-        tracer.emit("placement", flow=1, reused=False)
-        tracer.emit("rc_fallback", from_rho=None, to_rho=4)
-        path = tmp_path / "trace.jsonl"
-        assert tracer.export_jsonl(path) == 2
-        records = load_jsonl(path)
-        assert records[:-1] == tracer.event_dicts()
-        assert records[1]["to_rho"] == 4
-        trailer = records[-1]
-        assert trailer == {"kind": "trace_meta", "dropped": 0,
-                           "capacity": tracer.capacity}
-
-    def test_jsonl_export_reports_drops(self, tmp_path):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.emit("placement", flow=i)
-        path = tmp_path / "trace.jsonl"
-        assert tracer.export_jsonl(path) == 2
-        records = load_jsonl(path)
-        assert [r["flow"] for r in records[:-1]] == [3, 4]
-        assert records[-1] == {"kind": "trace_meta", "dropped": 3,
-                               "capacity": 2}
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-
-
-# ----------------------------------------------------------------------
 # Recorder runtime
 # ----------------------------------------------------------------------
 
 class TestRecorderRuntime:
     def test_disabled_by_default(self):
         assert not obs.is_enabled()
-        assert isinstance(obs.get_recorder(), NullRecorder)
+        assert isinstance(_obs.RECORDER, NullRecorder)
 
     def test_null_recorder_discards_everything(self):
         recorder = NullRecorder()
         recorder.count("c")
         recorder.observe("h", 1)
         recorder.set_gauge("g", 1)
-        recorder.event("e", x=1)
+        recorder.sample("s", 0.0, 1.0)
         assert recorder.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}}
-        assert len(recorder.tracer) == 0
 
     def test_recording_scopes_and_restores(self):
         assert not obs.is_enabled()
         with obs.recording() as recorder:
             assert obs.is_enabled()
-            assert obs.get_recorder() is recorder
+            assert _obs.RECORDER is recorder
             recorder.count("x")
         assert not obs.is_enabled()
-        assert isinstance(obs.get_recorder(), NullRecorder)
+        assert isinstance(_obs.RECORDER, NullRecorder)
 
     def test_recording_restores_on_error(self):
         with pytest.raises(RuntimeError):
@@ -238,15 +176,15 @@ class TestRecorderRuntime:
         with obs.recording() as outer:
             inner_rec = Recorder()
             with obs.recording(inner_rec):
-                assert obs.get_recorder() is inner_rec
-            assert obs.get_recorder() is outer
+                assert _obs.RECORDER is inner_rec
+            assert _obs.RECORDER is outer
 
     # stage() is the one timing scope, in its three recorder states.
 
     def test_stage_records_nothing_when_disabled(self):
         with obs.stage("unit.noop") as span:
             assert span is None
-        assert obs.get_recorder().snapshot() == {
+        assert _obs.RECORDER.snapshot() == {
             "counters": {}, "gauges": {}, "histograms": {}}
 
     def test_stage_observes_histogram_without_span_layer(self):
@@ -257,7 +195,6 @@ class TestRecorderRuntime:
         assert list(histograms) == ["span.unit.test.seconds"]
         assert histograms["span.unit.test.seconds"]["count"] == 1
         assert recorder.snapshot()["counters"] == {}
-        assert len(recorder.tracer) == 0
 
     def test_stage_records_one_child_span_and_one_observation(self):
         spans = obs.SpanRecorder(threshold_ms=0.0, process="t")
@@ -302,8 +239,9 @@ def _known_answer(topology, flows, policy=ConservativeReusePolicy,
     """Schedule ``flows`` with ``policy(**options)`` (RC by default) on
     one channel with every recording on — RC under both descents, which
     must agree exactly.  Returns the run's outcome, counters,
-    ``rc.fallback_rho``, ``(slot, rho, laxity)`` per ``laxity_eval``,
-    ``(from, to)`` per ``rc_fallback`` and the provenance records."""
+    ``rc.fallback_rho``, ``(slot, rho, laxity)`` per Eq. 1 evaluation
+    and ``(from, to)`` per ρ step, both read from the provenance
+    records, and the records themselves."""
     routed = _routed(topology, flows)
     scopes = ((stepwise_descent, contextlib.nullcontext)
               if policy is ConservativeReusePolicy
@@ -316,7 +254,7 @@ def _known_answer(topology, flows, policy=ConservativeReusePolicy,
             result = _scheduler(topology, policy(**options),
                                 num_offsets=1).run(routed)
         snapshot = recorder.snapshot()
-        events = recorder.tracer.events()
+        decisions = prov.decisions()
         runs.append({
             "schedulable": result.schedulable,
             "failed_flow": result.failed_flow,
@@ -324,12 +262,10 @@ def _known_answer(topology, flows, policy=ConservativeReusePolicy,
             "counters": snapshot["counters"],
             "result_counters": result.counters,
             "rho_hist": snapshot["histograms"].get("rc.fallback_rho"),
-            "laxity": [(e.fields["slot"], e.fields["rho"],
-                        e.fields["laxity"])
-                       for e in events if e.kind == "laxity_eval"],
-            "fallbacks": [(e.fields["from_rho"], e.fields["to_rho"])
-                          for e in events if e.kind == "rc_fallback"],
-            "events": [(e.kind, e.fields) for e in events],
+            "laxity": [(e["slot"], e["rho"], e["laxity"])
+                       for d in decisions for e in d["laxity"]],
+            "fallbacks": [(e["from"], e["to"])
+                          for d in decisions for e in d["descent"]],
             "provenance": prov.records(),
         })
     assert all(run == runs[0] for run in runs)
@@ -346,9 +282,10 @@ class TestSchedulerIntegration:
         assert result.counters["placements_tried"] >= \
             result.counters["placements"]
         assert result.counters["slots_scanned"] > 0
-        kinds = recorder.tracer.kind_counts()
-        assert kinds["placement"] == result.counters["placements"]
-        assert kinds["flow_admitted"] == 3
+        counters = recorder.snapshot()["counters"]
+        assert counters["policy.NR.placements"] == \
+            result.counters["placements"]
+        assert counters["policy.NR.schedulable"] == 1
 
     def test_result_counters_json_serializable_through_io(
             self, line_topology, tmp_path):
@@ -562,11 +499,9 @@ class TestSchedulerIntegration:
         result = _scheduler(line_topology, NoReusePolicy()).run(flows)
         assert result.schedulable
         # Benchmark-style guarantee: the NullRecorder path records
-        # nothing at all — no events, no counters.
+        # nothing at all.
         assert result.counters == {}
-        null = obs.get_recorder()
-        assert len(null.tracer) == 0
-        assert null.snapshot()["counters"] == {}
+        assert _obs.RECORDER.snapshot()["counters"] == {}
 
     def test_enabled_and_disabled_runs_agree_on_schedule(self, grid_topology):
         flows = _routed_line_flows(grid_topology, num_flows=2)
@@ -613,14 +548,13 @@ class TestPersistenceAndReport:
             registry.observe("span.schedule.RC.seconds", 0.25,
                              TIME_BUCKETS_S)
         registry.observe("rc.fallback_rho", 2, buckets=(1, 2, 3))
-        text = format_report(registry.snapshot(), {"placement": 40})
+        text = format_report(registry.snapshot())
         assert "slots scanned" in text
         assert "RC" in text and "40" in text
         assert "attempt success rate" in text and "0.9" in text
         assert "verdict reject" in text
         assert "wall time per stage" in text
         assert "schedule.RC" in text
-        assert "placement" in text
 
     def test_format_report_empty(self):
         assert "empty" in format_report(

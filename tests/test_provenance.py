@@ -23,7 +23,7 @@ from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler
 from repro.core.transmissions import TransmissionRequest
 from repro.flows.flow import Flow, FlowSet
-from repro.io import append_jsonl, load_jsonl, save_jsonl, save_metrics
+from repro.io import load_jsonl
 from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
 from repro.obs.explain import explain_cell, explain_from_provenance
 from repro.obs.ledger import (RunLedger, config_hash, diff_records,
@@ -317,12 +317,6 @@ class TestRunLedger:
         assert "config.flows" not in text
         assert "metrics.placements: 10 -> 12" in text
 
-    def test_append_jsonl_appends_not_truncates(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        assert append_jsonl([{"n": 1}], path) == 1
-        assert append_jsonl([{"n": 2}, {"n": 3}], path) == 2
-        assert [r["n"] for r in load_jsonl(path)] == [1, 2, 3]
-
     def test_records_skips_corrupt_lines_and_counts_them(self, tmp_path):
         """Regression: a truncated write (crash mid-append) or stray
         editor junk must not take the whole ledger down — good records
@@ -512,22 +506,3 @@ class TestProvenanceCli:
         capsys.readouterr()
         (record,) = load_jsonl(ledger)
         assert record["status"] == 2
-
-    def test_report_prints_dropped_total(self, tmp_path, capsys):
-        metrics = tmp_path / "metrics.json"
-        trace = tmp_path / "trace.jsonl"
-        save_metrics({"counters": {"scheduler.placements": 3},
-                      "gauges": {}, "histograms": {}}, metrics)
-        save_jsonl([{"kind": "placement", "seq": 0},
-                    {"kind": "placement", "seq": 1},
-                    {"kind": "trace_meta", "dropped": 5, "capacity": 2}],
-                   trace)
-        assert main(["report", str(metrics), "--trace", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "placement" in out
-        assert "total retained" in out
-        # The trailer is bookkeeping, not an event kind.
-        assert "trace_meta" not in out
-        lines = [line for line in out.splitlines()
-                 if "dropped (ring evictions)" in line]
-        assert len(lines) == 1 and lines[0].rstrip().endswith("5")

@@ -116,18 +116,25 @@ class TestBurnMath:
 
 class TestTransitions:
     def test_events_and_counters_only_on_change(self):
+        epochs = [(100, 100),   # ok (no transition: ok is the default)
+                  (100, 0),     # -> alert
+                  (100, 0),     # alert steady: not counted again
+                  (100, 100), (100, 100), (100, 100), (100, 100)]  # -> ok
         with _obs.recording(Recorder()) as rec:
             engine = SloEngine(TIGHT)
-            feed(engine,
-                 (100, 100),   # ok (no transition: ok is the default)
-                 (100, 0),     # -> alert
-                 (100, 0),     # alert steady: no event
-                 (100, 100), (100, 100), (100, 100), (100, 100))  # -> ok
-        events = [e for e in rec.tracer.events() if e.kind == "slo_burn"]
-        assert [(e.fields["previous"], e.fields["state"]) for e in events] \
-            == [("ok", "alert"), ("alert", "ok")]
-        assert events[0].fields["flow"] == 7
-        assert events[0].fields["epoch"] == 1
+            states = [engine.observe_epoch(epoch, {7: released},
+                                           {7: delivered})[0]
+                      for epoch, (released, delivered) in enumerate(epochs)]
+        assert all(state.flow_id == 7 for state in states)
+        # The cooled fast window (2 epochs) ends the alert at epoch 4.
+        assert [state.state for state in states] == [
+            STATE_OK, STATE_ALERT, STATE_ALERT, STATE_ALERT, STATE_OK,
+            STATE_OK, STATE_OK]
+        transitions = [(before.state, after.state, after.epoch)
+                       for before, after in zip(states, states[1:])
+                       if before.state != after.state]
+        assert transitions == [(STATE_OK, STATE_ALERT, 1),
+                               (STATE_ALERT, STATE_OK, 4)]
         assert rec.registry.counter_value("slo.alerts") == 1
         assert rec.registry.counter_value("slo.warns") == 0
 
@@ -274,14 +281,7 @@ class TestManagerSloIntegration:
         assert confirm_epochs, "the K-S monitor never confirmed a victim"
         assert min(alert_epochs) < min(confirm_epochs)
 
-        # The transition is also visible in the trace stream, ahead of
-        # the first confirmed victim.
-        burn_alerts = [e for e in rec.tracer.events()
-                       if e.kind == "slo_burn"
-                       and e.fields["state"] == STATE_ALERT]
-        assert burn_alerts
-        assert min(e.fields["epoch"] for e in burn_alerts) \
-            < min(confirm_epochs)
+        # The transition into alert is also counted.
         assert rec.registry.counter_value("slo.alerts") >= 1
 
     def test_epoch_outcomes_and_series_carry_slo_state(self, wustl):

@@ -220,18 +220,15 @@ class TestTailCapture:
 
 
 class TestRecorderIntegration:
-    def test_finished_spans_feed_histograms_and_trace_ring(self):
+    def test_finished_spans_feed_histograms(self):
         spans = SpanRecorder(threshold_ms=0.0, process="t")
         with obs.recording(obs.Recorder(spans=spans)) as recorder:
             span = spans.start("compile")
             span.end()
             snapshot = recorder.snapshot()
-            events = [e for e in recorder.tracer.event_dicts()
-                      if e.get("kind") == "span"]
         histogram = snapshot["histograms"]["span.compile.seconds"]
         assert histogram["count"] == 1
-        assert events and events[0]["name"] == "compile"
-        assert events[0]["trace"] == span.trace_id
+        assert histogram["sum"] == pytest.approx(span.duration_ms / 1e3)
 
     def test_unbound_recorder_still_collects(self):
         spans = SpanRecorder(threshold_ms=0.0)
@@ -661,15 +658,8 @@ class TestReportMergesWorkerFiles:
         save_metrics(self.snapshot_with(10), str(metrics))
         save_metrics(self.snapshot_with(7), f"{metrics}.w0")
         save_metrics(self.snapshot_with(5), f"{metrics}.w1")
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text(
-            '{"kind": "span", "trace": "t"}\n'
-            '{"kind": "trace_meta", "dropped": 1}\n')
-        Path(f"{trace}.w0").write_text(
-            '{"kind": "span", "trace": "t"}\n'
-            '{"kind": "span_meta", "dropped_spans": 0, "dropped": 2}\n')
 
-        assert main(["report", str(metrics), "--trace", str(trace)]) == 0
+        assert main(["report", str(metrics)]) == 0
         out = capsys.readouterr().out
         assert "merged 3 snapshot(s)" in out
         assert "22" in out  # 10 + 7 + 5 placements
@@ -678,12 +668,21 @@ class TestReportMergesWorkerFiles:
         # Stage table from the merged span histograms (3 observations).
         assert "wall time per stage" in out
         assert "compile" in out
-        # Trailer kinds excluded from the per-kind table, but counted
-        # into the dropped tally.
-        assert "span_meta" not in out
-        assert "trace_meta" not in out
-        line = next(l for l in out.splitlines() if "dropped" in l)
-        assert "3" in line
+
+        # The span dumps a served run leaves (front end plus .w<N>) are
+        # folded into one view by `repro trace show` the same way.
+        spans = tmp_path / "spans.jsonl"
+        trace_ids = []
+        for process, path in (("front", str(spans)),
+                              ("worker-0", f"{spans}.w0")):
+            recorder = SpanRecorder(threshold_ms=0.0, process=process)
+            root = recorder.start("request")
+            recorder.close_trace(root.trace_id, root.end())
+            recorder.export_jsonl(path)
+            trace_ids.append(root.trace_id)
+        assert main(["trace", "show", str(spans)]) == 0
+        out = capsys.readouterr().out
+        assert all(f"trace {trace_id}" in out for trace_id in trace_ids)
 
     def test_front_only_snapshot_prints_no_merge_note(self, tmp_path,
                                                       capsys):

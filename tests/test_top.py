@@ -125,3 +125,32 @@ class TestRenderTop:
                          snapshot={"counters": {"slo.alerts": 2}})
         body = out.replace("─", "-").replace("…", "...")
         assert all(ord(c) < 128 for c in body)
+
+
+class TestHealthPanel:
+    def test_rows_render_from_a_recorded_manage_run(self, tmp_path,
+                                                    capsys):
+        """Every health row reads a counter the manage loop records: a
+        recorded reuse-storm run's K-S rejections show up in the panel
+        with the snapshot's ``detection.verdict.reject`` count."""
+        from repro.cli import main
+        from repro.io import load_metrics
+
+        metrics = tmp_path / "m.json"
+        assert main(["manage", "--quick", "--epochs", "6", "--policy",
+                     "reschedule", "--seed", "3", "--metrics-out",
+                     str(metrics), "--no-ledger"]) == 0
+        capsys.readouterr()
+        snapshot = load_metrics(metrics)
+        counters = snapshot["counters"]
+        assert counters["detection.verdict.reject"] == 4
+
+        out = render_top(TimeSeriesStore(), snapshot=snapshot)
+        health = out[out.index("health"):]
+        rows = {line[:18].strip(): line[18:].strip()
+                for line in health.splitlines()[1:] if line.strip()}
+        assert rows["K-S rejections"] == "4"
+        assert rows["manager epochs"] == "6"
+        assert rows["actions applied"] == "3"
+        # A clean run fails no audit, so that row stays out.
+        assert "audit failures" not in rows
