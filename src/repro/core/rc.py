@@ -110,11 +110,8 @@ def _pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
         schedule, reuse_graph, sender, receiver, slot, slot)[0] >= rho
     if offset_rule == OFFSET_FIRST:
         return int(np.argmax(row))
-    offsets = np.flatnonzero(row)
-    counts = schedule.occupancy()[0][slot, offsets]
-    # argmin returns the first minimum; offsets ascend, so ties break
-    # toward the lowest offset like the scalar (cell_size, offset) key.
-    return int(offsets[int(np.argmin(counts))])
+    return min((schedule.cell_size(slot, offset), offset)
+               for offset in np.flatnonzero(row).tolist())[1]
 
 
 #: Valid values for the ρ reset scope.

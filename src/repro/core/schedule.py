@@ -1,18 +1,19 @@
 """The transmission schedule: a slot × channel-offset cell grid.
 
 The network manager's output is an assignment of transmission attempts to
-(time slot, channel offset) cells over one hyperperiod.  This structure
-maintains the bookkeeping the schedulers and the laxity heuristic query on
-their hot paths:
+(time slot, channel offset) cells over one hyperperiod.  The entry list,
+in placement order, is the one store.  Beside it the schedule keeps the
+three indexes its hot paths read:
 
 * ``busy[node, slot]`` — whether a node transmits or receives in a slot
-  (transmission-conflict checks, laxity's ``q`` terms);
-* per-(slot, offset) entry lists — channel-constraint checks and reuse
-  statistics;
-* per-slot used-offset bitmasks — fast "any free channel?" queries;
-* incremental NumPy occupancy arrays — per-cell occupant counts plus
-  sender/receiver index planes, from which RC's distance lanes
-  (:mod:`repro.core.kernel`) and the auditor read whole cells at once.
+  (transmission-conflict masks, laxity's ``q`` terms);
+* per-(slot, offset) entry-index lists — the scalar channel-constraint
+  scan, cell sizes for the least-loaded pick, and reuse statistics;
+* per-slot used-offset bitmasks — the ρ = ∞ "any free channel?" probe.
+
+Every other view (per-slot groups, makespan, cell sizes) is derived
+from these on demand.  RC's distance lanes (:mod:`repro.core.kernel`)
+register from the entry list and ride along once built.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ class Schedule:
         self._busy = np.zeros((num_nodes, num_slots), dtype=bool)
         self._cells: Dict[Tuple[int, int], List[int]] = {}
         self._used_mask = np.zeros(num_slots, dtype=np.int32)
-        self._slot_entries: Dict[int, List[int]] = {}
-        # Occupancy arrays: per-cell occupant counts plus sender/receiver
-        # index planes.  The occupant capacity (3rd axis) starts at zero
-        # and doubles on demand, so empty schedules stay cheap.
-        self._occ_count = np.zeros((num_slots, num_offsets), dtype=np.int32)
-        self._occ_senders = np.zeros((num_slots, num_offsets, 0),
-                                     dtype=np.int32)
-        self._occ_receivers = np.zeros((num_slots, num_offsets, 0),
-                                       dtype=np.int32)
         # RC's incremental per-link min-reuse-distance lanes, built by
         # repro.core.kernel at the fused descent's first finite-ρ query
         # for the links the engine planned (kernel.plan_links); add()
@@ -90,13 +82,10 @@ class Schedule:
         policy and are the scheduler's job.
 
         Raises:
-            ValueError: On out-of-range slot/offset or a node conflict.
+            ValueError: On an out-of-range slot, offset or node, or a
+                node conflict.
         """
-        if not 0 <= slot < self.num_slots:
-            raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
-        if not 0 <= offset < self.num_offsets:
-            raise ValueError(
-                f"offset {offset} out of range [0, {self.num_offsets})")
+        self._check_bounds(request, slot, offset)
         if self._busy[request.sender, slot] or self._busy[request.receiver, slot]:
             raise ValueError(
                 f"node conflict placing {request} at slot {slot}")
@@ -110,35 +99,37 @@ class Schedule:
         schedule dump must not sanitize it — deciding whether the result
         is valid is the auditor's job (:mod:`repro.validate.audit`), and
         the corrupt-schedule fixtures rely on being able to represent
-        invalid placements.  Bounds are still enforced (the backing
-        arrays require in-range indices); bookkeeping is updated exactly
-        as in :meth:`add`.
+        invalid placements.  Bounds are still enforced (the indexes
+        require in-range slots, offsets and nodes); bookkeeping is
+        updated exactly as in :meth:`add`.
         """
+        self._check_bounds(request, slot, offset)
+        return self._bind(request, slot, offset)
+
+    def _check_bounds(self, request: TransmissionRequest, slot: int,
+                      offset: int) -> None:
+        """Reject an out-of-range slot, offset or node before any index
+        is touched, so a failed placement leaves the schedule as it was."""
         if not 0 <= slot < self.num_slots:
             raise ValueError(f"slot {slot} out of range [0, {self.num_slots})")
         if not 0 <= offset < self.num_offsets:
             raise ValueError(
                 f"offset {offset} out of range [0, {self.num_offsets})")
-        return self._bind(request, slot, offset)
+        for node in (request.sender, request.receiver):
+            if not 0 <= node < self.num_nodes:
+                raise ValueError(
+                    f"node {node} out of range [0, {self.num_nodes})")
 
     def _bind(self, request: TransmissionRequest, slot: int, offset: int
               ) -> ScheduledTransmission:
         entry = ScheduledTransmission(request, slot, offset)
-        index = len(self._entries)
+        self._cells.setdefault((slot, offset), []).append(len(self._entries))
         self._entries.append(entry)
         self._hash = None
         self._version += 1
         self._busy[request.sender, slot] = True
         self._busy[request.receiver, slot] = True
-        self._cells.setdefault((slot, offset), []).append(index)
         self._used_mask[slot] |= (1 << offset)
-        self._slot_entries.setdefault(slot, []).append(index)
-        lane = int(self._occ_count[slot, offset])
-        if lane >= self._occ_senders.shape[2]:
-            self._grow_occupancy(lane + 1)
-        self._occ_senders[slot, offset, lane] = request.sender
-        self._occ_receivers[slot, offset, lane] = request.receiver
-        self._occ_count[slot, offset] = lane + 1
         if self._link_state is not None:
             self._update_link_distances(request.sender, request.receiver,
                                         slot, offset)
@@ -147,10 +138,10 @@ class Schedule:
     def clone(self) -> "Schedule":
         """An independent deep copy sharing only immutable pieces.
 
-        Entries are frozen dataclasses and safe to share; every mutable
-        bookkeeping structure — busy matrix, cell/slot index maps,
-        used-offset masks, occupancy planes — is copied so mutations of
-        the clone (``add``/``evict``) never leak into the original.
+        Entries are frozen dataclasses and safe to share; the three
+        indexes — busy matrix, cell index, used-offset masks — are
+        copied so mutations of the clone (``add``/``evict``) never leak
+        into the original.
         RC's distance lanes and link plan are not copied: the clone's
         placements (repair's re-placement) run the scalar scan.  The
         incremental repair path (:mod:`repro.core.repair`) edits a
@@ -165,11 +156,6 @@ class Schedule:
         dup._busy = self._busy.copy()
         dup._cells = {cell: list(ix) for cell, ix in self._cells.items()}
         dup._used_mask = self._used_mask.copy()
-        dup._slot_entries = {slot: list(ix)
-                             for slot, ix in self._slot_entries.items()}
-        dup._occ_count = self._occ_count.copy()
-        dup._occ_senders = self._occ_senders.copy()
-        dup._occ_receivers = self._occ_receivers.copy()
         dup._link_state = None
         dup._link_plan = ()
         dup._hash = self._hash
@@ -179,15 +165,16 @@ class Schedule:
     def evict(self, indices: Iterable[int]) -> List[ScheduledTransmission]:
         """Remove entries by index, rolling back all bookkeeping.
 
-        The inverse of :meth:`add` for a batch of entries: the busy
-        matrix, cell and slot index maps, used-offset masks and
-        occupancy planes are all restored to exactly the state a fresh
-        schedule containing only the surviving entries would have (the
-        auditor's bookkeeping checks cross-verify this).  RC's distance
-        lanes, if built, are dropped rather than patched; a later
-        finite-ρ query rebuilds them.  Surviving entries keep their
-        relative placement order but are re-indexed, so previously held
-        entry indices are invalid after eviction.
+        The inverse of :meth:`add` for a batch of entries: the cell
+        index is rebuilt from the survivors, and the busy columns and
+        used-offset masks of the touched slots are recomputed from them,
+        so every index ends exactly as a fresh schedule holding only the
+        surviving entries would have it (the auditor's bookkeeping
+        checks cross-verify this).  RC's distance lanes, if built, are
+        dropped rather than patched; a later finite-ρ query rebuilds
+        them.  Surviving entries keep their relative placement order but
+        are re-indexed, so previously held entry indices are invalid
+        after eviction.
 
         Args:
             indices: Positions into :attr:`entries` to remove.
@@ -206,47 +193,30 @@ class Schedule:
                 f"evict index out of range [0, {len(self._entries)})")
         doomed_set = set(doomed)
         evicted = [self._entries[i] for i in doomed]
-        affected_cells = {(e.slot, e.offset) for e in evicted}
-        affected_slots = {e.slot for e in evicted}
         self._entries = [entry for i, entry in enumerate(self._entries)
                          if i not in doomed_set]
         self._hash = None
         self._version += 1
-        # Survivor indices shifted: rebuild both index maps in one pass
+        # Survivor indices shifted: rebuild the cell index in one pass
         # (linear in schedule size, far below placement cost).
         cells: Dict[Tuple[int, int], List[int]] = {}
-        slot_entries: Dict[int, List[int]] = {}
         for i, entry in enumerate(self._entries):
             cells.setdefault((entry.slot, entry.offset), []).append(i)
-            slot_entries.setdefault(entry.slot, []).append(i)
         self._cells = cells
-        self._slot_entries = slot_entries
         # Busy columns and used-offset masks of the touched slots are
         # recomputed from the survivors rather than unset bit-by-bit:
         # force_add permits node collisions, so a bit may be owed to
         # more than one entry.
-        for slot in affected_slots:
+        for slot in {entry.slot for entry in evicted}:
             self._busy[:, slot] = False
             mask = 0
-            for i in slot_entries.get(slot, ()):
-                entry = self._entries[i]
-                self._busy[entry.request.sender, slot] = True
-                self._busy[entry.request.receiver, slot] = True
-                mask |= (1 << entry.offset)
+            for offset in range(self.num_offsets):
+                for i in cells.get((slot, offset), ()):
+                    request = self._entries[i].request
+                    self._busy[request.sender, slot] = True
+                    self._busy[request.receiver, slot] = True
+                    mask |= 1 << offset
             self._used_mask[slot] = mask
-        # Occupancy lanes of the touched cells: rewrite live lanes from
-        # the survivors and zero the tail so stale node indices never
-        # linger past the count.
-        for slot, offset in affected_cells:
-            survivors = cells.get((slot, offset), ())
-            for lane, i in enumerate(survivors):
-                entry = self._entries[i]
-                self._occ_senders[slot, offset, lane] = entry.request.sender
-                self._occ_receivers[slot, offset, lane] = entry.request.receiver
-            count = len(survivors)
-            self._occ_count[slot, offset] = count
-            self._occ_senders[slot, offset, count:] = 0
-            self._occ_receivers[slot, offset, count:] = 0
         self._link_state = None
         return evicted
 
@@ -262,18 +232,6 @@ class Schedule:
         cell = state.dist[slot, offset, :n]
         np.minimum(cell, state.occupant_candidates(x, y), out=cell)
         state.dist[slot, :, :n].max(axis=0, out=state.best[slot, :n])
-
-    def _grow_occupancy(self, needed: int) -> None:
-        """Double the occupant capacity of the occupancy planes."""
-        capacity = max(needed, 2 * max(self._occ_senders.shape[2], 1))
-        grown = np.zeros((self.num_slots, self.num_offsets, capacity),
-                         dtype=np.int32)
-        grown[:, :, :self._occ_senders.shape[2]] = self._occ_senders
-        self._occ_senders = grown
-        grown = np.zeros((self.num_slots, self.num_offsets, capacity),
-                         dtype=np.int32)
-        grown[:, :, :self._occ_receivers.shape[2]] = self._occ_receivers
-        self._occ_receivers = grown
 
     # ------------------------------------------------------------------
     # Queries used by the schedulers
@@ -332,7 +290,7 @@ class Schedule:
 
     def cell_size(self, slot: int, offset: int) -> int:
         """Number of transmissions in a cell."""
-        return int(self._occ_count[slot, offset])
+        return len(self._cells.get((slot, offset), ()))
 
     @staticmethod
     def _set_bits(mask: int) -> List[int]:
@@ -385,22 +343,11 @@ class Schedule:
         return mask
 
     def slot_transmissions(self, slot: int) -> List[ScheduledTransmission]:
-        """All transmissions in a slot (any offset) — the paper's T_s."""
-        return [self._entries[i] for i in self._slot_entries.get(slot, [])]
-
-    # ------------------------------------------------------------------
-    # Occupancy views (read-only; see repro.core.kernel)
-    # ------------------------------------------------------------------
-
-    def occupancy(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The occupancy state: ``(counts, senders, receivers)``.
-
-        ``counts`` is ``(num_slots, num_offsets)`` occupant counts;
-        ``senders``/``receivers`` are ``(num_slots, num_offsets, K)``
-        node-index planes where only the first ``counts[s, c]`` lanes of
-        cell ``(s, c)`` are meaningful.  Callers must not mutate these.
-        """
-        return self._occ_count, self._occ_senders, self._occ_receivers
+        """All transmissions in a slot (any offset) — the paper's T_s —
+        in placement order."""
+        indices = sorted(i for offset in range(self.num_offsets)
+                         for i in self._cells.get((slot, offset), ()))
+        return [self._entries[i] for i in indices]
 
     def busy_matrix(self) -> np.ndarray:
         """The ``(num_nodes, num_slots)`` busy matrix (do not mutate)."""
@@ -438,15 +385,17 @@ class Schedule:
         return sorted(links)
 
     def entries_by_slot(self) -> Dict[int, List[ScheduledTransmission]]:
-        """All transmissions grouped by slot (for the simulator)."""
-        return {slot: [self._entries[i] for i in indices]
-                for slot, indices in sorted(self._slot_entries.items())}
+        """All transmissions grouped by slot in ascending slot order,
+        each group in placement order (for the simulator)."""
+        by_slot: Dict[int, List[ScheduledTransmission]] = {}
+        for entry in self._entries:
+            by_slot.setdefault(entry.slot, []).append(entry)
+        return dict(sorted(by_slot.items()))
 
     def makespan(self) -> int:
         """Last occupied slot + 1, or 0 for an empty schedule."""
-        if not self._slot_entries:
-            return 0
-        return max(self._slot_entries) + 1
+        used = np.flatnonzero(self._used_mask)
+        return int(used[-1]) + 1 if used.size else 0
 
     def signature(self) -> List[tuple]:
         """Order-preserving tuple view of every placement.
@@ -497,10 +446,9 @@ class Schedule:
             AssertionError: If an invariant is violated.
         """
         busy_check = np.zeros_like(self._busy)
-        for slot, indices in self._slot_entries.items():
+        for slot, entries in self.entries_by_slot().items():
             seen = set()
-            for i in indices:
-                entry = self._entries[i]
+            for entry in entries:
                 nodes = {entry.request.sender, entry.request.receiver}
                 assert not (nodes & seen), (
                     f"transmission conflict in slot {slot}")
@@ -508,12 +456,3 @@ class Schedule:
                 busy_check[entry.request.sender, slot] = True
                 busy_check[entry.request.receiver, slot] = True
         assert np.array_equal(busy_check, self._busy), "busy matrix mismatch"
-        for (slot, offset), indices in self._cells.items():
-            assert int(self._occ_count[slot, offset]) == len(indices), (
-                f"occupancy count mismatch in cell ({slot},{offset})")
-            for lane, i in enumerate(indices):
-                entry = self._entries[i]
-                assert (int(self._occ_senders[slot, offset, lane])
-                        == entry.request.sender), "occupancy sender mismatch"
-                assert (int(self._occ_receivers[slot, offset, lane])
-                        == entry.request.receiver), "occupancy receiver mismatch"

@@ -151,19 +151,9 @@ def load_flow_set(path: PathLike) -> FlowSet:
 # Schedules
 # ----------------------------------------------------------------------
 
-def schedule_to_dict(schedule: Schedule, include_state: bool = False) -> Dict:
-    """JSON-serializable form of a schedule.
-
-    Args:
-        schedule: The schedule to serialize.
-        include_state: Also embed the internal bookkeeping arrays (busy
-            matrix, used-offset masks, occupancy planes) verbatim.  Audit
-            dumps need this: the whole point of re-auditing a schedule is
-            that its bookkeeping may disagree with its entry list, and an
-            entries-only round trip would silently rebuild consistent
-            state.  Loaded back with ``strict=False``, the arrays are
-            restored bit for bit.
-    """
+def schedule_to_dict(schedule: Schedule) -> Dict:
+    """JSON-serializable form of a schedule: its dimensions and entry
+    list, in placement order (the indexes are rebuilt on load)."""
     entries: List[Dict] = []
     for entry in schedule.entries:
         request = entry.request
@@ -179,23 +169,12 @@ def schedule_to_dict(schedule: Schedule, include_state: bool = False) -> Dict:
             "slot": entry.slot,
             "offset": entry.offset,
         })
-    payload = {
+    return {
         "num_nodes": schedule.num_nodes,
         "num_slots": schedule.num_slots,
         "num_offsets": schedule.num_offsets,
         "entries": entries,
     }
-    if include_state:
-        counts, senders, receivers = schedule.occupancy()
-        payload["state"] = {
-            "busy": schedule.busy_matrix().astype(int).tolist(),
-            "used_mask": [int(schedule._used_mask[s])
-                          for s in range(schedule.num_slots)],
-            "occ_count": counts.tolist(),
-            "occ_senders": senders.tolist(),
-            "occ_receivers": receivers.tolist(),
-        }
-    return payload
 
 
 def schedule_from_dict(data: Dict, strict: bool = True) -> Schedule:
@@ -203,15 +182,12 @@ def schedule_from_dict(data: Dict, strict: bool = True) -> Schedule:
 
     Args:
         data: The serialized schedule.
-        strict: When True (default), entries are re-added through the
-            normal mutation path, so structural invariants
-            (conflict-freedom, bounds) are re-checked on load and any
-            embedded ``state`` blob is ignored as redundant.  When
-            False, entries are force-added without the node-conflict
-            check and an embedded ``state`` blob overwrites the
-            bookkeeping arrays verbatim — the loader reproduces the
-            dump exactly and leaves validity judgments to
-            :func:`repro.validate.audit.audit_schedule`.
+        strict: When True (default), entries are re-added through
+            :meth:`Schedule.add`, so conflict-freedom is re-checked on
+            load.  When False, they are force-added: node conflicts are
+            kept as dumped, and judging them is left to
+            :func:`repro.validate.audit.audit_schedule`.  Either way an
+            out-of-range slot, offset or node raises ``ValueError``.
     """
     schedule = Schedule(int(data["num_nodes"]), int(data["num_slots"]),
                         int(data["num_offsets"]))
@@ -228,34 +204,19 @@ def schedule_from_dict(data: Dict, strict: bool = True) -> Schedule:
             deadline_slot=int(item["deadline_slot"]),
         )
         place(request, int(item["slot"]), int(item["offset"]))
-    state = data.get("state")
-    if state is not None and not strict:
-        lanes = (len(state["occ_senders"][0][0])
-                 if state["occ_senders"] and state["occ_senders"][0] else 0)
-        shape = (schedule.num_slots, schedule.num_offsets, lanes)
-        schedule._busy = np.asarray(state["busy"], dtype=bool)
-        schedule._used_mask = np.asarray(state["used_mask"], dtype=np.int32)
-        schedule._occ_count = np.asarray(state["occ_count"], dtype=np.int32)
-        schedule._occ_senders = np.asarray(
-            state["occ_senders"], dtype=np.int32).reshape(shape)
-        schedule._occ_receivers = np.asarray(
-            state["occ_receivers"], dtype=np.int32).reshape(shape)
     return schedule
 
 
-def save_schedule(schedule: Schedule, path: PathLike,
-                  include_state: bool = False) -> None:
+def save_schedule(schedule: Schedule, path: PathLike) -> None:
     """Save a schedule as JSON (see :func:`schedule_to_dict`)."""
-    Path(path).write_text(json.dumps(
-        schedule_to_dict(schedule, include_state=include_state), indent=2))
+    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=2))
 
 
 def load_schedule(path: PathLike, strict: bool = True) -> Schedule:
     """Load a schedule saved by :func:`save_schedule`.
 
-    ``strict=False`` reproduces the dump verbatim — including invalid
-    placements and corrupt bookkeeping — for auditing
-    (see :func:`schedule_from_dict`).
+    ``strict=False`` keeps node conflicts as dumped, for auditing (see
+    :func:`schedule_from_dict`).
     """
     return schedule_from_dict(json.loads(Path(path).read_text()),
                               strict=strict)

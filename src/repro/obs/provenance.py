@@ -20,8 +20,9 @@ transmission, one **decision record**:
 
 Records are derived from the *schedule state*, not from how a policy
 searched it: the classifier below reads only structures every schedule
-has (busy matrix, occupancy planes, the reuse graph's hop matrix), never
-RC's distance lanes, so RC's fused descent and its stepwise oracle
+has (busy matrix, used-offset masks, the cells' occupants through
+``Schedule.cell``, the reuse graph's hop matrix), never RC's distance
+lanes, so RC's fused descent and its stepwise oracle
 (:func:`repro.core.rc.stepwise_descent`) emit **bit-identical
 provenance streams** whenever they produce identical schedules — a
 property the differential fuzz harness (:mod:`repro.validate.fuzz`)
@@ -74,7 +75,7 @@ def cell_reuse_distances(schedule: "Schedule",
     """Per-offset min reuse distance of one slot, with the blocker lane.
 
     Delegates to :func:`repro.core.kernel.cell_distances` — the
-    lane-free recomputation from occupancy planes — imported
+    lane-free recomputation from the slot's cells — imported
     lazily to keep obs importable without pulling core at module load.
     """
     from repro.core.kernel import cell_distances
@@ -129,11 +130,10 @@ def offset_verdicts(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",
     key), and for reuse-distance rejections the ``blocker`` occupant
     link and its ``distance`` on the reuse graph.
     """
-    counts, occ_senders, occ_receivers = schedule.occupancy()
     verdicts: List[Dict] = []
     if rho == float("inf"):
         for offset in range(schedule.num_offsets):
-            load = int(counts[slot, offset])
+            load = schedule.cell_size(slot, offset)
             verdicts.append({
                 "offset": offset, "load": load,
                 "verdict": ACCEPT if load == 0 else REASON_CHANNEL_BUSY,
@@ -142,15 +142,14 @@ def offset_verdicts(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",
     dist, lanes = cell_reuse_distances(schedule, reuse_graph, sender,
                                        receiver, slot)
     for offset in range(schedule.num_offsets):
-        load = int(counts[slot, offset])
-        entry: Dict = {"offset": offset, "load": load}
+        occupants = schedule.cell(slot, offset)
+        entry: Dict = {"offset": offset, "load": len(occupants)}
         if dist[offset] >= rho:
             entry["verdict"] = ACCEPT
         else:
-            lane = int(lanes[offset])
+            blocker = occupants[int(lanes[offset])].request
             entry["verdict"] = REASON_REUSE_DISTANCE
-            entry["blocker"] = [int(occ_senders[slot, offset, lane]),
-                                int(occ_receivers[slot, offset, lane])]
+            entry["blocker"] = [int(blocker.sender), int(blocker.receiver)]
             entry["distance"] = int(dist[offset])
         verdicts.append(entry)
     return verdicts

@@ -71,7 +71,6 @@ def render_timeline(schedule: "Schedule",
     if start > end:
         raise ValueError(f"empty slot range [{start}, {end}]")
 
-    counts = schedule.occupancy()[0]
     label_width = len(f"offset {schedule.num_offsets - 1}")
     lines: List[str] = [
         f"slots {start}..{end} of {schedule.num_slots}, "
@@ -79,7 +78,7 @@ def render_timeline(schedule: "Schedule",
         f"{len(schedule)} transmissions, "
         f"{schedule.num_reused_cells()} reuse cells"]
     for offset in range(schedule.num_offsets):
-        row = "".join(_cell_char(int(counts[slot, offset]))
+        row = "".join(_cell_char(schedule.cell_size(slot, offset))
                       for slot in range(start, end + 1))
         lines.append(f"{f'offset {offset}':>{label_width}} |{row}|")
     lines.append(" " * (label_width + 2) + _ruler(start, end))

@@ -144,12 +144,23 @@ class TestAuditorCorruptions:
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1), 0, 0)
         schedule.add(request(4, 5, flow_id=1), 0, 0)
-        schedule._occ_senders[0, 0, 0] = 3
+        schedule._cells[(0, 0)].reverse()  # lanes out of placement order
         report = audit_schedule(schedule, line_reuse_graph, 2)
         assert report.kinds() == ["occupancy"]
         [violation] = report.violations
-        assert "lane 0" in violation.message
-        assert "(3, 1)" in violation.message
+        assert (violation.slot, violation.offset) == (0, 0)
+        assert "lists entries [1, 0]" in violation.message
+        assert "places [0, 1]" in violation.message
+
+    def test_used_mask_drift(self, line_reuse_graph):
+        schedule = Schedule(6, 20, 2)
+        schedule.add(request(0, 1), 3, 1)
+        schedule._used_mask[3] = 0  # the bit of offset 1 lost
+        report = audit_schedule(schedule, line_reuse_graph, 2)
+        assert report.kinds() == ["occupancy"]
+        [violation] = report.violations
+        assert violation.slot == 3
+        assert "mask says [] but entries occupy [1]" in violation.message
 
     def test_precedence_inversion(self, line_reuse_graph):
         schedule = Schedule(6, 20, 2)
