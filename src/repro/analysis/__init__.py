@@ -12,14 +12,6 @@ from repro.analysis.latency import (
     instance_latencies,
     per_flow_worst_latency,
 )
-
-from repro.analysis.response_time import (
-    ResponseTimeResult,
-    analyze_flow_set,
-    is_schedulable_by_analysis,
-    response_time_bound,
-    slot_demand,
-)
 from repro.analysis.metrics import (
     BoxStats,
     cell_min_reuse_hops,
@@ -40,11 +32,6 @@ __all__ = [
     "network_lifetime_days",
     "per_flow_worst_latency",
     "superframe_energy",
-    "ResponseTimeResult",
-    "analyze_flow_set",
-    "is_schedulable_by_analysis",
-    "response_time_bound",
-    "slot_demand",
     "cell_min_reuse_hops",
     "reuse_hop_distribution",
     "reuse_hop_fractions",

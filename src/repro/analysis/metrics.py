@@ -18,7 +18,8 @@ from repro.network.graphs import ChannelReuseGraph
 
 
 def schedulable_ratio(results: Iterable[SchedulingResult]) -> float:
-    """Fraction of flow sets that were schedulable."""
+    """Fraction of flow sets that were schedulable (any results with a
+    ``schedulable`` flag: scheduling results or sweep outcomes)."""
     results = list(results)
     if not results:
         return 0.0

@@ -139,13 +139,10 @@ def diagnose_epoch(report: EpochReport,
     return diagnoses
 
 
-def rejected_links_per_epoch(reports: Sequence[EpochReport],
-                             config: DetectionConfig = DetectionConfig(),
-                             ) -> Dict[int, List[Link]]:
-    """Links classified as reuse-degraded, per epoch (paper Fig. 11)."""
-    result = {}
-    for report in reports:
-        diagnoses = diagnose_epoch(report, config)
-        result[report.epoch] = [d.link for d in diagnoses
-                                if d.verdict is Verdict.REJECT]
-    return result
+def rejected_links_per_epoch(
+        diagnoses: Dict[int, Sequence[LinkDiagnosis]],
+) -> Dict[int, List[Link]]:
+    """Links classified as reuse-degraded, per epoch (paper Fig. 11),
+    from each epoch's :func:`diagnose_epoch` output."""
+    return {epoch: [d.link for d in found if d.verdict is Verdict.REJECT]
+            for epoch, found in diagnoses.items()}

@@ -22,6 +22,7 @@ from repro.detection.classifier import (
     LinkDiagnosis,
     Verdict,
     diagnose_epoch,
+    rejected_links_per_epoch,
 )
 from repro.detection.health import (
     EpochReport,
@@ -149,11 +150,11 @@ def _detection_trial(context: dict, policy: str) -> List[DetectionOutcome]:
         for report in reports:
             diagnoses = diagnose_epoch(report, config)
             outcome.diagnoses[report.epoch] = diagnoses
-            outcome.rejected_per_epoch[report.epoch] = [
-                d.link for d in diagnoses if d.verdict is Verdict.REJECT]
             low_prr.update(
                 d.link for d in diagnoses
                 if d.verdict in (Verdict.REJECT, Verdict.ACCEPT))
+        outcome.rejected_per_epoch = rejected_links_per_epoch(
+            outcome.diagnoses)
         outcome.low_prr_links = sorted(low_prr)
         outcomes.append(outcome)
     return outcomes

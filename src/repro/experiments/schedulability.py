@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.analysis.metrics import (
     reuse_hop_distribution,
+    schedulable_ratio,
     tx_per_cell_distribution,
 )
 from repro.core.ra import DEFAULT_RHO_T
@@ -60,16 +61,12 @@ class SweepResult:
 
     def schedulable_ratios(self) -> Dict[str, Dict[int, float]]:
         """``{policy: {x: fraction of schedulable flow sets}}``."""
-        totals: Dict[Tuple[str, int], int] = defaultdict(int)
-        successes: Dict[Tuple[str, int], int] = defaultdict(int)
+        points: Dict[Tuple[str, int], List[TrialOutcome]] = defaultdict(list)
         for outcome in self.outcomes:
-            key = (outcome.policy, outcome.x)
-            totals[key] += 1
-            if outcome.schedulable:
-                successes[key] += 1
+            points[(outcome.policy, outcome.x)].append(outcome)
         ratios: Dict[str, Dict[int, float]] = {p: {} for p in self.policies}
-        for (policy, x), total in totals.items():
-            ratios[policy][x] = successes[(policy, x)] / total
+        for (policy, x), outcomes in points.items():
+            ratios[policy][x] = schedulable_ratio(outcomes)
         return ratios
 
     def mean_times_ms(self) -> Dict[str, Dict[int, float]]:

@@ -18,14 +18,12 @@ from repro.mac.superframe import (
     build_superframe,
 )
 from repro.mac.tsch import (
-    HoppingSequence,
     SLOT_DURATION_MS,
     SLOT_DURATION_S,
     SLOTS_PER_SECOND,
     SlotTiming,
     hop_channel,
     seconds_to_slots,
-    slots_to_seconds,
 )
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "SlotAction",
     "Superframe",
     "build_superframe",
-    "HoppingSequence",
     "MAX_CHANNEL",
     "MIN_CHANNEL",
     "NUM_CHANNELS_24GHZ",
@@ -48,6 +45,5 @@ __all__ = [
     "channels_overlapping_wifi",
     "hop_channel",
     "seconds_to_slots",
-    "slots_to_seconds",
     "wifi_center_frequency_mhz",
 ]

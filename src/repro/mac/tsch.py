@@ -16,9 +16,7 @@ requirements in the paper are stated over *all* channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.mac.channels import ChannelMap
 
 #: WirelessHART slot duration in milliseconds.
 SLOT_DURATION_MS = 10.0
@@ -45,11 +43,6 @@ def seconds_to_slots(seconds: float) -> int:
     return rounded
 
 
-def slots_to_seconds(slots: int) -> float:
-    """Convert a slot count to seconds."""
-    return slots * SLOT_DURATION_S
-
-
 def hop_channel(asn: int, channel_offset: int, num_channels: int) -> int:
     """Compute the logical channel for a cell via the TSCH hopping formula.
 
@@ -69,42 +62,6 @@ def hop_channel(asn: int, channel_offset: int, num_channels: int) -> int:
         raise ValueError(
             f"channel offset must be in [0, {num_channels - 1}], got {channel_offset}")
     return (asn + channel_offset) % num_channels
-
-
-@dataclass(frozen=True)
-class HoppingSequence:
-    """Resolves (ASN, channel offset) cells to physical channels.
-
-    Combines the TSCH hopping formula with a shared
-    :class:`~repro.mac.channels.ChannelMap`, exactly as each WirelessHART
-    field device does at run time.
-    """
-
-    channel_map: ChannelMap
-
-    @property
-    def num_channels(self) -> int:
-        """Number of channels the network hops over."""
-        return len(self.channel_map)
-
-    def logical_channel(self, asn: int, channel_offset: int) -> int:
-        """Return the logical channel for a cell."""
-        return hop_channel(asn, channel_offset, self.num_channels)
-
-    def physical_channel(self, asn: int, channel_offset: int) -> int:
-        """Return the physical 802.15.4 channel for a cell."""
-        return self.channel_map.physical(self.logical_channel(asn, channel_offset))
-
-    def channels_visited(self, channel_offset: int, num_slots: int,
-                         start_asn: int = 0) -> List[int]:
-        """List the physical channels a cell visits over ``num_slots`` slots.
-
-        Useful for verifying that every offset cycles through the full
-        channel map (the property that forces the paper's "reliable on all
-        channels" link admission rule).
-        """
-        return [self.physical_channel(asn, channel_offset)
-                for asn in range(start_asn, start_asn + num_slots)]
 
 
 @dataclass(frozen=True)

@@ -218,11 +218,6 @@ def load_scenario(path: Union[str, Path]) -> ConditionSchedule:
     return ConditionSchedule.from_dict(payload)
 
 
-def save_scenario(scenario: ConditionSchedule, path: Union[str, Path]) -> None:
-    """Write a scenario as JSON (inverse of :func:`load_scenario`)."""
-    Path(path).write_text(json.dumps(scenario.to_dict(), indent=2))
-
-
 class ScenarioResolver:
     """Resolves a scenario's per-epoch :class:`Conditions` overlays.
 

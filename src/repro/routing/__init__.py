@@ -2,7 +2,6 @@
 
 from repro.routing.shortest_path import (
     NoRouteError,
-    path_length,
     shortest_path,
     shortest_path_tree,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "NoRouteError",
     "TrafficType",
     "assign_routes",
-    "path_length",
     "route_centralized",
     "route_peer_to_peer",
     "shortest_path",

@@ -10,7 +10,7 @@ always yields the same routes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 
 from repro.network.graphs import CommunicationGraph
@@ -92,7 +92,3 @@ def shortest_path_tree(graph: CommunicationGraph,
         paths[node] = path
     return paths
 
-
-def path_length(path: Sequence[int]) -> int:
-    """Number of links on a path (node sequence)."""
-    return max(0, len(path) - 1)

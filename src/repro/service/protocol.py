@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.obs.ledger import config_hash
 
@@ -328,11 +328,3 @@ def shard_of(network: str, num_workers: int) -> int:
         raise ValueError("num_workers must be positive")
     return zlib.crc32(network.encode("utf-8")) % num_workers
 
-
-def partition_by_shard(networks: List[str],
-                       num_workers: int) -> List[List[str]]:
-    """Networks grouped by their shard (diagnostics / tests)."""
-    groups: List[List[str]] = [[] for _ in range(num_workers)]
-    for network in networks:
-        groups[shard_of(network, num_workers)].append(network)
-    return groups

@@ -85,6 +85,22 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule.add(request(0, 1), 0, 2)
 
+    @pytest.mark.parametrize("method", ["add", "force_add"])
+    @pytest.mark.parametrize("link", [(0, 999), (999, 0), (-3, 1),
+                                      (1, -3)])
+    def test_out_of_range_node_rejected_untouched(self, method, link):
+        schedule = Schedule(5, 10, 2)
+        schedule.add(request(0, 1), 3, 0)
+        before = (len(schedule), schedule.version,
+                  schedule.canonical_hash(), schedule.busy_matrix().copy())
+        with pytest.raises(ValueError, match="node .* out of range"):
+            getattr(schedule, method)(request(*link, flow_id=1), 4, 1)
+        assert len(schedule) == before[0]
+        assert schedule.version == before[1]
+        assert schedule.canonical_hash() == before[2]
+        assert (schedule.busy_matrix() == before[3]).all()
+        assert schedule.used_offsets(4) == []
+
     def test_conflict_mask_and_count(self):
         schedule = Schedule(5, 10, 2)
         schedule.add(request(0, 1), 2, 0)

@@ -309,7 +309,7 @@ class TestClassifier:
         healthy = link_report([1.0] * 18, [1.0] * 18, link=(4, 5))
         epoch = EpochReport(epoch=0, links={(0, 1): degraded,
                                             (4, 5): healthy})
-        rejected = rejected_links_per_epoch([epoch])
+        rejected = rejected_links_per_epoch({0: diagnose_epoch(epoch)})
         assert rejected == {0: [(0, 1)]}
 
     def test_config_validation(self):

@@ -4,13 +4,12 @@ import pytest
 
 from repro.mac.channels import ChannelMap
 from repro.mac.tsch import (
-    HoppingSequence,
     SLOT_DURATION_MS,
+    SLOT_DURATION_S,
     SLOTS_PER_SECOND,
     SlotTiming,
     hop_channel,
     seconds_to_slots,
-    slots_to_seconds,
 )
 
 
@@ -35,7 +34,7 @@ class TestSlotConversion:
             seconds_to_slots(0.0)
 
     def test_roundtrip(self):
-        assert slots_to_seconds(seconds_to_slots(2.0)) == 2.0
+        assert seconds_to_slots(2.0) * SLOT_DURATION_S == 2.0
 
     def test_constants_consistent(self):
         assert SLOTS_PER_SECOND * SLOT_DURATION_MS == 1000.0
@@ -64,6 +63,14 @@ class TestHopChannel:
         assert len(channels) == 8
 
 
+def visited(channel_map, channel_offset, num_slots, start_asn=0):
+    """The physical channels a cell visits: the hopping formula read
+    through the channel map, as the simulator resolves each attempt."""
+    return [channel_map.physical(
+                hop_channel(asn, channel_offset, len(channel_map)))
+            for asn in range(start_asn, start_asn + num_slots)]
+
+
 class TestHoppingSequence:
     def test_cycles_through_all_channels(self):
         """Any offset visits every physical channel across |M| slots.
@@ -71,20 +78,17 @@ class TestHoppingSequence:
         This is the property forcing the paper's 'reliable on all
         channels' admission rule for communication-graph edges.
         """
-        sequence = HoppingSequence(ChannelMap.first_n(4))
-        visited = sequence.channels_visited(channel_offset=1, num_slots=4)
-        assert sorted(visited) == [11, 12, 13, 14]
+        channels = visited(ChannelMap.first_n(4), channel_offset=1,
+                           num_slots=4)
+        assert sorted(channels) == [11, 12, 13, 14]
 
     def test_periodicity(self):
-        sequence = HoppingSequence(ChannelMap.first_n(3))
-        first = sequence.channels_visited(0, 3)
-        second = sequence.channels_visited(0, 3, start_asn=3)
-        assert first == second
+        channel_map = ChannelMap.first_n(3)
+        assert visited(channel_map, 0, 3) == visited(channel_map, 0, 3,
+                                                     start_asn=3)
 
     def test_physical_channel(self):
-        sequence = HoppingSequence(ChannelMap((20, 25)))
-        assert sequence.physical_channel(asn=0, channel_offset=0) == 20
-        assert sequence.physical_channel(asn=1, channel_offset=0) == 25
+        assert visited(ChannelMap((20, 25)), 0, 2) == [20, 25]
 
 
 class TestSlotTiming:

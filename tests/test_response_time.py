@@ -1,17 +1,8 @@
-"""Tests for repro.analysis.response_time (analytic delay bounds)."""
+"""Tests for the analytic delay bound, and NR against it as an oracle."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.response_time import (
-    analyze_flow_set,
-    conflict_bound,
-    conflicting_demand,
-    is_schedulable_by_analysis,
-    response_time_bound,
-    slot_demand,
-    workload_bound,
-)
 from repro.core.nr import NoReusePolicy
 from repro.core.scheduler import FixedPriorityScheduler
 from repro.experiments.common import build_workload, prepare_network
@@ -21,6 +12,15 @@ from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
 from repro.routing.traffic import TrafficType, assign_routes
 
 from conftest import build_topology
+from nr_response_time import (
+    analyze_flow_set,
+    conflict_bound,
+    conflicting_demand,
+    is_schedulable_by_analysis,
+    response_time_bound,
+    slot_demand,
+    workload_bound,
+)
 
 
 def routed(specs, topology):

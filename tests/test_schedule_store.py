@@ -1,0 +1,178 @@
+"""The schedule's one entry store, checked against a brute-force model.
+
+``Schedule`` keeps its entry list plus three indexes (busy matrix, cell
+index, used-offset masks); every other view is derived from them.  This
+module drives random ``add``/``force_add``/``evict``/``clone`` sequences,
+and RC distance-lane queries, and after every step compares each query
+with the answer a model built from ``entries`` alone gives.  The
+auditor must also find no bookkeeping violation at every step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.core import kernel
+from repro.core.kernel import INFINITE_DISTANCE
+from repro.core.schedule import Schedule
+from repro.core.transmissions import TransmissionRequest
+from repro.network.graphs import ChannelReuseGraph
+from repro.validate.audit import audit_schedule
+
+from conftest import build_topology
+
+NODES, SLOTS, OFFSETS = 7, 8, 3
+
+#: Index violations; the others (node conflicts from force_add, windows,
+#: reuse distance) are what random placements legitimately produce.
+BOOKKEEPING = {"bounds", "busy_matrix", "occupancy", "link_state"}
+
+#: A reuse graph with a weak shortcut and an isolated node (6), so lanes
+#: see finite and infinite distances alike.
+GRAPH = ChannelReuseGraph.from_topology(build_topology(
+    NODES, [(0, 1), (1, 2), (2, 3), (4, 5)], weak_links=[(3, 4)]))
+
+links = st.tuples(st.integers(0, NODES - 1),
+                  st.integers(0, NODES - 1)).filter(lambda l: l[0] != l[1])
+cells = st.tuples(st.integers(0, SLOTS - 1), st.integers(0, OFFSETS - 1))
+operations = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["add", "force_add"]), links, cells),
+    st.tuples(st.just("evict"), st.lists(st.integers(0, 40), max_size=4)),
+    st.tuples(st.just("clone")),
+    st.tuples(st.just("lanes"), links),
+), min_size=1, max_size=40)
+
+
+def model_cells(entries):
+    """``{(slot, offset): [entries in placement order]}``, cell-sorted."""
+    cells = {}
+    for entry in entries:
+        cells.setdefault((entry.slot, entry.offset), []).append(entry)
+    return dict(sorted(cells.items()))
+
+
+def model_busy(entries, node, slot):
+    return any(entry.slot == slot and node in entry.request.link
+               for entry in entries)
+
+
+def assert_matches_model(schedule: Schedule) -> None:
+    entries = list(schedule.entries)
+    cells = model_cells(entries)
+    shared = [(s, c, txs) for (s, c), txs in cells.items() if len(txs) > 1]
+    full = set(range(OFFSETS))
+    for slot in range(SLOTS):
+        used = sorted({c for (s, c) in cells if s == slot})
+        free = sorted(full - set(used))
+        assert schedule.used_offsets(slot) == used
+        assert schedule.free_offsets(slot) == free
+        assert schedule.first_free_offset(slot) == (free[0] if free else -1)
+        assert schedule.slot_transmissions(slot) == [
+            e for e in entries if e.slot == slot]
+        for offset in range(OFFSETS):
+            occupants = cells.get((slot, offset), [])
+            assert schedule.cell(slot, offset) == occupants
+            assert schedule.cell_size(slot, offset) == len(occupants)
+    assert list(schedule.occupied_cells()) == [
+        (s, c, txs) for (s, c), txs in cells.items()]
+    assert schedule.reused_cells() == shared
+    assert schedule.num_reused_cells() == len(shared)
+    assert schedule.reuse_links() == sorted(
+        {e.request.link for _, _, txs in shared for e in txs})
+    by_slot = {}
+    for entry in entries:
+        by_slot.setdefault(entry.slot, []).append(entry)
+    assert schedule.entries_by_slot() == dict(sorted(by_slot.items()))
+    assert list(schedule.entries_by_slot()) == sorted(by_slot)
+    assert schedule.makespan() == max((e.slot + 1 for e in entries),
+                                      default=0)
+    for start, end in ((0, SLOTS - 1), (2, 5), (6, 6), (4, 3)):
+        window = range(start, end + 1)
+        free_slots = [len({c for (s, c) in cells if s == slot}) < OFFSETS
+                      for slot in window]
+        assert schedule.free_offset_slots(start, end).tolist() == free_slots
+        for sender, receiver in ((0, 1), (3, 4), (6, 2)):
+            conflict = [model_busy(entries, sender, slot)
+                        or model_busy(entries, receiver, slot)
+                        for slot in window]
+            assert schedule.conflict_mask(
+                sender, receiver, start, end).tolist() == conflict
+            if start <= end:
+                assert schedule.nr_candidate_slots(
+                    sender, receiver, start, end).tolist() == [
+                        f and not c for f, c in zip(free_slots, conflict)]
+    report = audit_schedule(schedule, GRAPH, 1)
+    assert not BOOKKEEPING & set(report.kinds()), report.summary()
+
+
+def model_lane(entries, sender, receiver):
+    """Min reuse distance of every cell for the link, from the entries."""
+    hops = GRAPH.effective_hops()
+    expected = np.full((SLOTS, OFFSETS), INFINITE_DISTANCE, dtype=np.int32)
+    for entry in entries:
+        x, y = entry.request.link
+        expected[entry.slot, entry.offset] = min(
+            expected[entry.slot, entry.offset],
+            hops[sender, y], hops[x, receiver])
+    return expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(operations)
+def test_store_answers_like_its_entries(ops):
+    schedule = Schedule(NODES, SLOTS, OFFSETS)
+    frozen = []    # (a schedule left behind by clone, its entries, hash)
+    for step, op in enumerate(ops):
+        kind = op[0]
+        if kind in ("add", "force_add"):
+            (sender, receiver), (slot, offset) = op[1], op[2]
+            request = TransmissionRequest(step, 0, 0, 0, sender, receiver,
+                                          0, SLOTS - 1)
+            before = (list(schedule.entries), schedule.version)
+            conflict = (model_busy(before[0], sender, slot)
+                        or model_busy(before[0], receiver, slot))
+            if kind == "add" and conflict:
+                try:
+                    schedule.add(request, slot, offset)
+                except ValueError:
+                    pass
+                else:
+                    raise AssertionError("node conflict was accepted")
+                assert (list(schedule.entries), schedule.version) == before
+            else:
+                getattr(schedule, kind)(request, slot, offset)
+                assert schedule.entries[-1].request is request
+                assert schedule.version == before[1] + 1
+        elif kind == "evict":
+            size = len(schedule)
+            doomed = sorted({i % size for i in op[1]}) if size else []
+            survivors = [e for i, e in enumerate(schedule.entries)
+                         if i not in doomed]
+            evicted = [schedule.entries[i] for i in doomed]
+            assert schedule.evict(doomed) == evicted
+            assert schedule.entries == survivors
+        elif kind == "clone":
+            frozen.append((schedule, list(schedule.entries),
+                           schedule.canonical_hash()))
+            schedule = schedule.clone()
+            assert schedule.canonical_hash() == frozen[-1][2]
+        else:
+            sender, receiver = op[1]
+            lane = kernel.min_reuse_distance(schedule, GRAPH, sender,
+                                             receiver, 0, SLOTS - 1)
+            expected = model_lane(schedule.entries, sender, receiver)
+            assert np.array_equal(lane, expected)
+            assert np.array_equal(
+                kernel.best_reuse_distance(schedule, GRAPH, sender,
+                                           receiver, 0, SLOTS - 1),
+                expected.max(axis=1))
+            assert np.array_equal(
+                kernel.cell_distances(schedule, GRAPH, sender, receiver,
+                                      SLOTS // 2)[0],
+                expected[SLOTS // 2])
+        assert_matches_model(schedule)
+    for old, entries, digest in frozen:
+        assert old.entries == entries
+        assert old.canonical_hash() == digest
+        assert_matches_model(old)
