@@ -9,7 +9,7 @@ to different channels or time slots"; runtime adaptation should be local
 implements that locality as a three-step delta-scheduler:
 
 1. **Blast radius** (:func:`compute_blast_radius`) — from the schedule's
-   occupancy, find the placements the change invalidates directly
+   cells, find the placements the change invalidates directly
    (a newly barred link sharing a cell, a shared cell whose effective ρ
    falls below an escalated floor, a transmission on a blacklisted
    channel), then close transitively over the precedence chains: every
@@ -19,8 +19,8 @@ implements that locality as a three-step delta-scheduler:
    survivor keeps a valid precedence bound.
 2. **Eviction** — :meth:`repro.core.schedule.Schedule.evict` on a clone
    removes exactly those cells with full bookkeeping rollback (busy
-   matrix, occupancy planes, used-offset masks, slot lists),
-   cross-checked by the auditor's bookkeeping invariants.  The clone
+   matrix, cell index, used-offset masks), cross-checked by the
+   auditor's bookkeeping invariants.  The clone
    carries none of RC's distance lanes.
 3. **Re-placement** — evicted transmissions are re-placed in priority
    order with ``findSlot`` against the *existing* busy matrices: barred
