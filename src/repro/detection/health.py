@@ -5,7 +5,9 @@ WirelessHART nodes deliver a health report to the network manager every
 every link involved in channel reuse, a distribution of PRR samples in
 reuse slots and another in contention-free slots (paper Section VI).
 With a 1 s top period the paper obtains 18 samples per epoch; we mirror
-that by grouping simulator repetitions into epochs.
+that by grouping simulator repetitions into epochs: an epoch's report
+reads a window of rows straight from the
+:class:`~repro.simulator.stats.SimulationStats` count matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.simulator.stats import Link, SimulationStats
+from repro.simulator.stats import Link, LinkKey, SimulationStats
 
 #: PRR samples the paper collects per 15-minute epoch.
 SAMPLES_PER_EPOCH = 18
@@ -71,41 +73,34 @@ def build_epoch_report(stats: SimulationStats, epoch: int,
         window: ``(start, end)`` repetition slice (end exclusive);
             ``None`` uses every repetition in ``stats``.
     """
-    # One walk over the window's records gathers, per (link, category),
-    # the per-repetition samples and the pooled counts — the values
-    # SimulationStats.link_prr_samples / overall_link_prr give.
-    start, end = window or (0, len(stats.repetitions))
-    samples: Dict[Tuple[Link, bool], List[float]] = {}
-    pooled: Dict[Tuple[Link, bool], List[int]] = {}
-    for record in stats.repetitions[start:end]:
-        for shared_cell, bucket in ((True, record.reuse),
-                                    (False, record.contention_free)):
-            for link, counter in bucket.items():
-                key = (link, shared_cell)
-                totals = pooled.get(key)
-                if totals is None:
-                    totals = pooled[key] = [0, 0]
-                    samples[key] = []
-                totals[0] += counter.attempts
-                totals[1] += counter.successes
-                if counter.attempts > 0:
-                    samples[key].append(counter.successes
-                                        / counter.attempts)
+    # One pass over the window's rows gives, per (link, category)
+    # column, the per-repetition samples and the pooled PRR — the values
+    # SimulationStats.link_prr_samples / overall_link_prr give.  A
+    # column without attempts in the window is absent.
+    rows = slice(*window) if window else slice(None)
+    columns: Dict[LinkKey, Tuple[Tuple[float, ...], float]] = {}
+    for key, attempts, successes in zip(
+            stats.link_keys, stats.link_attempts[rows].T.tolist(),
+            stats.link_successes[rows].T.tolist()):
+        total = sum(attempts)
+        if total:
+            columns[key] = (
+                tuple(succeeded / count for count, succeeded
+                      in zip(attempts, successes) if count),
+                sum(successes) / total)
 
-    def pooled_prr(key) -> Optional[float]:
-        attempts, successes = pooled.get(key, (0, 0))
-        return successes / attempts if attempts else None
-
+    absent = ((), None)
     link_reports = {}
     for link in stats.links_seen():
-        reuse, contention_free = (link, True), (link, False)
+        reuse_samples, reuse_prr = columns.get((link, True), absent)
+        cf_samples, cf_prr = columns.get((link, False), absent)
         link_reports[link] = LinkEpochReport(
             link=link,
             epoch=epoch,
-            reuse_samples=tuple(samples.get(reuse, ())),
-            contention_free_samples=tuple(samples.get(contention_free, ())),
-            reuse_prr=pooled_prr(reuse),
-            contention_free_prr=pooled_prr(contention_free),
+            reuse_samples=reuse_samples,
+            contention_free_samples=cf_samples,
+            reuse_prr=reuse_prr,
+            contention_free_prr=cf_prr,
         )
     return EpochReport(epoch=epoch, links=link_reports)
 
@@ -126,7 +121,7 @@ def build_epoch_reports(stats: SimulationStats,
     """
     if repetitions_per_epoch <= 0:
         raise ValueError("repetitions_per_epoch must be positive")
-    num_epochs = len(stats.repetitions) // repetitions_per_epoch
+    num_epochs = stats.repetitions // repetitions_per_epoch
     return [
         build_epoch_report(stats, epoch,
                            (epoch * repetitions_per_epoch,

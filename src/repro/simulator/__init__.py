@@ -6,7 +6,10 @@ the batched engine (:func:`run_event_batched`), which runs all
 Monte-Carlo repetitions in whole-chunk numpy passes over per-schedule
 index tables and keeps only the progress-dependent step in its
 per-slot loop.  :meth:`TschSimulator.run` picks one by repetition
-count; :func:`stats_signature` is the one comparator for their output.
+count.  Both return a :class:`SimulationStats`: per-flow totals plus
+per-repetition count matrices over ``(link, shared_cell)`` and channel
+columns, the one store every reader down to the detector works on.
+:func:`stats_signature` is the one comparator for their output.
 """
 
 from repro.simulator.engine import (
@@ -35,22 +38,15 @@ from repro.simulator.radio import (
     decide_reception,
     sinr_at_receiver,
 )
-from repro.simulator.stats import (
-    AttemptCounter,
-    RepetitionRecord,
-    SimulationStats,
-    stats_signature,
-)
+from repro.simulator.stats import SimulationStats, stats_signature
 
 __all__ = [
-    "AttemptCounter",
     "DrawPlan",
     "ENGINE_EVENT",
     "ENGINE_SLOT",
     "EVENT_MIN_REPETITIONS",
     "PrrLookup",
     "ReceptionDecision",
-    "RepetitionRecord",
     "SimulationConfig",
     "SimulationStats",
     "TschSimulator",

@@ -61,7 +61,7 @@ from repro.simulator.events import (
 from repro.simulator.interference import WifiInterferer
 from repro.propagation.prr_model import get_prr_curve
 from repro.simulator.radio import sinr_at_receiver
-from repro.simulator.stats import SimulationStats
+from repro.simulator.stats import LinkKey, SimulationStats, record_counters
 from repro.testbeds.synth import RadioEnvironment
 
 #: Engine names, as reported by :func:`engine_for` and counted in
@@ -405,7 +405,9 @@ class TschSimulator:
         tests, the fuzzer and ``repro bench`` call it directly.
         """
         plan = self._plan
-        stats = SimulationStats()
+        link_tallies: List[Dict[LinkKey, List[int]]] = []
+        channel_tallies: List[Dict[int, List[int]]] = []
+        delivered: Dict[int, int] = {}
         num_logical = len(self.channel_map)
         fading_sigma = self.config.fast_fading_sigma_db
         rssi = self.environment.rssi_dbm
@@ -421,15 +423,11 @@ class TschSimulator:
         for repetition in range(repetitions):
             normals, uniforms = repetition_draws(
                 plan, self.config.seed, start_repetition + repetition)
-            record = stats.start_repetition()
+            links: Dict[LinkKey, List[int]] = {}
+            channels: Dict[int, List[int]] = {}
+            link_tallies.append(links)
+            channel_tallies.append(channels)
             progress: Dict[Tuple[int, int], int] = {}
-            # Per-repetition tallies for the observability layer; plain
-            # local ints so the disabled path costs nothing measurable.
-            recorder = _obs.RECORDER if _obs.ENABLED else None
-            rep_attempts = rep_successes = rep_deliveries = 0
-
-            for flow_id, count in self._instances_per_flow.items():
-                stats.record_release(flow_id, count)
 
             base_asn = (start_repetition + repetition) * self._hyperperiod
             for slot_pos, slot in enumerate(plan.slots):
@@ -457,14 +455,10 @@ class TschSimulator:
                     link = (entry.sender, entry.receiver)
                     if entry.sender in dark:
                         # A powered-off sender never puts the frame on
-                        # the air: the attempt fails without radiating.
-                        # It is still an attempt, so the observability
-                        # tallies must count it exactly like the stats
-                        # record does (a dark *receiver* flows through
-                        # the normal path below and is counted in both).
-                        record.record(link, entry.shared_cell, False)
-                        if recorder is not None:
-                            rep_attempts += 1
+                        # the air: the attempt fails without radiating,
+                        # so it has no channel (a dark *receiver* flows
+                        # through the normal path below).
+                        _tally(links, (link, entry.shared_cell), False)
                         continue
                     logical = logicals[entry_pos]
                     channel = self.channel_map.physical(logical)
@@ -512,22 +506,26 @@ class TschSimulator:
                             uniforms[plan.reception_uniform_index(
                                 slot_pos, entry_pos)]
                             < self._lookup(sinr))
-                    record.record(link, entry.shared_cell, success,
-                                  channel=channel)
-                    if recorder is not None:
-                        rep_attempts += 1
-                        rep_successes += success
+                    _tally(links, (link, entry.shared_cell), success)
+                    _tally(channels, channel, success)
                     if success:
                         key = (entry.flow_id, entry.instance)
                         progress[key] = entry.hop_index + 1
                         if progress[key] == self._flow_hops[entry.flow_id]:
-                            stats.record_delivery(entry.flow_id)
-                            if recorder is not None:
-                                rep_deliveries += 1
+                            delivered[entry.flow_id] = delivered.get(
+                                entry.flow_id, 0) + 1
 
-            if recorder is not None:
-                recorder.count("sim.repetitions")
-                recorder.count("sim.attempts", rep_attempts)
-                recorder.count("sim.successes", rep_successes)
-                recorder.count("sim.deliveries", rep_deliveries)
+        released = {flow_id: count * repetitions
+                    for flow_id, count in self._instances_per_flow.items()}
+        stats = SimulationStats.from_tallies(released, delivered,
+                                             link_tallies, channel_tallies)
+        if _obs.ENABLED:
+            record_counters(stats)
         return stats
+
+
+def _tally(tally: Dict, key, success: bool) -> None:
+    """Count one attempt, and whether it succeeded, under ``key``."""
+    counts = tally.setdefault(key, [0, 0])
+    counts[0] += 1
+    counts[1] += success

@@ -22,10 +22,11 @@ A run has three phases per chunk of repetitions:
   and the progress update, written into ``(batch × entries)`` outcome
   matrices.
 * **One-shot accounting.**  One reduction each turns the outcome
-  matrices into per-repetition link/category attempts and successes,
-  channel attempts and successes, and per-flow deliveries, from which
-  the :class:`~repro.simulator.stats.SimulationStats` is built in one
-  pass.
+  matrices into ``(repetitions × (link, cell category))`` and
+  ``(repetitions × channel)`` attempts and successes and per-flow
+  delivery totals.  Those matrices *are* the run's
+  :class:`~repro.simulator.stats.SimulationStats`: they are handed over
+  as they are, with a column for every scheduled key, fired or not.
 
 Both engines share one *draw plan* (:class:`DrawPlan`): a fixed,
 outcome-independent layout of every random number a repetition may
@@ -71,7 +72,7 @@ import numpy as np
 
 from repro.obs import recorder as _obs
 from repro.propagation.pathloss import dbm_to_mw
-from repro.simulator.stats import AttemptCounter, SimulationStats
+from repro.simulator.stats import SimulationStats, record_counters
 
 Pair = Tuple[int, int]
 
@@ -546,8 +547,7 @@ def run_event_batched(simulator, repetitions: int,
     channel_attempts = np.zeros((repetitions, len(channels)), dtype=np.int64)
     channel_successes = np.zeros((repetitions, len(channels)),
                                  dtype=np.int64)
-    deliveries = np.zeros((repetitions, len(overlay.delivery_flows)),
-                          dtype=np.int64)
+    deliveries = np.zeros(len(overlay.delivery_flows), dtype=np.int64)
 
     chunk = chunk_reps or default_chunk_size(plan, repetitions)
     for chunk_start in range(0, repetitions, chunk):
@@ -564,9 +564,9 @@ def run_event_batched(simulator, repetitions: int,
                 successes[:, tables.group_order], tables.group_starts,
                 axis=1, dtype=np.int64)
         if len(overlay.delivery_flows):
-            deliveries[out] = np.add.reduceat(
+            deliveries += np.add.reduceat(
                 successes[:, overlay.delivery_order], overlay.delivery_starts,
-                axis=1, dtype=np.int64)
+                axis=1, dtype=np.int64).sum(axis=0)
         # Per-channel counts cover attempts that went on the air.
         radiated = (attempts if overlay.lit_sender is None
                     else attempts & overlay.lit_sender)
@@ -577,12 +577,18 @@ def run_event_batched(simulator, repetitions: int,
         channel_successes[out] = np.bincount(
             cells[successes], minlength=size).reshape(batch, len(channels))
 
-    stats = _build_stats(simulator.instances_per_flow, repetitions,
-                         tables.groups, link_attempts, link_successes,
-                         channels, channel_attempts, channel_successes,
-                         overlay.delivery_flows, deliveries)
+    stats = SimulationStats(
+        flow_released={flow_id: count * repetitions for flow_id, count
+                       in simulator.instances_per_flow.items()},
+        flow_delivered={flow_id: total for flow_id, total
+                        in zip(overlay.delivery_flows, deliveries.tolist())
+                        if total},
+        link_keys=tables.groups,
+        link_attempts=link_attempts, link_successes=link_successes,
+        channels=channels, channel_attempts=channel_attempts,
+        channel_successes=channel_successes)
     if _obs.ENABLED:
-        _emit_observability(link_attempts, link_successes, deliveries)
+        record_counters(stats)
     return stats
 
 
@@ -703,58 +709,3 @@ def _run_chunk(simulator, plan: DrawPlan, tables: EventTables,
             progress[rows, packet[cols]] = next_hop[cols]
     return attempts, successes, logical
 
-
-# ----------------------------------------------------------------------
-# One-shot accounting
-# ----------------------------------------------------------------------
-
-def _build_stats(instances_per_flow: Dict[int, int], repetitions: int,
-                 groups: Sequence[Tuple[Pair, bool]],
-                 link_attempts: np.ndarray, link_successes: np.ndarray,
-                 channels: Sequence[int], channel_attempts: np.ndarray,
-                 channel_successes: np.ndarray,
-                 delivery_flows: Sequence[int],
-                 deliveries: np.ndarray) -> SimulationStats:
-    """Fold the run's count matrices into a :class:`SimulationStats`.
-
-    A (link, category) or channel key appears in a repetition's record
-    exactly when that repetition made at least one attempt there — the
-    slot oracle's on-first-attempt insertion — with links in group
-    order and channels in logical order.
-    """
-    stats = SimulationStats()
-    for flow_id, count in instances_per_flow.items():
-        stats.record_release(flow_id, count * repetitions)
-    for flow_id, total in zip(delivery_flows,
-                              deliveries.sum(axis=0).tolist()):
-        if total:
-            stats.record_delivery(flow_id, total)
-
-    shared = [is_shared for _, is_shared in groups]
-    links = [link for link, _ in groups]
-    for link_att, link_succ, chan_att, chan_succ in zip(
-            link_attempts.tolist(), link_successes.tolist(),
-            channel_attempts.tolist(), channel_successes.tolist()):
-        record = stats.start_repetition()
-        reuse, contention_free = record.reuse, record.contention_free
-        for link, is_shared, count, succeeded in zip(links, shared,
-                                                     link_att, link_succ):
-            if count:
-                bucket = reuse if is_shared else contention_free
-                bucket[link] = AttemptCounter(count, succeeded)
-        for channel, count, succeeded in zip(channels, chan_att, chan_succ):
-            if count:
-                record.channels[channel] = AttemptCounter(count, succeeded)
-    return stats
-
-
-def _emit_observability(link_attempts: np.ndarray,
-                        link_successes: np.ndarray,
-                        deliveries: np.ndarray) -> None:
-    """Emit the same ``sim.*`` counters the slot oracle emits, read from
-    the run's count matrices."""
-    recorder = _obs.RECORDER
-    recorder.count("sim.repetitions", len(link_attempts))
-    recorder.count("sim.attempts", int(link_attempts.sum()))
-    recorder.count("sim.successes", int(link_successes.sum()))
-    recorder.count("sim.deliveries", int(deliveries.sum()))

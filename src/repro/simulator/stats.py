@@ -8,98 +8,107 @@ Two views matter to the paper's evaluation:
   in *shared* cells (channel reuse) and in *contention-free* cells, per
   schedule repetition — the raw material of the K-S detection policy
   (Figs. 10-11).
+
+Both engines hand over one store: per-flow released and delivered
+totals, and ``(repetitions × columns)`` count matrices — attempts and
+successes per ``(link, shared_cell)`` key, and per physical channel the
+attempts that went on the air and their successes.  The batched engine
+passes its matrices as they are; the slot oracle folds its
+per-repetition tallies into them once (:meth:`SimulationStats.
+from_tallies`).  Column order is the engine's own and every reader is
+order-insensitive.  A column whose count is 0 counts as absent: the
+batched engine keeps a column for every scheduled key, the slot oracle
+only for the keys it saw.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.obs import recorder as _obs
 
 Link = Tuple[int, int]
+#: A link column's key: the link and whether its cell is shared.
+LinkKey = Tuple[Link, bool]
+#: One repetition's ``{key: (attempts, successes)}`` counts.
+Tally = Mapping[Hashable, Sequence[int]]
 
 
-@dataclass
-class AttemptCounter:
-    """Transmission attempts and successes over some scope."""
-
-    attempts: int = 0
-    successes: int = 0
-
-    def record(self, success: bool) -> None:
-        """Record one attempt."""
-        self.attempts += 1
-        if success:
-            self.successes += 1
-
-    def merge(self, other: "AttemptCounter") -> None:
-        """Accumulate another counter into this one."""
-        self.attempts += other.attempts
-        self.successes += other.successes
-
-    @property
-    def prr(self) -> Optional[float]:
-        """Success ratio, or None when no attempts were made."""
-        if self.attempts == 0:
-            return None
-        return self.successes / self.attempts
+def _rows(repetition_range: Optional[Tuple[int, int]]) -> slice:
+    """Row slice of a ``(start, end)`` repetition window (end exclusive);
+    ``None`` covers every repetition."""
+    return slice(*repetition_range) if repetition_range else slice(None)
 
 
-@dataclass
-class RepetitionRecord:
-    """Per-link counters for one execution of the schedule."""
+def _fold(tallies: Sequence[Tally]) -> Tuple[tuple, np.ndarray, np.ndarray]:
+    """Per-repetition tallies as keys (in order of first appearance) and
+    ``(repetitions × keys)`` attempt and success matrices."""
+    keys = tuple(dict.fromkeys(key for tally in tallies for key in tally))
+    column = {key: j for j, key in enumerate(keys)}
+    counts = np.zeros((2, len(tallies), len(keys)), dtype=np.int64)
+    for row, tally in enumerate(tallies):
+        for key, (attempts, successes) in tally.items():
+            counts[:, row, column[key]] = attempts, successes
+    return keys, counts[0], counts[1]
 
-    reuse: Dict[Link, AttemptCounter] = field(
-        default_factory=lambda: defaultdict(AttemptCounter))
-    contention_free: Dict[Link, AttemptCounter] = field(
-        default_factory=lambda: defaultdict(AttemptCounter))
-    channels: Dict[int, AttemptCounter] = field(
-        default_factory=lambda: defaultdict(AttemptCounter))
 
-    def record(self, link: Link, shared_cell: bool, success: bool,
-               channel: Optional[int] = None) -> None:
-        """Record one attempt on a link.
+@dataclass(frozen=True, eq=False)
+class SimulationStats:
+    """Aggregated results of repeatedly executing a schedule.
+
+    Attributes:
+        flow_released: Released packet instances per flow.
+        flow_delivered: Delivered packet instances per flow; a flow that
+            delivered nothing is absent.
+        link_keys: ``(link, shared_cell)`` of each link column.
+        link_attempts, link_successes: ``(repetitions × link_keys)``
+            transmission attempts and successes.
+        channels: Physical channel of each channel column.
+        channel_attempts, channel_successes: ``(repetitions ×
+            channels)`` attempts that went on the air (a powered-off
+            sender's never do) and their successes — the per-channel
+            view the network manager's blacklist policy consumes.
+    """
+
+    flow_released: Dict[int, int]
+    flow_delivered: Dict[int, int]
+    link_keys: Tuple[LinkKey, ...]
+    link_attempts: np.ndarray
+    link_successes: np.ndarray
+    channels: Tuple[int, ...]
+    channel_attempts: np.ndarray
+    channel_successes: np.ndarray
+
+    @classmethod
+    def from_tallies(cls, flow_released: Dict[int, int],
+                     flow_delivered: Dict[int, int],
+                     link_tallies: Sequence[Tally],
+                     channel_tallies: Sequence[Tally] = (),
+                     ) -> "SimulationStats":
+        """Fold per-repetition tallies into the count matrices.
 
         Args:
-            link: The directed link.
-            shared_cell: Whether the cell is shared (channel reuse).
-            success: Whether the frame was received.
-            channel: Physical channel the attempt used, when it went on
-                the air (None for attempts that never radiated, e.g. a
-                powered-off sender) — feeds the per-channel view the
-                network manager's blacklist policy consumes.
+            flow_released, flow_delivered: Per-flow totals.
+            link_tallies: One ``{(link, shared_cell): (attempts,
+                successes)}`` mapping per repetition.
+            channel_tallies: One ``{channel: (attempts, successes)}``
+                mapping per repetition; empty for a run without
+                channel columns.
         """
-        bucket = self.reuse if shared_cell else self.contention_free
-        bucket[link].record(success)
-        if channel is not None:
-            self.channels[channel].record(success)
+        link_keys, link_attempts, link_successes = _fold(link_tallies)
+        channels, channel_attempts, channel_successes = _fold(
+            channel_tallies or [{}] * len(link_tallies))
+        return cls(flow_released, flow_delivered, link_keys, link_attempts,
+                   link_successes, channels, channel_attempts,
+                   channel_successes)
 
-
-class SimulationStats:
-    """Aggregated results of repeatedly executing a schedule."""
-
-    def __init__(self):
-        self.flow_released: Dict[int, int] = defaultdict(int)
-        self.flow_delivered: Dict[int, int] = defaultdict(int)
-        self.repetitions: List[RepetitionRecord] = []
-
-    # ------------------------------------------------------------------
-    # Recording (engine-facing)
-    # ------------------------------------------------------------------
-
-    def start_repetition(self) -> RepetitionRecord:
-        """Open a new repetition record and return it."""
-        record = RepetitionRecord()
-        self.repetitions.append(record)
-        return record
-
-    def record_release(self, flow_id: int, count: int = 1) -> None:
-        """Count released packet instances for a flow."""
-        self.flow_released[flow_id] += count
-
-    def record_delivery(self, flow_id: int, count: int = 1) -> None:
-        """Count delivered packet instances for a flow."""
-        self.flow_delivered[flow_id] += count
+    @property
+    def repetitions(self) -> int:
+        """Schedule repetitions the run covered (rows of every matrix)."""
+        return len(self.link_attempts)
 
     # ------------------------------------------------------------------
     # End-to-end metrics
@@ -137,12 +146,23 @@ class SimulationStats:
     # ------------------------------------------------------------------
 
     def links_seen(self) -> List[Link]:
-        """Every link that transmitted at least once."""
-        links = set()
-        for record in self.repetitions:
-            links.update(record.reuse)
-            links.update(record.contention_free)
-        return sorted(links)
+        """Every link that transmitted at least once, sorted."""
+        totals = self.link_attempts.sum(axis=0).tolist()
+        return sorted({link for (link, _), total in zip(self.link_keys, totals)
+                       if total})
+
+    def _link_counts(self, link: Link, shared_cell: bool,
+                     repetition_range: Optional[Tuple[int, int]],
+                     ) -> List[Tuple[int, int]]:
+        """One column's ``(attempts, successes)`` per repetition of the
+        window; empty when the run has no such column."""
+        key = (link, shared_cell)
+        if key not in self.link_keys:
+            return []
+        column = self.link_keys.index(key)
+        rows = _rows(repetition_range)
+        return list(zip(self.link_attempts[rows, column].tolist(),
+                        self.link_successes[rows, column].tolist()))
 
     def link_prr_samples(self, link: Link, shared_cell: bool,
                          repetition_range: Optional[Tuple[int, int]] = None,
@@ -160,74 +180,82 @@ class SimulationStats:
             One PRR value per repetition in which the link transmitted in
             that category.
         """
-        start, end = repetition_range or (0, len(self.repetitions))
-        samples = []
-        for record in self.repetitions[start:end]:
-            bucket = record.reuse if shared_cell else record.contention_free
-            counter = bucket.get(link)
-            if counter is not None and counter.attempts > 0:
-                samples.append(counter.successes / counter.attempts)
-        return samples
+        return [successes / attempts for attempts, successes
+                in self._link_counts(link, shared_cell, repetition_range)
+                if attempts]
 
     def overall_link_prr(self, link: Link, shared_cell: bool,
                          repetition_range: Optional[Tuple[int, int]] = None,
                          ) -> Optional[float]:
-        """Pooled PRR of a link in one cell category."""
-        start, end = repetition_range or (0, len(self.repetitions))
-        total = AttemptCounter()
-        for record in self.repetitions[start:end]:
-            bucket = record.reuse if shared_cell else record.contention_free
-            counter = bucket.get(link)
-            if counter is not None:
-                total.merge(counter)
-        return total.prr
+        """Pooled PRR of a link in one cell category, or None when it
+        made no attempt there."""
+        counts = self._link_counts(link, shared_cell, repetition_range)
+        attempts = sum(attempts for attempts, _ in counts)
+        if not attempts:
+            return None
+        return sum(successes for _, successes in counts) / attempts
 
     # ------------------------------------------------------------------
     # Per-channel metrics (network-manager view)
     # ------------------------------------------------------------------
 
-    def channel_counters(self, repetition_range: Optional[Tuple[int, int]]
-                         = None) -> Dict[int, AttemptCounter]:
-        """Pooled attempt counters per physical channel."""
-        start, end = repetition_range or (0, len(self.repetitions))
-        totals: Dict[int, AttemptCounter] = defaultdict(AttemptCounter)
-        for record in self.repetitions[start:end]:
-            for channel, counter in record.channels.items():
-                totals[channel].merge(counter)
-        return dict(totals)
-
     def channel_prr(self, repetition_range: Optional[Tuple[int, int]] = None,
                     ) -> Dict[int, float]:
-        """Pooled PRR per physical channel (channels with attempts only).
+        """Pooled PRR per physical channel, ascending (channels with
+        attempts only).
 
         This is the view a WirelessHART network manager derives from
         health reports to drive channel blacklisting: a channel whose
         PRR collapses while others hold is suffering channel-specific
         (external) interference.
         """
-        return {channel: counter.prr
-                for channel, counter in
-                sorted(self.channel_counters(repetition_range).items())
-                if counter.attempts > 0}
+        rows = _rows(repetition_range)
+        pooled = sorted(zip(self.channels,
+                            self.channel_attempts[rows].sum(axis=0).tolist(),
+                            self.channel_successes[rows].sum(axis=0).tolist()))
+        return {channel: successes / attempts
+                for channel, attempts, successes in pooled if attempts}
 
 
 def stats_signature(stats: SimulationStats) -> Tuple:
     """Everything two equivalent simulation runs must agree on.
 
-    End-to-end flow counts plus every repetition's per-link (reuse and
-    contention-free) and per-channel attempt counters, order-insensitive
-    within a repetition.  The engine parity tests, the differential
-    fuzzer and ``repro bench`` all compare runs through this one
-    function.
+    End-to-end flow counts plus, per repetition, the reuse,
+    contention-free and per-channel ``(key, attempts, successes)``
+    triples of every column with attempts, sorted by key — so column
+    order and columns that never fired do not matter.  The engine parity
+    tests, the differential fuzzer and ``repro bench`` all compare runs
+    through this one function.
     """
-    def bucket(counters) -> Tuple:
-        return tuple(sorted((key, counter.attempts, counter.successes)
-                            for key, counter in counters.items()))
+    def buckets(row) -> Tuple:
+        attempts, successes, channel_attempts, channel_successes = row
+        reuse, contention_free = [], []
+        for (link, shared), count, succeeded in zip(stats.link_keys,
+                                                    attempts, successes):
+            if count:
+                (reuse if shared else contention_free).append(
+                    (link, count, succeeded))
+        channels = [triple for triple in zip(stats.channels, channel_attempts,
+                                             channel_successes) if triple[1]]
+        return (tuple(sorted(reuse)), tuple(sorted(contention_free)),
+                tuple(sorted(channels)))
 
     return (
         tuple(sorted(stats.flow_released.items())),
         tuple(sorted(stats.flow_delivered.items())),
-        tuple((bucket(record.reuse), bucket(record.contention_free),
-               bucket(record.channels))
-              for record in stats.repetitions),
+        tuple(map(buckets, zip(stats.link_attempts.tolist(),
+                               stats.link_successes.tolist(),
+                               stats.channel_attempts.tolist(),
+                               stats.channel_successes.tolist()))),
     )
+
+
+def record_counters(stats: SimulationStats) -> None:
+    """Count a finished run into the active recorder's ``sim.*``
+    counters.  Both engines call it, so the counters are read from the
+    same store as every other reader."""
+    recorder = _obs.RECORDER
+    recorder.count("sim.repetitions", stats.repetitions)
+    recorder.count("sim.attempts", int(stats.link_attempts.sum()))
+    recorder.count("sim.successes", int(stats.link_successes.sum()))
+    recorder.count("sim.deliveries", sum(stats.flow_delivered.values()))

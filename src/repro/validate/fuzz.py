@@ -258,19 +258,6 @@ def _recorded_work(recorder: Recorder) -> Tuple:
     return counters, snapshot["histograms"].get("rc.fallback_rho")
 
 
-def _stats_attempt_totals(stats: SimulationStats) -> Tuple[int, int]:
-    """Total (attempts, successes) across the reuse and contention-free
-    buckets — the totals the obs counters must match.  The per-channel
-    bucket is a second view of the same attempts, not counted again."""
-    attempts = successes = 0
-    for record in stats.repetitions:
-        for counters in (record.reuse, record.contention_free):
-            for counter in counters.values():
-                attempts += counter.attempts
-                successes += counter.successes
-    return attempts, successes
-
-
 def _run_scheduler(network: PreparedNetwork, flow_set: FlowSet, policy
                    ) -> SchedulingResult:
     """One scheduling run with a fresh engine around the given policy."""
@@ -475,11 +462,12 @@ def _check_simulator(case: FuzzCaseResult, network: PreparedNetwork,
                 stats_signature(observed) != stats_signature(baseline):
             case.fail("sim_obs_identity",
                       "recording changed simulation results")
-        attempts, successes = _stats_attempt_totals(observed)
-        deliveries = sum(observed.flow_delivered.values())
-        for counter, expected in (("sim.attempts", attempts),
-                                  ("sim.successes", successes),
-                                  ("sim.deliveries", deliveries)):
+        # The link columns hold every attempt once; the channel columns
+        # are a second view of the same attempts, not counted again.
+        for counter, expected in (
+                ("sim.attempts", int(observed.link_attempts.sum())),
+                ("sim.successes", int(observed.link_successes.sum())),
+                ("sim.deliveries", sum(observed.flow_delivered.values()))):
             recorded = rec.registry.counter_value(counter)
             if recorded != expected:
                 case.fail("sim_obs_counters",

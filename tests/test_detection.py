@@ -123,19 +123,12 @@ class TestKs2Samp:
 # ----------------------------------------------------------------------
 
 def stats_with_pattern(reuse_prrs, cf_prrs, link=(0, 1)):
-    """Build SimulationStats with one sample per repetition per category."""
-    stats = SimulationStats()
-    for reuse_value, cf_value in zip(reuse_prrs, cf_prrs):
-        record = stats.start_repetition()
-        for _ in range(10):
-            record.record(link, True, np.random.default_rng(0).random()
-                          < reuse_value)
-        # Deterministic approximations: encode the PRR by success counts.
-        record.reuse[link].attempts = 10
-        record.reuse[link].successes = int(round(10 * reuse_value))
-        record.contention_free[link].attempts = 10
-        record.contention_free[link].successes = int(round(10 * cf_value))
-    return stats
+    """Build SimulationStats with one sample per repetition per category:
+    10 attempts each, the PRR encoded in the success count."""
+    return SimulationStats.from_tallies({}, {}, [
+        {(link, True): (10, int(round(10 * reuse_value))),
+         (link, False): (10, int(round(10 * cf_value)))}
+        for reuse_value, cf_value in zip(reuse_prrs, cf_prrs)])
 
 
 class TestEpochReports:
@@ -159,16 +152,14 @@ class TestEpochReports:
         assert report.contention_free_prr == 1.0
 
     def test_reuse_links_listed(self):
-        stats = SimulationStats()
-        record = stats.start_repetition()
-        record.record((0, 1), True, True)
-        record.record((2, 3), False, True)
+        stats = SimulationStats.from_tallies({}, {}, [
+            {((0, 1), True): (1, 1), ((2, 3), False): (1, 1)}])
         reports = build_epoch_reports(stats, repetitions_per_epoch=1)
         assert reports[0].reuse_links() == [(0, 1)]
 
     def test_invalid_epoch_size(self):
         with pytest.raises(ValueError):
-            build_epoch_reports(SimulationStats(), 0)
+            build_epoch_reports(stats_with_pattern([1.0], [1.0]), 0)
 
     def test_fewer_repetitions_than_one_epoch_yields_nothing(self):
         stats = stats_with_pattern([1.0] * 2, [1.0] * 2)
@@ -186,9 +177,9 @@ class TestEpochReports:
             assert len(report.links[(0, 1)].reuse_samples) == per_epoch
 
     def test_contention_free_only_link_has_empty_reuse_side(self):
-        stats = SimulationStats()
-        record = stats.start_repetition()
-        record.record((0, 1), False, True)  # never in a shared cell
+        # Never in a shared cell.
+        stats = SimulationStats.from_tallies({}, {}, [
+            {((0, 1), False): (1, 1)}])
         reports = build_epoch_reports(stats, repetitions_per_epoch=1)
         report = reports[0].links[(0, 1)]
         assert report.reuse_samples == ()
@@ -219,16 +210,20 @@ class TestEpochReports:
         every link seen anywhere in the run (links idle in the window
         included)."""
         rng = np.random.default_rng(4)
-        stats = SimulationStats()
         links = [(0, 1), (1, 2), (2, 3), (3, 0)]
+        tallies = []
         for repetition in range(12):
-            record = stats.start_repetition()
+            tally = {}
             for index, link in enumerate(links):
                 if (repetition + index) % 5 == 0:
                     continue
                 for _ in range(int(rng.integers(1, 4))):
-                    record.record(link, bool(rng.random() < 0.5),
-                                  bool(rng.random() < 0.7))
+                    counts = tally.setdefault(
+                        (link, bool(rng.random() < 0.5)), [0, 0])
+                    counts[0] += 1
+                    counts[1] += bool(rng.random() < 0.7)
+            tallies.append(tally)
+        stats = SimulationStats.from_tallies({}, {}, tallies)
         report = build_epoch_report(stats, epoch=2, window=window)
         assert sorted(report.links) == stats.links_seen()
         for link, entry in report.links.items():

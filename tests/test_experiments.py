@@ -194,7 +194,7 @@ class TestReliabilityExperiment:
                                    repetitions=5, seed=0, keep_stats=True,
                                    policies=("RA",))
         assert outcomes[0].stats is not None
-        assert len(outcomes[0].stats.repetitions) == 5
+        assert outcomes[0].stats.repetitions == 5
 
 
 class TestDetectionExperiment:

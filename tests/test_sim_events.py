@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.schedule import Schedule
+from repro.detection.health import build_epoch_report
+from repro.experiments.common import prepare_network, schedule_workload
+from repro.experiments.reliability import build_reliability_flow_set
 from repro.flows.flow import Flow, FlowSet
 from repro.mac.channels import ChannelMap
 from repro.obs import recorder as _obs
@@ -197,12 +200,13 @@ class TestDrawIsolation:
         assert dark.pdr_per_flow()[1] == 0.0
         assert dark.flow_released[0] == clean.flow_released[0]
         assert dark.flow_delivered[0] == clean.flow_delivered[0]
-        link_a = (0, 1)
-        for rep_clean, rep_dark in zip(clean.repetitions, dark.repetitions):
-            assert rep_clean.contention_free[link_a].attempts == \
-                rep_dark.contention_free[link_a].attempts
-            assert rep_clean.contention_free[link_a].successes == \
-                rep_dark.contention_free[link_a].successes
+
+        def link_a(stats):
+            column = stats.link_keys.index(((0, 1), False))
+            return (stats.link_attempts[:, column].tolist(),
+                    stats.link_successes[:, column].tolist())
+
+        assert link_a(dark) == link_a(clean)
 
 
 # ----------------------------------------------------------------------
@@ -353,3 +357,40 @@ class TestChunkInvariance:
             8 * (plan.num_normals + plan.num_uniforms) * 100)
         assert events.default_chunk_size(plan, 100) < 100
         assert signature(run_event_batched(sim, 100)) == signature(whole)
+
+
+# ----------------------------------------------------------------------
+# The count store: a column that never fired counts as absent
+# ----------------------------------------------------------------------
+
+class TestCountStore:
+    REPS = 36
+
+    def test_silent_columns_read_like_the_oracle(self, wustl):
+        """Dark first-hop senders silence whole routes, so the batched
+        engine (a column for every scheduled key) hands over all-zero
+        columns the slot oracle (only the keys it saw) never creates.
+        Every reader must see the two stores alike."""
+        topology, environment = wustl
+        network = prepare_network(topology, channels=(11, 12, 13, 14))
+        flow_set = build_reliability_flow_set(
+            network, np.random.default_rng(20), flow_mix=((1.0, 20),))
+        schedule = schedule_workload(network, flow_set, "RA").schedule
+        dark = frozenset(flow.route[0] for flow in list(flow_set)[:4])
+
+        def run(engine):
+            sim = TschSimulator(schedule, flow_set, environment,
+                                network.topology.channel_map,
+                                config=SimulationConfig(seed=3),
+                                conditions=Conditions(dark_nodes=dark))
+            return run_engine(sim, engine, self.REPS)
+
+        batched, oracle = run(ENGINE_EVENT), run(ENGINE_SLOT)
+        assert not batched.link_attempts.sum(axis=0).all()
+        assert oracle.link_attempts.sum(axis=0).all()
+        assert batched.links_seen() == oracle.links_seen()
+        for window in (None, (0, 18), (18, 36), (7, 25), (30, 31)):
+            assert (build_epoch_report(batched, 1, window)
+                    == build_epoch_report(oracle, 1, window))
+            assert batched.channel_prr(window) == oracle.channel_prr(window)
+        assert signature(batched) == signature(oracle)

@@ -14,7 +14,7 @@ from repro.simulator.interference import (
     place_interferer_pairs,
 )
 from repro.simulator.radio import decide_reception, sinr_at_receiver
-from repro.simulator.stats import AttemptCounter, SimulationStats
+from repro.simulator.stats import SimulationStats, stats_signature
 from repro.propagation.prr_model import get_prr_curve
 from repro.network.node import Position
 from repro.testbeds.layout import FloorPlan
@@ -106,48 +106,55 @@ class TestInterference:
 # ----------------------------------------------------------------------
 
 class TestStats:
-    def test_attempt_counter(self):
-        counter = AttemptCounter()
-        assert counter.prr is None
-        counter.record(True)
-        counter.record(False)
-        assert counter.prr == 0.5
-
     def test_pdr_accounting(self):
-        stats = SimulationStats()
-        stats.record_release(0, 10)
-        stats.record_delivery(0, 9)
-        stats.record_release(1, 10)
+        stats = SimulationStats.from_tallies({0: 10, 1: 10}, {0: 9}, [])
         assert stats.pdr_per_flow() == {0: 0.9, 1: 0.0}
         assert stats.worst_pdr() == 0.0
         assert stats.median_pdr() == 0.45
 
     def test_link_samples_by_category(self):
-        stats = SimulationStats()
-        record = stats.start_repetition()
-        record.record((0, 1), shared_cell=True, success=True)
-        record.record((0, 1), shared_cell=True, success=False)
-        record.record((0, 1), shared_cell=False, success=True)
-        record2 = stats.start_repetition()
-        record2.record((0, 1), shared_cell=True, success=True)
+        stats = SimulationStats.from_tallies({}, {}, [
+            {((0, 1), True): (2, 1), ((0, 1), False): (1, 1)},
+            {((0, 1), True): (1, 1)},
+        ])
         assert stats.link_prr_samples((0, 1), True) == [0.5, 1.0]
         assert stats.link_prr_samples((0, 1), False) == [1.0]
         assert stats.overall_link_prr((0, 1), True) == pytest.approx(2 / 3)
+        assert stats.overall_link_prr((1, 2), True) is None
 
     def test_repetition_range(self):
-        stats = SimulationStats()
-        for value in (True, False):
-            record = stats.start_repetition()
-            record.record((0, 1), True, value)
+        stats = SimulationStats.from_tallies({}, {}, [
+            {((0, 1), True): (1, 1)}, {((0, 1), True): (1, 0)}])
+        assert stats.repetitions == 2
         assert stats.link_prr_samples((0, 1), True, (0, 1)) == [1.0]
         assert stats.link_prr_samples((0, 1), True, (1, 2)) == [0.0]
 
     def test_links_seen(self):
-        stats = SimulationStats()
-        record = stats.start_repetition()
-        record.record((3, 4), True, True)
-        record.record((1, 2), False, True)
+        stats = SimulationStats.from_tallies({}, {}, [
+            {((3, 4), True): (1, 1), ((1, 2), False): (1, 1)}])
         assert stats.links_seen() == [(1, 2), (3, 4)]
+
+    def test_zero_columns_count_as_absent(self):
+        """The batched engine's store: columns in its own order, some
+        never fired.  Readers skip the silent ones and sort."""
+        stats = SimulationStats(
+            flow_released={0: 2}, flow_delivered={0: 1},
+            link_keys=(((5, 6), True), ((1, 2), False), ((1, 2), True)),
+            link_attempts=np.array([[0, 1, 0], [0, 2, 0]]),
+            link_successes=np.array([[0, 1, 0], [0, 1, 0]]),
+            channels=(14, 11, 12),
+            channel_attempts=np.array([[1, 0, 0], [1, 0, 1]]),
+            channel_successes=np.array([[1, 0, 0], [0, 0, 1]]))
+        assert stats.links_seen() == [(1, 2)]
+        assert stats.link_prr_samples((5, 6), True) == []
+        assert stats.overall_link_prr((1, 2), True) is None
+        assert stats.link_prr_samples((1, 2), False) == [1.0, 0.5]
+        assert list(stats.channel_prr().items()) == [(12, 1.0), (14, 0.5)]
+        assert stats.channel_prr((0, 1)) == {14: 1.0}
+        assert stats_signature(stats) == (
+            ((0, 2),), ((0, 1),),
+            (((), (((1, 2), 1, 1),), ((14, 1, 1),)),
+             ((), (((1, 2), 2, 1),), ((12, 1, 1), (14, 1, 0)))))
 
 
 # ----------------------------------------------------------------------
@@ -210,13 +217,10 @@ class TestEngine:
             config=SimulationConfig(seed=1, fast_fading_sigma_db=0.0,
                                     slow_fading_sigma_db=0.0))
         stats = sim.run(10)
-        counter_cf = stats.overall_link_prr((0, 1), False)
         # 10 repetitions, exactly one attempt each (the primary).
-        total_attempts = sum(
-            record.contention_free[(0, 1)].attempts
-            for record in stats.repetitions)
-        assert total_attempts == 10
-        assert counter_cf == 1.0
+        column = stats.link_keys.index(((0, 1), False))
+        assert stats.link_attempts[:, column].tolist() == [1] * 10
+        assert stats.overall_link_prr((0, 1), False) == 1.0
 
     def test_retransmission_rescues_marginal_link(self):
         """A ~50% link delivers far more than 50% thanks to the reserved
@@ -348,15 +352,6 @@ class TestDarkNodeObservability:
     both — so ``sim.attempts`` drifted from the stats totals exactly when
     dark-node faults were active."""
 
-    @staticmethod
-    def _stats_attempts(stats):
-        attempts = 0
-        for record in stats.repetitions:
-            for counters in (record.reuse, record.contention_free):
-                for counter in counters.values():
-                    attempts += counter.attempts
-        return attempts
-
     @pytest.mark.parametrize("dark_node", [0, 2],
                              ids=["dark_sender", "dark_receiver"])
     def test_obs_attempts_match_stats(self, dark_node):
@@ -372,6 +367,6 @@ class TestDarkNodeObservability:
                 schedule, flow_set, env, env.channel_map,
                 config=SimulationConfig(seed=11),
                 conditions=conditions).run(10)
-        expected = self._stats_attempts(stats)
+        expected = int(stats.link_attempts.sum())
         assert expected > 0  # dark node must not silence the whole run
         assert rec.registry.counter_value("sim.attempts") == expected
