@@ -496,21 +496,13 @@ def cmd_top(args: argparse.Namespace) -> int:
     import time
 
     from repro.io import load_metrics
-    from repro.obs.slo import SloConfig
     from repro.obs.timeseries import TimeSeriesStore
     from repro.obs.top import render_top
-
-    try:
-        slo_config = SloConfig(target_pdr=args.slo_target_pdr,
-                               burn_threshold=args.slo_burn_threshold)
-    except ValueError as error:
-        raise SystemExit(f"error: {error}")
 
     def render_once() -> str:
         timeseries = TimeSeriesStore.load_jsonl(args.timeseries_in)
         snapshot = load_metrics(args.metrics) if args.metrics else None
-        return render_top(timeseries, snapshot, slo_config=slo_config,
-                          max_flows=args.max_flows,
+        return render_top(timeseries, snapshot, max_flows=args.max_flows,
                           ascii_only=args.ascii,
                           source=str(args.timeseries_in))
 
@@ -1042,10 +1034,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rows in the per-flow SLO table")
     p.add_argument("--ascii", action="store_true",
                    help="pure-ASCII sparklines and bars")
-    p.add_argument("--slo-target-pdr", type=float, default=0.9,
-                   help="PDR objective used to label flow states")
-    p.add_argument("--slo-burn-threshold", type=float, default=2.0,
-                   help="burn rate at/above which a window is hot")
     p.set_defaults(func=cmd_top)
 
     p = sub.add_parser("serve",

@@ -17,6 +17,8 @@ series name                             exposed as
 ``slo.flow.<id>.pdr``                   ``repro_slo_pdr{flow="id"}``
 ``slo.flow.<id>.burn_fast``             ``repro_slo_burn_fast{...}``
 ``slo.flow.<id>.burn_slow``             ``repro_slo_burn_slow{...}``
+``slo.flow.<id>.state``                 ``repro_slo_state{...}`` (0 ok,
+                                        1 warn, 2 alert)
 ``channel.<ch>.prr``                    ``repro_channel_prr{channel="ch"}``
 ``flow.<id>.pdr``                       ``repro_flow_pdr{flow="id"}``
 anything else                           ``repro_ts_<sanitized>``
@@ -60,7 +62,8 @@ _STAGE_HISTOGRAM = re.compile(r"^span\.(?P<stage>[A-Za-z_.]+)\.seconds$")
 
 #: Series-name patterns lifted into labeled families.
 _LABELED_SERIES = (
-    (re.compile(r"^slo\.flow\.(?P<flow>\d+)\.(?P<field>pdr|burn_fast|burn_slow)$"),
+    (re.compile(r"^slo\.flow\.(?P<flow>\d+)\.(?P<field>pdr|burn_fast|burn_slow"
+                r"|state)$"),
      "repro_slo_{field}", "flow"),
     (re.compile(r"^flow\.(?P<flow>\d+)\.(?P<field>pdr)$"),
      "repro_flow_{field}", "flow"),

@@ -8,7 +8,7 @@ attempt/success totals, and wall time per stage.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 def _fmt(value: float) -> str:
@@ -50,29 +50,37 @@ def _histogram_lines(title: str, data: Dict) -> List[str]:
     return lines
 
 
-def _stage_table(histograms: Dict[str, Dict]) -> List[str]:
-    """Wall time per :func:`repro.obs.spans.stage`: CLI phases and
-    service request stages alike (``span.<name>.seconds``)."""
+def stage_rows(histograms: Dict[str, Dict],
+               ) -> List[Tuple[str, int, float, float, float]]:
+    """``(stage, count, total s, mean ms, p99 ms)`` per
+    :func:`repro.obs.spans.stage` histogram (``span.<name>.seconds``):
+    CLI phases and service request stages alike, largest total first.
+    ``repro report`` and ``repro top`` both render these rows."""
     from repro.obs.metrics import quantile_from_buckets
 
-    stages = []
+    rows = []
     for name, data in histograms.items():
         if not (name.startswith("span.") and name.endswith(".seconds")):
             continue
-        stage = name[len("span."):-len(".seconds")]
         count = int(data["count"])
         total = float(data["sum"])
         p99 = quantile_from_buckets(data["buckets"], data["counts"], 0.99)
-        stages.append((stage, count, total, p99))
-    if not stages:
+        rows.append((name[len("span."):-len(".seconds")], count, total,
+                     1000.0 * total / count if count else 0.0,
+                     1000.0 * p99 if p99 is not None else 0.0))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows
+
+
+def _stage_table(histograms: Dict[str, Dict]) -> List[str]:
+    """Wall time per stage."""
+    rows = stage_rows(histograms)
+    if not rows:
         return []
-    stages.sort(key=lambda row: (-row[2], row[0]))
     lines = ["wall time per stage:",
              f"  {'stage':<20} {'count':>7} {'total s':>9} "
              f"{'mean ms':>9} {'p99 ms':>9}"]
-    for stage, count, total, p99 in stages:
-        mean_ms = 1000.0 * total / count if count else 0.0
-        p99_ms = 1000.0 * p99 if p99 is not None else 0.0
+    for stage, count, total, mean_ms, p99_ms in rows:
         lines.append(f"  {stage:<20} {_fmt(count):>7} {total:>9.3f} "
                      f"{mean_ms:>9.2f} {p99_ms:>9.2f}")
     return lines

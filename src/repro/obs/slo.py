@@ -51,12 +51,14 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs import recorder as _obs
 
-#: Alert states, in increasing severity.
 STATE_OK = "ok"
 STATE_WARN = "warn"
 STATE_ALERT = "alert"
 
-_SEVERITY = {STATE_OK: 0, STATE_WARN: 1, STATE_ALERT: 2}
+#: Alert states, in increasing severity: a state's index is its
+#: severity, the value its ``slo.flow.<id>.state`` series records.
+STATES = (STATE_OK, STATE_WARN, STATE_ALERT)
+_SEVERITY = {state: level for level, state in enumerate(STATES)}
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,9 @@ class SloEngine:
     windows, computes burn rates, counts alert / warn transitions, and
     (when a recorder time-series store is attached) records
     ``{prefix}slo.flow.<id>.pdr`` / ``.burn_fast`` / ``.burn_slow``
-    series.
+    series plus ``.state``, the severity of the state it decided — what
+    ``repro top`` shows, so a dashboard never re-derives a state under
+    a different threshold.
 
     Args:
         config: Objective and window declaration.
@@ -250,6 +254,8 @@ class SloEngine:
                              state.burn_fast)
         _obs.RECORDER.sample(prefix + "burn_slow", state.epoch,
                              state.burn_slow)
+        _obs.RECORDER.sample(prefix + "state", state.epoch,
+                             _SEVERITY[state.state])
 
     # ------------------------------------------------------------------
     # Queries

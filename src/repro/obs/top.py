@@ -24,18 +24,17 @@ are.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.obs.metrics import quantile_from_buckets
-from repro.obs.slo import (STATE_ALERT, STATE_OK, STATE_WARN, SloConfig,
-                           severity)
+from repro.obs.report import stage_rows
+from repro.obs.slo import STATE_ALERT, STATE_OK, STATE_WARN, STATES, severity
 
 #: Eight-level ramp for sparklines.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 #: Pure-ASCII fallback ramp.
 SPARK_ASCII = ".:-=+*#@"
 
-_FLOW_SERIES = re.compile(r"^slo\.flow\.(?P<flow>\d+)\.pdr$")
+_FLOW_SERIES = re.compile(r"^slo\.flow\.(?P<flow>\d+)\.state$")
 _CHANNEL_SERIES = re.compile(r"^channel\.(?P<channel>\d+)\.prr$")
 
 #: Per-state marker shown in the SLO gauge column.
@@ -83,41 +82,35 @@ def _panel(title: str, lines: List[str], width: int) -> List[str]:
     return [header] + (lines if lines else ["  (no data)"])
 
 
-def _flow_states(timeseries, slo_config: SloConfig,
-                 ) -> List[Dict]:
-    """Reconstruct each flow's latest SLO standing from its series."""
+def _flow_states(timeseries) -> List[Dict]:
+    """Each flow's latest SLO standing: the state the run's SLO engine
+    decided (its ``slo.flow.<id>.state`` series) and the series behind
+    it."""
     flows: List[Dict] = []
     for name in timeseries.names():
         match = _FLOW_SERIES.match(name)
-        if not match:
+        decided = timeseries.get(name).last() if match else None
+        if decided is None:
             continue
+        if decided[1] not in range(len(STATES)):
+            raise ValueError(f"{name}: {decided[1]} is not an SLO severity")
         flow_id = int(match.group("flow"))
         prefix = f"slo.flow.{flow_id}."
         pdr = timeseries.get(prefix + "pdr")
         fast = timeseries.get(prefix + "burn_fast")
         slow = timeseries.get(prefix + "burn_slow")
-        last_fast = fast.last()[1] if fast and fast.last() else 0.0
-        last_slow = slow.last()[1] if slow and slow.last() else 0.0
-        threshold = slo_config.burn_threshold
-        if last_fast >= threshold and last_slow >= threshold:
-            state = STATE_ALERT
-        elif last_fast >= threshold:
-            state = STATE_WARN
-        else:
-            state = STATE_OK
         flows.append({
             "flow": flow_id,
             "pdr": pdr.last()[1] if pdr and pdr.last() else None,
-            "burn_fast": last_fast,
-            "burn_slow": last_slow,
-            "state": state,
+            "burn_fast": fast.last()[1] if fast and fast.last() else 0.0,
+            "burn_slow": slow.last()[1] if slow and slow.last() else 0.0,
+            "state": STATES[int(decided[1])],
             "spark": fast.values() if fast else [],
         })
     return flows
 
 
 def render_top(timeseries, snapshot: Optional[Dict] = None,
-               slo_config: Optional[SloConfig] = None,
                max_flows: int = 12, width: int = 76,
                ascii_only: bool = False,
                source: str = "") -> str:
@@ -127,15 +120,12 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
         timeseries: A :class:`TimeSeriesStore` (usually loaded from the
             run's ``--timeseries`` JSONL dump).
         snapshot: Optional metrics snapshot for the health panel.
-        slo_config: Threshold used to re-derive flow states from burn
-            series (defaults to :class:`SloConfig` defaults).
         max_flows: Table rows; worst flows (by state severity, then
             fast burn) are kept, the rest are summarized.
         width: Target panel width in characters.
         ascii_only: Degrade sparklines/bars to pure ASCII.
         source: Shown in the header (e.g. the dump path).
     """
-    slo_config = slo_config if slo_config is not None else SloConfig()
     lines: List[str] = []
 
     # -- header ---------------------------------------------------------
@@ -172,7 +162,7 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
     lines += _panel("manager", manager_lines, width)
 
     # -- per-flow SLO table ----------------------------------------------
-    flows = _flow_states(timeseries, slo_config)
+    flows = _flow_states(timeseries)
     flows.sort(key=lambda f: (-severity(f["state"]), -f["burn_fast"],
                               f["flow"]))
     table: List[str] = []
@@ -194,9 +184,7 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
         for entry in flows:
             tally[entry["state"]] += 1
         table.append(f"  totals: {tally[STATE_ALERT]} alert, "
-                     f"{tally[STATE_WARN]} warn, {tally[STATE_OK]} ok "
-                     f"(target PDR {slo_config.target_pdr}, "
-                     f"burn threshold {slo_config.burn_threshold})")
+                     f"{tally[STATE_WARN]} warn, {tally[STATE_OK]} ok")
     lines += _panel(
         f"flow SLOs ({len(flows)} flows)", table, width)
 
@@ -240,21 +228,11 @@ def render_top(timeseries, snapshot: Optional[Dict] = None,
     # snapshot of any recording run, CLI or service; like the service
     # panel, this one only appears when a run produced them.  The bar is
     # each stage's share of total recorded stage time.
-    stage_rows = []
-    for name, data in (snapshot or {}).get("histograms", {}).items():
-        if not (name.startswith("span.") and name.endswith(".seconds")):
-            continue
-        stage = name[len("span."):-len(".seconds")]
-        p99 = quantile_from_buckets(data["buckets"], data["counts"], 0.99)
-        stage_rows.append((stage, int(data["count"]),
-                           float(data["sum"]), p99))
-    if stage_rows:
-        stage_rows.sort(key=lambda row: (-row[2], row[0]))
-        grand_total = sum(row[2] for row in stage_rows) or 1.0
+    rows = stage_rows((snapshot or {}).get("histograms", {}))
+    if rows:
+        grand_total = sum(row[2] for row in rows) or 1.0
         stage_lines = []
-        for stage, count, total, p99 in stage_rows:
-            mean_ms = 1000.0 * total / count if count else 0.0
-            p99_ms = 1000.0 * p99 if p99 is not None else 0.0
+        for stage, count, total, mean_ms, p99_ms in rows:
             stage_lines.append(
                 f"  {stage:<18} {count:>6}  mean {mean_ms:>8.2f} ms"
                 f"  p99 {p99_ms:>8.2f} ms  "

@@ -160,7 +160,8 @@ class TestSeriesRecording:
             engine.observe_epoch(1, {3: 10}, {3: 10})
         assert store.names() == ["armA/slo.flow.3.burn_fast",
                                  "armA/slo.flow.3.burn_slow",
-                                 "armA/slo.flow.3.pdr"]
+                                 "armA/slo.flow.3.pdr",
+                                 "armA/slo.flow.3.state"]
         assert store.get("armA/slo.flow.3.pdr").points == [(0.0, 0.9),
                                                            (1.0, 1.0)]
 

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
+import pytest
+
+from repro.obs import recorder as _obs
+from repro.obs.recorder import Recorder
 from repro.obs.slo import SloConfig
 from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.top import SPARK_ASCII, SPARK_CHARS, bar, render_top, sparkline
@@ -59,9 +65,11 @@ def storm_store():
         store.record("slo.flow.1.pdr", epoch, 0.4 if bad else 1.0)
         store.record("slo.flow.1.burn_fast", epoch, 4.0 if bad else 0.0)
         store.record("slo.flow.1.burn_slow", epoch, 3.0 if bad else 0.0)
+        store.record("slo.flow.1.state", epoch, 2 if bad else 0)
         store.record("slo.flow.2.pdr", epoch, 1.0)
         store.record("slo.flow.2.burn_fast", epoch, 0.0)
         store.record("slo.flow.2.burn_slow", epoch, 0.0)
+        store.record("slo.flow.2.state", epoch, 0)
     return store
 
 
@@ -90,19 +98,47 @@ class TestRenderTop:
         assert "slo alerts" in out
         assert "manager epochs" in out
 
-    def test_burn_threshold_rederives_state(self):
-        # With a sky-high threshold nothing alerts; with a low one the
-        # healthy flow still doesn't (its burn is exactly 0).
-        relaxed = render_top(storm_store(),
-                             slo_config=SloConfig(burn_threshold=100.0))
-        assert "ALERT!" not in relaxed
-        assert "totals: 0 alert, 0 warn, 2 ok" in relaxed
+    def test_shows_the_state_the_run_decided(self, wustl):
+        """Under a non-default burn threshold the dashboard marks exactly
+        the flows the manager's SLO engine put in alert and warn at the
+        last epoch; it does not judge the burn series again."""
+        from repro.manager import ManagerConfig, NetworkManager
+        from repro.testbeds import WUSTL_PLAN
+
+        topology, environment = wustl
+        config = ManagerConfig(
+            scenario="reuse-storm", policy="noop", scheduler_policy="RA",
+            num_flows=40, repetitions_per_epoch=8, num_epochs=6,
+            channels=(11, 12, 13, 14, 15), seed=3, warmup_epochs=1,
+            confirm_epochs=1, slo=SloConfig(burn_threshold=4.0))
+        store = TimeSeriesStore()
+        with _obs.recording(Recorder(timeseries=store)):
+            last = NetworkManager(topology, environment, WUSTL_PLAN,
+                                  config).run().epochs[-1]
+        assert last.slo_alerts and last.slo_warns
+
+        marked = {"ALERT!": set(), "WARN": set(), "ok": set()}
+        for line in render_top(store, max_flows=100).splitlines():
+            row = re.match(r"^\s*(\d+)\s+(ALERT!|WARN|ok)\s", line)
+            if row:
+                marked[row.group(2)].add(int(row.group(1)))
+        assert marked["ALERT!"] == set(last.slo_alerts)
+        assert marked["WARN"] == set(last.slo_warns)
+        assert len(marked["ok"]) == 40 - len(last.slo_alerts) - len(
+            last.slo_warns)
+
+    def test_unknown_severity_is_rejected(self):
+        store = TimeSeriesStore()
+        store.record("slo.flow.7.state", 0, 3)
+        with pytest.raises(ValueError, match="not an SLO severity"):
+            render_top(store)
 
     def test_warn_state_needs_only_the_fast_window(self):
         store = TimeSeriesStore()
         store.record("slo.flow.7.pdr", 0, 0.8)
         store.record("slo.flow.7.burn_fast", 0, 5.0)
         store.record("slo.flow.7.burn_slow", 0, 0.5)
+        store.record("slo.flow.7.state", 0, 1)
         out = render_top(store)
         assert "WARN" in out
         assert "ALERT!" not in out
@@ -115,6 +151,7 @@ class TestRenderTop:
                          3.0 if flow == 4 else 0.0)
             store.record(f"slo.flow.{flow}.burn_slow", 0,
                          3.0 if flow == 4 else 0.0)
+            store.record(f"slo.flow.{flow}.state", 0, 2 if flow == 4 else 0)
         out = render_top(store, max_flows=2)
         assert "… 3 more flows (0 warn/alert) not shown" in out
         # The alerting flow made the cut ahead of healthy lower ids.
