@@ -23,7 +23,6 @@ from repro.core.nr import NoReusePolicy
 from repro.core.ra import AggressiveReusePolicy, DEFAULT_RHO_T
 from repro.core.reschedule import (
     ReuseBarrierPolicy,
-    links_sharing_cells_with,
     reschedule_without_reuse_on,
 )
 from repro.core.rc import (
@@ -62,7 +61,6 @@ __all__ = [
     "RHO_RESET_FLOW",
     "RequestWindow",
     "ReuseBarrierPolicy",
-    "links_sharing_cells_with",
     "reschedule_without_reuse_on",
     "RHO_RESET_TRANSMISSION",
     "Schedule",

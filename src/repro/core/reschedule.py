@@ -135,18 +135,3 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
         attempts_per_link=attempts_per_link)
     return scheduler.run(flow_set)
 
-
-def links_sharing_cells_with(schedule: Schedule,
-                             links: Iterable[Link]) -> Set[Link]:
-    """All links that share at least one cell with any of ``links``.
-
-    Useful for impact analysis before rescheduling: these are the links
-    whose interference environment changes when the victims move.
-    """
-    targets = set(links) | {(v, u) for u, v in links}
-    affected: Set[Link] = set()
-    for _, _, transmissions in schedule.reused_cells():
-        cell_links = {e.request.link for e in transmissions}
-        if cell_links & targets:
-            affected |= cell_links - targets
-    return affected

@@ -1,6 +1,6 @@
 """Network model: devices, topology (PRR matrices), derived graphs."""
 
-from repro.network.node import NeighborEntry, Node, NodeRole, Position
+from repro.network.node import Node, NodeRole, Position
 from repro.network.graphs import (
     ChannelReuseGraph,
     CommunicationGraph,
@@ -15,7 +15,6 @@ from repro.network.topology import Topology
 __all__ = [
     "ChannelReuseGraph",
     "CommunicationGraph",
-    "NeighborEntry",
     "Node",
     "NodeRole",
     "Position",

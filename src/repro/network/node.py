@@ -13,7 +13,7 @@ In this library a node is a lightweight value object; connectivity lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -84,42 +84,3 @@ class Node:
         label = self.name or f"n{self.node_id}"
         return f"{label}({self.role.value})"
 
-
-@dataclass
-class NeighborEntry:
-    """One row of a node's neighbor table.
-
-    WirelessHART devices maintain per-neighbor statistics — packets sent,
-    packets acknowledged, per-channel quality — learned from regular data
-    traffic and periodic neighbor-discovery broadcasts.  The network
-    manager aggregates these in health reports (used by the detection
-    policy in :mod:`repro.detection`).
-    """
-
-    neighbor_id: int
-    packets_sent: int = 0
-    packets_acked: int = 0
-    per_channel_sent: dict = field(default_factory=dict)
-    per_channel_acked: dict = field(default_factory=dict)
-
-    def record(self, channel: int, success: bool) -> None:
-        """Record the outcome of one transmission attempt to the neighbor."""
-        self.packets_sent += 1
-        self.per_channel_sent[channel] = self.per_channel_sent.get(channel, 0) + 1
-        if success:
-            self.packets_acked += 1
-            self.per_channel_acked[channel] = (
-                self.per_channel_acked.get(channel, 0) + 1)
-
-    def prr(self) -> float:
-        """Overall packet reception ratio toward this neighbor."""
-        if self.packets_sent == 0:
-            return 0.0
-        return self.packets_acked / self.packets_sent
-
-    def prr_on_channel(self, channel: int) -> float:
-        """PRR restricted to a single physical channel."""
-        sent = self.per_channel_sent.get(channel, 0)
-        if sent == 0:
-            return 0.0
-        return self.per_channel_acked.get(channel, 0) / sent

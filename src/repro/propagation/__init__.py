@@ -17,7 +17,6 @@ from repro.propagation.prr_model import (
     get_prr_curve,
     prr,
     prr_curve,
-    sinr_for_prr,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "prr",
     "prr_curve",
     "sinr_db",
-    "sinr_for_prr",
 ]

@@ -158,28 +158,3 @@ def get_prr_curve(frame_bytes: int = DEFAULT_FRAME_BYTES,
     return PrrCurve(frame_bytes=frame_bytes,
                     smoothing_sigma_db=smoothing_sigma_db)
 
-
-def sinr_for_prr(target_prr: float,
-                 frame_bytes: int = DEFAULT_FRAME_BYTES,
-                 include_ack: bool = True,
-                 lo_db: float = -10.0, hi_db: float = 15.0) -> float:
-    """Invert the PRR curve: the SINR (dB) at which PRR equals the target.
-
-    Uses bisection on the monotone PRR curve.  Useful for calibrating
-    testbed synthesis (e.g. placing links deliberately inside the
-    transition region).
-    """
-    if not 0.0 < target_prr < 1.0:
-        raise ValueError("target_prr must be strictly between 0 and 1")
-    lo, hi = lo_db, hi_db
-    if prr(lo, frame_bytes, include_ack) > target_prr:
-        raise ValueError("target below the PRR at lo_db")
-    if prr(hi, frame_bytes, include_ack) < target_prr:
-        raise ValueError("target above the PRR at hi_db")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if prr(mid, frame_bytes, include_ack) < target_prr:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mac.channels import ChannelMap
-from repro.network.node import NeighborEntry, Node, NodeRole, Position
+from repro.network.node import Node, NodeRole, Position
 from repro.network.topology import Topology
 
 from conftest import build_topology
@@ -34,27 +34,6 @@ class TestNode:
 
     def test_str(self):
         assert "field_device" in str(Node(3))
-
-
-class TestNeighborEntry:
-    def test_prr_counts(self):
-        entry = NeighborEntry(neighbor_id=5)
-        for success in (True, True, False, True):
-            entry.record(channel=11, success=success)
-        assert entry.prr() == 0.75
-        assert entry.prr_on_channel(11) == 0.75
-        assert entry.prr_on_channel(12) == 0.0
-
-    def test_empty_prr_is_zero(self):
-        assert NeighborEntry(neighbor_id=1).prr() == 0.0
-
-    def test_per_channel_split(self):
-        entry = NeighborEntry(neighbor_id=2)
-        entry.record(11, True)
-        entry.record(12, False)
-        assert entry.prr_on_channel(11) == 1.0
-        assert entry.prr_on_channel(12) == 0.0
-        assert entry.prr() == 0.5
 
 
 class TestTopologyValidation:

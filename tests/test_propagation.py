@@ -18,7 +18,6 @@ from repro.propagation.prr_model import (
     get_prr_curve,
     prr,
     prr_curve,
-    sinr_for_prr,
 )
 
 
@@ -130,14 +129,6 @@ class TestPrrModel:
     def test_invalid_frame_size(self):
         with pytest.raises(ValueError):
             frame_success_probability(0.0, 0)
-
-    def test_sinr_for_prr_inverts(self):
-        sinr = sinr_for_prr(0.9)
-        assert prr(sinr) == pytest.approx(0.9, abs=1e-3)
-
-    def test_sinr_for_prr_bad_target(self):
-        with pytest.raises(ValueError):
-            sinr_for_prr(1.0)
 
 
 class TestPrrCurve:

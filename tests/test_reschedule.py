@@ -8,10 +8,8 @@ from repro.core.ra import AggressiveReusePolicy
 from repro.core.rc import ConservativeReusePolicy
 from repro.core.reschedule import (
     ReuseBarrierPolicy,
-    links_sharing_cells_with,
     reschedule_without_reuse_on,
 )
-from repro.core.schedule import Schedule
 from repro.core.scheduler import FixedPriorityScheduler
 from repro.experiments.common import (
     build_workload,
@@ -20,8 +18,6 @@ from repro.experiments.common import (
 )
 from repro.flows.generator import PeriodRange
 from repro.routing.traffic import TrafficType
-
-from test_core_schedule import request
 
 
 @pytest.fixture(scope="module")
@@ -36,28 +32,6 @@ def ra_scenario(wustl):
     assert result.schedulable
     assert result.schedule.num_reused_cells() > 0
     return network, flows, result
-
-
-class TestLinksSharing:
-    def test_cell_partners_found(self):
-        schedule = Schedule(8, 10, 1)
-        schedule.add(request(0, 1), 0, 0)
-        schedule.add(request(4, 5), 0, 0)
-        schedule.add(request(6, 7), 1, 0)
-        partners = links_sharing_cells_with(schedule, [(0, 1)])
-        assert partners == {(4, 5)}
-
-    def test_direction_insensitive(self):
-        schedule = Schedule(8, 10, 1)
-        schedule.add(request(1, 0), 0, 0)
-        schedule.add(request(4, 5), 0, 0)
-        assert links_sharing_cells_with(schedule, [(0, 1)]) == {(4, 5)}
-
-    def test_no_reuse_no_partners(self):
-        schedule = Schedule(8, 10, 2)
-        schedule.add(request(0, 1), 0, 0)
-        schedule.add(request(4, 5), 0, 1)
-        assert links_sharing_cells_with(schedule, [(0, 1)]) == set()
 
 
 class TestReschedule:
