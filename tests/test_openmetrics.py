@@ -63,6 +63,7 @@ class TestRender:
         store.record("slo.flow.3.pdr", 0, 0.8)
         store.record("slo.flow.3.pdr", 1, 0.9)        # latest wins
         store.record("slo.flow.12.burn_fast", 1, 2.5)
+        store.record("slo.flow.12.state", 1, 2)
         store.record("channel.14.prr", 1, 0.77)
         store.record("flow.4.pdr", 1, 0.95)
         store.record("manager.median_pdr", 1, 0.91)   # fallback family
@@ -73,6 +74,8 @@ class TestRender:
             ("repro_slo_pdr", {"flow": "3"}, 0.9)]
         assert families["repro_slo_burn_fast"]["samples"] == [
             ("repro_slo_burn_fast", {"flow": "12"}, 2.5)]
+        assert families["repro_slo_state"]["samples"] == [
+            ("repro_slo_state", {"flow": "12"}, 2.0)]
         assert families["repro_channel_prr"]["samples"] == [
             ("repro_channel_prr", {"channel": "14"}, 0.77)]
         assert families["repro_flow_pdr"]["samples"] == [
