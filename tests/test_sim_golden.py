@@ -8,7 +8,8 @@ and pin the output itself:
 * the SHA-256 of the stats signature of an 18-repetition run of one
   fixed WUSTL RA schedule, clean and under three condition overlays;
 * the SHA-256 of the canonical JSON of a quick ``repro manage`` report
-  (floats rounded to 10 places).
+  (floats rounded to 10 places), one per remediation path: barring
+  victims, blacklisting a channel and escalating rho_t.
 
 A digest mismatch means simulated outcomes changed; that is a model
 change and needs its own justification, not a re-recording.
@@ -49,6 +50,16 @@ SIGNATURE_DIGESTS = {
 #: --seed 3``'s report.
 MANAGE_DIGEST = (
     "ee02c44f3bfc0f907b31a81f8e72b34cc6cabdf077d6dad0f9f798b1f46aa105")
+
+#: Digests of the same run under the two other remediation policies,
+#: by ``(policy, scenario)``: two applied blacklist repairs under the
+#: WiFi burst, two rho-escalation repairs under the reuse storm.
+REMEDIATION_DIGESTS = {
+    ("blacklist", "wifi-burst"):
+        "70c600d5bc93552a89e86b3a2edae598dbace6d91b8e3173a42d269a85f6df41",
+    ("escalate", "reuse-storm"):
+        "27ba6dae360e9099338d5042b7f5c28b90c4afea7cc054257aac60598f60bb88",
+}
 
 SEED = 31
 REPETITIONS = 18
@@ -148,3 +159,17 @@ def test_manage_report_digest(tmp_path, capsys):
     text = json.dumps(_canonical(report), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == MANAGE_DIGEST
+
+
+@pytest.mark.parametrize("policy,scenario", sorted(REMEDIATION_DIGESTS))
+def test_remediation_report_digest(tmp_path, capsys, policy, scenario):
+    out = tmp_path / "manage.json"
+    assert main(["manage", "--quick", "--epochs", "6", "--policy", policy,
+                 "--scenario", scenario, "--seed", "3", "--no-ledger",
+                 "--report-out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    text = json.dumps(_canonical(report), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        REMEDIATION_DIGESTS[policy, scenario]
