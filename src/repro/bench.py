@@ -12,9 +12,10 @@ measurement behind each of them:
 * warm-start repair (:mod:`repro.core.repair`) over the full barrier
   rebuild for single-victim remediation (the manager and the service
   always try repair first);
-* the batched event simulator over the slot oracle at experiment
-  repetition counts (:func:`repro.simulator.engine.engine_for`), on
-  reliability-style WUSTL workloads.
+* the batched event simulator, which
+  :meth:`repro.simulator.engine.TschSimulator.run` always takes, over
+  the slot oracle at experiment repetition counts, on reliability-style
+  WUSTL workloads.
 
 Each **decision cell** reads the chosen path from the code and times it
 against its alternative in interleaved rounds (one run of each per
@@ -270,19 +271,16 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
     runs its Monte-Carlo repetitions on the **slot** oracle
     (:meth:`~repro.simulator.engine.TschSimulator.run_slot`) and on the
     **batched** event engine (:func:`repro.simulator.events
-    .run_event_batched`); :func:`~repro.simulator.engine.engine_for`
-    names the one :meth:`~repro.simulator.engine.TschSimulator.run`
-    takes.  The two engines' statistics must be identical.
+    .run_event_batched`), the one
+    :meth:`~repro.simulator.engine.TschSimulator.run` takes.  The two
+    engines' statistics must be identical.
     """
     from repro.experiments.reliability import build_reliability_flow_set
-    from repro.simulator.engine import (ENGINE_EVENT, SimulationConfig,
-                                        TschSimulator, engine_for)
+    from repro.simulator.engine import SimulationConfig, TschSimulator
     from repro.simulator.events import run_event_batched
     from repro.simulator.stats import stats_signature
     from repro.testbeds import make_wustl
 
-    chosen = ("batched" if engine_for(sim_repetitions) == ENGINE_EVENT
-              else "slot")
     topology, environment = make_wustl(seed)
     network = prepare_network(topology, channels=SIMULATOR_CHANNELS)
     cells: List[Dict] = []
@@ -307,7 +305,7 @@ def bench_simulator(flow_counts: Sequence[int], seed: int,
             "slot": lambda: simulator.run_slot(sim_repetitions),
             "batched": lambda: run_event_batched(simulator,
                                                  sim_repetitions),
-        }, chosen, rounds)
+        }, "batched", rounds)
         if (stats_signature(stats["batched"])
                 != stats_signature(stats["slot"])):
             raise AssertionError(

@@ -34,11 +34,11 @@ Repair preserves the Section V-A correctness contract at the configured
 floor — the auditor accepts exactly the same invariants either way —
 but it is *warm-started*, not history-free: surviving placements stay
 where they are, so the repaired schedule generally differs from (and
-places the evicted tail more permissively than) a full rebuild.  The
-caller falls back to the full rebuild whenever repair fails placement or
-the auditor rejects the result (see
-:func:`repro.core.reschedule.reschedule_without_reuse_on` and
-:meth:`repro.manager.loop.NetworkManager._apply`).
+places the evicted tail more permissively than) a full rebuild.
+:func:`repro.manager.loop.remediate`, the one caller in production (the
+manager's and the service's), falls back to the full rebuild
+(:func:`repro.core.reschedule.reschedule_without_reuse_on`) whenever
+repair fails placement or the auditor rejects the result.
 """
 
 from __future__ import annotations

@@ -106,9 +106,10 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
                                 ) -> SchedulingResult:
     """Re-schedule from scratch with victim links barred from channel reuse.
 
-    The full rebuild under a :class:`ReuseBarrierPolicy`.  The manager
-    and the service try warm-start repair (:mod:`repro.core.repair`)
-    first and fall back to this.
+    The full rebuild under a :class:`ReuseBarrierPolicy`.
+    :func:`repro.manager.loop.remediate` (the manager's and the
+    service's remediation) tries warm-start repair
+    (:mod:`repro.core.repair`) first and falls back to this.
 
     Args:
         flow_set: The routed, priority-ordered flows (same input as the

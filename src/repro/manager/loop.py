@@ -7,8 +7,10 @@ executes the current schedule for one epoch's worth of hyperperiods with
 the ASN continuing where the previous epoch stopped, (3) feeds the
 epoch's PRR distributions through the K-S detection policy and the
 :class:`~repro.detection.health.StreamingHealthMonitor`, and (4) lets a
-remediation policy decide whether to rebuild the schedule — barring
-victims from reuse, blacklisting a channel, or raising ρ_t.
+remediation policy decide whether to change the schedule — barring
+victims from reuse, blacklisting a channel, or raising ρ_t — which
+:func:`remediate` carries out (the service's ``reschedule`` verb calls
+it too).
 
 Everything is deterministic: given the same (topology, scenario, policy,
 seed) the epoch-by-epoch :class:`ManagerReport` is bit-identical, for
@@ -56,11 +58,12 @@ from repro.manager.policies import Action, Observation, make_manager_policy
 from repro.network.topology import Topology
 from repro.obs import recorder as _obs
 from repro.obs.slo import STATE_ALERT, STATE_WARN, SloConfig, SloEngine
+from repro.obs.spans import stage
 from repro.simulator.engine import SimulationConfig, TschSimulator
 from repro.simulator.stats import Link
 from repro.testbeds.layout import FloorPlan
 from repro.testbeds.synth import RadioEnvironment
-from repro.validate.audit import AuditReport, audit_schedule
+from repro.validate.audit import Violation, audit_schedule
 
 #: Default hopping set for manager runs: the paper's reliability channels
 #: (11-14, all overlapped by WiFi channel 1) plus channel 15, which WiFi
@@ -257,18 +260,100 @@ class ManagerReport:
         }
 
 
-def _count_violations(audit: AuditReport) -> None:
-    """Count a failed pre-flight audit's violations by kind
-    (``manager.audit_violations.<kind>``)."""
-    for violation in audit.violations:
-        _obs.RECORDER.count(f"manager.audit_violations.{violation.kind}")
+@dataclass(frozen=True)
+class Remediation:
+    """What :func:`remediate` decided.
+
+    Attributes:
+        schedule: The schedule to run next, or ``None`` to roll back
+            (the caller keeps the previous schedule running — a live
+            network cannot stop).
+        mode: ``"repair"`` or ``"rebuild"``; ``None`` on rollback.
+        evicted: Cells the accepted repair evicted and re-placed (0
+            unless ``mode == "repair"``).
+        fallback: Why repair gave way to the rebuild — ``"placement"``
+            or ``"audit"`` — or ``None`` when it did not.
+        audit_ok: The rebuild's audit verdict; True when no rebuild was
+            audited.
+        violations: The audit violations of every rejected result, the
+            repair's first.
+    """
+
+    schedule: Optional[Schedule]
+    mode: Optional[str] = None
+    evicted: int = 0
+    fallback: Optional[str] = None
+    audit_ok: bool = True
+    violations: Tuple[Violation, ...] = ()
 
 
-def _count_repair_fallback(reason: str) -> None:
-    """Count a repair that fell back to the full rebuild, in total and
-    by ``reason`` (``placement`` or ``audit``)."""
-    _obs.RECORDER.count("manager.repair_fallbacks")
-    _obs.RECORDER.count(f"manager.repair_fallbacks.{reason}")
+def remediate(network: PreparedNetwork, flow_set: FlowSet,
+              schedule: Schedule, change: ChangeSet, *, policy: str,
+              rho_t: int, barred: Set[Link], audit: bool) -> Remediation:
+    """Move reuse-degraded transmissions to other cells (Section VI).
+
+    Repairs locally first (:func:`~repro.core.repair.repair_schedule`
+    evicts only the change's blast radius and re-places it against the
+    surviving schedule), and falls back to the full barrier rebuild
+    (:func:`~repro.core.reschedule.reschedule_without_reuse_on`, every
+    barred link and the change's victims held out of shared cells) when
+    repair fails placement or its result fails the audit.  With
+    ``audit`` set, each result is checked by the independent auditor
+    (:func:`~repro.validate.audit.audit_schedule`: conflict-freedom,
+    precedence, deadlines, the ρ floor, barred-link exclusivity) before
+    it may go live.  The three steps are called through this module's
+    names, where tests and perfbench's traced runs patch them.
+
+    Args:
+        network: The network the schedule runs on after the change (the
+            restricted one for a blacklist).
+        flow_set: The routed, priority-ordered flows.
+        schedule: The running schedule (never mutated).
+        change: What changed.
+        policy: Placement policy name ("NR" / "RA" / "RC").
+        rho_t: The reuse floor in force after the change.
+        barred: Links already barred; ``change.victims`` join them.
+        audit: Audit every result before accepting it.
+    """
+    barred_all = set(barred) | set(change.victims)
+    floor = math.inf if policy == "NR" else rho_t
+    violations: List[Violation] = []
+
+    def rejected(candidate: Schedule) -> bool:
+        if not audit:
+            return False
+        report = audit_schedule(candidate, network.reuse, floor,
+                                flow_set=flow_set, barred_links=barred_all)
+        violations.extend(report.violations)
+        return not report.ok
+
+    with stage("repair") as sp:
+        outcome = repair_schedule(schedule, flow_set, network.reuse, change,
+                                  rho_t=rho_t, barred=barred,
+                                  policy_name=policy)
+        if sp is not None:
+            sp.annotate(victims=len(change.victims),
+                        repaired=outcome.schedulable,
+                        evicted=outcome.evicted)
+    if not outcome.schedulable:
+        fallback = "placement"
+    elif rejected(outcome.schedule):
+        fallback = "audit"
+    else:
+        return Remediation(outcome.schedule, "repair", outcome.evicted)
+
+    with stage("rebuild") as sp:
+        rebuilt = reschedule_without_reuse_on(
+            flow_set, network.topology.num_nodes, network.num_channels,
+            network.reuse, make_policy(policy, rho_t), barred_all)
+        if sp is not None:
+            sp.annotate(barred=len(barred_all),
+                        schedulable=rebuilt.schedulable)
+    audit_ok = not (rebuilt.schedulable and rejected(rebuilt.schedule))
+    live = rebuilt.schedulable and audit_ok
+    return Remediation(rebuilt.schedule if live else None,
+                       "rebuild" if live else None, 0, fallback, audit_ok,
+                       tuple(violations))
 
 
 class NetworkManager:
@@ -314,105 +399,6 @@ class NetworkManager:
                 f"rho_t={self.config.rho_t}) — reduce --flows or add "
                 f"channels")
         return network, flow_set, result.schedule
-
-    def _rebuild(self, network: PreparedNetwork, flow_set: FlowSet,
-                 rho_t: int, barred: Set[Link]) -> Optional[Schedule]:
-        """Rebuild the schedule under the current remediation state.
-
-        Returns ``None`` when the rebuild is unschedulable (the caller
-        keeps the old schedule running — a live network cannot stop).
-        """
-        result = reschedule_without_reuse_on(
-            flow_set, network.topology.num_nodes, network.num_channels,
-            network.reuse, make_policy(self.config.scheduler_policy, rho_t),
-            barred)
-        return result.schedule if result.schedulable else None
-
-    def _audited_rebuild(self, network: PreparedNetwork, flow_set: FlowSet,
-                         rho_t: int, barred: Set[Link],
-                         ) -> Tuple[Optional[Schedule], bool]:
-        """Rebuild, then audit before accepting (SlotSwapper-style
-        feasibility re-verification after schedule mutation).
-
-        A remediation policy's rebuilt schedule goes live on the network;
-        the independent auditor (:func:`repro.validate.audit
-        .audit_schedule`) re-derives conflict-freedom, precedence,
-        deadlines, the ρ-hop channel constraint, and the barred-link
-        exclusions before the manager swaps it in.
-
-        Returns:
-            ``(schedule, audit_ok)``: the schedule is None when the
-            rebuild was unschedulable (``audit_ok`` stays True — nothing
-            to audit) *or* when it failed the audit (``audit_ok``
-            False); either way the caller rolls back.
-        """
-        rebuilt = self._rebuild(network, flow_set, rho_t, barred)
-        if rebuilt is None:
-            return None, True
-        audit = audit_schedule(rebuilt, network.reuse,
-                               self._rho_floor(rho_t),
-                               flow_set=flow_set, barred_links=barred)
-        if not audit.ok:
-            if _obs.ENABLED:
-                _obs.RECORDER.count("manager.audit_failures")
-                _count_violations(audit)
-            return None, False
-        return rebuilt, True
-
-    def _rho_floor(self, rho_t: int) -> float:
-        """The audit floor: NR never shares, RA / RC promise ρ_t."""
-        return (math.inf if self.config.scheduler_policy == "NR"
-                else rho_t)
-
-    def _audited_repair(self, network: PreparedNetwork, flow_set: FlowSet,
-                        schedule: Schedule, rho_t: int, barred: Set[Link],
-                        change: ChangeSet,
-                        ) -> Tuple[Optional[Schedule], int]:
-        """Incremental repair plus the same independent audit a rebuild
-        gets; ``(None, evicted)`` when repair failed placement or the
-        auditor rejected it (the caller falls back to the full rebuild).
-        """
-        outcome = repair_schedule(
-            schedule, flow_set, network.reuse, change, rho_t=rho_t,
-            barred=barred, policy_name=self.config.scheduler_policy)
-        if not outcome.schedulable:
-            if _obs.ENABLED:
-                _count_repair_fallback("placement")
-            return None, outcome.evicted
-        graph = (change.channel.reuse_graph if change.channel is not None
-                 else network.reuse)
-        audit = audit_schedule(outcome.schedule, graph,
-                               self._rho_floor(rho_t), flow_set=flow_set,
-                               barred_links=barred)
-        if not audit.ok:
-            if _obs.ENABLED:
-                _count_repair_fallback("audit")
-                _count_violations(audit)
-            return None, outcome.evicted
-        return outcome.schedule, outcome.evicted
-
-    def _audited_remediate(self, network: PreparedNetwork,
-                           flow_set: FlowSet, schedule: Schedule,
-                           rho_t: int, barred: Set[Link], change: ChangeSet,
-                           ) -> Tuple[Optional[Schedule], bool,
-                                      Optional[str], int]:
-        """Incremental repair (:mod:`repro.core.repair`) first — evicting
-        only the change's blast radius and re-placing it against the
-        surviving schedule — and the audited full rebuild when repair
-        fails placement or its result fails the audit.
-
-        Returns ``(schedule, audit_ok, repair_mode, evicted_cells)``;
-        the schedule is ``None`` when neither path produced an
-        acceptable schedule (the caller rolls back).
-        """
-        repaired, evicted = self._audited_repair(
-            network, flow_set, schedule, rho_t, barred, change)
-        if repaired is not None:
-            return repaired, True, "repair", evicted
-        rebuilt, audit_ok = self._audited_rebuild(network, flow_set,
-                                                  rho_t, barred)
-        mode = "rebuild" if rebuilt is not None else None
-        return rebuilt, audit_ok, mode, 0
 
     # ------------------------------------------------------------------
     # The loop
@@ -479,17 +465,16 @@ class NetworkManager:
                 slo_victim_candidates=slo_candidates)
 
             action = self.policy.decide(observation)
-            applied = False
-            audit_ok = True
-            repair_mode: Optional[str] = None
-            evicted_cells = 0
+            remedy = Remediation(None)
             if action is not None:
-                (applied, network, schedule, rho_t, audit_ok, repair_mode,
-                 evicted_cells) = self._apply(
+                remedy, network, rho_t = self._apply(
                     action, network, flow_set, schedule, rho_t, barred)
+                if remedy.schedule is not None:
+                    schedule = remedy.schedule
                 # Cooldown regardless of success: pre-action streaks are
                 # stale either way, and retry spacing prevents thrash.
                 monitor.note_action(epoch)
+            applied = remedy.schedule is not None
 
             outcome = EpochOutcome(
                 epoch=epoch, conditions=conditions.describe(),
@@ -506,8 +491,8 @@ class NetworkManager:
                 action_reason=action.reason if action else "",
                 action_applied=applied,
                 num_channels=network.num_channels, rho_t=rho_t,
-                audit_ok=audit_ok,
-                repair_mode=repair_mode, evicted_cells=evicted_cells,
+                audit_ok=remedy.audit_ok,
+                repair_mode=remedy.mode, evicted_cells=remedy.evicted,
                 slo_alerts=slo_alerts, slo_warns=slo_warns)
             report.epochs.append(outcome)
 
@@ -581,32 +566,23 @@ class NetworkManager:
     def _apply(self, action: Action, network: PreparedNetwork,
                flow_set: FlowSet, schedule: Schedule, rho_t: int,
                barred: Set[Link],
-               ) -> Tuple[bool, PreparedNetwork, Schedule, int, bool,
-                          Optional[str], int]:
-        """Apply one action; on failure every state change is rolled back.
+               ) -> Tuple[Remediation, PreparedNetwork, int]:
+        """Carry out one action through :func:`remediate`, audited.
 
-        ``barred`` is mutated in place (the accumulated no-reuse set);
-        network / schedule / rho_t are returned, plus whether the
-        remediated schedule (if one was produced) passed the schedule
-        audit, how it was produced (``"repair"`` / ``"rebuild"`` /
-        ``None``), and how many cells the repair evicted.
+        Returns the remediation and the network / ρ_t to run next; a
+        rolled-back action keeps the old ones and leaves ``barred`` (the
+        accumulated no-reuse set) as it was, an applied one adds its
+        victims to it in place.
         """
+        new_network, new_rho = network, rho_t
         if action.kind == "reschedule":
-            added = set(action.victims) - barred
-            barred |= added
-            change = ChangeSet(victims=tuple(sorted(added)))
-            new, audit_ok, mode, evicted = self._audited_remediate(
-                network, flow_set, schedule, rho_t, barred, change)
-            if new is None:
-                barred -= added
-                return False, network, schedule, rho_t, audit_ok, None, 0
-            return True, network, new, rho_t, audit_ok, mode, evicted
-
-        if action.kind == "blacklist":
+            change = ChangeSet(
+                victims=tuple(sorted(set(action.victims) - barred)))
+        elif action.kind == "blacklist":
             remaining = tuple(ch for ch in network.topology.channel_map
                               if ch != action.channel)
             if not remaining:
-                return False, network, schedule, rho_t, True, None, 0
+                return Remediation(None), network, rho_t
             # Keep the original routes (the flow set is already routed)
             # and remediate on the reduced hopping set.  The reuse graph
             # is re-derived from the restricted topology; route quality
@@ -621,22 +597,30 @@ class NetworkManager:
                 offset_map=tuple(
                     new_map.index(ch) if ch in new_map else None
                     for ch in network.topology.channel_map)))
-            new, audit_ok, mode, evicted = self._audited_remediate(
-                new_network, flow_set, schedule, rho_t, barred, change)
-            if new is None:
-                return False, network, schedule, rho_t, audit_ok, None, 0
-            return True, new_network, new, rho_t, audit_ok, mode, evicted
-
-        if action.kind == "escalate_rho":
-            new_rho = action.rho_t if action.rho_t is not None else rho_t
+        elif action.kind == "escalate_rho":
+            if action.rho_t is not None:
+                new_rho = action.rho_t
             change = ChangeSet(rho_t=new_rho)
-            new, audit_ok, mode, evicted = self._audited_remediate(
-                network, flow_set, schedule, new_rho, barred, change)
-            if new is None:
-                return False, network, schedule, rho_t, audit_ok, None, 0
-            return True, network, new, new_rho, audit_ok, mode, evicted
+        else:
+            raise ValueError(f"unknown action kind: {action.kind!r}")
 
-        raise ValueError(f"unknown action kind: {action.kind!r}")
+        remedy = remediate(new_network, flow_set, schedule, change,
+                           policy=self.config.scheduler_policy,
+                           rho_t=new_rho, barred=barred, audit=True)
+        if _obs.ENABLED:
+            recorder = _obs.RECORDER
+            if remedy.fallback is not None:
+                recorder.count("manager.repair_fallbacks")
+                recorder.count(
+                    f"manager.repair_fallbacks.{remedy.fallback}")
+            if not remedy.audit_ok:
+                recorder.count("manager.audit_failures")
+            for violation in remedy.violations:
+                recorder.count(f"manager.audit_violations.{violation.kind}")
+        if remedy.schedule is None:
+            return remedy, network, rho_t
+        barred.update(change.victims)
+        return remedy, new_network, new_rho
 
 
 def _manager_trial(context: Dict[str, Any], seed: int) -> ManagerReport:

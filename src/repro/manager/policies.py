@@ -3,24 +3,25 @@
 Each policy looks at one epoch's :class:`Observation` — the streaming
 monitor's confirmed findings plus the epoch's health data — and returns
 an :class:`Action` (or ``None``).  The manager loop owns *applying* the
-action (rebuilding schedules, swapping channel maps), so policies stay
-pure decision functions and are trivially testable with hand-built
+action (:func:`repro.manager.loop.remediate`: repair first, the full
+rebuild as the fallback; swapping channel maps), so policies stay pure
+decision functions and are trivially testable with hand-built
 observations.
 
 The four strategies mirror the remediation levers a WirelessHART
 network manager actually has:
 
 * :class:`RescheduleVictims` — "links can be reassigned to different
-  channels or time slots" (paper Section VI): rebuild the schedule with
-  confirmed reuse-degraded links barred from shared cells, via
-  :func:`repro.core.reschedule.reschedule_without_reuse_on`.
+  channels or time slots" (paper Section VI): move confirmed
+  reuse-degraded links out of shared cells and bar them from reuse.
 * :class:`BlacklistChannel` — when degradation is reuse-independent
   (K-S *accepts*) and concentrated on specific physical channels, drop
   the worst channel from the hopping map (the MAC blacklist of
-  :class:`repro.mac.channels.Blacklist`) and rebuild.
+  :class:`repro.mac.channels.Blacklist`) and move its transmissions.
 * :class:`EscalateRho` — raise the conservative reuse hop floor ρ_t and
-  rebuild: trades schedulability margin for interference margin when
-  reuse keeps hurting links faster than spot-rescheduling fixes them.
+  move the transmissions it breaks: trades schedulability margin for
+  interference margin when reuse keeps hurting links faster than
+  spot-rescheduling fixes them.
 * :class:`NoOp` — the do-nothing baseline every adaptation experiment
   compares against.
 """
@@ -123,10 +124,11 @@ class NoOp:
 
 @dataclass
 class RescheduleVictims:
-    """Bar confirmed reuse-degraded links from shared cells and rebuild.
+    """Bar confirmed reuse-degraded links from shared cells.
 
-    Wraps :func:`repro.core.reschedule.reschedule_without_reuse_on`
-    (applied by the loop).  Victims accumulate across actions: once a
+    The loop applies it as a victims change through
+    :func:`repro.manager.loop.remediate`.  Victims accumulate across
+    actions: once a
     link has been shown reuse-fragile it stays barred, because the
     conditions that degraded it (under-surveyed coupling) do not heal
     when the schedule changes.

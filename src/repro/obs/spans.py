@@ -543,8 +543,6 @@ def render_waterfall(trace: Dict, width: int = 48) -> List[str]:
         note = ""
         if "verdict" in attrs:
             note = f" ({attrs['verdict']})"
-        elif "engine" in attrs:
-            note = f" ({attrs['engine']})"
         lines.append(f"  {label:<24.24} {span.get('process', '?'):<9.9} "
                      f"{duration:>9.2f} ms |{bar}|{note}{mark}")
         for child in children.get(span["span"], []):

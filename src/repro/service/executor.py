@@ -20,17 +20,16 @@ Semantics per verb:
   session and invalidates its compiled-schedule artifact.
 * ``reschedule`` — evolve the session: bar the victim links (explicit
   pairs, or ``"auto"`` = the smallest not-yet-barred link occupying a
-  shared cell) and route the change through the PR 7 incremental repair
-  path (:func:`repro.core.repair.repair_schedule`) against the warm
-  schedule; on repair failure fall back to the full rebuild
-  (:func:`repro.core.reschedule.reschedule_without_reuse_on`).
-  A rebuild that still fails keeps the previous schedule live
-  (manager-style rollback) and reports ``schedulable: false``.
+  shared cell) through the manager's :func:`repro.manager.loop
+  .remediate`, unaudited: incremental repair against the warm schedule,
+  the full barrier rebuild when repair fails placement.  A rebuild that
+  still fails keeps the previous schedule live (manager-style rollback)
+  and reports ``schedulable: false``.  Refused while the network's
+  compile is unschedulable, like ``simulate``.
 * ``explain`` — the offline Section V-A constraint chain for one
   link × slot of the session's *current* schedule.
 * ``simulate`` — Monte-Carlo execute the session's *current* schedule
-  in the SINR simulator (the repetition count picks the engine; the
-  response names it) and return the PDR summary plus per-channel PRR.
+  in the SINR simulator and return the PDR summary plus per-channel PRR.
   The ground-truth :class:`~repro.testbeds.synth.RadioEnvironment` is a
   fourth cached artifact kind, keyed like the topology.
 * ``status`` — request, session, and cache counters.
@@ -56,23 +55,18 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.repair import (
-    ChangeSet,
-    repair_schedule,
-    smallest_reused_link,
-)
-from repro.core.reschedule import reschedule_without_reuse_on
+from repro.core.repair import ChangeSet, smallest_reused_link
 from repro.core.schedule import Schedule
 from repro.core.scheduler import SchedulingResult
 from repro.experiments.common import (
     PreparedNetwork,
     build_workload,
-    make_policy,
     prepare_network,
     schedule_workload,
 )
 from repro.flows.flow import FlowSet
 from repro.flows.generator import PeriodRange
+from repro.manager.loop import remediate
 from repro.obs.spans import stage
 from repro.routing.traffic import TrafficType
 from repro.service.cache import ArtifactCache, DEFAULT_CAPACITY
@@ -279,8 +273,18 @@ class ServiceExecutor:
                 f"(send a 'schedule' request first)")
         return session
 
-    def _reschedule(self, request: Request) -> Dict:
+    def _live_session(self, request: Request) -> NetworkSession:
+        """The session, refused unless its compile was schedulable: a
+        partial schedule leaves flows unserved and must not go live."""
         session = self._session(request)
+        if not session.schedulable:
+            raise ServiceError(
+                f"network {request.network!r} has no live schedule to "
+                f"{request.verb} (its compile was unschedulable)")
+        return session
+
+    def _reschedule(self, request: Request) -> Dict:
+        session = self._live_session(request)
         session.reschedules += 1
         config = session.config
         if request.victims == "auto" or request.victims is None:
@@ -292,53 +296,30 @@ class ServiceExecutor:
             victims = sorted(set(victims) -
                              {tuple(sorted(l)) for l in session.barred})
         if not victims:
-            return {"repair_mode": "noop", "schedulable":
-                    session.schedulable, "victims": [],
+            return {"repair_mode": "noop", "schedulable": True,
+                    "victims": [],
                     "schedule_hash": session.schedule.canonical_hash(),
                     "barred_links": len(session.barred)}
 
-        with stage("repair") as sp:
-            outcome = repair_schedule(
-                session.schedule, session.flow_set,
-                session.prepared.reuse,
-                ChangeSet(victims=tuple(victims)), rho_t=config.rho_t,
-                barred=sorted(session.barred),
-                policy_name=config.policy)
-            if sp is not None:
-                sp.annotate(victims=len(victims),
-                            repaired=outcome.schedulable,
-                            evicted=getattr(outcome, "evicted", None))
+        remedy = remediate(session.prepared, session.flow_set,
+                           session.schedule, ChangeSet(victims=tuple(victims)),
+                           policy=config.policy, rho_t=config.rho_t,
+                           barred=session.barred, audit=False)
         payload: Dict = {"victims": [list(v) for v in victims]}
-        if outcome.schedulable:
-            session.schedule = outcome.schedule
-            session.schedulable = True
-            session.repairs += 1
-            payload.update(repair_mode="repair", schedulable=True,
-                           evicted_cells=outcome.evicted)
-        else:
-            # Repair could not re-place its blast radius: fall back to
-            # the full rebuild with every barred link (old and new) held
-            # out of shared cells.
+        if remedy.fallback is not None:
             session.fallbacks += 1
             self.fallbacks += 1
-            all_barred = set(session.barred) | set(victims)
-            with stage("rebuild") as sp:
-                prepared = session.prepared
-                rebuilt = reschedule_without_reuse_on(
-                    session.flow_set, prepared.topology.num_nodes,
-                    prepared.num_channels, prepared.reuse,
-                    make_policy(config.policy, config.rho_t), all_barred)
-                if sp is not None:
-                    sp.annotate(barred=len(all_barred),
-                                schedulable=rebuilt.schedulable)
+        if remedy.mode == "repair":
+            session.repairs += 1
+            payload.update(repair_mode="repair", schedulable=True,
+                           evicted_cells=remedy.evicted)
+        else:
             payload.update(repair_mode="rebuild",
-                           schedulable=rebuilt.schedulable)
-            if rebuilt.schedulable:
-                session.schedule = rebuilt.schedule
-                session.schedulable = True
-            # else: roll back — keep serving the previous schedule.
-        if payload["schedulable"]:
+                           schedulable=remedy.schedule is not None)
+        if remedy.schedule is not None:
+            session.schedule = remedy.schedule
             session.barred |= set(victims)
+        # else: roll back — keep serving the previous schedule.
         payload["schedule_hash"] = session.schedule.canonical_hash()
         payload["barred_links"] = len(session.barred)
         return payload
@@ -363,18 +344,10 @@ class ServiceExecutor:
                 else rho}
 
     def _simulate(self, request: Request) -> Dict:
-        from repro.simulator.engine import (
-            ENGINE_EVENT,
-            SimulationConfig,
-            TschSimulator,
-            engine_for,
-        )
+        from repro.simulator.engine import SimulationConfig, TschSimulator
+        from repro.simulator.events import default_chunk_size
 
-        session = self._session(request)
-        if not session.schedulable:
-            raise ServiceError(
-                f"network {request.network!r} has no live schedule to "
-                f"simulate (last compile/repair failed)")
+        session = self._live_session(request)
         config = session.config
         with stage("cache.environment") as sp:
             environment, env_verdict = self.cache.get_or_build(
@@ -388,7 +361,6 @@ class ServiceExecutor:
         sim_seed = request.sim_seed if request.sim_seed is not None \
             else config.seed + 7000
         repetitions = request.repetitions or 18
-        engine = engine_for(repetitions)
         simulator = TschSimulator(
             schedule=session.schedule, flow_set=session.flow_set,
             environment=environment,
@@ -397,17 +369,12 @@ class ServiceExecutor:
         with stage("simulate") as sp:
             stats = simulator.run(repetitions)
             if sp is not None:
-                sp.annotate(engine=engine, repetitions=repetitions)
-                if engine == ENGINE_EVENT:
-                    from repro.simulator.events import default_chunk_size
-
-                    chunk = default_chunk_size(simulator.draw_plan,
-                                               repetitions)
-                    sp.annotate(chunks=-(-repetitions // chunk))
+                chunk = default_chunk_size(simulator.draw_plan, repetitions)
+                sp.annotate(repetitions=repetitions,
+                            chunks=-(-repetitions // chunk))
         per_flow = stats.pdr_per_flow()
         return {
             "repetitions": repetitions,
-            "engine": engine,
             "seed": sim_seed,
             "schedule_hash": session.schedule.canonical_hash(),
             "median_pdr": stats.median_pdr(),

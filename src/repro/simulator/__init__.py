@@ -5,21 +5,15 @@ statistics: the slot-driven oracle (:meth:`TschSimulator.run_slot`) and
 the batched engine (:func:`run_event_batched`), which runs all
 Monte-Carlo repetitions in whole-chunk numpy passes over per-schedule
 index tables and keeps only the progress-dependent step in its
-per-slot loop.  :meth:`TschSimulator.run` picks one by repetition
-count.  Both return a :class:`SimulationStats`: per-flow totals plus
-per-repetition count matrices over ``(link, shared_cell)`` and channel
-columns, the one store every reader down to the detector works on.
+per-slot loop.  :meth:`TschSimulator.run` is the batched engine; the
+oracle stays for tests, the fuzzer and ``repro bench``.  Both return a
+:class:`SimulationStats`: per-flow totals plus per-repetition count
+matrices over ``(link, shared_cell)`` and channel columns, the one
+store every reader down to the detector works on.
 :func:`stats_signature` is the one comparator for their output.
 """
 
-from repro.simulator.engine import (
-    ENGINE_EVENT,
-    ENGINE_SLOT,
-    EVENT_MIN_REPETITIONS,
-    SimulationConfig,
-    TschSimulator,
-    engine_for,
-)
+from repro.simulator.engine import SimulationConfig, TschSimulator
 from repro.simulator.events import (
     DrawPlan,
     build_draw_plan,
@@ -42,9 +36,6 @@ from repro.simulator.stats import SimulationStats, stats_signature
 
 __all__ = [
     "DrawPlan",
-    "ENGINE_EVENT",
-    "ENGINE_SLOT",
-    "EVENT_MIN_REPETITIONS",
     "PrrLookup",
     "ReceptionDecision",
     "SimulationConfig",
@@ -54,7 +45,6 @@ __all__ = [
     "WifiInterferer",
     "build_draw_plan",
     "decide_reception",
-    "engine_for",
     "interferer_rssi_matrix",
     "place_interferer_pairs",
     "repetition_draws",

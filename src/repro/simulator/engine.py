@@ -16,17 +16,17 @@ environment of a synthetic testbed:
   attenuation, amplified reuse interference, dark nodes — which is how
   the network manager injects faults between health-report epochs.
 
-Two engines execute the same model, and :meth:`TschSimulator.run` picks
-one from the repetition count alone (:func:`engine_for`):
+Two engines execute the same model:
 
+* **event** — the batched engine in :mod:`repro.simulator.events`
+  (:func:`~repro.simulator.events.run_event_batched`), which
+  :meth:`TschSimulator.run` always takes: all repetitions advance
+  together, in whole-chunk numpy passes over per-schedule index tables,
+  with only the progress-dependent step left in a per-slot loop.
 * **slot** — the pure-python oracle in this module
   (:meth:`TschSimulator.run_slot`): one repetition at a time, one entry
-  at a time.
-* **event** — the batched engine in :mod:`repro.simulator.events`
-  (:func:`~repro.simulator.events.run_event_batched`): all repetitions
-  advance together, in whole-chunk numpy passes over per-schedule index
-  tables, with only the progress-dependent step left in a per-slot
-  loop.
+  at a time.  Tests, the fuzzer and ``repro bench`` check the batched
+  engine against it.
 
 Both consume the same pinned draw plan (:class:`repro.simulator.events.
 DrawPlan`): repetition ``g = start_repetition + r`` owns the substream
@@ -63,31 +63,6 @@ from repro.propagation.prr_model import get_prr_curve
 from repro.simulator.radio import sinr_at_receiver
 from repro.simulator.stats import LinkKey, SimulationStats, record_counters
 from repro.testbeds.synth import RadioEnvironment
-
-#: Engine names, as reported by :func:`engine_for` and counted in
-#: ``sim.runs.<engine>``.
-ENGINE_SLOT = "slot"
-ENGINE_EVENT = "event"
-
-#: Repetitions from which :meth:`TschSimulator.run` batches.  Below it
-#: the batched engine's per-schedule table build costs more than
-#: batching saves.  Measured on WUSTL, 4 channels, RC schedules at 20
-#: and 50 flows, a fresh simulator per run, median of 9 rotated rounds
-#: on a 2-CPU Xeon host, identical stats: with the schedule's tables
-#: already built, batching ran 1.10-1.63x as fast as the slot oracle at
-#: 1 repetition, 1.8-2.5x at 2, 3.1-4.4x at 4 and 4.7-5.3x at 8; with
-#: every run compiling its schedule afresh it ran 0.83-0.98x at 1 and
-#: 1.17-1.36x at 2.  2 is the first count batching wins either way.
-EVENT_MIN_REPETITIONS = 2
-
-
-def engine_for(repetitions: int) -> str:
-    """The engine :meth:`TschSimulator.run` uses for this many
-    repetitions."""
-    if repetitions >= EVENT_MIN_REPETITIONS:
-        return ENGINE_EVENT
-    return ENGINE_SLOT
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -380,20 +355,13 @@ class TschSimulator:
                 global index, so splitting a run across epochs changes
                 nothing.
 
-        The engine follows from ``repetitions`` (:func:`engine_for`);
-        both give bit-identical stats, so it only trades wall time.
+        Runs the batched engine, bit-identical to :meth:`run_slot`.
         """
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        engine = engine_for(repetitions)
         # Not "simulate": that is the service verb's stage around this.
         with stage("sim.run"):
-            if _obs.ENABLED:
-                _obs.RECORDER.count(f"sim.runs.{engine}")
-            if engine == ENGINE_EVENT:
-                return run_event_batched(self, repetitions,
-                                         start_repetition)
-            return self.run_slot(repetitions, start_repetition)
+            return run_event_batched(self, repetitions, start_repetition)
 
     def run_slot(self, repetitions: int,
                  start_repetition: int = 0) -> SimulationStats:
@@ -401,8 +369,8 @@ class TschSimulator:
 
         Consumes the pinned draw plan positionally — no inline RNG calls
         — so its per-repetition outcomes are exactly reproducible by the
-        batched event engine.  :meth:`run` takes it for short runs;
-        tests, the fuzzer and ``repro bench`` call it directly.
+        batched event engine.  Tests, the fuzzer and ``repro bench``
+        call it directly.
         """
         plan = self._plan
         link_tallies: List[Dict[LinkKey, List[int]]] = []

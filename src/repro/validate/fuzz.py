@@ -74,8 +74,7 @@ from repro.routing.shortest_path import NoRouteError
 from repro.routing.traffic import TrafficType
 from repro.network.node import Position
 from repro.simulator.conditions import Conditions
-from repro.simulator.engine import (ENGINE_EVENT, ENGINE_SLOT,
-                                    SimulationConfig, TschSimulator)
+from repro.simulator.engine import SimulationConfig, TschSimulator
 from repro.simulator.events import run_event_batched
 from repro.simulator.interference import WifiInterferer
 from repro.simulator.stats import SimulationStats, stats_signature
@@ -500,7 +499,7 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
             schedule=target, flow_set=flow_set, environment=environment,
             channel_map=channel_map, config=SimulationConfig(seed=sim_seed),
             conditions=conditions)
-        if engine == ENGINE_SLOT:
+        if engine == "slot":
             return simulator.run_slot(_SIM_REPETITIONS)
         return run_event_batched(simulator, _SIM_REPETITIONS,
                                  chunk_reps=chunk_reps)
@@ -524,15 +523,15 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
             interference_boost_db=3.0)))
 
     for label, conditions in overlays:
-        slot_sig = stats_signature(simulate(ENGINE_SLOT, conditions))
-        event_sig = stats_signature(simulate(ENGINE_EVENT, conditions))
+        slot_sig = stats_signature(simulate("slot", conditions))
+        event_sig = stats_signature(simulate("event", conditions))
         if event_sig != slot_sig:
             case.fail("sim_batched_parity",
                       f"{label}: event engine diverged from the slot "
                       f"oracle")
 
-    if stats_signature(simulate(ENGINE_EVENT, None, chunk_reps=1)) != \
-            stats_signature(simulate(ENGINE_EVENT, None)):
+    if stats_signature(simulate("event", None, chunk_reps=1)) != \
+            stats_signature(simulate("event", None)):
         case.fail("sim_batched_chunks",
                   "event-engine results changed with chunk_reps=1")
 
@@ -542,7 +541,7 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
         # the entry count is back where it was, but the entry now comes
         # last in its slot's order.
         edited = schedule.clone()
-        simulate(ENGINE_EVENT, None, target=edited)
+        simulate("event", None, target=edited)
         per_slot = Counter(entry.slot for entry in edited.entries)
         victim = next((i for i, entry in enumerate(edited.entries)
                        if per_slot[entry.slot] > 1), 0)
@@ -550,7 +549,7 @@ def _check_sim_batched(case: FuzzCaseResult, network: PreparedNetwork,
         edited.evict([victim])
         edited.add(entry.request, entry.slot, entry.offset)
         fresh = edited.clone()
-        for engine in (ENGINE_SLOT, ENGINE_EVENT):
+        for engine in ("slot", "event"):
             if stats_signature(simulate(engine, None, target=edited)) != \
                     stats_signature(simulate(engine, None, target=fresh)):
                 case.fail("sim_stale_compile",

@@ -18,13 +18,9 @@ from repro.mac.channels import ChannelMap
 from repro.obs import recorder as _obs
 from repro.obs.recorder import Recorder
 from repro.simulator import (
-    ENGINE_EVENT,
-    ENGINE_SLOT,
-    EVENT_MIN_REPETITIONS,
     SimulationConfig,
     TschSimulator,
     build_draw_plan,
-    engine_for,
     repetition_draws,
     run_event_batched,
 )
@@ -34,6 +30,11 @@ from repro.testbeds.synth import RadioEnvironment
 
 from test_core_schedule import request
 from test_simulator import tiny_environment, tiny_flow_and_schedule
+
+#: This module's labels for the two engines: the slot oracle
+#: (``run_slot``) and the batched engine (``run_event_batched``).
+ENGINE_SLOT = "slot"
+ENGINE_EVENT = "event"
 
 
 def tiny_simulator(seed=5):
@@ -53,31 +54,40 @@ def run_engine(sim, engine, repetitions, start_repetition=0,
 
 
 # ----------------------------------------------------------------------
-# Engine choice: the repetition count alone
+# One engine in production: run() batches; the oracle stays reachable
 # ----------------------------------------------------------------------
 
 class TestEngineResolution:
     def test_fixed_engines_resolve_to_themselves(self):
         """The slot oracle and the batched engine stay directly
-        reachable on both sides of the floor, and agree with run()."""
-        for repetitions in (1, EVENT_MIN_REPETITIONS):
+        reachable at 1 and 2 repetitions, and agree with run()."""
+        for repetitions in (1, 2):
             expected = signature(tiny_simulator().run(repetitions))
             for engine in (ENGINE_SLOT, ENGINE_EVENT):
                 assert signature(run_engine(tiny_simulator(), engine,
                                             repetitions)) == expected
 
-    def test_auto_switches_at_the_repetition_floor(self):
-        """run() takes the slot oracle at 1 repetition and batches
-        from 2, and says so in ``sim.runs.<engine>``."""
-        assert EVENT_MIN_REPETITIONS == 2
-        for repetitions, engine in ((1, ENGINE_SLOT), (2, ENGINE_EVENT)):
-            assert engine_for(repetitions) == engine
+    def test_run_batches_at_every_repetition_count(self, monkeypatch):
+        """run() takes the batched engine even at 1 repetition, and
+        counts repetitions, not runs per engine."""
+        from repro.simulator import engine as engine_mod
+
+        calls = []
+
+        def batched(simulator, repetitions, start_repetition=0):
+            calls.append(repetitions)
+            return run_event_batched(simulator, repetitions,
+                                     start_repetition)
+
+        monkeypatch.setattr(engine_mod, "run_event_batched", batched)
+        for repetitions in (1, 2):
             with _obs.recording(Recorder()) as rec:
                 tiny_simulator().run(repetitions)
-            runs = {name: value for name, value in
-                    rec.registry.snapshot()["counters"].items()
-                    if name.startswith("sim.runs.")}
-            assert runs == {f"sim.runs.{engine}": 1}
+            counters = rec.registry.snapshot()["counters"]
+            assert counters["sim.repetitions"] == repetitions
+            assert not any(name.startswith("sim.runs.")
+                           for name in counters)
+        assert calls == [1, 2]
 
     def test_unknown_engine_rejected(self):
         """The engine is not a setting: neither the config nor run()
@@ -306,7 +316,7 @@ class TestEpochBoundaries:
             assert signature(slot_stats) == signature(event_stats)
             assert slot_stats.channel_prr() == event_stats.channel_prr()
 
-        # Every sim.* counter agrees (run() alone counts sim.runs.*).
+        # Every sim.* counter agrees.
         assert slot_counters["sim.repetitions"] == self.EPOCHS * self.REPS
         assert slot_counters == event_counters
 

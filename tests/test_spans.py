@@ -445,7 +445,7 @@ class TestExecutorStages:
         assert sum(c["duration_ms"] for c in children) <= \
             root["duration_ms"] + 1.0
 
-    def test_simulate_stage_annotates_engine_and_chunks(self):
+    def test_simulate_stage_annotates_repetitions_and_chunks(self):
         spans = SpanRecorder(threshold_ms=0.0, process="worker-0")
         executor = ServiceExecutor()
         with obs.recording(obs.Recorder(spans=spans)):
@@ -454,8 +454,7 @@ class TestExecutorStages:
                 executor.handle(parse_request(
                     {"id": 0, "verb": "schedule", "network": "n",
                      "config": make_config()}))
-                # An old client's engine key is ignored: 8 repetitions
-                # batch whatever it asks for.
+                # An old client's engine key is ignored.
                 executor.handle(parse_request(
                     {"id": 1, "verb": "simulate", "network": "n",
                      "engine": "slot", "repetitions": 8}))
@@ -463,7 +462,7 @@ class TestExecutorStages:
         (trace,) = build_traces(spans.to_records())
         (simulate,) = [s for s in trace["spans"]
                        if s["name"] == "simulate"]
-        assert simulate["attrs"]["engine"] == "event"
+        assert "engine" not in simulate["attrs"]
         assert simulate["attrs"]["repetitions"] == 8
         assert simulate["attrs"]["chunks"] >= 1
 
