@@ -12,9 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
+from repro.core.kernel import INFINITE_DISTANCE
 from repro.core.schedule import Schedule
 from repro.core.scheduler import SchedulingResult
 from repro.network.graphs import ChannelReuseGraph
+
+#: ``effective_hop_rows``' distance for unreachable pairs, as an int.
+_UNREACHABLE = int(INFINITE_DISTANCE)
 
 
 def schedulable_ratio(results: Iterable[SchedulingResult]) -> float:
@@ -30,12 +34,10 @@ def tx_per_cell_distribution(schedule: Schedule) -> Dict[int, int]:
     """Histogram: number of occupied cells holding k transmissions.
 
     ``{1: 640, 2: 80, 3: 4}`` means 640 cells carry a single transmission
-    (no reuse), 80 cells carry two concurrent transmissions, etc.
+    (no reuse), 80 cells carry two concurrent transmissions, etc.  Keys
+    ascend.
     """
-    histogram: Counter = Counter()
-    for _, _, transmissions in schedule.occupied_cells():
-        histogram[len(transmissions)] += 1
-    return dict(histogram)
+    return dict(sorted(Counter(schedule.cell_sizes()).items()))
 
 
 def tx_per_cell_fractions(schedules: Iterable[Schedule]) -> Dict[int, float]:
@@ -61,18 +63,16 @@ def cell_min_reuse_hops(transmissions, reuse_graph: ChannelReuseGraph,
     """
     if len(transmissions) < 2:
         return None
-    minimum = None
+    # Unreachable pairs read INFINITE_DISTANCE here: infinitely far,
+    # never the minimum, and a cell of only such pairs has none.
+    hops = reuse_graph.effective_hop_rows()
+    minimum = _UNREACHABLE
     for i, first in enumerate(transmissions):
+        u, v = first.request.sender, first.request.receiver
         for second in transmissions[i + 1:]:
-            u, v = first.request.sender, first.request.receiver
             x, y = second.request.sender, second.request.receiver
-            for a, b in ((u, y), (x, v)):
-                distance = reuse_graph.hop_distance(a, b)
-                if distance < 0:
-                    continue  # unreachable = infinitely far, never the min
-                if minimum is None or distance < minimum:
-                    minimum = distance
-    return minimum
+            minimum = min(minimum, hops[u][y], hops[x][v])
+    return None if minimum == _UNREACHABLE else minimum
 
 
 def reuse_hop_distribution(schedule: Schedule,

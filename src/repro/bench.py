@@ -206,7 +206,7 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
 
     * **repair** (chosen: the manager and the service try it first) —
       :func:`repro.core.repair.repair_schedule` evicting the victim's
-      blast radius and re-placing it against the warm busy matrices;
+      blast radius and re-placing it against the warm busy bitsets;
     * **rebuild** — :func:`repro.core.reschedule
       .reschedule_without_reuse_on` re-running the full scheduler
       under a reuse-barrier policy.

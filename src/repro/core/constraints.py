@@ -17,7 +17,7 @@ A transmission ``t = (u, v)`` may occupy slot ``s`` and channel offset
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.core.schedule import Schedule
 from repro.network.graphs import ChannelReuseGraph
@@ -32,6 +32,20 @@ def conflicts_in_slot(schedule: Schedule, sender: int, receiver: int,
     return schedule.node_busy(sender, slot) or schedule.node_busy(receiver, slot)
 
 
+def _clear_of(entries, hops: List[List[int]], occupants: Sequence[int],
+              sender: int, receiver: int, rho: float) -> bool:
+    """Whether ``(sender, receiver)`` keeps ρ hops from every occupant
+    ``(x, y)``: ``hops[sender][y]`` and ``hops[x][receiver]`` both at
+    least ρ, unreachable pairs counting as infinitely far."""
+    to_receivers = hops[sender]
+    for index in occupants:
+        request = entries[index].request
+        if (to_receivers[request.receiver] < rho
+                or hops[request.sender][receiver] < rho):
+            return False
+    return True
+
+
 def offset_satisfies_channel_constraint(schedule: Schedule,
                                         reuse_graph: ChannelReuseGraph,
                                         sender: int, receiver: int,
@@ -40,21 +54,16 @@ def offset_satisfies_channel_constraint(schedule: Schedule,
     """Check the channel constraint for one candidate cell.
 
     ``rho`` may be ``math.inf`` (reuse disabled) or a finite hop count.
-    An empty cell always satisfies the constraint.
+    An empty cell always satisfies the constraint.  Occupant endpoints
+    come from the cell index, distances from the reuse graph's hop rows.
     """
-    occupants = schedule.cell(slot, offset)
+    occupants = schedule.cell_indices(slot, offset)
     if not occupants:
         return True
     if rho == NO_REUSE:
         return False
-    for entry in occupants:
-        x = entry.request.sender
-        y = entry.request.receiver
-        if not reuse_graph.at_least_hops_apart(sender, y, rho):
-            return False
-        if not reuse_graph.at_least_hops_apart(x, receiver, rho):
-            return False
-    return True
+    return _clear_of(schedule.entries, reuse_graph.effective_hop_rows(),
+                     occupants, sender, receiver, rho)
 
 
 def feasible_offsets_scalar(schedule: Schedule,
@@ -64,13 +73,33 @@ def feasible_offsets_scalar(schedule: Schedule,
     """All channel offsets satisfying the channel constraint in a slot.
 
     Assumes the transmission-conflict check for the slot already passed.
-    Checks one offset, one occupant at a time: ``find_slot``'s
-    finite-ρ scan, and the oracle RC's distance lanes
-    (:mod:`repro.core.kernel`) are tested against.
+    Checks one offset, one occupant at a time: ``find_slot``'s finite-ρ
+    scan under the least-loaded rule, and the oracle RC's distance
+    lanes (:mod:`repro.core.kernel`) are tested against.
     """
     return [offset for offset in range(schedule.num_offsets)
             if offset_satisfies_channel_constraint(
                 schedule, reuse_graph, sender, receiver, slot, offset, rho)]
+
+
+def first_feasible_offset(schedule: Schedule,
+                          reuse_graph: ChannelReuseGraph,
+                          sender: int, receiver: int, slot: int,
+                          rho: float) -> int:
+    """The lowest offset :func:`feasible_offsets_scalar` would list, or
+    -1: the ``"first"`` offset rule's pick, checking no offset past it.
+
+    Every offset below the slot's first free one is occupied, so only
+    those need the occupant check; the free one satisfies any ρ.
+    """
+    free = schedule.first_free_offset(slot)
+    entries = schedule.entries
+    hops = reuse_graph.effective_hop_rows()
+    for offset in range(free if free >= 0 else schedule.num_offsets):
+        if _clear_of(entries, hops, schedule.cell_indices(slot, offset),
+                     sender, receiver, rho):
+            return offset
+    return free
 
 
 def placement_is_valid(schedule: Schedule, reuse_graph: ChannelReuseGraph,

@@ -71,17 +71,16 @@ def laxity_table(schedule: Schedule,
     ``x`` over the instance's window ``[release, deadline]``.  Its ``q``
     terms add up the (request, slot) conflicts strictly after row ``j``
     and strictly after slot ``release + x``: one two-axis suffix sum
-    over the instance's busy rows.
+    over the instance's conflict rows, unpacked from the schedule's
+    busy bitsets for the instance's window.
     """
     first = requests[0]
     release, deadline = first.release_slot, first.deadline_slot
-    busy = schedule.busy_matrix()
     # Requests n-1..1 and slots deadline..release+1, both reversed, so
     # running sums along both axes are the suffix sums Eq. 1 needs.
     later = requests[:0:-1]
-    window = slice(deadline, release, -1)
-    blocked = (busy[[r.sender for r in later], window]
-               | busy[[r.receiver for r in later], window])
+    blocked = schedule.conflict_rows([(r.sender, r.receiver) for r in later],
+                                     release + 1, deadline)[:, ::-1]
     sums = blocked.cumsum(axis=1)
     # An instance has few requests: adding rows in a loop beats a
     # cumsum along the strided axis.
@@ -97,11 +96,11 @@ class LaxityTable:
     """One flow instance's Equation 1 table, built at its first lookup.
 
     The fused RC descent reads laxity here instead of evaluating it per
-    placement.  The table is built from the busy matrix at the first
+    placement.  The table is built from the busy bitsets at the first
     lookup and stays exact for the rest of the instance, because
 
     * the engine places an instance's requests consecutively, so only
-      this instance's requests change the busy matrix meanwhile;
+      this instance's requests change the busy bitsets meanwhile;
     * request ``j``'s candidate slots all lie after every slot that
       requests ``0..j-1`` took (precedence);
     * Eq. 1 at slot ``s`` reads only the slots ``(s, deadline]``.

@@ -277,12 +277,11 @@ class ConservativeReusePolicy:
             if width <= 0:
                 scanned = 0   # an empty window: the probe finds nothing
             elif rho == NO_REUSE:
-                free = schedule.nr_candidate_slots(sender, receiver,
-                                                   earliest, deadline)
-                rel = int(free.argmax())
-                if free[rel]:
-                    slot = earliest + rel
-                scanned = rel + 1 if slot is not None else width
+                found = schedule.first_free_slot(sender, receiver,
+                                                 earliest, deadline)
+                if found >= 0:
+                    slot = found
+                scanned = found - earliest + 1 if found >= 0 else width
             else:
                 if prefix is None:
                     eligible = ~schedule.conflict_mask(sender, receiver,

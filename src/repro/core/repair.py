@@ -19,11 +19,11 @@ implements that locality as a three-step delta-scheduler:
    survivor keeps a valid precedence bound.
 2. **Eviction** — :meth:`repro.core.schedule.Schedule.evict` on a clone
    removes exactly those cells with full bookkeeping rollback (busy
-   matrix, cell index, used-offset masks), cross-checked by the
-   auditor's bookkeeping invariants.  The clone
+   bitsets, cell index, used-offset masks, full-slot bitset),
+   cross-checked by the auditor's bookkeeping invariants.  The clone
    carries none of RC's distance lanes.
 3. **Re-placement** — evicted transmissions are re-placed in priority
-   order with ``findSlot`` against the *existing* busy matrices: barred
+   order with ``findSlot`` against the *existing* busy bitsets: barred
    links at ρ = ∞ (an exclusive cell), everything else at the policy's
    floor ρ_t with the scalar scan, refusing to join a cell that holds a
    barred occupant (the same protection
@@ -345,7 +345,7 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
     Computes the blast radius, evicts it from a clone (the input
     schedule is never mutated — the manager's rollback keeps serving
     it), and re-places the evicted transmissions in priority order
-    against the surviving busy matrices.  O(blast radius) placements
+    against the surviving busy bitsets.  O(blast radius) placements
     instead of O(all flows), each one ``find_slot`` call.
 
     Args:

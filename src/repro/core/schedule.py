@@ -3,14 +3,23 @@
 The network manager's output is an assignment of transmission attempts to
 (time slot, channel offset) cells over one hyperperiod.  The entry list,
 in placement order, is the one store.  Beside it the schedule keeps the
-three indexes its hot paths read:
+indexes its hot paths read, two of them as Python-int bitsets:
 
-* ``busy[node, slot]`` — whether a node transmits or receives in a slot
-  (transmission-conflict masks, laxity's ``q`` terms);
+* ``_busy[node]`` — a slot bitset per node, bit ``s`` set while the node
+  sends or receives in slot ``s`` (transmission conflicts, laxity's
+  ``q`` terms);
 * per-(slot, offset) entry-index lists — the scalar channel-constraint
   scan, cell sizes for the least-loaded pick, and reuse statistics;
-* per-slot used-offset bitmasks — the ρ = ∞ "any free channel?" probe.
+* ``_used_mask[slot]`` — the slot's used-offset bits, plus ``_full``, a
+  slot bitset of the slots whose every offset is taken (the ρ = ∞ "any
+  free channel?" probe).
 
+Only this module does bit arithmetic on the bitsets: the schedule
+answers each placement question itself (:meth:`Schedule.first_free_slot`,
+:meth:`Schedule.conflict_free_slots`, :meth:`Schedule.conflict_count`),
+and readers that need arrays get a window's bits unpacked at their
+boundary (:meth:`Schedule.conflict_mask`, :meth:`Schedule.conflict_rows`,
+:meth:`Schedule.free_offset_slots`, :meth:`Schedule.busy_matrix`).
 Every other view (per-slot groups, makespan, cell sizes) is derived
 from these on demand.  RC's distance lanes (:mod:`repro.core.kernel`)
 register from the entry list and ride along once built.
@@ -19,7 +28,8 @@ register from the entry list and ride along once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -54,9 +64,10 @@ class Schedule:
         self.num_slots = num_slots
         self.num_offsets = num_offsets
         self._entries: List[ScheduledTransmission] = []
-        self._busy = np.zeros((num_nodes, num_slots), dtype=bool)
+        self._busy: List[int] = [0] * num_nodes
         self._cells: Dict[Tuple[int, int], List[int]] = {}
-        self._used_mask = np.zeros(num_slots, dtype=np.int32)
+        self._used_mask: List[int] = [0] * num_slots
+        self._full = 0
         # RC's incremental per-link min-reuse-distance lanes, built by
         # repro.core.kernel at the fused descent's first finite-ρ query
         # for the links the engine planned (kernel.plan_links); add()
@@ -86,7 +97,8 @@ class Schedule:
                 node conflict.
         """
         self._check_bounds(request, slot, offset)
-        if self._busy[request.sender, slot] or self._busy[request.receiver, slot]:
+        busy = self._busy
+        if (busy[request.sender] | busy[request.receiver]) >> slot & 1:
             raise ValueError(
                 f"node conflict placing {request} at slot {slot}")
         return self._bind(request, slot, offset)
@@ -127,9 +139,13 @@ class Schedule:
         self._entries.append(entry)
         self._hash = None
         self._version += 1
-        self._busy[request.sender, slot] = True
-        self._busy[request.receiver, slot] = True
-        self._used_mask[slot] |= (1 << offset)
+        bit = 1 << slot
+        self._busy[request.sender] |= bit
+        self._busy[request.receiver] |= bit
+        mask = self._used_mask[slot] | (1 << offset)
+        self._used_mask[slot] = mask
+        if mask == (1 << self.num_offsets) - 1:
+            self._full |= bit
         if self._link_state is not None:
             self._update_link_distances(request.sender, request.receiver,
                                         slot, offset)
@@ -138,10 +154,10 @@ class Schedule:
     def clone(self) -> "Schedule":
         """An independent deep copy sharing only immutable pieces.
 
-        Entries are frozen dataclasses and safe to share; the three
-        indexes — busy matrix, cell index, used-offset masks — are
-        copied so mutations of the clone (``add``/``evict``) never leak
-        into the original.
+        Entries are frozen dataclasses and safe to share; the indexes —
+        busy bitsets, cell index, used-offset masks and the full-slot
+        bitset — are copied so mutations of the clone
+        (``add``/``evict``) never leak into the original.
         RC's distance lanes and link plan are not copied: the clone's
         placements (repair's re-placement) run the scalar scan.  The
         incremental repair path (:mod:`repro.core.repair`) edits a
@@ -153,9 +169,10 @@ class Schedule:
         dup.num_slots = self.num_slots
         dup.num_offsets = self.num_offsets
         dup._entries = list(self._entries)
-        dup._busy = self._busy.copy()
+        dup._busy = list(self._busy)
         dup._cells = {cell: list(ix) for cell, ix in self._cells.items()}
-        dup._used_mask = self._used_mask.copy()
+        dup._used_mask = list(self._used_mask)
+        dup._full = self._full
         dup._link_state = None
         dup._link_plan = ()
         dup._hash = self._hash
@@ -166,15 +183,15 @@ class Schedule:
         """Remove entries by index, rolling back all bookkeeping.
 
         The inverse of :meth:`add` for a batch of entries: the cell
-        index is rebuilt from the survivors, and the busy columns and
-        used-offset masks of the touched slots are recomputed from them,
-        so every index ends exactly as a fresh schedule holding only the
-        surviving entries would have it (the auditor's bookkeeping
-        checks cross-verify this).  RC's distance lanes, if built, are
-        dropped rather than patched; a later finite-ρ query rebuilds
-        them.  Surviving entries keep their relative placement order but
-        are re-indexed, so previously held entry indices are invalid
-        after eviction.
+        index is rebuilt from the survivors, and the busy bits,
+        used-offset masks and full-slot bits of the touched slots are
+        recomputed from them, so every index ends exactly as a fresh
+        schedule holding only the surviving entries would have it (the
+        auditor's bookkeeping checks cross-verify this).  RC's distance
+        lanes, if built, are dropped rather than patched; a later
+        finite-ρ query rebuilds them.  Surviving entries keep their
+        relative placement order but are re-indexed, so previously held
+        entry indices are invalid after eviction.
 
         Args:
             indices: Positions into :attr:`entries` to remove.
@@ -203,20 +220,28 @@ class Schedule:
         for i, entry in enumerate(self._entries):
             cells.setdefault((entry.slot, entry.offset), []).append(i)
         self._cells = cells
-        # Busy columns and used-offset masks of the touched slots are
-        # recomputed from the survivors rather than unset bit-by-bit:
-        # force_add permits node collisions, so a bit may be owed to
-        # more than one entry.
-        for slot in {entry.slot for entry in evicted}:
-            self._busy[:, slot] = False
+        # The touched slots' bits are cleared and recomputed from the
+        # survivors rather than unset entry by entry: force_add permits
+        # node collisions, so a busy bit may be owed to more than one
+        # entry.
+        touched = {entry.slot for entry in evicted}
+        keep = ~sum(1 << slot for slot in touched)
+        busy = [bits & keep for bits in self._busy]
+        self._full &= keep
+        all_offsets = (1 << self.num_offsets) - 1
+        for slot in touched:
+            bit = 1 << slot
             mask = 0
             for offset in range(self.num_offsets):
                 for i in cells.get((slot, offset), ()):
                     request = self._entries[i].request
-                    self._busy[request.sender, slot] = True
-                    self._busy[request.receiver, slot] = True
+                    busy[request.sender] |= bit
+                    busy[request.receiver] |= bit
                     mask |= 1 << offset
             self._used_mask[slot] = mask
+            if mask == all_offsets:
+                self._full |= bit
+        self._busy = busy
         self._link_state = None
         return evicted
 
@@ -261,7 +286,21 @@ class Schedule:
 
     def node_busy(self, node: int, slot: int) -> bool:
         """Whether a node transmits or receives in a slot."""
-        return bool(self._busy[node, slot])
+        return bool(self._busy[node] >> slot & 1)
+
+    @staticmethod
+    def _unpack(bitsets: Sequence[int], start: int, end: int) -> np.ndarray:
+        """Bits ``start..end`` of each slot bitset as one bool row each:
+        the boundary where array readers get the indexes' bits."""
+        width = max(end - start + 1, 0)
+        nbytes = (width + 7) // 8
+        window = (1 << width) - 1
+        data = b"".join([(bits >> start & window).to_bytes(nbytes, "little")
+                         for bits in bitsets])
+        packed = np.frombuffer(data, dtype=np.uint8).reshape(
+            len(bitsets), nbytes)
+        return np.unpackbits(packed, axis=1, count=width,
+                             bitorder="little").view(bool)
 
     def conflict_mask(self, sender: int, receiver: int,
                       start: int, end: int) -> np.ndarray:
@@ -270,10 +309,15 @@ class Schedule:
         ``mask[i]`` is True iff slot ``start + i`` already contains a
         transmission sharing the sender or the receiver.
         """
-        if start > end:
-            return np.zeros(0, dtype=bool)
-        window = slice(start, end + 1)
-        return self._busy[sender, window] | self._busy[receiver, window]
+        return self.conflict_rows([(sender, receiver)], start, end)[0]
+
+    def conflict_rows(self, links: Sequence[Tuple[int, int]],
+                      start: int, end: int) -> np.ndarray:
+        """:meth:`conflict_mask` of every ``(sender, receiver)`` link,
+        one row each, over ``[start, end]`` (Eq. 1's laxity table)."""
+        busy = self._busy
+        return self._unpack([busy[sender] | busy[receiver]
+                             for sender, receiver in links], start, end)
 
     def conflict_count(self, sender: int, receiver: int,
                        start: int, end: int) -> int:
@@ -281,12 +325,46 @@ class Schedule:
 
         This is the paper's ``q_{start,end}^t`` term in the laxity formula.
         """
-        return int(np.count_nonzero(
-            self.conflict_mask(sender, receiver, start, end)))
+        if start > end:
+            return 0
+        conflict = (self._busy[sender] | self._busy[receiver]) >> start
+        return (conflict & ((1 << (end - start + 1)) - 1)).bit_count()
+
+    def first_free_slot(self, sender: int, receiver: int,
+                        start: int, end: int) -> int:
+        """Earliest slot of ``[start, end]`` that is conflict-free for the
+        link and has a free offset — the ρ = ∞ probe — or -1."""
+        taken = (self._busy[sender] | self._busy[receiver]
+                 | self._full) >> start
+        # The lowest clear bit: adding one carries through the trailing
+        # set bits and stops there.
+        slot = start + (taken ^ (taken + 1)).bit_length() - 1
+        return slot if slot <= end else -1
+
+    def conflict_free_slots(self, sender: int, receiver: int,
+                            start: int, end: int) -> Iterator[int]:
+        """Slots of ``[start, end]`` with no transmission sharing the
+        link's sender or receiver, ascending — the finite-ρ scan's
+        candidates."""
+        if start > end:
+            return
+        free = (~(self._busy[sender] | self._busy[receiver]) >> start
+                & ((1 << (end - start + 1)) - 1))
+        while free:
+            low = free & -free
+            yield start + low.bit_length() - 1
+            free ^= low
 
     def cell(self, slot: int, offset: int) -> List[ScheduledTransmission]:
         """Transmissions scheduled in a (slot, offset) cell."""
         return [self._entries[i] for i in self._cells.get((slot, offset), [])]
+
+    def cell_indices(self, slot: int, offset: int) -> Sequence[int]:
+        """Positions in :attr:`entries` of a cell's occupants, in
+        placement order: the live index list (callers must not mutate
+        it), so the scalar channel-constraint check reads occupant
+        endpoints without materializing the cell."""
+        return self._cells.get((slot, offset), ())
 
     def cell_size(self, slot: int, offset: int) -> int:
         """Number of transmissions in a cell."""
@@ -304,43 +382,24 @@ class Schedule:
 
     def used_offsets(self, slot: int) -> List[int]:
         """Channel offsets with at least one transmission in a slot."""
-        return self._set_bits(int(self._used_mask[slot]))
+        return self._set_bits(self._used_mask[slot])
 
     def free_offsets(self, slot: int) -> List[int]:
         """Channel offsets with no transmission in a slot."""
         full = (1 << self.num_offsets) - 1
-        return self._set_bits(~int(self._used_mask[slot]) & full)
+        return self._set_bits(~self._used_mask[slot] & full)
 
     def first_free_offset(self, slot: int) -> int:
         """Lowest unused channel offset in a slot (-1 when the slot is
         full) — the NR fast path's pick, without building a list."""
         full = (1 << self.num_offsets) - 1
-        free = ~int(self._used_mask[slot]) & full
+        free = ~self._used_mask[slot] & full
         return (free & -free).bit_length() - 1 if free else -1
 
-    def has_free_offset(self, slot: int) -> bool:
-        """Whether any channel offset in the slot is unused."""
-        return int(self._used_mask[slot]).bit_count() < self.num_offsets
-
     def free_offset_slots(self, start: int, end: int) -> np.ndarray:
-        """Mask over ``[start, end]``: True where some offset is free."""
-        if start > end:
-            return np.zeros(0, dtype=bool)
-        full = (1 << self.num_offsets) - 1
-        return self._used_mask[start:end + 1] != full
-
-    def nr_candidate_slots(self, sender: int, receiver: int,
-                           start: int, end: int) -> np.ndarray:
-        """Mask over ``[start, end]``: slots that are conflict-free for
-        the link *and* have a free offset — the ρ = ∞ feasibility test,
-        fused into three vector ops for the placement hot path."""
-        window = slice(start, end + 1)
-        full = (1 << self.num_offsets) - 1
-        mask = self._used_mask[window] != full
-        conflict = self._busy[sender, window] | self._busy[receiver, window]
-        # free & ~conflict, without materializing the inverted mask.
-        np.greater(mask, conflict, out=mask)
-        return mask
+        """Mask over ``[start, end]``: True where some offset is free
+        (the full-slot bitset's bit is clear)."""
+        return self._unpack([~self._full], start, end)[0]
 
     def slot_transmissions(self, slot: int) -> List[ScheduledTransmission]:
         """All transmissions in a slot (any offset) — the paper's T_s —
@@ -350,8 +409,9 @@ class Schedule:
         return [self._entries[i] for i in indices]
 
     def busy_matrix(self) -> np.ndarray:
-        """The ``(num_nodes, num_slots)`` busy matrix (do not mutate)."""
-        return self._busy
+        """The ``(num_nodes, num_slots)`` busy matrix, unpacked from the
+        busy bitsets into a fresh array (the auditor's and tests' view)."""
+        return self._unpack(self._busy, 0, self.num_slots - 1)
 
     # ------------------------------------------------------------------
     # Whole-schedule queries (metrics, simulation)
@@ -370,6 +430,11 @@ class Schedule:
                         in self._cells.items() if len(indices) > 1)
         return [(slot, offset, [self._entries[i] for i in indices])
                 for (slot, offset), indices in shared]
+
+    def cell_sizes(self) -> List[int]:
+        """Occupant count of every non-empty cell, in no particular
+        order: the cell index's list lengths, no cell materialized."""
+        return [len(indices) for indices in self._cells.values()]
 
     def num_reused_cells(self) -> int:
         """Number of cells where a channel is shared."""
@@ -394,8 +459,10 @@ class Schedule:
 
     def makespan(self) -> int:
         """Last occupied slot + 1, or 0 for an empty schedule."""
-        used = np.flatnonzero(self._used_mask)
-        return int(used[-1]) + 1 if used.size else 0
+        for slot in range(self.num_slots - 1, -1, -1):
+            if self._used_mask[slot]:
+                return slot + 1
+        return 0
 
     def signature(self) -> List[tuple]:
         """Order-preserving tuple view of every placement.
@@ -445,7 +512,7 @@ class Schedule:
         Raises:
             AssertionError: If an invariant is violated.
         """
-        busy_check = np.zeros_like(self._busy)
+        busy_check = np.zeros((self.num_nodes, self.num_slots), dtype=bool)
         for slot, entries in self.entries_by_slot().items():
             seen = set()
             for entry in entries:
@@ -455,4 +522,5 @@ class Schedule:
                 seen |= nodes
                 busy_check[entry.request.sender, slot] = True
                 busy_check[entry.request.receiver, slot] = True
-        assert np.array_equal(busy_check, self._busy), "busy matrix mismatch"
+        assert np.array_equal(busy_check, self.busy_matrix()), (
+            "busy matrix mismatch")

@@ -15,11 +15,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.constraints import (
     NO_REUSE,
     feasible_offsets_scalar,
+    first_feasible_offset,
 )
 from repro.core.kernel import plan_links
 from repro.core.laxity import LaxityTable
@@ -107,17 +106,14 @@ def _find_slot(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     if earliest > deadline:
         return None
 
+    sender, receiver = request.sender, request.receiver
     if rho == NO_REUSE:
         # Fast path: feasible slots need a completely free offset.
-        candidates = schedule.nr_candidate_slots(
-            request.sender, request.receiver, earliest, deadline)
-        # argmax short-circuits on booleans: first feasible slot or 0.
-        rel = int(candidates.argmax())
-        if not candidates[rel]:
+        slot = schedule.first_free_slot(sender, receiver, earliest, deadline)
+        if slot < 0:
             _note_scan(deadline - earliest + 1)
             return None
-        slot = earliest + rel
-        _note_scan(rel + 1)
+        _note_scan(slot - earliest + 1)
         return (slot, schedule.first_free_offset(slot))
 
     if offset_rule not in OFFSET_RULES:
@@ -125,22 +121,23 @@ def _find_slot(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     # Finite ρ: the scalar scan, one cell at a time.  RC's fused
     # descent answers its own finite-ρ probes from distance lanes
     # (repro.core.kernel); every other question is asked here.
-    conflict = schedule.conflict_mask(
-        request.sender, request.receiver, earliest, deadline)
     scanned = 0
-    for index in np.flatnonzero(~conflict):
+    for slot in schedule.conflict_free_slots(sender, receiver, earliest,
+                                             deadline):
         scanned += 1
-        slot = earliest + int(index)
-        offsets = feasible_offsets_scalar(
-            schedule, reuse_graph, request.sender, request.receiver,
-            slot, rho)
-        if not offsets:
-            continue
-        _note_scan(scanned)
         if offset_rule == OFFSET_FIRST:
-            return (slot, offsets[0])
-        return (slot, min(offsets,
-                          key=lambda c: (schedule.cell_size(slot, c), c)))
+            offset = first_feasible_offset(schedule, reuse_graph, sender,
+                                           receiver, slot, rho)
+            if offset < 0:
+                continue
+            _note_scan(scanned)
+            return (slot, offset)
+        offsets = feasible_offsets_scalar(schedule, reuse_graph, sender,
+                                          receiver, slot, rho)
+        if offsets:
+            _note_scan(scanned)
+            return (slot, min(offsets,
+                              key=lambda c: (schedule.cell_size(slot, c), c)))
     _note_scan(scanned)
     return None
 

@@ -237,6 +237,19 @@ class ChannelReuseGraph:
             self.__dict__["_effective_hops"] = cached
         return cached
 
+    def effective_hop_rows(self) -> List[List[int]]:
+        """:meth:`effective_hops` as a list of Python-int rows, memoized.
+
+        The scalar channel-constraint check reads a handful of distances
+        per candidate cell; indexing nested lists costs a fraction of a
+        numpy scalar read.
+        """
+        cached = self.__dict__.get("_effective_hop_rows")
+        if cached is None:
+            cached = self.effective_hops().tolist()
+            self.__dict__["_effective_hop_rows"] = cached
+        return cached
+
     def neighbors(self, u: int) -> List[int]:
         """Neighbors of node u."""
         return [int(v) for v in np.flatnonzero(self.adjacency[u])]

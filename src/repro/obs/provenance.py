@@ -20,9 +20,10 @@ transmission, one **decision record**:
 
 Records are derived from the *schedule state*, not from how a policy
 searched it: the classifier below reads only structures every schedule
-has (busy matrix, used-offset masks, the cells' occupants through
-``Schedule.cell``, the reuse graph's hop matrix), never RC's distance
-lanes, so RC's fused descent and its stepwise oracle
+has (the conflict and free-offset masks unpacked from its busy and
+full-slot bitsets, the cells' occupants through ``Schedule.cell``, the
+reuse graph's hop matrix), never RC's distance lanes, so RC's fused
+descent and its stepwise oracle
 (:func:`repro.core.rc.stepwise_descent`) emit **bit-identical
 provenance streams** whenever they produce identical schedules — a
 property the differential fuzz harness (:mod:`repro.validate.fuzz`)

@@ -19,11 +19,13 @@ audits.  For every placed transmission it checks:
   ``min(hops[u, y], hops[x, v])`` on G_R) is reported and flagged when
   it falls below the policy's floor ρ_t (Algorithm 1's weakest
   admissible constraint);
-* **Bookkeeping cross-checks** — the schedule's three indexes (the busy
-  matrix, each cell's entry-index list in placement order, each slot's
-  used-offset bitmask) and RC's incremental link-distance lanes (when
-  the schedule carries them) must all agree with the entry list.  The
-  lanes are recomputed from the entries with this module's own code.
+* **Bookkeeping cross-checks** — the schedule's indexes (the per-node
+  busy bitsets, each cell's entry-index list in placement order, each
+  slot's used-offset bitmask and the bitset of full slots) and RC's
+  incremental link-distance lanes (when the schedule carries them) must
+  all agree with the entry list.  Each is recomputed from the entries
+  with this module's own code and compared with what the schedule
+  reports.
   This subsumes :meth:`repro.core.schedule.Schedule.validate_basic` but
   returns structured violations instead of asserting.
 
@@ -325,8 +327,8 @@ def _in_bounds(schedule: Schedule, entry) -> bool:
 
 
 def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
-    """Busy matrix, cell index and used-offset masks vs the entry list
-    (subsumes ``validate_basic``)."""
+    """Busy bits, cell index, used-offset masks and full slots vs the
+    entry list (subsumes ``validate_basic``)."""
     busy_check = np.zeros((schedule.num_nodes, schedule.num_slots),
                           dtype=bool)
     cells_check: Dict[Tuple[int, int], List[int]] = {}
@@ -339,8 +341,9 @@ def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
         cells_check.setdefault((entry.slot, entry.offset), []).append(index)
         masks_check[entry.slot] |= 1 << entry.offset
 
-    if not np.array_equal(busy_check, schedule.busy_matrix()):
-        diff = np.argwhere(busy_check != schedule.busy_matrix())
+    busy = schedule.busy_matrix()
+    if not np.array_equal(busy_check, busy):
+        diff = np.argwhere(busy_check != busy)
         node, slot = (int(diff[0][0]), int(diff[0][1]))
         collect.add(
             "busy_matrix",
@@ -358,6 +361,7 @@ def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
                 f"{actual} but the entry list places {expected}",
                 slot=slot, offset=offset)
 
+    has_free = schedule.free_offset_slots(0, schedule.num_slots - 1).tolist()
     for slot, expected_mask in enumerate(masks_check):
         actual = set(schedule.used_offsets(slot))
         expected = {offset for offset in range(schedule.num_offsets)
@@ -367,6 +371,13 @@ def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
                 "occupancy",
                 f"slot {slot}: used-offset mask says {sorted(actual)} but "
                 f"entries occupy {sorted(expected)}", slot=slot)
+        if has_free[slot] == (len(expected) == schedule.num_offsets):
+            collect.add(
+                "occupancy",
+                f"slot {slot}: full-slot bitset marks it "
+                f"{'open' if has_free[slot] else 'full'} but entries "
+                f"occupy {sorted(expected)} of {schedule.num_offsets} "
+                f"offsets", slot=slot)
 
 
 def _audit_link_state(schedule: Schedule, collect: _Collector) -> None:

@@ -88,10 +88,12 @@ def _instance(seed, num_requests, release, deadline):
 
     Other flows occupy random node-disjoint transmissions in about half
     the slots; the instance walks a random route, two attempts per hop.
+    The hyperperiod is ``SLOTS`` unless the deadline needs more.
     """
     rng = np.random.default_rng(seed)
-    schedule = Schedule(NODES, SLOTS, 2)
-    for slot in range(SLOTS):
+    slots = max(SLOTS, deadline + 1)
+    schedule = Schedule(NODES, slots, 2)
+    for slot in range(slots):
         if rng.random() < 0.5:
             sender, receiver = rng.choice(NODES, size=2, replace=False)
             schedule.add(request(int(sender), int(receiver), flow_id=9),
@@ -114,6 +116,9 @@ class TestLaxityTable:
         (3, 5, 6, 20, 4),      # first lookup at the last request
         (4, 1, 12, 12, 0),     # one request, one-slot window
         (5, 3, 12, 12, 0),     # three requests, one-slot window
+        (6, 8, 5, 90, 0),      # an 86-slot window across the 30- and
+                               # 64-bit bitset boundaries
+        (7, 6, 66, 99, 1),     # a window wholly past bit 64
     ])
     def test_lookups_match_calculate_laxity(self, seed, num_requests,
                                             release, deadline, built_at):

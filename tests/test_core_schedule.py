@@ -121,9 +121,9 @@ class TestSchedule:
         schedule.add(request(2, 3), 4, 2)
         assert schedule.used_offsets(4) == [0, 2]
         assert schedule.free_offsets(4) == [1]
-        assert schedule.has_free_offset(4)
+        assert schedule.free_offset_slots(4, 4).tolist() == [True]
         schedule.add(request(4, 5), 4, 1)
-        assert not schedule.has_free_offset(4)
+        assert schedule.free_offset_slots(4, 4).tolist() == [False]
 
     def test_free_offset_slots_mask(self):
         schedule = Schedule(4, 5, 1)

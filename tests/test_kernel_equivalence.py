@@ -20,7 +20,11 @@ import pytest
 
 from repro import obs
 from repro.core import kernel as _kernel
-from repro.core.constraints import NO_REUSE, feasible_offsets_scalar
+from repro.core.constraints import (
+    NO_REUSE,
+    feasible_offsets_scalar,
+    first_feasible_offset,
+)
 from repro.core.kernel import best_reuse_distance, min_reuse_distance
 from repro.core.rc import (
     RHO_RESET_FLOW,
@@ -127,6 +131,25 @@ class TestFeasibleOffsets:
                            else np.flatnonzero(dist >= rho).tolist())
                     assert got == expected, (
                         f"rho={rho} slot={slot} link=({sender},{receiver})")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_feasible_offset_is_the_lowest_listed(self, reuse_graph,
+                                                        seed):
+        """The ``"first"`` rule's early exit picks the lowest offset
+        the full scalar list holds, or -1 when it is empty."""
+        schedule = _random_schedule(reuse_graph, seed)
+        rng = np.random.default_rng(200 + seed)
+        rhos = [1, 2, 3, reuse_graph.diameter(), NO_REUSE]
+        for sender, receiver in _links(reuse_graph, rng, 12):
+            for slot in range(NUM_SLOTS):
+                for rho in rhos:
+                    listed = feasible_offsets_scalar(
+                        schedule, reuse_graph, sender, receiver, slot, rho)
+                    assert first_feasible_offset(
+                        schedule, reuse_graph, sender, receiver, slot,
+                        rho) == (listed[0] if listed else -1), (
+                            f"rho={rho} slot={slot} "
+                            f"link=({sender},{receiver})")
 
     def test_distance_view_tracks_additions(self, reuse_graph):
         schedule = _random_schedule(reuse_graph, seed=9)

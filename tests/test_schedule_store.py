@@ -1,16 +1,22 @@
 """The schedule's one entry store, checked against a brute-force model.
 
-``Schedule`` keeps its entry list plus three indexes (busy matrix, cell
-index, used-offset masks); every other view is derived from them.  This
-module drives random ``add``/``force_add``/``evict``/``clone`` sequences,
-and RC distance-lane queries, and after every step compares each query
-with the answer a model built from ``entries`` alone gives.  The
-auditor must also find no bookkeeping violation at every step.
+``Schedule`` keeps its entry list plus its indexes (per-node busy slot
+bitsets, the cell index, per-slot used-offset masks and the full-slot
+bitset); every other view is derived from them.  This module drives
+random ``add``/``force_add``/``evict``/``clone`` sequences, and RC
+distance-lane queries, and after every step compares each query with
+the answer a model built from ``entries`` alone gives.  The auditor
+must also find no bookkeeping violation at every step.
+
+The bitsets are Python ints, stored in 30-bit digits: the sequences run
+on an 8-slot schedule (one digit) and on a 70-slot one, whose windows
+cross the 30- and 64-bit boundaries and start after slot 0.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernel
@@ -24,6 +30,17 @@ from conftest import build_topology
 
 NODES, SLOTS, OFFSETS = 7, 8, 3
 
+#: A hyperperiod past the 30- and 64-bit digit boundaries.
+WIDE_SLOTS = 70
+
+#: Query windows per slot count: the whole hyperperiod, windows that
+#: start after slot 0 (on and across digit boundaries), one slot, empty.
+WINDOWS = {
+    SLOTS: ((0, SLOTS - 1), (2, 5), (6, 6), (4, 3)),
+    WIDE_SLOTS: ((0, WIDE_SLOTS - 1), (2, 5), (29, 31), (31, 66),
+                 (59, 69), (64, 64), (40, 39)),
+}
+
 #: Index violations; the others (node conflicts from force_add, windows,
 #: reuse distance) are what random placements legitimately produce.
 BOOKKEEPING = {"bounds", "busy_matrix", "occupancy", "link_state"}
@@ -35,13 +52,18 @@ GRAPH = ChannelReuseGraph.from_topology(build_topology(
 
 links = st.tuples(st.integers(0, NODES - 1),
                   st.integers(0, NODES - 1)).filter(lambda l: l[0] != l[1])
-cells = st.tuples(st.integers(0, SLOTS - 1), st.integers(0, OFFSETS - 1))
-operations = st.lists(st.one_of(
-    st.tuples(st.sampled_from(["add", "force_add"]), links, cells),
-    st.tuples(st.just("evict"), st.lists(st.integers(0, 40), max_size=4)),
-    st.tuples(st.just("clone")),
-    st.tuples(st.just("lanes"), links),
-), min_size=1, max_size=40)
+
+
+def operations(slots):
+    cells = st.tuples(st.integers(0, slots - 1),
+                      st.integers(0, OFFSETS - 1))
+    return st.lists(st.one_of(
+        st.tuples(st.sampled_from(["add", "force_add"]), links, cells),
+        st.tuples(st.just("evict"),
+                  st.lists(st.integers(0, 40), max_size=4)),
+        st.tuples(st.just("clone")),
+        st.tuples(st.just("lanes"), links),
+    ), min_size=1, max_size=40)
 
 
 def model_cells(entries):
@@ -58,11 +80,17 @@ def model_busy(entries, node, slot):
 
 
 def assert_matches_model(schedule: Schedule) -> None:
+    slots = schedule.num_slots
     entries = list(schedule.entries)
     cells = model_cells(entries)
     shared = [(s, c, txs) for (s, c), txs in cells.items() if len(txs) > 1]
     full = set(range(OFFSETS))
-    for slot in range(SLOTS):
+    busy = {(node, entry.slot) for entry in entries
+            for node in entry.request.link}
+    assert schedule.busy_matrix().tolist() == [
+        [(node, slot) in busy for slot in range(slots)]
+        for node in range(NODES)]
+    for slot in range(slots):
         used = sorted({c for (s, c) in cells if s == slot})
         free = sorted(full - set(used))
         assert schedule.used_offsets(slot) == used
@@ -87,29 +115,38 @@ def assert_matches_model(schedule: Schedule) -> None:
     assert list(schedule.entries_by_slot()) == sorted(by_slot)
     assert schedule.makespan() == max((e.slot + 1 for e in entries),
                                       default=0)
-    for start, end in ((0, SLOTS - 1), (2, 5), (6, 6), (4, 3)):
+    probed = ((0, 1), (3, 4), (6, 2))
+    for start, end in WINDOWS[slots]:
         window = range(start, end + 1)
         free_slots = [len({c for (s, c) in cells if s == slot}) < OFFSETS
                       for slot in window]
         assert schedule.free_offset_slots(start, end).tolist() == free_slots
-        for sender, receiver in ((0, 1), (3, 4), (6, 2)):
-            conflict = [model_busy(entries, sender, slot)
-                        or model_busy(entries, receiver, slot)
+        rows = []
+        for sender, receiver in probed:
+            conflict = [(sender, slot) in busy or (receiver, slot) in busy
                         for slot in window]
+            rows.append(conflict)
             assert schedule.conflict_mask(
                 sender, receiver, start, end).tolist() == conflict
-            if start <= end:
-                assert schedule.nr_candidate_slots(
-                    sender, receiver, start, end).tolist() == [
-                        f and not c for f, c in zip(free_slots, conflict)]
+            assert schedule.conflict_count(
+                sender, receiver, start, end) == sum(conflict)
+            assert list(schedule.conflict_free_slots(
+                sender, receiver, start, end)) == [
+                    slot for slot, c in zip(window, conflict) if not c]
+            assert schedule.first_free_slot(
+                sender, receiver, start, end) == next(
+                    (slot for slot, f, c in zip(window, free_slots, conflict)
+                     if f and not c), -1)
+        assert schedule.conflict_rows(
+            probed, start, end).tolist() == rows
     report = audit_schedule(schedule, GRAPH, 1)
     assert not BOOKKEEPING & set(report.kinds()), report.summary()
 
 
-def model_lane(entries, sender, receiver):
+def model_lane(entries, slots, sender, receiver):
     """Min reuse distance of every cell for the link, from the entries."""
     hops = GRAPH.effective_hops()
-    expected = np.full((SLOTS, OFFSETS), INFINITE_DISTANCE, dtype=np.int32)
+    expected = np.full((slots, OFFSETS), INFINITE_DISTANCE, dtype=np.int32)
     for entry in entries:
         x, y = entry.request.link
         expected[entry.slot, entry.offset] = min(
@@ -119,16 +156,51 @@ def model_lane(entries, sender, receiver):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(operations)
+@given(operations(SLOTS))
 def test_store_answers_like_its_entries(ops):
-    schedule = Schedule(NODES, SLOTS, OFFSETS)
+    run_against_model(ops, SLOTS)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(operations(WIDE_SLOTS))
+def test_store_answers_across_int_digits(ops):
+    run_against_model(ops, WIDE_SLOTS)
+
+
+@pytest.mark.parametrize("slot", [3, 29, 30, 63, 64, 69])
+def test_evict_keeps_bits_owed_to_a_colliding_survivor(slot):
+    """force_add lets two entries of one slot share a node; evicting
+    one must leave the shared node busy for the survivor, at any bit
+    position, and evicting both must clear the slot."""
+    schedule = Schedule(NODES, WIDE_SLOTS, OFFSETS)
+    first = TransmissionRequest(0, 0, 0, 0, 0, 1, 0, WIDE_SLOTS - 1)
+    second = TransmissionRequest(1, 0, 0, 0, 1, 2, 0, WIDE_SLOTS - 1)
+    third = TransmissionRequest(2, 0, 0, 0, 3, 4, 0, WIDE_SLOTS - 1)
+    schedule.add(first, slot, 0)
+    schedule.force_add(second, slot, 1)    # node 1 collides
+    schedule.add(third, slot, 2)           # the slot is now full
+    assert schedule.first_free_slot(5, 6, slot, slot) == -1
+    schedule.evict([0])
+    assert [schedule.node_busy(node, slot) for node in range(5)] == [
+        False, True, True, True, True]
+    assert schedule.used_offsets(slot) == [1, 2]
+    assert schedule.first_free_slot(5, 6, slot, slot) == slot
+    assert_matches_model(schedule)
+    schedule.evict([0, 1])
+    assert not schedule.busy_matrix().any()
+    assert schedule.used_offsets(slot) == []
+    assert_matches_model(schedule)
+
+
+def run_against_model(ops, slots):
+    schedule = Schedule(NODES, slots, OFFSETS)
     frozen = []    # (a schedule left behind by clone, its entries, hash)
     for step, op in enumerate(ops):
         kind = op[0]
         if kind in ("add", "force_add"):
             (sender, receiver), (slot, offset) = op[1], op[2]
             request = TransmissionRequest(step, 0, 0, 0, sender, receiver,
-                                          0, SLOTS - 1)
+                                          0, slots - 1)
             before = (list(schedule.entries), schedule.version)
             conflict = (model_busy(before[0], sender, slot)
                         or model_busy(before[0], receiver, slot))
@@ -160,17 +232,17 @@ def test_store_answers_like_its_entries(ops):
         else:
             sender, receiver = op[1]
             lane = kernel.min_reuse_distance(schedule, GRAPH, sender,
-                                             receiver, 0, SLOTS - 1)
-            expected = model_lane(schedule.entries, sender, receiver)
+                                             receiver, 0, slots - 1)
+            expected = model_lane(schedule.entries, slots, sender, receiver)
             assert np.array_equal(lane, expected)
             assert np.array_equal(
                 kernel.best_reuse_distance(schedule, GRAPH, sender,
-                                           receiver, 0, SLOTS - 1),
+                                           receiver, 0, slots - 1),
                 expected.max(axis=1))
             assert np.array_equal(
                 kernel.cell_distances(schedule, GRAPH, sender, receiver,
-                                      SLOTS // 2)[0],
-                expected[SLOTS // 2])
+                                      slots // 2)[0],
+                expected[slots // 2])
         assert_matches_model(schedule)
     for old, entries, digest in frozen:
         assert old.entries == entries

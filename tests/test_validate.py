@@ -162,6 +162,18 @@ class TestAuditorCorruptions:
         assert violation.slot == 3
         assert "mask says [] but entries occupy [1]" in violation.message
 
+    def test_full_slot_drift(self, line_reuse_graph):
+        schedule = Schedule(6, 40, 2)
+        schedule.add(request(0, 1), 33, 0)
+        schedule.add(request(4, 5, flow_id=1), 33, 1)
+        schedule._full &= ~(1 << 33)  # both offsets taken, bit lost
+        report = audit_schedule(schedule, line_reuse_graph, 2)
+        assert report.kinds() == ["occupancy"]
+        [violation] = report.violations
+        assert violation.slot == 33
+        assert ("full-slot bitset marks it open but entries occupy "
+                "[0, 1] of 2 offsets") in violation.message
+
     def test_precedence_inversion(self, line_reuse_graph):
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1, hop=0, attempt=0), 5, 0)
@@ -173,7 +185,7 @@ class TestAuditorCorruptions:
     def test_busy_matrix_drift(self, line_reuse_graph):
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1), 0, 0)
-        schedule._busy[5, 9] = True  # bit flipped by "cosmic ray"
+        schedule._busy[5] |= 1 << 9  # bit flipped by "cosmic ray"
         report = audit_schedule(schedule, line_reuse_graph, 2)
         assert report.kinds() == ["busy_matrix"]
         assert "node 5" in report.violations[0].message
