@@ -12,13 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.core.kernel import INFINITE_DISTANCE
 from repro.core.schedule import Schedule
 from repro.core.scheduler import SchedulingResult
-from repro.network.graphs import ChannelReuseGraph
-
-#: ``effective_hop_rows``' distance for unreachable pairs, as an int.
-_UNREACHABLE = int(INFINITE_DISTANCE)
+from repro.network.graphs import INFINITE_DISTANCE, ChannelReuseGraph
 
 
 def schedulable_ratio(results: Iterable[SchedulingResult]) -> float:
@@ -66,13 +62,13 @@ def cell_min_reuse_hops(transmissions, reuse_graph: ChannelReuseGraph,
     # Unreachable pairs read INFINITE_DISTANCE here: infinitely far,
     # never the minimum, and a cell of only such pairs has none.
     hops = reuse_graph.effective_hop_rows()
-    minimum = _UNREACHABLE
+    minimum = INFINITE_DISTANCE
     for i, first in enumerate(transmissions):
         u, v = first.request.sender, first.request.receiver
         for second in transmissions[i + 1:]:
             x, y = second.request.sender, second.request.receiver
             minimum = min(minimum, hops[u][y], hops[x][v])
-    return None if minimum == _UNREACHABLE else minimum
+    return None if minimum == INFINITE_DISTANCE else minimum
 
 
 def reuse_hop_distribution(schedule: Schedule,

@@ -3,8 +3,9 @@
 The code makes three choices on speed alone, and this benchmark is the
 measurement behind each of them:
 
-* RC's fused descent over distance lanes (:mod:`repro.core.kernel`)
-  instead of Algorithm 1's stepwise loop, which stays as its oracle
+* RC's fused descent, which walks each placement's window once for
+  all its finite-ρ probes, instead of Algorithm 1's stepwise loop,
+  which stays as its oracle
   (:func:`repro.core.rc.stepwise_descent`), timed on fixed, seeded
   Figure-1-style workloads (Indriya testbed, 5 channels, centralized
   traffic) — the paper's Fig 6 quantity, scheduler execution time.

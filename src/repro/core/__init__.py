@@ -9,11 +9,6 @@ from repro.core.constraints import (
     placement_is_valid,
     validate_schedule,
 )
-from repro.core.kernel import (
-    best_reuse_distance,
-    min_reuse_distance,
-    plan_links,
-)
 from repro.core.laxity import (
     LaxityTable,
     calculate_laxity,
@@ -67,16 +62,13 @@ __all__ = [
     "ScheduledTransmission",
     "SchedulingResult",
     "TransmissionRequest",
-    "best_reuse_distance",
     "calculate_laxity",
     "conflict_slots_for",
     "conflicts_in_slot",
     "expand_instance",
     "feasible_offsets_scalar",
     "find_slot",
-    "min_reuse_distance",
     "offset_satisfies_channel_constraint",
     "placement_is_valid",
-    "plan_links",
     "validate_schedule",
 ]

@@ -20,7 +20,7 @@ import math
 from typing import List, Optional, Sequence
 
 from repro.core.schedule import Schedule
-from repro.network.graphs import ChannelReuseGraph
+from repro.network.graphs import INFINITE_DISTANCE, ChannelReuseGraph
 
 #: Convenience alias: "channel reuse disabled".
 NO_REUSE = math.inf
@@ -32,8 +32,8 @@ def conflicts_in_slot(schedule: Schedule, sender: int, receiver: int,
     return schedule.node_busy(sender, slot) or schedule.node_busy(receiver, slot)
 
 
-def _clear_of(entries, hops: List[List[int]], occupants: Sequence[int],
-              sender: int, receiver: int, rho: float) -> bool:
+def clear_of(entries, hops: List[List[int]], occupants: Sequence[int],
+             sender: int, receiver: int, rho: float) -> bool:
     """Whether ``(sender, receiver)`` keeps ρ hops from every occupant
     ``(x, y)``: ``hops[sender][y]`` and ``hops[x][receiver]`` both at
     least ρ, unreachable pairs counting as infinitely far."""
@@ -62,8 +62,8 @@ def offset_satisfies_channel_constraint(schedule: Schedule,
         return True
     if rho == NO_REUSE:
         return False
-    return _clear_of(schedule.entries, reuse_graph.effective_hop_rows(),
-                     occupants, sender, receiver, rho)
+    return clear_of(schedule.entries, reuse_graph.effective_hop_rows(),
+                    occupants, sender, receiver, rho)
 
 
 def feasible_offsets_scalar(schedule: Schedule,
@@ -73,9 +73,9 @@ def feasible_offsets_scalar(schedule: Schedule,
     """All channel offsets satisfying the channel constraint in a slot.
 
     Assumes the transmission-conflict check for the slot already passed.
-    Checks one offset, one occupant at a time: ``find_slot``'s finite-ρ
-    scan under the least-loaded rule, and the oracle RC's distance
-    lanes (:mod:`repro.core.kernel`) are tested against.
+    Checks every offset, one occupant at a time: the test oracle of the
+    offset pick (:func:`repro.core.scheduler.pick_offset`) and of RC's
+    walk (:func:`max_admissible_rho`).
     """
     return [offset for offset in range(schedule.num_offsets)
             if offset_satisfies_channel_constraint(
@@ -96,10 +96,49 @@ def first_feasible_offset(schedule: Schedule,
     entries = schedule.entries
     hops = reuse_graph.effective_hop_rows()
     for offset in range(free if free >= 0 else schedule.num_offsets):
-        if _clear_of(entries, hops, schedule.cell_indices(slot, offset),
-                     sender, receiver, rho):
+        if clear_of(entries, hops, schedule.cell_indices(slot, offset),
+                    sender, receiver, rho):
             return offset
     return free
+
+
+def max_admissible_rho(schedule: Schedule,
+                       reuse_graph: ChannelReuseGraph,
+                       sender: int, receiver: int, slot: int,
+                       floor: int = 0) -> int:
+    """The largest ρ at which some offset of a slot admits the link.
+
+    :data:`~repro.network.graphs.INFINITE_DISTANCE` when the slot has a
+    free offset; otherwise the maximum over offsets of the minimum of
+    ``hops[sender][y]`` and ``hops[x][receiver]`` over the cell's
+    occupants ``(x, y)``.  The channel constraint holds at a finite ρ
+    in some offset of the slot iff the result is at least ρ.
+
+    ``floor`` is a caller's running maximum: an offset stops at its
+    first occupant within it, so a slot whose value does not exceed
+    ``floor`` reads ``floor``.  RC's fused descent walks a window's
+    conflict-free slots this way and keeps only the slots that raise
+    the maximum.
+    """
+    entries = schedule.entries
+    cell_indices = schedule.cell_indices
+    hops = reuse_graph.effective_hop_rows()
+    to_receivers = hops[sender]
+    best = floor
+    for offset in range(schedule.num_offsets):
+        nearest = INFINITE_DISTANCE
+        for index in cell_indices(slot, offset):
+            request = entries[index].request
+            forward = to_receivers[request.receiver]
+            backward = hops[request.sender][receiver]
+            if forward <= best or backward <= best:
+                break
+            nearest = min(nearest, forward, backward)
+        else:
+            if nearest == INFINITE_DISTANCE:
+                return nearest    # a free offset: nothing can exceed it
+            best = nearest
+    return best
 
 
 def placement_is_valid(schedule: Schedule, reuse_graph: ChannelReuseGraph,

@@ -15,9 +15,9 @@ Interpretation note (see DESIGN.md §6): Algorithm 1 as printed resets
 The per-transmission reset is the more conservative reading and is the
 default; ``rho_reset="flow"`` reproduces the literal pseudocode.
 
-RC places through a fused descent that reads the distance lanes of
-:mod:`repro.core.kernel`.  The loop as printed — ``findSlot`` then
-``calculateLaxity`` per ρ — stays as its oracle; tests, the
+RC places through a fused descent that walks each placement's window
+once for all its finite-ρ probes.  The loop as printed — ``findSlot``
+then ``calculateLaxity`` per ρ — stays as its oracle; tests, the
 differential fuzzer and ``repro bench`` run it inside
 :func:`stepwise_descent`::
 
@@ -31,18 +31,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core import kernel as _kernel
-from repro.core.constraints import NO_REUSE
+from repro.core.constraints import NO_REUSE, max_admissible_rho
 from repro.core.laxity import calculate_laxity
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
-    OFFSET_FIRST,
     OFFSET_LEAST_LOADED,
     OFFSET_RULES,
     find_slot,
+    pick_offset,
 )
 from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.flows.flow import Flow
@@ -93,27 +90,6 @@ def _note_descent(recorder, from_rho: float, to_rho: float) -> None:
         recorder.provenance.record_descent(from_rho, to_rho)
 
 
-def _pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
-                 sender: int, receiver: int, slot: int, rho: float,
-                 offset_rule: str) -> int:
-    """The fused descent's channel offset in a slot feasible at ``rho``.
-
-    At ρ = ∞ every feasible offset is an empty cell, so both rules pick
-    the lowest free one.  At finite ρ the link's distance lane is
-    thresholded against ρ, then ``"first"`` takes the lowest feasible
-    offset and ``"least_loaded"`` the one with the fewest occupants, as
-    ``find_slot`` picks for the stepwise loop.
-    """
-    if rho == NO_REUSE:
-        return schedule.first_free_offset(slot)
-    row = _kernel.min_reuse_distance(
-        schedule, reuse_graph, sender, receiver, slot, slot)[0] >= rho
-    if offset_rule == OFFSET_FIRST:
-        return int(np.argmax(row))
-    return min((schedule.cell_size(slot, offset), offset)
-               for offset in np.flatnonzero(row).tolist())[1]
-
-
 #: Valid values for the ρ reset scope.
 RHO_RESET_TRANSMISSION = "transmission"
 RHO_RESET_FLOW = "flow"
@@ -134,9 +110,9 @@ class ConservativeReusePolicy:
             (default); ``"first"`` is available for ablation studies.
 
     RC places through its fused descent: Algorithm 1 re-tests the same
-    request at descending ρ, which re-thresholds one incrementally
-    maintained distance lane instead of rescanning every cell per ρ
-    (the ``RC@`` cells of ``BENCH_schedulers.json``).
+    request at descending ρ, which reads one walk over the window
+    instead of rescanning every cell per ρ (the ``RC@`` cells of
+    ``BENCH_schedulers.json``).
     """
 
     rho_t: int = DEFAULT_RHO_T
@@ -247,28 +223,35 @@ class ConservativeReusePolicy:
                        request: TransmissionRequest, earliest: int,
                        remaining: RequestWindow, rho: float,
                        recorder) -> tuple:
-        """Algorithm 1's whole ρ descent against precomputed windows.
+        """Algorithm 1's whole ρ descent, the window walked once.
 
         The stepwise loop re-runs ``findSlot`` and ``calculateLaxity``
-        at every ρ.  This path evaluates each ρ probe against the
-        link's incrementally-maintained best-distance lane
-        (:mod:`repro.core.kernel`): one running maximum per placement,
-        then a single ``searchsorted`` per ρ.  Equation 1 is a lookup in the
-        instance's table (:class:`repro.core.laxity.LaxityTable`),
-        built at the instance's first evaluation.  Placements, exit ρ,
-        counters and provenance are identical to the stepwise
-        loop's: both pick the earliest feasible slot per ρ and descend
-        under the same laxity rule.
-
-        ``remaining`` is the engine's :class:`RequestWindow`, which
-        reads the instance's table.
+        at every ρ.  Here the ρ = ∞ probe is the schedule's
+        ``first_free_slot``, and the first finite ρ starts one ascending
+        walk over the window's conflict-free slots that every later ρ
+        of the placement reads.  The walk keeps only its running maxima
+        of :func:`~repro.core.constraints.max_admissible_rho`, each as
+        ``(value, slot, slots walked so far)``: a probe at ρ takes the
+        first kept maximum that reaches ρ, which is the earliest slot
+        with an offset feasible at ρ, and the walk extends only while
+        none does.  A slot with a free offset reads ∞, so the walk never
+        passes the ρ = ∞ probe's slot.  Equation 1 is a lookup in the
+        instance's table (:class:`repro.core.laxity.LaxityTable`), which
+        ``remaining``, the engine's :class:`RequestWindow`, reads.
+        Placements, exit ρ, counters and provenance are identical to
+        the stepwise loop's: both pick the earliest feasible slot per ρ
+        and descend under the same laxity rule.
         """
         rho_t = self.rho_t
         prov = recorder.provenance if recorder is not None else None
         deadline = request.deadline_slot
         sender, receiver = request.sender, request.receiver
         width = deadline - earliest + 1
-        prefix = None         # running max of best eligible distance
+        # The window's conflict-free slots, ascending, walked lazily.
+        walk = schedule.conflict_free_slots(sender, receiver, earliest,
+                                            deadline)
+        maxima = []           # the walk's running maxima
+        floor = walked = 0    # the largest value so far, slots walked
         triggered = False
         best_slot: Optional[int] = None
         best_rho = rho
@@ -283,27 +266,29 @@ class ConservativeReusePolicy:
                     slot = found
                 scanned = found - earliest + 1 if found >= 0 else width
             else:
-                if prefix is None:
-                    eligible = ~schedule.conflict_mask(sender, receiver,
-                                                       earliest, deadline)
-                    distance = _kernel.best_reuse_distance(
-                        schedule, reuse_graph, sender, receiver,
-                        earliest, deadline)
-                    masked = np.where(eligible, distance, np.int32(-1))
-                    prefix = np.maximum.accumulate(masked)
-                # prefix is non-decreasing, so the earliest slot whose
-                # best distance reaches ρ is a binary search away.
-                pos = int(prefix.searchsorted(rho, side="left"))
-                if pos < width:
-                    slot = earliest + pos
-                scanned = (int(np.count_nonzero(eligible[:pos + 1]))
-                           if recorder is not None else 0)
+                kept = next((m for m in maxima if m[0] >= rho), None)
+                if kept is None:
+                    for candidate in walk:
+                        walked += 1
+                        value = max_admissible_rho(schedule, reuse_graph,
+                                                   sender, receiver,
+                                                   candidate, floor)
+                        if value > floor:
+                            floor = value
+                            maxima.append((value, candidate, walked))
+                            if value >= rho:
+                                kept = maxima[-1]
+                                break
+                if kept is None:
+                    scanned = walked
+                else:
+                    _, slot, scanned = kept
             if recorder is not None:
                 recorder.count("scheduler.placements_tried")
                 if scanned:
                     recorder.count("scheduler.slots_scanned", scanned)
                 if prov is not None:
-                    found = None if slot is None else (slot, _pick_offset(
+                    found = None if slot is None else (slot, pick_offset(
                         schedule, reuse_graph, sender, receiver, slot, rho,
                         self.offset_rule))
                     prov.record_probe(schedule, reuse_graph, request, rho,
@@ -323,7 +308,7 @@ class ConservativeReusePolicy:
 
         # Only the kept probe's offset is used, so it is picked once,
         # here; provenance alone needs one per probe.
-        best = None if best_slot is None else (best_slot, _pick_offset(
+        best = None if best_slot is None else (best_slot, pick_offset(
             schedule, reuse_graph, sender, receiver, best_slot, best_rho,
             self.offset_rule))
         return best, best_rho, rho

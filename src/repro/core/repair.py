@@ -20,8 +20,7 @@ implements that locality as a three-step delta-scheduler:
 2. **Eviction** — :meth:`repro.core.schedule.Schedule.evict` on a clone
    removes exactly those cells with full bookkeeping rollback (busy
    bitsets, cell index, used-offset masks, full-slot bitset),
-   cross-checked by the auditor's bookkeeping invariants.  The clone
-   carries none of RC's distance lanes.
+   cross-checked by the auditor's bookkeeping invariants.
 3. **Re-placement** — evicted transmissions are re-placed in priority
    order with ``findSlot`` against the *existing* busy bitsets: barred
    links at ρ = ∞ (an exclusive cell), everything else at the policy's

@@ -21,8 +21,7 @@ and readers that need arrays get a window's bits unpacked at their
 boundary (:meth:`Schedule.conflict_mask`, :meth:`Schedule.conflict_rows`,
 :meth:`Schedule.free_offset_slots`, :meth:`Schedule.busy_matrix`).
 Every other view (per-slot groups, makespan, cell sizes) is derived
-from these on demand.  RC's distance lanes (:mod:`repro.core.kernel`)
-register from the entry list and ride along once built.
+from these on demand.
 """
 
 from __future__ import annotations
@@ -68,13 +67,6 @@ class Schedule:
         self._cells: Dict[Tuple[int, int], List[int]] = {}
         self._used_mask: List[int] = [0] * num_slots
         self._full = 0
-        # RC's incremental per-link min-reuse-distance lanes, built by
-        # repro.core.kernel at the fused descent's first finite-ρ query
-        # for the links the engine planned (kernel.plan_links); add()
-        # keeps them current once they exist, clone() and evict() drop
-        # them.
-        self._link_state = None
-        self._link_plan = ()
         # canonical_hash() memo; every entry mutation clears it.
         self._hash: Optional[str] = None
         # Mutation counter: every entry mutation bumps it (see version).
@@ -146,9 +138,6 @@ class Schedule:
         self._used_mask[slot] = mask
         if mask == (1 << self.num_offsets) - 1:
             self._full |= bit
-        if self._link_state is not None:
-            self._update_link_distances(request.sender, request.receiver,
-                                        slot, offset)
         return entry
 
     def clone(self) -> "Schedule":
@@ -157,9 +146,7 @@ class Schedule:
         Entries are frozen dataclasses and safe to share; the indexes —
         busy bitsets, cell index, used-offset masks and the full-slot
         bitset — are copied so mutations of the clone
-        (``add``/``evict``) never leak into the original.
-        RC's distance lanes and link plan are not copied: the clone's
-        placements (repair's re-placement) run the scalar scan.  The
+        (``add``/``evict``) never leak into the original.  The
         incremental repair path (:mod:`repro.core.repair`) edits a
         clone so the manager's rollback can keep serving the old
         schedule.
@@ -173,8 +160,6 @@ class Schedule:
         dup._cells = {cell: list(ix) for cell, ix in self._cells.items()}
         dup._used_mask = list(self._used_mask)
         dup._full = self._full
-        dup._link_state = None
-        dup._link_plan = ()
         dup._hash = self._hash
         dup._version = self._version
         return dup
@@ -187,11 +172,9 @@ class Schedule:
         used-offset masks and full-slot bits of the touched slots are
         recomputed from them, so every index ends exactly as a fresh
         schedule holding only the surviving entries would have it (the
-        auditor's bookkeeping checks cross-verify this).  RC's distance
-        lanes, if built, are dropped rather than patched; a later
-        finite-ρ query rebuilds them.  Surviving entries keep their
-        relative placement order but are re-indexed, so previously held
-        entry indices are invalid after eviction.
+        auditor's bookkeeping checks cross-verify this).  Surviving
+        entries keep their relative placement order but are re-indexed,
+        so previously held entry indices are invalid after eviction.
 
         Args:
             indices: Positions into :attr:`entries` to remove.
@@ -242,21 +225,7 @@ class Schedule:
             if mask == all_offsets:
                 self._full |= bit
         self._busy = busy
-        self._link_state = None
         return evicted
-
-    def _update_link_distances(self, x: int, y: int, slot: int,
-                               offset: int) -> None:
-        """Fold a new occupant ``(x, y)`` of cell ``(slot, offset)`` into
-        every tracked link's min-reuse-distance lane (see
-        :mod:`repro.core.kernel`): one vectorized minimum over links."""
-        state = self._link_state
-        n = state.count
-        if not n:
-            return
-        cell = state.dist[slot, offset, :n]
-        np.minimum(cell, state.occupant_candidates(x, y), out=cell)
-        state.dist[slot, :, :n].max(axis=0, out=state.best[slot, :n])
 
     # ------------------------------------------------------------------
     # Queries used by the schedulers

@@ -17,10 +17,9 @@ from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 from repro.core.constraints import (
     NO_REUSE,
-    feasible_offsets_scalar,
+    clear_of,
     first_feasible_offset,
 )
-from repro.core.kernel import plan_links
 from repro.core.laxity import LaxityTable
 from repro.core.schedule import Schedule
 from repro.core.transmissions import (
@@ -119,27 +118,54 @@ def _find_slot(schedule: Schedule, reuse_graph: ChannelReuseGraph,
     if offset_rule not in OFFSET_RULES:
         raise ValueError(f"unknown offset rule: {offset_rule}")
     # Finite ρ: the scalar scan, one cell at a time.  RC's fused
-    # descent answers its own finite-ρ probes from distance lanes
-    # (repro.core.kernel); every other question is asked here.
+    # descent walks the same slots once for all its finite-ρ probes
+    # (repro.core.rc); every other question is asked here.
     scanned = 0
     for slot in schedule.conflict_free_slots(sender, receiver, earliest,
                                              deadline):
         scanned += 1
-        if offset_rule == OFFSET_FIRST:
-            offset = first_feasible_offset(schedule, reuse_graph, sender,
-                                           receiver, slot, rho)
-            if offset < 0:
-                continue
+        offset = pick_offset(schedule, reuse_graph, sender, receiver, slot,
+                             rho, offset_rule)
+        if offset >= 0:
             _note_scan(scanned)
             return (slot, offset)
-        offsets = feasible_offsets_scalar(schedule, reuse_graph, sender,
-                                          receiver, slot, rho)
-        if offsets:
-            _note_scan(scanned)
-            return (slot, min(offsets,
-                              key=lambda c: (schedule.cell_size(slot, c), c)))
     _note_scan(scanned)
     return None
+
+
+def pick_offset(schedule: Schedule, reuse_graph: ChannelReuseGraph,
+                sender: int, receiver: int, slot: int, rho: float,
+                offset_rule: str) -> int:
+    """The channel offset :func:`find_slot` takes in a conflict-free
+    slot at ρ, or -1 when no offset admits the link.
+
+    ``"first"`` takes the lowest feasible offset
+    (:func:`~repro.core.constraints.first_feasible_offset`);
+    ``"least_loaded"`` the feasible offset with the fewest occupants,
+    lowest index on ties.  At ρ = ∞ only an empty cell is feasible, so
+    both rules take the lowest free offset, and at finite ρ an empty
+    cell is always the least loaded, so the lowest free offset wins
+    there too.  A full slot visits its offsets in ascending order and
+    skips every cell no lighter than the best pick so far.
+    """
+    if rho == NO_REUSE:
+        return schedule.first_free_offset(slot)
+    if offset_rule == OFFSET_FIRST:
+        return first_feasible_offset(schedule, reuse_graph, sender,
+                                     receiver, slot, rho)
+    free = schedule.first_free_offset(slot)
+    if free >= 0:
+        return free
+    entries = schedule.entries
+    hops = reuse_graph.effective_hop_rows()
+    best, lightest = -1, 0
+    for offset in range(schedule.num_offsets):
+        occupants = schedule.cell_indices(slot, offset)
+        if best >= 0 and len(occupants) >= lightest:
+            continue
+        if clear_of(entries, hops, occupants, sender, receiver, rho):
+            best, lightest = offset, len(occupants)
+    return best
 
 
 class PlacementPolicy(Protocol):
@@ -223,11 +249,6 @@ class FixedPriorityScheduler:
         start_time = time.perf_counter()
         hyperperiod = flow_set.hyperperiod()
         schedule = Schedule(self.num_nodes, hyperperiod, self.num_offsets)
-        # Every policy gets T_post as a window onto the instance's Eq. 1
-        # table (built only if RC's fused descent reads it) and the
-        # links a run can still ask about (lanes are built only at RC's
-        # first finite-ρ query).
-        flow_links = [flow.links for flow in flow_set]
 
         # Resolve observability once per run; ENABLED is a module-level
         # flag so the disabled cost is one attribute read.
@@ -242,12 +263,14 @@ class FixedPriorityScheduler:
                    if prov is not None
                    and hasattr(self.policy, "provenance_context") else None)
 
-        for index, flow in enumerate(flow_set):
+        for flow in flow_set:
             self.policy.start_flow(flow)
-            plan_links(schedule, flow_links[index:])
             for instance in flow.instances(hyperperiod):
                 requests = expand_instance(instance, self.attempts_per_link)
                 earliest = instance.release_slot
+                # Every policy gets T_post as a window onto the
+                # instance's Eq. 1 table (built only if RC's fused
+                # descent reads it).
                 table = LaxityTable(requests)
                 for position, request in enumerate(requests):
                     remaining = RequestWindow(table, position + 1)

@@ -29,6 +29,12 @@ from repro.network.topology import Topology
 #: Sentinel hop distance for unreachable node pairs.
 UNREACHABLE = -1
 
+#: :meth:`ChannelReuseGraph.effective_hops`' distance for unreachable
+#: pairs: larger than any real hop count, so the channel constraint can
+#: compare it against ρ directly, and small enough that int32
+#: arithmetic cannot overflow.
+INFINITE_DISTANCE = 2 ** 30
+
 
 def communication_adjacency(topology: Topology,
                             prr_threshold: float = 0.9) -> np.ndarray:
@@ -224,13 +230,12 @@ class ChannelReuseGraph:
         """Hop matrix with :data:`UNREACHABLE` mapped to a huge distance.
 
         Unreachable pairs are infinitely far apart for the channel
-        constraint, so RC's distance lanes and the auditor can compare
-        this matrix against ρ directly.  Memoized like :meth:`diameter`.
+        constraint, so the constraint checks, provenance and the
+        auditor can compare this matrix against ρ directly.  Memoized
+        like :meth:`diameter`.
         """
         cached = self.__dict__.get("_effective_hops")
         if cached is None:
-            from repro.core.kernel import INFINITE_DISTANCE
-
             cached = np.where(self.hops == UNREACHABLE,
                               INFINITE_DISTANCE,
                               self.hops).astype(np.int32)

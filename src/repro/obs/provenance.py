@@ -22,8 +22,8 @@ Records are derived from the *schedule state*, not from how a policy
 searched it: the classifier below reads only structures every schedule
 has (the conflict and free-offset masks unpacked from its busy and
 full-slot bitsets, the cells' occupants through ``Schedule.cell``, the
-reuse graph's hop matrix), never RC's distance lanes, so RC's fused
-descent and its stepwise oracle
+reuse graph's hop matrix), never the running maxima of RC's walk, so
+RC's fused descent and its stepwise oracle
 (:func:`repro.core.rc.stepwise_descent`) emit **bit-identical
 provenance streams** whenever they produce identical schedules — a
 property the differential fuzz harness (:mod:`repro.validate.fuzz`)
@@ -42,6 +42,8 @@ from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.network.graphs import INFINITE_DISTANCE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.schedule import Schedule
@@ -66,22 +68,39 @@ def _jsonable_rho(rho: float) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# Constraint classification (independent of RC's distance lanes)
+# Constraint classification (independent of RC's descent)
 # ----------------------------------------------------------------------
 
 def cell_reuse_distances(schedule: "Schedule",
                          reuse_graph: "ChannelReuseGraph",
                          sender: int, receiver: int, slot: int,
                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-offset min reuse distance of one slot, with the blocker lane.
+    """Per-offset min reuse distance of one slot, with its blocker.
 
-    Delegates to :func:`repro.core.kernel.cell_distances` — the
-    lane-free recomputation from the slot's cells — imported
-    lazily to keep obs importable without pulling core at module load.
+    ``dist[c]`` is the smallest ``min(hops[sender, y], hops[x, receiver])``
+    over the occupants ``(x, y)`` of cell ``(slot, c)`` —
+    :data:`~repro.network.graphs.INFINITE_DISTANCE` for empty cells —
+    and ``blocker[c]`` is the position in ``schedule.cell(slot, c)`` of
+    the first minimizing occupant, i.e. the transmission to *name* when
+    explaining why the channel constraint rejected offset ``c``.
+
+    Computed from the slot's cells and the hop matrix alone, sharing no
+    code with RC's walk (:func:`repro.core.constraints
+    .max_admissible_rho`), so the two descents' provenance streams stay
+    an independent comparison.
     """
-    from repro.core.kernel import cell_distances
-
-    return cell_distances(schedule, reuse_graph, sender, receiver, slot)
+    hops = reuse_graph.effective_hops()
+    dist = np.full(schedule.num_offsets, INFINITE_DISTANCE, dtype=np.int32)
+    blocker = np.zeros(schedule.num_offsets, dtype=np.intp)
+    for offset in range(schedule.num_offsets):
+        occupants = schedule.cell(slot, offset)
+        if occupants:
+            pair = [min(hops[sender, e.request.receiver],
+                        hops[e.request.sender, receiver])
+                    for e in occupants]
+            first = int(np.argmin(pair))
+            dist[offset], blocker[offset] = pair[first], first
+    return dist, blocker
 
 
 def window_rejection_chain(schedule: "Schedule",
@@ -140,15 +159,15 @@ def offset_verdicts(schedule: "Schedule", reuse_graph: "ChannelReuseGraph",
                 "verdict": ACCEPT if load == 0 else REASON_CHANNEL_BUSY,
             })
         return verdicts
-    dist, lanes = cell_reuse_distances(schedule, reuse_graph, sender,
-                                       receiver, slot)
+    dist, blockers = cell_reuse_distances(schedule, reuse_graph, sender,
+                                          receiver, slot)
     for offset in range(schedule.num_offsets):
         occupants = schedule.cell(slot, offset)
         entry: Dict = {"offset": offset, "load": len(occupants)}
         if dist[offset] >= rho:
             entry["verdict"] = ACCEPT
         else:
-            blocker = occupants[int(lanes[offset])].request
+            blocker = occupants[int(blockers[offset])].request
             entry["verdict"] = REASON_REUSE_DISTANCE
             entry["blocker"] = [int(blocker.sender), int(blocker.receiver)]
             entry["distance"] = int(dist[offset])

@@ -11,7 +11,7 @@ contained in the next request that needs it:
 * ``schedule`` — the compiled superframe (the full
   :class:`~repro.core.scheduler.SchedulingResult`), the schedule the
   reschedule repair path warm-starts from.  Repair works on a clone,
-  which carries none of the RC compile's distance lanes.
+  so the cached schedule is never mutated.
 
 Entries are *content-addressed* by the run ledger's canonical
 :func:`repro.obs.ledger.config_hash` over the defining fields (see

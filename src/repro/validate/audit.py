@@ -21,11 +21,9 @@ audits.  For every placed transmission it checks:
   admissible constraint);
 * **Bookkeeping cross-checks** — the schedule's indexes (the per-node
   busy bitsets, each cell's entry-index list in placement order, each
-  slot's used-offset bitmask and the bitset of full slots) and RC's
-  incremental link-distance lanes (when the schedule carries them) must
-  all agree with the entry list.  Each is recomputed from the entries
-  with this module's own code and compared with what the schedule
-  reports.
+  slot's used-offset bitmask and the bitset of full slots) must all
+  agree with the entry list.  Each is recomputed from the entries with
+  this module's own code and compared with what the schedule reports.
   This subsumes :meth:`repro.core.schedule.Schedule.validate_basic` but
   returns structured violations instead of asserting.
 
@@ -44,7 +42,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernel import INFINITE_DISTANCE
 from repro.core.schedule import Schedule
 from repro.core.transmissions import ATTEMPTS_PER_LINK, expand_instance
 from repro.flows.flow import FlowSet
@@ -66,7 +63,7 @@ class Violation:
         kind: Machine-matchable category — one of ``bounds``,
             ``node_conflict``, ``window``, ``precedence``,
             ``completeness``, ``rho_floor``, ``barred_reuse``,
-            ``busy_matrix``, ``occupancy``, ``link_state``.
+            ``busy_matrix``, ``occupancy``.
         message: Human-readable diagnostic with the precise location.
         slot / offset / flow_id: Location fields when meaningful.
     """
@@ -380,43 +377,6 @@ def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
                 f"offsets", slot=slot)
 
 
-def _audit_link_state(schedule: Schedule, collect: _Collector) -> None:
-    """RC's incremental per-link distance lanes vs a fresh full
-    recomputation from the entry list."""
-    state = schedule._link_state
-    if state is None or state.count == 0:
-        return
-    placed = [(e.slot, e.offset, e.request.sender, e.request.receiver)
-              for e in schedule.entries if _in_bounds(schedule, e)]
-    slots, offsets, xs, ys = np.array(
-        placed, dtype=np.intp).reshape(-1, 4).T
-    for (sender, receiver), lane in sorted(state.index.items()):
-        expected = np.full((schedule.num_slots, schedule.num_offsets),
-                           INFINITE_DISTANCE, dtype=np.int32)
-        np.minimum.at(expected, (slots, offsets),
-                      np.minimum(state.hops[sender, ys],
-                                 state.hops[xs, receiver]))
-        actual = state.dist[:, :, lane]
-        if not np.array_equal(expected, actual):
-            diff = np.argwhere(expected != actual)
-            slot, offset = (int(diff[0][0]), int(diff[0][1]))
-            collect.add(
-                "link_state",
-                f"link ({sender},{receiver}): incremental distance for "
-                f"cell ({slot},{offset}) is {int(actual[slot, offset])}, "
-                f"recomputation gives {int(expected[slot, offset])}; "
-                f"{len(diff) - 1} more cell(s)", slot=slot, offset=offset)
-            continue
-        best_expected = expected.max(axis=1)
-        if not np.array_equal(best_expected, state.best[:, lane]):
-            slot = int(np.argwhere(
-                best_expected != state.best[:, lane])[0][0])
-            collect.add(
-                "link_state",
-                f"link ({sender},{receiver}): best-distance row stale at "
-                f"slot {slot}", slot=slot)
-
-
 def audit_schedule(schedule: Schedule,
                    reuse_graph: ChannelReuseGraph,
                    rho_floor: float,
@@ -461,5 +421,4 @@ def audit_schedule(schedule: Schedule,
                             expect_complete, collect)
     _audit_reuse(schedule, reuse_graph, rho_floor, barred, report, collect)
     _audit_bookkeeping(schedule, collect)
-    _audit_link_state(schedule, collect)
     return report

@@ -1,14 +1,18 @@
-"""RC's distance lanes vs the scalar reference: exact-equivalence tests.
+"""RC's walk and the offset pick vs the scalar reference: exact-equivalence
+tests.
 
-The distance lanes (:mod:`repro.core.kernel`) that RC's fused descent
-reads must be bit-for-bit interchangeable with the scalar scan — same
-feasible offsets, same ``find_slot`` answers — and the fused descent
-must match its stepwise oracle (:func:`repro.core.rc.stepwise_descent`)
-in final schedules, work counters, decision provenance and the
-``rc.fallback_rho`` histogram.  These tests drive both over seeded
-randomized schedules and full scheduler runs and demand exact
-agreement.  The last class pins which schedules carry lanes: only the
-one an RC compile built, never its clones or repair products.
+The per-slot value RC's fused descent walks
+(:func:`repro.core.constraints.max_admissible_rho`) and the one offset
+pick (:func:`repro.core.scheduler.pick_offset`) must be bit-for-bit
+interchangeable with the scalar offset list — same feasible slots and
+offsets, same ``find_slot`` answers — and the fused descent must match
+its stepwise oracle (:func:`repro.core.rc.stepwise_descent`) in final
+schedules, work counters, decision provenance and the
+``rc.fallback_rho`` histogram, walking each placement's window once.
+These tests drive both over seeded randomized schedules, a hand-built
+descent and full scheduler runs and demand exact agreement.  The last
+class pins RC's repair products and audits what an RC compile hands
+to clone, repair and evict.
 """
 
 from __future__ import annotations
@@ -19,17 +23,18 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import kernel as _kernel
+from repro.core import rc as _rc
 from repro.core.constraints import (
     NO_REUSE,
     feasible_offsets_scalar,
     first_feasible_offset,
+    max_admissible_rho,
 )
-from repro.core.kernel import best_reuse_distance, min_reuse_distance
+from repro.core.laxity import LaxityTable
 from repro.core.rc import (
     RHO_RESET_FLOW,
     RHO_RESET_TRANSMISSION,
-    _pick_offset,
+    ConservativeReusePolicy,
     stepwise_descent,
 )
 from repro.core.repair import (
@@ -45,8 +50,9 @@ from repro.core.scheduler import (
     OFFSET_FIRST,
     OFFSET_LEAST_LOADED,
     find_slot,
+    pick_offset,
 )
-from repro.core.transmissions import TransmissionRequest
+from repro.core.transmissions import RequestWindow, TransmissionRequest
 from repro.experiments.common import (
     build_workload,
     make_policy,
@@ -114,23 +120,25 @@ def reuse_graph(topology_builder):
 class TestFeasibleOffsets:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scalar_on_random_schedules(self, reuse_graph, seed):
-        """The lane views (distance row at finite ρ, free offsets at
-        ρ = ∞) pick exactly the scalar oracle's offsets."""
+        """A slot's walked value reaches a finite ρ exactly when the
+        scalar oracle lists a feasible offset there; a running maximum
+        above it reads back unchanged."""
         schedule = _random_schedule(reuse_graph, seed)
         rng = np.random.default_rng(100 + seed)
-        rhos = [2, 3, reuse_graph.diameter(), NO_REUSE]
+        rhos = [1, 2, 3, reuse_graph.diameter()]
         for sender, receiver in _links(reuse_graph, rng, 12):
             for slot in rng.choice(NUM_SLOTS, size=8, replace=False):
                 slot = int(slot)
-                dist = min_reuse_distance(schedule, reuse_graph, sender,
-                                          receiver, slot, slot)[0]
+                value = max_admissible_rho(schedule, reuse_graph, sender,
+                                           receiver, slot)
                 for rho in rhos:
                     expected = feasible_offsets_scalar(
                         schedule, reuse_graph, sender, receiver, slot, rho)
-                    got = (schedule.free_offsets(slot) if rho == NO_REUSE
-                           else np.flatnonzero(dist >= rho).tolist())
-                    assert got == expected, (
+                    assert (value >= rho) == bool(expected), (
                         f"rho={rho} slot={slot} link=({sender},{receiver})")
+                    assert max_admissible_rho(
+                        schedule, reuse_graph, sender, receiver, slot,
+                        rho) == max(value, rho)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_first_feasible_offset_is_the_lowest_listed(self, reuse_graph,
@@ -151,38 +159,47 @@ class TestFeasibleOffsets:
                             f"rho={rho} slot={slot} "
                             f"link=({sender},{receiver})")
 
-    def test_distance_view_tracks_additions(self, reuse_graph):
-        schedule = _random_schedule(reuse_graph, seed=9)
-        view = min_reuse_distance(schedule, reuse_graph, 0, 7,
-                                  0, NUM_SLOTS - 1)
-        before = view.copy()
-        schedule.add(
-            TransmissionRequest(0, 0, 0, 0, sender=3, receiver=4,
-                                release_slot=0,
-                                deadline_slot=NUM_SLOTS - 1),
-            5, 0)
-        # The incrementally-maintained view reflects the new occupant.
-        assert view[5, 0] <= before[5, 0]
-        expected = feasible_offsets_scalar(schedule, reuse_graph, 0, 7, 5, 2)
-        assert np.flatnonzero(view[5] >= 2).tolist() == expected
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pick_offset_is_the_least_loaded_listed(self, reuse_graph,
+                                                    seed):
+        """Under ``"least_loaded"`` the pick is the listed offset with
+        the fewest occupants, lowest index on ties; under ``"first"``
+        the lowest listed; -1 when the list is empty."""
+        schedule = _random_schedule(reuse_graph, seed)
+        rng = np.random.default_rng(300 + seed)
+        rhos = [1, 2, 3, reuse_graph.diameter(), NO_REUSE]
+        for sender, receiver in _links(reuse_graph, rng, 12):
+            for slot in range(NUM_SLOTS):
+                for rho in rhos:
+                    listed = feasible_offsets_scalar(
+                        schedule, reuse_graph, sender, receiver, slot, rho)
+                    lightest = min(
+                        listed, default=-1,
+                        key=lambda c: (schedule.cell_size(slot, c), c))
+                    for rule, expected in (
+                            (OFFSET_LEAST_LOADED, lightest),
+                            (OFFSET_FIRST, listed[0] if listed else -1)):
+                        assert pick_offset(
+                            schedule, reuse_graph, sender, receiver, slot,
+                            rho, rule) == expected, (
+                                f"{rule} rho={rho} slot={slot} "
+                                f"link=({sender},{receiver})")
 
 
-def _lane_answer(schedule, reuse_graph, request, rho, earliest,
+def _walk_answer(schedule, reuse_graph, request, rho, earliest,
                  offset_rule):
     """One finite-ρ ``findSlot`` question answered the fused descent's
-    way: the earliest conflict-free slot whose best lane distance
-    reaches ρ, then the lane-thresholded offset pick."""
-    deadline = request.deadline_slot
-    best = best_reuse_distance(schedule, reuse_graph, request.sender,
-                               request.receiver, earliest, deadline)
-    free = ~schedule.conflict_mask(request.sender, request.receiver,
-                                   earliest, deadline)
-    feasible = np.flatnonzero((best >= rho) & free)
-    if not feasible.size:
-        return None
-    slot = earliest + int(feasible[0])
-    return (slot, _pick_offset(schedule, reuse_graph, request.sender,
-                               request.receiver, slot, rho, offset_rule))
+    way: the earliest conflict-free slot whose walked value reaches ρ,
+    then the offset pick."""
+    for slot in schedule.conflict_free_slots(
+            request.sender, request.receiver, earliest,
+            request.deadline_slot):
+        if max_admissible_rho(schedule, reuse_graph, request.sender,
+                              request.receiver, slot) >= rho:
+            return (slot, pick_offset(schedule, reuse_graph, request.sender,
+                                      request.receiver, slot, rho,
+                                      offset_rule))
+    return None
 
 
 class TestFindSlot:
@@ -190,8 +207,9 @@ class TestFindSlot:
     @pytest.mark.parametrize("offset_rule",
                              [OFFSET_FIRST, OFFSET_LEAST_LOADED])
     def test_matches_scalar(self, reuse_graph, seed, offset_rule):
-        """The lanes answer every finite-ρ question exactly as the
-        scalar ``find_slot`` does, slot and offset."""
+        """The walked values and the offset pick answer every finite-ρ
+        question exactly as the scalar ``find_slot`` does, slot and
+        offset."""
         rng = np.random.default_rng(200 + seed)
         rhos = [2, 3, reuse_graph.diameter()]
         for schedule_seed in range(2):
@@ -203,11 +221,91 @@ class TestFindSlot:
                     0, 0, 0, 0, sender, receiver,
                     release_slot=0, deadline_slot=deadline)
                 for rho in rhos:
-                    assert _lane_answer(
+                    assert _walk_answer(
                         schedule, reuse_graph, request, rho, earliest,
                         offset_rule) == find_slot(
                             schedule, reuse_graph, request, rho, earliest,
                             offset_rule)
+
+
+#: A hand-built window for link (0, 1) on the weak-shortcut graph
+#: (λ_R = 5): each slot's two offsets, as (sender, receiver) occupants,
+#: and the value the slot reads.  Every slot is full, so ρ = ∞ finds
+#: nothing and no conflict-free slot reaches λ_R; slot 6 is the first to
+#: reach λ_R − 1, slot 4 the first to reach 3 and slot 1 the first to
+#: reach ρ_t = 2.
+DESCENT_SLOTS = (
+    ([(0, 2)], [(3, 4)]),              # node 0 busy: never walked
+    ([(2, 5)], [(3, 4)]),              # 2
+    ([(3, 6)], [(2, 7)]),              # 2
+    ([(2, 4)], [(3, 5)]),              # 2
+    ([(2, 7)], [(4, 5)]),              # 3
+    ([(3, 7)], [(2, 6)]),              # 2
+    ([(2, 3)], [(5, 6)]),              # 4
+    ([(2, 3)], [(4, 7), (5, 6)]),      # 3, its stack stops at (4, 7)
+    ([(2, 4)], [(6, 7)]),              # 4
+    ([(2, 5)], [(3, 4)]),              # 2
+    ([(7, 5)], [(2, 3)]),              # 4
+    ([(5, 6), (2, 3)], [(4, 7)]),      # 3
+)
+
+#: Requests after the one placed: Eq. 1 reads 11 - s - 9, so slot 1
+#: keeps laxity 1 and slots 4 and 6 go negative.
+DESCENT_REMAINING = 9
+
+
+class TestOneWalkPerPlacement:
+    """RC's fused descent walks a placement's window once."""
+
+    def _place(self, reuse_graph, stepwise):
+        """Place link (0, 1) on :data:`DESCENT_SLOTS` under a recorder:
+        the placement and each probe's ``slots_scanned``."""
+        deadline = len(DESCENT_SLOTS) - 1
+        schedule = Schedule(reuse_graph.num_nodes, len(DESCENT_SLOTS), 2)
+        for slot, offsets in enumerate(DESCENT_SLOTS):
+            for offset, occupants in enumerate(offsets):
+                for sender, receiver in occupants:
+                    schedule.add(TransmissionRequest(
+                        1, slot, offset, 0, sender, receiver, 0, deadline),
+                        slot, offset)
+        requests = [TransmissionRequest(0, 0, 0, attempt, 0, 1, 0, deadline)
+                    for attempt in range(DESCENT_REMAINING + 1)]
+        recorder = obs.Recorder()
+        scans = []
+        count = recorder.count
+
+        def spy(name, amount=1.0):
+            if name == "scheduler.placements_tried":
+                scans.append(0)
+            elif name == "scheduler.slots_scanned":
+                scans[-1] += amount
+            count(name, amount)
+
+        recorder.count = spy
+        with _descent(stepwise), obs.recording(recorder):
+            placement = ConservativeReusePolicy(rho_t=2).place(
+                schedule, reuse_graph, requests[0], 0,
+                RequestWindow(LaxityTable(requests), 1))
+        return placement, scans
+
+    def test_descent_walks_each_slot_once(self, reuse_graph, monkeypatch):
+        """The fused descent makes the stepwise loop's placement with
+        the same ``slots_scanned`` per probe (ρ = ∞, 5, 4, 3, 2), and
+        computes each walked slot's value once: the walk at λ_R runs
+        dry and the lower ρ read its running maxima."""
+        assert reuse_graph.diameter() == 5
+        stepwise = self._place(reuse_graph, True)
+        walked = []
+
+        def counted(schedule, graph, sender, receiver, slot, floor=0):
+            walked.append(slot)
+            return max_admissible_rho(schedule, graph, sender, receiver,
+                                      slot, floor)
+
+        monkeypatch.setattr(_rc, "max_admissible_rho", counted)
+        fused = self._place(reuse_graph, False)
+        assert fused == stepwise == ((1, 1), [12, 11, 6, 4, 1])
+        assert walked == list(range(1, len(DESCENT_SLOTS)))
 
 
 def _recorded_signature(result, recorder):
@@ -337,14 +435,8 @@ class TestRescheduleEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Which schedules carry lanes
+# RC's compiled schedule under clone, repair and evict
 # ----------------------------------------------------------------------
-
-def _lanes(schedule) -> int:
-    """Distance lanes a schedule maintains."""
-    state = schedule._link_state
-    return 0 if state is None else state.count
-
 
 def _rc_compile(network, flow_set):
     return FixedPriorityScheduler(
@@ -363,53 +455,19 @@ def _blacklist(indriya):
         offset_map=(0, 1, 2, None))), narrowed.reuse)
 
 
-class TestPerPolicyLanes:
-    """Lanes belong to the schedule an RC compile built."""
+class TestRcRepairProducts:
+    """An RC compile's schedule, its clone and its repair products."""
 
-    @pytest.fixture(scope="class")
-    def built(self, figure1_workload):
-        network, flow_set = figure1_workload
-        return {name: FixedPriorityScheduler(
-                    num_nodes=network.topology.num_nodes,
-                    num_offsets=network.num_channels,
-                    reuse_graph=network.reuse,
-                    policy=make_policy(name, 2)).run(flow_set)
-                for name in ("NR", "RA")}
-
-    @pytest.mark.parametrize("policy_name", ["NR", "RA"])
-    def test_scalar_policies_carry_no_lanes(self, figure1_workload, built,
-                                            policy_name):
-        """Plain run, barrier rebuild and victim repair all stay off the
-        distance lanes for NR and RA."""
-        network, flow_set = figure1_workload
-        result = built[policy_name]
-        assert result.schedulable
-        assert _lanes(result.schedule) == 0
-        victim = (smallest_reused_link(built["RA"].schedule)
-                  or result.schedule.entries[0].request.link)
-        rebuilt = reschedule_without_reuse_on(
-            flow_set, network.topology.num_nodes, network.num_channels,
-            network.reuse, make_policy(policy_name, 2), {victim})
-        assert _lanes(rebuilt.schedule) == 0
-        repaired = repair_schedule(
-            result.schedule, flow_set, network.reuse,
-            ChangeSet(victims=(victim,)), rho_t=2,
-            policy_name=policy_name)
-        assert _lanes(repaired.schedule) == 0
-
-    def test_rc_lanes_stay_on_the_compiled_schedule(self, figure1_workload,
+    def test_rc_clone_repairs_and_evict_audit_clean(self, figure1_workload,
                                                     indriya):
-        """An RC compile that descends builds lanes; its clone, its
-        victim repair product and its channel-blacklist repair product
-        carry none, and ``evict`` on the compiled schedule drops them.
-        Every one of them audits clean."""
+        """An RC compile that descends, its clone, its victim repair
+        product, its channel-blacklist repair product and the compiled
+        schedule after ``evict`` all audit clean."""
         network, flow_set = figure1_workload
         schedule = _rc_compile(network, flow_set).schedule
-        assert _lanes(schedule) > 0
         assert audit_schedule(schedule, network.reuse, 2,
                               flow_set=flow_set).ok
         clone = schedule.clone()
-        assert _lanes(clone) == 0
         assert clone.signature() == schedule.signature()
         assert audit_schedule(clone, network.reuse, 2,
                               flow_set=flow_set).ok
@@ -417,7 +475,6 @@ class TestPerPolicyLanes:
         repaired = repair_schedule(schedule, flow_set, network.reuse,
                                    ChangeSet(victims=(victim,)), rho_t=2)
         assert repaired.schedulable and repaired.evicted > 0
-        assert _lanes(repaired.schedule) == 0
         assert audit_schedule(repaired.schedule, network.reuse, 2,
                               flow_set=flow_set,
                               barred_links={victim}).ok
@@ -425,12 +482,9 @@ class TestPerPolicyLanes:
         remapped = repair_schedule(schedule, flow_set, network.reuse,
                                    change, rho_t=2)
         assert remapped.schedulable and remapped.evicted > 0
-        assert _lanes(remapped.schedule) == 0
         assert audit_schedule(remapped.schedule, narrowed, 2,
                               flow_set=flow_set).ok
-        assert _lanes(schedule) > 0  # repair left the input's lanes alone
         schedule.evict([len(schedule) - 1])
-        assert _lanes(schedule) == 0
         assert audit_schedule(schedule, network.reuse, 2,
                               flow_set=flow_set, expect_complete=False).ok
 
@@ -456,20 +510,19 @@ class TestPerPolicyLanes:
         assert remapped.schedule.canonical_hash() == (
             "67c653d623208c009f929bc42e1c1e820d71593c298fe99551168d85169a7a35")
 
-    def test_rc_without_reuse_builds_no_lanes(self, figure1_workload,
-                                              indriya):
+    def test_rc_without_reuse_repairs_audit_clean(self, figure1_workload,
+                                                  indriya):
         """An RC run that never leaves ρ = ∞ (9 of the fleet's 32 flow
-        sets) ends with no lane state.  The auto victim finds no shared
-        cell; a victim repair evicts nothing, and a channel blacklist
-        repair re-places at ρ_t on a fresh schedule through the scalar
-        scan.  Neither builds lanes, and both audit clean."""
+        sets): the auto victim finds no shared cell; a victim repair
+        evicts nothing, and a channel blacklist repair re-places at ρ_t
+        on a fresh schedule through the scalar scan.  Both audit
+        clean."""
         network, _ = figure1_workload
         flow_set = build_workload(network, 15, PeriodRange(0, 3),
                                   TrafficType.PEER_TO_PEER,
                                   np.random.default_rng(0))
         result = _rc_compile(network, flow_set)
         assert result.schedulable
-        assert result.schedule._link_state is None
         assert smallest_reused_link(result.schedule) is None
         blacklist, narrowed = _blacklist(indriya)
         changes = {
@@ -481,54 +534,9 @@ class TestPerPolicyLanes:
             repaired = repair_schedule(result.schedule, flow_set,
                                        network.reuse, change, rho_t=2)
             assert repaired.schedulable
-            assert repaired.schedule._link_state is None
             assert audit_schedule(repaired.schedule, graph, 2,
                                   flow_set=flow_set).ok
             if name == "victim":
                 assert repaired.evicted == 0
             else:
                 assert repaired.evicted > 0
-
-    def test_rc_builds_lanes_for_the_planned_links(self, figure1_workload,
-                                                   monkeypatch):
-        """Lanes are built once, at the first finite-ρ query, for the
-        links of the flow making it and of every later flow, sized to
-        those distinct links; the run registers nothing else and audits
-        clean.  A repair on a clone registers nothing at all."""
-        network, flow_set = figure1_workload
-        calls = []
-        register = _kernel._LinkDistanceState.register
-
-        def spy(state, schedule, links):
-            calls.append((list(links), state.dist.shape[2]))
-            return register(state, schedule, links)
-
-        monkeypatch.setattr(_kernel._LinkDistanceState, "register", spy)
-        prov = ProvenanceRecorder()
-        with obs.recording(obs.Recorder(provenance=prov)):
-            result = _rc_compile(network, flow_set)
-        assert result.schedulable
-        first = next(decision["flow"] for decision in prov.decisions()
-                     if decision["descent"])
-        position = [flow.flow_id for flow in flow_set].index(first)
-        planned = {link for flow in list(flow_set)[position:]
-                   for link in flow.links}
-        earlier = {link for flow in list(flow_set)[:position]
-                   for link in flow.links}
-        assert 0 < position and earlier - planned
-        (built, capacity), = calls
-        assert set(built) == planned and len(built) == len(planned)
-        assert capacity <= len(planned)
-        state = result.schedule._link_state
-        assert set(state.index) == planned
-        assert audit_schedule(result.schedule, network.reuse, 2,
-                              flow_set=flow_set).ok
-        repaired = repair_schedule(
-            result.schedule, flow_set, network.reuse,
-            ChangeSet(victims=(smallest_reused_link(result.schedule),)),
-            rho_t=2)
-        assert repaired.schedulable and repaired.evicted > 0
-        assert repaired.schedule._link_state is None
-        assert len(calls) == 1
-        assert audit_schedule(repaired.schedule, network.reuse, 2,
-                              flow_set=flow_set).ok

@@ -207,8 +207,7 @@ class TestProvenanceRecorder:
 
     def test_scalar_and_vector_streams_bit_identical(self, grid_topology):
         """RC's stepwise oracle (the scalar scan) and its fused descent
-        (the vector lanes) record the same stream; every policy's
-        stream is JSON-safe."""
+        record the same stream; every policy's stream is JSON-safe."""
         flows = _routed_flows(grid_topology, num_flows=3)
         streams = []
         for scope in (stepwise_descent, nullcontext):

@@ -157,13 +157,11 @@ class TestRepairSchedule:
 
     def test_repair_kernel_equivalence(self, bench_case):
         """Repair ignores how its input was compiled: the fused
-        descent's schedule (carrying distance lanes) and the stepwise
-        oracle's (carrying none) repair to the same product."""
+        descent's schedule and the stepwise oracle's repair to the same
+        product."""
         network, flow_set, result = bench_case
         with stepwise_descent():
             oracle = schedule_workload(network, flow_set, "RC")
-        assert result.schedule._link_state is not None
-        assert oracle.schedule._link_state is None
         victim = smallest_reused_link(result.schedule)
         change = ChangeSet(victims=(victim,))
         fused, stepwise = (

@@ -3,10 +3,11 @@
 ``Schedule`` keeps its entry list plus its indexes (per-node busy slot
 bitsets, the cell index, per-slot used-offset masks and the full-slot
 bitset); every other view is derived from them.  This module drives
-random ``add``/``force_add``/``evict``/``clone`` sequences, and RC
-distance-lane queries, and after every step compares each query with
-the answer a model built from ``entries`` alone gives.  The auditor
-must also find no bookkeeping violation at every step.
+random ``add``/``force_add``/``evict``/``clone`` sequences, and the
+per-slot reuse distances RC's walk and provenance read, and after
+every step compares each query with the answer a model built from
+``entries`` alone gives.  The auditor must also find no bookkeeping
+violation at every step.
 
 The bitsets are Python ints, stored in 30-bit digits: the sequences run
 on an 8-slot schedule (one digit) and on a 70-slot one, whose windows
@@ -19,11 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernel
-from repro.core.kernel import INFINITE_DISTANCE
+from repro.core.constraints import max_admissible_rho
 from repro.core.schedule import Schedule
 from repro.core.transmissions import TransmissionRequest
-from repro.network.graphs import ChannelReuseGraph
+from repro.network.graphs import INFINITE_DISTANCE, ChannelReuseGraph
+from repro.obs.provenance import cell_reuse_distances
 from repro.validate.audit import audit_schedule
 
 from conftest import build_topology
@@ -43,10 +44,10 @@ WINDOWS = {
 
 #: Index violations; the others (node conflicts from force_add, windows,
 #: reuse distance) are what random placements legitimately produce.
-BOOKKEEPING = {"bounds", "busy_matrix", "occupancy", "link_state"}
+BOOKKEEPING = {"bounds", "busy_matrix", "occupancy"}
 
-#: A reuse graph with a weak shortcut and an isolated node (6), so lanes
-#: see finite and infinite distances alike.
+#: A reuse graph with a weak shortcut and an isolated node (6), so the
+#: reuse distances see finite and infinite hops alike.
 GRAPH = ChannelReuseGraph.from_topology(build_topology(
     NODES, [(0, 1), (1, 2), (2, 3), (4, 5)], weak_links=[(3, 4)]))
 
@@ -231,18 +232,16 @@ def run_against_model(ops, slots):
             assert schedule.canonical_hash() == frozen[-1][2]
         else:
             sender, receiver = op[1]
-            lane = kernel.min_reuse_distance(schedule, GRAPH, sender,
-                                             receiver, 0, slots - 1)
             expected = model_lane(schedule.entries, slots, sender, receiver)
-            assert np.array_equal(lane, expected)
-            assert np.array_equal(
-                kernel.best_reuse_distance(schedule, GRAPH, sender,
-                                           receiver, 0, slots - 1),
-                expected.max(axis=1))
-            assert np.array_equal(
-                kernel.cell_distances(schedule, GRAPH, sender, receiver,
-                                      slots // 2)[0],
-                expected[slots // 2])
+            assert [max_admissible_rho(schedule, GRAPH, sender, receiver,
+                                       slot)
+                    for slot in range(slots)] == expected.max(
+                        axis=1).tolist()
+            for slot in range(slots):
+                assert np.array_equal(
+                    cell_reuse_distances(schedule, GRAPH, sender, receiver,
+                                         slot)[0],
+                    expected[slot])
         assert_matches_model(schedule)
     for old, entries, digest in frozen:
         assert old.entries == entries

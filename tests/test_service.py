@@ -205,8 +205,7 @@ class TestExecutorSchedule:
                              ids=["scalar", "vector"])
     def test_cold_vs_warm_bit_identical_per_kernel(self, scope):
         """RC's stepwise oracle (the scalar scan) and its fused descent
-        (the vector lanes) each serve a warm hit identical to the cold
-        compile."""
+        each serve a warm hit identical to the cold compile."""
         with scope():
             executor = ServiceExecutor()
             cold = executor.handle(schedule_request(config=REUSE_CONFIG))

@@ -216,17 +216,6 @@ class TestAuditorCorruptions:
                    and v.flow_id == dropped.request.flow_id
                    for v in report.violations)
 
-    def test_link_state_drift(self, scheduled_network):
-        network, _, flow_set = scheduled_network
-        result = run_policy(network, flow_set, make_policy("RC", 1))
-        state = result.schedule._link_state
-        assert state is not None and state.count > 0
-        state.dist[0, 0, 0] += 1
-        report = audit_schedule(result.schedule, network.reuse, 1,
-                                flow_set=flow_set)
-        assert "link_state" in report.kinds()
-        assert "recomputation gives" in report.violations[0].message
-
 
 class TestAuditReport:
     def test_to_dict_serializes_infinity_as_none(self, line_reuse_graph):
