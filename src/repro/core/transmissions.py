@@ -7,15 +7,20 @@ Attempts are strictly ordered — attempt 1 of hop ``h`` after attempt 0 of
 hop ``h``, and hop ``h+1`` after both attempts of hop ``h`` — because in
 the worst case the packet only reaches the next relay in the
 retransmission slot.
+
+:func:`request_plan` expands a whole flow set once per attempt count
+and memoizes the result on the flow set, so every scheduler run over
+one flow set (NR, RA and RC of a sweep trial, a barrier rebuild after
+its compile) places from the same requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
-from repro.flows.flow import FlowInstance
+from repro.flows.flow import Flow, FlowInstance, FlowSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.laxity import LaxityTable
@@ -138,3 +143,51 @@ def expand_instance(instance: FlowInstance,
                 deadline_slot=instance.deadline_slot,
             ))
     return requests
+
+
+class PlannedInstance(NamedTuple):
+    """One release of a flow with its requests in precedence order.
+
+    ``requests`` is empty for a flow routed only over the wired hop, so
+    the release index and slot are kept beside it rather than read from
+    ``requests[0]``.
+    """
+
+    instance: int
+    release_slot: int
+    requests: Tuple[TransmissionRequest, ...]
+
+
+class PlannedFlow(NamedTuple):
+    """One flow of a :func:`request_plan` with every release it makes in
+    one hyperperiod."""
+
+    flow: Flow
+    instances: Tuple[PlannedInstance, ...]
+
+
+def request_plan(flow_set: FlowSet,
+                 attempts_per_link: int = ATTEMPTS_PER_LINK,
+                 ) -> Tuple[PlannedFlow, ...]:
+    """Every flow of a routed flow set in priority order, each release
+    expanded by :func:`expand_instance`.
+
+    Built at the first call and memoized on the flow set per
+    ``attempts_per_link``: a :class:`~repro.flows.flow.FlowSet` never
+    changes after construction (reordering returns a new set).  The
+    plan holds requests only; per-run state such as each instance's
+    :class:`~repro.core.laxity.LaxityTable` stays with the run.
+    """
+    plans = flow_set._request_plans
+    plan = plans.get(attempts_per_link)
+    if plan is None:
+        hyperperiod = flow_set.hyperperiod()
+        plan = tuple(
+            PlannedFlow(flow, tuple(
+                PlannedInstance(
+                    instance.instance, instance.release_slot,
+                    tuple(expand_instance(instance, attempts_per_link)))
+                for instance in flow.instances(hyperperiod)))
+            for flow in flow_set)
+        plans[attempts_per_link] = plan
+    return plan

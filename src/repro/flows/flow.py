@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,9 @@ class FlowSet:
     Order encodes priority: ``flows[0]`` has the highest priority.  Use
     :meth:`deadline_monotonic` to apply the DM priority assignment used
     throughout the paper's evaluation.
+
+    A flow set never changes after construction, so it carries the
+    memo of :func:`repro.core.transmissions.request_plan`.
     """
 
     def __init__(self, flows: Sequence[Flow]):
@@ -155,6 +158,8 @@ class FlowSet:
         if len(set(ids)) != len(ids):
             raise ValueError("flow ids must be unique")
         self._flows: List[Flow] = flows
+        # attempts_per_link -> request plan, filled by request_plan().
+        self._request_plans: Dict[int, tuple] = {}
 
     def __len__(self) -> int:
         return len(self._flows)

@@ -253,6 +253,11 @@ def _audit_completeness(schedule: Schedule, flow_set: FlowSet,
                         collect: _Collector) -> None:
     """Placed attempts vs a fresh expansion of every release.
 
+    Never the flow set's memoized
+    :func:`~repro.core.transmissions.request_plan`: the schedulers
+    place from that plan, so a fault in it must show up here as a
+    missing or unexpected placement.
+
     When ``expect_complete`` is False (a partial schedule from an
     unschedulable run) only *unexpected* and *duplicated* attempts are
     flagged; missing ones are the expected failure mode.
