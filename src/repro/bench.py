@@ -12,7 +12,9 @@ measurement behind each of them:
   NR and RA have one placement path each, so they have no cell;
 * warm-start repair (:mod:`repro.core.repair`) over the full barrier
   rebuild for single-victim remediation (the manager and the service
-  always try repair first);
+  always try repair first, through
+  :func:`repro.manager.loop.remediate`, which is what the cell times:
+  a repair that fails placement pays for its fallback rebuild);
 * the batched event simulator, which
   :meth:`repro.simulator.engine.TschSimulator.run` always takes, over
   the slot oracle at experiment repetition counts, on reliability-style
@@ -34,7 +36,7 @@ of ``BENCHMARK.json``.
 
 Each cell also cross-checks correctness, so a timing can never mask a
 divergence: the two RC descents must build identical schedules, the
-repaired schedule must pass the audit, and the two simulator engines
+remediated schedule must pass the audit, and the two simulator engines
 must produce identical statistics.  Work counters (placements, slots
 scanned) come from one separate recorded pass per workload, on the
 fused descent; the counters do not depend on the descent.
@@ -206,19 +208,26 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
     and times both remediation paths:
 
     * **repair** (chosen: the manager and the service try it first) —
-      :func:`repro.core.repair.repair_schedule` evicting the victim's
-      blast radius and re-placing it against the warm busy bitsets;
+      :func:`repro.manager.loop.remediate` unaudited, the call both
+      make: :func:`repro.core.repair.repair_schedule` evicting the
+      victim's blast radius and re-placing it against the warm busy
+      bitsets, then the rebuild when repair fails placement, so a
+      failed repair pays for its fallback;
     * **rebuild** — :func:`repro.core.reschedule
       .reschedule_without_reuse_on` re-running the full scheduler
       under a reuse-barrier policy.
 
-    The repaired schedule is audited once per cell (outside the timed
-    runs) so a latency win can never mask a correctness loss.
+    ``schedulable.repair`` says whether the chosen path's repair
+    placed (it served no rebuild); ``evicted_cells`` and
+    ``blast_seeds`` size one untimed repair attempt's blast radius.
+    The chosen path's schedule is audited once per cell (outside the
+    timed runs) so a latency win can never mask a correctness loss.
     """
     from repro.core.ra import DEFAULT_RHO_T
     from repro.core.repair import (ChangeSet, repair_schedule,
                                    smallest_reused_link)
     from repro.core.reschedule import reschedule_without_reuse_on
+    from repro.manager.loop import remediate
     from repro.validate.audit import audit_schedule
 
     network, workloads = _workloads(flow_counts, seed)
@@ -237,29 +246,33 @@ def bench_remediation(flow_counts: Sequence[int], seed: int,
             cell["skipped"] = "no reused cells to repair"
             continue
         change = ChangeSet(victims=(victim,))
+        attempt = repair_schedule(baseline.schedule, flow_set,
+                                  network.reuse, change,
+                                  rho_t=DEFAULT_RHO_T, policy_name="RC")
         decision, results = _decide({
-            "repair": lambda: repair_schedule(
-                baseline.schedule, flow_set, network.reuse, change,
-                rho_t=DEFAULT_RHO_T, policy_name="RC"),
+            "repair": lambda: remediate(
+                network, flow_set, baseline.schedule, change,
+                policy="RC", rho_t=DEFAULT_RHO_T, barred=set(),
+                audit=False),
             "rebuild": lambda: reschedule_without_reuse_on(
                 flow_set, network.topology.num_nodes,
                 network.num_channels, network.reuse,
                 make_policy("RC", DEFAULT_RHO_T), {victim}),
         }, "repair", rounds)
-        outcome = results["repair"]
+        remedy = results["repair"]
         cell.update(victim=list(victim), **decision,
-                    schedulable={"repair": outcome.schedulable,
+                    schedulable={"repair": remedy.mode == "repair",
                                  "rebuild": results["rebuild"].schedulable},
-                    evicted_cells=outcome.evicted,
-                    blast_seeds=outcome.blast.seeds)
-        if outcome.schedulable:
+                    evicted_cells=attempt.evicted,
+                    blast_seeds=attempt.blast.seeds)
+        if remedy.schedule is not None:
             report = audit_schedule(
-                outcome.schedule, network.reuse, DEFAULT_RHO_T,
+                remedy.schedule, network.reuse, DEFAULT_RHO_T,
                 flow_set=flow_set, expect_complete=True,
                 barred_links={victim})
             if not report.ok:
                 raise AssertionError(
-                    f"repaired schedule failed audit at {num_flows} "
+                    f"remediated schedule failed audit at {num_flows} "
                     f"flows: {report.summary()}")
     return cells
 

@@ -8,7 +8,7 @@ indexes its hot paths read, two of them as Python-int bitsets:
 * ``_busy[node]`` — a slot bitset per node, bit ``s`` set while the node
   sends or receives in slot ``s`` (transmission conflicts, laxity's
   ``q`` terms);
-* per-(slot, offset) entry-index lists — the scalar channel-constraint
+* per-(slot, offset) entry-index tuples — the scalar channel-constraint
   scan, cell sizes for the least-loaded pick, and reuse statistics;
 * ``_used_mask[slot]`` — the slot's used-offset bits, plus ``_full``, a
   slot bitset of the slots whose every offset is taken (the ρ = ∞ "any
@@ -22,6 +22,12 @@ boundary (:meth:`Schedule.conflict_mask`, :meth:`Schedule.conflict_rows`,
 :meth:`Schedule.free_offset_slots`, :meth:`Schedule.busy_matrix`).
 Every other view (per-slot groups, makespan, cell sizes) is derived
 from these on demand.
+
+The canonical hash reads a per-entry text cache kept as a prefix of the
+entry list, so a hash after a repair formats only the entries placed
+since the last one, and ``clone`` copies the cell index as one dict of
+immutable tuples: both whole-schedule costs of a reschedule follow the
+entries that changed.
 """
 
 from __future__ import annotations
@@ -47,6 +53,28 @@ class ScheduledTransmission:
         return f"{self.request} @ slot {self.slot} offset {self.offset}"
 
 
+def _entry_text(entries: Sequence[ScheduledTransmission]) -> List[str]:
+    """Each entry's canonical JSON row (:meth:`Schedule.canonical_hash`):
+    its cell, then its request's identity, as ``%d`` integers."""
+    return ["[%d,%d,%d,%d,%d,%d,%d,%d,%d,%d]" % (
+                e.slot, e.offset, r.flow_id, r.instance, r.hop_index,
+                r.attempt, r.sender, r.receiver, r.release_slot,
+                r.deadline_slot)
+            for e in entries for r in (e.request,)]
+
+
+def _without(items: List, doomed: Sequence[int]) -> List:
+    """``items`` minus the positions in ``doomed`` (ascending), copied
+    slice by slice; positions past the end are ignored."""
+    kept: List = []
+    start = 0
+    for index in doomed:
+        kept += items[start:index]
+        start = index + 1
+    kept += items[start:]
+    return kept
+
+
 class Schedule:
     """A mutable transmission schedule over one hyperperiod.
 
@@ -64,11 +92,16 @@ class Schedule:
         self.num_offsets = num_offsets
         self._entries: List[ScheduledTransmission] = []
         self._busy: List[int] = [0] * num_nodes
-        self._cells: Dict[Tuple[int, int], List[int]] = {}
+        # Immutable index tuples: clone() shares them, _bind and evict
+        # replace them.
+        self._cells: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._used_mask: List[int] = [0] * num_slots
         self._full = 0
         # canonical_hash() memo; every entry mutation clears it.
         self._hash: Optional[str] = None
+        # Canonical text of entries[:len(_text)], filled by
+        # canonical_hash(): always a prefix of the entry list.
+        self._text: List[str] = []
         # Mutation counter: every entry mutation bumps it (see version).
         self._version = 0
 
@@ -127,7 +160,8 @@ class Schedule:
     def _bind(self, request: TransmissionRequest, slot: int, offset: int
               ) -> ScheduledTransmission:
         entry = ScheduledTransmission(request, slot, offset)
-        self._cells.setdefault((slot, offset), []).append(len(self._entries))
+        cell = (slot, offset)
+        self._cells[cell] = self._cells.get(cell, ()) + (len(self._entries),)
         self._entries.append(entry)
         self._hash = None
         self._version += 1
@@ -141,15 +175,17 @@ class Schedule:
         return entry
 
     def clone(self) -> "Schedule":
-        """An independent deep copy sharing only immutable pieces.
+        """An independent copy sharing only immutable pieces.
 
-        Entries are frozen dataclasses and safe to share; the indexes —
-        busy bitsets, cell index, used-offset masks and the full-slot
-        bitset — are copied so mutations of the clone
-        (``add``/``evict``) never leak into the original.  The
-        incremental repair path (:mod:`repro.core.repair`) edits a
-        clone so the manager's rollback can keep serving the old
-        schedule.
+        Entries (frozen dataclasses), the cell index's tuples and the
+        entries' canonical text are shared; each container — entry
+        list, busy bitsets, cell dict, used-offset masks, text prefix —
+        is copied flat, with no per-cell work, so mutations of the clone
+        (``add``/``evict``) never leak into the original.  The hash memo
+        and the text prefix carry over, so hashing the clone after a
+        repair formats only the re-placed entries.  The incremental
+        repair path (:mod:`repro.core.repair`) edits a clone so the
+        manager's rollback can keep serving the old schedule.
         """
         dup = Schedule.__new__(Schedule)
         dup.num_nodes = self.num_nodes
@@ -157,10 +193,11 @@ class Schedule:
         dup.num_offsets = self.num_offsets
         dup._entries = list(self._entries)
         dup._busy = list(self._busy)
-        dup._cells = {cell: list(ix) for cell, ix in self._cells.items()}
+        dup._cells = dict(self._cells)
         dup._used_mask = list(self._used_mask)
         dup._full = self._full
         dup._hash = self._hash
+        dup._text = list(self._text)
         dup._version = self._version
         return dup
 
@@ -168,7 +205,8 @@ class Schedule:
         """Remove entries by index, rolling back all bookkeeping.
 
         The inverse of :meth:`add` for a batch of entries: the cell
-        index is rebuilt from the survivors, and the busy bits,
+        index is rebuilt from the survivors, the canonical text prefix
+        drops the evicted entries' text, and the busy bits,
         used-offset masks and full-slot bits of the touched slots are
         recomputed from them, so every index ends exactly as a fresh
         schedule holding only the surviving entries would have it (the
@@ -191,17 +229,18 @@ class Schedule:
         if doomed[0] < 0 or doomed[-1] >= len(self._entries):
             raise IndexError(
                 f"evict index out of range [0, {len(self._entries)})")
-        doomed_set = set(doomed)
         evicted = [self._entries[i] for i in doomed]
-        self._entries = [entry for i, entry in enumerate(self._entries)
-                         if i not in doomed_set]
+        self._entries = _without(self._entries, doomed)
+        # The survivors of a prefix are a prefix of the survivors.
+        self._text = _without(self._text, doomed)
         self._hash = None
         self._version += 1
         # Survivor indices shifted: rebuild the cell index in one pass
         # (linear in schedule size, far below placement cost).
-        cells: Dict[Tuple[int, int], List[int]] = {}
+        cells: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         for i, entry in enumerate(self._entries):
-            cells.setdefault((entry.slot, entry.offset), []).append(i)
+            cell = (entry.slot, entry.offset)
+            cells[cell] = cells.get(cell, ()) + (i,)
         self._cells = cells
         # The touched slots' bits are cleared and recomputed from the
         # survivors rather than unset entry by entry: force_add permits
@@ -326,13 +365,13 @@ class Schedule:
 
     def cell(self, slot: int, offset: int) -> List[ScheduledTransmission]:
         """Transmissions scheduled in a (slot, offset) cell."""
-        return [self._entries[i] for i in self._cells.get((slot, offset), [])]
+        return [self._entries[i] for i in self._cells.get((slot, offset), ())]
 
-    def cell_indices(self, slot: int, offset: int) -> Sequence[int]:
+    def cell_indices(self, slot: int, offset: int) -> Tuple[int, ...]:
         """Positions in :attr:`entries` of a cell's occupants, in
-        placement order: the live index list (callers must not mutate
-        it), so the scalar channel-constraint check reads occupant
-        endpoints without materializing the cell."""
+        placement order: the cell index's own immutable tuple, so the
+        scalar channel-constraint check reads occupant endpoints without
+        materializing the cell or copying the index."""
         return self._cells.get((slot, offset), ())
 
     def cell_size(self, slot: int, offset: int) -> int:
@@ -402,7 +441,7 @@ class Schedule:
 
     def cell_sizes(self) -> List[int]:
         """Occupant count of every non-empty cell, in no particular
-        order: the cell index's list lengths, no cell materialized."""
+        order: the cell index's tuple lengths, no cell materialized."""
         return [len(indices) for indices in self._cells.values()]
 
     def num_reused_cells(self) -> int:
@@ -439,8 +478,10 @@ class Schedule:
         One tuple per entry, in placement order, carrying the full
         request identity plus its cell — two schedules are bit-identical
         iff their signatures are equal.  The benchmark's descent
-        equivalence check and the scheduling service's response hashing
-        both compare through this form.
+        equivalence check compares through this form, and
+        ``json.dumps`` of it is the test oracle of
+        :meth:`canonical_hash`, which formats the same fields from its
+        per-entry text cache instead.
         """
         return [(e.slot, e.offset, r.flow_id, r.instance, r.hop_index,
                  r.attempt, r.sender, r.receiver, r.release_slot,
@@ -451,23 +492,32 @@ class Schedule:
     def canonical_hash(self) -> str:
         """SHA-256 over the canonical JSON form of this schedule.
 
-        Covers dimensions and the full :meth:`signature`, so any change
-        to any placement (or to placement *order*) changes the hash.
-        Two processes that built the same schedule — service worker and
-        direct library call, RC's fused descent and its stepwise
-        oracle — agree on it.
+        The document is ``{"num_nodes":N,"num_slots":S,"num_offsets":M,
+        "entries":[...]}`` with one ``[slot,offset,flow_id,instance,
+        hop_index,attempt,sender,receiver,release_slot,deadline_slot]``
+        row per entry in placement order — the bytes ``json.dumps`` of
+        :meth:`signature` writes with ``separators=(",", ":")`` — so any
+        change to any placement (or to placement *order*) changes the
+        hash.  Two processes that built the same schedule — service
+        worker and direct library call, RC's fused descent and its
+        stepwise oracle — agree on it.
+
         Computed once per schedule state: ``add``/``force_add`` and
-        ``evict`` clear the memo, ``clone`` carries it.
+        ``evict`` clear the memo, ``clone`` carries it.  Each entry's
+        row text is formatted once and kept as a prefix of the entry
+        list, which ``clone`` copies and ``evict`` filters; a recompute
+        formats only the entries past the prefix, so hashing a repaired
+        clone costs its re-placed entries plus one join and one SHA-256.
         """
         if self._hash is None:
             import hashlib
-            import json
 
-            canonical = json.dumps(
-                {"num_nodes": self.num_nodes, "num_slots": self.num_slots,
-                 "num_offsets": self.num_offsets,
-                 "entries": self.signature()},
-                separators=(",", ":"))
+            text = self._text
+            text.extend(_entry_text(self._entries[len(text):]))
+            canonical = (
+                '{"num_nodes":%d,"num_slots":%d,"num_offsets":%d,'
+                '"entries":[%s]}' % (self.num_nodes, self.num_slots,
+                                     self.num_offsets, ",".join(text)))
             self._hash = hashlib.sha256(
                 canonical.encode("utf-8")).hexdigest()
         return self._hash

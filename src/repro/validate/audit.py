@@ -20,7 +20,7 @@ audits.  For every placed transmission it checks:
   it falls below the policy's floor ρ_t (Algorithm 1's weakest
   admissible constraint);
 * **Bookkeeping cross-checks** — the schedule's indexes (the per-node
-  busy bitsets, each cell's entry-index list in placement order, each
+  busy bitsets, each cell's entry indices in placement order, each
   slot's used-offset bitmask and the bitset of full slots) must all
   agree with the entry list.  Each is recomputed from the entries with
   this module's own code and compared with what the schedule reports.
@@ -354,7 +354,7 @@ def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
 
     cells = schedule._cells
     for slot, offset in sorted(set(cells) | set(cells_check)):
-        actual = cells.get((slot, offset), [])
+        actual = list(cells.get((slot, offset), ()))
         expected = cells_check.get((slot, offset), [])
         if actual != expected:
             collect.add(

@@ -28,7 +28,8 @@ and, for each case:
   repair fails placement, the designed fallback — the full barrier
   rebuild — is run and its product audited instead, so a placement
   failure can never silently escape correctness coverage; every
-  product's memoized canonical hash must equal a fresh one;
+  product's memoized canonical hash must equal SHA-256 of
+  ``json.dumps`` over its ``signature()``;
 * cross-checks simulator invariants on a schedulable result:
   deliveries never exceed releases per flow, the observability counters
   ``sim.attempts`` / ``sim.successes`` / ``sim.deliveries`` equal the
@@ -50,6 +51,8 @@ re-running ``run_fuzz`` with the same seed and enough cases replays it.
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -570,15 +573,19 @@ def _audit_repaired(case: FuzzCaseResult, check: str, label: str,
 
 
 def _check_hash_memo(case: FuzzCaseResult, label: str, schedule) -> None:
-    """The memoized canonical hash must equal one computed afresh, on a
-    copy rebuilt entry by entry (which starts with no memo)."""
-    fresh = Schedule(schedule.num_nodes, schedule.num_slots,
-                     schedule.num_offsets)
-    for entry in schedule.entries:
-        fresh.force_add(entry.request, entry.slot, entry.offset)
-    if schedule.canonical_hash() != fresh.canonical_hash():
-        case.fail("hash_memo", f"{label}: memoized canonical hash is "
-                               f"stale")
+    """The memoized canonical hash must equal the independent reference,
+    SHA-256 of ``json.dumps`` over :meth:`Schedule.signature`: a stale
+    memo, a stale cached entry text or an encoder that drifts from the
+    JSON bytes all fail it."""
+    reference = json.dumps(
+        {"num_nodes": schedule.num_nodes, "num_slots": schedule.num_slots,
+         "num_offsets": schedule.num_offsets,
+         "entries": schedule.signature()},
+        separators=(",", ":"))
+    if schedule.canonical_hash() != hashlib.sha256(
+            reference.encode("utf-8")).hexdigest():
+        case.fail("hash_memo", f"{label}: memoized canonical hash differs "
+                               f"from the json.dumps reference")
 
 
 def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
@@ -591,8 +598,9 @@ def _check_repair(case: FuzzCaseResult, network: PreparedNetwork,
     fallback (full barrier rebuild) when repair fails placement, checks
     the input schedule is never mutated, and repeats the audit for a
     ρ-escalation repair at the raised floor.  Every product's memoized
-    hash is checked against a fresh one; the input's hash is computed
-    first, so each repair clones a memo it must clear.
+    hash is checked against the ``json.dumps`` reference; the input's
+    hash is computed first, so each repair clones a memo and a text
+    prefix it must bring up to date.
     """
     from repro.core.repair import (ChangeSet, repair_schedule,
                                    smallest_reused_link)

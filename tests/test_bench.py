@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -56,6 +57,38 @@ class TestBench:
         text = format_bench(report)
         assert all(name in text for name in cells)
         assert "decisions: " in text
+
+    def test_failed_repair_serves_the_rebuild(self, monkeypatch):
+        """The remediation cell times remediate(), the call the manager
+        and the service make: when repair fails placement, the chosen
+        path's result is the rebuild's schedule, and the cell says the
+        repair did not place."""
+        from repro.manager import loop
+
+        real_repair = loop.repair_schedule
+
+        def unplaced(*args, **kwargs):
+            return dataclasses.replace(real_repair(*args, **kwargs),
+                                       schedulable=False)
+
+        monkeypatch.setattr(loop, "repair_schedule", unplaced)
+        captured = {}
+        decide = bench._decide
+
+        def capture(paths, chosen, rounds):
+            decision, results = decide(paths, chosen, rounds)
+            captured.update(results)
+            return decision, results
+
+        monkeypatch.setattr(bench, "_decide", capture)
+        [cell] = bench.bench_remediation((30,), seed=1, rounds=1)
+        remedy, rebuilt = captured["repair"], captured["rebuild"]
+        assert (remedy.mode, remedy.fallback) == ("rebuild", "placement")
+        assert rebuilt.schedulable
+        assert remedy.schedule.canonical_hash() == \
+            rebuilt.schedule.canonical_hash()
+        assert cell["schedulable"] == {"repair": False, "rebuild": True}
+        assert cell["evicted_cells"] > 0
 
     def test_kernel_divergence_would_abort(self, monkeypatch):
         """bench_schedulers compares full schedule signatures: a tiny run

@@ -655,7 +655,9 @@ class TestRepairRemediation:
             outcome = real_repair(*args, **kwargs)
             if outcome.schedulable and len(outcome.schedule):
                 entry = outcome.schedule.entries[0]
-                outcome.schedule._cells[entry.slot, entry.offset].remove(0)
+                cells = outcome.schedule._cells
+                cell = (entry.slot, entry.offset)
+                cells[cell] = tuple(i for i in cells[cell] if i != 0)
             return outcome
 
         monkeypatch.setattr(loop_mod, "repair_schedule", corrupt_repair)

@@ -6,7 +6,9 @@ leave both agreeing with a from-scratch computation over ``entries``.
 The oracles are computed here, independently of the schedule: SHA-256
 over the canonical JSON form, and a brute-force walk over the entries.
 Each test primes the memo before mutating, so a path that forgets to
-clear it fails.
+clear it fails.  The hash formats each entry's row once and keeps the
+text beside the entries; an encoder-count test pins that a repaired
+clone's hash formats only the re-placed entries.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import schedule as schedule_mod
 from repro.core.ra import DEFAULT_RHO_T
 from repro.core.repair import (
     ChangeSet,
@@ -105,6 +108,20 @@ class TestMutationPaths:
         assert small.num_reused_cells() == 1
         assert_fresh(small)
 
+    def test_evict_past_the_hashed_prefix(self, small):
+        """Entries added since the last hash have no cached text yet:
+        evicting them, or older ones around them, leaves the text a
+        prefix of the survivors."""
+        small.add(request(3, 4, flow_id=1, hop=1), 3, 0)
+        small.add(request(5, 6, flow_id=2, hop=1), 4, 1)
+        small.evict([1, 5])
+        assert_fresh(small)
+        small.add(request(2, 3, flow_id=1, hop=2), 5, 0)
+        dup = small.clone()
+        dup.evict([len(dup) - 1])
+        assert_fresh(dup)
+        assert_fresh(small)
+
     def test_empty_evict_keeps_the_state(self, small):
         before = small.canonical_hash()
         assert small.evict([]) == []
@@ -123,20 +140,50 @@ class TestMutationPaths:
         assert small.canonical_hash() == original
         assert_fresh(small)
 
-    def test_hash_is_computed_once_per_state(self, small, monkeypatch):
-        calls = []
-        signature = Schedule.signature
+    def test_clone_and_original_grow_apart(self, small):
+        """A clone and its original each keep their own entry text:
+        rows the clone formats never become the original's, nor the
+        reverse."""
+        dup = small.clone()
+        dup.add(request(3, 4, flow_id=1, hop=1), 3, 0)
+        assert_fresh(dup)
+        small.add(request(5, 6, flow_id=2, hop=1), 4, 1)
+        assert_fresh(small)
+        dup.add(request(0, 1, flow_id=4), 5, 1)
+        assert_fresh(dup)
+        assert_fresh(small)
 
-        def counted(schedule):
-            calls.append(1)
-            return signature(schedule)
+    def test_hash_is_computed_once_per_state(self, rc_case, monkeypatch):
+        """Each entry's row text is formatted once: hashing a compile
+        formats every entry, hashing it again or hashing its clone
+        formats none, and hashing a repaired clone formats only the
+        entries repair re-placed."""
+        network, flow_set, _ = rc_case
+        formatted = []
+        encode = schedule_mod._entry_text
 
-        monkeypatch.setattr(Schedule, "signature", counted)
-        small.add(request(3, 4, flow_id=1, hop=1), 3, 0)
-        small.canonical_hash()
-        small.canonical_hash()
-        small.clone().canonical_hash()
-        assert len(calls) == 1
+        def counted(entries):
+            formatted.append(list(entries))
+            return encode(entries)
+
+        monkeypatch.setattr(schedule_mod, "_entry_text", counted)
+        compiled = schedule_workload(network, flow_set, "RC").schedule
+        compiled.canonical_hash()
+        assert formatted == [compiled.entries]
+        formatted.clear()
+        compiled.canonical_hash()
+        compiled.clone().canonical_hash()
+        outcome = repair_schedule(
+            compiled, flow_set, network.reuse,
+            ChangeSet(victims=(smallest_reused_link(compiled),)),
+            rho_t=DEFAULT_RHO_T)
+        assert outcome.schedulable and outcome.evicted > 0
+        assert sum(map(len, formatted)) == 0
+        assert outcome.schedule.canonical_hash() == oracle_hash(
+            outcome.schedule)
+        survivors = len(compiled) - outcome.evicted
+        assert formatted == [outcome.schedule.entries[survivors:]]
+        assert len(formatted[0]) == outcome.evicted
 
 
 class TestRoundTrip:

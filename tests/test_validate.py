@@ -144,7 +144,8 @@ class TestAuditorCorruptions:
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1), 0, 0)
         schedule.add(request(4, 5, flow_id=1), 0, 0)
-        schedule._cells[(0, 0)].reverse()  # lanes out of placement order
+        # The cell's occupants out of placement order.
+        schedule._cells[(0, 0)] = schedule._cells[(0, 0)][::-1]
         report = audit_schedule(schedule, line_reuse_graph, 2)
         assert report.kinds() == ["occupancy"]
         [violation] = report.violations
