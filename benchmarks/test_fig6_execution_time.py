@@ -6,6 +6,8 @@ and grow superlinearly with load.  (Absolute numbers and the RA-vs-RC
 ordering depend on implementation constants — see EXPERIMENTS.md.)
 """
 
+import gc
+
 import pytest
 
 from repro.flows.generator import PeriodRange
@@ -21,13 +23,22 @@ FLOWS = [40, 80, 120, 160]
 def test_fig6_execution_time(benchmark, indriya, scale):
     topology, _ = indriya
     sets = max(3, scale["flow_sets"] // 2)
-    result = benchmark.pedantic(
-        run_sweep,
-        args=(topology, TrafficType.PEER_TO_PEER, "flows", FLOWS),
-        kwargs=dict(fixed_channels=5, period_range=PeriodRange(0, 2),
-                    num_flow_sets=sets, seed=60,
-                    collect_histograms=False),
-        rounds=1, iterations=1)
+    # The collector stays on, so pauses the schedulers' own objects
+    # cause are timed; only the earlier tests' objects are frozen out
+    # of its full collections, whose cost would otherwise land in
+    # whichever run they happen to interrupt.
+    gc.collect()
+    gc.freeze()
+    try:
+        result = benchmark.pedantic(
+            run_sweep,
+            args=(topology, TrafficType.PEER_TO_PEER, "flows", FLOWS),
+            kwargs=dict(fixed_channels=5, period_range=PeriodRange(0, 2),
+                        num_flow_sets=sets, seed=60,
+                        collect_histograms=False),
+            rounds=1, iterations=1)
+    finally:
+        gc.unfreeze()
     times = result.mean_times_ms()
     print_series("Fig 6: scheduler execution time (ms)", times)
     # NR is cheapest at every point.  Each run's time is placement
