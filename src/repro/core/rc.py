@@ -236,8 +236,9 @@ class ConservativeReusePolicy:
         with an offset feasible at ρ, and the walk extends only while
         none does.  A slot with a free offset reads ∞, so the walk never
         passes the ρ = ∞ probe's slot.  Equation 1 is a lookup in the
-        instance's table (:class:`repro.core.laxity.LaxityTable`), which
-        ``remaining``, the engine's :class:`RequestWindow`, reads.
+        instance's packed conflict bits
+        (:class:`repro.core.laxity.LaxityTable`), which ``remaining``,
+        the engine's :class:`RequestWindow`, reads.
         Placements, exit ρ, counters and provenance are identical to
         the stepwise loop's: both pick the earliest feasible slot per ρ
         and descend under the same laxity rule.

@@ -16,9 +16,10 @@ indexes its hot paths read, two of them as Python-int bitsets:
 
 Only this module does bit arithmetic on the bitsets: the schedule
 answers each placement question itself (:meth:`Schedule.first_free_slot`,
-:meth:`Schedule.conflict_free_slots`, :meth:`Schedule.conflict_count`),
+:meth:`Schedule.conflict_free_slots`, :meth:`Schedule.conflict_count`,
+and Eq. 1's window packed into one int, :meth:`Schedule.conflict_rows`),
 and readers that need arrays get a window's bits unpacked at their
-boundary (:meth:`Schedule.conflict_mask`, :meth:`Schedule.conflict_rows`,
+boundary (:meth:`Schedule.conflict_mask`,
 :meth:`Schedule.free_offset_slots`, :meth:`Schedule.busy_matrix`).
 Every other view (per-slot groups, makespan, cell sizes) is derived
 from these on demand.
@@ -317,15 +318,25 @@ class Schedule:
         ``mask[i]`` is True iff slot ``start + i`` already contains a
         transmission sharing the sender or the receiver.
         """
-        return self.conflict_rows([(sender, receiver)], start, end)[0]
+        busy = self._busy
+        return self._unpack([busy[sender] | busy[receiver]], start, end)[0]
 
     def conflict_rows(self, links: Sequence[Tuple[int, int]],
-                      start: int, end: int) -> np.ndarray:
-        """:meth:`conflict_mask` of every ``(sender, receiver)`` link,
-        one row each, over ``[start, end]`` (Eq. 1's laxity table)."""
+                      start: int, end: int) -> int:
+        """The conflict bits of every ``(sender, receiver)`` link over
+        ``[start, end]``, packed into one int (Eq. 1's
+        :class:`~repro.core.laxity.LaxityTable`): one block of
+        ``end - start + 1`` bits per link, the last link's block lowest,
+        bit ``i`` of a block set iff slot ``start + i`` conflicts for
+        that link."""
         busy = self._busy
-        return self._unpack([busy[sender] | busy[receiver]
-                             for sender, receiver in links], start, end)
+        width = max(end - start + 1, 0)
+        window = (1 << width) - 1
+        packed = 0
+        for sender, receiver in links:
+            packed = (packed << width
+                      | (busy[sender] | busy[receiver]) >> start & window)
+        return packed
 
     def conflict_count(self, sender: int, receiver: int,
                        start: int, end: int) -> int:

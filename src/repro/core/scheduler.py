@@ -279,7 +279,7 @@ class FixedPriorityScheduler:
             for index, release_slot, requests in instances:
                 earliest = release_slot
                 # Every policy gets T_post as a window onto the
-                # instance's Eq. 1 table (built only if RC's fused
+                # instance's Eq. 1 table (packed only if RC's fused
                 # descent reads it).
                 table = LaxityTable(requests)
                 for position, request in enumerate(requests):

@@ -80,8 +80,8 @@ class RequestWindow(Sequence):
     still need slots (``T_post`` in the laxity formula).  Slicing the
     request list per placement is O(n); this view shares the instance's
     :class:`repro.core.laxity.LaxityTable` (its request list and its
-    Eq. 1 table) across every placement of the instance and exposes
-    the tail without copying.
+    packed Eq. 1 conflict bits) across every placement of the instance
+    and exposes the tail without copying.
     """
 
     __slots__ = ("_table", "_requests", "_start")

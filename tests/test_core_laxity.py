@@ -1,13 +1,16 @@
 """Tests for repro.core.laxity (Equation 1)."""
 
+import random
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.laxity import (
     LaxityTable,
     calculate_laxity,
     conflict_slots_for,
-    laxity_table,
 )
 from repro.core.schedule import Schedule
 from repro.core.transmissions import RequestWindow, TransmissionRequest
@@ -153,7 +156,71 @@ class TestLaxityTable:
         """The last request has an empty T_post (laxity d - s), and at
         s = d the window is empty (laxity -|T_post|)."""
         _, schedule, requests = _instance(7, 4, 0, 30)
-        table = laxity_table(schedule, requests)
-        assert table.shape == (4, 31)
-        assert table[-1].tolist() == list(range(30, -1, -1))
-        assert table[:, -1].tolist() == [-3, -2, -1, 0]
+        table = LaxityTable(requests)
+        assert [table.laxity(schedule, 3, slot)
+                for slot in range(31)] == list(range(30, -1, -1))
+        assert [table.laxity(schedule, j, 30)
+                for j in range(4)] == [-3, -2, -1, 0]
+
+
+#: Nodes of the wide-window walks: routes may revisit a node, so up to
+#: 16 hops fit, and random background pairs keep every node busy often.
+WIDE_NODES = 10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(release=st.integers(65, 130), width=st.integers(0, 800),
+       hops=st.integers(1, 16), attempts=st.sampled_from([1, 2]),
+       load=st.integers(1, 3), first=st.integers(0, 15),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_packed_lookups_match_calculate_laxity(release, width, hops,
+                                               attempts, load, first, seed):
+    """Lookups against ``calculate_laxity`` on windows of up to ~800
+    slots that start past bit 64.  Other flows send in up to ``load``
+    node-disjoint transmissions per slot, also before the release and
+    after the deadline.  The instance has 1-16 requests; its first
+    lookup comes at any position, and before each placement the request
+    is looked up at a slot, at earlier slots (the ρ descent finding
+    slots earlier), and again at a later slot (the reuse barrier's
+    retry from the next slot)."""
+    rng = random.Random(seed)
+    hops = min(hops, 16 // attempts)
+    deadline = release + width
+    slots = deadline + 1 + rng.randrange(40)
+    schedule = Schedule(WIDE_NODES, slots, 2)
+    for slot in range(slots):
+        nodes = rng.sample(range(WIDE_NODES), 2 * rng.randint(0, load))
+        for sender, receiver in zip(nodes[::2], nodes[1::2]):
+            schedule.add(request(sender, receiver, flow_id=9), slot, 0)
+    route = [rng.randrange(WIDE_NODES)]
+    while len(route) <= hops:
+        route.append(rng.choice([node for node in range(WIDE_NODES)
+                                 if node != route[-1]]))
+    requests = [TransmissionRequest(1, 0, j // attempts, j % attempts,
+                                    route[j // attempts],
+                                    route[j // attempts + 1], release,
+                                    deadline)
+                for j in range(hops * attempts)]
+    first = min(first, len(requests) - 1)
+    table = LaxityTable(requests)
+    earliest = release
+    for j, current in enumerate(requests):
+        if earliest > deadline:
+            break
+        window = RequestWindow(table, j + 1)
+        if j >= first:
+            found = rng.randint(earliest, deadline)
+            looked = [found] + [rng.randint(earliest, found)
+                                for _ in range(rng.randint(0, 2))]
+            if found < deadline:
+                looked.append(rng.randint(found + 1, deadline))
+            for slot in looked:
+                assert window.laxity(schedule, slot) == calculate_laxity(
+                    schedule, slot, deadline, requests[j + 1:]), (j, slot)
+        free = list(islice(schedule.conflict_free_slots(
+            current.sender, current.receiver, earliest, deadline), 4))
+        if not free:
+            break
+        slot = rng.choice(free)
+        schedule.add(current, slot, 1)
+        earliest = slot + 1

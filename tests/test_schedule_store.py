@@ -128,11 +128,12 @@ def assert_matches_model(schedule: Schedule) -> None:
         free_slots = [len({c for (s, c) in cells if s == slot}) < OFFSETS
                       for slot in window]
         assert schedule.free_offset_slots(start, end).tolist() == free_slots
-        rows = []
+        packed = 0
         for sender, receiver in probed:
             conflict = [(sender, slot) in busy or (receiver, slot) in busy
                         for slot in window]
-            rows.append(conflict)
+            packed = packed << len(window) | sum(
+                1 << i for i, c in enumerate(conflict) if c)
             assert schedule.conflict_mask(
                 sender, receiver, start, end).tolist() == conflict
             assert schedule.conflict_count(
@@ -144,8 +145,8 @@ def assert_matches_model(schedule: Schedule) -> None:
                 sender, receiver, start, end) == next(
                     (slot for slot, f, c in zip(window, free_slots, conflict)
                      if f and not c), -1)
-        assert schedule.conflict_rows(
-            probed, start, end).tolist() == rows
+        # Eq. 1's packing: one block per link, the last link lowest.
+        assert schedule.conflict_rows(probed, start, end) == packed
     report = audit_schedule(schedule, GRAPH, 1)
     assert not BOOKKEEPING & set(report.kinds()), report.summary()
 
