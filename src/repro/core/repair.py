@@ -46,14 +46,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.constraints import NO_REUSE
+from repro.core.constraints import NO_REUSE, clear_of
 from repro.core.schedule import Schedule, ScheduledTransmission
 from repro.core.scheduler import (
     OFFSET_FIRST,
     OFFSET_LEAST_LOADED,
     find_slot,
 )
-from repro.core.transmissions import ATTEMPTS_PER_LINK
 from repro.flows.flow import FlowSet
 from repro.network.graphs import ChannelReuseGraph
 from repro.obs import recorder as _obs
@@ -125,11 +124,16 @@ class BlastRadius:
         reasons: ``index -> reason`` (one of the ``REASON_*`` labels).
         seeds: How many indices were direct casualties (the rest are
             precedence successors).
+        bounds: ``(flow, instance) -> last slot`` its surviving entries
+            occupy, for every release with an evicted suffix and at
+            least one survivor: the precedence bound the suffix's
+            re-placement resumes from.
     """
 
     indices: List[int] = field(default_factory=list)
     reasons: Dict[int, str] = field(default_factory=dict)
     seeds: int = 0
+    bounds: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
 
 @dataclass
@@ -163,16 +167,6 @@ def _expand_links(links: Iterable[Link]) -> Set[Link]:
         expanded.add((u, v))
         expanded.add((v, u))
     return expanded
-
-
-def _pair_distance(hops, first: ScheduledTransmission,
-                   second: ScheduledTransmission) -> int:
-    """Effective reuse distance between two co-located transmissions:
-    ``min(hops[u, y], hops[x, v])`` on the *effective* hop matrix
-    (unreachable pairs already carry the infinite-distance sentinel)."""
-    u, v = first.request.sender, first.request.receiver
-    x, y = second.request.sender, second.request.receiver
-    return min(int(hops[u, y]), int(hops[x, v]))
 
 
 def compute_blast_radius(schedule: Schedule, change: ChangeSet,
@@ -214,21 +208,16 @@ def compute_blast_radius(schedule: Schedule, change: ChangeSet,
         The blast radius, with entry indices into ``schedule.entries``.
     """
     barred_all = _expand_links(barred) | _expand_links(change.victims)
-    entry_index = {id(entry): i
-                   for i, entry in enumerate(schedule.entries)}
+    entries = schedule.entries
     blast = BlastRadius()
-
-    def seed(entry: ScheduledTransmission, reason: str) -> None:
-        index = entry_index[id(entry)]
-        if index not in blast.reasons:
-            blast.reasons[index] = reason
+    reasons = blast.reasons
 
     recheck = change.rho_t is not None or change.channel is not None
     graph = (change.channel.reuse_graph if change.channel is not None
              else reuse_graph)
     if recheck and graph is None:
         raise ValueError("a rho recheck needs a reuse graph")
-    hops = graph.effective_hops() if recheck else None
+    hops = graph.effective_hop_rows() if recheck else None
     recheck_reason = (REASON_REUSE_RECHECK if change.channel is not None
                       else REASON_RHO)
     if change.channel is not None:
@@ -236,14 +225,14 @@ def compute_blast_radius(schedule: Schedule, change: ChangeSet,
                    for offset, mapped in enumerate(change.channel.offset_map)
                    if mapped is None}
         if removed:
-            for entry in schedule.entries:
+            for index, entry in enumerate(entries):
                 if entry.offset in removed:
-                    seed(entry, REASON_CHANNEL)
+                    reasons.setdefault(index, REASON_CHANNEL)
 
-    for slot, offset, transmissions in schedule.reused_cells():
-        for entry in transmissions:
-            if entry.request.link in barred_all:
-                seed(entry, REASON_BARRED)
+    for _, _, occupants in schedule.reused_cell_indices():
+        for index in occupants:
+            if entries[index].request.link in barred_all:
+                reasons.setdefault(index, REASON_BARRED)
         if not recheck:
             continue
         # Keep the greedy placement-order subset whose pairwise
@@ -251,36 +240,42 @@ def compute_blast_radius(schedule: Schedule, change: ChangeSet,
         # new) graph; evict the rest.  Greedy-by-lane is deterministic
         # and favors older placements, which keeps the radius minimal
         # for the common one-occupant-too-close case.
-        kept: List[ScheduledTransmission] = []
-        for entry in transmissions:
-            if entry_index[id(entry)] in blast.reasons:
+        kept: List[int] = []
+        for index in occupants:
+            if index in reasons:
                 continue
-            if all(_pair_distance(hops, entry, other) >= rho_floor
-                   for other in kept):
-                kept.append(entry)
+            request = entries[index].request
+            if clear_of(entries, hops, kept, request.sender,
+                        request.receiver, rho_floor):
+                kept.append(index)
             else:
-                seed(entry, recheck_reason)
+                reasons[index] = recheck_reason
 
-    blast.seeds = len(blast.reasons)
+    blast.seeds = len(reasons)
 
     # Transitive precedence closure: evict every later (hop, attempt) of
-    # each seeded release, making per-instance evictions chain suffixes.
+    # each seeded release, making per-instance evictions chain suffixes;
+    # the same pass records where each such chain's survivors end.
     first_hit: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for index, reason in blast.reasons.items():
-        request = schedule.entries[index].request
+    for index in reasons:
+        request = entries[index].request
         key = (request.flow_id, request.instance)
         rank = (request.hop_index, request.attempt)
         if key not in first_hit or rank < first_hit[key]:
             first_hit[key] = rank
-    for index, entry in enumerate(schedule.entries):
+    bounds = blast.bounds
+    for index, entry in enumerate(entries):
         request = entry.request
-        rank = first_hit.get((request.flow_id, request.instance))
-        if rank is None or index in blast.reasons:
+        key = (request.flow_id, request.instance)
+        rank = first_hit.get(key)
+        if rank is None or index in reasons:
             continue
         if (request.hop_index, request.attempt) > rank:
-            blast.reasons[index] = REASON_PRECEDENCE
+            reasons[index] = REASON_PRECEDENCE
+        elif entry.slot > bounds.get(key, -1):
+            bounds[key] = entry.slot
 
-    blast.indices = sorted(blast.reasons)
+    blast.indices = sorted(reasons)
     return blast
 
 
@@ -316,17 +311,6 @@ def smallest_reused_link(schedule: Schedule,
     return min(links) if links else None
 
 
-def _survivor_bounds(schedule: Schedule) -> Dict[Tuple[int, int], int]:
-    """Last occupied slot of every (flow, instance) still on the
-    schedule — the precedence bound its evicted suffix resumes from."""
-    bounds: Dict[Tuple[int, int], int] = {}
-    for entry in schedule.entries:
-        key = (entry.request.flow_id, entry.request.instance)
-        if entry.slot > bounds.get(key, -1):
-            bounds[key] = entry.slot
-    return bounds
-
-
 def _cell_holds_barred(schedule: Schedule, slot: int, offset: int,
                        barred: Set[Link]) -> bool:
     return any(e.request.link in barred
@@ -337,7 +321,6 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
                     reuse_graph: ChannelReuseGraph, change: ChangeSet,
                     rho_t: float, barred: Iterable[Link] = (),
                     policy_name: str = "RC",
-                    attempts_per_link: int = ATTEMPTS_PER_LINK,
                     ) -> RepairOutcome:
     """Repair a schedule in place of a full rebuild.
 
@@ -359,8 +342,6 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
             on top of these.
         policy_name: The placement policy's name ("NR" / "RA" / "RC") —
             selects the offset rule and the NR ρ = ∞ behavior.
-        attempts_per_link: Source-routing expansion factor (bookkeeping
-            only; eviction works from placed entries).
 
     Returns:
         A :class:`RepairOutcome`; when ``schedulable`` is False the
@@ -395,7 +376,7 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
               "reason": blast.reasons[index]}
              for index, entry in zip(blast.indices, evicted)])
 
-    failed = _replace_evicted(work, graph, flow_set, evicted,
+    failed = _replace_evicted(work, graph, flow_set, evicted, blast.bounds,
                               rho_floor, barred_all, policy_name, prov)
 
     if _obs.ENABLED:
@@ -414,17 +395,18 @@ def repair_schedule(schedule: Schedule, flow_set: FlowSet,
 def _replace_evicted(work: Schedule, graph: ChannelReuseGraph,
                      flow_set: FlowSet,
                      evicted: List[ScheduledTransmission],
+                     bounds: Dict[Tuple[int, int], int],
                      rho_floor: float, barred: Set[Link],
                      policy_name: str, prov):
-    """Re-place evicted transmissions in priority order; returns the
-    first request that could not be placed (None on success)."""
+    """Re-place evicted transmissions in priority order, each chain from
+    its survivors' last slot in ``bounds``; returns the first request
+    that could not be placed (None on success)."""
     priority = {flow.flow_id: position
                 for position, flow in enumerate(flow_set)}
     chains: Dict[Tuple[int, int], List[ScheduledTransmission]] = {}
     for entry in evicted:
         key = (entry.request.flow_id, entry.request.instance)
         chains.setdefault(key, []).append(entry)
-    bounds = _survivor_bounds(work)
     offset_rule = (OFFSET_LEAST_LOADED if policy_name == "RC"
                    else OFFSET_FIRST)
 

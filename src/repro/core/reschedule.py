@@ -102,7 +102,6 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
                                 reuse_graph: ChannelReuseGraph,
                                 policy: PlacementPolicy,
                                 victim_links: Iterable[Link],
-                                attempts_per_link: int = 2,
                                 ) -> SchedulingResult:
     """Re-schedule from scratch with victim links barred from channel reuse.
 
@@ -120,7 +119,6 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
         policy: The original placement policy (fresh instance).
         victim_links: Links the detection policy flagged as
             reuse-degraded (direction-insensitive).
-        attempts_per_link: Source-routing attempt count.
 
     Returns:
         The new scheduling result.  The workload may become
@@ -132,7 +130,6 @@ def reschedule_without_reuse_on(flow_set: FlowSet, num_nodes: int,
                                  victim_links=set(victim_links))
     scheduler = FixedPriorityScheduler(
         num_nodes=num_nodes, num_offsets=num_offsets,
-        reuse_graph=reuse_graph, policy=barrier,
-        attempts_per_link=attempts_per_link)
+        reuse_graph=reuse_graph, policy=barrier)
     return scheduler.run(flow_set)
 

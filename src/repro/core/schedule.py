@@ -441,14 +441,21 @@ class Schedule:
         for (slot, offset), indices in sorted(self._cells.items()):
             yield slot, offset, [self._entries[i] for i in indices]
 
+    def reused_cell_indices(self) -> List[Tuple[int, int, Tuple[int, ...]]]:
+        """``(slot, offset, indices)`` of every cell holding more than one
+        transmission (channel reuse), in ``(slot, offset)`` order: the
+        cell index's own tuples of positions in :attr:`entries`, in
+        placement order, with no entry materialized."""
+        return sorted((slot, offset, indices)
+                      for (slot, offset), indices in self._cells.items()
+                      if len(indices) > 1)
+
     def reused_cells(self) -> List[Tuple[int, int, List[ScheduledTransmission]]]:
         """Cells holding more than one transmission (channel reuse), in
-        ``(slot, offset)`` order.  Read off the entry-derived cell index,
-        so only the shared cells are sorted and materialized."""
-        shared = sorted((cell, indices) for cell, indices
-                        in self._cells.items() if len(indices) > 1)
+        ``(slot, offset)`` order, their occupants materialized from
+        :meth:`reused_cell_indices`."""
         return [(slot, offset, [self._entries[i] for i in indices])
-                for (slot, offset), indices in shared]
+                for slot, offset, indices in self.reused_cell_indices()]
 
     def cell_sizes(self) -> List[int]:
         """Occupant count of every non-empty cell, in no particular

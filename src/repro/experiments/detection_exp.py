@@ -41,9 +41,9 @@ from repro.flows.generator import generate_fixed_period_flow_set
 from repro.network.topology import Topology
 from repro.propagation.pathloss import LogDistancePathLoss
 from repro.routing.traffic import TrafficType, assign_routes
+from repro.simulator.conditions import Conditions
 from repro.simulator.engine import SimulationConfig, TschSimulator
 from repro.simulator.interference import (
-    WifiInterferer,
     interferer_rssi_matrix,
     place_interferer_pairs,
 )
@@ -135,10 +135,8 @@ def _detection_trial(context: dict, policy: str) -> List[DetectionOutcome]:
             schedule=result.schedule, flow_set=flow_set,
             environment=context["environment"],
             channel_map=network.topology.channel_map,
-            interferers=context["interferers"] if use_wifi else (),
-            interferer_rssi_dbm=(context["interferer_rssi"]
-                                 if use_wifi else None),
-            config=SimulationConfig(seed=seed + 2000))
+            config=SimulationConfig(seed=seed + 2000),
+            conditions=context["wifi"] if use_wifi else None)
         stats = simulator.run(total_repetitions)
         reports = build_epoch_reports(stats, repetitions_per_epoch)
 
@@ -201,14 +199,15 @@ def run_detection(topology: Topology, environment: RadioEnvironment,
     flow_set = build_detection_flow_set(network, rng, num_flows)
 
     interferers = place_interferer_pairs(plan)
-    interferer_rssi = interferer_rssi_matrix(
-        interferers, environment.positions, plan,
-        LogDistancePathLoss(), np.random.default_rng(seed + 1))
+    wifi = Conditions(
+        extra_interferers=tuple(interferers),
+        extra_interferer_rssi_dbm=interferer_rssi_matrix(
+            interferers, environment.positions, plan,
+            LogDistancePathLoss(), np.random.default_rng(seed + 1)))
 
     context = {
         "network": network, "environment": environment,
-        "flow_set": flow_set, "interferers": interferers,
-        "interferer_rssi": interferer_rssi,
+        "flow_set": flow_set, "wifi": wifi,
         "conditions": tuple(conditions), "config": config,
         "rho_t": rho_t, "seed": seed, "num_epochs": num_epochs,
         "repetitions_per_epoch": repetitions_per_epoch,

@@ -94,10 +94,6 @@ class Topology:
         """PRR of directed link u→v on a physical channel."""
         return float(self.prr[u, v, self.channel_map.logical(physical_channel)])
 
-    def link_prr_all_channels(self, u: int, v: int) -> np.ndarray:
-        """PRR of directed link u→v across all channels (logical order)."""
-        return self.prr[u, v, :].copy()
-
     def min_prr(self, u: int, v: int) -> float:
         """Minimum PRR of directed link u→v over all channels."""
         return float(self.prr[u, v, :].min())

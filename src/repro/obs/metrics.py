@@ -238,10 +238,6 @@ class MetricsRegistry:
         handle = self._counters.get(name)
         return handle.value if handle is not None else 0.0
 
-    def counter_names(self) -> List[str]:
-        """Sorted names of all counters."""
-        return sorted(self._counters)
-
     # -- snapshot / merge / reset ---------------------------------------
 
     def snapshot(self) -> Dict:

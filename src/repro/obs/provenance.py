@@ -211,12 +211,6 @@ class ProvenanceRecorder:
         """Maximum number of retained decisions."""
         return self._decisions.maxlen  # type: ignore[return-value]
 
-    def next_id(self) -> int:
-        """The id the next :meth:`begin_decision` will assign (monotonic;
-        consumers use ``[next_id_before, next_id_after)`` to reference
-        the decisions an operation produced)."""
-        return self._next_id
-
     # -- engine hooks ---------------------------------------------------
 
     def begin_decision(self, policy: str, request: "TransmissionRequest",

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from repro.obs.ledger import config_hash
@@ -163,7 +163,6 @@ class Request:
     repetitions: Optional[int] = None
     sim_seed: Optional[int] = None
     trace: Optional[Dict] = None
-    raw: Dict = field(default_factory=dict)
 
     def to_dict(self) -> Dict:
         """Picklable wire form (what the front-end forwards to workers)."""
@@ -209,7 +208,7 @@ def parse_request(data) -> Request:
         raise ProtocolError(f"unknown verb: {verb!r} "
                             f"(expected one of {list(VERBS)})")
     request = Request(verb=verb, id=data.get("id"),
-                      network=str(data.get("network", "")), raw=data)
+                      network=str(data.get("network", "")))
     if data.get("trace") is not None:
         request.trace = _parse_trace_context(data["trace"])
     if verb in WORKER_VERBS and not request.network:

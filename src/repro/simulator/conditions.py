@@ -10,8 +10,8 @@ nodes, and extra interferers with their precomputed RSSI rows.
 
 The simulator itself stays fault-agnostic: it consumes a ``Conditions``
 overlay without knowing which :class:`~repro.manager.faults.FaultEvent`
-produced it, so tests (and future fault kinds) can hand-build overlays
-directly.
+produced it, so tests and experiments hand-build overlays directly (the
+Figs 10–11 detection experiment passes its WiFi interferers as one).
 """
 
 from __future__ import annotations
@@ -41,10 +41,12 @@ class Conditions:
             degradation that *only* manifests in shared cells.
         dark_nodes: Nodes that are powered off: their transmissions
             deliver nothing and they contribute no interference.
-        extra_interferers: Additional external interferers active for
-            this run, on top of any the simulator was built with.
+        extra_interferers: External WiFi interferers active for this
+            run — the only way interferers reach the simulator.
         extra_interferer_rssi_dbm: ``(len(extra_interferers), num_nodes)``
-            received in-band power rows matching ``extra_interferers``.
+            received in-band power rows matching ``extra_interferers``
+            (see :func:`repro.simulator.interference.interferer_rssi_matrix`);
+            the simulator checks the node count against its environment.
     """
 
     pair_attenuation_db: Dict[Pair, float] = field(default_factory=dict)
@@ -65,13 +67,6 @@ class Conditions:
                     f"{self.extra_interferer_rssi_dbm.shape[0]} rows for "
                     f"{len(self.extra_interferers)} interferers")
 
-    def is_clean(self) -> bool:
-        """True when the overlay mutates nothing."""
-        return (not self.pair_attenuation_db
-                and self.interference_boost_db == 0.0
-                and not self.dark_nodes
-                and not self.extra_interferers)
-
     def describe(self) -> str:
         """Short human-readable summary (for epoch reports)."""
         parts = []
@@ -85,7 +80,3 @@ class Conditions:
         if self.extra_interferers:
             parts.append(f"interferers={len(self.extra_interferers)}")
         return ",".join(parts) if parts else "clean"
-
-
-#: The no-op overlay (shared instance; Conditions is frozen).
-CLEAN = Conditions()

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, ScheduledTransmission
 from repro.flows.flow import FlowSet
 from repro.mac.channels import ChannelMap
 from repro.obs import recorder as _obs
@@ -58,7 +58,6 @@ from repro.simulator.events import (
     repetition_draws,
     run_event_batched,
 )
-from repro.simulator.interference import WifiInterferer
 from repro.propagation.prr_model import get_prr_curve
 from repro.simulator.radio import sinr_at_receiver
 from repro.simulator.stats import LinkKey, SimulationStats, record_counters
@@ -98,66 +97,31 @@ class SimulationConfig:
     slow_fading_sigma_db: float = 2.0
     frame_bytes: Optional[int] = None
 
-    def total_fading_sigma_db(self) -> float:
-        """Aggregate long-run fading spread (for the consistency contract)."""
-        return float(np.hypot(self.fast_fading_sigma_db,
-                              self.slow_fading_sigma_db))
-
-
-@dataclass(frozen=True)
-class _CompiledEntry:
-    """A scheduled transmission, pre-resolved for the hot loop."""
-
-    sender: int
-    receiver: int
-    offset: int
-    flow_id: int
-    instance: int
-    hop_index: int
-    shared_cell: bool
-
-
-def _compile(schedule: Schedule) -> Dict[int, List[_CompiledEntry]]:
-    """Pre-resolve schedule entries per slot for the hot loop."""
-    compiled: Dict[int, List[_CompiledEntry]] = {}
-    shared_cells = {(s, c) for s, c, txs in schedule.occupied_cells()
-                    if len(txs) > 1}
-    for slot, entries in schedule.entries_by_slot().items():
-        compiled[slot] = [
-            _CompiledEntry(
-                sender=e.request.sender,
-                receiver=e.request.receiver,
-                offset=e.offset,
-                flow_id=e.request.flow_id,
-                instance=e.request.instance,
-                hop_index=e.request.hop_index,
-                shared_cell=(slot, e.offset) in shared_cells,
-            )
-            for e in entries
-        ]
-    return compiled
-
 
 class _Compilation:
     """One schedule state, pre-resolved for both engines.
 
-    Holds the compiled per-slot entries, per interferer count the draw
-    plan, and per (interferer count, channel count) the batched engine's
-    :class:`EventTables` (built on the first batched run).  None of it
-    depends on conditions, so every simulator of the schedule state
-    shares it.
+    Holds the schedule's own entries grouped by slot
+    (:meth:`Schedule.entries_by_slot`: slots ascending, each in
+    placement order), the set of its shared ``(slot, offset)`` cells,
+    per interferer count the draw plan, and per (interferer count,
+    channel count) the batched engine's :class:`EventTables` (built on
+    the first batched run).  None of it depends on conditions, so every
+    simulator of the schedule state shares it.
     """
 
     def __init__(self, schedule: Schedule):
         self.version = schedule.version
-        self.compiled = _compile(schedule)
+        self.entries = schedule.entries_by_slot()
+        self.shared = {(slot, offset) for slot, offset, _
+                       in schedule.reused_cell_indices()}
         self._plans: Dict[int, DrawPlan] = {}
         self._tables: Dict[Tuple[int, int], EventTables] = {}
 
     def plan(self, num_interferers: int) -> DrawPlan:
         plan = self._plans.get(num_interferers)
         if plan is None:
-            plan = build_draw_plan(self.compiled, num_interferers)
+            plan = build_draw_plan(self.entries, num_interferers)
             self._plans[num_interferers] = plan
         return plan
 
@@ -165,7 +129,7 @@ class _Compilation:
         key = (num_interferers, num_logical)
         tables = self._tables.get(key)
         if tables is None:
-            tables = build_event_tables(self.compiled,
+            tables = build_event_tables(self.entries, self.shared,
                                         self.plan(num_interferers),
                                         num_logical)
             self._tables[key] = tables
@@ -194,9 +158,10 @@ def _compilation(schedule: Schedule) -> _Compilation:
     return cached
 
 
-def compiled_entries(schedule: Schedule) -> Dict[int, List[_CompiledEntry]]:
-    """The schedule's compiled per-slot entries, cached across simulators."""
-    return _compilation(schedule).compiled
+def compiled_entries(schedule: Schedule
+                     ) -> Dict[int, List[ScheduledTransmission]]:
+    """The schedule's entries grouped by slot, cached across simulators."""
+    return _compilation(schedule).entries
 
 
 class TschSimulator:
@@ -209,34 +174,30 @@ class TschSimulator:
         channel_map: The channels the network actually hops over (the
             restricted map used when building the schedule, e.g. channels
             11-14 for the reliability experiments).
-        interferers: Optional external WiFi interferers.
-        interferer_rssi_dbm: ``(num_interferers, num_nodes)`` received
-            in-band power of each interferer at each node; required when
-            ``interferers`` is non-empty (see
-            :func:`repro.simulator.interference.interferer_rssi_matrix`).
         config: Execution parameters.
         conditions: Optional environment overlay for this simulator's
-            runs (fault injection; see
+            runs — fault injection and external WiFi interferers (see
             :mod:`repro.simulator.conditions`).  ``None`` keeps the
-            pristine environment and the exact legacy behaviour.
+            pristine environment.
+
+    Raises:
+        ValueError: When the overlay's interferer RSSI matrix is not
+            ``(len(extra_interferers), environment.num_nodes)``.
+
+    Attributes read by the batched engine: ``compiled`` (the schedule's
+    entries by slot, shared with every simulator of the schedule
+    state), ``draw_plan``, ``hyperperiod``, ``flow_hops`` (hops per
+    flow), ``instances_per_flow`` (releases per repetition), ``lookup``
+    (the raw SINR -> PRR curve), ``env_of_logical`` (logical channel ->
+    environment RSSI channel index), ``interferers``,
+    ``interferer_rssi_dbm`` and ``interferer_channel_sets`` (each
+    interferer's polluted physical channels).
     """
 
     def __init__(self, schedule: Schedule, flow_set: FlowSet,
                  environment: RadioEnvironment, channel_map: ChannelMap,
-                 interferers: Sequence[WifiInterferer] = (),
-                 interferer_rssi_dbm: Optional[np.ndarray] = None,
                  config: SimulationConfig = SimulationConfig(),
                  conditions: Optional[Conditions] = None):
-        if interferers and interferer_rssi_dbm is None:
-            raise ValueError(
-                "interferer_rssi_dbm is required when interferers are given")
-        if interferer_rssi_dbm is not None and interferers:
-            expected = (len(interferers), environment.num_nodes)
-            if interferer_rssi_dbm.shape != expected:
-                raise ValueError(
-                    f"interferer_rssi_dbm has shape "
-                    f"{interferer_rssi_dbm.shape}, expected {expected}")
-
         self.schedule = schedule
         self.flow_set = flow_set
         self.environment = environment
@@ -244,28 +205,22 @@ class TschSimulator:
         self.config = config
         self.conditions = conditions if conditions is not None else Conditions()
 
-        # Merge condition-injected interferers behind the base ones so
-        # the per-slot activity draws stay in a deterministic order.
-        self.interferers = (list(interferers)
-                            + list(self.conditions.extra_interferers))
-        extra_rssi = self.conditions.extra_interferer_rssi_dbm
-        if extra_rssi is not None and interferer_rssi_dbm is not None:
-            self.interferer_rssi_dbm = np.vstack(
-                [interferer_rssi_dbm, extra_rssi])
-        elif extra_rssi is not None:
-            self.interferer_rssi_dbm = extra_rssi
-        else:
-            self.interferer_rssi_dbm = interferer_rssi_dbm
+        self.interferers = self.conditions.extra_interferers
+        self.interferer_rssi_dbm = self.conditions.extra_interferer_rssi_dbm
+        expected = (len(self.interferers), environment.num_nodes)
+        if self.interferers and self.interferer_rssi_dbm.shape != expected:
+            raise ValueError(
+                f"extra_interferer_rssi_dbm has shape "
+                f"{self.interferer_rssi_dbm.shape}, expected {expected}")
 
-        self._hyperperiod = flow_set.hyperperiod()
-        self._num_offsets = schedule.num_offsets
-        self._flow_hops = {f.flow_id: f.num_hops for f in flow_set}
-        self._instances_per_flow = {
-            f.flow_id: self._hyperperiod // f.period_slots for f in flow_set}
+        self.hyperperiod = flow_set.hyperperiod()
+        self.flow_hops = {f.flow_id: f.num_hops for f in flow_set}
+        self.instances_per_flow = {
+            f.flow_id: self.hyperperiod // f.period_slots for f in flow_set}
         # The raw (unsmoothed) curve: fading is drawn explicitly per
         # attempt, so the smoothed "measured" curve emerges in expectation.
         frame_bytes = config.frame_bytes or environment.frame_bytes
-        self._lookup = get_prr_curve(frame_bytes, 0.0)
+        self.lookup = get_prr_curve(frame_bytes, 0.0)
 
         # Physical channel -> index into the environment's RSSI tensor.
         env_index = environment.channel_map.index_map()
@@ -273,59 +228,16 @@ class TschSimulator:
             ch: env_index[ch] for ch in channel_map}
         # Same mapping keyed by logical channel index, in array form for
         # the batched engine.
-        self._env_of_logical = np.array(
+        self.env_of_logical = np.array(
             [env_index[channel_map.physical(logical)]
              for logical in range(len(channel_map))], dtype=np.intp)
 
-        # Which 802.15.4 channels each interferer pollutes.
-        self._interferer_channels = [set(i.affected_channels())
-                                     for i in self.interferers]
+        self.interferer_channel_sets = [set(i.affected_channels())
+                                        for i in self.interferers]
 
         self._compilation = _compilation(schedule)
-        self._compiled = self._compilation.compiled
-        self._plan = self._compilation.plan(len(self.interferers))
-
-    # -- shared-model views consumed by the event engine ---------------
-
-    @property
-    def compiled(self) -> Dict[int, List[_CompiledEntry]]:
-        """Per-slot compiled entries (the event timeline)."""
-        return self._compiled
-
-    @property
-    def draw_plan(self) -> DrawPlan:
-        """The pinned draw layout both engines index into."""
-        return self._plan
-
-    @property
-    def hyperperiod(self) -> int:
-        """Slots per repetition."""
-        return self._hyperperiod
-
-    @property
-    def flow_hops(self) -> Dict[int, int]:
-        """Hops per flow (delivery happens at the last one)."""
-        return self._flow_hops
-
-    @property
-    def instances_per_flow(self) -> Dict[int, int]:
-        """Released packet instances per flow per repetition."""
-        return self._instances_per_flow
-
-    @property
-    def lookup(self):
-        """The raw SINR -> PRR curve."""
-        return self._lookup
-
-    @property
-    def env_of_logical(self) -> np.ndarray:
-        """Logical channel index -> environment RSSI channel index."""
-        return self._env_of_logical
-
-    @property
-    def interferer_channel_sets(self) -> List[set]:
-        """Per-interferer sets of polluted physical channels."""
-        return self._interferer_channels
+        self.compiled = self._compilation.entries
+        self.draw_plan = self._compilation.plan(len(self.interferers))
 
     @property
     def tables(self) -> EventTables:
@@ -372,7 +284,8 @@ class TschSimulator:
         batched event engine.  Tests, the fuzzer and ``repro bench``
         call it directly.
         """
-        plan = self._plan
+        plan = self.draw_plan
+        shared = self._compilation.shared
         link_tallies: List[Dict[LinkKey, List[int]]] = []
         channel_tallies: List[Dict[int, List[int]]] = []
         delivered: Dict[int, int] = {}
@@ -397,13 +310,14 @@ class TschSimulator:
             channel_tallies.append(channels)
             progress: Dict[Tuple[int, int], int] = {}
 
-            base_asn = (start_repetition + repetition) * self._hyperperiod
+            base_asn = (start_repetition + repetition) * self.hyperperiod
             for slot_pos, slot in enumerate(plan.slots):
-                entries = self._compiled[slot]
+                entries = self.compiled[slot]
+                requests = [entry.request for entry in entries]
                 active_flags = [
-                    progress.get((entry.flow_id, entry.instance), 0)
-                    == entry.hop_index
-                    for entry in entries
+                    progress.get((request.flow_id, request.instance), 0)
+                    == request.hop_index
+                    for request in requests
                 ]
                 if not any(active_flags):
                     continue
@@ -417,74 +331,74 @@ class TschSimulator:
                 logicals = [(asn + entry.offset) % num_logical
                             for entry in entries]
 
-                for entry_pos, entry in enumerate(entries):
+                for entry_pos, (entry, request) in enumerate(
+                        zip(entries, requests)):
                     if not active_flags[entry_pos]:
                         continue
-                    link = (entry.sender, entry.receiver)
-                    if entry.sender in dark:
+                    sender, receiver = request.sender, request.receiver
+                    link = (sender, receiver)
+                    shared_cell = (slot, entry.offset) in shared
+                    if sender in dark:
                         # A powered-off sender never puts the frame on
                         # the air: the attempt fails without radiating,
                         # so it has no channel (a dark *receiver* flows
                         # through the normal path below).
-                        _tally(links, (link, entry.shared_cell), False)
+                        _tally(links, (link, shared_cell), False)
                         continue
                     logical = logicals[entry_pos]
                     channel = self.channel_map.physical(logical)
                     env_channel = self._env_channel_index[channel]
-                    signal = (rssi[entry.sender, entry.receiver, env_channel]
+                    signal = (rssi[sender, receiver, env_channel]
                               + slow_sigma * normals[
-                                  plan.drift_index(entry.sender,
-                                                   entry.receiver)]
+                                  plan.drift_index(sender, receiver)]
                               + fading_sigma * normals[
                                   plan.signal_fast_index(slot_pos,
                                                          entry_pos)]
                               - attenuation.get(link, 0.0))
                     interference = []
-                    for other_pos, other in enumerate(entries):
+                    for other_pos, other in enumerate(requests):
                         if (other_pos == entry_pos
                                 or not active_flags[other_pos]
                                 or other.sender in dark
                                 or logicals[other_pos] != logical):
                             continue
                         interference.append(
-                            rssi[other.sender, entry.receiver, env_channel]
+                            rssi[other.sender, receiver, env_channel]
                             + slow_sigma * normals[
-                                plan.drift_index(other.sender,
-                                                 entry.receiver)]
+                                plan.drift_index(other.sender, receiver)]
                             + fading_sigma * normals[
                                 plan.interference_fast_index(
                                     slot_pos, entry_pos, other_pos)]
                             + boost
                             - attenuation.get(
-                                (other.sender, entry.receiver), 0.0))
+                                (other.sender, receiver), 0.0))
                     for index in active_interferers:
-                        if channel in self._interferer_channels[index]:
+                        if channel in self.interferer_channel_sets[index]:
                             interference.append(
-                                self.interferer_rssi_dbm[
-                                    index, entry.receiver]
+                                self.interferer_rssi_dbm[index, receiver]
                                 + fading_sigma * normals[
                                     plan.interferer_fast_index(
                                         slot_pos, index, entry_pos)])
 
                     sinr = sinr_at_receiver(signal, noise, interference)
-                    if entry.receiver in dark:
+                    if receiver in dark:
                         success = False
                     else:
                         success = bool(
                             uniforms[plan.reception_uniform_index(
                                 slot_pos, entry_pos)]
-                            < self._lookup(sinr))
-                    _tally(links, (link, entry.shared_cell), success)
+                            < self.lookup(sinr))
+                    _tally(links, (link, shared_cell), success)
                     _tally(channels, channel, success)
                     if success:
-                        key = (entry.flow_id, entry.instance)
-                        progress[key] = entry.hop_index + 1
-                        if progress[key] == self._flow_hops[entry.flow_id]:
-                            delivered[entry.flow_id] = delivered.get(
-                                entry.flow_id, 0) + 1
+                        key = (request.flow_id, request.instance)
+                        progress[key] = request.hop_index + 1
+                        if progress[key] == self.flow_hops[request.flow_id]:
+                            delivered[request.flow_id] = delivered.get(
+                                request.flow_id, 0) + 1
 
         released = {flow_id: count * repetitions
-                    for flow_id, count in self._instances_per_flow.items()}
+                    for flow_id, count in self.instances_per_flow.items()}
         stats = SimulationStats.from_tallies(released, delivered,
                                              link_tallies, channel_tallies)
         if _obs.ENABLED:

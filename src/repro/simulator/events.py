@@ -66,10 +66,11 @@ The parity contract with the slot oracle is enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.schedule import ScheduledTransmission
 from repro.obs import recorder as _obs
 from repro.propagation.pathloss import dbm_to_mw
 from repro.simulator.stats import SimulationStats, record_counters
@@ -164,23 +165,24 @@ class DrawPlan:
                 + entry)
 
 
-def build_draw_plan(compiled: Dict[int, Sequence],
+def build_draw_plan(compiled: Dict[int, Sequence[ScheduledTransmission]],
                     num_interferers: int) -> DrawPlan:
-    """Build the draw layout for a compiled schedule.
+    """Build the draw layout for a schedule's entries grouped by slot
+    (:meth:`~repro.core.schedule.Schedule.entries_by_slot`).
 
-    The layout depends only on the schedule's compiled per-slot entries
-    and the interferer count — never on conditions overlays or simulated
+    The layout depends only on those per-slot entries and the
+    interferer count — never on conditions overlays or simulated
     outcomes — so the same plan serves clean and faulted runs alike.
     """
     slots = tuple(sorted(compiled))
     pair_set = set()
     for slot in slots:
-        entries = compiled[slot]
-        for entry in entries:
-            pair_set.add(_unordered(entry.sender, entry.receiver))
-            for other in entries:
-                if other is not entry:
-                    pair_set.add(_unordered(other.sender, entry.receiver))
+        requests = [entry.request for entry in compiled[slot]]
+        receivers = {request.receiver for request in requests}
+        # Each sender reaches every receiver of its slot: its own (the
+        # signal path) and the others' (interference paths).
+        pair_set.update(_unordered(request.sender, receiver)
+                        for request in requests for receiver in receivers)
     pairs = tuple(sorted(pair_set))
     pair_index = {pair: i for i, pair in enumerate(pairs)}
 
@@ -259,7 +261,7 @@ class EventTables:
     """Condition-free flat index tables of one compiled schedule.
 
     Entries are numbered in compiled order: scheduled slots ascending,
-    each slot's compiled entries in order.  Two entries of a slot share
+    each slot's entries in placement order.  Two entries of a slot share
     a channel in every repetition exactly when their offsets agree
     modulo the channel count, so only such *pairs* can interfere.  Each
     slot lays its pairs out as one row per receiving entry, listing the
@@ -331,11 +333,14 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
-def build_event_tables(compiled: Dict[int, Sequence], plan: DrawPlan,
+def build_event_tables(compiled: Dict[int, Sequence[ScheduledTransmission]],
+                       shared: AbstractSet[Tuple[int, int]], plan: DrawPlan,
                        num_logical: int) -> EventTables:
-    """Flatten a compiled schedule and its draw plan into index tables
-    for a network hopping over ``num_logical`` channels."""
+    """Flatten a schedule's entries grouped by slot, its ``shared``
+    ``(slot, offset)`` cells and its draw plan into index tables for a
+    network hopping over ``num_logical`` channels."""
     entries = [entry for slot in plan.slots for entry in compiled[slot]]
+    requests = [entry.request for entry in entries]
     num_entries = len(entries)
     counts = np.array(plan.entry_counts, dtype=np.intp)
     slot_pos = np.repeat(np.arange(len(counts)), counts)
@@ -346,11 +351,11 @@ def build_event_tables(compiled: Dict[int, Sequence], plan: DrawPlan,
     uniform0 = np.array(plan.uniform_offsets, dtype=np.intp)[slot_pos]
     interferer = np.arange(plan.num_interferers)[:, np.newaxis]
 
-    sender = np.array([e.sender for e in entries], dtype=np.intp)
-    receiver = np.array([e.receiver for e in entries], dtype=np.intp)
+    sender = np.array([r.sender for r in requests], dtype=np.intp)
+    receiver = np.array([r.receiver for r in requests], dtype=np.intp)
     offset = np.array([e.offset for e in entries], dtype=np.int64)
     slot = np.repeat(np.array(plan.slots, dtype=np.int64), counts)
-    hop = np.array([e.hop_index for e in entries], dtype=np.int64)
+    hop = np.array([r.hop_index for r in requests], dtype=np.int64)
     next_hop = hop + 1
 
     # Slow-fading columns: plan.pairs is sorted, so each unordered pair's
@@ -366,11 +371,12 @@ def build_event_tables(compiled: Dict[int, Sequence], plan: DrawPlan,
     packets: Dict[Pair, int] = {}
     groups: Dict[Tuple[Pair, bool], int] = {}
     packet, group = [], []
-    for entry in entries:
-        packet.append(packets.setdefault((entry.flow_id, entry.instance),
-                                         len(packets)))
+    for entry, request in zip(entries, requests):
+        packet.append(packets.setdefault(
+            (request.flow_id, request.instance), len(packets)))
         group.append(groups.setdefault(
-            ((entry.sender, entry.receiver), entry.shared_cell),
+            ((request.sender, request.receiver),
+             (entry.slot, entry.offset) in shared),
             len(groups)))
     packet = np.array(packet, dtype=np.intp)
     group = np.array(group, dtype=np.intp)
@@ -411,7 +417,7 @@ def build_event_tables(compiled: Dict[int, Sequence], plan: DrawPlan,
         receiver=receiver,
         slot_offset=slot + offset,
         next_hop=next_hop,
-        flow=np.array([e.flow_id for e in entries], dtype=np.intp),
+        flow=np.array([r.flow_id for r in requests], dtype=np.intp),
         drift_col=drift_columns(sender, receiver),
         fast_col=normal0 + local,
         reception_col=uniform0 + plan.num_interferers + local,

@@ -80,14 +80,6 @@ class RadioEnvironment:
         """The SINR→PRR curve governing this environment."""
         return get_prr_curve(self.frame_bytes, self.grey_sigma_db)
 
-    def snr_db(self, u: int, v: int, logical_channel: int) -> float:
-        """Interference-free SNR of link u→v on a logical channel."""
-        return float(self.rssi_dbm[u, v, logical_channel] - self.noise_floor_dbm)
-
-    def clean_prr(self, u: int, v: int, logical_channel: int) -> float:
-        """Interference-free PRR of link u→v on a logical channel."""
-        return self.prr_curve()(self.snr_db(u, v, logical_channel))
-
     def prr_matrix(self) -> np.ndarray:
         """Full ``(n, n, C)`` interference-free PRR matrix (floored)."""
         n = self.num_nodes

@@ -112,6 +112,8 @@ def assert_matches_model(schedule: Schedule) -> None:
     assert list(schedule.occupied_cells()) == [
         (s, c, txs) for (s, c), txs in cells.items()]
     assert schedule.reused_cells() == shared
+    assert [(s, c, [entries[i] for i in indices]) for s, c, indices
+            in schedule.reused_cell_indices()] == shared
     assert schedule.num_reused_cells() == len(shared)
     assert schedule.reuse_links() == sorted(
         {e.request.link for _, _, txs in shared for e in txs})

@@ -7,7 +7,12 @@ from repro.core.schedule import Schedule
 from repro.flows.flow import Flow, FlowSet
 from repro.mac.channels import ChannelMap
 from repro.propagation.pathloss import LogDistancePathLoss
-from repro.simulator.engine import SimulationConfig, TschSimulator
+from repro.simulator.conditions import Conditions
+from repro.simulator.engine import (
+    SimulationConfig,
+    TschSimulator,
+    compiled_entries,
+)
 from repro.simulator.interference import (
     WifiInterferer,
     interferer_rssi_matrix,
@@ -314,9 +319,11 @@ class TestEngine:
         clean = TschSimulator(schedule, flow_set, env, env.channel_map,
                               config=SimulationConfig(seed=6)).run(300)
         noisy = TschSimulator(schedule, flow_set, env, env.channel_map,
-                              interferers=[interferer],
-                              interferer_rssi_dbm=rssi_matrix,
-                              config=SimulationConfig(seed=6)).run(300)
+                              config=SimulationConfig(seed=6),
+                              conditions=Conditions(
+                                  extra_interferers=(interferer,),
+                                  extra_interferer_rssi_dbm=rssi_matrix),
+                              ).run(300)
         assert (noisy.overall_link_prr((0, 1), False)
                 < clean.overall_link_prr((0, 1), False) - 0.2)
 
@@ -325,7 +332,23 @@ class TestEngine:
         flow_set, schedule = tiny_flow_and_schedule()
         with pytest.raises(ValueError):
             TschSimulator(schedule, flow_set, env, env.channel_map,
-                          interferers=[WifiInterferer(Position(0, 0, 0))])
+                          conditions=Conditions(extra_interferers=(
+                              WifiInterferer(Position(0, 0, 0)),)))
+
+    @pytest.mark.parametrize("columns", [7, 1],
+                             ids=["more_than_nodes", "fewer_than_nodes"])
+    def test_interferer_rssi_columns_must_match_the_nodes(self, columns):
+        """The overlay's RSSI matrix needs one column per node of the
+        environment (3 here): the simulator refuses any other width when
+        it is built, before a run could read past or short of it."""
+        env = tiny_environment()
+        flow_set, schedule = tiny_flow_and_schedule()
+        conditions = Conditions(
+            extra_interferers=(WifiInterferer(Position(0, 0, 0)),),
+            extra_interferer_rssi_dbm=np.full((1, columns), -85.0))
+        with pytest.raises(ValueError, match="expected \\(1, 3\\)"):
+            TschSimulator(schedule, flow_set, env, env.channel_map,
+                          conditions=conditions)
 
     def test_determinism(self):
         flow_set, schedule = tiny_flow_and_schedule()
@@ -345,6 +368,38 @@ class TestEngine:
             sim.run(0)
 
 
+class TestOneEntryStore:
+    """The simulator replays the schedule's own entries: no per-compile
+    copy of them exists."""
+
+    @staticmethod
+    def assert_schedule_entries(schedule):
+        compiled = compiled_entries(schedule)
+        by_slot = schedule.entries_by_slot()
+        stored = {id(entry) for entry in schedule.entries}
+        assert list(compiled) == list(by_slot)
+        for slot, entries in compiled.items():
+            assert [id(e) for e in entries] == [id(e) for e in by_slot[slot]]
+            assert all(id(entry) in stored for entry in entries)
+        assert sum(len(entries) for entries in compiled.values()) == len(
+            schedule)
+
+    def test_compiled_entries_are_the_schedule_entries(self):
+        schedule = Schedule(6, 10, 2)
+        schedule.add(request(0, 1), 3, 0)
+        schedule.add(request(2, 3), 1, 1)
+        schedule.add(request(4, 5), 3, 0)      # shares cell (3, 0)
+        schedule.add(request(2, 3, attempt=1), 3, 1)
+        schedule.add(request(4, 5, attempt=1), 0, 0)
+        self.assert_schedule_entries(schedule)
+        moved = schedule.entries[0].request
+        schedule.evict([0])
+        self.assert_schedule_entries(schedule)
+        schedule.add(moved, 5, 1)
+        self.assert_schedule_entries(schedule)
+        assert list(compiled_entries(schedule)) == [0, 1, 3, 5]
+
+
 class TestDarkNodeObservability:
     """Regression: a dark *sender's* failed attempt updates the stats
     but used to be skipped in the obs tallies (``rep_attempts`` /
@@ -357,7 +412,6 @@ class TestDarkNodeObservability:
     def test_obs_attempts_match_stats(self, dark_node):
         from repro.obs import recorder as _obs
         from repro.obs.recorder import Recorder
-        from repro.simulator.conditions import Conditions
 
         flow_set, schedule = tiny_flow_and_schedule()
         env = tiny_environment()
