@@ -33,17 +33,15 @@ entries that changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.core.transmissions import TransmissionRequest
 
 
-@dataclass(frozen=True)
-class ScheduledTransmission:
+class ScheduledTransmission(NamedTuple):
     """A transmission request bound to a (slot, channel offset) cell."""
 
     request: TransmissionRequest
@@ -56,12 +54,9 @@ class ScheduledTransmission:
 
 def _entry_text(entries: Sequence[ScheduledTransmission]) -> List[str]:
     """Each entry's canonical JSON row (:meth:`Schedule.canonical_hash`):
-    its cell, then its request's identity, as ``%d`` integers."""
-    return ["[%d,%d,%d,%d,%d,%d,%d,%d,%d,%d]" % (
-                e.slot, e.offset, r.flow_id, r.instance, r.hop_index,
-                r.attempt, r.sender, r.receiver, r.release_slot,
-                r.deadline_slot)
-            for e in entries for r in (e.request,)]
+    its cell, then its request's fields, as ``%d`` integers."""
+    return ["[%d,%d,%d,%d,%d,%d,%d,%d,%d,%d]" % (slot, offset, *request)
+            for request, slot, offset in entries]
 
 
 def _without(items: List, doomed: Sequence[int]) -> List:
@@ -160,7 +155,8 @@ class Schedule:
 
     def _bind(self, request: TransmissionRequest, slot: int, offset: int
               ) -> ScheduledTransmission:
-        entry = ScheduledTransmission(request, slot, offset)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        entry = tuple.__new__(ScheduledTransmission, (request, slot, offset))
         cell = (slot, offset)
         self._cells[cell] = self._cells.get(cell, ()) + (len(self._entries),)
         self._entries.append(entry)
@@ -178,8 +174,8 @@ class Schedule:
     def clone(self) -> "Schedule":
         """An independent copy sharing only immutable pieces.
 
-        Entries (frozen dataclasses), the cell index's tuples and the
-        entries' canonical text are shared; each container — entry
+        Entries, the cell index's tuples and the entries' canonical
+        text (all immutable) are shared; each container — entry
         list, busy bitsets, cell dict, used-offset masks, text prefix —
         is copied flat, with no per-cell work, so mutations of the clone
         (``add``/``evict``) never leak into the original.  The hash memo
@@ -429,7 +425,8 @@ class Schedule:
 
     def busy_matrix(self) -> np.ndarray:
         """The ``(num_nodes, num_slots)`` busy matrix, unpacked from the
-        busy bitsets into a fresh array (the auditor's and tests' view)."""
+        busy bitsets into a fresh array (:meth:`validate_basic`'s and the
+        tests' view)."""
         return self._unpack(self._busy, 0, self.num_slots - 1)
 
     # ------------------------------------------------------------------

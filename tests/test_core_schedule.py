@@ -21,6 +21,10 @@ class TestTransmissionRequest:
         with pytest.raises(ValueError):
             request(3, 3)
 
+    def test_negative_attempt_rejected(self):
+        with pytest.raises(ValueError):
+            request(3, 4, attempt=-1)
+
     def test_str_mentions_flow_and_hop(self):
         text = str(request(1, 2, flow_id=7, hop=3, attempt=1))
         assert "F7" in text and "hop 3.1" in text
@@ -60,6 +64,26 @@ class TestExpandInstance:
     def test_invalid_attempts(self):
         with pytest.raises(ValueError):
             expand_instance(self._instance(), attempts_per_link=0)
+
+    @pytest.mark.parametrize("attempts", [1, 2])
+    def test_requests_match_the_constructor(self, attempts):
+        # A multi-hop route, past the first release: every field moves.
+        f = Flow(5, 0, 3, 50, 40, (0, 1, 2, 3))
+        instance = list(f.instances(100))[1]
+        requests = expand_instance(instance, attempts_per_link=attempts)
+        assert [(r.hop_index, r.attempt, r.sender, r.receiver)
+                for r in requests] == [
+            (hop, attempt, hop, hop + 1)
+            for hop in range(3) for attempt in range(attempts)]
+        for built in requests:
+            constructed = TransmissionRequest(
+                flow_id=5, instance=1, hop_index=built.hop_index,
+                attempt=built.attempt, sender=built.sender,
+                receiver=built.receiver, release_slot=50, deadline_slot=89)
+            assert type(built) is TransmissionRequest
+            assert built == constructed
+            assert hash(built) == hash(constructed)
+            assert str(built) == str(constructed)
 
 
 class TestSchedule:

@@ -76,15 +76,22 @@ def running_server(tmp_path, *flags):
          "--service-workers", "2", *flags],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True)
+    # The path exists from bind(), before listen(): only a connect that
+    # succeeds shows the server accepting.
     deadline = time.time() + 60
-    while not os.path.exists(socket_path):
+    while True:
         if process.poll() is not None:
             raise AssertionError(
                 f"serve exited early:\n{process.stdout.read()}")
-        if time.time() > deadline:
-            process.kill()
-            raise AssertionError("serve did not open its socket")
-        time.sleep(0.05)
+        try:
+            with socket.socket(socket.AF_UNIX) as probe:
+                probe.connect(socket_path)
+            break
+        except OSError:
+            if time.time() > deadline:
+                process.kill()
+                raise AssertionError("serve did not accept on its socket")
+            time.sleep(0.05)
     try:
         yield socket_path, process
     finally:

@@ -191,6 +191,30 @@ class TestAuditorCorruptions:
         assert report.kinds() == ["busy_matrix"]
         assert "node 5" in report.violations[0].message
 
+    def test_busy_bits_on_two_nodes(self, line_reuse_graph):
+        schedule = Schedule(6, 20, 2)
+        schedule.add(request(0, 1), 0, 0)
+        schedule._busy[4] ^= 1 << 7
+        schedule._busy[2] ^= 1 << 11
+        report = audit_schedule(schedule, line_reuse_graph, 2)
+        assert report.kinds() == ["busy_matrix"]
+        [violation] = report.violations
+        # The lower node's lowest differing slot, though node 4 differs
+        # at an earlier slot.
+        assert violation.slot == 11
+        assert ("at (node 2, slot 11) and 1 more place(s)"
+                in violation.message)
+
+    def test_used_mask_bit_above_the_offsets(self, line_reuse_graph):
+        schedule = Schedule(6, 20, 2)
+        schedule.add(request(0, 1), 3, 0)
+        schedule._used_mask[3] |= 1 << 2  # offset 2 of a 2-offset grid
+        report = audit_schedule(schedule, line_reuse_graph, 2)
+        assert report.kinds() == ["occupancy"]
+        [violation] = report.violations
+        assert violation.slot == 3
+        assert "mask says [0, 2] but entries occupy [0]" in violation.message
+
     def test_barred_link_sharing_a_cell(self, line_reuse_graph):
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1), 0, 0)
@@ -216,6 +240,57 @@ class TestAuditorCorruptions:
         assert any("missing 1 placement" in v.message
                    and v.flow_id == dropped.request.flow_id
                    for v in report.violations)
+
+
+    @staticmethod
+    def _corrupted(schedule, drop=False):
+        """A copy of ``schedule`` with its first request placed twice and
+        a request of flow 99 (outside the flow set) added, optionally
+        without its last entry."""
+        entries = schedule.entries[:-1] if drop else schedule.entries
+        corrupt = Schedule(schedule.num_nodes, schedule.num_slots,
+                           schedule.num_offsets)
+        for entry in entries:
+            corrupt.add(entry.request, entry.slot, entry.offset)
+        first = schedule.entries[0]
+        corrupt.force_add(first.request, first.slot, first.offset)
+        corrupt.force_add(request(first.request.sender,
+                                  first.request.receiver, flow_id=99),
+                          first.slot, first.offset)
+        return corrupt
+
+    def test_completeness_duplicate_and_unexpected(self, scheduled_network):
+        network, _, flow_set = scheduled_network
+        result = run_policy(network, flow_set, make_policy("RA", 1))
+        corrupt = self._corrupted(result.schedule)
+        report = audit_schedule(corrupt, network.reuse, 1,
+                                flow_set=flow_set)
+        extra = [v for v in report.violations if v.kind == "completeness"]
+        first = result.schedule.entries[0].request
+        assert [(v.flow_id, v.message) for v in extra] == [
+            (first.flow_id, f"{first}: placed 1 extra time(s) (duplicate "
+                            f"for this flow set)"),
+            (99, f"F99[0] hop 0.0 {first.sender}->{first.receiver}: placed "
+                 f"1 extra time(s) (unexpected for this flow set)")]
+
+    def test_partial_schedule_flags_extras_not_gaps(self, scheduled_network):
+        network, _, flow_set = scheduled_network
+        result = run_policy(network, flow_set, make_policy("RA", 1))
+        corrupt = self._corrupted(result.schedule, drop=True)
+        messages = {
+            complete: [v.message for v in audit_schedule(
+                corrupt, network.reuse, 1, flow_set=flow_set,
+                expect_complete=complete).violations
+                if v.kind == "completeness"]
+            for complete in (True, False)}
+        for complete in (True, False):
+            assert sum("(duplicate for this flow set)" in m
+                       for m in messages[complete]) == 1
+            assert sum("(unexpected for this flow set)" in m
+                       for m in messages[complete]) == 1
+        dropped = result.schedule.entries[-1].request
+        assert f"{dropped}: missing 1 placement(s)" in messages[True]
+        assert not any("missing" in m for m in messages[False])
 
 
 class TestAuditReport:
