@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.simulator.stats import Link, LinkKey, SimulationStats
 
 #: PRR samples the paper collects per 15-minute epoch.
@@ -73,21 +75,30 @@ def build_epoch_report(stats: SimulationStats, epoch: int,
         window: ``(start, end)`` repetition slice (end exclusive);
             ``None`` uses every repetition in ``stats``.
     """
-    # One pass over the window's rows gives, per (link, category)
-    # column, the per-repetition samples and the pooled PRR — the values
-    # SimulationStats.link_prr_samples / overall_link_prr give.  A
+    # The window's (repetitions × columns) counts, read whole: one
+    # division over the columns that have attempts gives every
+    # per-repetition sample (column-major, so each column's samples are
+    # one run of the flat list) and one division of the column sums the
+    # pooled PRRs — the values SimulationStats.link_prr_samples /
+    # overall_link_prr give (int64 counts convert to float64 exactly,
+    # and the division is the IEEE one of Python's ``int / int``).  A
     # column without attempts in the window is absent.
     rows = slice(*window) if window else slice(None)
+    attempts = stats.link_attempts[rows]
+    totals = attempts.sum(axis=0)
+    fired = np.flatnonzero(totals)
+    counts = attempts[:, fired].T
+    wins = stats.link_successes[rows][:, fired].T
+    sent = counts > 0
+    samples = (wins[sent] / counts[sent]).tolist()
+    ends = np.cumsum(sent.sum(axis=1)).tolist()
+    pooled = (wins.sum(axis=1) / totals[fired]).tolist()
+    keys = stats.link_keys
     columns: Dict[LinkKey, Tuple[Tuple[float, ...], float]] = {}
-    for key, attempts, successes in zip(
-            stats.link_keys, stats.link_attempts[rows].T.tolist(),
-            stats.link_successes[rows].T.tolist()):
-        total = sum(attempts)
-        if total:
-            columns[key] = (
-                tuple(succeeded / count for count, succeeded
-                      in zip(attempts, successes) if count),
-                sum(successes) / total)
+    start = 0
+    for column, end, prr in zip(fired.tolist(), ends, pooled):
+        columns[keys[column]] = (tuple(samples[start:end]), prr)
+        start = end
 
     absent = ((), None)
     link_reports = {}
@@ -95,13 +106,7 @@ def build_epoch_report(stats: SimulationStats, epoch: int,
         reuse_samples, reuse_prr = columns.get((link, True), absent)
         cf_samples, cf_prr = columns.get((link, False), absent)
         link_reports[link] = LinkEpochReport(
-            link=link,
-            epoch=epoch,
-            reuse_samples=reuse_samples,
-            contention_free_samples=cf_samples,
-            reuse_prr=reuse_prr,
-            contention_free_prr=cf_prr,
-        )
+            link, epoch, reuse_samples, cf_samples, reuse_prr, cf_prr)
     return EpochReport(epoch=epoch, links=link_reports)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -73,13 +74,19 @@ class Flow:
         """Whether routing has been performed for this flow."""
         return bool(self.route)
 
-    @property
+    @cached_property
     def links(self) -> Tuple[Tuple[int, int], ...]:
         """The route as a sequence of directed links ``(sender, receiver)``.
 
         The wired gateway segment is excluded: either the hop flagged by
         ``wire_after`` (different up/downlink access points), or a
         consecutive duplicate node (same access point on both segments).
+
+        Computed once per flow: the simulator's per-epoch set-up and
+        every instance expansion read it.  ``cached_property`` writes
+        the instance ``__dict__`` directly, which the frozen dataclass's
+        ``__setattr__`` guard does not cover; :meth:`with_route` builds
+        a new flow, so a re-routed flow never sees the old tuple.
         """
         pairs = []
         for index, (u, v) in enumerate(zip(self.route, self.route[1:])):

@@ -21,7 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -423,6 +433,9 @@ class NetworkManager:
 
         rho_t = config.rho_t
         barred: Set[Link] = set()
+        # Derived once per adopted schedule: the epoch outcome and the
+        # SLO candidates read it, and only a remediation changes it.
+        reuse_links = frozenset(schedule.reuse_links())
         for epoch in range(config.num_epochs):
             conditions = resolver.conditions_for(epoch)
             simulator = TschSimulator(
@@ -450,7 +463,7 @@ class NetworkManager:
             slo_warns = tuple(s.flow_id for s in slo_states
                               if s.state == STATE_WARN)
             slo_candidates = self._slo_victim_candidates(
-                slo_alerts, flow_set, schedule, barred)
+                slo_alerts, flow_set, reuse_links, barred)
 
             observation = Observation(
                 epoch=epoch, report=epoch_report, diagnoses=diagnoses,
@@ -471,6 +484,7 @@ class NetworkManager:
                     action, network, flow_set, schedule, rho_t, barred)
                 if remedy.schedule is not None:
                     schedule = remedy.schedule
+                    reuse_links = frozenset(schedule.reuse_links())
                 # Cooldown regardless of success: pre-action streaks are
                 # stale either way, and retry spacing prevents thrash.
                 monitor.note_action(epoch)
@@ -479,7 +493,7 @@ class NetworkManager:
             outcome = EpochOutcome(
                 epoch=epoch, conditions=conditions.describe(),
                 median_pdr=stats.median_pdr(), worst_pdr=stats.worst_pdr(),
-                num_reuse_links=len(schedule.reuse_links()),
+                num_reuse_links=len(reuse_links),
                 num_reject=sum(d.verdict is Verdict.REJECT
                                for d in diagnoses),
                 num_accept=sum(d.verdict is Verdict.ACCEPT
@@ -512,20 +526,21 @@ class NetworkManager:
 
     @staticmethod
     def _slo_victim_candidates(slo_alerts: Sequence[int],
-                               flow_set: FlowSet, schedule: Schedule,
+                               flow_set: FlowSet,
+                               reuse_links: AbstractSet[Link],
                                barred: Set[Link]) -> Tuple[Link, ...]:
         """Reuse links carried by SLO-alerting flows, as victim hints.
 
         Burn rates indict *flows*; remediation bars *links*.  The
         bridge is route membership: a link is a candidate when it is on
-        an alerting flow's route *and* currently shares a cell (reuse
-        is the only cause the manager can remediate by rescheduling).
-        Already-barred links are excluded — re-barring them is a no-op.
+        an alerting flow's route *and* is one of the running schedule's
+        ``reuse_links`` (reuse is the only cause the manager can
+        remediate by rescheduling).  Already-barred links are excluded —
+        re-barring them is a no-op.
         """
         if not slo_alerts:
             return ()
         alerting = set(slo_alerts)
-        reuse_links = set(schedule.reuse_links())
         candidates: Set[Link] = set()
         for flow in flow_set:
             if flow.flow_id not in alerting:

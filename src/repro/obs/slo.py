@@ -140,25 +140,40 @@ class FlowSloState:
 
 
 class _FlowWindow:
-    """Per-flow ring of ``(released, missed)`` epoch tallies."""
+    """Per-flow ring of ``(released, missed)`` epoch tallies, with
+    integer running sums of both over the fast and the slow window.
 
-    __slots__ = ("tallies", "epochs_observed")
+    :meth:`push` moves each sum by the tally that enters and the one
+    that leaves its window, so a burn rate divides the same two
+    integers a re-summed window would give.
+    """
 
-    def __init__(self, slow_window: int):
+    __slots__ = ("tallies", "fast_window", "fast_released", "fast_missed",
+                 "slow_released", "slow_missed", "epochs_observed")
+
+    def __init__(self, fast_window: int, slow_window: int):
         self.tallies: Deque[Tuple[int, int]] = deque(maxlen=slow_window)
+        self.fast_window = fast_window
+        self.fast_released = self.fast_missed = 0
+        self.slow_released = self.slow_missed = 0
         self.epochs_observed = 0
 
     def push(self, released: int, missed: int) -> None:
-        self.tallies.append((released, missed))
+        tallies = self.tallies
+        if len(tallies) >= self.fast_window:
+            old_released, old_missed = tallies[-self.fast_window]
+            self.fast_released -= old_released
+            self.fast_missed -= old_missed
+        if len(tallies) == tallies.maxlen:
+            old_released, old_missed = tallies[0]
+            self.slow_released -= old_released
+            self.slow_missed -= old_missed
+        tallies.append((released, missed))
+        self.fast_released += released
+        self.fast_missed += missed
+        self.slow_released += released
+        self.slow_missed += missed
         self.epochs_observed += 1
-
-    def miss_ratio(self, window: int) -> float:
-        """Packet-weighted miss ratio over the last ``window`` epochs."""
-        tail = list(self.tallies)[-window:]
-        released = sum(r for r, _ in tail)
-        if released == 0:
-            return 0.0
-        return sum(m for _, m in tail) / released
 
 
 class SloEngine:
@@ -211,11 +226,14 @@ class SloEngine:
             window = self._windows.get(flow_id)
             if window is None:
                 window = self._windows[flow_id] = _FlowWindow(
-                    config.slow_window)
+                    config.fast_window, config.slow_window)
             window.push(released, missed)
 
-            burn_fast = window.miss_ratio(config.fast_window) / budget
-            burn_slow = window.miss_ratio(config.slow_window) / budget
+            # Packet-weighted miss ratios; an idle window reads 0.0.
+            burn_fast = (window.fast_missed / window.fast_released / budget
+                         if window.fast_released else 0.0)
+            burn_slow = (window.slow_missed / window.slow_released / budget
+                         if window.slow_released else 0.0)
             if (burn_fast >= config.burn_threshold
                     and burn_slow >= config.burn_threshold):
                 state = STATE_ALERT
@@ -225,10 +243,9 @@ class SloEngine:
                 state = STATE_OK
 
             pdr = 1.0 if released == 0 else delivered / released
-            flow_state = FlowSloState(
-                flow_id=flow_id, epoch=epoch, pdr=pdr,
-                burn_fast=burn_fast, burn_slow=burn_slow, state=state,
-                epochs_observed=window.epochs_observed)
+            flow_state = FlowSloState(flow_id, epoch, pdr, burn_fast,
+                                      burn_slow, state,
+                                      window.epochs_observed)
             states.append(flow_state)
             self._note_transition(flow_state)
             self._record_series(flow_state)

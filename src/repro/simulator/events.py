@@ -66,7 +66,8 @@ The parity contract with the slot oracle is enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,6 +166,19 @@ class DrawPlan:
                 + entry)
 
 
+def _slot_pairs(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ordered ``(entry, other)`` pair of entries sharing a slot,
+    self-pairs included, as flat entry indices: entries numbered in
+    compiled order, ``counts`` per slot."""
+    count = np.repeat(counts, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    entry = np.repeat(np.arange(len(count)), count)
+    block = np.cumsum(count) - count
+    other = (np.repeat(first, count)
+             + np.arange(len(entry)) - np.repeat(block, count))
+    return entry, other
+
+
 def build_draw_plan(compiled: Dict[int, Sequence[ScheduledTransmission]],
                     num_interferers: int) -> DrawPlan:
     """Build the draw layout for a schedule's entries grouped by slot
@@ -175,38 +189,40 @@ def build_draw_plan(compiled: Dict[int, Sequence[ScheduledTransmission]],
     outcomes — so the same plan serves clean and faulted runs alike.
     """
     slots = tuple(sorted(compiled))
-    pair_set = set()
-    for slot in slots:
-        requests = [entry.request for entry in compiled[slot]]
-        receivers = {request.receiver for request in requests}
-        # Each sender reaches every receiver of its slot: its own (the
-        # signal path) and the others' (interference paths).
-        pair_set.update(_unordered(request.sender, receiver)
-                        for request in requests for receiver in receivers)
-    pairs = tuple(sorted(pair_set))
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    counts = np.array([len(compiled[slot]) for slot in slots],
+                      dtype=np.intp)
+    requests = [entry.request for slot in slots for entry in compiled[slot]]
+    sender = np.fromiter((request.sender for request in requests), np.intp)
+    receiver = np.fromiter((request.receiver for request in requests),
+                           np.intp)
 
-    entry_counts = []
-    normal_offsets = []
-    uniform_offsets = []
-    normal_cursor = len(pairs)
-    uniform_cursor = 0
-    for slot in slots:
-        count = len(compiled[slot])
-        entry_counts.append(count)
-        normal_offsets.append(normal_cursor)
-        uniform_offsets.append(uniform_cursor)
-        normal_cursor += count + count * count + num_interferers * count
-        uniform_cursor += num_interferers + count
+    # Each sender reaches every receiver of its slot: its own (the
+    # signal path) and the others' (interference paths).  Marking each
+    # unordered pair in a presence grid over node pairs and reading the
+    # grid row-major gives the sorted pair set without a sort.
+    nodes = 1 + int(max(sender.max(initial=0), receiver.max(initial=0)))
+    tx, rx = _slot_pairs(counts)
+    a, b = sender[tx], receiver[rx]
+    present = np.zeros(nodes * nodes, dtype=bool)
+    present[np.minimum(a, b) * nodes + np.maximum(a, b)] = True
+    keys = np.flatnonzero(present)
+    pairs = tuple(zip((keys // nodes).tolist(), (keys % nodes).tolist()))
+
+    # Per slot: E signal, E*E interference and I*E interferer normals;
+    # I activity and E reception uniforms.
+    normal_sizes = counts + counts * counts + num_interferers * counts
+    uniform_sizes = num_interferers + counts
+    normal_offsets = len(pairs) + np.cumsum(normal_sizes) - normal_sizes
+    uniform_offsets = np.cumsum(uniform_sizes) - uniform_sizes
     return DrawPlan(
         pairs=pairs,
-        pair_index=pair_index,
+        pair_index=dict(zip(pairs, range(len(pairs)))),
         slots=slots,
-        entry_counts=tuple(entry_counts),
-        normal_offsets=tuple(normal_offsets),
-        uniform_offsets=tuple(uniform_offsets),
-        num_normals=normal_cursor,
-        num_uniforms=uniform_cursor,
+        entry_counts=tuple(counts.tolist()),
+        normal_offsets=tuple(normal_offsets.tolist()),
+        uniform_offsets=tuple(uniform_offsets.tolist()),
+        num_normals=len(pairs) + int(normal_sizes.sum()),
+        num_uniforms=int(uniform_sizes.sum()),
         num_interferers=num_interferers,
     )
 
@@ -333,6 +349,30 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
 
 
+def _first_appearance(*columns: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of ``columns`` in order of first
+    appearance.
+
+    Returns each row's number and, per number, the index of the row
+    where it first appears (ascending).
+    """
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    # lexsort is stable, so each run's first row is its earliest.
+    firsts = order[starts]
+    by_first = np.argsort(firsts, kind="stable")
+    number = np.empty(len(firsts), dtype=np.intp)
+    number[by_first] = np.arange(len(firsts))
+    numbers = np.empty(len(order), dtype=np.intp)
+    numbers[order] = number[np.cumsum(starts) - 1]
+    return numbers, firsts[by_first]
+
+
 def build_event_tables(compiled: Dict[int, Sequence[ScheduledTransmission]],
                        shared: AbstractSet[Tuple[int, int]], plan: DrawPlan,
                        num_logical: int) -> EventTables:
@@ -351,65 +391,75 @@ def build_event_tables(compiled: Dict[int, Sequence[ScheduledTransmission]],
     uniform0 = np.array(plan.uniform_offsets, dtype=np.intp)[slot_pos]
     interferer = np.arange(plan.num_interferers)[:, np.newaxis]
 
-    sender = np.array([r.sender for r in requests], dtype=np.intp)
-    receiver = np.array([r.receiver for r in requests], dtype=np.intp)
-    offset = np.array([e.offset for e in entries], dtype=np.int64)
+    sender = np.fromiter((r.sender for r in requests), np.intp)
+    receiver = np.fromiter((r.receiver for r in requests), np.intp)
+    offset = np.fromiter((e.offset for e in entries), np.int64)
     slot = np.repeat(np.array(plan.slots, dtype=np.int64), counts)
-    hop = np.array([r.hop_index for r in requests], dtype=np.int64)
+    hop = np.fromiter((r.hop_index for r in requests), np.int64)
     next_hop = hop + 1
+    flow = np.fromiter((r.flow_id for r in requests), np.intp)
+    instance = np.fromiter((r.instance for r in requests), np.int64)
 
-    # Slow-fading columns: plan.pairs is sorted, so each unordered pair's
-    # position is a binary search over the pairs encoded as integers.
-    nodes = 1 + max((b for _, b in plan.pairs), default=0)
-    pair_keys = np.array([a * nodes + b for a, b in plan.pairs],
-                         dtype=np.int64)
+    # Slow-fading columns: each unordered node pair's position in the
+    # plan's pair list, looked up in a grid over node pairs.
+    pair_nodes = np.fromiter(chain.from_iterable(plan.pairs), np.intp)
+    nodes = 1 + int(max(pair_nodes.max(initial=0), sender.max(initial=0),
+                        receiver.max(initial=0)))
+    pair_column = np.zeros(nodes * nodes, dtype=np.intp)
+    pair_column[pair_nodes[0::2] * nodes + pair_nodes[1::2]] = np.arange(
+        len(plan.pairs))
 
     def drift_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        keys = np.minimum(a, b) * nodes + np.maximum(a, b)
-        return np.searchsorted(pair_keys, keys)
+        return pair_column[np.minimum(a, b) * nodes + np.maximum(a, b)]
 
-    packets: Dict[Pair, int] = {}
-    groups: Dict[Tuple[Pair, bool], int] = {}
-    packet, group = [], []
-    for entry, request in zip(entries, requests):
-        packet.append(packets.setdefault(
-            (request.flow_id, request.instance), len(packets)))
-        group.append(groups.setdefault(
-            ((request.sender, request.receiver),
-             (entry.slot, entry.offset) in shared),
-            len(groups)))
-    packet = np.array(packet, dtype=np.intp)
-    group = np.array(group, dtype=np.intp)
+    # Shared-cell flags: cells as slot * stride + offset, looked up in a
+    # presence table (no sort).
+    cells = np.fromiter(chain.from_iterable(shared), np.int64).reshape(-1, 2)
+    stride = 1 + int(max(offset.max(initial=0), cells[:, 1].max(initial=0)))
+    shared_cell = np.isin(slot * stride + offset,
+                          cells[:, 0] * stride + cells[:, 1], kind="table")
 
-    # Pair rows per slot: each receiver's same-channel others, padded.
-    channel_class = (offset % num_logical).tolist()
-    pair_receiver: List[int] = []
-    pair_other: List[int] = []
-    span_bounds = []
-    for first, slot_count in zip(firsts.tolist(), counts.tolist()):
-        stop = first + slot_count
-        members: Dict[int, List[int]] = {}
-        for e in range(first, stop):
-            members.setdefault(channel_class[e], []).append(e)
-        width = max(len(m) for m in members.values()) - 1
-        pair_first = len(pair_receiver)
-        if width:
-            for e in range(first, stop):
-                others = [o for o in members[channel_class[e]] if o != e]
-                pair_receiver.extend([e] * width)
-                pair_other.extend(others + [e] * (width - len(others)))
-        span_bounds.append((first, stop, pair_first, len(pair_receiver),
-                            slot_count, width))
-    pair_receiver = np.array(pair_receiver, dtype=np.intp)
-    pair_other = np.array(pair_other, dtype=np.intp)
+    # Packets are (flow, instance) and groups (link, shared cell) keys,
+    # each numbered in order of its first entry.
+    packet, packet_firsts = _first_appearance(flow, instance)
+    group, group_firsts = _first_appearance(sender, receiver, shared_cell)
+
+    # Pair rows per slot: each receiving entry lists the other entries
+    # of its (slot, channel class) in compiled order, padded to the
+    # slot's widest row with itself.  ``by_class`` lists every class's
+    # members contiguously, in compiled order.
+    channel_class = slot_pos * num_logical + offset % num_logical
+    by_class = np.argsort(channel_class, kind="stable")
+    class_starts = _run_starts(channel_class[by_class])
+    class_sizes = np.diff(class_starts, append=num_entries)
+    sorted_pos = np.empty(num_entries, dtype=np.intp)
+    sorted_pos[by_class] = np.arange(num_entries)
+    class_start = np.repeat(class_starts, class_sizes)[sorted_pos]
+    class_size = np.repeat(class_sizes, class_sizes)[sorted_pos]
+    widths = np.maximum.reduceat(class_size, firsts) - 1
+    row = widths[slot_pos]
+    pair_receiver = np.repeat(np.arange(num_entries), row)
+    # Row position k of receiver e, a class's member m_r: the others are
+    # m_k for k < r, then m_(k+1), then e as padding.
+    k = np.arange(len(pair_receiver)) - np.repeat(np.cumsum(row) - row, row)
+    k += k >= (sorted_pos - class_start)[pair_receiver]
+    size = class_size[pair_receiver]
+    pair_other = np.where(
+        k < size,
+        by_class[class_start[pair_receiver] + np.minimum(k, size - 1)],
+        pair_receiver)
     local_other = local[pair_other]
 
+    pair_counts = counts * widths
+    pair_firsts = np.cumsum(pair_counts) - pair_counts
     spans = tuple(
-        (first, stop, pair_first, pair_stop, slot_count, width,
-         packet[first:stop], hop[first:stop], next_hop[first:stop],
-         local_other[pair_first:pair_stop])
-        for first, stop, pair_first, pair_stop, slot_count, width
-        in span_bounds)
+        (first, first + slot_count, pair_first, pair_first + slot_pairs,
+         slot_count, width, packet[first:first + slot_count],
+         hop[first:first + slot_count], next_hop[first:first + slot_count],
+         local_other[pair_first:pair_first + slot_pairs])
+        for first, slot_count, pair_first, slot_pairs, width in zip(
+            firsts.tolist(), counts.tolist(), pair_firsts.tolist(),
+            pair_counts.tolist(), widths.tolist()))
 
     group_order = np.argsort(group, kind="stable")
     return EventTables(
@@ -417,7 +467,7 @@ def build_event_tables(compiled: Dict[int, Sequence[ScheduledTransmission]],
         receiver=receiver,
         slot_offset=slot + offset,
         next_hop=next_hop,
-        flow=np.array([r.flow_id for r in requests], dtype=np.intp),
+        flow=flow,
         drift_col=drift_columns(sender, receiver),
         fast_col=normal0 + local,
         reception_col=uniform0 + plan.num_interferers + local,
@@ -433,8 +483,10 @@ def build_event_tables(compiled: Dict[int, Sequence[ScheduledTransmission]],
                        + local_other),
         pair_padding=pair_other == pair_receiver,
         spans=spans,
-        num_packets=len(packets),
-        groups=tuple(groups),
+        num_packets=len(packet_firsts),
+        groups=tuple(zip(zip(sender[group_firsts].tolist(),
+                             receiver[group_firsts].tolist()),
+                         shared_cell[group_firsts].tolist())),
         group_order=group_order,
         group_starts=_run_starts(group[group_order]),
     )

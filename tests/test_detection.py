@@ -122,6 +122,37 @@ class TestKs2Samp:
 # Health epochs
 # ----------------------------------------------------------------------
 
+def oracle_epoch_report(stats, epoch, window=None):
+    """The epoch report built column by column in python: each
+    column's counts as lists, one division per repetition."""
+    rows = slice(*window) if window else slice(None)
+    columns = {}
+    for key, attempts, successes in zip(
+            stats.link_keys, stats.link_attempts[rows].T.tolist(),
+            stats.link_successes[rows].T.tolist()):
+        total = sum(attempts)
+        if total:
+            columns[key] = (
+                tuple(succeeded / count for count, succeeded
+                      in zip(attempts, successes) if count),
+                sum(successes) / total)
+
+    absent = ((), None)
+    link_reports = {}
+    for link in stats.links_seen():
+        reuse_samples, reuse_prr = columns.get((link, True), absent)
+        cf_samples, cf_prr = columns.get((link, False), absent)
+        link_reports[link] = LinkEpochReport(
+            link=link,
+            epoch=epoch,
+            reuse_samples=reuse_samples,
+            contention_free_samples=cf_samples,
+            reuse_prr=reuse_prr,
+            contention_free_prr=cf_prr,
+        )
+    return EpochReport(epoch=epoch, links=link_reports)
+
+
 def stats_with_pattern(reuse_prrs, cf_prrs, link=(0, 1)):
     """Build SimulationStats with one sample per repetition per category:
     10 attempts each, the PRR encoded in the success count."""
@@ -202,6 +233,38 @@ class TestEpochReports:
         report = build_epoch_report(stats, epoch=0)
         assert len(report.links[(0, 1)].reuse_samples) == 2
         assert report.links[(0, 1)].reuse_prr == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("seed,num_pairs",
+                             [(seed, 12) for seed in range(11)] + [(11, 0)])
+    def test_matches_the_column_loop(self, seed, num_pairs):
+        """Random count matrices — repetitions without attempts, columns
+        that never fire, links in both cell categories or one, no
+        columns at all — give the oracle's report, ``==`` and in the
+        same link order, for the whole run and for windows (empty ones
+        included)."""
+        rng = np.random.default_rng(seed)
+        repetitions = int(rng.integers(1, 25))
+        links = sorted({(int(a), int(b)) for a, b
+                        in rng.integers(0, 9, size=(num_pairs, 2))
+                        if a != b})
+        keys = [(link, shared) for link in links for shared in (True, False)
+                if rng.random() < 0.75]
+        rng.shuffle(keys)
+        keys = tuple(keys)
+        shape = (repetitions, len(keys))
+        attempts = rng.integers(1, 5, size=shape) * (rng.random(shape) < 0.6)
+        attempts[:, rng.random(len(keys)) < 0.2] = 0
+        successes = rng.integers(0, attempts + 1)
+        empty = np.zeros((repetitions, 0), dtype=np.int64)
+        stats = SimulationStats({}, {}, keys, attempts, successes, (),
+                                empty, empty)
+        cut = int(rng.integers(0, repetitions + 1))
+        for window in (None, (0, repetitions), (0, cut), (cut, repetitions),
+                       (cut, cut), (repetitions - 1, repetitions)):
+            report = build_epoch_report(stats, 5, window)
+            expected = oracle_epoch_report(stats, 5, window)
+            assert report == expected
+            assert repr(report) == repr(expected)
 
     @pytest.mark.parametrize("window", [None, (0, 4), (3, 9), (7, 12)])
     def test_one_walk_equals_the_per_link_lookups(self, window):

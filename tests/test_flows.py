@@ -64,6 +64,33 @@ class TestFlow:
         assert f.links == ((0, 2), (3, 5))
         assert f.num_hops == 2
 
+    def test_with_route_recomputes_cached_links(self):
+        """``links`` is computed once per flow: a re-routed copy must not
+        inherit the original's tuple."""
+        f = flow(0, route=[0, 2, 5])
+        assert f.links == ((0, 2), (2, 5))
+        rerouted = f.with_route([0, 3, 4, 5])
+        assert rerouted.links == ((0, 3), (3, 4), (4, 5))
+        assert rerouted.num_hops == 3
+        assert f.links == ((0, 2), (2, 5))
+        assert f.with_route([0, 2, 3, 5], wire_after=1).links == (
+            (0, 2), (3, 5))
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip_keeps_links(self, read_first):
+        """Flows cross process boundaries (``parallel_map``, the
+        service's workers), with or without the cached tuple."""
+        import pickle
+
+        f = flow(4, route=[0, 3, 3, 5])
+        if read_first:
+            assert f.links == ((0, 3), (3, 5))
+        copy = pickle.loads(pickle.dumps(f))
+        assert copy == f
+        assert hash(copy) == hash(f)
+        assert copy.links == f.links == ((0, 3), (3, 5))
+        assert copy.num_hops == 2
+
     def test_wire_after_requires_route(self):
         with pytest.raises(ValueError):
             Flow(0, 0, 5, 100, 100, wire_after=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -687,3 +688,32 @@ class TestRepairRemediation:
         assert histograms["span.repair.seconds"]["count"] == attempted
         assert histograms["span.rebuild.seconds"]["count"] == \
             counters["manager.repair_fallbacks"]
+
+
+class TestPinnedManagedRun:
+    """One short managed run pinned bit for bit: a repair, a rebuild
+    fallback and SLO alerts, on the same epoch-report, SLO-window,
+    reuse-link and simulator-compile paths manage-storm runs."""
+
+    #: sha256 of ``json.dumps(report.to_dict(), sort_keys=True)``, with
+    #: unrounded floats, recorded before those paths moved to numpy and
+    #: running sums.
+    DIGEST = ("28e4ef31f812638f23cbdb1b3cb2b00a"
+              "accc31fb34768fa854667b68426c394b")
+
+    def test_report_digest(self, wustl):
+        topology, environment = wustl
+        config = ManagerConfig(scenario="reuse-storm", policy="reschedule",
+                               scheduler_policy="RA", num_flows=80,
+                               repetitions_per_epoch=8, num_epochs=8,
+                               seed=2, warmup_epochs=1, confirm_epochs=1,
+                               cooldown_epochs=1)
+        report = NetworkManager(topology, environment, WUSTL_PLAN,
+                                config).run()
+        modes = [outcome.repair_mode for outcome in report.epochs]
+        assert "repair" in modes and "rebuild" in modes, modes
+        assert any(outcome.slo_alerts for outcome in report.epochs)
+        assert len({outcome.num_reuse_links
+                    for outcome in report.epochs}) > 2
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST

@@ -6,10 +6,16 @@ bit-identical to the slot oracle — per run, per epoch, and regardless of
 how repetitions are chunked into draw matrices.
 """
 
+import dataclasses
+from typing import Dict, List
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, ScheduledTransmission
+from repro.core.transmissions import TransmissionRequest
 from repro.detection.health import build_epoch_report
 from repro.experiments.common import prepare_network, schedule_workload
 from repro.experiments.reliability import build_reliability_flow_set
@@ -25,6 +31,7 @@ from repro.simulator import (
     run_event_batched,
 )
 from repro.simulator.conditions import Conditions
+from repro.simulator.events import DrawPlan, EventTables, build_event_tables
 from repro.simulator.stats import stats_signature as signature
 from repro.testbeds.synth import RadioEnvironment
 
@@ -404,3 +411,287 @@ class TestCountStore:
                     == build_epoch_report(oracle, 1, window))
             assert batched.channel_prr(window) == oracle.channel_prr(window)
         assert signature(batched) == signature(oracle)
+
+
+# ----------------------------------------------------------------------
+# The compile: the numpy builders against their python oracles
+# ----------------------------------------------------------------------
+
+def _unordered(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def oracle_draw_plan(compiled, num_interferers):
+    """The draw plan built slot by slot in python: each slot's senders
+    × receivers into a pair set, sorted; offsets by running cursors."""
+    slots = tuple(sorted(compiled))
+    pair_set = set()
+    for slot in slots:
+        requests = [entry.request for entry in compiled[slot]]
+        receivers = {request.receiver for request in requests}
+        pair_set.update(_unordered(request.sender, receiver)
+                        for request in requests for receiver in receivers)
+    pairs = tuple(sorted(pair_set))
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+
+    entry_counts = []
+    normal_offsets = []
+    uniform_offsets = []
+    normal_cursor = len(pairs)
+    uniform_cursor = 0
+    for slot in slots:
+        count = len(compiled[slot])
+        entry_counts.append(count)
+        normal_offsets.append(normal_cursor)
+        uniform_offsets.append(uniform_cursor)
+        normal_cursor += count + count * count + num_interferers * count
+        uniform_cursor += num_interferers + count
+    return DrawPlan(
+        pairs=pairs,
+        pair_index=pair_index,
+        slots=slots,
+        entry_counts=tuple(entry_counts),
+        normal_offsets=tuple(normal_offsets),
+        uniform_offsets=tuple(uniform_offsets),
+        num_normals=normal_cursor,
+        num_uniforms=uniform_cursor,
+        num_interferers=num_interferers,
+    )
+
+
+def _oracle_run_starts(keys):
+    if not len(keys):
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def oracle_event_tables(compiled, shared, plan, num_logical):
+    """The event tables with per-entry dicts and per-slot pair rows
+    built in python."""
+    entries = [entry for slot in plan.slots for entry in compiled[slot]]
+    requests = [entry.request for entry in entries]
+    num_entries = len(entries)
+    counts = np.array(plan.entry_counts, dtype=np.intp)
+    slot_pos = np.repeat(np.arange(len(counts)), counts)
+    firsts = np.cumsum(counts) - counts
+    local = np.arange(num_entries) - firsts[slot_pos]
+    count = counts[slot_pos]
+    normal0 = np.array(plan.normal_offsets, dtype=np.intp)[slot_pos]
+    uniform0 = np.array(plan.uniform_offsets, dtype=np.intp)[slot_pos]
+    interferer = np.arange(plan.num_interferers)[:, np.newaxis]
+
+    sender = np.array([r.sender for r in requests], dtype=np.intp)
+    receiver = np.array([r.receiver for r in requests], dtype=np.intp)
+    offset = np.array([e.offset for e in entries], dtype=np.int64)
+    slot = np.repeat(np.array(plan.slots, dtype=np.int64), counts)
+    hop = np.array([r.hop_index for r in requests], dtype=np.int64)
+    next_hop = hop + 1
+
+    nodes = 1 + max((b for _, b in plan.pairs), default=0)
+    pair_keys = np.array([a * nodes + b for a, b in plan.pairs],
+                         dtype=np.int64)
+
+    def drift_columns(a, b):
+        keys = np.minimum(a, b) * nodes + np.maximum(a, b)
+        return np.searchsorted(pair_keys, keys)
+
+    packets: Dict = {}
+    groups: Dict = {}
+    packet, group = [], []
+    for entry, request in zip(entries, requests):
+        packet.append(packets.setdefault(
+            (request.flow_id, request.instance), len(packets)))
+        group.append(groups.setdefault(
+            ((request.sender, request.receiver),
+             (entry.slot, entry.offset) in shared),
+            len(groups)))
+    packet = np.array(packet, dtype=np.intp)
+    group = np.array(group, dtype=np.intp)
+
+    channel_class = (offset % num_logical).tolist()
+    pair_receiver: List[int] = []
+    pair_other: List[int] = []
+    span_bounds = []
+    for first, slot_count in zip(firsts.tolist(), counts.tolist()):
+        stop = first + slot_count
+        members: Dict[int, List[int]] = {}
+        for e in range(first, stop):
+            members.setdefault(channel_class[e], []).append(e)
+        width = max(len(m) for m in members.values()) - 1
+        pair_first = len(pair_receiver)
+        if width:
+            for e in range(first, stop):
+                others = [o for o in members[channel_class[e]] if o != e]
+                pair_receiver.extend([e] * width)
+                pair_other.extend(others + [e] * (width - len(others)))
+        span_bounds.append((first, stop, pair_first, len(pair_receiver),
+                            slot_count, width))
+    pair_receiver = np.array(pair_receiver, dtype=np.intp)
+    pair_other = np.array(pair_other, dtype=np.intp)
+    local_other = local[pair_other]
+
+    spans = tuple(
+        (first, stop, pair_first, pair_stop, slot_count, width,
+         packet[first:stop], hop[first:stop], next_hop[first:stop],
+         local_other[pair_first:pair_stop])
+        for first, stop, pair_first, pair_stop, slot_count, width
+        in span_bounds)
+
+    group_order = np.argsort(group, kind="stable")
+    return EventTables(
+        sender=sender,
+        receiver=receiver,
+        slot_offset=slot + offset,
+        next_hop=next_hop,
+        flow=np.array([r.flow_id for r in requests], dtype=np.intp),
+        drift_col=drift_columns(sender, receiver),
+        fast_col=normal0 + local,
+        reception_col=uniform0 + plan.num_interferers + local,
+        activity_col=uniform0 + interferer,
+        interferer_fast_col=(normal0 + count + count * count
+                             + interferer * count + local),
+        pair_receiver=pair_receiver,
+        pair_other=pair_other,
+        pair_drift_col=drift_columns(sender[pair_other],
+                                     receiver[pair_receiver]),
+        pair_fast_col=(normal0[pair_receiver] + count[pair_receiver]
+                       + local[pair_receiver] * count[pair_receiver]
+                       + local_other),
+        pair_padding=pair_other == pair_receiver,
+        spans=spans,
+        num_packets=len(packets),
+        groups=tuple(groups),
+        group_order=group_order,
+        group_starts=_oracle_run_starts(group[group_order]),
+    )
+
+
+def _assert_same_array(got, want, name):
+    assert isinstance(got, np.ndarray), name
+    assert got.dtype == want.dtype, name
+    assert got.shape == want.shape, name
+    assert np.array_equal(got, want), name
+
+
+def assert_same_compile(compiled, shared, num_interferers, num_logical):
+    """The builders' plan and tables equal the oracles', field for
+    field: equal values, python ints where the oracle has them, and
+    arrays of the oracle's dtype and shape."""
+    plan = build_draw_plan(compiled, num_interferers)
+    expected_plan = oracle_draw_plan(compiled, num_interferers)
+    assert plan == expected_plan
+    assert repr(plan) == repr(expected_plan)
+
+    tables = build_event_tables(compiled, shared, plan, num_logical)
+    expected = oracle_event_tables(compiled, shared, expected_plan,
+                                   num_logical)
+    for field in dataclasses.fields(EventTables):
+        got = getattr(tables, field.name)
+        want = getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            _assert_same_array(got, want, field.name)
+        elif field.name == "spans":
+            assert len(got) == len(want)
+            for span, oracle_span in zip(got, want):
+                assert repr(span[:6]) == repr(oracle_span[:6])
+                for view, oracle_view in zip(span[6:], oracle_span[6:]):
+                    _assert_same_array(view, oracle_view, "spans")
+        else:
+            assert got == want, field.name
+            assert repr(got) == repr(want), field.name
+
+
+def shared_cells(schedule):
+    return {(slot, offset)
+            for slot, offset, _ in schedule.reused_cell_indices()}
+
+
+def fuzz_schedules(cases=8, seed=0):
+    """Schedulable RA and RC schedules of the fuzzer's drawn cases, with
+    each case's channel count."""
+    from repro.routing.shortest_path import NoRouteError
+    from repro.validate.fuzz import _build_case, _draw_params
+
+    schedules = []
+    for index in range(cases):
+        rng = np.random.default_rng([seed, index])
+        params = _draw_params(rng)
+        try:
+            network, _, flow_set = _build_case(params)
+        except (NoRouteError, ValueError):
+            continue
+        for policy in ("RA", "RC"):
+            result = schedule_workload(network, flow_set, policy,
+                                       params["rho_t"])
+            if result.schedulable:
+                schedules.append((f"fuzz{index}-{policy}", result.schedule,
+                                  network.num_channels))
+    return schedules
+
+
+def hand_schedules():
+    """The empty schedule, a slot-per-entry schedule, and slots whose
+    channels carry three, two and one entries (rows padded by one or
+    two)."""
+    empty = Schedule(4, 100, 2)
+    _, single = tiny_flow_and_schedule()
+    crowded = Schedule(12, 100, 3)
+    for slot, offset, sender, flow_id in (
+            (0, 0, 0, 0), (0, 1, 2, 1), (0, 0, 4, 2), (0, 1, 6, 3),
+            (0, 0, 8, 4), (0, 2, 10, 5),
+            (1, 1, 3, 6), (1, 1, 5, 7), (1, 1, 7, 8), (4, 2, 1, 9)):
+        crowded.force_add(request(sender, sender + 1, flow_id=flow_id),
+                          slot, offset)
+    return [("empty", empty, 2), ("single", single, 2),
+            ("crowded", crowded, 3)]
+
+
+@pytest.fixture(scope="module")
+def compile_schedules():
+    return hand_schedules() + fuzz_schedules()
+
+
+class TestCompileMatchesOracle:
+    @pytest.mark.parametrize("num_interferers", [0, 1, 2, 3])
+    def test_schedules(self, compile_schedules, num_interferers):
+        """Fuzzer-drawn, empty, slot-per-entry and crowded schedules,
+        on their own channel count, on one fewer (a channel blacklisted
+        under the running schedule: two offsets share a channel class)
+        and on a single channel (every entry of a slot interferes)."""
+        assert any(schedule.num_reused_cells()
+                   for _, schedule, _ in compile_schedules)
+        for _, schedule, num_channels in compile_schedules:
+            compiled = schedule.entries_by_slot()
+            for num_logical in sorted({num_channels,
+                                       max(1, num_channels - 1), 1}):
+                assert_same_compile(compiled, shared_cells(schedule),
+                                    num_interferers, num_logical)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.integers(0, 3),       # slot
+        st.integers(0, 3),       # offset
+        st.integers(0, 5),       # sender
+        st.integers(0, 5),       # receiver
+        st.integers(0, 4),       # flow
+        st.integers(0, 2),       # instance
+        st.integers(0, 3)),      # hop
+        max_size=30),
+        st.integers(0, 3), st.integers(1, 5))
+    def test_arbitrary_entries(self, rows, num_interferers, num_logical):
+        """Entries the schedulers would never place — repeated links,
+        packets spread over slots, nodes in several entries of a slot —
+        compile alike; any cell with two occupants is shared."""
+        compiled: Dict[int, List[ScheduledTransmission]] = {}
+        occupants: Dict = {}
+        for slot, offset, sender, receiver, flow, instance, hop in rows:
+            if sender == receiver:
+                continue
+            entry = ScheduledTransmission(
+                TransmissionRequest(flow, instance, hop, 0, sender,
+                                    receiver, 0, 99), slot, offset)
+            compiled.setdefault(slot, []).append(entry)
+            occupants[slot, offset] = occupants.get((slot, offset), 0) + 1
+        compiled = dict(sorted(compiled.items()))
+        shared = {cell for cell, count in occupants.items() if count > 1}
+        assert_same_compile(compiled, shared, num_interferers, num_logical)

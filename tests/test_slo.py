@@ -3,7 +3,11 @@ integration with the manager loop's early-warning channel."""
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.detection.health import EpochReport, LinkEpochReport
 from repro.manager.loop import ManagerConfig, NetworkManager
@@ -112,6 +116,94 @@ class TestBurnMath:
         engine = SloEngine(TIGHT)
         states = engine.observe_epoch(0, {9: 10, 2: 10}, {9: 10, 2: 10})
         assert [s.flow_id for s in states] == [2, 9]
+
+
+class OracleWindow:
+    """A flow's window with each burn rate re-summed from a copy of the
+    tally ring (the oracle of the engine's running sums)."""
+
+    def __init__(self, slow_window):
+        self.tallies = deque(maxlen=slow_window)
+        self.epochs_observed = 0
+
+    def push(self, released, missed):
+        self.tallies.append((released, missed))
+        self.epochs_observed += 1
+
+    def miss_ratio(self, window):
+        """Packet-weighted miss ratio over the last ``window`` epochs."""
+        tail = list(self.tallies)[-window:]
+        released = sum(r for r, _ in tail)
+        if released == 0:
+            return 0.0
+        return sum(m for _, m in tail) / released
+
+
+def oracle_states(config, windows, epoch, flow_released, flow_delivered):
+    """One epoch's states, from :class:`OracleWindow` burn rates."""
+    states = []
+    for flow_id in sorted(flow_released):
+        released = flow_released[flow_id]
+        delivered = flow_delivered.get(flow_id, 0)
+        window = windows.setdefault(flow_id, OracleWindow(config.slow_window))
+        window.push(released, max(0, released - delivered))
+        burn_fast = window.miss_ratio(config.fast_window) / config.error_budget
+        burn_slow = window.miss_ratio(config.slow_window) / config.error_budget
+        if (burn_fast >= config.burn_threshold
+                and burn_slow >= config.burn_threshold):
+            state = STATE_ALERT
+        elif burn_fast >= config.burn_threshold:
+            state = STATE_WARN
+        else:
+            state = STATE_OK
+        states.append(FlowSloState(
+            flow_id=flow_id, epoch=epoch,
+            pdr=1.0 if released == 0 else delivered / released,
+            burn_fast=burn_fast, burn_slow=burn_slow, state=state,
+            epochs_observed=window.epochs_observed))
+    return states
+
+
+#: One epoch's tallies for up to three flows: ``{flow: (released,
+#: delivered)}``, idle epochs (nothing released) included.
+EPOCH_TALLIES = st.dictionaries(
+    st.integers(0, 2),
+    st.integers(0, 12).flatmap(
+        lambda released: st.tuples(st.just(released),
+                                   st.integers(0, released + 1))),
+    max_size=3)
+
+
+class TestRunningSums:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fast_window=st.integers(1, 4), extra=st.integers(0, 3),
+           target_pdr=st.sampled_from([0.5, 0.9, 0.99]),
+           burn_threshold=st.sampled_from([0.5, 1.0, 2.0]),
+           stream=st.lists(EPOCH_TALLIES, max_size=14))
+    @example(fast_window=1, extra=0, target_pdr=0.9, burn_threshold=2.0,
+             stream=[{0: (0, 0)}, {0: (5, 1)}, {0: (0, 0)}, {0: (3, 3)}])
+    @example(fast_window=2, extra=1, target_pdr=0.9, burn_threshold=1.0,
+             stream=[{0: (4, 0), 1: (0, 0)}, {1: (6, 2)}, {0: (0, 0)},
+                     {0: (7, 5), 1: (2, 0)}, {0: (9, 9)}, {0: (1, 0)}])
+    def test_states_match_resummed_windows(self, fast_window, extra,
+                                           target_pdr, burn_threshold,
+                                           stream):
+        """Every state equals the oracle's bit for bit, over idle
+        epochs, a one-epoch fast window, equal windows, flows that skip
+        epochs, and histories longer than the slow window."""
+        config = SloConfig(target_pdr=target_pdr, fast_window=fast_window,
+                           slow_window=fast_window + extra,
+                           burn_threshold=burn_threshold)
+        engine = SloEngine(config)
+        windows = {}
+        for epoch, tallies in enumerate(stream):
+            released = {flow: r for flow, (r, _) in tallies.items()}
+            delivered = {flow: d for flow, (_, d) in tallies.items()}
+            states = engine.observe_epoch(epoch, released, delivered)
+            expected = oracle_states(config, windows, epoch, released,
+                                     delivered)
+            assert states == expected
+            assert repr(states) == repr(expected)
 
 
 class TestTransitions:
@@ -332,7 +424,7 @@ class TestManagerSloIntegration:
         alerting = sorted(flows)[:3]
 
         candidates = NetworkManager._slo_victim_candidates(
-            alerting, flow_set, schedule, barred=set())
+            alerting, flow_set, reuse, barred=set())
         expected = sorted({link for fid in alerting
                            for link in flows[fid].links if link in reuse})
         assert list(candidates) == expected
@@ -341,7 +433,7 @@ class TestManagerSloIntegration:
         if candidates:
             barred = {candidates[0]}
             fewer = NetworkManager._slo_victim_candidates(
-                alerting, flow_set, schedule, barred=barred)
+                alerting, flow_set, reuse, barred=barred)
             assert candidates[0] not in fewer
         assert NetworkManager._slo_victim_candidates(
-            [], flow_set, schedule, set()) == ()
+            [], flow_set, reuse, set()) == ()
