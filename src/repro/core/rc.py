@@ -223,7 +223,7 @@ class ConservativeReusePolicy:
                        request: TransmissionRequest, earliest: int,
                        remaining: RequestWindow, rho: float,
                        recorder) -> tuple:
-        """Algorithm 1's whole ρ descent, the window walked once.
+        """Algorithm 1's whole ρ descent, paid once per distinct slot.
 
         The stepwise loop re-runs ``findSlot`` and ``calculateLaxity``
         at every ρ.  Here the ρ = ∞ probe is the schedule's
@@ -235,10 +235,17 @@ class ConservativeReusePolicy:
         first kept maximum that reaches ρ, which is the earliest slot
         with an offset feasible at ρ, and the walk extends only while
         none does.  A slot with a free offset reads ∞, so the walk never
-        passes the ρ = ∞ probe's slot.  Equation 1 is a lookup in the
-        instance's packed conflict bits
-        (:class:`repro.core.laxity.LaxityTable`), which ``remaining``,
-        the engine's :class:`RequestWindow`, reads.
+        passes the ρ = ∞ probe's slot.
+
+        As ρ falls the probed slot never moves later, so a probe
+        carries what the last one learned.  The kept maximum's index
+        only falls: it starts at the newest maximum after the walk
+        extends (it reached ρ, or ran dry) and steps left while the
+        maximum before it still reaches ρ.  Equation 1 is read once per
+        distinct probed slot, as a lookup in the instance's packed
+        conflict bits (:class:`repro.core.laxity.LaxityTable`), which
+        ``remaining``, the engine's :class:`RequestWindow`, reads; a
+        probe that lands on the last probed slot reuses its laxity.
         Placements, exit ρ, counters and provenance are identical to
         the stepwise loop's: both pick the earliest feasible slot per ρ
         and descend under the same laxity rule.
@@ -248,11 +255,13 @@ class ConservativeReusePolicy:
         deadline = request.deadline_slot
         sender, receiver = request.sender, request.receiver
         width = deadline - earliest + 1
-        # The window's conflict-free slots, ascending, walked lazily.
-        walk = schedule.conflict_free_slots(sender, receiver, earliest,
-                                            deadline)
+        # The window's conflict-free slots, ascending, walked lazily
+        # from the first finite ρ.
+        walk = None
         maxima = []           # the walk's running maxima
+        kept = -1             # the kept maximum's index in ``maxima``
         floor = walked = 0    # the largest value so far, slots walked
+        laxity_slot, laxity = -1, 0   # the slot Eq. 1 last read, its value
         triggered = False
         best_slot: Optional[int] = None
         best_rho = rho
@@ -267,8 +276,11 @@ class ConservativeReusePolicy:
                     slot = found
                 scanned = found - earliest + 1 if found >= 0 else width
             else:
-                kept = next((m for m in maxima if m[0] >= rho), None)
-                if kept is None:
+                if floor < rho:
+                    # No kept maximum reaches ρ: extend the walk.
+                    if walk is None:
+                        walk = schedule.conflict_free_slots(
+                            sender, receiver, earliest, deadline)
                     for candidate in walk:
                         walked += 1
                         value = max_admissible_rho(schedule, reuse_graph,
@@ -278,12 +290,14 @@ class ConservativeReusePolicy:
                             floor = value
                             maxima.append((value, candidate, walked))
                             if value >= rho:
-                                kept = maxima[-1]
                                 break
-                if kept is None:
-                    scanned = walked
+                    kept = len(maxima) - 1
+                if floor >= rho:
+                    while kept and maxima[kept - 1][0] >= rho:
+                        kept -= 1
+                    _, slot, scanned = maxima[kept]
                 else:
-                    _, slot, scanned = kept
+                    scanned = walked
             if recorder is not None:
                 recorder.count("scheduler.placements_tried")
                 if scanned:
@@ -296,7 +310,9 @@ class ConservativeReusePolicy:
                                       earliest, self.offset_rule, found)
             if slot is not None:
                 best_slot, best_rho = slot, rho
-                laxity = remaining.laxity(schedule, slot)
+                if slot != laxity_slot:
+                    laxity_slot = slot
+                    laxity = remaining.laxity(schedule, slot)
                 if recorder is not None:
                     triggered = _note_laxity(recorder, slot, rho, laxity,
                                              triggered)

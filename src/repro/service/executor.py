@@ -211,6 +211,7 @@ class ServiceExecutor:
 
     def _schedule(self, request: Request) -> Dict:
         config = request.config
+        config_key = config.schedule_hash()
         cache_info: Dict[str, str] = {}
 
         with stage("cache.topology") as sp:
@@ -227,7 +228,7 @@ class ServiceExecutor:
                 sp.annotate(verdict=cache_info["workload"])
         with stage("compile") as sp:
             result, cache_info["schedule"] = self.cache.get_or_build(
-                "schedule", config.schedule_hash(),
+                "schedule", config_key,
                 lambda: schedule_workload(prepared, flow_set,
                                           config.policy,
                                           rho_t=config.rho_t))
@@ -237,14 +238,14 @@ class ServiceExecutor:
 
         previous = self.sessions.get(request.network)
         if previous is not None \
-                and previous.config_hash != config.schedule_hash():
+                and previous.config_hash != config_key:
             # The network name re-bound to a different configuration:
             # its old compiled superframe can never be asked for again
             # under this name — drop it rather than waiting for LRU.
             self.cache.invalidate("schedule", previous.config_hash)
         self.sessions[request.network] = NetworkSession(
             network=request.network, config=config,
-            config_hash=config.schedule_hash(), prepared=prepared,
+            config_hash=config_key, prepared=prepared,
             flow_set=flow_set, schedule=result.schedule,
             schedulable=result.schedulable)
 
@@ -255,7 +256,7 @@ class ServiceExecutor:
             "reuse_cells": result.schedule.num_reused_cells(),
             "makespan": result.schedule.makespan(),
             "schedule_hash": result.schedule.canonical_hash(),
-            "config_hash": config.schedule_hash(),
+            "config_hash": config_key,
             "cache": cache_info,
         }
         if not result.schedulable:

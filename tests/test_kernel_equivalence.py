@@ -8,7 +8,8 @@ interchangeable with the scalar offset list — same feasible slots and
 offsets, same ``find_slot`` answers — and the fused descent must match
 its stepwise oracle (:func:`repro.core.rc.stepwise_descent`) in final
 schedules, work counters, decision provenance and the
-``rc.fallback_rho`` histogram, walking each placement's window once.
+``rc.fallback_rho`` histogram, walking each placement's window once
+and reading Eq. 1 once per distinct probed slot.
 These tests drive both over seeded randomized schedules, a hand-built
 descent and full scheduler runs and demand exact agreement.  The last
 class pins RC's repair products and audits what an RC compile hands
@@ -306,6 +307,101 @@ class TestOneWalkPerPlacement:
         fused = self._place(reuse_graph, False)
         assert fused == stepwise == ((1, 1), [12, 11, 6, 4, 1])
         assert walked == list(range(1, len(DESCENT_SLOTS)))
+
+
+#: A window for link (0, 1) on the weak-shortcut graph in which every ρ
+#: above ρ_t lands on the ρ = ∞ probe's slot: slot 3 has a free offset
+#: and the conflict-free slots before it read 2, so ρ = ∞, 5, 4 and 3
+#: all probe slot 3 and ρ_t = 2 probes slot 1.
+REPEAT_SLOTS = (
+    ([(0, 2)], [(3, 4)]),              # node 0 busy: never walked
+    ([(2, 5)], [(3, 4)]),              # 2
+    ([(3, 6)], [(2, 7)]),              # 2
+    ([(2, 5)], []),                    # ∞: the ρ = ∞ probe's slot
+    ([(2, 5)], [(3, 4)]),              # 2, past the walk's end
+)
+
+#: Requests after the one placed: Eq. 1 reads 4 - s - 3, so slot 3
+#: goes negative and slot 1 keeps laxity 0.
+REPEAT_REMAINING = 3
+
+
+@pytest.fixture
+def laxity_reads(monkeypatch):
+    """The slots Eq. 1 is read at, in order: the packed table's lookups
+    (the fused descent) and ``calculate_laxity`` calls (the stepwise
+    oracle)."""
+    reads = []
+    from_table = LaxityTable.laxity
+    calculate = _rc.calculate_laxity
+
+    def table_read(table, schedule, position, slot):
+        reads.append(slot)
+        return from_table(table, schedule, position, slot)
+
+    def calculated(schedule, slot, deadline_slot, remaining):
+        reads.append(slot)
+        return calculate(schedule, slot, deadline_slot, remaining)
+
+    monkeypatch.setattr(LaxityTable, "laxity", table_read)
+    monkeypatch.setattr(_rc, "calculate_laxity", calculated)
+    return reads
+
+
+class TestOneLaxityPerSlot:
+    """RC's fused descent reads Eq. 1 once per distinct probed slot."""
+
+    def _place(self, reuse_graph, stepwise, recorded):
+        """Place link (0, 1) on :data:`REPEAT_SLOTS`: the placement and,
+        when recorded, the work counters, the ``rc.fallback_rho``
+        histogram and the decision's provenance record."""
+        deadline = len(REPEAT_SLOTS) - 1
+        schedule = Schedule(reuse_graph.num_nodes, len(REPEAT_SLOTS), 2)
+        for slot, offsets in enumerate(REPEAT_SLOTS):
+            for offset, occupants in enumerate(offsets):
+                for sender, receiver in occupants:
+                    schedule.add(TransmissionRequest(
+                        1, slot, offset, 0, sender, receiver, 0, deadline),
+                        slot, offset)
+        requests = [TransmissionRequest(0, 0, 0, attempt, 0, 1, 0, deadline)
+                    for attempt in range(REPEAT_REMAINING + 1)]
+        recorder = obs.Recorder(provenance=ProvenanceRecorder())
+        with _descent(stepwise), \
+                obs.recording(recorder) if recorded else nullcontext():
+            recorder.provenance.begin_decision("RC", requests[0], 0)
+            placement = ConservativeReusePolicy(rho_t=2).place(
+                schedule, reuse_graph, requests[0], 0,
+                RequestWindow(LaxityTable(requests), 1))
+            recorder.provenance.end_decision(placement)
+        if not recorded:
+            return placement, None
+        return placement, (_recorded_work(recorder)
+                           + (recorder.provenance.records(),))
+
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_descent_reads_each_probed_slot_once(self, reuse_graph,
+                                                 laxity_reads, recorded):
+        """ρ = ∞, 5, 4 and 3 probe slot 3 and ρ_t probes slot 1: the
+        stepwise loop evaluates Eq. 1 at every probe and the fused
+        descent once per distinct slot, and both make the same
+        placement, count the same work (``slots_scanned`` and ρ steps
+        included) and narrate the same probes, laxities and ρ steps."""
+        assert reuse_graph.diameter() == 5
+        stepwise = self._place(reuse_graph, True, recorded)
+        assert laxity_reads == [3, 3, 3, 3, 1]
+        laxity_reads.clear()
+        fused = self._place(reuse_graph, False, recorded)
+        assert laxity_reads == [3, 1]
+        assert fused == stepwise
+        placement, signature = fused
+        assert placement == (1, 1)
+        if recorded:
+            record = signature[-1][0]
+            assert [(e["slot"], e["rho"], e["laxity"])
+                    for e in record["laxity"]] == [
+                (3, None, -2), (3, 5, -2), (3, 4, -2), (3, 3, -2),
+                (1, 2, 0)]
+            assert signature[0]["rc.reuse_fallbacks"] == 4
 
 
 def _recorded_signature(result, recorder):

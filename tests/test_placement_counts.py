@@ -11,9 +11,16 @@ centralized traffic, 30 flows, periods in [2^-1, 2^3] s, flow-set seed
 ``1000 * i``, ρ_t = 2.  (3 channels, seed 0) leaves NR unschedulable and
 has RA scan past a slot; (5 channels, seed 1000) schedules under every
 policy.
+
+RC's decision records on (3 channels, seed 0) are pinned as well: the
+sha256 of ``ProvenanceRecorder.records()`` as canonical JSON, recorded
+before RC's descent read Eq. 1 once per distinct probed slot.
 """
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -25,6 +32,7 @@ from repro.experiments.common import (
 )
 from repro.flows.generator import PeriodRange
 from repro.obs import recorder as _obs
+from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.recorder import Recorder
 from repro.routing.traffic import TrafficType
 
@@ -60,6 +68,12 @@ PINNED = {
         (23782, 8830, 3254, 478, 1394, 5576)),
 }
 
+#: sha256 of RC's provenance records on (3 channels, seed 0) as JSON
+#: with sorted keys and no spaces: 2,312 decisions, 834 of them with a
+#: negative laxity, and the ``prov_meta`` trailer.
+PINNED_RC_RECORDS = (
+    "d9cd65a9514e102a10d2b01aeb76ee8399efd7fa0ee8505f6be4bd72975dc843")
+
 
 @pytest.fixture(scope="module")
 def pool_workloads(indriya):
@@ -86,3 +100,14 @@ def test_placement_counts_repeat(pool_workloads, workload, policy):
     assert result.schedulable is schedulable
     assert result.schedule.canonical_hash() == digest
     assert tuple(result.counters[key] for key in COUNTERS) == counts
+
+
+def test_rc_decision_records_repeat(pool_workloads):
+    network, flow_set = pool_workloads[(3, 0)]
+    recorder = Recorder(provenance=ProvenanceRecorder())
+    with _obs.recording(recorder):
+        schedule_workload(network, flow_set, "RC", 2)
+    records = recorder.provenance.records()
+    assert len(records) == 2313
+    canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_RC_RECORDS
