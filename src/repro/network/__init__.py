@@ -6,7 +6,6 @@ from repro.network.graphs import (
     CommunicationGraph,
     UNREACHABLE,
     all_pairs_hops,
-    bfs_hops_from,
     communication_adjacency,
     reuse_adjacency,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "Topology",
     "UNREACHABLE",
     "all_pairs_hops",
-    "bfs_hops_from",
     "communication_adjacency",
     "reuse_adjacency",
 ]

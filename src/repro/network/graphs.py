@@ -14,13 +14,17 @@ Two graphs are derived from the topology's PRR measurements:
   distance on this graph is the paper's proxy for interference: two
   concurrent same-channel transmissions are presumed safe when every
   sender is at least ρ hops from the other transmission's receiver.
+
+Each graph computes its all-pairs hop matrix once (:func:`all_pairs_hops`).
+The reuse graph's gates every reuse decision; the communication graph's
+gives routes (:mod:`repro.routing`), components and connectivity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,36 +65,27 @@ def reuse_adjacency(topology: Topology) -> np.ndarray:
     return adjacency
 
 
-def bfs_hops_from(adjacency: np.ndarray, source: int) -> np.ndarray:
-    """Hop counts from ``source`` to every node via BFS.
+def all_pairs_hops(adjacency: np.ndarray) -> np.ndarray:
+    """Hop counts along the edges ``adjacency[u, v]``, all sources at once.
 
-    Returns an int array where unreachable nodes get :data:`UNREACHABLE`.
+    A level-synchronous BFS: row ``s`` of the frontier holds the nodes
+    first reached from ``s`` at this level, and one float32 product with
+    the adjacency, masked by the reached set, expands every row by a hop
+    (exact: counts stay below 2^24).  int32, :data:`UNREACHABLE` where
+    no path exists.
     """
     n = adjacency.shape[0]
-    hops = np.full(n, UNREACHABLE, dtype=np.int32)
-    hops[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
+    step = np.asarray(adjacency, dtype=bool).astype(np.float32)
+    hops = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    reached = np.eye(n, dtype=bool)
+    hops[reached] = 0
+    frontier = reached.copy()
     distance = 0
     while frontier.any():
         distance += 1
-        # All nodes adjacent to the frontier, not yet visited.
-        reached = adjacency[frontier].any(axis=0) & (hops == UNREACHABLE)
-        hops[reached] = distance
-        frontier = reached
-    return hops
-
-
-def all_pairs_hops(adjacency: np.ndarray) -> np.ndarray:
-    """All-pairs hop-count matrix via repeated BFS.
-
-    O(V * (V + E)) with vectorized frontier expansion; fine for testbed
-    scales (tens to low hundreds of nodes).
-    """
-    n = adjacency.shape[0]
-    hops = np.empty((n, n), dtype=np.int32)
-    for source in range(n):
-        hops[source] = bfs_hops_from(adjacency, source)
+        frontier = (frontier.astype(np.float32) @ step > 0.0) & ~reached
+        hops[frontier] = distance
+        reached |= frontier
     return hops
 
 
@@ -121,11 +116,16 @@ class CommunicationGraph:
         """Whether the bidirectional edge uv exists."""
         return bool(self.adjacency[u, v])
 
+    # cached_property writes the instance __dict__ directly, which the
+    # frozen dataclass's __setattr__ guard does not cover.
+    @cached_property
+    def hops(self) -> np.ndarray:
+        """All-pairs hop counts: routes, components and connectivity."""
+        return all_pairs_hops(self.adjacency)
+
     @cached_property
     def _neighbor_lists(self) -> Tuple[Tuple[int, ...], ...]:
-        # Computed once per graph: routing's BFS asks on every pop.
-        # cached_property writes the instance __dict__ directly, which
-        # the frozen dataclass's __setattr__ guard does not cover.
+        # Every step of a route walk asks.
         return tuple(tuple(np.flatnonzero(row).tolist())
                      for row in self.adjacency)
 
@@ -151,21 +151,20 @@ class CommunicationGraph:
         nodes = list(among) if among is not None else list(range(self.num_nodes))
         if not nodes:
             return True
-        hops = bfs_hops_from(self.adjacency, nodes[0])
-        return all(hops[v] != UNREACHABLE for v in nodes)
+        return bool(np.all(self.hops[nodes[0], nodes] != UNREACHABLE))
 
     def largest_component(self) -> List[int]:
-        """Return the node ids of the largest connected component."""
-        remaining: Set[int] = set(range(self.num_nodes))
-        best: List[int] = []
-        while remaining:
-            source = next(iter(remaining))
-            hops = bfs_hops_from(self.adjacency, source)
-            component = [v for v in remaining if hops[v] != UNREACHABLE]
-            if len(component) > len(best):
-                best = component
-            remaining -= set(component)
-        return sorted(best)
+        """Node ids of the largest component (the lowest-id one of a tie)."""
+        reachable = self.hops != UNREACHABLE
+        remaining = np.ones(self.num_nodes, dtype=bool)
+        best = np.empty(0, dtype=np.intp)
+        for source in range(self.num_nodes):
+            if remaining[source]:
+                component = np.flatnonzero(reachable[source] & remaining)
+                if len(component) > len(best):
+                    best = component
+                remaining[component] = False
+        return best.tolist()
 
 
 @dataclass(frozen=True)

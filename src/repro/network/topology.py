@@ -160,9 +160,10 @@ class Topology:
         return int(both.sum())
 
     def degrees(self, prr_threshold: float) -> np.ndarray:
-        """Vector of communication-graph degrees for every node."""
-        return np.array([self.degree(i, prr_threshold)
-                         for i in range(self.num_nodes)])
+        """:meth:`degree` of every node: the communication graph's row sums."""
+        from repro.network.graphs import communication_adjacency
+
+        return communication_adjacency(self, prr_threshold).sum(axis=1)
 
     def summary(self, prr_threshold: float = 0.9) -> Dict[str, float]:
         """Return headline statistics about the topology."""

@@ -27,13 +27,9 @@ DEFAULT_FRAME_BYTES = 60
 ACK_FRAME_BYTES = 11
 
 
-@lru_cache(maxsize=None)
-def _ber_coefficients() -> tuple:
-    """Precompute the alternating-series coefficients for the BER formula."""
-    coefficients = []
-    for k in range(2, 17):
-        coefficients.append(((-1) ** k) * math.comb(16, k))
-    return tuple(coefficients)
+#: The BER series' terms ``((-1)^k C(16, k), 1/k - 1)`` for k = 2..16.
+_BER_TERMS = tuple((((-1) ** k) * math.comb(16, k), 1.0 / k - 1.0)
+                   for k in range(2, 17))
 
 
 def bit_error_rate(sinr_db: float) -> float:
@@ -47,8 +43,8 @@ def bit_error_rate(sinr_db: float) -> float:
     """
     sinr_linear = 10.0 ** (sinr_db / 10.0)
     total = 0.0
-    for k, coefficient in zip(range(2, 17), _ber_coefficients()):
-        total += coefficient * math.exp(20.0 * sinr_linear * (1.0 / k - 1.0))
+    for coefficient, exponent in _BER_TERMS:
+        total += coefficient * math.exp(20.0 * sinr_linear * exponent)
     ber = (8.0 / 15.0) * (1.0 / 16.0) * total
     return min(max(ber, 0.0), 1.0)
 
@@ -115,7 +111,14 @@ class PrrCurve:
         self.frame_bytes = frame_bytes
         self.smoothing_sigma_db = smoothing_sigma_db
         self._grid = np.arange(lo_db, hi_db + step_db, step_db)
-        values = np.array([prr(float(s), frame_bytes) for s in self._grid])
+        if frame_bytes <= 0:
+            raise ValueError("frame_bytes must be positive")
+        # prr() at each point, one BER shared by the frame and its ACK;
+        # every float operation keeps prr()'s order (bit-identical).
+        bers = [bit_error_rate(sinr_db) for sinr_db in self._grid.tolist()]
+        values = np.array([(1.0 - ber) ** (8 * frame_bytes)
+                           * (1.0 - ber) ** (8 * ACK_FRAME_BYTES)
+                           for ber in bers])
         if smoothing_sigma_db > 0.0:
             values = _gaussian_smooth(values, smoothing_sigma_db / step_db)
         self._values = values

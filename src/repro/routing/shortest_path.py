@@ -1,19 +1,19 @@
 """Shortest-path routing on the communication graph.
 
 The WirelessHART network manager generates a single route per flow using a
-shortest-path algorithm (paper Section VII).  We use BFS scanning
-neighbors in ascending id order, and each node keeps the predecessor
-that discovered it first, so that a given (topology, flow set) pair
-always yields the same routes.
+shortest-path algorithm (paper Section VII).  Routes are read from the
+graph's memoized hop matrix: each step goes to the lowest-id neighbor one
+hop closer to the destination, so a given (topology, flow set) pair always
+yields the same routes.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List
 
+import numpy as np
 
-from repro.network.graphs import CommunicationGraph
+from repro.network.graphs import UNREACHABLE, CommunicationGraph
 
 
 class NoRouteError(Exception):
@@ -29,10 +29,11 @@ def shortest_path(graph: CommunicationGraph, source: int,
                   destination: int) -> List[int]:
     """Shortest path (in hops) from source to destination.
 
-    Ties between equal-length paths go to the first-discovered
-    predecessor, not the smallest one: with neighbors scanned in
-    ascending id order, the route is the equal-length path whose node
-    sequence, read from the source, is lexicographically smallest.
+    Each step goes to the lowest-id neighbor whose distance *to* the
+    destination (a column of ``graph.hops``: exact for any adjacency) is
+    one less.  So the route is the lexicographically smallest shortest
+    path, read from the source: the route of a BFS that scans neighbors
+    in ascending id order and keeps first-discovered predecessors.
 
     Returns:
         The node sequence including both endpoints.
@@ -45,24 +46,15 @@ def shortest_path(graph: CommunicationGraph, source: int,
     n = graph.num_nodes
     if not (0 <= source < n and 0 <= destination < n):
         raise ValueError("source/destination out of range")
-
-    parent: Dict[int, int] = {source: source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if u == destination:
-            break
-        for v in graph.neighbors(u):  # neighbors() is ascending by id
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-    if destination not in parent:
+    to_destination = graph.hops[:, destination].tolist()
+    remaining = to_destination[source]
+    if remaining == UNREACHABLE:
         raise NoRouteError(source, destination)
-
-    path = [destination]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
+    path = [source]
+    while remaining:
+        remaining -= 1
+        path.append(next(v for v in graph.neighbors(path[-1])
+                         if to_destination[v] == remaining))
     return path
 
 
@@ -71,24 +63,11 @@ def shortest_path_tree(graph: CommunicationGraph,
     """Shortest paths from ``root`` to every reachable node.
 
     Returns:
-        A dict mapping each reachable node to its path from the root.
-        Useful for batch routing toward an access point.
+        A dict mapping each reachable node to its :func:`shortest_path`
+        from the root, in BFS discovery order (by hop count, then by
+        path).  Useful for batch routing toward an access point.
     """
-    parent: Dict[int, int] = {root: root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
-
-    paths: Dict[int, List[int]] = {}
-    for node in parent:
-        path = [node]
-        while path[-1] != root:
-            path.append(parent[path[-1]])
-        path.reverse()
-        paths[node] = path
-    return paths
-
+    reachable = np.flatnonzero(graph.hops[root] != UNREACHABLE).tolist()
+    paths = sorted((shortest_path(graph, root, node) for node in reachable),
+                   key=lambda path: (len(path), path))
+    return {path[-1]: path for path in paths}

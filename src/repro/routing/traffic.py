@@ -19,12 +19,8 @@ import enum
 from typing import List, Sequence
 
 from repro.flows.flow import Flow, FlowSet
-from repro.network.graphs import CommunicationGraph
-from repro.routing.shortest_path import (
-    NoRouteError,
-    shortest_path,
-    shortest_path_tree,
-)
+from repro.network.graphs import UNREACHABLE, CommunicationGraph
+from repro.routing.shortest_path import NoRouteError, shortest_path
 
 
 class TrafficType(enum.Enum):
@@ -73,21 +69,23 @@ def route_centralized(graph: CommunicationGraph, flow: Flow,
 def _best_segment(graph: CommunicationGraph, endpoint: int,
                   access_points: Sequence[int],
                   toward_ap: bool) -> List[int]:
-    """Shortest path between a node and its best access point.
+    """Shortest path between a node and its nearest access point.
 
+    Nearest: the first in id order with the fewest hops from
+    ``endpoint`` in ``graph.hops``; one path is built, to it.
     Returns the path ordered source→AP when ``toward_ap`` else AP→node.
     """
-    best_path = None
-    for ap in sorted(access_points):
-        try:
-            path = shortest_path(graph, endpoint, ap)
-        except NoRouteError:
-            continue
-        if best_path is None or len(path) < len(best_path):
-            best_path = path
-    if best_path is None:
+    n = graph.num_nodes
+    if not all(0 <= node < n for node in (endpoint, *access_points)):
+        raise ValueError("endpoint/access point out of range")
+    distances = graph.hops[endpoint]
+    reachable = [ap for ap in sorted(access_points)
+                 if distances[ap] != UNREACHABLE]
+    if not reachable:
         raise NoRouteError(endpoint, access_points[0])
-    return best_path if toward_ap else list(reversed(best_path))
+    nearest = min(reachable, key=distances.__getitem__)
+    path = shortest_path(graph, endpoint, nearest)
+    return path if toward_ap else path[::-1]
 
 
 def assign_routes(flow_set: FlowSet, graph: CommunicationGraph,

@@ -36,6 +36,7 @@ artifacts), and join the pool; in-flight requests complete first.
 from __future__ import annotations
 
 import asyncio
+import gc
 import multiprocessing
 import queue
 import signal
@@ -132,6 +133,8 @@ class ScheduleService:
         self.loop = asyncio.get_running_loop()
         context = multiprocessing.get_context("fork")
         worker_options = self.options.worker_options()
+        # Forked workers inherit the heap frozen: their GC skips it.
+        gc.freeze()
         for index in range(self.options.num_workers):
             parent_conn, child_conn = context.Pipe(duplex=True)
             process = context.Process(
@@ -141,6 +144,7 @@ class ScheduleService:
             process.start()
             child_conn.close()
             self.workers.append(_WorkerHandle(index, process, parent_conn))
+        gc.unfreeze()
         # Threads only after every fork: forking a threaded process is
         # where deadlocks live.
         for handle in self.workers:

@@ -8,10 +8,10 @@ from repro.network.graphs import (
     CommunicationGraph,
     UNREACHABLE,
     all_pairs_hops,
-    bfs_hops_from,
 )
 
 from conftest import build_topology
+from graph_oracles import bfs_hops_from
 
 
 class TestCommunicationGraph:

@@ -137,6 +137,18 @@ class TestPrrCurve:
         for sinr in (-5.0, 0.0, 3.0, 8.0):
             assert curve(sinr) == pytest.approx(prr(sinr), abs=1e-3)
 
+    @pytest.mark.parametrize("frame_bytes", [11, 60, 127])
+    def test_table_is_per_point_prr_bit_for_bit(self, frame_bytes):
+        """The table shares one BER between data frame and ACK."""
+        curve = PrrCurve(frame_bytes=frame_bytes, smoothing_sigma_db=0.0)
+        expected = np.array([prr(float(s), frame_bytes)
+                             for s in curve._grid])
+        assert np.array_equal(curve._values, expected)
+
+    def test_invalid_frame_size_rejected_by_curve(self):
+        with pytest.raises(ValueError):
+            PrrCurve(frame_bytes=0)
+
     def test_smoothing_widens_transition(self):
         """Smoothing is the grey-region model: the 10%-90% span grows."""
         raw = PrrCurve(smoothing_sigma_db=0.0)
