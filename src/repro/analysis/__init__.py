@@ -10,16 +10,13 @@ from repro.analysis.latency import (
     InstanceLatency,
     LatencySummary,
     instance_latencies,
-    per_flow_worst_latency,
 )
 from repro.analysis.metrics import (
     BoxStats,
     cell_min_reuse_hops,
     reuse_hop_distribution,
-    reuse_hop_fractions,
     schedulable_ratio,
     tx_per_cell_distribution,
-    tx_per_cell_fractions,
 )
 
 __all__ = [
@@ -30,12 +27,9 @@ __all__ = [
     "RadioPowerProfile",
     "instance_latencies",
     "network_lifetime_days",
-    "per_flow_worst_latency",
     "superframe_energy",
     "cell_min_reuse_hops",
     "reuse_hop_distribution",
-    "reuse_hop_fractions",
     "schedulable_ratio",
     "tx_per_cell_distribution",
-    "tx_per_cell_fractions",
 ]

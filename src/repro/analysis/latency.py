@@ -10,7 +10,6 @@ distribution summaries for comparing NR / RA / RC.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -115,13 +114,3 @@ class LatencySummary:
             min_slack=min(l.slack_slots for l in latencies),
             n=n,
         )
-
-
-def per_flow_worst_latency(latencies: List[InstanceLatency]
-                           ) -> Dict[int, int]:
-    """Worst-case latency (slots) per flow across its instances."""
-    worst: Dict[int, int] = defaultdict(int)
-    for latency in latencies:
-        worst[latency.flow_id] = max(worst[latency.flow_id],
-                                     latency.latency_slots)
-    return dict(worst)

@@ -36,17 +36,6 @@ def tx_per_cell_distribution(schedule: Schedule) -> Dict[int, int]:
     return dict(sorted(Counter(schedule.cell_sizes()).items()))
 
 
-def tx_per_cell_fractions(schedules: Iterable[Schedule]) -> Dict[int, float]:
-    """Pooled Tx/channel histogram over many schedules, as fractions."""
-    total: Counter = Counter()
-    for schedule in schedules:
-        total.update(tx_per_cell_distribution(schedule))
-    count = sum(total.values())
-    if count == 0:
-        return {}
-    return {k: v / count for k, v in sorted(total.items())}
-
-
 def cell_min_reuse_hops(transmissions, reuse_graph: ChannelReuseGraph,
                         ) -> Optional[int]:
     """Minimum sender→receiver reuse-hop distance within one shared cell.
@@ -80,18 +69,6 @@ def reuse_hop_distribution(schedule: Schedule,
         if hops is not None:
             histogram[hops] += 1
     return dict(histogram)
-
-
-def reuse_hop_fractions(schedules: Iterable[Schedule],
-                        reuse_graph: ChannelReuseGraph) -> Dict[int, float]:
-    """Pooled reuse hop-count histogram over many schedules, as fractions."""
-    total: Counter = Counter()
-    for schedule in schedules:
-        total.update(reuse_hop_distribution(schedule, reuse_graph))
-    count = sum(total.values())
-    if count == 0:
-        return {}
-    return {k: v / count for k, v in sorted(total.items())}
 
 
 @dataclass(frozen=True)

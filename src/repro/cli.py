@@ -159,14 +159,9 @@ def _manager_config(args: argparse.Namespace):
     """Build a ManagerConfig from manage/adapt CLI arguments."""
     from repro.manager import ManagerConfig, resolve_scenario
     from repro.manager.policies import RescheduleVictims
-    from repro.obs.slo import SloConfig
 
     try:
         scenario = resolve_scenario(args.scenario)
-        slo = SloConfig(target_pdr=args.slo_target_pdr,
-                        fast_window=args.slo_fast_window,
-                        slow_window=args.slo_slow_window,
-                        burn_threshold=args.slo_burn_threshold)
     except ValueError as error:
         raise SystemExit(f"error: {error}")
     policy = getattr(args, "policy", "noop")
@@ -187,7 +182,7 @@ def _manager_config(args: argparse.Namespace):
         num_epochs=args.epochs, repetitions_per_epoch=reps,
         num_flows=flows, channels=tuple(args.channels),
         seed=args.seed or 0, warmup_epochs=warmup,
-        confirm_epochs=confirm, cooldown_epochs=cooldown, slo=slo)
+        confirm_epochs=confirm, cooldown_epochs=cooldown)
 
 
 def _print_manager_report(report) -> None:
@@ -502,22 +497,22 @@ def cmd_top(args: argparse.Namespace) -> int:
     def render_once() -> str:
         timeseries = TimeSeriesStore.load_jsonl(args.timeseries_in)
         snapshot = load_metrics(args.metrics) if args.metrics else None
-        return render_top(timeseries, snapshot, max_flows=args.max_flows,
-                          ascii_only=args.ascii,
+        return render_top(timeseries, snapshot, ascii_only=args.ascii,
                           source=str(args.timeseries_in))
 
     try:
         if args.once:
             print(render_once(), end="")
             return 0
-        # Live mode: re-read the dump and repaint until interrupted.
+        # Live mode: re-read the dump and repaint every 2 s until
+        # interrupted.
         # \x1b[H\x1b[2J = cursor home + clear screen; plain ANSI, no
         # curses dependency.
         while True:
             frame = render_once()
             sys.stdout.write("\x1b[H\x1b[2J" + frame)
             sys.stdout.flush()
-            time.sleep(args.interval)
+            time.sleep(2.0)
     except KeyboardInterrupt:
         print()
         return 0
@@ -565,8 +560,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if not paths:
             raise OSError(f"no such file: {args.spans_in}")
         print(format_trace_show(paths, limit=args.limit,
-                                trace_prefix=args.trace_id,
-                                width=args.width))
+                                trace_prefix=args.trace_id))
     except (OSError, ValueError, KeyError, TypeError) as error:
         print(f"error: cannot read spans from {args.spans_in}: {error}",
               file=sys.stderr)
@@ -647,15 +641,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.server import ServiceOptions, run_service
 
-    if args.socket is None and args.port is None:
-        print("error: serve needs --socket PATH or --port N",
-              file=sys.stderr)
-        return 2
     workers = args.service_workers or (os.cpu_count() or 2)
     options = ServiceOptions(
         socket_path=args.socket,
         host=args.host,
-        port=args.port or 0,
+        port=args.port,
         num_workers=workers,
         cache_capacity=args.cache_capacity,
         batch_size=args.batch_size,
@@ -677,7 +667,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     options = LoadgenOptions(
         socket_path=args.socket,
         host=args.host,
-        port=args.port or 0,
+        port=args.port,
         requests=args.requests,
         networks=args.networks,
         rate=args.rate,
@@ -806,15 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "faster-acting hysteresis")
         p.add_argument("--report-out", default=None, metavar="FILE",
                        help="write the ManagerReport(s) as JSON")
-        p.add_argument("--slo-target-pdr", type=float, default=0.9,
-                       help="per-flow PDR objective (error budget is "
-                            "1 - target)")
-        p.add_argument("--slo-fast-window", type=int, default=5,
-                       help="fast burn-rate window (epochs)")
-        p.add_argument("--slo-slow-window", type=int, default=30,
-                       help="slow burn-rate window (epochs)")
-        p.add_argument("--slo-burn-threshold", type=float, default=2.0,
-                       help="burn rate at/above which a window is hot")
         p.add_argument("--slo-early-warning", action="store_true",
                        help="let the reschedule policy act on SLO "
                             "burn alerts before K-S confirmation")
@@ -928,8 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="traces to render, slowest first")
     ps.add_argument("--trace-id", default=None, metavar="PREFIX",
                     help="only traces whose id starts with this prefix")
-    ps.add_argument("--width", type=int, default=48,
-                    help="waterfall bar width in characters")
     ps.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("explain",
@@ -1028,10 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metrics snapshot JSON for the health panel")
     p.add_argument("--once", action="store_true",
                    help="render one frame and exit (CI/pipes)")
-    p.add_argument("--interval", type=float, default=2.0,
-                   help="refresh interval in live mode (seconds)")
-    p.add_argument("--max-flows", type=int, default=12,
-                   help="rows in the per-flow SLO table")
     p.add_argument("--ascii", action="store_true",
                    help="pure-ASCII sparklines and bars")
     p.set_defaults(func=cmd_top)

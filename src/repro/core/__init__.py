@@ -3,10 +3,6 @@ the NR / RA / RC fixed-priority schedulers."""
 
 from repro.core.constraints import (
     NO_REUSE,
-    conflicts_in_slot,
-    feasible_offsets_scalar,
-    offset_satisfies_channel_constraint,
-    placement_is_valid,
     validate_schedule,
 )
 from repro.core.laxity import (
@@ -64,11 +60,7 @@ __all__ = [
     "TransmissionRequest",
     "calculate_laxity",
     "conflict_slots_for",
-    "conflicts_in_slot",
     "expand_instance",
-    "feasible_offsets_scalar",
     "find_slot",
-    "offset_satisfies_channel_constraint",
-    "placement_is_valid",
     "validate_schedule",
 ]

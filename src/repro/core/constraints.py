@@ -26,12 +26,6 @@ from repro.network.graphs import INFINITE_DISTANCE, ChannelReuseGraph
 NO_REUSE = math.inf
 
 
-def conflicts_in_slot(schedule: Schedule, sender: int, receiver: int,
-                      slot: int) -> bool:
-    """Whether the link conflicts with any transmission in the slot."""
-    return schedule.node_busy(sender, slot) or schedule.node_busy(receiver, slot)
-
-
 def clear_of(entries, hops: List[List[int]], occupants: Sequence[int],
              sender: int, receiver: int, rho: float) -> bool:
     """Whether ``(sender, receiver)`` keeps ρ hops from every occupant
@@ -46,48 +40,13 @@ def clear_of(entries, hops: List[List[int]], occupants: Sequence[int],
     return True
 
 
-def offset_satisfies_channel_constraint(schedule: Schedule,
-                                        reuse_graph: ChannelReuseGraph,
-                                        sender: int, receiver: int,
-                                        slot: int, offset: int,
-                                        rho: float) -> bool:
-    """Check the channel constraint for one candidate cell.
-
-    ``rho`` may be ``math.inf`` (reuse disabled) or a finite hop count.
-    An empty cell always satisfies the constraint.  Occupant endpoints
-    come from the cell index, distances from the reuse graph's hop rows.
-    """
-    occupants = schedule.cell_indices(slot, offset)
-    if not occupants:
-        return True
-    if rho == NO_REUSE:
-        return False
-    return clear_of(schedule.entries, reuse_graph.effective_hop_rows(),
-                    occupants, sender, receiver, rho)
-
-
-def feasible_offsets_scalar(schedule: Schedule,
-                            reuse_graph: ChannelReuseGraph,
-                            sender: int, receiver: int, slot: int,
-                            rho: float) -> List[int]:
-    """All channel offsets satisfying the channel constraint in a slot.
-
-    Assumes the transmission-conflict check for the slot already passed.
-    Checks every offset, one occupant at a time: the test oracle of the
-    offset pick (:func:`repro.core.scheduler.pick_offset`) and of RC's
-    walk (:func:`max_admissible_rho`).
-    """
-    return [offset for offset in range(schedule.num_offsets)
-            if offset_satisfies_channel_constraint(
-                schedule, reuse_graph, sender, receiver, slot, offset, rho)]
-
-
 def first_feasible_offset(schedule: Schedule,
                           reuse_graph: ChannelReuseGraph,
                           sender: int, receiver: int, slot: int,
                           rho: float) -> int:
-    """The lowest offset :func:`feasible_offsets_scalar` would list, or
-    -1: the ``"first"`` offset rule's pick, checking no offset past it.
+    """The lowest offset of a slot whose occupants all keep ρ hops from
+    the link, or -1: the ``"first"`` offset rule's pick, checking no
+    offset past it.
 
     Every offset below the slot's first free one is occupied, so only
     those need the occupant check; the free one satisfies any ρ.
@@ -139,16 +98,6 @@ def max_admissible_rho(schedule: Schedule,
                 return nearest    # a free offset: nothing can exceed it
             best = nearest
     return best
-
-
-def placement_is_valid(schedule: Schedule, reuse_graph: ChannelReuseGraph,
-                       sender: int, receiver: int, slot: int, offset: int,
-                       rho: float) -> bool:
-    """Full reuse-constraint check for a candidate placement."""
-    if conflicts_in_slot(schedule, sender, receiver, slot):
-        return False
-    return offset_satisfies_channel_constraint(
-        schedule, reuse_graph, sender, receiver, slot, offset, rho)
 
 
 def validate_schedule(schedule: Schedule, reuse_graph: ChannelReuseGraph,

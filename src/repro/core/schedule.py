@@ -20,9 +20,8 @@ answers each placement question itself (:meth:`Schedule.first_free_slot`,
 and Eq. 1's window packed into one int, :meth:`Schedule.conflict_rows`),
 and readers that need arrays get a window's bits unpacked at their
 boundary (:meth:`Schedule.conflict_mask`,
-:meth:`Schedule.free_offset_slots`, :meth:`Schedule.busy_matrix`).
-Every other view (per-slot groups, makespan, cell sizes) is derived
-from these on demand.
+:meth:`Schedule.free_offset_slots`).  Every other view (per-slot
+groups, makespan, cell sizes) is derived from these on demand.
 
 The canonical hash reads a per-entry text cache kept as a prefix of the
 entry list, so a hash after a repair formats only the entries placed
@@ -289,10 +288,6 @@ class Schedule:
         the same length changes it, where the entry count would not."""
         return self._version
 
-    def node_busy(self, node: int, slot: int) -> bool:
-        """Whether a node transmits or receives in a slot."""
-        return bool(self._busy[node] >> slot & 1)
-
     @staticmethod
     def _unpack(bitsets: Sequence[int], start: int, end: int) -> np.ndarray:
         """Bits ``start..end`` of each slot bitset as one bool row each:
@@ -385,25 +380,6 @@ class Schedule:
         """Number of transmissions in a cell."""
         return len(self._cells.get((slot, offset), ()))
 
-    @staticmethod
-    def _set_bits(mask: int) -> List[int]:
-        """Indices of the set bits of ``mask``, ascending."""
-        bits = []
-        while mask:
-            low = mask & -mask
-            bits.append(low.bit_length() - 1)
-            mask ^= low
-        return bits
-
-    def used_offsets(self, slot: int) -> List[int]:
-        """Channel offsets with at least one transmission in a slot."""
-        return self._set_bits(self._used_mask[slot])
-
-    def free_offsets(self, slot: int) -> List[int]:
-        """Channel offsets with no transmission in a slot."""
-        full = (1 << self.num_offsets) - 1
-        return self._set_bits(~self._used_mask[slot] & full)
-
     def first_free_offset(self, slot: int) -> int:
         """Lowest unused channel offset in a slot (-1 when the slot is
         full) — the NR fast path's pick, without building a list."""
@@ -422,12 +398,6 @@ class Schedule:
         indices = sorted(i for offset in range(self.num_offsets)
                          for i in self._cells.get((slot, offset), ()))
         return [self._entries[i] for i in indices]
-
-    def busy_matrix(self) -> np.ndarray:
-        """The ``(num_nodes, num_slots)`` busy matrix, unpacked from the
-        busy bitsets into a fresh array (:meth:`validate_basic`'s and the
-        tests' view)."""
-        return self._unpack(self._busy, 0, self.num_slots - 1)
 
     # ------------------------------------------------------------------
     # Whole-schedule queries (metrics, simulation)
@@ -536,25 +506,3 @@ class Schedule:
             self._hash = hashlib.sha256(
                 canonical.encode("utf-8")).hexdigest()
         return self._hash
-
-    def validate_basic(self) -> None:
-        """Re-check structural invariants (used by tests).
-
-        Verifies that no two transmissions in a slot share a node and that
-        the busy matrix matches the entry list.
-
-        Raises:
-            AssertionError: If an invariant is violated.
-        """
-        busy_check = np.zeros((self.num_nodes, self.num_slots), dtype=bool)
-        for slot, entries in self.entries_by_slot().items():
-            seen = set()
-            for entry in entries:
-                nodes = {entry.request.sender, entry.request.receiver}
-                assert not (nodes & seen), (
-                    f"transmission conflict in slot {slot}")
-                seen |= nodes
-                busy_check[entry.request.sender, slot] = True
-                busy_check[entry.request.receiver, slot] = True
-        assert np.array_equal(busy_check, self.busy_matrix()), (
-            "busy matrix mismatch")

@@ -79,10 +79,11 @@ def build_epoch_report(stats: SimulationStats, epoch: int,
     # division over the columns that have attempts gives every
     # per-repetition sample (column-major, so each column's samples are
     # one run of the flat list) and one division of the column sums the
-    # pooled PRRs — the values SimulationStats.link_prr_samples /
-    # overall_link_prr give (int64 counts convert to float64 exactly,
-    # and the division is the IEEE one of Python's ``int / int``).  A
-    # column without attempts in the window is absent.
+    # pooled PRRs — the values the per-link readers give (the tests'
+    # link_prr_samples, SimulationStats.overall_link_prr; int64 counts
+    # convert to float64 exactly, and the division is the IEEE one of
+    # Python's ``int / int``).  A column without attempts in the window
+    # is absent.
     rows = slice(*window) if window else slice(None)
     attempts = stats.link_attempts[rows]
     totals = attempts.sum(axis=0)

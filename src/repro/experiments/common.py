@@ -83,7 +83,7 @@ def prepare_network(topology: Topology, num_channels: Optional[int] = None,
         communication = CommunicationGraph.from_topology(
             restricted, prr_threshold)
         reuse = ChannelReuseGraph.from_topology(restricted)
-        access_points = pick_access_points(restricted, prr_threshold)
+        access_points = pick_access_points(communication)
         return PreparedNetwork(
             topology=restricted, communication=communication, reuse=reuse,
             access_points=access_points, prr_threshold=prr_threshold)
@@ -111,8 +111,8 @@ def build_workload(network: PreparedNetwork, num_flows: int,
     """
     with stage("workload"):
         flow_set, access_points = generate_flow_set(
-            network.topology, network.communication, num_flows, period_range,
-            rng, access_points=network.access_points)
+            network.communication, num_flows, period_range, rng,
+            access_points=network.access_points)
         ordered = flow_set.deadline_monotonic()
         return assign_routes(ordered, network.communication, traffic,
                              access_points)

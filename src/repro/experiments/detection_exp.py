@@ -103,7 +103,7 @@ def build_detection_flow_set(network: PreparedNetwork,
     20 reuse-involved links under RC versus 95 under RA.
     """
     flow_set, access_points = generate_fixed_period_flow_set(
-        network.topology, network.communication, ((1.0, num_flows),), rng,
+        network.communication, ((1.0, num_flows),), rng,
         access_points=network.access_points, deadline_equals_period=False)
     ordered = flow_set.deadline_monotonic()
     return assign_routes(ordered, network.communication,

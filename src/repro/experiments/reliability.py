@@ -60,7 +60,7 @@ def build_reliability_flow_set(network: PreparedNetwork,
                                DEFAULT_FLOW_MIX) -> FlowSet:
     """One reliability flow set: fixed period mix, DM order, p2p routes."""
     flow_set, access_points = generate_fixed_period_flow_set(
-        network.topology, network.communication, flow_mix, rng,
+        network.communication, flow_mix, rng,
         access_points=network.access_points)
     ordered = flow_set.deadline_monotonic()
     return assign_routes(ordered, network.communication,

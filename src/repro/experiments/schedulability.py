@@ -85,28 +85,21 @@ class SweepResult:
     def tx_per_cell_fractions(self, policy: str,
                               x: Optional[int] = None) -> Dict[int, float]:
         """Pooled Tx/channel histogram (fractions) for a policy (Fig. 4)."""
-        total: Counter = Counter()
-        for outcome in self.outcomes:
-            if outcome.policy != policy:
-                continue
-            if x is not None and outcome.x != x:
-                continue
-            total.update(outcome.tx_hist)
-        count = sum(total.values())
-        if count == 0:
-            return {}
-        return {k: v / count for k, v in sorted(total.items())}
+        return self._pooled_fractions("tx_hist", policy, x)
 
     def reuse_hop_fractions(self, policy: str,
                             x: Optional[int] = None) -> Dict[int, float]:
         """Pooled reuse hop-count histogram (fractions) (Fig. 5)."""
+        return self._pooled_fractions("hop_hist", policy, x)
+
+    def _pooled_fractions(self, histogram: str, policy: str,
+                          x: Optional[int]) -> Dict[int, float]:
+        """One histogram field pooled over a policy's outcomes (at one
+        point, or all), as fractions with ascending keys."""
         total: Counter = Counter()
         for outcome in self.outcomes:
-            if outcome.policy != policy:
-                continue
-            if x is not None and outcome.x != x:
-                continue
-            total.update(outcome.hop_hist)
+            if outcome.policy == policy and (x is None or outcome.x == x):
+                total.update(getattr(outcome, histogram))
         count = sum(total.values())
         if count == 0:
             return {}

@@ -201,17 +201,6 @@ class FlowSet:
                          key=lambda f: (f.deadline_slots, f.flow_id))
         return FlowSet(ordered)
 
-    def rate_monotonic(self) -> "FlowSet":
-        """Return a copy ordered by Rate Monotonic priority (shorter period first)."""
-        ordered = sorted(self._flows,
-                         key=lambda f: (f.period_slots, f.flow_id))
-        return FlowSet(ordered)
-
-    def total_instances(self) -> int:
-        """Total number of packet releases in one hyperperiod."""
-        hp = self.hyperperiod()
-        return sum(hp // f.period_slots for f in self._flows)
-
     def all_routed(self) -> bool:
         """Whether every flow has a route assigned."""
         return all(f.has_route for f in self._flows)

@@ -17,7 +17,6 @@ import numpy as np
 from repro.flows.flow import Flow, FlowSet
 from repro.mac.tsch import seconds_to_slots
 from repro.network.graphs import CommunicationGraph
-from repro.network.topology import Topology
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,21 @@ class PeriodRange:
                 for e in range(self.min_exp, self.max_exp + 1)]
 
 
-def pick_access_points(topology: Topology, prr_threshold: float = 0.9,
+def pick_access_points(graph: CommunicationGraph,
                        count: int = 2) -> List[int]:
     """Choose access points: the nodes with the highest neighbor counts.
 
     Mirrors the paper's flow-set construction ("two access points, which
-    are nodes with a high number of neighbors").  Ties break by node id.
+    are nodes with a high number of neighbors"), read from the
+    communication graph's row sums.  Ties break by node id.
     """
-    degrees = topology.degrees(prr_threshold)
-    order = sorted(range(topology.num_nodes),
+    degrees = graph.adjacency.sum(axis=1)
+    order = sorted(range(graph.num_nodes),
                    key=lambda i: (-degrees[i], i))
     return order[:count]
 
 
-def generate_flow_set(topology: Topology, graph: CommunicationGraph,
+def generate_flow_set(graph: CommunicationGraph,
                       num_flows: int, period_range: PeriodRange,
                       rng: np.random.Generator,
                       access_points: Optional[Sequence[int]] = None,
@@ -72,7 +72,6 @@ def generate_flow_set(topology: Topology, graph: CommunicationGraph,
     or peer-to-peer traffic.
 
     Args:
-        topology: The testbed topology.
         graph: Communication graph built from the topology.
         num_flows: Number of flows to generate.
         period_range: Harmonic period range.
@@ -88,7 +87,7 @@ def generate_flow_set(topology: Topology, graph: CommunicationGraph,
     if num_flows <= 0:
         raise ValueError("num_flows must be positive")
     if access_points is None:
-        access_points = pick_access_points(topology, graph.prr_threshold)
+        access_points = pick_access_points(graph)
     component = graph.largest_component()
     candidates = [n for n in component if n not in set(access_points)]
     if len(candidates) < 2:
@@ -112,8 +111,7 @@ def generate_flow_set(topology: Topology, graph: CommunicationGraph,
     return FlowSet(flows), list(access_points)
 
 
-def generate_fixed_period_flow_set(topology: Topology,
-                                   graph: CommunicationGraph,
+def generate_fixed_period_flow_set(graph: CommunicationGraph,
                                    counts_per_period: Sequence[Tuple[float, int]],
                                    rng: np.random.Generator,
                                    access_points: Optional[Sequence[int]] = None,
@@ -125,7 +123,6 @@ def generate_fixed_period_flow_set(topology: Topology,
     flows release their packets every 2^-1 s, and the rest every 2^0 s".
 
     Args:
-        topology: The testbed topology.
         graph: Communication graph.
         counts_per_period: Sequence of ``(period_seconds, count)`` pairs.
         rng: Seeded random generator.
@@ -137,7 +134,7 @@ def generate_fixed_period_flow_set(topology: Topology,
         ``(flow_set, access_points)``.
     """
     if access_points is None:
-        access_points = pick_access_points(topology, graph.prr_threshold)
+        access_points = pick_access_points(graph)
     component = graph.largest_component()
     candidates = [n for n in component if n not in set(access_points)]
     if len(candidates) < 2:

@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, Union
 import numpy as np
 
 from repro.core.schedule import Schedule
-from repro.core.scheduler import SchedulingResult
 from repro.core.transmissions import TransmissionRequest
 from repro.flows.flow import Flow, FlowSet
 from repro.mac.channels import ChannelMap
@@ -220,34 +219,6 @@ def load_schedule(path: PathLike, strict: bool = True) -> Schedule:
     """
     return schedule_from_dict(json.loads(Path(path).read_text()),
                               strict=strict)
-
-
-# ----------------------------------------------------------------------
-# Scheduling results
-# ----------------------------------------------------------------------
-
-def scheduling_result_to_dict(result: SchedulingResult,
-                              include_schedule: bool = True) -> Dict:
-    """JSON-serializable form of a :class:`SchedulingResult`.
-
-    Args:
-        result: The scheduler outcome.
-        include_schedule: Also embed the (potentially large) schedule and
-            flow set; set False for compact per-run summaries.
-    """
-    payload: Dict = {
-        "schedulable": result.schedulable,
-        "policy": result.policy_name,
-        "failed_flow": result.failed_flow,
-        "failed_instance": result.failed_instance,
-        "elapsed_s": result.elapsed_s,
-        "counters": {name: value
-                     for name, value in sorted(result.counters.items())},
-    }
-    if include_schedule:
-        payload["schedule"] = schedule_to_dict(result.schedule)
-        payload["flows"] = [flow_to_dict(f) for f in result.flow_set]
-    return payload
 
 
 # ----------------------------------------------------------------------

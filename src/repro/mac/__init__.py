@@ -1,7 +1,6 @@
-"""TSCH MAC-layer primitives: channels, hopping, slot timing."""
+"""TSCH MAC-layer primitives: channels, slot timing, superframes."""
 
 from repro.mac.channels import (
-    Blacklist,
     ChannelMap,
     MAX_CHANNEL,
     MIN_CHANNEL,
@@ -22,12 +21,10 @@ from repro.mac.tsch import (
     SLOT_DURATION_S,
     SLOTS_PER_SECOND,
     SlotTiming,
-    hop_channel,
     seconds_to_slots,
 )
 
 __all__ = [
-    "Blacklist",
     "ChannelMap",
     "DeviceSlot",
     "DeviceTable",
@@ -43,7 +40,6 @@ __all__ = [
     "SlotTiming",
     "channel_center_frequency_mhz",
     "channels_overlapping_wifi",
-    "hop_channel",
     "seconds_to_slots",
     "wifi_center_frequency_mhz",
 ]

@@ -13,8 +13,8 @@ external interference source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 #: Lowest and highest 802.15.4 channel numbers in the 2.4 GHz band.
 MIN_CHANNEL = 11
@@ -105,21 +105,6 @@ class ChannelMap:
             raise ValueError(f"n must be in [1, {NUM_CHANNELS_24GHZ}], got {n}")
         return cls(tuple(range(MIN_CHANNEL, MIN_CHANNEL + n)))
 
-    @classmethod
-    def all_channels(cls) -> "ChannelMap":
-        """Build a map covering all 16 channels of the 2.4 GHz band."""
-        return cls.first_n(NUM_CHANNELS_24GHZ)
-
-    @classmethod
-    def from_blacklist(cls, blacklisted: Iterable[int]) -> "ChannelMap":
-        """Build a map of every 2.4 GHz channel except the blacklisted ones."""
-        banned = set(blacklisted)
-        remaining = tuple(ch for ch in range(MIN_CHANNEL, MAX_CHANNEL + 1)
-                          if ch not in banned)
-        if not remaining:
-            raise ValueError("blacklist removes every channel")
-        return cls(remaining)
-
     def __len__(self) -> int:
         return len(self.channels)
 
@@ -148,31 +133,3 @@ class ChannelMap:
     def index_map(self) -> dict:
         """Return a dict from physical channel to logical index."""
         return {ch: i for i, ch in enumerate(self.channels)}
-
-
-@dataclass
-class Blacklist:
-    """A mutable set of blacklisted channels with noise-threshold admission.
-
-    WirelessHART allows the network manager to blacklist channels whose
-    ambient noise makes them unusable.  This helper tracks per-channel noise
-    observations and derives the blacklist from a threshold.
-    """
-
-    noise_threshold_dbm: float = -85.0
-    _noise_dbm: dict = field(default_factory=dict)
-
-    def observe(self, channel: int, noise_dbm: float) -> None:
-        """Record a noise-floor observation for a channel (running max)."""
-        _validate_channel(channel)
-        current = self._noise_dbm.get(channel, float("-inf"))
-        self._noise_dbm[channel] = max(current, noise_dbm)
-
-    def blacklisted(self) -> List[int]:
-        """Return channels whose observed noise exceeds the threshold."""
-        return sorted(ch for ch, noise in self._noise_dbm.items()
-                      if noise > self.noise_threshold_dbm)
-
-    def usable_map(self) -> ChannelMap:
-        """Return a :class:`ChannelMap` of all non-blacklisted channels."""
-        return ChannelMap.from_blacklist(self.blacklisted())

@@ -55,13 +55,6 @@ class DeviceTable:
     superframe_slots: int
     entries: List[DeviceSlot] = field(default_factory=list)
 
-    def action_in_slot(self, slot: int) -> SlotAction:
-        """The device's action in a slot (SLEEP when unscheduled)."""
-        for entry in self.entries:
-            if entry.slot == slot:
-                return entry.action
-        return SlotAction.SLEEP
-
     def transmit_slots(self) -> List[int]:
         """Slots in which the device transmits."""
         return sorted(e.slot for e in self.entries
@@ -98,10 +91,6 @@ class Superframe:
         if node_id in self.tables:
             return self.tables[node_id]
         return DeviceTable(node_id=node_id, superframe_slots=self.num_slots)
-
-    def active_devices(self) -> List[int]:
-        """Devices with at least one scheduled slot."""
-        return sorted(self.tables)
 
     def mean_duty_cycle(self) -> float:
         """Average radio duty cycle over active devices."""

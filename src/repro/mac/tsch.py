@@ -43,27 +43,6 @@ def seconds_to_slots(seconds: float) -> int:
     return rounded
 
 
-def hop_channel(asn: int, channel_offset: int, num_channels: int) -> int:
-    """Compute the logical channel for a cell via the TSCH hopping formula.
-
-    Args:
-        asn: Absolute Slot Number (slots elapsed since network start).
-        channel_offset: The cell's channel offset, in ``[0, num_channels)``.
-        num_channels: Size of the channel map ``|M|``.
-
-    Returns:
-        The logical channel index in ``[0, num_channels)``.
-    """
-    if num_channels <= 0:
-        raise ValueError("num_channels must be positive")
-    if asn < 0:
-        raise ValueError("ASN must be non-negative")
-    if not 0 <= channel_offset < num_channels:
-        raise ValueError(
-            f"channel offset must be in [0, {num_channels - 1}], got {channel_offset}")
-    return (asn + channel_offset) % num_channels
-
-
 @dataclass(frozen=True)
 class SlotTiming:
     """Intra-slot timing template (simplified WirelessHART timeslot).
@@ -77,12 +56,3 @@ class SlotTiming:
     max_packet_us: float = 4256.0     #: 133-byte frame at 250 kbps
     rx_ack_delay_us: float = 800.0    #: turnaround before the ACK
     ack_duration_us: float = 1000.0   #: ACK frame airtime
-
-    def total_us(self) -> float:
-        """Total busy time inside the slot."""
-        return (self.tx_offset_us + self.max_packet_us
-                + self.rx_ack_delay_us + self.ack_duration_us)
-
-    def fits_slot(self) -> bool:
-        """Whether the template fits within one 10 ms slot."""
-        return self.total_us() <= SLOT_DURATION_MS * 1000.0

@@ -56,7 +56,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -176,10 +176,6 @@ class ConditionSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-
-    def events_for(self, epoch: int) -> List[FaultEvent]:
-        """The events active during ``epoch``, in declaration order."""
-        return [event for event in self.events if event.active_in(epoch)]
 
     def horizon(self) -> int:
         """First epoch index after which no event starts or changes."""

@@ -16,8 +16,9 @@ network manager actually has:
   reuse-degraded links out of shared cells and bar them from reuse.
 * :class:`BlacklistChannel` — when degradation is reuse-independent
   (K-S *accepts*) and concentrated on specific physical channels, drop
-  the worst channel from the hopping map (the MAC blacklist of
-  :class:`repro.mac.channels.Blacklist`) and move its transmissions.
+  the worst channel from the hopping map (the MAC blacklist, through
+  :meth:`repro.network.topology.Topology.restrict_channels`) and move
+  its transmissions.
 * :class:`EscalateRho` — raise the conservative reuse hop floor ρ_t and
   move the transmissions it breaks: trades schedulability margin for
   interference margin when reuse keeps hurting links faster than

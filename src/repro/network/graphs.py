@@ -112,10 +112,6 @@ class CommunicationGraph:
         """Number of nodes."""
         return self.adjacency.shape[0]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether the bidirectional edge uv exists."""
-        return bool(self.adjacency[u, v])
-
     # cached_property writes the instance __dict__ directly, which the
     # frozen dataclass's __setattr__ guard does not cover.
     @cached_property
@@ -140,11 +136,6 @@ class CommunicationGraph:
     def num_edges(self) -> int:
         """Number of undirected edges."""
         return int(self.adjacency.sum()) // 2
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """All undirected edges as (u, v) with u < v."""
-        us, vs = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(us.tolist(), vs.tolist()))
 
     def is_connected(self, among: Optional[Sequence[int]] = None) -> bool:
         """Whether the graph (or a node subset) is connected."""

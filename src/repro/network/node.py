@@ -70,16 +70,6 @@ class Node:
         if self.node_id < 0:
             raise ValueError(f"node_id must be non-negative, got {self.node_id}")
 
-    @property
-    def is_access_point(self) -> bool:
-        """Whether this node is an access point wired to the gateway."""
-        return self.role is NodeRole.ACCESS_POINT
-
-    @property
-    def is_field_device(self) -> bool:
-        """Whether this node is an over-the-air field device."""
-        return self.role is NodeRole.FIELD_DEVICE
-
     def __str__(self) -> str:
         label = self.name or f"n{self.node_id}"
         return f"{label}({self.role.value})"

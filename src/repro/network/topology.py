@@ -10,8 +10,8 @@ construction (:mod:`repro.network.graphs`) and the testbed generators
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,35 +76,11 @@ class Topology:
         """Return the ids of all access-point nodes."""
         return [n.node_id for n in self.nodes if n.role is NodeRole.ACCESS_POINT]
 
-    def field_devices(self) -> List[int]:
-        """Return the ids of all field devices."""
-        return [n.node_id for n in self.nodes if n.role is NodeRole.FIELD_DEVICE]
-
     def positions(self) -> Optional[np.ndarray]:
         """Return an ``(n, 3)`` position array, or None if any is missing."""
         if any(n.position is None for n in self.nodes):
             return None
         return np.array([n.position.as_tuple() for n in self.nodes])
-
-    # ------------------------------------------------------------------
-    # PRR accessors
-    # ------------------------------------------------------------------
-
-    def link_prr(self, u: int, v: int, physical_channel: int) -> float:
-        """PRR of directed link u→v on a physical channel."""
-        return float(self.prr[u, v, self.channel_map.logical(physical_channel)])
-
-    def min_prr(self, u: int, v: int) -> float:
-        """Minimum PRR of directed link u→v over all channels."""
-        return float(self.prr[u, v, :].min())
-
-    def max_prr(self, u: int, v: int) -> float:
-        """Maximum PRR of directed link u→v over all channels."""
-        return float(self.prr[u, v, :].max())
-
-    def mean_prr(self, u: int, v: int) -> float:
-        """Mean PRR of directed link u→v over all channels."""
-        return float(self.prr[u, v, :].mean())
 
     # ------------------------------------------------------------------
     # Channel restriction
@@ -125,42 +101,14 @@ class Topology:
             name=self.name,
         )
 
-    def with_access_points(self, access_point_ids: Iterable[int]) -> "Topology":
-        """Return a copy with the given nodes promoted to access points.
-
-        All other nodes become plain field devices.  Flow-set generation in
-        the paper designates the two highest-degree nodes of each flow set
-        as access points.
-        """
-        ap_set = set(access_point_ids)
-        unknown = ap_set - set(range(self.num_nodes))
-        if unknown:
-            raise ValueError(f"unknown node ids for access points: {sorted(unknown)}")
-        new_nodes = []
-        for node in self.nodes:
-            role = (NodeRole.ACCESS_POINT if node.node_id in ap_set
-                    else NodeRole.FIELD_DEVICE)
-            new_nodes.append(Node(node.node_id, role, node.position, node.name))
-        return Topology(new_nodes, self.channel_map, self.prr, self.name)
-
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
 
-    def degree(self, node_id: int, prr_threshold: float) -> int:
-        """Number of neighbors reachable bidirectionally at the threshold.
-
-        A neighbor counts if PRR ≥ threshold in both directions on *all*
-        channels, mirroring the communication-graph admission rule.
-        """
-        forward_ok = np.all(self.prr[node_id, :, :] >= prr_threshold, axis=1)
-        backward_ok = np.all(self.prr[:, node_id, :] >= prr_threshold, axis=1)
-        both = forward_ok & backward_ok
-        both[node_id] = False
-        return int(both.sum())
-
     def degrees(self, prr_threshold: float) -> np.ndarray:
-        """:meth:`degree` of every node: the communication graph's row sums."""
+        """Each node's count of neighbors reachable bidirectionally at
+        the threshold on *all* channels: the communication graph's row
+        sums."""
         from repro.network.graphs import communication_adjacency
 
         return communication_adjacency(self, prr_threshold).sum(axis=1)

@@ -64,7 +64,6 @@ from repro.obs.spans import (
     ActiveSpan,
     SpanRecorder,
     activate,
-    current_span,
     stage,
     wire_context,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "TIME_BUCKETS_S",
     "TimeSeriesStore",
     "activate",
-    "current_span",
     "enable",
     "environment_fingerprint",
     "format_report",

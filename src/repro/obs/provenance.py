@@ -353,27 +353,6 @@ class ProvenanceRecorder:
             "decisions": self._next_id,
         }]
 
-    def laxity_timeline(self, flow_id: int) -> List[Dict]:
-        """Eq. 1 evaluations of one flow across its retained decisions,
-        in decision order — the flow's laxity timeline."""
-        timeline: List[Dict] = []
-        for record in self._decisions:
-            if record.get("kind") != "decision" or record["flow"] != flow_id:
-                continue
-            for entry in record["laxity"]:
-                timeline.append({
-                    "decision": record["id"], "instance": record["instance"],
-                    "hop": record["hop"], "attempt": record["attempt"],
-                    **entry})
-        return timeline
-
-    def decisions_for_link(self, sender: int, receiver: int) -> List[Dict]:
-        """Retained decisions placing (or failing to place) one link."""
-        return [record for record in self._decisions
-                if record.get("kind") == "decision"
-                and record["sender"] == sender
-                and record["receiver"] == receiver]
-
     def export_jsonl(self, path) -> int:
         """Write the decision records (plus trailer) as JSON Lines.
 

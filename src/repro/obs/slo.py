@@ -274,32 +274,6 @@ class SloEngine:
         _obs.RECORDER.sample(prefix + "state", state.epoch,
                              _SEVERITY[state.state])
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def state_of(self, flow_id: int) -> str:
-        """A flow's current alert state (``ok`` when never observed)."""
-        return self._states.get(flow_id, STATE_OK)
-
-    def flows_in_state(self, state: str) -> List[int]:
-        """Sorted flow ids currently in ``state``."""
-        return sorted(f for f, s in self._states.items() if s == state)
-
-    def alerting_flows(self) -> List[int]:
-        """Sorted flow ids currently in ``alert``."""
-        return self.flows_in_state(STATE_ALERT)
-
-    def warning_flows(self) -> List[int]:
-        """Sorted flow ids currently in ``warn``."""
-        return self.flows_in_state(STATE_WARN)
-
-    def worst_state(self) -> str:
-        """The most severe state any flow currently holds."""
-        if not self._states:
-            return STATE_OK
-        return max(self._states.values(), key=_SEVERITY.__getitem__)
-
 
 def severity(state: str) -> int:
     """Numeric severity of an alert state (``ok``=0 … ``alert``=2)."""

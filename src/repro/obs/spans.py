@@ -87,11 +87,6 @@ def new_trace_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-def current_span() -> Optional["ActiveSpan"]:
-    """The span the calling context is currently inside, if any."""
-    return _CURRENT.get()
-
-
 class ActiveSpan:
     """One open span.  Create via :meth:`SpanRecorder.start`.
 

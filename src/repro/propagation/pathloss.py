@@ -73,13 +73,6 @@ class LogDistancePathLoss:
                 + self.floor_attenuation_db * abs(floors_crossed)
                 + shadowing_db)
 
-    def received_power_dbm(self, tx_power_dbm: float, distance_m: float,
-                           floors_crossed: int = 0,
-                           shadowing_db: float = 0.0) -> float:
-        """Received signal strength in dBm."""
-        return tx_power_dbm - self.path_loss_db(
-            distance_m, floors_crossed, shadowing_db)
-
     def draw_shadowing(self, rng: np.random.Generator,
                        shape=None) -> np.ndarray:
         """Draw log-normal shadowing realizations (in dB)."""

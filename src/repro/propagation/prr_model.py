@@ -134,15 +134,6 @@ class PrrCurve:
                          self._grid, self._values,
                          left=self._values[0], right=self._values[-1])
 
-    def inverse(self, target_prr: float) -> float:
-        """SINR (dB) at which the curve reaches the target PRR."""
-        if not 0.0 < target_prr < 1.0:
-            raise ValueError("target_prr must be strictly between 0 and 1")
-        index = int(np.searchsorted(self._values, target_prr))
-        index = min(max(index, 0), len(self._grid) - 1)
-        return float(self._grid[index])
-
-
 def _gaussian_smooth(values: np.ndarray, sigma_steps: float) -> np.ndarray:
     """Convolve with a normalized Gaussian kernel (edge-replicated)."""
     half = int(math.ceil(4.0 * sigma_steps))

@@ -3,7 +3,6 @@
 from repro.routing.shortest_path import (
     NoRouteError,
     shortest_path,
-    shortest_path_tree,
 )
 from repro.routing.traffic import (
     TrafficType,
@@ -19,5 +18,4 @@ __all__ = [
     "route_centralized",
     "route_peer_to_peer",
     "shortest_path",
-    "shortest_path_tree",
 ]

@@ -9,9 +9,7 @@ yields the same routes.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
+from typing import List
 
 from repro.network.graphs import UNREACHABLE, CommunicationGraph
 
@@ -56,18 +54,3 @@ def shortest_path(graph: CommunicationGraph, source: int,
         path.append(next(v for v in graph.neighbors(path[-1])
                          if to_destination[v] == remaining))
     return path
-
-
-def shortest_path_tree(graph: CommunicationGraph,
-                       root: int) -> Dict[int, List[int]]:
-    """Shortest paths from ``root`` to every reachable node.
-
-    Returns:
-        A dict mapping each reachable node to its :func:`shortest_path`
-        from the root, in BFS discovery order (by hop count, then by
-        path).  Useful for batch routing toward an access point.
-    """
-    reachable = np.flatnonzero(graph.hops[root] != UNREACHABLE).tolist()
-    paths = sorted((shortest_path(graph, root, node) for node in reachable),
-                   key=lambda path: (len(path), path))
-    return {path[-1]: path for path in paths}

@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.core.repair import ChangeSet, smallest_reused_link
 from repro.core.schedule import Schedule
-from repro.core.scheduler import SchedulingResult
 from repro.experiments.common import (
     PreparedNetwork,
     build_workload,
@@ -142,19 +141,6 @@ def build_flow_set(config: NetworkConfig,
         prepared, config.flows,
         PeriodRange(config.period_min_exp, config.period_max_exp),
         traffic, rng)
-
-
-def direct_schedule(config: NetworkConfig) -> SchedulingResult:
-    """One network's schedule via direct library calls, no cache.
-
-    The reference the service's responses must be bit-identical to;
-    tests and ``repro loadgen --verify`` compare against its
-    :meth:`~repro.core.schedule.Schedule.canonical_hash`.
-    """
-    prepared = build_prepared(config)
-    flow_set = build_flow_set(config, prepared)
-    return schedule_workload(prepared, flow_set, config.policy,
-                             rho_t=config.rho_t)
 
 
 class ServiceExecutor:

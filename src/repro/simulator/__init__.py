@@ -28,8 +28,6 @@ from repro.simulator.interference import (
 )
 from repro.simulator.radio import (
     PrrLookup,
-    ReceptionDecision,
-    decide_reception,
     sinr_at_receiver,
 )
 from repro.simulator.stats import SimulationStats, stats_signature
@@ -37,14 +35,12 @@ from repro.simulator.stats import SimulationStats, stats_signature
 __all__ = [
     "DrawPlan",
     "PrrLookup",
-    "ReceptionDecision",
     "SimulationConfig",
     "SimulationStats",
     "TschSimulator",
     "WIFI_INBAND_FRACTION_DB",
     "WifiInterferer",
     "build_draw_plan",
-    "decide_reception",
     "interferer_rssi_matrix",
     "place_interferer_pairs",
     "repetition_draws",

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.schedule import Schedule, ScheduledTransmission
+from repro.core.schedule import Schedule
 from repro.flows.flow import FlowSet
 from repro.mac.channels import ChannelMap
 from repro.obs import recorder as _obs
@@ -156,12 +156,6 @@ def _compilation(schedule: Schedule) -> _Compilation:
         cached = _Compilation(schedule)
         _COMPILE_CACHE[schedule] = cached
     return cached
-
-
-def compiled_entries(schedule: Schedule
-                     ) -> Dict[int, List[ScheduledTransmission]]:
-    """The schedule's entries grouped by slot, cached across simulators."""
-    return _compilation(schedule).entries
 
 
 class TschSimulator:

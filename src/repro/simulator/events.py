@@ -156,10 +156,6 @@ class DrawPlan:
         return (self.normal_offsets[slot_pos] + count + count * count
                 + interferer * count + entry)
 
-    def activity_uniform_index(self, slot_pos: int, interferer: int) -> int:
-        """Uniform index of an interferer's duty-cycle draw."""
-        return self.uniform_offsets[slot_pos] + interferer
-
     def reception_uniform_index(self, slot_pos: int, entry: int) -> int:
         """Uniform index of an entry's reception draw."""
         return (self.uniform_offsets[slot_pos] + self.num_interferers

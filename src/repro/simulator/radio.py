@@ -12,7 +12,6 @@ the per-slot hot loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,15 +23,6 @@ from repro.propagation.prr_model import PrrCurve
 #: smoothed) propagation curve; the alias is kept because the simulator's
 #: callers think of it as a lookup table.
 PrrLookup = PrrCurve
-
-
-@dataclass(frozen=True)
-class ReceptionDecision:
-    """Outcome of one reception attempt (kept for tracing/tests)."""
-
-    success: bool
-    sinr_db: float
-    success_probability: float
 
 
 def sinr_at_receiver(signal_dbm: float, noise_dbm: float,
@@ -47,22 +37,3 @@ def sinr_at_receiver(signal_dbm: float, noise_dbm: float,
     if signal_mw <= 0.0:
         return float("-inf")
     return 10.0 * float(np.log10(signal_mw / denominator))
-
-
-def decide_reception(signal_dbm: float, noise_dbm: float,
-                     interference_dbm: Sequence[float],
-                     lookup: PrrLookup,
-                     rng: np.random.Generator) -> ReceptionDecision:
-    """Draw the success of one reception attempt.
-
-    The capture effect falls out naturally: if the intended signal is
-    strong enough relative to the interferers (SINR above the transition
-    region), the packet survives concurrent transmissions.
-    """
-    sinr = sinr_at_receiver(signal_dbm, noise_dbm, interference_dbm)
-    probability = lookup(sinr)
-    return ReceptionDecision(
-        success=bool(rng.random() < probability),
-        sinr_db=sinr,
-        success_probability=probability,
-    )

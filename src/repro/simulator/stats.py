@@ -164,26 +164,6 @@ class SimulationStats:
         return list(zip(self.link_attempts[rows, column].tolist(),
                         self.link_successes[rows, column].tolist()))
 
-    def link_prr_samples(self, link: Link, shared_cell: bool,
-                         repetition_range: Optional[Tuple[int, int]] = None,
-                         ) -> List[float]:
-        """Per-repetition PRR samples for a link in one cell category.
-
-        Args:
-            link: The directed link.
-            shared_cell: True for reuse-slot samples, False for
-                contention-free samples.
-            repetition_range: Optional ``(start, end)`` slice of
-                repetitions (end exclusive) — used to form epochs.
-
-        Returns:
-            One PRR value per repetition in which the link transmitted in
-            that category.
-        """
-        return [successes / attempts for attempts, successes
-                in self._link_counts(link, shared_cell, repetition_range)
-                if attempts]
-
     def overall_link_prr(self, link: Link, shared_cell: bool,
                          repetition_range: Optional[Tuple[int, int]] = None,
                          ) -> Optional[float]:

@@ -25,8 +25,7 @@ audits.  For every placed transmission it checks:
   agree with the entry list.  Each is recomputed from the entries with
   this module's own code, in the store's own form, and compared with
   the schedule's store as a whole; only what differs is formatted.
-  This subsumes :meth:`repro.core.schedule.Schedule.validate_basic` but
-  returns structured violations instead of asserting.
+  Violations come back structured, never as assertions.
 
 The auditor is the acceptance gate of the differential fuzzer
 (:mod:`repro.validate.fuzz`), the ``repro validate`` CLI command, and
@@ -329,7 +328,7 @@ def _set_bits(bits: int) -> Iterator[int]:
 
 def _audit_bookkeeping(schedule: Schedule, collect: _Collector) -> None:
     """Busy bits, cell index, used-offset masks and full slots vs the
-    entry list (subsumes ``validate_basic``).
+    entry list.
 
     One pass over the entries re-derives every index in the store's own
     form — slot bitsets, index tuples, offset masks — and each is

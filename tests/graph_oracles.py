@@ -5,8 +5,11 @@ every source's frontier at once, and reads hop counts, routes,
 components and connectivity from it.  This module derives each of them
 with one BFS per source instead: a frontier loop for hop counts, and a
 queue BFS that keeps each node's first-discovered predecessor for routes
-(neighbors scanned in ascending id order).  Nothing in the library
-calls it; ``tests/test_hop_matrix.py`` checks the library against it.
+(neighbors scanned in ascending id order).  It also keeps two batch
+forms of library reads: a shortest-path tree built from the library's
+own routes, and a per-node degree read from the PRR cube.  Nothing in
+the library calls it; ``tests/test_hop_matrix.py`` checks the library
+against it.
 """
 
 from collections import deque
@@ -15,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.network.graphs import UNREACHABLE, CommunicationGraph
-from repro.routing.shortest_path import NoRouteError
+from repro.routing.shortest_path import NoRouteError, shortest_path
 
 
 def bfs_hops_from(adjacency: np.ndarray, source: int) -> np.ndarray:
@@ -129,3 +132,31 @@ def largest_component(graph: CommunicationGraph) -> List[int]:
             best = component
         remaining -= set(component)
     return sorted(best)
+
+
+def shortest_path_tree(graph: CommunicationGraph,
+                       root: int) -> Dict[int, List[int]]:
+    """The library's shortest paths from ``root`` to every reachable node.
+
+    Returns:
+        A dict mapping each reachable node to its
+        :func:`~repro.routing.shortest_path.shortest_path` from the root,
+        in BFS discovery order (by hop count, then by path).
+    """
+    reachable = np.flatnonzero(graph.hops[root] != UNREACHABLE).tolist()
+    paths = sorted((shortest_path(graph, root, node) for node in reachable),
+                   key=lambda path: (len(path), path))
+    return {path[-1]: path for path in paths}
+
+
+def degree(topology, node_id: int, prr_threshold: float) -> int:
+    """Number of neighbors reachable bidirectionally at the threshold.
+
+    A neighbor counts if PRR ≥ threshold in both directions on *all*
+    channels, mirroring the communication-graph admission rule.
+    """
+    forward_ok = np.all(topology.prr[node_id, :, :] >= prr_threshold, axis=1)
+    backward_ok = np.all(topology.prr[:, node_id, :] >= prr_threshold, axis=1)
+    both = forward_ok & backward_ok
+    both[node_id] = False
+    return int(both.sum())

@@ -6,17 +6,28 @@ from repro.analysis.metrics import (
     BoxStats,
     cell_min_reuse_hops,
     reuse_hop_distribution,
-    reuse_hop_fractions,
     schedulable_ratio,
     tx_per_cell_distribution,
-    tx_per_cell_fractions,
 )
 from repro.core.schedule import Schedule
 from repro.core.scheduler import SchedulingResult
+from repro.experiments.schedulability import SweepResult, TrialOutcome
 from repro.flows.flow import FlowSet
 from repro.network.graphs import ChannelReuseGraph
 
 from test_core_schedule import request
+
+
+def pooled_sweep(schedules, reuse=None):
+    """A one-point RC sweep whose outcomes carry each schedule's
+    histograms, as a sweep trial harvests them."""
+    outcomes = [TrialOutcome(
+        x=0, set_index=index, policy="RC", schedulable=True, elapsed_s=0.0,
+        tx_hist=tx_per_cell_distribution(schedule),
+        hop_hist=(reuse_hop_distribution(schedule, reuse)
+                  if reuse is not None else {}))
+        for index, schedule in enumerate(schedules)]
+    return SweepResult("flows", [0], ("RC",), outcomes)
 
 
 def fake_result(schedulable):
@@ -50,11 +61,12 @@ class TestTxPerCell:
             schedule.add(request(0, 1), 0, 0)
             schedule.add(request(2, 3), 0, 0)
             schedules.append(schedule)
-        fractions = tx_per_cell_fractions(schedules)
+        fractions = pooled_sweep(schedules).tx_per_cell_fractions("RC")
         assert fractions == {2: 1.0}
 
     def test_empty_schedules(self):
-        assert tx_per_cell_fractions([Schedule(2, 2, 1)]) == {}
+        assert pooled_sweep([Schedule(2, 2, 1)]).tx_per_cell_fractions(
+            "RC") == {}
 
 
 class TestReuseHops:
@@ -88,7 +100,7 @@ class TestReuseHops:
         schedule = Schedule(6, 10, 1)
         schedule.add(request(0, 1), 0, 0)
         schedule.add(request(4, 5), 0, 0)
-        fractions = reuse_hop_fractions([schedule], reuse)
+        fractions = pooled_sweep([schedule], reuse).reuse_hop_fractions("RC")
         assert fractions == {3: 1.0}
 
 

@@ -1,21 +1,21 @@
-"""Tests for repro.core.constraints (the paper's Section V-A rules)."""
+"""Tests for repro.core.constraints (the paper's Section V-A rules) and
+for the one-offset-at-a-time oracles in ``core_oracles``."""
 
 import math
 
 import pytest
 
-from repro.core.constraints import (
-    NO_REUSE,
-    conflicts_in_slot,
-    feasible_offsets_scalar,
-    offset_satisfies_channel_constraint,
-    placement_is_valid,
-    validate_schedule,
-)
+from repro.core.constraints import NO_REUSE, validate_schedule
 from repro.core.schedule import Schedule
 from repro.core.scheduler import find_slot
 from repro.network.graphs import ChannelReuseGraph
 
+from core_oracles import (
+    conflicts_in_slot,
+    feasible_offsets_scalar,
+    offset_satisfies_channel_constraint,
+    placement_is_valid,
+)
 from test_core_schedule import request
 
 

@@ -15,6 +15,7 @@ from repro.core.laxity import (
 from repro.core.schedule import Schedule
 from repro.core.transmissions import RequestWindow, TransmissionRequest
 
+from core_oracles import node_busy
 from test_core_schedule import request
 
 
@@ -143,8 +144,8 @@ class TestLaxityTable:
                         schedule, slot, deadline, requests[j + 1:]), (j, slot)
                     checked += 1
             free = [slot for slot in range(earliest, deadline + 1)
-                    if not schedule.node_busy(requests[j].sender, slot)
-                    and not schedule.node_busy(requests[j].receiver, slot)]
+                    if not node_busy(schedule, requests[j].sender, slot)
+                    and not node_busy(schedule, requests[j].receiver, slot)]
             if not free:
                 break
             slot = int(rng.choice(free[:4]))

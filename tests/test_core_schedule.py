@@ -6,6 +6,14 @@ from repro.core.schedule import Schedule
 from repro.core.transmissions import TransmissionRequest, expand_instance
 from repro.flows.flow import Flow
 
+from core_oracles import (
+    busy_matrix,
+    free_offsets,
+    node_busy,
+    used_offsets,
+    validate_basic,
+)
+
 
 def request(sender, receiver, flow_id=0, instance=0, hop=0, attempt=0,
             release=0, deadline=99):
@@ -91,8 +99,8 @@ class TestSchedule:
         schedule = Schedule(num_nodes=5, num_slots=10, num_offsets=2)
         entry = schedule.add(request(0, 1), slot=3, offset=1)
         assert entry.slot == 3 and entry.offset == 1
-        assert schedule.node_busy(0, 3) and schedule.node_busy(1, 3)
-        assert not schedule.node_busy(2, 3)
+        assert node_busy(schedule, 0, 3) and node_busy(schedule, 1, 3)
+        assert not node_busy(schedule, 2, 3)
         assert schedule.cell_size(3, 1) == 1
         assert len(schedule) == 1
 
@@ -116,14 +124,14 @@ class TestSchedule:
         schedule = Schedule(5, 10, 2)
         schedule.add(request(0, 1), 3, 0)
         before = (len(schedule), schedule.version,
-                  schedule.canonical_hash(), schedule.busy_matrix().copy())
+                  schedule.canonical_hash(), busy_matrix(schedule).copy())
         with pytest.raises(ValueError, match="node .* out of range"):
             getattr(schedule, method)(request(*link, flow_id=1), 4, 1)
         assert len(schedule) == before[0]
         assert schedule.version == before[1]
         assert schedule.canonical_hash() == before[2]
-        assert (schedule.busy_matrix() == before[3]).all()
-        assert schedule.used_offsets(4) == []
+        assert (busy_matrix(schedule) == before[3]).all()
+        assert used_offsets(schedule, 4) == []
 
     def test_conflict_mask_and_count(self):
         schedule = Schedule(5, 10, 2)
@@ -143,8 +151,8 @@ class TestSchedule:
         schedule = Schedule(6, 10, 3)
         schedule.add(request(0, 1), 4, 0)
         schedule.add(request(2, 3), 4, 2)
-        assert schedule.used_offsets(4) == [0, 2]
-        assert schedule.free_offsets(4) == [1]
+        assert used_offsets(schedule, 4) == [0, 2]
+        assert free_offsets(schedule, 4) == [1]
         assert schedule.free_offset_slots(4, 4).tolist() == [True]
         schedule.add(request(4, 5), 4, 1)
         assert schedule.free_offset_slots(4, 4).tolist() == [False]
@@ -198,7 +206,7 @@ class TestSchedule:
         schedule = Schedule(6, 10, 2)
         schedule.add(request(0, 1), 0, 0)
         schedule.add(request(2, 3), 0, 1)
-        schedule.validate_basic()
+        validate_basic(schedule)
 
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):

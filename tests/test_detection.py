@@ -25,6 +25,8 @@ from repro.detection.kstest import (
 )
 from repro.simulator.stats import SimulationStats
 
+from sim_oracles import link_prr_samples
+
 
 # ----------------------------------------------------------------------
 # K-S test
@@ -294,8 +296,8 @@ class TestEpochReports:
                     (True, entry.reuse_samples, entry.reuse_prr),
                     (False, entry.contention_free_samples,
                      entry.contention_free_prr)):
-                assert samples == tuple(stats.link_prr_samples(
-                    link, shared, repetition_range=window))
+                assert samples == tuple(link_prr_samples(
+                    stats, link, shared, repetition_range=window))
                 assert prr == stats.overall_link_prr(
                     link, shared, repetition_range=window)
 

@@ -22,6 +22,8 @@ from repro.experiments.schedulability import run_sweep
 from repro.flows.generator import PeriodRange
 from repro.routing.traffic import TrafficType
 
+from core_oracles import validate_basic
+
 
 class TestPrepareNetwork:
     def test_restricts_channels(self, indriya):
@@ -91,7 +93,7 @@ class TestWorkloadAndScheduling:
         for policy in POLICY_NAMES:
             result = schedule_workload(network, fs, policy)
             assert result.schedulable
-            result.schedule.validate_basic()
+            validate_basic(result.schedule)
             assert validate_schedule(result.schedule, network.reuse, 2) is None
 
     def test_nr_schedule_has_no_reuse(self, indriya):

@@ -1,11 +1,12 @@
 """Tests for repro.io (persistence) and repro.cli."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _manager_config, build_parser, main
 from repro.core.schedule import Schedule
 from repro.flows.flow import Flow, FlowSet
 from repro.io import (
@@ -17,7 +18,10 @@ from repro.io import (
     save_topology,
     schedule_to_dict,
 )
+from repro.network.node import NodeRole
+from repro.network.topology import Topology
 
+from core_oracles import node_busy, validate_basic
 from test_core_schedule import request
 
 
@@ -32,7 +36,10 @@ class TestTopologyRoundtrip:
         assert loaded.name == line_topology.name
 
     def test_roles_and_positions_preserved(self, line_topology, tmp_path):
-        topo = line_topology.with_access_points([2])
+        topo = Topology(
+            [replace(node, role=NodeRole.ACCESS_POINT) if node.node_id == 2
+             else node for node in line_topology.nodes],
+            line_topology.channel_map, line_topology.prr, line_topology.name)
         path = tmp_path / "topo.npz"
         save_topology(topo, path)
         loaded = load_topology(path)
@@ -89,8 +96,8 @@ class TestScheduleRoundtrip:
         loaded = load_schedule(path)
         assert len(loaded) == 3
         assert loaded.cell_size(0, 1) == 1
-        assert loaded.node_busy(4, 3)
-        loaded.validate_basic()
+        assert node_busy(loaded, 4, 3)
+        validate_basic(loaded)
 
     def test_load_rechecks_invariants(self, tmp_path):
         schedule = Schedule(6, 20, 2)
@@ -113,7 +120,7 @@ class TestScheduleRoundtrip:
         loaded = load_schedule(path, strict=False)
         assert len(loaded) == 2
         with pytest.raises(AssertionError):
-            loaded.validate_basic()  # the conflict survived the round trip
+            validate_basic(loaded)  # the conflict survived the round trip
 
 
 class TestCli:
@@ -137,6 +144,14 @@ class TestCli:
                      "--flows", "20", "--flow-sets", "2"]) == 0
         out = capsys.readouterr().out
         assert "NR:" in out and "RC:" in out
+
+    def test_sweep_varies_the_flow_count(self, capsys):
+        assert main(["sweep", "--testbed", "wustl", "--vary", "flows",
+                     "--values", "10", "15", "--channels", "4",
+                     "--flow-sets", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "schedulable ratio vs flows" in out
+        assert out.split("x:")[1].split()[:2] == ["10", "15"]
 
     def test_reliability_command(self, capsys):
         assert main(["reliability", "--flow-sets", "1",
@@ -476,6 +491,29 @@ class TestCliManager:
         assert "median PDR per epoch" in out
         assert "NoOp" in out and "RescheduleVictims" in out
         assert "trend (one char/epoch" in out
+
+    def test_manage_scheduler_and_reps_reach_the_run(self, tmp_path,
+                                                     capsys):
+        config = _manager_config(build_parser().parse_args(
+            ["manage", "--scheduler", "NR", "--reps", "5"]))
+        assert config.scheduler_policy == "NR"
+        assert config.repetitions_per_epoch == 5
+        out_path = tmp_path / "manager.json"
+        assert main(["manage", "--quick", "--epochs", "1", "--policy",
+                     "noop", "--scheduler", "NR", "--reps", "3",
+                     "--flows", "10", "--report-out", str(out_path),
+                     "--no-ledger"]) == 0
+        assert "NR schedules" in capsys.readouterr().out
+        assert json.loads(out_path.read_text())["scheduler_policy"] == "NR"
+
+    def test_manage_slo_early_warning_adds_alerting_candidates(
+            self, tmp_path, capsys):
+        out_path = tmp_path / "manager.json"
+        assert main(["manage", "--quick", "--epochs", "2", "--policy",
+                     "reschedule", "--slo-early-warning", "--seed", "2",
+                     "--report-out", str(out_path), "--no-ledger"]) == 0
+        epochs = json.loads(out_path.read_text())["epochs"]
+        assert "SLO early-warning candidates" in epochs[1]["action_reason"]
 
     def test_manage_unknown_scenario_errors(self, capsys):
         with pytest.raises(SystemExit):

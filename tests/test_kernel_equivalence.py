@@ -4,7 +4,8 @@ tests.
 The per-slot value RC's fused descent walks
 (:func:`repro.core.constraints.max_admissible_rho`) and the one offset
 pick (:func:`repro.core.scheduler.pick_offset`) must be bit-for-bit
-interchangeable with the scalar offset list — same feasible slots and
+interchangeable with the scalar offset list
+(``core_oracles.feasible_offsets_scalar``) — same feasible slots and
 offsets, same ``find_slot`` answers — and the fused descent must match
 its stepwise oracle (:func:`repro.core.rc.stepwise_descent`) in final
 schedules, work counters, decision provenance and the
@@ -27,7 +28,6 @@ from repro import obs
 from repro.core import rc as _rc
 from repro.core.constraints import (
     NO_REUSE,
-    feasible_offsets_scalar,
     first_feasible_offset,
     max_admissible_rho,
 )
@@ -65,6 +65,8 @@ from repro.obs.provenance import ProvenanceRecorder
 from repro.routing.traffic import TrafficType
 from repro.validate.audit import audit_schedule
 from repro.validate.fuzz import _recorded_work
+
+from core_oracles import feasible_offsets_scalar
 
 NUM_SLOTS = 40
 NUM_OFFSETS = 3

@@ -7,7 +7,6 @@ from repro.analysis.latency import (
     InstanceLatency,
     LatencySummary,
     instance_latencies,
-    per_flow_worst_latency,
 )
 from repro.core.schedule import Schedule
 from repro.experiments.common import (
@@ -60,14 +59,6 @@ class TestInstanceLatencies:
         _, schedule = two_hop_flow_schedule()
         with pytest.raises(ValueError):
             instance_latencies(schedule, FlowSet([]))
-
-    def test_per_flow_worst(self):
-        latencies = [
-            InstanceLatency(0, 0, 0, 4, 5, 50),
-            InstanceLatency(0, 1, 50, 58, 9, 50),
-            InstanceLatency(1, 0, 0, 2, 3, 50),
-        ]
-        assert per_flow_worst_latency(latencies) == {0: 9, 1: 3}
 
 
 class TestLatencySummary:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.mac.channels import (
-    Blacklist,
     ChannelMap,
     MAX_CHANNEL,
     MIN_CHANNEL,
@@ -60,7 +59,7 @@ class TestChannelMap:
         assert len(cmap) == 4
 
     def test_all_channels(self):
-        cmap = ChannelMap.all_channels()
+        cmap = ChannelMap.first_n(NUM_CHANNELS_24GHZ)
         assert len(cmap) == NUM_CHANNELS_24GHZ
         assert list(cmap)[0] == MIN_CHANNEL
         assert list(cmap)[-1] == MAX_CHANNEL
@@ -96,16 +95,6 @@ class TestChannelMap:
         with pytest.raises(ValueError):
             ChannelMap.first_n(3).logical(26)
 
-    def test_from_blacklist(self):
-        cmap = ChannelMap.from_blacklist([11, 26])
-        assert 11 not in cmap
-        assert 26 not in cmap
-        assert len(cmap) == 14
-
-    def test_blacklist_everything_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelMap.from_blacklist(range(MIN_CHANNEL, MAX_CHANNEL + 1))
-
     def test_index_map(self):
         cmap = ChannelMap.first_n(3)
         assert cmap.index_map() == {11: 0, 12: 1, 13: 2}
@@ -116,29 +105,3 @@ class TestChannelMap:
         with pytest.raises(ValueError):
             ChannelMap.first_n(17)
 
-
-class TestBlacklist:
-    def test_quiet_channels_not_blacklisted(self):
-        blacklist = Blacklist(noise_threshold_dbm=-85.0)
-        blacklist.observe(11, -95.0)
-        assert blacklist.blacklisted() == []
-
-    def test_noisy_channel_blacklisted(self):
-        blacklist = Blacklist(noise_threshold_dbm=-85.0)
-        blacklist.observe(11, -70.0)
-        blacklist.observe(12, -95.0)
-        assert blacklist.blacklisted() == [11]
-
-    def test_observe_keeps_running_max(self):
-        blacklist = Blacklist(noise_threshold_dbm=-85.0)
-        blacklist.observe(11, -95.0)
-        blacklist.observe(11, -60.0)
-        blacklist.observe(11, -95.0)
-        assert blacklist.blacklisted() == [11]
-
-    def test_usable_map_excludes_blacklisted(self):
-        blacklist = Blacklist(noise_threshold_dbm=-85.0)
-        blacklist.observe(13, -60.0)
-        usable = blacklist.usable_map()
-        assert 13 not in usable
-        assert len(usable) == 15

@@ -7,8 +7,6 @@ from repro.mac.tsch import (
     SLOT_DURATION_MS,
     SLOT_DURATION_S,
     SLOTS_PER_SECOND,
-    SlotTiming,
-    hop_channel,
     seconds_to_slots,
 )
 
@@ -40,34 +38,12 @@ class TestSlotConversion:
         assert SLOTS_PER_SECOND * SLOT_DURATION_MS == 1000.0
 
 
-class TestHopChannel:
-    def test_formula(self):
-        """logicalChannel = (ASN + offset) mod |M| (paper Section III-A)."""
-        assert hop_channel(asn=7, channel_offset=3, num_channels=4) == 2
-
-    def test_asn_zero(self):
-        assert hop_channel(0, 2, 5) == 2
-
-    def test_offset_out_of_range(self):
-        with pytest.raises(ValueError):
-            hop_channel(0, 5, 5)
-
-    def test_negative_asn_rejected(self):
-        with pytest.raises(ValueError):
-            hop_channel(-1, 0, 5)
-
-    def test_each_offset_distinct_channel_same_slot(self):
-        """Distinct offsets never share a channel within a slot."""
-        channels = {hop_channel(asn=42, channel_offset=c, num_channels=8)
-                    for c in range(8)}
-        assert len(channels) == 8
-
-
 def visited(channel_map, channel_offset, num_slots, start_asn=0):
-    """The physical channels a cell visits: the hopping formula read
-    through the channel map, as the simulator resolves each attempt."""
-    return [channel_map.physical(
-                hop_channel(asn, channel_offset, len(channel_map)))
+    """The physical channels a cell visits: the hopping formula
+    ``logicalChannel = (ASN + offset) mod |M|`` (paper Section III-A)
+    read through the channel map, as the simulator resolves each
+    attempt."""
+    return [channel_map.physical((asn + channel_offset) % len(channel_map))
             for asn in range(start_asn, start_asn + num_slots)]
 
 
@@ -90,15 +66,3 @@ class TestHoppingSequence:
     def test_physical_channel(self):
         assert visited(ChannelMap((20, 25)), 0, 2) == [20, 25]
 
-
-class TestSlotTiming:
-    def test_default_template_fits_10ms(self):
-        assert SlotTiming().fits_slot()
-
-    def test_total(self):
-        timing = SlotTiming(1000.0, 2000.0, 500.0, 500.0)
-        assert timing.total_us() == 4000.0
-
-    def test_oversized_template_detected(self):
-        timing = SlotTiming(max_packet_us=9000.0)
-        assert not timing.fits_slot()

@@ -34,7 +34,7 @@ from repro.manager.policies import (
     RescheduleVictims,
     make_manager_policy,
 )
-from repro.simulator.engine import compiled_entries
+from repro.simulator import engine
 from repro.testbeds import WUSTL_PLAN
 
 
@@ -92,8 +92,9 @@ class TestConditionSchedule:
         first = FaultEvent(kind="reuse_interference", start_epoch=0)
         second = FaultEvent(kind="node_churn", start_epoch=0, nodes=(1,))
         schedule = ConditionSchedule("both", (first, second))
-        assert schedule.events_for(0) == [first, second]
-        assert schedule.events_for(0)[0] is not second
+        active = [event for event in schedule.events if event.active_in(0)]
+        assert active == [first, second]
+        assert active[0] is not second
 
     def test_horizon_covers_every_window_edge(self):
         schedule = ConditionSchedule("h", (
@@ -420,6 +421,12 @@ class TestMakeManagerPolicy:
 # ----------------------------------------------------------------------
 # Compile cache (satellite: reuse compiled schedules across epochs)
 # ----------------------------------------------------------------------
+
+def compiled_entries(schedule):
+    """The schedule's entries grouped by slot, read from the simulator's
+    compile cache."""
+    return engine._compilation(schedule).entries
+
 
 class TestCompileCache:
     def _schedule(self):

@@ -18,18 +18,18 @@ class TestCommunicationGraph:
     def test_line_edges(self, line_topology):
         graph = CommunicationGraph.from_topology(line_topology, 0.9)
         assert graph.num_edges() == 5
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 2)
+        assert graph.adjacency[0, 1]
+        assert not graph.adjacency[0, 2]
 
     def test_weak_links_excluded(self, line_with_weak_links):
         """An edge needs PRR ≥ threshold on all channels in both directions."""
         graph = CommunicationGraph.from_topology(line_with_weak_links, 0.9)
-        assert not graph.has_edge(0, 2)
-        assert not graph.has_edge(3, 5)
+        assert not graph.adjacency[0, 2]
+        assert not graph.adjacency[3, 5]
 
     def test_threshold_effect(self, line_with_weak_links):
         relaxed = CommunicationGraph.from_topology(line_with_weak_links, 0.2)
-        assert relaxed.has_edge(0, 2)
+        assert relaxed.adjacency[0, 2]
 
     def test_one_bad_channel_excludes_edge(self):
         topo = build_topology(2, [(0, 1)], num_channels=3)
@@ -38,13 +38,13 @@ class TestCommunicationGraph:
         topo = build_topology(2, [(0, 1)], num_channels=3)
         topo.prr[0, 1, 2] = 0.5
         graph = CommunicationGraph.from_topology(topo, 0.9)
-        assert not graph.has_edge(0, 1)
+        assert not graph.adjacency[0, 1]
 
     def test_asymmetric_link_excluded(self):
         topo = build_topology(2, [(0, 1)])
         topo.prr[1, 0, :] = 0.0  # reverse direction dead
         graph = CommunicationGraph.from_topology(topo, 0.9)
-        assert not graph.has_edge(0, 1)
+        assert not graph.adjacency[0, 1]
 
     def test_neighbors_sorted(self, grid_topology):
         graph = CommunicationGraph.from_topology(grid_topology, 0.9)
@@ -67,7 +67,9 @@ class TestCommunicationGraph:
 
     def test_edges_list(self, line_topology):
         graph = CommunicationGraph.from_topology(line_topology, 0.9)
-        assert graph.edges() == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        us, vs = np.nonzero(np.triu(graph.adjacency, k=1))
+        assert list(zip(us.tolist(), vs.tolist())) == [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
 
 
 class TestReuseGraph:

@@ -25,8 +25,10 @@ class TestNode:
     def test_roles(self):
         ap = Node(0, NodeRole.ACCESS_POINT)
         fd = Node(1)
-        assert ap.is_access_point and not ap.is_field_device
-        assert fd.is_field_device and not fd.is_access_point
+        assert (ap.role is NodeRole.ACCESS_POINT
+                and ap.role is not NodeRole.FIELD_DEVICE)
+        assert (fd.role is NodeRole.FIELD_DEVICE
+                and fd.role is not NodeRole.ACCESS_POINT)
 
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
@@ -64,20 +66,22 @@ class TestTopologyValidation:
 
 class TestTopologyQueries:
     def test_link_prr_by_physical_channel(self, line_topology):
-        assert line_topology.link_prr(0, 1, 11) == 0.99
-        assert line_topology.link_prr(0, 3, 11) == 0.0
+        channel = line_topology.channel_map.logical(11)
+        assert line_topology.prr[0, 1, channel] == 0.99
+        assert line_topology.prr[0, 3, channel] == 0.0
 
     def test_min_max_mean(self, line_with_weak_links):
-        assert line_with_weak_links.min_prr(0, 2) == 0.3
-        assert line_with_weak_links.max_prr(0, 2) == 0.3
-        assert line_with_weak_links.mean_prr(0, 1) == pytest.approx(0.99)
+        prr = line_with_weak_links.prr
+        assert prr[0, 2, :].min() == 0.3
+        assert prr[0, 2, :].max() == 0.3
+        assert prr[0, 1, :].mean() == pytest.approx(0.99)
 
     def test_degree_counts_bidirectional_strong_neighbors(self, line_topology):
-        assert line_topology.degree(0, 0.9) == 1
-        assert line_topology.degree(2, 0.9) == 2
+        assert line_topology.degrees(0.9)[0] == 1
+        assert line_topology.degrees(0.9)[2] == 2
 
     def test_weak_links_do_not_count_toward_degree(self, line_with_weak_links):
-        assert line_with_weak_links.degree(0, 0.9) == 1
+        assert line_with_weak_links.degrees(0.9)[0] == 1
 
     def test_degrees_vector(self, line_topology):
         assert list(line_topology.degrees(0.9)) == [1, 2, 2, 2, 2, 1]
@@ -92,7 +96,8 @@ class TestRestrictChannels:
     def test_restrict_keeps_selected_channels(self, line_topology):
         restricted = line_topology.restrict_channels([12])
         assert restricted.num_channels == 1
-        assert restricted.link_prr(0, 1, 12) == 0.99
+        assert restricted.prr[0, 1, restricted.channel_map.logical(12)] \
+            == 0.99
 
     def test_restrict_unknown_channel_rejected(self, line_topology):
         with pytest.raises(ValueError):
@@ -104,20 +109,6 @@ class TestRestrictChannels:
 
 
 class TestAccessPoints:
-    def test_with_access_points(self, line_topology):
-        topo = line_topology.with_access_points([2, 3])
-        assert topo.access_points() == [2, 3]
-        assert set(topo.field_devices()) == {0, 1, 4, 5}
-
-    def test_unknown_ap_rejected(self, line_topology):
-        with pytest.raises(ValueError):
-            line_topology.with_access_points([99])
-
-    def test_reassignment_replaces(self, line_topology):
-        topo = line_topology.with_access_points([0])
-        topo = topo.with_access_points([5])
-        assert topo.access_points() == [5]
-
     def test_positions_array(self, line_topology):
         positions = line_topology.positions()
         assert positions.shape == (6, 3)

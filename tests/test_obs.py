@@ -22,7 +22,7 @@ from repro.io import (
     load_metrics,
     save_jsonl,
     save_metrics,
-    scheduling_result_to_dict,
+    schedule_to_dict,
 )
 from repro.network.graphs import ChannelReuseGraph, CommunicationGraph
 from repro.obs.metrics import TIME_BUCKETS_S, Histogram, MetricsRegistry
@@ -30,6 +30,7 @@ from repro.obs.provenance import ProvenanceRecorder
 from repro.obs import recorder as _obs
 from repro.obs.recorder import NullRecorder, Recorder
 from repro.obs.report import format_report
+from repro.obs.spans import _CURRENT
 from repro.routing.traffic import TrafficType, assign_routes
 
 
@@ -202,7 +203,7 @@ class TestRecorderRuntime:
             parent = spans.start("work")
             with obs.activate(parent):
                 with obs.stage("unit.child", point=3) as child:
-                    assert obs.current_span() is child
+                    assert _CURRENT.get() is child
             spans.close_trace(parent.trace_id, parent.end())
         children = [record for record in spans.to_records()
                     if record.get("parent") == parent.span_id]
@@ -292,7 +293,9 @@ class TestSchedulerIntegration:
         flows = _routed_line_flows(line_topology)
         with obs.recording():
             result = _scheduler(line_topology, NoReusePolicy()).run(flows)
-        payload = scheduling_result_to_dict(result)
+        payload = {"counters": result.counters,
+                   "policy": result.policy_name,
+                   "schedule": schedule_to_dict(result.schedule)}
         text = json.dumps(payload)  # must not raise
         restored = json.loads(text)
         assert restored["counters"] == result.counters

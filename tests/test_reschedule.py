@@ -19,6 +19,8 @@ from repro.experiments.common import (
 from repro.flows.generator import PeriodRange
 from repro.routing.traffic import TrafficType
 
+from core_oracles import validate_basic
+
 
 @pytest.fixture(scope="module")
 def ra_scenario(wustl):
@@ -54,7 +56,7 @@ class TestReschedule:
         rescheduled = reschedule_without_reuse_on(
             flows, network.topology.num_nodes, 4, network.reuse,
             AggressiveReusePolicy(rho_t=2), victims)
-        rescheduled.schedule.validate_basic()
+        validate_basic(rescheduled.schedule)
         assert validate_schedule(rescheduled.schedule, network.reuse,
                                  2) is None
 

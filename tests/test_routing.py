@@ -9,11 +9,7 @@ from repro.network.graphs import (
     CommunicationGraph,
     all_pairs_hops,
 )
-from repro.routing.shortest_path import (
-    NoRouteError,
-    shortest_path,
-    shortest_path_tree,
-)
+from repro.routing.shortest_path import NoRouteError, shortest_path
 from repro.routing.traffic import (
     TrafficType,
     assign_routes,
@@ -22,6 +18,7 @@ from repro.routing.traffic import (
 )
 
 from conftest import build_topology
+from graph_oracles import shortest_path_tree
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from repro.obs.provenance import cell_reuse_distances
 from repro.validate.audit import audit_schedule
 
 from conftest import build_topology
+from core_oracles import busy_matrix, free_offsets, node_busy, used_offsets
 from test_schedule_memo import oracle_hash
 
 NODES, SLOTS, OFFSETS = 7, 8, 3
@@ -94,14 +95,14 @@ def assert_matches_model(schedule: Schedule) -> None:
     full = set(range(OFFSETS))
     busy = {(node, entry.slot) for entry in entries
             for node in entry.request.link}
-    assert schedule.busy_matrix().tolist() == [
+    assert busy_matrix(schedule).tolist() == [
         [(node, slot) in busy for slot in range(slots)]
         for node in range(NODES)]
     for slot in range(slots):
         used = sorted({c for (s, c) in cells if s == slot})
         free = sorted(full - set(used))
-        assert schedule.used_offsets(slot) == used
-        assert schedule.free_offsets(slot) == free
+        assert used_offsets(schedule, slot) == used
+        assert free_offsets(schedule, slot) == free
         assert schedule.first_free_offset(slot) == (free[0] if free else -1)
         assert schedule.slot_transmissions(slot) == [
             e for e in entries if e.slot == slot]
@@ -191,14 +192,14 @@ def test_evict_keeps_bits_owed_to_a_colliding_survivor(slot):
     schedule.add(third, slot, 2)           # the slot is now full
     assert schedule.first_free_slot(5, 6, slot, slot) == -1
     schedule.evict([0])
-    assert [schedule.node_busy(node, slot) for node in range(5)] == [
+    assert [node_busy(schedule, node, slot) for node in range(5)] == [
         False, True, True, True, True]
-    assert schedule.used_offsets(slot) == [1, 2]
+    assert used_offsets(schedule, slot) == [1, 2]
     assert schedule.first_free_slot(5, 6, slot, slot) == slot
     assert_matches_model(schedule)
     schedule.evict([0, 1])
-    assert not schedule.busy_matrix().any()
-    assert schedule.used_offsets(slot) == []
+    assert not busy_matrix(schedule).any()
+    assert used_offsets(schedule, slot) == []
     assert_matches_model(schedule)
 
 

@@ -10,8 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core.rc import stepwise_descent
 from repro.service.cache import ArtifactCache
-from repro.service.executor import ServiceError, ServiceExecutor, \
-    direct_schedule
+from repro.service.executor import ServiceError, ServiceExecutor
 from repro.service.protocol import (
     NetworkConfig,
     ProtocolError,
@@ -20,6 +19,7 @@ from repro.service.protocol import (
     shard_of,
 )
 
+from service_oracles import direct_schedule
 from test_manager import fail_every_repair
 
 CONFIG = {"testbed": "indriya", "seed": 1, "channels": 5, "flows": 8}

@@ -1,4 +1,5 @@
-"""End-to-end tests: a real ``repro serve`` process over a unix socket.
+"""End-to-end tests: a real ``repro serve`` process over a unix socket
+(and once over TCP).
 
 Starts the service as a subprocess, drives it with a blocking NDJSON
 client and with the ``repro loadgen`` CLI, and checks the acceptance
@@ -10,10 +11,12 @@ records intact, and a clean SIGTERM shutdown.
 
 import json
 import os
+import queue
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -320,6 +323,54 @@ class TestLoadgenCli:
             first_by_network.setdefault(payload["network"],
                                         payload["verb"])
         assert set(first_by_network.values()) == {"schedule"}
+
+
+class TestTcpListener:
+    def test_loadgen_verify_over_tcp(self, tmp_path, capsys):
+        """``serve --host/--port`` listens on TCP (port 0 binds a free
+        port, read back from the banner), and ``--cache-capacity`` bounds
+        each worker's cache: a 2-entry cache evicts under a 4-network
+        fleet, while every response stays bit-identical."""
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             "--host", "127.0.0.1", "--port", "0",
+             "--service-workers", "1", "--cache-capacity", "2",
+             "--no-ledger"],
+            env=dict(os.environ, PYTHONPATH=REPO_SRC),
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        lines = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in process.stdout],
+            daemon=True)
+        reader.start()
+        try:
+            banner = ""
+            while "listening on tcp:" not in banner:
+                banner = lines.get(timeout=60)
+            address = banner.split("listening on tcp:")[1].split()[0]
+            host, port = address.rsplit(":", 1)
+            assert host == "127.0.0.1" and int(port) > 0
+            report_path = tmp_path / "tcp-report.json"
+            code = main([
+                "loadgen", "--host", host, "--port", port,
+                "--requests", "20", "--networks", "4", "--flows", "8",
+                "--seed", "2", "--verify",
+                "--report-out", str(report_path), "--no-ledger"])
+            out = capsys.readouterr().out
+            assert code == 0, out
+            report = json.loads(report_path.read_text())
+            assert report["verify"]["checked"] == 20
+            assert report["verify"]["mismatches"] == 0
+            assert report["service"]["cache"]["evictions"] > 0
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=10)
+            reader.join(timeout=10)
+            process.stdout.close()
 
 
 class TestUnrecordedWorker:

@@ -146,8 +146,9 @@ class TestDrawPlan:
                 uniform_indices.append(
                     plan.reception_uniform_index(pos, entry))
             for interferer in range(num_interferers):
+                # An interferer's duty-cycle draw.
                 uniform_indices.append(
-                    plan.activity_uniform_index(pos, interferer))
+                    plan.uniform_offsets[pos] + interferer)
                 for entry in range(count):
                     normal_indices.append(
                         plan.interferer_fast_index(pos, interferer, entry))

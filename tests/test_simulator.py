@@ -8,23 +8,21 @@ from repro.flows.flow import Flow, FlowSet
 from repro.mac.channels import ChannelMap
 from repro.propagation.pathloss import LogDistancePathLoss
 from repro.simulator.conditions import Conditions
-from repro.simulator.engine import (
-    SimulationConfig,
-    TschSimulator,
-    compiled_entries,
-)
+from repro.simulator import engine
+from repro.simulator.engine import SimulationConfig, TschSimulator
 from repro.simulator.interference import (
     WifiInterferer,
     interferer_rssi_matrix,
     place_interferer_pairs,
 )
-from repro.simulator.radio import decide_reception, sinr_at_receiver
+from repro.simulator.radio import sinr_at_receiver
 from repro.simulator.stats import SimulationStats, stats_signature
 from repro.propagation.prr_model import get_prr_curve
 from repro.network.node import Position
 from repro.testbeds.layout import FloorPlan
 from repro.testbeds.synth import RadioEnvironment
 
+from sim_oracles import decide_reception, link_prr_samples, sinr_reaching
 from test_core_schedule import request
 
 
@@ -122,8 +120,8 @@ class TestStats:
             {((0, 1), True): (2, 1), ((0, 1), False): (1, 1)},
             {((0, 1), True): (1, 1)},
         ])
-        assert stats.link_prr_samples((0, 1), True) == [0.5, 1.0]
-        assert stats.link_prr_samples((0, 1), False) == [1.0]
+        assert link_prr_samples(stats, (0, 1), True) == [0.5, 1.0]
+        assert link_prr_samples(stats, (0, 1), False) == [1.0]
         assert stats.overall_link_prr((0, 1), True) == pytest.approx(2 / 3)
         assert stats.overall_link_prr((1, 2), True) is None
 
@@ -131,8 +129,8 @@ class TestStats:
         stats = SimulationStats.from_tallies({}, {}, [
             {((0, 1), True): (1, 1)}, {((0, 1), True): (1, 0)}])
         assert stats.repetitions == 2
-        assert stats.link_prr_samples((0, 1), True, (0, 1)) == [1.0]
-        assert stats.link_prr_samples((0, 1), True, (1, 2)) == [0.0]
+        assert link_prr_samples(stats, (0, 1), True, (0, 1)) == [1.0]
+        assert link_prr_samples(stats, (0, 1), True, (1, 2)) == [0.0]
 
     def test_links_seen(self):
         stats = SimulationStats.from_tallies({}, {}, [
@@ -151,9 +149,9 @@ class TestStats:
             channel_attempts=np.array([[1, 0, 0], [1, 0, 1]]),
             channel_successes=np.array([[1, 0, 0], [0, 0, 1]]))
         assert stats.links_seen() == [(1, 2)]
-        assert stats.link_prr_samples((5, 6), True) == []
+        assert link_prr_samples(stats, (5, 6), True) == []
         assert stats.overall_link_prr((1, 2), True) is None
-        assert stats.link_prr_samples((1, 2), False) == [1.0, 0.5]
+        assert link_prr_samples(stats, (1, 2), False) == [1.0, 0.5]
         assert list(stats.channel_prr().items()) == [(12, 1.0), (14, 0.5)]
         assert stats.channel_prr((0, 1)) == {14: 1.0}
         assert stats_signature(stats) == (
@@ -233,7 +231,7 @@ class TestEngine:
         env = tiny_environment()
         curve = get_prr_curve(60, 0.0)
         # Place the B->C RSSI right at the 50% point of the raw curve.
-        half_point = -98.0 + curve.inverse(0.5)
+        half_point = -98.0 + sinr_reaching(curve, 0.5)
         env = tiny_environment(rssi_bc=half_point)
         flow_set, schedule = tiny_flow_and_schedule()
         sim = TschSimulator(
@@ -374,7 +372,7 @@ class TestOneEntryStore:
 
     @staticmethod
     def assert_schedule_entries(schedule):
-        compiled = compiled_entries(schedule)
+        compiled = engine._compilation(schedule).entries
         by_slot = schedule.entries_by_slot()
         stored = {id(entry) for entry in schedule.entries}
         assert list(compiled) == list(by_slot)
@@ -397,7 +395,7 @@ class TestOneEntryStore:
         self.assert_schedule_entries(schedule)
         schedule.add(moved, 5, 1)
         self.assert_schedule_entries(schedule)
-        assert list(compiled_entries(schedule)) == [0, 1, 3, 5]
+        assert list(engine._compilation(schedule).entries) == [0, 1, 3, 5]
 
 
 class TestDarkNodeObservability:

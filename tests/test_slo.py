@@ -263,19 +263,35 @@ class TestSeriesRecording:
         # No store attached: nothing to assert beyond "did not raise".
 
 
+def state_of(engine, flow_id):
+    """A flow's current alert state as the engine holds it (``ok`` when
+    never observed)."""
+    return engine._states.get(flow_id, STATE_OK)
+
+
+def flows_in_state(engine, state):
+    """Sorted flow ids the engine currently holds in ``state``."""
+    return sorted(f for f, s in engine._states.items() if s == state)
+
+
+def worst_state(engine):
+    """The most severe state any flow currently holds."""
+    return max(engine._states.values(), key=severity, default=STATE_OK)
+
+
 class TestQueries:
     def test_state_queries(self):
         engine = SloEngine(TIGHT)
         engine.observe_epoch(0, {1: 100, 2: 100, 3: 100},
                              {1: 100, 2: 0, 3: 100})
-        assert engine.state_of(2) == STATE_ALERT
-        assert engine.state_of(1) == STATE_OK
-        assert engine.state_of(99) == STATE_OK  # never observed
-        assert engine.alerting_flows() == [2]
-        assert engine.warning_flows() == []
-        assert engine.flows_in_state(STATE_OK) == [1, 3]
-        assert engine.worst_state() == STATE_ALERT
-        assert SloEngine(TIGHT).worst_state() == STATE_OK
+        assert state_of(engine, 2) == STATE_ALERT
+        assert state_of(engine, 1) == STATE_OK
+        assert state_of(engine, 99) == STATE_OK  # never observed
+        assert flows_in_state(engine, STATE_ALERT) == [2]
+        assert flows_in_state(engine, STATE_WARN) == []
+        assert flows_in_state(engine, STATE_OK) == [1, 3]
+        assert worst_state(engine) == STATE_ALERT
+        assert worst_state(SloEngine(TIGHT)) == STATE_OK
 
     def test_severity_ordering(self):
         assert severity(STATE_OK) < severity(STATE_WARN) < severity(

@@ -21,9 +21,9 @@ from repro.obs.session import RecordingPaths, expand_paths
 from repro.obs.spans import (
     ActiveSpan,
     SpanRecorder,
+    _CURRENT,
     activate,
     build_traces,
-    current_span,
     format_trace_show,
     load_span_records,
     new_trace_id,
@@ -76,19 +76,19 @@ class TestActiveSpan:
 
     def test_context_manager_scopes_current_and_flags_errors(self):
         recorder = SpanRecorder(process="t")
-        assert current_span() is None
+        assert _CURRENT.get() is None
         with pytest.raises(RuntimeError):
             with recorder.start("request") as span:
-                assert current_span() is span
+                assert _CURRENT.get() is span
                 raise RuntimeError("boom")
-        assert current_span() is None
+        assert _CURRENT.get() is None
         assert span.status == "error"
 
     def test_activate_does_not_end_the_span(self):
         recorder = SpanRecorder(process="t")
         span = recorder.start("work")
         with activate(span):
-            assert current_span() is span
+            assert _CURRENT.get() is span
         assert span.duration_ms is None  # caller still owns the end
         with activate(None) as nothing:
             assert nothing is None
@@ -117,7 +117,7 @@ class TestStageHelper:
             work = spans.start("work")
             with activate(work):
                 with stage("compile", placements=3) as child:
-                    assert current_span() is child
+                    assert _CURRENT.get() is child
             spans.close_trace(work.trace_id, work.end())
         (trace,) = build_traces(spans.to_records())
         by_name = {s["name"]: s for s in trace["spans"]}
@@ -626,6 +626,15 @@ class TestTraceShowCli:
         out = capsys.readouterr().out
         assert f"trace {trace_id}" in out
         assert "dispatch" in out
+
+    def test_trace_show_filters_by_trace_id_prefix(self, tmp_path, capsys):
+        path, trace_id = self.write_dump(tmp_path)
+        assert main(["trace", "show", str(path),
+                     "--trace-id", trace_id[:6]]) == 0
+        assert f"trace {trace_id}" in capsys.readouterr().out
+        # Trace ids are hex: no id starts with "zz".
+        assert main(["trace", "show", str(path), "--trace-id", "zz"]) == 0
+        assert f"trace {trace_id}" not in capsys.readouterr().out
 
     def test_trace_show_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["trace", "show", str(tmp_path / "nope.jsonl")]) == 2

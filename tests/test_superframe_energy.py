@@ -23,26 +23,33 @@ def small_schedule():
     return schedule
 
 
+def action_in_slot(table, slot):
+    """A device's action in a slot, read from its table (SLEEP when
+    unscheduled)."""
+    return next((entry.action for entry in table.entries
+                 if entry.slot == slot), SlotAction.SLEEP)
+
+
 class TestSuperframe:
     def test_actions_assigned(self, small_schedule):
         superframe = build_superframe(small_schedule)
         table0 = superframe.table(0)
-        assert table0.action_in_slot(0) is SlotAction.TRANSMIT
-        assert table0.action_in_slot(1) is SlotAction.SLEEP
+        assert action_in_slot(table0, 0) is SlotAction.TRANSMIT
+        assert action_in_slot(table0, 1) is SlotAction.SLEEP
         table1 = superframe.table(1)
-        assert table1.action_in_slot(0) is SlotAction.RECEIVE
-        assert table1.action_in_slot(5) is SlotAction.TRANSMIT
+        assert action_in_slot(table1, 0) is SlotAction.RECEIVE
+        assert action_in_slot(table1, 5) is SlotAction.TRANSMIT
 
     def test_unscheduled_device_sleeps(self, small_schedule):
         superframe = build_superframe(small_schedule)
         table = superframe.table(5)
         assert table.entries == []
         assert table.duty_cycle() == 0.0
-        assert table.action_in_slot(3) is SlotAction.SLEEP
+        assert action_in_slot(table, 3) is SlotAction.SLEEP
 
     def test_active_devices(self, small_schedule):
         superframe = build_superframe(small_schedule)
-        assert superframe.active_devices() == [0, 1, 2, 3]
+        assert sorted(superframe.tables) == [0, 1, 2, 3]
 
     def test_duty_cycle(self, small_schedule):
         superframe = build_superframe(small_schedule)
@@ -71,7 +78,7 @@ class TestSuperframe:
 
     def test_empty_schedule(self):
         superframe = build_superframe(Schedule(4, 10, 1))
-        assert superframe.active_devices() == []
+        assert sorted(superframe.tables) == []
         assert superframe.mean_duty_cycle() == 0.0
         assert superframe.busiest_device() == (None, 0.0)
 
