@@ -16,8 +16,10 @@ The per-transmission reset is the more conservative reading and is the
 default; ``rho_reset="flow"`` reproduces the literal pseudocode.
 
 RC places through a fused descent that walks each placement's window
-once for all its finite-ρ probes.  The loop as printed — ``findSlot``
-then ``calculateLaxity`` per ρ — stays as its oracle; tests, the
+once for all its finite-ρ probes, and an unrecorded descent whose ρ = ∞
+laxity is too negative for any finite probe to recover skips the walk
+(Eq. 1's bound).  The loop as printed — ``findSlot`` then
+``calculateLaxity`` per ρ — stays as its oracle; tests, the
 differential fuzzer and ``repro bench`` run it inside
 :func:`stepwise_descent`::
 
@@ -152,9 +154,11 @@ class ConservativeReusePolicy:
         it misses the deadline — which ``findSlot`` already enforces.
 
         Production runs the fused descent; :func:`stepwise_descent`
-        selects the stepwise loop, its oracle.  Both count and narrate
-        every probe, laxity evaluation and ρ step identically;
-        the recorder only decides whether they do.
+        selects the stepwise loop, its oracle.  Under a recorder both
+        count and narrate every probe, laxity evaluation and ρ step
+        identically; without one the fused descent may skip probes that
+        cannot change the placement (Eq. 1's bound,
+        :meth:`_descend_fused`).
         """
         recorder = _obs.RECORDER if _obs.ENABLED else None
         if recorder is not None:
@@ -249,6 +253,17 @@ class ConservativeReusePolicy:
         Placements, exit ρ, counters and provenance are identical to
         the stepwise loop's: both pick the earliest feasible slot per ρ
         and descend under the same laxity rule.
+
+        Unrecorded, a descent whose ρ = ∞ probe reads a negative laxity
+        at slot s∞ may end there, at Eq. 1's bound.  Every finite probe
+        lands on a conflict-free slot in [f, s∞], f the window's first,
+        since s∞ has a free offset.  Eq. 1 at a slot s ≤ s∞ is at most
+        laxity(s∞) + (s∞ − s), because its ``q`` sums only grow as the
+        window (s, d] widens.  So when laxity(s∞) + (s∞ − f) < 0 and
+        λ_R ≥ ρ_t, no probe can stop the descent: it runs to ρ_t and
+        keeps that probe, ``find_slot`` at ρ_t, exiting at ρ_t − 1.  A
+        recorded run walks on, because its counters and provenance are
+        the per-probe record.
         """
         rho_t = self.rho_t
         prov = recorder.provenance if recorder is not None else None
@@ -318,6 +333,15 @@ class ConservativeReusePolicy:
                                              triggered)
                 if laxity >= 0:
                     break
+                if (rho == NO_REUSE and recorder is None
+                        and reuse_graph.diameter() >= rho_t
+                        and laxity + slot < schedule.first_conflict_free_slot(
+                            sender, receiver, earliest, deadline)):
+                    # Eq. 1's bound: no finite probe can stop the
+                    # descent, so it ends with the ρ_t probe.
+                    return (find_slot(schedule, reuse_graph, request, rho_t,
+                                      earliest, self.offset_rule),
+                            rho_t, rho_t - 1)
             next_rho = reuse_graph.diameter() if rho == NO_REUSE else rho - 1
             if recorder is not None and next_rho >= rho_t:
                 _note_descent(recorder, rho, next_rho)

@@ -16,6 +16,7 @@ indexes its hot paths read, two of them as Python-int bitsets:
 
 Only this module does bit arithmetic on the bitsets: the schedule
 answers each placement question itself (:meth:`Schedule.first_free_slot`,
+:meth:`Schedule.first_conflict_free_slot`,
 :meth:`Schedule.conflict_free_slots`, :meth:`Schedule.conflict_count`,
 and Eq. 1's window packed into one int, :meth:`Schedule.conflict_rows`),
 and readers that need arrays get a window's bits unpacked at their
@@ -348,6 +349,15 @@ class Schedule:
                  | self._full) >> start
         # The lowest clear bit: adding one carries through the trailing
         # set bits and stops there.
+        slot = start + (taken ^ (taken + 1)).bit_length() - 1
+        return slot if slot <= end else -1
+
+    def first_conflict_free_slot(self, sender: int, receiver: int,
+                                 start: int, end: int) -> int:
+        """Earliest slot of ``[start, end]`` with no transmission sharing
+        the link's sender or receiver — the first candidate of every
+        finite-ρ probe — or -1."""
+        taken = (self._busy[sender] | self._busy[receiver]) >> start
         slot = start + (taken ^ (taken + 1)).bit_length() - 1
         return slot if slot <= end else -1
 

@@ -142,11 +142,6 @@ class FlowInstance:
     release_slot: int
     deadline_slot: int
 
-    @property
-    def window(self) -> Tuple[int, int]:
-        """The inclusive slot window ``[release, deadline]``."""
-        return (self.release_slot, self.deadline_slot)
-
 
 class FlowSet:
     """An ordered collection of flows sharing the network.

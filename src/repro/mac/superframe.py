@@ -55,16 +55,6 @@ class DeviceTable:
     superframe_slots: int
     entries: List[DeviceSlot] = field(default_factory=list)
 
-    def transmit_slots(self) -> List[int]:
-        """Slots in which the device transmits."""
-        return sorted(e.slot for e in self.entries
-                      if e.action is SlotAction.TRANSMIT)
-
-    def receive_slots(self) -> List[int]:
-        """Slots in which the device listens."""
-        return sorted(e.slot for e in self.entries
-                      if e.action is SlotAction.RECEIVE)
-
     def duty_cycle(self) -> float:
         """Fraction of superframe slots the radio is on."""
         if self.superframe_slots == 0:
@@ -85,12 +75,6 @@ class Superframe:
     num_slots: int
     num_offsets: int
     tables: Dict[int, DeviceTable]
-
-    def table(self, node_id: int) -> DeviceTable:
-        """The slot table of one device (empty table if unscheduled)."""
-        if node_id in self.tables:
-            return self.tables[node_id]
-        return DeviceTable(node_id=node_id, superframe_slots=self.num_slots)
 
     def mean_duty_cycle(self) -> float:
         """Average radio duty cycle over active devices."""

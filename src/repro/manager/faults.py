@@ -177,14 +177,6 @@ class ConditionSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
 
-    def horizon(self) -> int:
-        """First epoch index after which no event starts or changes."""
-        horizon = 0
-        for event in self.events:
-            horizon = max(horizon, event.start_epoch,
-                          event.end_epoch or event.start_epoch + 1)
-        return horizon
-
     def to_dict(self) -> Dict:
         """JSON-serializable form."""
         return {"name": self.name,

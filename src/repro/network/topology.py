@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.mac.channels import ChannelMap
-from repro.network.node import Node, NodeRole
+from repro.network.node import Node
 
 
 @dataclass
@@ -71,10 +71,6 @@ class Topology:
     def node(self, node_id: int) -> Node:
         """Return the node with the given id."""
         return self.nodes[node_id]
-
-    def access_points(self) -> List[int]:
-        """Return the ids of all access-point nodes."""
-        return [n.node_id for n in self.nodes if n.role is NodeRole.ACCESS_POINT]
 
     def positions(self) -> Optional[np.ndarray]:
         """Return an ``(n, 3)`` position array, or None if any is missing."""

@@ -94,10 +94,6 @@ class Histogram:
         """Arithmetic mean of all observations, or None when empty."""
         return self.sum / self.count if self.count else None
 
-    def quantile(self, q: float) -> Optional[float]:
-        """Bucket-resolution quantile estimate (None when empty)."""
-        return quantile_from_buckets(self.buckets, self.counts, q)
-
     def to_dict(self) -> Dict:
         """JSON-serializable form (merged by :meth:`merge_dict`)."""
         return {

@@ -96,10 +96,6 @@ class Series:
         """All held values, oldest first."""
         return [v for _, v in self.points]
 
-    def tail(self, n: int) -> List[float]:
-        """The most recent ``n`` values (fewer when the series is short)."""
-        return [v for _, v in self.points[-n:]]
-
     def to_record(self) -> Dict:
         """One JSONL-ready record for this series."""
         return {

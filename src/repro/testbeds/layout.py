@@ -45,10 +45,6 @@ class FloorPlan:
         """Return the floor index a position lies on."""
         return int(round(position.z / self.floor_height_m))
 
-    def floors_crossed(self, a: Position, b: Position) -> int:
-        """Number of floors separating two positions."""
-        return abs(self.floor_of(a) - self.floor_of(b))
-
 
 def grid_positions(num_nodes: int, plan: FloorPlan,
                    rng: np.random.Generator,

@@ -120,10 +120,6 @@ class AuditReport:
             return None
         return min(self.cell_rho.values())
 
-    def kinds(self) -> List[str]:
-        """Sorted distinct violation kinds (test/diagnostic helper)."""
-        return sorted({v.kind for v in self.violations})
-
     def to_dict(self) -> Dict:
         """JSON-serializable form (∞ serializes as None)."""
         min_rho = self.min_effective_rho()

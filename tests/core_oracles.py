@@ -69,6 +69,11 @@ def validate_basic(schedule) -> None:
         "busy matrix mismatch")
 
 
+def violation_kinds(report) -> List[str]:
+    """An audit report's distinct violation kinds, sorted."""
+    return sorted({violation.kind for violation in report.violations})
+
+
 # ----------------------------------------------------------------------
 # Reuse constraints, one offset at a time
 # ----------------------------------------------------------------------

@@ -121,7 +121,7 @@ class TestFlow:
     def test_instance_window(self):
         f = flow(0, period=100, deadline=70)
         inst = next(f.instances(100))
-        assert inst.window == (0, 69)
+        assert (inst.release_slot, inst.deadline_slot) == (0, 69)
 
 
 class TestFlowSet:

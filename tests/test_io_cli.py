@@ -43,7 +43,8 @@ class TestTopologyRoundtrip:
         path = tmp_path / "topo.npz"
         save_topology(topo, path)
         loaded = load_topology(path)
-        assert loaded.access_points() == [2]
+        assert [node.node_id for node in loaded.nodes
+                if node.role is NodeRole.ACCESS_POINT] == [2]
         assert loaded.node(3).position.x == 3.0
 
     def test_real_testbed_roundtrip(self, wustl, tmp_path):

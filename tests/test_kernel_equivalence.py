@@ -10,9 +10,12 @@ offsets, same ``find_slot`` answers — and the fused descent must match
 its stepwise oracle (:func:`repro.core.rc.stepwise_descent`) in final
 schedules, work counters, decision provenance and the
 ``rc.fallback_rho`` histogram, walking each placement's window once
-and reading Eq. 1 once per distinct probed slot.
-These tests drive both over seeded randomized schedules, a hand-built
-descent and full scheduler runs and demand exact agreement.  The last
+and reading Eq. 1 once per distinct probed slot.  Unrecorded, a fused
+descent may end at Eq. 1's bound without walking; it must still make
+the stepwise loop's placement and leave the same ρ.
+These tests drive both over seeded randomized schedules, hand-built
+descents, hypothesis windows and full scheduler runs and demand exact
+agreement.  The last
 class pins RC's repair products and audits what an RC compile hands
 to clone, repair and evict.
 """
@@ -20,9 +23,12 @@ to clone, repair and evict.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import (Phase, assume, find, given, settings,
+                        strategies as st)
 
 from repro import obs
 from repro.core import rc as _rc
@@ -31,7 +37,7 @@ from repro.core.constraints import (
     first_feasible_offset,
     max_admissible_rho,
 )
-from repro.core.laxity import LaxityTable
+from repro.core.laxity import LaxityTable, calculate_laxity
 from repro.core.rc import (
     RHO_RESET_FLOW,
     RHO_RESET_TRANSMISSION,
@@ -256,23 +262,40 @@ DESCENT_SLOTS = (
 #: keeps laxity 1 and slots 4 and 6 go negative.
 DESCENT_REMAINING = 9
 
+#: :data:`DESCENT_SLOTS` plus a slot 12 with a free offset, where the
+#: ρ = ∞ probe lands.  Every finite ρ probes a slot in [1, 12], the
+#: first conflict-free slot to the ρ = ∞ probe's.
+BOUND_SLOTS = DESCENT_SLOTS + (([(2, 5)], []),)
+
+#: Requests after the one placed: Eq. 1 reads 12 - s - 12, so the
+#: ρ = ∞ probe reads -12 and -12 + (12 - 1) < 0: Eq. 1's bound holds,
+#: and every probe's laxity is negative.
+BOUND_REMAINING = 12
+
 
 class TestOneWalkPerPlacement:
     """RC's fused descent walks a placement's window once."""
 
-    def _place(self, reuse_graph, stepwise):
-        """Place link (0, 1) on :data:`DESCENT_SLOTS` under a recorder:
-        the placement and each probe's ``slots_scanned``."""
-        deadline = len(DESCENT_SLOTS) - 1
-        schedule = Schedule(reuse_graph.num_nodes, len(DESCENT_SLOTS), 2)
-        for slot, offsets in enumerate(DESCENT_SLOTS):
+    def _place(self, reuse_graph, stepwise, slots=DESCENT_SLOTS,
+               remaining=DESCENT_REMAINING, recorded=True):
+        """Place link (0, 1) on ``slots`` with ``remaining`` requests
+        after it: the placement and, under a recorder, each probe's
+        ``slots_scanned``."""
+        deadline = len(slots) - 1
+        schedule = Schedule(reuse_graph.num_nodes, len(slots), 2)
+        for slot, offsets in enumerate(slots):
             for offset, occupants in enumerate(offsets):
                 for sender, receiver in occupants:
                     schedule.add(TransmissionRequest(
                         1, slot, offset, 0, sender, receiver, 0, deadline),
                         slot, offset)
         requests = [TransmissionRequest(0, 0, 0, attempt, 0, 1, 0, deadline)
-                    for attempt in range(DESCENT_REMAINING + 1)]
+                    for attempt in range(remaining + 1)]
+        if not recorded:
+            with _descent(stepwise):
+                return ConservativeReusePolicy(rho_t=2).place(
+                    schedule, reuse_graph, requests[0], 0,
+                    RequestWindow(LaxityTable(requests), 1)), None
         recorder = obs.Recorder()
         scans = []
         count = recorder.count
@@ -309,6 +332,33 @@ class TestOneWalkPerPlacement:
         fused = self._place(reuse_graph, False)
         assert fused == stepwise == ((1, 1), [12, 11, 6, 4, 1])
         assert walked == list(range(1, len(DESCENT_SLOTS)))
+
+    def test_bound_ends_only_the_unrecorded_descent(
+            self, reuse_graph, monkeypatch, laxity_reads):
+        """On :data:`BOUND_SLOTS` an unrecorded descent reads Eq. 1 at
+        the ρ = ∞ probe's slot, calls no ``max_admissible_rho`` and
+        makes the stepwise loop's placement, its ρ_t probe.  A recorded
+        one still probes ρ = ∞, 5, 4, 3 and 2 and walks each slot once,
+        as :meth:`test_descent_walks_each_slot_once` pins."""
+        walked = []
+
+        def counted(schedule, graph, sender, receiver, slot, floor=0):
+            walked.append(slot)
+            return max_admissible_rho(schedule, graph, sender, receiver,
+                                      slot, floor)
+
+        bound = {"slots": BOUND_SLOTS, "remaining": BOUND_REMAINING}
+        stepwise = self._place(reuse_graph, True, **bound)
+        assert stepwise == ((1, 1), [13, 12, 6, 4, 1])
+        assert self._place(reuse_graph, True, recorded=False,
+                           **bound) == ((1, 1), None)
+        monkeypatch.setattr(_rc, "max_admissible_rho", counted)
+        laxity_reads.clear()
+        assert self._place(reuse_graph, False, recorded=False,
+                           **bound) == ((1, 1), None)
+        assert walked == [] and laxity_reads == [12]
+        assert self._place(reuse_graph, False, **bound) == stepwise
+        assert walked == list(range(1, len(BOUND_SLOTS)))
 
 
 #: A window for link (0, 1) on the weak-shortcut graph in which every ρ
@@ -404,6 +454,164 @@ class TestOneLaxityPerSlot:
                 (3, None, -2), (3, 5, -2), (3, 4, -2), (3, 3, -2),
                 (1, 2, 0)]
             assert signature[0]["rc.reuse_fallbacks"] == 4
+
+
+#: A random link of the weak-shortcut graph's 8 nodes.
+_LINKS = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+    lambda link: link[0] != link[1])
+
+
+class Window(NamedTuple):
+    """One RC placement on the weak-shortcut graph: each slot's offsets'
+    occupants, the link placed, its earliest slot, the links of the
+    requests after it, ρ_t, and the ρ a flow-reset descent starts at."""
+
+    slots: tuple
+    link: tuple
+    earliest: int
+    remaining: tuple
+    rho_t: int
+    start_rho: float
+
+
+@st.composite
+def windows(draw):
+    """Windows that reach every exit of the descent: Eq. 1's bound
+    holding and failing, no ρ = ∞ slot, and λ_R = 5 below ρ_t.
+
+    A window is random slots, then slots that are full but
+    conflict-free for the link, then at most one conflict-free slot
+    with a free offset, then random slots again.  A random slot's
+    offsets hold random occupants; a conflict-free slot spreads the
+    three pairs of the other six nodes over some of its offsets (all of
+    them when it is full)."""
+    link = draw(_LINKS)
+    offsets = draw(st.integers(1, 3))
+    others = [node for node in range(8) if node not in link]
+
+    def clear(drawn):
+        order, taken = drawn
+        cells = [[] for _ in range(offsets)]
+        for pair in range(3 if taken else 0):
+            cells[taken[pair % len(taken)]].append(
+                tuple(order[2 * pair:2 * pair + 2]))
+        return tuple(cells)
+
+    cell = st.one_of(st.just(()), st.lists(_LINKS, min_size=1, max_size=2))
+    random_slots = st.lists(st.tuples(*[cell] * offsets), max_size=4)
+    full = st.permutations(others).map(
+        lambda order: clear((order, list(range(offsets)))))
+    free = st.tuples(st.permutations(others), st.lists(
+        st.integers(0, offsets - 1), max_size=offsets - 1,
+        unique=True)).map(clear)
+    slots = (draw(random_slots) + draw(st.lists(full, max_size=6))
+             + draw(st.lists(free, max_size=1)) + draw(random_slots))
+    assume(slots)
+    return Window(slots=tuple(slots), link=link,
+                  earliest=draw(st.integers(0, len(slots))),
+                  remaining=tuple(draw(st.lists(_LINKS, max_size=8))),
+                  rho_t=draw(st.integers(1, 6)),
+                  start_rho=draw(st.sampled_from([NO_REUSE, 2, 3, 5])))
+
+
+def _window_schedule(window: Window):
+    """The window's schedule (an occupant sharing a node with an earlier
+    one in its slot is dropped) and the placement's requests."""
+    deadline = len(window.slots) - 1
+    schedule = Schedule(8, len(window.slots), len(window.slots[0]))
+    for slot, offsets in enumerate(window.slots):
+        busy = set()
+        for offset, occupants in enumerate(offsets):
+            for sender, receiver in occupants:
+                if not busy & {sender, receiver}:
+                    busy.update((sender, receiver))
+                    schedule.add(TransmissionRequest(
+                        1, slot, offset, 0, sender, receiver, 0, deadline),
+                        slot, offset)
+    requests = [TransmissionRequest(0, 0, hop, 0, sender, receiver, 0,
+                                    deadline)
+                for hop, (sender, receiver) in enumerate(
+                    (window.link,) + window.remaining)]
+    return schedule, requests
+
+
+def _window_case(reuse_graph, window: Window) -> str:
+    """Which exit a descent from ρ = ∞ takes on the window."""
+    if reuse_graph.diameter() < window.rho_t:
+        return "rho_t above diameter"
+    schedule, requests = _window_schedule(window)
+    sender, receiver = window.link
+    deadline = len(window.slots) - 1
+    free = schedule.first_free_slot(sender, receiver, window.earliest,
+                                    deadline)
+    if window.earliest > deadline or free < 0:
+        return "no free slot"
+    laxity = calculate_laxity(schedule, free, deadline, requests[1:])
+    if laxity >= 0:
+        return "no descent"
+    first = next(schedule.conflict_free_slots(sender, receiver,
+                                              window.earliest, deadline))
+    return "bound holds" if laxity + free - first < 0 else "bound fails"
+
+
+class TestEquationOneBound:
+    """An unrecorded fused descent that ends at Eq. 1's bound places
+    where its stepwise oracle does and leaves the same ρ."""
+
+    @pytest.mark.parametrize("case", ["bound holds", "bound fails",
+                                      "no free slot",
+                                      "rho_t above diameter"])
+    def test_windows_reach_every_exit(self, reuse_graph, case):
+        find(windows(), lambda window: _window_case(
+            reuse_graph, window) == case,
+            settings=settings(max_examples=1000, database=None,
+                              derandomize=True, phases=[Phase.generate]))
+
+    def test_rho_t_above_diameter_keeps_the_free_slot(self,
+                                                      topology_builder):
+        """Components out of each other's range: a cell shared only with
+        the other component admits every finite ρ, so ``find_slot`` at
+        ρ_t = 3 > λ_R = 2 takes slot 0.  The descent never probes ρ_t
+        there and keeps the ρ = ∞ probe's slot 1, whose laxity -2 would
+        pass Eq. 1's bound, -2 + (1 - 0) < 0."""
+        topology = topology_builder(5, [(0, 1), (1, 2), (3, 4)])
+        graph = ChannelReuseGraph.from_topology(topology)
+        assert graph.diameter() == 2
+        schedule = Schedule(5, 2, 1)
+        schedule.add(TransmissionRequest(1, 0, 0, 0, 3, 4, 0, 1), 0, 0)
+        requests = [TransmissionRequest(0, 0, hop, 0, 0, 1, 0, 1)
+                    for hop in range(3)]
+        assert find_slot(schedule, graph, requests[0], 3, 0) == (0, 0)
+        for stepwise in (True, False):
+            with _descent(stepwise):
+                assert ConservativeReusePolicy(rho_t=3).place(
+                    schedule, graph, requests[0], 0,
+                    RequestWindow(LaxityTable(requests), 1)) == (1, 0)
+
+    @pytest.mark.parametrize("rho_reset",
+                             [RHO_RESET_TRANSMISSION, RHO_RESET_FLOW])
+    @pytest.mark.parametrize("offset_rule",
+                             [OFFSET_FIRST, OFFSET_LEAST_LOADED])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(window=windows())
+    def test_unrecorded_place_matches_stepwise(self, reuse_graph, rho_reset,
+                                               offset_rule, window):
+        """Whichever exit the window takes, the unrecorded fused
+        descent places where the stepwise loop does and leaves the same
+        flow-scoped ρ."""
+        schedule, requests = _window_schedule(window)
+        results = []
+        for stepwise in (True, False):
+            policy = ConservativeReusePolicy(
+                rho_t=window.rho_t, rho_reset=rho_reset,
+                offset_rule=offset_rule)
+            policy._rho = window.start_rho
+            with _descent(stepwise):
+                placement = policy.place(
+                    schedule, reuse_graph, requests[0], window.earliest,
+                    RequestWindow(LaxityTable(requests), 1))
+            results.append((placement, policy._rho))
+        assert results[0] == results[1]
 
 
 def _recorded_signature(result, recorder):

@@ -15,6 +15,10 @@ policy.
 RC's decision records on (3 channels, seed 0) are pinned as well: the
 sha256 of ``ProvenanceRecorder.records()`` as canonical JSON, recorded
 before RC's descent read Eq. 1 once per distinct probed slot.
+
+Those pins are of recorded runs, and a recorded RC descent probes every
+ρ.  An unrecorded one may end at Eq. 1's bound, so RC's schedules on
+the whole pool are pinned unrecorded too, recorded before it could.
 """
 
 from __future__ import annotations
@@ -75,6 +79,13 @@ PINNED_RC_RECORDS = (
     "d9cd65a9514e102a10d2b01aeb76ee8399efd7fa0ee8505f6be4bd72975dc843")
 
 
+#: sha256 of RC's canonical hashes, one per line, on every pool entry
+#: (seeds 0, 1000, ..., 9000) at 3, 4, 5 and 8 channels, channels
+#: first, scheduled with no recorder live.
+PINNED_RC_POOL = (
+    "6360c087936432ae34c258e2473ac51d996a762b7b27568dd4c3f5f6dcab6a29")
+
+
 @pytest.fixture(scope="module")
 def pool_workloads(indriya):
     topology, _ = indriya
@@ -111,3 +122,19 @@ def test_rc_decision_records_repeat(pool_workloads):
     assert len(records) == 2313
     canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_RC_RECORDS
+
+
+def test_unrecorded_rc_pool_repeats(indriya):
+    topology, _ = indriya
+    assert not _obs.ENABLED
+    digests = []
+    for channels in (3, 4, 5, 8):
+        network = prepare_network(topology, num_channels=channels)
+        for seed in range(0, 10000, 1000):
+            flow_set = build_workload(network, 30, PeriodRange(-1, 3),
+                                      TrafficType.CENTRALIZED,
+                                      np.random.default_rng(seed))
+            result = schedule_workload(network, flow_set, "RC", 2)
+            digests.append(result.schedule.canonical_hash())
+    assert hashlib.sha256("\n".join(digests).encode()).hexdigest() == (
+        PINNED_RC_POOL)

@@ -32,7 +32,8 @@ from repro.obs.provenance import cell_reuse_distances
 from repro.validate.audit import audit_schedule
 
 from conftest import build_topology
-from core_oracles import busy_matrix, free_offsets, node_busy, used_offsets
+from core_oracles import (busy_matrix, free_offsets, node_busy, used_offsets,
+                          violation_kinds)
 from test_schedule_memo import oracle_hash
 
 NODES, SLOTS, OFFSETS = 7, 8, 3
@@ -144,6 +145,9 @@ def assert_matches_model(schedule: Schedule) -> None:
             assert list(schedule.conflict_free_slots(
                 sender, receiver, start, end)) == [
                     slot for slot, c in zip(window, conflict) if not c]
+            assert schedule.first_conflict_free_slot(
+                sender, receiver, start, end) == next(
+                    (slot for slot, c in zip(window, conflict) if not c), -1)
             assert schedule.first_free_slot(
                 sender, receiver, start, end) == next(
                     (slot for slot, f, c in zip(window, free_slots, conflict)
@@ -151,7 +155,7 @@ def assert_matches_model(schedule: Schedule) -> None:
         # Eq. 1's packing: one block per link, the last link lowest.
         assert schedule.conflict_rows(probed, start, end) == packed
     report = audit_schedule(schedule, GRAPH, 1)
-    assert not BOOKKEEPING & set(report.kinds()), report.summary()
+    assert not BOOKKEEPING & set(violation_kinds(report)), report.summary()
 
 
 def model_lane(entries, slots, sender, receiver):

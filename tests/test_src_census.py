@@ -8,9 +8,11 @@ Two rules keep the library's surface from growing past its callers:
   ``examples/`` or ``perfbench/``, or if ``repro.__all__`` exports it.
   Code that only the tests call belongs in ``tests/``, as the oracle
   modules there do.  The census matches by name: any ``Name``,
-  ``Attribute`` or import of a name counts as a use of every definition
-  so named, so it finds a lower bound of the uncalled code, never a
-  false one.  Dunder methods are skipped.
+  ``Attribute`` or import of a name counts as a use of every function
+  or class so named, and only an ``Attribute`` (``obj.name``) as a use
+  of a method, so a local variable or parameter that shares a method's
+  name does not keep it.  Matching by name finds a lower bound of the
+  uncalled code, never a false one.  Dunder methods are skipped.
 * **Every CLI option has a test.**  Each option string of
   ``build_parser()``, across all subcommands, must appear in a test
   module under ``tests/`` or in the CI workflow.
@@ -39,30 +41,36 @@ def _python_files(directory: Path) -> List[Path]:
     return sorted(directory.rglob("*.py"))
 
 
-def _definitions(tree: ast.AST, prefix: str) -> Iterator[Tuple[str, str]]:
-    """``(qualified name, name)`` of every function, class and method."""
+def _definitions(tree: ast.AST, prefix: str, in_class: bool = False
+                 ) -> Iterator[Tuple[str, str, bool]]:
+    """``(qualified name, name, is a method)`` of every function, class
+    and method."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             qualified = f"{prefix}.{node.name}"
-            yield qualified, node.name
-            yield from _definitions(node, qualified)
+            is_class = isinstance(node, ast.ClassDef)
+            yield qualified, node.name, in_class and not is_class
+            yield from _definitions(node, qualified, is_class)
         else:
-            yield from _definitions(node, prefix)
+            yield from _definitions(node, prefix, in_class)
 
 
-def _used_names(tree: ast.AST, package_init: bool) -> Set[str]:
-    names = set()
+def _used_names(tree: ast.AST, package_init: bool
+                ) -> Tuple[Set[str], Set[str]]:
+    """The names a module uses as ``Name``s or imports, and the names
+    it reads as attributes."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif (isinstance(node, (ast.Import, ast.ImportFrom))
               and not package_init):
             names.update(alias.name.rsplit(".", 1)[-1]
                          for alias in node.names)
-    return names
+    return names, attributes
 
 
 def _exported() -> Set[str]:
@@ -79,19 +87,22 @@ def _exported() -> Set[str]:
 def uncalled_definitions() -> Set[str]:
     """Qualified names of the src definitions no caller names."""
     definitions = []
-    used = _exported()
-    for path in _python_files(SRC / "repro"):
-        tree = ast.parse(path.read_text())
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        definitions.extend(_definitions(tree, module))
-        used |= _used_names(tree, path.name == "__init__.py")
-    for directory in ("benchmarks", "examples", "perfbench"):
-        for path in _python_files(ROOT / directory):
-            used |= _used_names(ast.parse(path.read_text()),
-                                path.name == "__init__.py")
-    return {qualified for qualified, name in definitions
+    names, attributes = _exported(), set()
+    for directory in (SRC / "repro", ROOT / "benchmarks",
+                      ROOT / "examples", ROOT / "perfbench"):
+        for path in _python_files(directory):
+            tree = ast.parse(path.read_text())
+            if directory == SRC / "repro":
+                module = ".".join(
+                    path.relative_to(SRC).with_suffix("").parts)
+                definitions.extend(_definitions(tree, module))
+            used, read = _used_names(tree, path.name == "__init__.py")
+            names |= used
+            attributes |= read
+    return {qualified for qualified, name, method in definitions
             if not (name.startswith("__") and name.endswith("__"))
-            and name not in used}
+            and name not in (attributes if method
+                             else names | attributes)}
 
 
 def cli_options() -> Set[str]:

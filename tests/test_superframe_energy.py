@@ -9,7 +9,7 @@ from repro.analysis.energy import (
     superframe_energy,
 )
 from repro.core.schedule import Schedule
-from repro.mac.superframe import SlotAction, build_superframe
+from repro.mac.superframe import DeviceTable, SlotAction, build_superframe
 
 from test_core_schedule import request
 
@@ -23,6 +23,18 @@ def small_schedule():
     return schedule
 
 
+def device_table(superframe, node_id):
+    """One device's slot table, an empty one when it is unscheduled."""
+    return superframe.tables.get(node_id, DeviceTable(
+        node_id=node_id, superframe_slots=superframe.num_slots))
+
+
+def slots_doing(table, action):
+    """The slots of a device's table holding one action, ascending."""
+    return sorted(entry.slot for entry in table.entries
+                  if entry.action is action)
+
+
 def action_in_slot(table, slot):
     """A device's action in a slot, read from its table (SLEEP when
     unscheduled)."""
@@ -33,16 +45,16 @@ def action_in_slot(table, slot):
 class TestSuperframe:
     def test_actions_assigned(self, small_schedule):
         superframe = build_superframe(small_schedule)
-        table0 = superframe.table(0)
+        table0 = device_table(superframe, 0)
         assert action_in_slot(table0, 0) is SlotAction.TRANSMIT
         assert action_in_slot(table0, 1) is SlotAction.SLEEP
-        table1 = superframe.table(1)
+        table1 = device_table(superframe, 1)
         assert action_in_slot(table1, 0) is SlotAction.RECEIVE
         assert action_in_slot(table1, 5) is SlotAction.TRANSMIT
 
     def test_unscheduled_device_sleeps(self, small_schedule):
         superframe = build_superframe(small_schedule)
-        table = superframe.table(5)
+        table = device_table(superframe, 5)
         assert table.entries == []
         assert table.duty_cycle() == 0.0
         assert action_in_slot(table, 3) is SlotAction.SLEEP
@@ -54,7 +66,7 @@ class TestSuperframe:
     def test_duty_cycle(self, small_schedule):
         superframe = build_superframe(small_schedule)
         # Node 1 is active in slots 0 and 5 of 20.
-        assert superframe.table(1).duty_cycle() == pytest.approx(0.1)
+        assert device_table(superframe, 1).duty_cycle() == pytest.approx(0.1)
 
     def test_busiest_device(self, small_schedule):
         superframe = build_superframe(small_schedule)
@@ -64,12 +76,14 @@ class TestSuperframe:
 
     def test_transmit_receive_slot_lists(self, small_schedule):
         superframe = build_superframe(small_schedule)
-        assert superframe.table(2).receive_slots() == [5]
-        assert superframe.table(2).transmit_slots() == [0]
+        assert slots_doing(device_table(superframe, 2),
+                           SlotAction.RECEIVE) == [5]
+        assert slots_doing(device_table(superframe, 2),
+                           SlotAction.TRANSMIT) == [0]
 
     def test_entries_sorted_by_slot(self, small_schedule):
         superframe = build_superframe(small_schedule)
-        slots = [e.slot for e in superframe.table(1).entries]
+        slots = [e.slot for e in device_table(superframe, 1).entries]
         assert slots == sorted(slots)
 
     def test_mean_duty_cycle(self, small_schedule):

@@ -35,7 +35,8 @@ class TestFloorPlan:
         plan = FloorPlan(3, 40.0, 20.0)
         from repro.network.node import Position
 
-        assert plan.floors_crossed(Position(0, 0, 0), Position(0, 0, 8.0)) == 2
+        assert abs(plan.floor_of(Position(0, 0, 0))
+                   - plan.floor_of(Position(0, 0, 8.0))) == 2
 
     def test_invalid_plan(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from repro.testbeds.synth import make_testbed
 from repro.validate import AuditReport, audit_schedule, run_fuzz
 from repro.validate.fuzz import _schedule_signature, run_case
 
+from core_oracles import violation_kinds
 from test_core_schedule import request
 
 
@@ -95,7 +96,7 @@ class TestAuditorCorruptions:
         # exactly like a corrupt artifact would.
         schedule.force_add(request(1, 2, flow_id=1), 0, 1)
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["node_conflict"]
+        assert violation_kinds(report) == ["node_conflict"]
         [violation] = report.violations
         assert violation.slot == 0
         assert "node 1" in violation.message
@@ -108,7 +109,7 @@ class TestAuditorCorruptions:
         schedule.add(request(0, 1), 0, 0)
         schedule.add(request(2, 3, flow_id=1), 0, 0)
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["rho_floor"]
+        assert violation_kinds(report) == ["rho_floor"]
         assert report.cell_rho[(0, 0)] == 1
         assert report.min_effective_rho() == 1
         [violation] = report.violations
@@ -128,7 +129,7 @@ class TestAuditorCorruptions:
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1, release=0, deadline=5), 7, 0)
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["window"]
+        assert violation_kinds(report) == ["window"]
         [violation] = report.violations
         assert violation.slot == 7
         assert "after deadline 5" in violation.message
@@ -137,7 +138,7 @@ class TestAuditorCorruptions:
         schedule = Schedule(6, 20, 2)
         schedule.add(request(0, 1, release=4, deadline=10), 2, 0)
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["window"]
+        assert violation_kinds(report) == ["window"]
         assert "before release 4" in report.violations[0].message
 
     def test_occupancy_lane_mismatch(self, line_reuse_graph):
@@ -147,7 +148,7 @@ class TestAuditorCorruptions:
         # The cell's occupants out of placement order.
         schedule._cells[(0, 0)] = schedule._cells[(0, 0)][::-1]
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["occupancy"]
+        assert violation_kinds(report) == ["occupancy"]
         [violation] = report.violations
         assert (violation.slot, violation.offset) == (0, 0)
         assert "lists entries [1, 0]" in violation.message
@@ -158,7 +159,7 @@ class TestAuditorCorruptions:
         schedule.add(request(0, 1), 3, 1)
         schedule._used_mask[3] = 0  # the bit of offset 1 lost
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["occupancy"]
+        assert violation_kinds(report) == ["occupancy"]
         [violation] = report.violations
         assert violation.slot == 3
         assert "mask says [] but entries occupy [1]" in violation.message
@@ -169,7 +170,7 @@ class TestAuditorCorruptions:
         schedule.add(request(4, 5, flow_id=1), 33, 1)
         schedule._full &= ~(1 << 33)  # both offsets taken, bit lost
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["occupancy"]
+        assert violation_kinds(report) == ["occupancy"]
         [violation] = report.violations
         assert violation.slot == 33
         assert ("full-slot bitset marks it open but entries occupy "
@@ -180,7 +181,7 @@ class TestAuditorCorruptions:
         schedule.add(request(0, 1, hop=0, attempt=0), 5, 0)
         schedule.add(request(0, 1, hop=0, attempt=1), 3, 0)
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["precedence"]
+        assert violation_kinds(report) == ["precedence"]
         assert "does not follow" in report.violations[0].message
 
     def test_busy_matrix_drift(self, line_reuse_graph):
@@ -188,7 +189,7 @@ class TestAuditorCorruptions:
         schedule.add(request(0, 1), 0, 0)
         schedule._busy[5] |= 1 << 9  # bit flipped by "cosmic ray"
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["busy_matrix"]
+        assert violation_kinds(report) == ["busy_matrix"]
         assert "node 5" in report.violations[0].message
 
     def test_busy_bits_on_two_nodes(self, line_reuse_graph):
@@ -197,7 +198,7 @@ class TestAuditorCorruptions:
         schedule._busy[4] ^= 1 << 7
         schedule._busy[2] ^= 1 << 11
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["busy_matrix"]
+        assert violation_kinds(report) == ["busy_matrix"]
         [violation] = report.violations
         # The lower node's lowest differing slot, though node 4 differs
         # at an earlier slot.
@@ -210,7 +211,7 @@ class TestAuditorCorruptions:
         schedule.add(request(0, 1), 3, 0)
         schedule._used_mask[3] |= 1 << 2  # offset 2 of a 2-offset grid
         report = audit_schedule(schedule, line_reuse_graph, 2)
-        assert report.kinds() == ["occupancy"]
+        assert violation_kinds(report) == ["occupancy"]
         [violation] = report.violations
         assert violation.slot == 3
         assert "mask says [0, 2] but entries occupy [0]" in violation.message
@@ -221,7 +222,7 @@ class TestAuditorCorruptions:
         schedule.add(request(4, 5, flow_id=1), 0, 0)
         report = audit_schedule(schedule, line_reuse_graph, 2,
                                 barred_links=[(1, 0)])
-        assert "barred_reuse" in report.kinds()
+        assert "barred_reuse" in violation_kinds(report)
         assert "(0, 1)" in report.violations[0].message
 
     def test_completeness_missing_placement(self, scheduled_network):
@@ -236,7 +237,7 @@ class TestAuditorCorruptions:
             rebuilt.add(entry.request, entry.slot, entry.offset)
         report = audit_schedule(rebuilt, network.reuse, 1,
                                 flow_set=flow_set)
-        assert "completeness" in report.kinds()
+        assert "completeness" in violation_kinds(report)
         assert any("missing 1 placement" in v.message
                    and v.flow_id == dropped.request.flow_id
                    for v in report.violations)
